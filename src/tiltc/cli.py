@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -29,6 +28,7 @@ import click
 from .coxeter import CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
 from .hecke import HeckeContext, PolyStore
+from .laurent import ZERO
 from .rootdata import LinkageDatum, parse_weight
 from .tilting import CategoryO, KacMoody, MultiplicityTable, Quantum
 
@@ -93,7 +93,6 @@ def cli() -> None:
 @click.option("--inverse", is_flag=True, help="Inverse family: columns indexed by x, entries at y <= x.")
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 @click.option("--max-length", "max_length", type=int, default=None, help="Length bound for inverse columns.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers across repeated --y queries.")
 @click.option("--no-cache", is_flag=True, help="Skip the persistent column store.")
 @click.option("--cache-path", default=None, help="Cache directory (defaults to $TILTC_CACHE).")
 def kl_cmd(
@@ -105,7 +104,6 @@ def kl_cmd(
     inverse: bool,
     fmt: str,
     max_length: int | None,
-    jobs: int,
     no_cache: bool,
     cache_path: str | None,
 ) -> None:
@@ -119,12 +117,11 @@ def kl_cmd(
         raise click.UsageError("--parabolic needs --flavor")
     I = parse_word(parabolic_text) if parabolic_text else ()
     fam = "h" if flavor is None else ("m" if flavor == "spherical" else "n")
-    if jobs < 1:
-        raise click.UsageError("--jobs must be at least 1")
     system = CoxeterSystem.from_type(type_tag)
     store, store_path = _open_store(
         _cache_dir(cache_path), system.tag, len(system.names), no_cache
     )
+    hecke = HeckeContext(system, store)
 
     if inverse:
         if x_text is None:
@@ -136,17 +133,16 @@ def kl_cmd(
         uppers = list(y_texts)
 
     def run_column(upper_text: str) -> list[dict]:
-        hecke = HeckeContext(CoxeterSystem.from_type(type_tag), store)
-        upper = hecke.system.element(_parse_word_arg(upper_text))
+        upper = system.element(_parse_word_arg(upper_text))
         if inverse:
             col = hecke.inverse_column(fam, I, upper, length_bound=max_length)
         else:
             col = hecke.column(fam, I, upper)
         wanted = None
         if inverse and y_texts:
-            wanted = {hecke.system.element(_parse_word_arg(t)) for t in y_texts}
+            wanted = {system.element(_parse_word_arg(t)) for t in y_texts}
         elif not inverse and x_text is not None:
-            wanted = {hecke.system.element(_parse_word_arg(x_text))}
+            wanted = {system.element(_parse_word_arg(x_text))}
         records = []
         for lower in sorted(col, key=lambda z: z.sort_key()):
             if wanted is not None and lower not in wanted:
@@ -163,22 +159,11 @@ def kl_cmd(
             for z in sorted(wanted, key=lambda z: z.sort_key()):
                 if z.word not in seen:
                     pair = (upper.word, z.word) if inverse else (z.word, upper.word)
-                    records.append(
-                        {
-                            "x": pair[0],
-                            "y": pair[1],
-                            "poly": col.get(z, None) or _zero_poly(),
-                        }
-                    )
+                    records.append({"x": pair[0], "y": pair[1], "poly": ZERO})
         return records
 
-    if jobs == 1 or len(uppers) == 1:
-        results = [run_column(t) for t in uppers]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_column, uppers))
+    records = [r for t in uppers for r in run_column(t)]
     _save_store(store, store_path)
-    records = [r for batch in results for r in batch]
 
     if fmt == "json":
         obj = {
@@ -207,12 +192,6 @@ def kl_cmd(
                 (_show_word(r["x"]), _show_word(r["y"]), r["poly"].to_text())
             )
         )
-
-
-def _zero_poly():
-    from .laurent import ZERO
-
-    return ZERO
 
 
 # -- tilt ----------------------------------------------------------------------------
@@ -286,7 +265,7 @@ def tilt_o(type_tag, i_text, j_text, x_text, y_text, standard, max_length, fmt, 
 @click.option(
     "--literal-positive-text",
     is_flag=True,
-    help="At positive level, echo the unsimplified alternating-sum text.",
+    help="At positive level, print the z-independent variant of the simple formula, unchecked and flagged.",
 )
 @_table_options
 def tilt_km(

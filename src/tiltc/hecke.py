@@ -27,9 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 from .coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
@@ -37,7 +36,6 @@ from .laurent import ONE, V, ZERO, LaurentPoly
 
 __all__ = [
     "HeckeContext",
-    "HeckeVector",
     "PolyStore",
     "family_id",
     "DIRECT_FAMILIES",
@@ -59,29 +57,6 @@ def family_id(fam: str, I: tuple[int, ...]) -> str:
     if fam in ("h", "h_inv"):
         return fam
     return f"{fam}[{','.join(str(s) for s in I)}]"
-
-
-@dataclass(frozen=True)
-class HeckeVector:
-    """Element of the Hecke algebra or of a parabolic quotient module.
-
-    kind is ("std", ()) for the algebra itself, or (flavor, I) with flavor in
-    {"spherical", "antispherical"} for the module over the subset I.
-    """
-
-    system: CoxeterSystem
-    kind: tuple[str, tuple[int, ...]]
-    coords: tuple[tuple[CoxeterElement, LaurentPoly], ...]
-
-    @staticmethod
-    def make(system: CoxeterSystem, kind, coords: Mapping[CoxeterElement, LaurentPoly]) -> "HeckeVector":
-        items = tuple(
-            (x, p) for x, p in sorted(coords.items(), key=lambda t: t[0].sort_key()) if p
-        )
-        return HeckeVector(system, (kind[0], tuple(kind[1])), items)
-
-    def as_dict(self) -> Coords:
-        return dict(self.coords)
 
 
 def _add_into(acc: Coords, x: CoxeterElement, p: LaurentPoly) -> None:
@@ -214,17 +189,6 @@ class HeckeContext:
 
     # -- standard basis multiplication ---------------------------------------
 
-    def rmul_gen_std(self, coords: Coords, s: int) -> Coords:
-        out: Coords = {}
-        for x, p in coords.items():
-            xs = x.times_gen(s, "right")
-            if xs.length > x.length:
-                _add_into(out, xs, p)
-            else:
-                _add_into(out, xs, p)
-                _add_into(out, x, p * VINV_MINUS_V)
-        return _clean(out)
-
     def lmul_gen_std(self, coords: Coords, s: int) -> Coords:
         out: Coords = {}
         for x, p in coords.items():
@@ -235,11 +199,6 @@ class HeckeContext:
                 _add_into(out, sx, p)
                 _add_into(out, x, p * VINV_MINUS_V)
         return _clean(out)
-
-    def mult_word_std(self, coords: Coords, word: Iterable[int]) -> Coords:
-        for s in word:
-            coords = self.rmul_gen_std(coords, s)
-        return coords
 
     # -- parabolic module multiplication ---------------------------------------
 
@@ -412,9 +371,6 @@ class HeckeContext:
     def mu(self, x: CoxeterElement, y: CoxeterElement) -> int:
         """Coefficient of v in h_{x,y}."""
         return self.kl_column(y).get(x, ZERO).coeff(1)
-
-    def kl_basis(self, y: CoxeterElement) -> HeckeVector:
-        return HeckeVector.make(self.system, ("std", ()), self.kl_column(y))
 
     # -- inverse families --------------------------------------------------------
 

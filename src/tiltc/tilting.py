@@ -27,7 +27,7 @@ disabled and the result flagged "literal-positive-text".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterElement, format_word
@@ -150,7 +150,11 @@ def convolution(
 
 
 class _Setting:
-    """Shared index-set plumbing for all four settings."""
+    """Shared index-set plumbing and table engine for all four settings.
+
+    A setting supplies its index map: _coset_part(x) -> u and its inverse
+    _embed(u) -> x.  Rows are resolved once, in _targets.
+    """
 
     setting_name = "?"
 
@@ -177,6 +181,15 @@ class _Setting:
     def _coset_part(self, x: CoxeterElement) -> CoxeterElement:
         return self.wJ * x
 
+    def _embed(self, u: CoxeterElement) -> CoxeterElement:
+        """Index element of the coset part u."""
+        # every setting twists by an involution, so the map is its own inverse
+        return self._coset_part(u)
+
+    def _n_index(self, u: CoxeterElement) -> CoxeterElement:
+        """Index of the coset part u in the antispherical module."""
+        return u.inverse() * self.wJ
+
     def _element(self, word: Sequence[int], name: str) -> CoxeterElement:
         try:
             return self.system.element(word)
@@ -197,6 +210,10 @@ class _Setting:
             )
         return u
 
+    def _index(self, x_word: Sequence[int]) -> tuple[CoxeterElement, CoxeterElement]:
+        x = self._element(x_word, "x")
+        return x, self._require_member(x, "x")
+
     def _enumerate_u_below(self, u_top: CoxeterElement) -> list[CoxeterElement]:
         """Index-set coset parts u below u_top (all settings: finite sets)."""
         out = []
@@ -209,17 +226,45 @@ class _Setting:
                 out.append(u)
         return out
 
+    def _targets(
+        self, u_x: CoxeterElement, y_word: Sequence[int] | None, max_len: int | None
+    ) -> tuple[list[tuple[CoxeterElement, CoxeterElement]], CoxeterElement | None, int | None]:
+        """Rows (y, u_y) of a table at u_x, the explicit y and the truncation.
+
+        An explicit y_word gives one validated row; otherwise the rows run
+        over the index set below u_x.
+        """
+        if y_word is not None:
+            y = self._element(y_word, "y")
+            return [(y, self._require_member(y, "y"))], y, None
+        return [(self._embed(u), u) for u in self._enumerate_u_below(u_x)], None, None
+
     # -- table assembly with invariant enforcement ------------------------------
+
+    def _convolve(
+        self,
+        first: Mapping[CoxeterElement, LaurentPoly],
+        second: Mapping[CoxeterElement, LaurentPoly],
+        x: CoxeterElement,
+        y: CoxeterElement,
+    ) -> LaurentPoly:
+        """The convolution pairing at row y; a failed parity certificate raises."""
+        total, exact = convolution(
+            first, second, {z: z.length for z in first}, x.length, y.length
+        )
+        if not exact:
+            raise InternalInvariantError(
+                f"parity certificate failed in the simple-object formula at y={y!r}"
+            )
+        return total
 
     def _finalize(
         self,
         x: CoxeterElement,
         rows: dict[CoxeterElement, LaurentPoly],
         explicit_y: CoxeterElement | None,
-        weights: Mapping[tuple[int, ...], str] | None = None,
         flags: tuple[str, ...] = (),
         truncated_at: int | None = None,
-        extra: Mapping[str, object] | None = None,
         enforce: bool = True,
     ) -> MultiplicityTable:
         if enforce:
@@ -243,9 +288,6 @@ class _Setting:
             if p or (explicit_y is not None and y == explicit_y)
         }
         entries = tuple(sorted(items.items(), key=lambda t: (len(t[0]), t[0])))
-        used_weights = None
-        if weights is not None:
-            used_weights = {w: weights[w] for w, _ in entries if w in weights}
         return MultiplicityTable(
             setting=self.setting_name,
             system=self.system.tag,
@@ -253,20 +295,19 @@ class _Setting:
             J=self.J,
             x=x.word,
             entries=entries,
-            weights=used_weights,
             flags=flags,
             truncated_at=truncated_at,
-            extra=dict(extra or {}),
         )
 
 
 class _NegativeLike(_Setting):
-    """Common formulas for category O and negative-level Kac-Moody.
+    """Common formulas for category O, negative-level Kac-Moody and quantum.
 
-    Index elements are x = w_J u with u minimal in W_J\\W/W_I and I-regular.
-    The standard multiplicity is the inverse spherical entry at the inverted
-    coset parts; the simple multiplicity convolves the bar of the direct
-    antispherical family against the inverse spherical family.
+    Index elements are x = w_J u with u minimal in W_J\\W/W_I and I-regular
+    (quantum indexes by u itself).  The standard multiplicity is the inverse
+    spherical entry at the inverted coset parts; the simple multiplicity
+    convolves the bar of the direct antispherical family against the inverse
+    spherical family.
     """
 
     cross_check = False
@@ -274,16 +315,9 @@ class _NegativeLike(_Setting):
     def standard_table(
         self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
     ) -> MultiplicityTable:
-        x = self._element(x_word, "x")
-        u_x = self._require_member(x, "x")
+        x, u_x = self._index(x_word)
         col = self.hecke.inverse_column("m", self.I, u_x.inverse())
-        if y_word is not None:
-            y = self._element(y_word, "y")
-            targets = [(y, self._require_member(y, "y"))]
-            explicit = y
-        else:
-            targets = [(self.wJ * u, u) for u in self._enumerate_u_below(u_x)]
-            explicit = None
+        targets, explicit, _ = self._targets(u_x, y_word, max_len)
         rows: dict[CoxeterElement, LaurentPoly] = {}
         for y, u_y in targets:
             p = col.get(u_y.inverse(), ZERO)
@@ -316,38 +350,19 @@ class _NegativeLike(_Setting):
     def simple_table(
         self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
     ) -> MultiplicityTable:
-        x = self._element(x_word, "x")
-        u_x = self._require_member(x, "x")
-        n_col = self.hecke.parabolic_column("n", self.I, x.inverse())
-        us = self._enumerate_u_below(u_x)
-        zs = [self.wJ * u for u in us]
-        direct = {z: n_col.get(z.inverse(), ZERO) for z in zs}
+        x, u_x = self._index(x_word)
+        n_col = self.hecke.parabolic_column("n", self.I, self._n_index(u_x))
+        zs = {self._embed(u): u for u in self._enumerate_u_below(u_x)}
+        direct = {z: n_col.get(self._n_index(u), ZERO) for z, u in zs.items()}
         inv_cols = {
             z: self.hecke.inverse_column("m", self.I, u.inverse())
-            for z, u in zip(zs, us)
+            for z, u in zs.items()
         }
-        if y_word is not None:
-            y = self._element(y_word, "y")
-            targets = [(y, self._require_member(y, "y"))]
-            explicit = y
-        else:
-            targets = [(z, u) for z, u in zip(zs, us)]
-            explicit = None
+        targets, explicit, _ = self._targets(u_x, y_word, max_len)
         rows: dict[CoxeterElement, LaurentPoly] = {}
         for y, u_y in targets:
-            inv = {z: inv_cols[z].get(u_y.inverse(), ZERO) for z in zs}
-            total, exact = convolution(
-                direct,
-                inv,
-                {z: z.length for z in zs},
-                x.length,
-                y.length,
-            )
-            if not exact:
-                raise InternalInvariantError(
-                    f"parity certificate failed in the simple-object formula at y={y!r}"
-                )
-            rows[y] = total
+            inv = {z: col.get(u_y.inverse(), ZERO) for z, col in inv_cols.items()}
+            rows[y] = self._convolve(direct, inv, x, y)
         return self._finalize(x, rows, explicit)
 
 
@@ -390,27 +405,10 @@ class KacMoody(_NegativeLike):
             return self.wJ * x
         return x * self.wI
 
-    def standard_table(self, x_word, y_word=None, max_len: int | None = None):
-        if self.level == "neg":
-            return super().standard_table(x_word, y_word)
-        x = self._element(x_word, "x")
-        u_x = self._require_member(x, "x")
-        a = u_x.inverse() * self.wJ
-        if y_word is not None:
-            y = self._element(y_word, "y")
-            targets = [(y, self._require_member(y, "y"))]
-            explicit, truncated = y, None
-        else:
-            targets, truncated = self._targets_above(u_x, max_len)
-            explicit = None
-        rows = {}
-        for y, u_y in targets:
-            col = self.hecke.parabolic_column("n", self.I, u_y.inverse() * self.wJ)
-            rows[y] = col.get(a, ZERO)
-        return self._finalize(x, rows, explicit, truncated_at=truncated)
-
-    def _targets_above(self, u_x: CoxeterElement, max_len: int | None):
+    def _targets(self, u_x, y_word, max_len):
         """Positive level tables run up the order; enumeration must truncate."""
+        if self.level == "neg" or y_word is not None:
+            return super()._targets(u_x, y_word, max_len)
         if max_len is None:
             raise ValidationError(
                 "positive-level tables over all y need max_len (support is upward)"
@@ -418,96 +416,86 @@ class KacMoody(_NegativeLike):
         reps, truncated = self.system.regular_double_coset_reps(
             self.J, self.I, max_len=max(0, max_len - self.wI.length)
         )
-        out = [
-            (u * self.wI, u)
-            for u in reps
-            if self.system.bruhat_leq(u_x, u)
-        ]
-        return out, (max_len if truncated else None)
+        rows = [(self._embed(u), u) for u in reps if self.system.bruhat_leq(u_x, u)]
+        return rows, None, (max_len if truncated else None)
+
+    def standard_table(self, x_word, y_word=None, max_len: int | None = None):
+        if self.level == "neg":
+            return super().standard_table(x_word, y_word)
+        x, u_x = self._index(x_word)
+        a = self._n_index(u_x)
+        targets, explicit, truncated = self._targets(u_x, y_word, max_len)
+        rows = {
+            y: self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).get(a, ZERO)
+            for y, u_y in targets
+        }
+        return self._finalize(x, rows, explicit, truncated_at=truncated)
 
     def simple_table(self, x_word, y_word=None, max_len: int | None = None, literal_text: bool = False):
         if self.level == "neg":
             if literal_text:
                 raise ValidationError("literal_text applies to positive level only")
             return super().simple_table(x_word, y_word)
-        x = self._element(x_word, "x")
-        u_x = self._require_member(x, "x")
-        if y_word is not None:
-            y = self._element(y_word, "y")
-            targets = [(y, self._require_member(y, "y"))]
-            explicit, truncated = y, None
-        else:
-            targets, truncated = self._targets_above(u_x, max_len)
-            explicit = None
-        flags: tuple[str, ...] = ()
-        rows = {}
+        x, u_x = self._index(x_word)
+        targets, explicit, truncated = self._targets(u_x, y_word, max_len)
         if literal_text:
-            # z-independent second factor, as printed; needs its own cutoff
-            if max_len is None:
-                raise ValidationError("literal_text needs max_len for its z-sum")
-            reps, _ = self.system.regular_double_coset_reps(
-                self.J, self.I, max_len=max_len
+            return self._literal_table(x, u_x, targets, explicit, max_len)
+        rows = {}
+        for y, u_y in targets:
+            zs = {
+                self._embed(u): u
+                for u in self._enumerate_u_below(u_y)
+                if self.system.bruhat_leq(u_x, u)
+            }
+            col_y = self.hecke.parabolic_column("n", self.I, self._n_index(u_y))
+            direct = {z: col_y.get(self._n_index(u), ZERO) for z, u in zs.items()}
+            inv = {
+                z: self.hecke.inverse_column("m", self.I, u.inverse()).get(u_x.inverse(), ZERO)
+                for z, u in zs.items()
+            }
+            # roles mirrored: bar acts on the inverse factor
+            rows[y] = self._convolve(inv, direct, x, y)
+        return self._finalize(x, rows, explicit, truncated_at=truncated)
+
+    def _literal_table(self, x, u_x, targets, explicit, max_len):
+        """z-independent second factor, as printed; needs its own cutoff."""
+        if max_len is None:
+            raise ValidationError("literal_text needs max_len for its z-sum")
+        reps, _ = self.system.regular_double_coset_reps(
+            self.J, self.I, max_len=max_len
+        )
+        z_parts = [u for u in reps if self.system.bruhat_leq(u_x, u)]
+        rows = {}
+        for y, u_y in targets:
+            n_fixed = self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).get(
+                self._n_index(u_x), ZERO
             )
-            z_parts = [u for u in reps if self.system.bruhat_leq(u_x, u)]
-            flags = ("literal-positive-text",)
-            truncated = max_len
-            for y, u_y in targets:
-                n_fixed = self.hecke.parabolic_column(
-                    "n", self.I, u_y.inverse() * self.wJ
-                ).get(u_x.inverse() * self.wJ, ZERO)
-                total = ZERO
-                for u_z in z_parts:
-                    m = self.hecke.inverse_column("m", self.I, u_z.inverse()).get(
-                        u_x.inverse(), ZERO
-                    )
-                    if m and n_fixed:
-                        total = total + m.bar() * n_fixed
-                rows[y] = total
-        else:
-            for y, u_y in targets:
-                zs_u = [
-                    u
-                    for u in self._enumerate_u_below(u_y)
-                    if self.system.bruhat_leq(u_x, u)
-                ]
-                zs = [u * self.wI for u in zs_u]
-                direct = {}
-                col_y = self.hecke.parabolic_column(
-                    "n", self.I, u_y.inverse() * self.wJ
+            total = ZERO
+            for u_z in z_parts:
+                m = self.hecke.inverse_column("m", self.I, u_z.inverse()).get(
+                    u_x.inverse(), ZERO
                 )
-                for z, u_z in zip(zs, zs_u):
-                    direct[z] = col_y.get(u_z.inverse() * self.wJ, ZERO)
-                inv = {}
-                for z, u_z in zip(zs, zs_u):
-                    inv[z] = self.hecke.inverse_column(
-                        "m", self.I, u_z.inverse()
-                    ).get(u_x.inverse(), ZERO)
-                # pairing with the roles mirrored: bar acts on the inverse factor
-                total = ZERO
-                for z in zs:
-                    if inv[z] and direct[z]:
-                        total = total + inv[z].bar() * direct[z]
-                    if inv[z] and not inv[z].has_parity(x.length + z.length):
-                        raise InternalInvariantError("parity certificate failed")
-                    if direct[z] and not direct[z].has_parity(y.length + z.length):
-                        raise InternalInvariantError("parity certificate failed")
-                rows[y] = total
+                if m and n_fixed:
+                    total = total + m.bar() * n_fixed
+            rows[y] = total
         return self._finalize(
             x,
             rows,
             explicit,
-            flags=flags,
-            truncated_at=truncated,
-            enforce=not literal_text,
+            flags=("literal-positive-text",),
+            truncated_at=max_len,
+            enforce=False,
         )
 
 
-class Quantum(_Setting):
+class Quantum(_NegativeLike):
     """Quantum group at a root of unity: tilting modules over one linkage class.
 
     Constructed from a finite type and the order l of the root of unity; the
     Coxeter system is the (possibly dual) affinization from the linkage datum.
-    Queries take either an index word x or a dominant weight.
+    Queries take either an index word x or a dominant weight.  Index elements
+    are the coset parts u themselves, with J the finite generators, so the
+    negative-level formulas apply unchanged.
     """
 
     setting_name = "quantum"
@@ -523,7 +511,6 @@ class Quantum(_Setting):
         self.finite_names = tuple(range(1, datum.roots.rank + 1))
         hk = hecke if hecke is not None else HeckeContext(datum.coxeter, store)
         super().__init__(hk, I, self.finite_names)
-        self.wS = self.wJ
         self.lam0: tuple[int, ...] | None = None
 
     @classmethod
@@ -551,77 +538,25 @@ class Quantum(_Setting):
     def _coset_part(self, x: CoxeterElement) -> CoxeterElement:
         return x
 
-    def _weight_echo(self, words: Iterable[tuple[int, ...]]):
+    def _echo(self, table: MultiplicityTable) -> MultiplicityTable:
+        """Attach the weight of every row and of x, when built from a weight."""
         if self.lam0 is None:
-            return None
-        return {
-            w: format_weight(self.datum.dot_word(w, self.lam0)) for w in words
-        }
-
-    def _lambda_extra(self, x: CoxeterElement) -> dict:
-        if self.lam0 is None:
-            return {}
-        return {
-            "lambda": format_weight(self.datum.dot_word(x.word, self.lam0)),
-            "lambda0": format_weight(self.lam0),
-            "stabilizer": list(self.I),
-        }
+            return table
+        return replace(
+            table,
+            weights={
+                w: format_weight(self.datum.dot_word(w, self.lam0))
+                for w, _ in table.entries
+            },
+            extra={
+                "lambda": format_weight(self.datum.dot_word(table.x, self.lam0)),
+                "lambda0": format_weight(self.lam0),
+                "stabilizer": list(self.I),
+            },
+        )
 
     def standard_table(self, x_word, y_word=None, max_len: int | None = None):
-        x = self._element(x_word, "x")
-        self._require_member(x, "x")
-        col = self.hecke.inverse_column("m", self.I, x.inverse())
-        if y_word is not None:
-            y = self._element(y_word, "y")
-            self._require_member(y, "y")
-            targets = [y]
-            explicit = y
-        else:
-            targets = self._enumerate_u_below(x)
-            explicit = None
-        rows = {y: col.get(y.inverse(), ZERO) for y in targets}
-        return self._finalize(
-            x,
-            rows,
-            explicit,
-            weights=self._weight_echo([y.word for y in targets]),
-            extra=self._lambda_extra(x),
-        )
+        return self._echo(super().standard_table(x_word, y_word, max_len))
 
     def simple_table(self, x_word, y_word=None, max_len: int | None = None):
-        x = self._element(x_word, "x")
-        self._require_member(x, "x")
-        n_col = self.hecke.parabolic_column("n", self.I, x.inverse() * self.wS)
-        zs = self._enumerate_u_below(x)
-        direct = {z: n_col.get(z.inverse() * self.wS, ZERO) for z in zs}
-        if y_word is not None:
-            y = self._element(y_word, "y")
-            self._require_member(y, "y")
-            targets = [y]
-            explicit = y
-        else:
-            targets = zs
-            explicit = None
-        rows = {}
-        for y in targets:
-            inv = {
-                z: self.hecke.inverse_column("m", self.I, z.inverse()).get(
-                    y.inverse(), ZERO
-                )
-                for z in zs
-            }
-            total, exact = convolution(
-                direct, inv, {z: z.length for z in zs}, x.length, y.length
-            )
-            if not exact:
-                raise InternalInvariantError(
-                    f"parity certificate failed in the simple-object formula at y={y!r}"
-                )
-            rows[y] = total
-        return self._finalize(
-            x,
-            rows,
-            explicit,
-            weights=self._weight_echo([y.word for y in targets]),
-            extra=self._lambda_extra(x),
-        )
+        return self._echo(super().simple_table(x_word, y_word, max_len))

@@ -70,21 +70,18 @@ class TestKl:
         assert rc == 0
         assert out == "0\n"
 
-    def test_jobs_match_serial(self, capsys):
-        rc1, out1, _ = run(capsys, "kl", "--type", "A2", "--y", "1 2", "--y", "2 1")
-        rc4, out4, _ = run(
-            capsys, "kl", "--type", "A2", "--y", "1 2", "--y", "2 1", "--jobs", "4"
-        )
-        assert rc1 == rc4 == 0
-        assert out1 == out4
+    def test_repeated_y_concatenates_single_runs(self, capsys):
+        rc, both, _ = run(capsys, "kl", "--type", "A2", "--y", "1 2", "--y", "2 1")
+        rc1, first, _ = run(capsys, "kl", "--type", "A2", "--y", "1 2")
+        rc2, second, _ = run(capsys, "kl", "--type", "A2", "--y", "2 1")
+        assert rc == rc1 == rc2 == 0
+        assert both == first + second
 
     def test_usage_errors(self, capsys):
         rc, _, err = run(capsys, "kl", "--type", "A2")
         assert rc == 1 and err.startswith("error: usage:")
         rc, _, err = run(capsys, "kl", "--type", "A2", "--parabolic", "1", "--y", "1")
         assert rc == 1 and "--flavor" in err
-        rc, _, err = run(capsys, "kl", "--type", "A2", "--y", "1", "--jobs", "0")
-        assert rc == 1
 
     def test_invalid_input(self, capsys):
         rc, _, err = run(capsys, "kl", "--type", "Q9", "--y", "1")

@@ -1,0 +1,28 @@
+"""Smoke test of the example scripts, which call the table API directly."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/kl_table.py", "--type", "A2"],
+        ["scripts/tilt_grid.py", "--type", "A2"],
+        ["scripts/tilt_grid.py", "--type", "affA1", "--level", "pos", "--max-length", "4"],
+        ["scripts/oracle_demo.py"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_script_runs(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
