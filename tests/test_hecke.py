@@ -31,8 +31,6 @@ class TestOrdinaryColumns:
 
     def test_S3_all_trivial(self):
         c = ctx(A2)
-        s1 = A2.element([1])
-        assert c.kl_column(s1) == {A2.identity: LaurentPoly.v(1), s1: ONE}
         els = A2.enumerate_below(A2.longest_element())
         for y in els:
             col = c.kl_column(y)
@@ -60,6 +58,11 @@ class TestOrdinaryColumns:
         assert c.mu(A3.element([2]), y) == 1
         assert c.mu(A3.element([2, 1]), y) == 0
         assert c.mu(A3.element([2, 1, 3]), y) == 1
+
+    def test_kl_basis_vector(self):
+        c = ctx(A2)
+        s1 = A2.element([1])
+        assert c.kl_column(s1) == {A2.identity: LaurentPoly.v(1), s1: ONE}
 
     @given(words(B2, 8))
     @settings(max_examples=30, deadline=None)
