@@ -21,14 +21,13 @@ from tiltc.tilting import CategoryO, KacMoody
 
 
 def ball(system, max_len):
-    gens = {s: system.element((s,)) for s in system.names}
     seen = {system.element(())}
     frontier = list(seen)
     for _ in range(max_len):
         new = []
         for w in frontier:
             for s in system.names:
-                z = w * gens[s]
+                z = w.times_gen(s)
                 if z.length > w.length and z not in seen:
                     seen.add(z)
                     new.append(z)
@@ -73,7 +72,7 @@ def main() -> int:
                     ("sim", setting.simple_table),
                 ):
                     try:
-                        table = maker(x.word)
+                        table = maker(x.word, max_len=args.max_length)
                     except ValidationError:
                         continue
                     nabla, delta = table.dims()

@@ -3,10 +3,15 @@
 Groups are presented by a generalized Cartan matrix and realized faithfully
 on simple-root coordinates: generator s_i acts by the reflection matrix that
 is the identity except in row i, where (M_i)[i][j] = delta_ij - C[i][j].
-Every element is stored as its ShortLex-least reduced word (obtained by
-greedily peeling the smallest left descent) together with its matrix and
-inverse matrix, so equality, length, descent sets and Bruhat order are all
-exact and cheap at the ranks used here.
+Every element is stored as its ShortLex-least reduced word together with its
+matrix and inverse matrix, so equality, length, descent sets and Bruhat order
+are all exact and cheap at the ranks used here.
+
+A generator step never multiplies full matrices (Casselman, "Computation in
+Coxeter groups I"): s_i * M rewrites only row i of M, and M * s_i rewrites
+only the columns c with C[i][c] != 0.  The normal form of a new element y is
+(s,) + word(s*y) for its smallest left descent s, so it is found by peeling
+left descents with the same row steps until a known element is reached.
 
 Generator names are 1-based for finite types (A3 has S = {1,2,3}); affine
 types prepend the affine node as generator 0.
@@ -21,7 +26,6 @@ types prepend the affine node as generator 0.
 from __future__ import annotations
 
 import re
-import threading
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -42,6 +46,32 @@ _ASCEND_GUARD = 100_000  # iteration cap for longest-element ascent
 
 def _ident(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _row_step(m: Matrix, i: int, crow: tuple[int, ...]) -> Matrix:
+    """g_i * m: row i becomes row_i - sum_j C[i][j] * row_j; other rows are shared."""
+    n = len(m)
+    new = list(m[i])
+    for j, c in enumerate(crow):
+        if c:
+            rj = m[j]
+            for k in range(n):
+                new[k] -= c * rj[k]
+    return m[:i] + (tuple(new),) + m[i + 1 :]
+
+
+def _col_step(m: Matrix, i: int, support: tuple[tuple[int, int], ...]) -> Matrix:
+    """m * g_i: column c becomes col_c - C[i][c] * col_i for each (c, C[i][c]) in support."""
+    out = []
+    for row in m:
+        a = row[i]
+        if a:
+            new = list(row)
+            for c, cic in support:
+                new[c] -= a * cic
+            row = tuple(new)
+        out.append(row)
+    return tuple(out)
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -262,14 +292,10 @@ class CoxeterSystem:
         self.is_finite = finite
         self.rank = n
         self._idx = {s: i for i, s in enumerate(self.names)}
-        self._lock = threading.RLock()
-
-        self._gen_mats: dict[int, Matrix] = {}
-        for s, i in self._idx.items():
-            rows = [list(r) for r in _ident(n)]
-            for j in range(n):
-                rows[i][j] = (1 if i == j else 0) - self.cartan[i][j]
-            self._gen_mats[s] = tuple(tuple(r) for r in rows)
+        # nonzero (c, C[i][c]) of each Cartan row: the columns M * s_i rewrites
+        self._support = tuple(
+            tuple((c, cic) for c, cic in enumerate(row) if cic) for row in self.cartan
+        )
 
         self.coxeter_matrix: dict[tuple[int, int], int] = {}
         for s in self.names:
@@ -287,7 +313,7 @@ class CoxeterSystem:
         self.identity = CoxeterElement(self, (), ident, ident)
         self._elements[ident] = self.identity
         self.generators: dict[int, CoxeterElement] = {
-            s: self._from_matrices(self._gen_mats[s], self._gen_mats[s]) for s in self.names
+            s: self._times_gen(self.identity, s, "right") for s in self.names
         }
 
     # -- construction --------------------------------------------------------
@@ -312,49 +338,53 @@ class CoxeterSystem:
 
     # -- element plumbing ----------------------------------------------------
 
-    def _normal_word(self, inv: Matrix) -> tuple[int, ...]:
-        """ShortLex-least reduced word from the inverse matrix."""
-        word: list[int] = []
-        m_inv = inv
-        guard = 0
-        while True:
-            guard += 1
-            if guard > _ASCEND_GUARD:
-                raise RuntimeError("normal form did not terminate")
-            pick = None
-            for s in self.names:  # names are sorted; first hit is ShortLex choice
-                j = self._idx[s]
-                col = tuple(row[j] for row in m_inv)
-                if all(x <= 0 for x in col):
-                    pick = s
-                    break
-            if pick is None:
-                return tuple(word)
-            word.append(pick)
-            m_inv = _matmul(m_inv, self._gen_mats[pick])
-
     def _from_matrices(self, mat: Matrix, inv: Matrix) -> CoxeterElement:
-        with self._lock:
+        el = self._elements.get(mat)
+        return el if el is not None else self._peel(mat, inv)
+
+    def _peel(self, mat: Matrix, inv: Matrix) -> CoxeterElement:
+        """Register the element of an unknown matrix with its ShortLex word.
+
+        Peels the smallest left descent s (the ShortLex first letter) until a
+        known element is reached, then registers the peeled elements back up,
+        each with word (s,) + word(s*y).
+        """
+        peeled: list[tuple[int, Matrix, Matrix]] = []
+        for _ in range(_ASCEND_GUARD):
+            # names are sorted; first hit is ShortLex choice
+            s = next(t for t in self.names if all(row[self._idx[t]] <= 0 for row in inv))
+            peeled.append((s, mat, inv))
+            i = self._idx[s]
+            mat = _row_step(mat, i, self.cartan[i])
             el = self._elements.get(mat)
-            if el is None:
-                el = CoxeterElement(self, self._normal_word(inv), mat, inv)
-                self._elements[mat] = el
-            return el
+            if el is not None:
+                break
+            inv = _col_step(inv, i, self._support[i])
+        else:
+            raise RuntimeError("normal form did not terminate")
+        for s, mat, inv in reversed(peeled):
+            el = CoxeterElement(self, (s,) + el.word, mat, inv)
+            self._elements[mat] = el
+        return el
 
     def _times_gen(self, x: CoxeterElement, s: int, side: str) -> CoxeterElement:
         key = (x.word, s, side)
-        with self._lock:
-            el = self._gen_step.get(key)
+        el = self._gen_step.get(key)
         if el is None:
-            g = self._gen_mats[s]
+            i = self._idx[s]
             if side == "right":
-                el = self._from_matrices(_matmul(x.matrix, g), _matmul(g, x.inv_matrix))
+                mat = _col_step(x.matrix, i, self._support[i])
+                el = self._elements.get(mat)
+                if el is None:
+                    el = self._peel(mat, _row_step(x.inv_matrix, i, self.cartan[i]))
             elif side == "left":
-                el = self._from_matrices(_matmul(g, x.matrix), _matmul(x.inv_matrix, g))
+                mat = _row_step(x.matrix, i, self.cartan[i])
+                el = self._elements.get(mat)
+                if el is None:
+                    el = self._peel(mat, _col_step(x.inv_matrix, i, self._support[i]))
             else:
                 raise ValueError("side must be 'left' or 'right'")
-            with self._lock:
-                self._gen_step[key] = el
+            self._gen_step[key] = el
         return el
 
     def element(self, word: Iterable[int]) -> CoxeterElement:
@@ -380,8 +410,7 @@ class CoxeterSystem:
         if x.system is not self or y.system is not self:
             raise ValueError("elements of a different system")
         key = (x.word, y.word)
-        with self._lock:
-            cached = self._bruhat.get(key)
+        cached = self._bruhat.get(key)
         if cached is not None:
             return cached
         if x.is_identity():
@@ -397,8 +426,7 @@ class CoxeterSystem:
                 res = self.bruhat_leq(self._times_gen(x, s, "right"), ys)
             else:
                 res = self.bruhat_leq(x, ys)
-        with self._lock:
-            self._bruhat[key] = res
+        self._bruhat[key] = res
         return res
 
     def enumerate_below(self, y: CoxeterElement) -> list[CoxeterElement]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from pathlib import Path
 from typing import Callable
 
@@ -185,7 +184,6 @@ class HeckeContext:
         self._columns: dict[tuple[str, tuple[int, ...]], Coords] = {}
         self._bar_std: dict[CoxeterElement, Coords] = {}
         self._bar_par: dict[tuple, Coords] = {}
-        self._lock = threading.RLock()
 
     # -- standard basis multiplication ---------------------------------------
 
@@ -228,25 +226,23 @@ class HeckeContext:
     # -- self-dual basis columns -----------------------------------------------
 
     def _get_cached(self, fam_id: str, upper: CoxeterElement) -> Coords | None:
-        with self._lock:
-            col = self._columns.get((fam_id, upper.word))
-            if col is not None:
+        col = self._columns.get((fam_id, upper.word))
+        if col is not None:
+            return col
+        if self.store is not None:
+            raw = self.store.get_column(fam_id, upper.word)
+            if raw is not None:
+                col = {self.system.element(w): p for w, p in raw.items()}
+                self._columns[(fam_id, upper.word)] = col
                 return col
-            if self.store is not None:
-                raw = self.store.get_column(fam_id, upper.word)
-                if raw is not None:
-                    col = {self.system.element(w): p for w, p in raw.items()}
-                    self._columns[(fam_id, upper.word)] = col
-                    return col
         return None
 
     def _put_cached(self, fam_id: str, upper: CoxeterElement, col: Coords) -> None:
-        with self._lock:
-            self._columns[(fam_id, upper.word)] = col
-            if self.store is not None:
-                self.store.put_column(
-                    fam_id, upper.word, {x.word: p for x, p in col.items()}
-                )
+        self._columns[(fam_id, upper.word)] = col
+        if self.store is not None:
+            self.store.put_column(
+                fam_id, upper.word, {x.word: p for x, p in col.items()}
+            )
 
     def kl_column(self, y: CoxeterElement) -> Coords:
         """Coordinates {x: h_{x,y}} of the self-dual basis element C_y."""
@@ -444,8 +440,7 @@ class HeckeContext:
 
     def bar_std_basis(self, x: CoxeterElement) -> Coords:
         """Coordinates of bar(H_x) in the standard basis."""
-        with self._lock:
-            cached = self._bar_std.get(x)
+        cached = self._bar_std.get(x)
         if cached is not None:
             return cached
         if x.is_identity():
@@ -457,16 +452,14 @@ class HeckeContext:
             for z, p in rest.items():
                 _add_into(out, z, p * V_MINUS_VINV)
             out = _clean(out)
-        with self._lock:
-            self._bar_std[x] = out
+        self._bar_std[x] = out
         return out
 
     def bar_par_basis(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
         """Coordinates of bar(basis vector at x) in a parabolic module."""
         flavor = "spherical" if fam == "m" else "antispherical"
         key = (fam, I, x.word)
-        with self._lock:
-            cached = self._bar_par.get(key)
+        cached = self._bar_par.get(key)
         if cached is not None:
             return cached
         if x.is_identity():
@@ -478,8 +471,7 @@ class HeckeContext:
             for z, p in rest.items():
                 _add_into(out, z, p * V_MINUS_VINV)
             out = _clean(out)
-        with self._lock:
-            self._bar_par[key] = out
+        self._bar_par[key] = out
         return out
 
     def bar_expand(self, fam: str, I: tuple[int, ...], coords: Coords) -> Coords:

@@ -61,10 +61,18 @@ class LaurentPoly:
             if not isinstance(k, int) or not isinstance(c, int):
                 raise TypeError("exponents and coefficients must be int")
             acc[k] = acc.get(k, 0) + c
-        object.__setattr__(
-            self, "_terms", tuple(sorted((k, c) for k, c in acc.items() if c != 0))
-        )
-        object.__setattr__(self, "_hash", hash(self._terms))
+        _set_terms(self, acc)
+
+    @classmethod
+    def _from_dict(cls, acc: dict[int, int]) -> "LaurentPoly":
+        """Unchecked constructor for {exponent: coefficient} dicts of ints.
+
+        Only for the ring operations, whose inputs are already-canonical
+        terms; everything from outside goes through the checking __init__.
+        """
+        self = object.__new__(cls)
+        _set_terms(self, acc)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly is immutable")
@@ -139,7 +147,7 @@ class LaurentPoly:
         acc = dict(self._terms)
         for e, c in other._terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        return LaurentPoly._from_dict(acc)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -147,14 +155,14 @@ class LaurentPoly:
         acc = dict(self._terms)
         for e, c in other._terms:
             acc[e] = acc.get(e, 0) - c
-        return LaurentPoly(acc)
+        return LaurentPoly._from_dict(acc)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms})
+        return LaurentPoly._from_dict({e: -c for e, c in self._terms})
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._terms})
+            return LaurentPoly._from_dict({e: c * other for e, c in self._terms})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         acc: dict[int, int] = {}
@@ -162,7 +170,7 @@ class LaurentPoly:
             for e2, c2 in other._terms:
                 k = e1 + e2
                 acc[k] = acc.get(k, 0) + c1 * c2
-        return LaurentPoly(acc)
+        return LaurentPoly._from_dict(acc)
 
     def __rmul__(self, other: int) -> "LaurentPoly":
         if isinstance(other, int):
@@ -171,11 +179,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        return LaurentPoly({e + k: c for e, c in self._terms})
+        return LaurentPoly._from_dict({e + k: c for e, c in self._terms})
 
     def bar(self) -> "LaurentPoly":
         """The involution v |-> v^(-1)."""
-        return LaurentPoly({-e: c for e, c in self._terms})
+        return LaurentPoly._from_dict({-e: c for e, c in self._terms})
 
     # -- comparison ----------------------------------------------------------
 
@@ -264,6 +272,20 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
+
+
+# slot setters: they bypass the __setattr__ that keeps instances immutable
+_put_terms = LaurentPoly._terms.__set__
+_put_hash = LaurentPoly._hash.__set__
+
+
+def _set_terms(p: LaurentPoly, acc: dict[int, int]) -> None:
+    """Store acc in canonical form: zero coefficients dropped, sorted, hashed."""
+    if 0 in acc.values():
+        acc = {k: c for k, c in acc.items() if c}
+    terms = tuple(sorted(acc.items()))
+    _put_terms(p, terms)
+    _put_hash(p, hash(terms))
 
 
 ZERO = LaurentPoly()

@@ -163,6 +163,75 @@ class TestElementOps:
         assert [e.word for e in els] == [(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]
 
 
+def _gen_matrix(system, s):
+    """Reflection matrix of s built from the Cartan matrix, independent of coxeter.py."""
+    i = system.names.index(s)
+    n = system.rank
+    return tuple(
+        tuple(
+            ((1 if i == c else 0) - system.cartan[i][c]) if r == i else (1 if r == c else 0)
+            for c in range(n)
+        )
+        for r in range(n)
+    )
+
+
+def _full_product(a, b):
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(len(b))) for c in range(len(b[0])))
+        for r in range(len(a))
+    )
+
+
+def _ball(system, max_len):
+    ball = [system.identity]
+    frontier = [system.identity]
+    for _ in range(max_len):
+        frontier = sorted(
+            {x.times_gen(s) for x in frontier for s in system.names} - set(ball)
+        )
+        ball += frontier
+    return ball
+
+
+class TestRankOneSteps:
+    """Every generator step against a full matrix product, on both sides.
+
+    The non-symmetric Cartan matrices of B3, G2 and affG2 separate rows from
+    columns, so a transposed rank-one update fails there.
+    """
+
+    @pytest.mark.parametrize("tag", ["A3", "B3", "G2", "affA2", "affG2"])
+    def test_steps_match_full_products(self, tag):
+        W = CoxeterSystem.from_type(tag)
+        ident = W.identity.matrix
+        gens = {s: _gen_matrix(W, s) for s in W.names}
+        for x in _ball(W, 6):
+            for s, g in gens.items():
+                for side in ("left", "right"):
+                    y = x.times_gen(s, side)
+                    if side == "right":
+                        mat, inv = _full_product(x.matrix, g), _full_product(g, x.inv_matrix)
+                    else:
+                        mat, inv = _full_product(g, x.matrix), _full_product(x.inv_matrix, g)
+                    assert (y.matrix, y.inv_matrix) == (mat, inv), (x, s, side)
+                    assert _full_product(y.matrix, y.inv_matrix) == ident
+                    if not y.is_identity():
+                        first = y.word[0]
+                        assert first == min(y.left_descents())
+                        assert y.times_gen(first, "left").word == y.word[1:]
+
+    @pytest.mark.parametrize("tag", ["B3", "affG2"])
+    def test_inverse_and_product_are_registered(self, tag):
+        W = CoxeterSystem.from_type(tag)
+        ball = _ball(W, 4)
+        for a in ball:
+            assert W.element(a.inverse().word) is a.inverse()
+            for b in ball[:: max(1, len(ball) // 12)]:
+                ab = a * b
+                assert W.element(ab.word) is ab
+
+
 class TestBruhat:
     def test_example_A3(self):
         assert A3.bruhat_leq(A3.element([2]), A3.element([2, 1, 3, 2]))

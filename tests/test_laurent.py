@@ -174,3 +174,41 @@ class TestJson:
     @given(polys)
     def test_json_is_valid(self, p):
         json.loads(p.to_json())
+
+
+class TestCheckedOnce:
+    """Ring operations skip the input checks; their results must not differ."""
+
+    @given(
+        polys,
+        polys,
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=-9, max_value=9),
+    )
+    def test_ring_results_match_public_constructor(self, p, q, k, c):
+        # each reference goes through the checking constructor, which merges
+        # duplicate exponents of an iterable of (exponent, coefficient) pairs
+        cases = [
+            (p + q, [*p.terms, *q.terms]),
+            (p - q, [*p.terms, *((e, -d) for e, d in q.terms)]),
+            (p * q, [(e1 + e2, d1 * d2) for e1, d1 in p.terms for e2, d2 in q.terms]),
+            (p * c, [(e, d * c) for e, d in p.terms]),
+            (c * p, [(e, c * d) for e, d in p.terms]),
+            (-p, [(e, -d) for e, d in p.terms]),
+            (p.shift(k), [(e + k, d) for e, d in p.terms]),
+            (p.bar(), [(-e, d) for e, d in p.terms]),
+        ]
+        for result, pairs in cases:
+            ref = LaurentPoly(pairs)
+            assert result.terms == ref.terms == LaurentPoly(dict(result.terms)).terms
+            assert hash(result) == hash(ref)
+
+    def test_public_entry_points_still_check(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({1: 1.5})
+        with pytest.raises(TypeError):
+            LaurentPoly([("1", 1)])
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_obj({"1": "x"})
+        with pytest.raises(ValueError):
+            LaurentPoly.from_text("2*v^x")
