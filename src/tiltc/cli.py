@@ -92,7 +92,6 @@ def cli() -> None:
 )
 @click.option("--inverse", is_flag=True, help="Inverse family: columns indexed by x, entries at y <= x.")
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-@click.option("--max-length", "max_length", type=int, default=None, help="Length bound for inverse columns.")
 @click.option("--no-cache", is_flag=True, help="Skip the persistent column store.")
 @click.option("--cache-path", default=None, help="Cache directory (defaults to $TILTC_CACHE).")
 def kl_cmd(
@@ -103,7 +102,6 @@ def kl_cmd(
     flavor: str | None,
     inverse: bool,
     fmt: str,
-    max_length: int | None,
     no_cache: bool,
     cache_path: str | None,
 ) -> None:
@@ -135,7 +133,7 @@ def kl_cmd(
     def run_column(upper_text: str) -> list[dict]:
         upper = system.element(_parse_word_arg(upper_text))
         if inverse:
-            col = hecke.inverse_column(fam, I, upper, length_bound=max_length)
+            col = hecke.inverse_column(fam, I, upper)
         else:
             col = hecke.column(fam, I, upper)
         wanted = None

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -124,9 +126,19 @@ class PolyStore:
             sort_keys=True,
         )
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(header + "\n" + body + ("\n" if body else ""))
-        tmp.replace(path)
+        # a temp file of its own, so concurrent writers never rename each
+        # other's half-written files into place
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fh.fileno(), 0o644)  # mkstemp creates 0600
+                fh.write(header + "\n" + body + ("\n" if body else ""))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self.dirty = False
 
     @classmethod
@@ -170,7 +182,9 @@ class HeckeContext:
     """All polynomial families attached to one Coxeter system, memoized.
 
     An optional PolyStore provides persistence; computed columns are written
-    back to it (serialize with store.save).  All public results are columns:
+    back to it (serialize with store.save).  A direct-family column read from
+    the store passes the unitriangularity check of a computed one, and for h
+    also parity and positivity, or raises CacheError.  All public results are columns:
     maps {lower element -> polynomial} attached to an upper element.
     """
 
@@ -233,6 +247,8 @@ class HeckeContext:
             raw = self.store.get_column(fam_id, upper.word)
             if raw is not None:
                 col = {self.system.element(w): p for w, p in raw.items()}
+                if fam_id.partition("[")[0] in DIRECT_FAMILIES:
+                    self._check_stored(col, upper, fam_id)
                 self._columns[(fam_id, upper.word)] = col
                 return col
         return None
@@ -350,6 +366,21 @@ class HeckeContext:
                         "violating strict v*Z[v] unitriangularity"
                     )
 
+    def _check_stored(self, col: Coords, y: CoxeterElement, fid: str) -> None:
+        """The invariants of a computed column, plus parity and positivity for h."""
+        try:
+            self._check_unitriangular(col, y, fid)
+        except InternalInvariantError as exc:
+            raise CacheError(f"stored column fails its check: {exc}") from exc
+        if fid != "h":
+            return
+        for x, p in col.items():
+            if any(c < 0 or (e + y.length - x.length) % 2 for e, c in p):
+                raise CacheError(
+                    f"stored column {y!r} has {p!r} at {x!r}, violating "
+                    "parity or positivity"
+                )
+
     def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Coords:
         """Uniform access to any direct or inverse family column."""
         if fam == "h":
@@ -380,7 +411,6 @@ class HeckeContext:
         fam: str,
         I: tuple[int, ...],
         x: CoxeterElement,
-        length_bound: int | None = None,
     ) -> Coords:
         """Inverse-family column {y: fam^{x,y}} by signed unitriangular inversion.
 
@@ -391,8 +421,6 @@ class HeckeContext:
         if fam not in DIRECT_FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
         I = self.system.check_names(I)
-        if length_bound is not None and length_bound < x.length:
-            raise ValidationError("length_bound smaller than the length of x")
         fid = family_id(fam + "_inv", I)
         cached = self._get_cached(fid, x)
         if cached is not None:

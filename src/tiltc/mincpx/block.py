@@ -10,9 +10,10 @@ From the tilting modules the block yields a finitely presented additive
 category (hom bases plus a composition tensor) over which bounded formal
 complexes live.  ``cmin_module`` rebuilds the minimal tilting complex of
 any module from first principles: take the minimal projective resolution,
-coresolve each projective by tilting modules, splice the pieces together
-with iterated mapping cones, and strip invertible differential entries by
-Gaussian elimination.  Every step carries exact witnesses (chain-map
+coresolve each projective by tilting modules (each step is the minimal left
+add(T)-approximation of the last cokernel, read off hom bases), splice the
+pieces together with iterated mapping cones, and strip invertible
+differential entries by Gaussian elimination.  Every step carries exact witnesses (chain-map
 identities, cone acyclicity checked by vertexwise rank counting), so the
 resulting graded multiplicities are independent of, and a check on, the
 closed formulas in :mod:`tiltc.tilting`.
@@ -23,8 +24,6 @@ on the first violated invariant.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from ast import literal_eval
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +57,9 @@ from .quiver import (
 )
 
 ROLES = ("simple", "std", "costd", "tilt", "proj", "inj")
+
+_CORESOLUTION_GUARD = 20  # most steps of a tilting coresolution
+_EXT_BOUND = 4  # highest Ext degree checked against costandards in suite 2
 
 SUITE_NAMES = (
     "presentation",
@@ -324,6 +326,19 @@ class TiltingCategory:
                         tensor.append(row)
                     compose[(a, b, c)] = tensor
         self.category = CategoryPresentation(self.labels, hom_dim, compose, identity)
+        # radical maps tilt_b -> tilt_a: every map when b != a, rad End(tilt_a) when b == a
+        self._radical: dict[tuple[str, str], list[VMap]] = {
+            (b, a): (
+                [self.realize(a, a, r) for r in self.category._end_radical(a)]
+                if a == b
+                else self._basis[(b, a)]
+            )
+            for a in self.labels
+            for b in self.labels
+        }
+        self._costd_sum = direct_sum(
+            [block.module("costd", lab) for lab in self.labels]
+        )
         self._sum_cache: dict[tuple[str, ...], tuple[ModuleRep, list[dict[str, int]]]] = {}
 
     # -- sums and (de)coordinatization ---------------------------------------------
@@ -418,76 +433,49 @@ class TiltingCategory:
 # -- tilting coresolutions of modules ------------------------------------------------
 
 
-def _small_combos(k: int, bound: int):
-    """Nonzero integer coefficient vectors of length k, by L1 norm."""
-    combos = [
-        c
-        for c in itertools.product(range(-bound, bound + 1), repeat=k)
-        if any(c)
-    ]
-    combos.sort(key=lambda c: (sum(abs(x) for x in c), c))
-    return combos
+def _approximation(
+    tcat: TiltingCategory, M: ModuleRep
+) -> tuple[tuple[str, ...], VMap]:
+    """Minimal left add(T)-approximation M -> T^0 (Ringel 1991).
 
-
-def _embed_in_tilting(
-    tcat: TiltingCategory,
-    M: ModuleRep,
-    pop_guard: int = 400,
-    coeff_bound: int = 2,
-    max_basis: int = 6,
-):
-    """Injection of M into a smallest sum of tiltings with a standard-filtered
-    cokernel (checked by vanishing of first extensions against costandards)."""
-    order = {lab: i for i, lab in enumerate(tcat.labels)}
-    costds = [tcat.block.module("costd", lab) for lab in tcat.labels]
-    heap: list[tuple[int, tuple[str, ...]]] = []
-    for lab in tcat.labels:
-        heapq.heappush(heap, (tcat.tilts[lab].total_dim, (lab,)))
-    seen = set()
-    pops = 0
-    while heap and pops < pop_guard:
-        pops += 1
-        total, labels = heapq.heappop(heap)
-        if labels in seen:
+    T_a appears once for each map in a complement, inside Hom(M, T_a), of the
+    composites M -> T_b -> T_a through a radical map; the complement is read
+    off the pivots of one rref per label, with the composites ranked first.
+    """
+    order = tcat.algebra.vertices
+    homs = {b: hom_basis(M, tcat.tilts[b]) for b in tcat.labels}
+    labels: list[str] = []
+    rows: dict[str, list[tuple[Fraction, ...]]] = {v: [] for v in order}
+    for a in tcat.labels:
+        if not homs[a]:
             continue
-        seen.add(labels)
-        for lab in tcat.labels:
-            if order[lab] >= order[labels[-1]]:
-                ext = labels + (lab,)
-                if ext not in seen:
-                    heapq.heappush(
-                        heap, (total + tcat.tilts[lab].total_dim, ext)
-                    )
-        S, _ = tcat.sum_rep(labels)
-        if any(S.dims[v] < M.dims[v] for v in tcat.algebra.vertices):
-            continue
-        basis = hom_basis(M, S)
-        if not basis or len(basis) > max_basis:
-            continue
-        for combo in _small_combos(len(basis), coeff_bound):
-            f = _vmap_lincomb([Fraction(c) for c in combo], basis, M, S)
-            if any(
-                linalg.rank(f[v]) != M.dims[v] for v in tcat.algebra.vertices
-            ):
-                continue
-            C, proj = cokernel_rep(f, M, S)
-            if not C.is_zero() and any(
-                ext_dims(C, cs, 1)[1] != 0 for cs in costds
-            ):
-                continue
-            return labels, f, C, proj
-    raise InternalInvariantError(
-        "could not embed the module into a sum of tilting modules"
-    )
+        through_rad = [
+            flatten_vmap(vmap_compose(h, g, M, tcat.tilts[a]), order)
+            for b in tcat.labels
+            for g in homs[b]
+            for h in tcat._radical[(b, a)]
+        ]
+        flat = through_rad + [flatten_vmap(g, order) for g in homs[a]]
+        _, pivots = linalg.rref(linalg.transpose(tuple(flat)))
+        for p in pivots:
+            if p >= len(through_rad):
+                g = homs[a][p - len(through_rad)]
+                labels.append(a)
+                for v in order:
+                    rows[v].extend(g[v])
+    return tuple(labels), {v: tuple(rows[v]) for v in order}
 
 
 def tilting_coresolution(
-    tcat: TiltingCategory, M: ModuleRep, max_steps: int = 20
+    tcat: TiltingCategory, M: ModuleRep
 ) -> tuple[FormalComplex, VMap]:
     """Finite coresolution 0 -> M -> T^0 -> T^1 -> ... by sums of tiltings.
 
-    Returns the formal complex of the T^i (degrees 0, 1, ...) and the
-    augmentation M -> T^0 as an exact module map.
+    Each step is the minimal left add(T)-approximation of the current
+    cokernel, checked to be injective with a standard-filtered cokernel
+    (Ext^1 against the sum of the costandards vanishes).  Returns the formal
+    complex of the T^i (degrees 0, 1, ...) and the augmentation M -> T^0 as
+    an exact module map.
     """
     terms: dict[int, tuple[str, ...]] = {}
     diffs: dict[int, CoordMat] = {}
@@ -495,17 +483,24 @@ def tilting_coresolution(
     cur = M
     prev_proj: VMap | None = None
     prev_labels: tuple[str, ...] | None = None
-    for step in range(max_steps + 1):
+    for step in range(_CORESOLUTION_GUARD + 1):
         if cur.is_zero():
             break
-        labels, f, C, proj = _embed_in_tilting(tcat, cur)
+        labels, f = _approximation(tcat, cur)
+        S, _ = tcat.sum_rep(labels)
+        if any(linalg.rank(f[v]) != cur.dims[v] for v in tcat.algebra.vertices):
+            raise InternalInvariantError("the add(T)-approximation is not injective")
+        C, proj = cokernel_rep(f, cur, S)
+        if not C.is_zero() and ext_dims(C, tcat._costd_sum, 1)[1]:
+            raise InternalInvariantError(
+                "the add(T)-approximation has a cokernel that is not standard-filtered"
+            )
         terms[step] = labels
         if step == 0:
             aug = f
         else:
             S_prev, _ = tcat.sum_rep(prev_labels)
-            S_new, _ = tcat.sum_rep(labels)
-            d_mod = vmap_compose(f, prev_proj, S_prev, S_new)
+            d_mod = vmap_compose(f, prev_proj, S_prev, S)
             diffs[step - 1] = tcat.coordinatize_block(prev_labels, labels, d_mod)
         prev_labels, prev_proj, cur = labels, proj, C
     else:
@@ -654,7 +649,6 @@ def cmin_module(
     tcat: TiltingCategory,
     M: ModuleRep,
     scan: str = "forward",
-    check: bool = True,
 ) -> tuple[FormalComplex, dict[int, VMap]]:
     """Minimal complex of tilting modules quasi-isomorphic to the module M.
 
@@ -736,8 +730,7 @@ def cmin_module(
                 kappa_new[n] = vmap_compose(big, kap, projs[-n], S_min)
         kappa = kappa_new
         Y = C_min
-    if check:
-        _verify_cmin(tcat, projs, res_diffs, Y, kappa)
+    _verify_cmin(tcat, projs, res_diffs, Y, kappa)
     return Y, kappa
 
 
@@ -888,7 +881,7 @@ def _rad_std(block: BlockData, lab: str) -> tuple[ModuleRep, bool]:
     return K, not K.is_zero()
 
 
-def verify_block(block: BlockData, ext_bound: int = 4) -> list[tuple[str, str]]:
+def verify_block(block: BlockData) -> list[tuple[str, str]]:
     """Run the nine invariant suites over a block.
 
     Returns ``(suite name, detail)`` pairs in order; raises
@@ -937,7 +930,7 @@ def verify_block(block: BlockData, ext_bound: int = 4) -> list[tuple[str, str]]:
                 raise InternalInvariantError(
                     f"Ext^1(std_{a}, std_{b}) nonzero without {a} < {b}"
                 )
-            e = ext_dims(std_a, costd_b, ext_bound)
+            e = ext_dims(std_a, costd_b, _EXT_BOUND)
             if e[0] != (1 if a == b else 0):
                 raise InternalInvariantError(
                     f"Hom(std_{a}, costd_{b}) has dimension {e[0]}"

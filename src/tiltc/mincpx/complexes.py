@@ -405,7 +405,6 @@ def cone(
     f: Mapping[int, Sequence[Sequence[Sequence]]],
     x: FormalComplex,
     y: FormalComplex,
-    check: bool = True,
 ) -> FormalComplex:
     """Mapping cone of a chain map f: x -> y.
 
@@ -423,19 +422,17 @@ def cone(
             return fmats[n]
         return _zero_mat(cat, x.term(n), y.term(n))
 
-    if check:
-        degs = set(x.degrees()) | set(y.degrees())
-        for n in sorted(degs):
-            lhs = _mat_comp(
-                cat, x.term(n), y.term(n), y.term(n + 1), y.diff(n), f_at(n)
+    for n in sorted(set(x.degrees()) | set(y.degrees())):
+        lhs = _mat_comp(
+            cat, x.term(n), y.term(n), y.term(n + 1), y.diff(n), f_at(n)
+        )
+        rhs = _mat_comp(
+            cat, x.term(n), x.term(n + 1), y.term(n + 1), f_at(n + 1), x.diff(n)
+        )
+        if lhs != rhs:
+            raise InternalInvariantError(
+                f"cone input is not a chain map at degree {n}"
             )
-            rhs = _mat_comp(
-                cat, x.term(n), x.term(n + 1), y.term(n + 1), f_at(n + 1), x.diff(n)
-            )
-            if lhs != rhs:
-                raise InternalInvariantError(
-                    f"cone input is not a chain map at degree {n}"
-                )
 
     terms: dict[int, tuple[str, ...]] = {}
     degs = {n - 1 for n in x.terms} | set(y.terms)

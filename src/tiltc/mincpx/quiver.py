@@ -26,6 +26,7 @@ VMap = dict[str, Mat]  # one matrix per vertex
 
 _PATH_GUARD = 200000
 _LENGTH_GUARD = 60
+_RESOLUTION_GUARD = 20  # most terms of a minimal projective resolution
 
 
 class AlgebraPresentation:
@@ -518,7 +519,7 @@ def cokernel_rep(f: VMap, M: ModuleRep, N: ModuleRep) -> tuple[ModuleRep, VMap]:
 
 
 def minimal_projective_resolution(
-    M: ModuleRep, max_len: int = 20
+    M: ModuleRep,
 ) -> tuple[list[tuple[ModuleRep, list[str]]], list[VMap], VMap]:
     """([(P_i, labels_i)], [d_i: P_i -> P_{i-1} for i >= 1], P_0 -> M)."""
     P0, labels0, aug = projective_cover(M)
@@ -526,7 +527,7 @@ def minimal_projective_resolution(
     diffs: list[VMap] = []
     K, incl = kernel_rep(aug, P0, M)
     while not K.is_zero():
-        if len(terms) > max_len:
+        if len(terms) > _RESOLUTION_GUARD:
             raise InternalInvariantError("projective resolution exceeds guard")
         P, labels, cov = projective_cover(K)
         diffs.append(vmap_compose(incl, cov, P, terms[-1][0]))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface: pinned outputs, exit
 codes, formats, cache behavior, and byte determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,8 @@ class TestKl:
         assert rc == 1 and err.startswith("error: usage:")
         rc, _, err = run(capsys, "kl", "--type", "A2", "--parabolic", "1", "--y", "1")
         assert rc == 1 and "--flavor" in err
+        rc, _, err = run(capsys, "kl", "--type", "A2", "--y", "1", "--max-length", "3")
+        assert rc == 1 and "no such option" in err.lower()
 
     def test_invalid_input(self, capsys):
         rc, _, err = run(capsys, "kl", "--type", "Q9", "--y", "1")
@@ -248,6 +251,27 @@ class TestCache:
         f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body)
         rc, _, err = run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
         assert rc == 2 and err.startswith("error: cache:")
+
+    def test_tampered_column_rejected(self, capsys, tmp_path):
+        # an edited polynomial behind a recomputed checksum is still caught
+        cache = str(tmp_path)
+        args = ("kl", "--type", "A2", "--y", "1 2 1", "--cache-path", cache)
+        rc, _, _ = run(capsys, *args)
+        assert rc == 0
+        f = tmp_path / "A2.jsonl"
+        head, _, body = f.read_text().partition("\n")
+        lines = body.rstrip("\n").split("\n")
+        for k, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec["family"] == "h" and rec["upper"] == "1 2 1":
+                rec["entries"]["1"] = {"2": -7}
+                lines[k] = json.dumps(rec, separators=(",", ":"), sort_keys=True)
+        body = "\n".join(lines)
+        obj = json.loads(head)
+        obj["checksum"] = hashlib.sha256(body.encode()).hexdigest()
+        f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
+        rc, out, err = run(capsys, *args)
+        assert rc == 2 and err.startswith("error: cache:") and out == ""
 
     def test_wrong_system_rejected(self, capsys, tmp_path):
         cache = str(tmp_path)

@@ -1,5 +1,7 @@
 """Self-dual bases, parabolic modules, inverse families, persistence."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,10 +170,6 @@ class TestInverseColumns:
         with pytest.raises(ValidationError):
             ctx(A2).inverse_column("n", (1,), A2.element([1]))
 
-    def test_length_bound_validated(self):
-        with pytest.raises(ValidationError):
-            ctx(A2).inverse_column("h", (), A2.element([1, 2]), length_bound=1)
-
     def test_inversion_identity_explicit(self):
         # mirror of the internal re-verification, as an external contract
         c = ctx(A3)
@@ -266,6 +264,47 @@ class TestPolyStore:
     def test_context_rejects_mismatched_store(self):
         with pytest.raises(CacheError):
             HeckeContext(A2, PolyStore("A3", 3))
+
+    def test_save_leaves_other_temp_files_alone(self, tmp_path):
+        c, path = self.make_store(tmp_path)
+        other = tmp_path / "A3.jsonl.tmp"
+        other.write_text("half-written by another process")
+        c.store.dirty = True
+        c.store.save(path)
+        assert other.read_text() == "half-written by another process"
+        assert PolyStore.load(path, "A3", 3).columns == c.store.columns
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["A3.jsonl", "A3.jsonl.tmp"]
+
+    def test_failed_save_removes_its_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            PolyStore("A2", 2).save(tmp_path / "A2.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "fid,upper,lower,poly",
+        [
+            pytest.param("h", (1, 2, 1), (1,), {-2: 1}, id="h-triangularity"),
+            pytest.param("h", (1, 2, 1), (1, 2, 1), {0: 2}, id="h-diagonal"),
+            pytest.param("h", (1, 2, 1), (1,), {2: -7}, id="h-positivity"),
+            pytest.param("h", (1, 2, 1), (1,), {1: 1}, id="h-parity"),
+            pytest.param("n[1]", (2, 1), (2,), {0: 1}, id="n-triangularity"),
+        ],
+    )
+    def test_loaded_direct_columns_are_checked(self, fid, upper, lower, poly):
+        c = HeckeContext(A2)
+        fam, _, rest = fid.partition("[")
+        I = tuple(int(t) for t in rest.rstrip("]").split(",") if t)
+        good = c.column(fam, I, A2.element(upper))
+        col = {x.word: p for x, p in good.items()}
+        col[lower] = LaurentPoly(poly)
+        store = PolyStore("A2", 2)
+        store.put_column(fid, upper, col)
+        with pytest.raises(CacheError, match="stored column"):
+            HeckeContext(A2, store).column(fam, I, A2.element(upper))
 
     def test_empty_store_round_trip(self, tmp_path):
         s = PolyStore("A2", 2)

@@ -28,6 +28,7 @@ from tiltc.mincpx.quiver import (
     AlgebraPresentation,
     ModuleRep,
     cokernel_rep,
+    direct_sum,
     ext_dims,
     hom_basis,
     kernel_rep,
@@ -406,6 +407,33 @@ class TestCoresolutions:
         R, _ = tilting_coresolution(sl2_tcat, sl2_block.module("proj", "s"))
         assert R.terms == {0: ("s",), 1: ("e",)}
         R.validate()
+
+    @pytest.mark.parametrize("label", ["e", "s"])
+    def test_tilting_module_is_its_own_coresolution(self, sl2_block, sl2_tcat, label):
+        # the approximation is minimal: no split summand rides along
+        R, _ = tilting_coresolution(sl2_tcat, sl2_block.module("tilt", label))
+        assert R.summary() == f"[0: {label}]"
+
+    # sums with repeated summands: each label appears with its multiplicity
+    SUMS = {
+        "tilt_s+tilt_s": ((("tilt", "s"), ("tilt", "s")), "[0: 2*s]"),
+        "proj_e+proj_s+std_s": (
+            (("proj", "e"), ("proj", "s"), ("std", "s")),
+            "[0: 3*s] [1: 2*e]",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SUMS))
+    def test_direct_sums(self, sl2_block, sl2_tcat, name):
+        parts, expected = self.SUMS[name]
+        M = direct_sum([sl2_block.module(role, lab) for role, lab in parts])
+        R, aug = tilting_coresolution(sl2_tcat, M)
+        assert R.summary() == expected
+        assert all(
+            linalg.rank(aug[v]) == M.dims[v] for v in sl2_block.algebra.vertices
+        )
+        cpx, _ = cmin_module(sl2_tcat, M)
+        assert cpx.summary() == expected
 
 
 class TestMinimalTiltingComplexes:
