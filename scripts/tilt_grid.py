@@ -53,6 +53,10 @@ def main() -> int:
         for k in range(args.max_subset + 1)
         for c in combinations(system.names, k)
     ]
+    # only positive-level rows run upward and take a length bound
+    bound = {}
+    if not system.is_finite and args.level == "pos":
+        bound = {"max_len": args.max_length}
     built = skipped = 0
     for I in subsets:
         for J in subsets:
@@ -72,7 +76,7 @@ def main() -> int:
                     ("sim", setting.simple_table),
                 ):
                     try:
-                        table = maker(x.word, max_len=args.max_length)
+                        table = maker(x.word, **bound)
                     except ValidationError:
                         continue
                     nabla, delta = table.dims()

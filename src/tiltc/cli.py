@@ -225,19 +225,18 @@ def _table_options(fn):
         default=True,
         help="Complex of the standard (default) or simple object.",
     )(fn)
-    fn = click.option("--max-length", "max_length", type=int, default=None, help="Row length bound.")(fn)
     fn = click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)(fn)
     fn = click.option("--no-cache", is_flag=True)(fn)
     fn = click.option("--cache-path", default=None)(fn)
     return fn
 
 
-def _run_table(setting, standard: bool, x_text: str, y_text: str | None, max_length, **kw):
+def _run_table(setting, standard: bool, x_text: str, y_text: str | None, **kw):
     x_word = _parse_word_arg(x_text)
     y_word = _parse_word_arg(y_text) if y_text is not None else None
     if standard:
-        return setting.standard_table(x_word, y_word, max_len=max_length)
-    return setting.simple_table(x_word, y_word, max_len=max_length, **kw)
+        return setting.standard_table(x_word, y_word, **kw)
+    return setting.simple_table(x_word, y_word, **kw)
 
 
 @tilt_group.command("O")
@@ -245,12 +244,12 @@ def _run_table(setting, standard: bool, x_text: str, y_text: str | None, max_len
 @click.option("--I", "i_text", default="", help="Left generator subset.")
 @click.option("--J", "j_text", default="", help="Right generator subset.")
 @_table_options
-def tilt_o(type_tag, i_text, j_text, x_text, y_text, standard, max_length, fmt, no_cache, cache_path):
+def tilt_o(type_tag, i_text, j_text, x_text, y_text, standard, fmt, no_cache, cache_path):
     """Regular block of category O for a finite Weyl group."""
     system = CoxeterSystem.from_type(type_tag)
     store, path = _open_store(_cache_dir(cache_path), system.tag, len(system.names), no_cache)
     setting = CategoryO(HeckeContext(system, store), I=parse_word(i_text), J=parse_word(j_text))
-    table = _run_table(setting, standard, x_text, y_text, max_length)
+    table = _run_table(setting, standard, x_text, y_text)
     _save_store(store, path)
     _emit_table(table, fmt)
 
@@ -264,6 +263,10 @@ def tilt_o(type_tag, i_text, j_text, x_text, y_text, standard, max_length, fmt, 
     "--literal-positive-text",
     is_flag=True,
     help="At positive level, print the z-independent variant of the simple formula, unchecked and flagged.",
+)
+@click.option(
+    "--max-length", "max_length", type=int, default=None,
+    help="Row length bound (positive level only).",
 )
 @_table_options
 def tilt_km(
@@ -279,12 +282,12 @@ def tilt_km(
         J=parse_word(j_text),
         level=level,
     )
-    kw = {}
+    kw = {"max_len": max_length}
     if literal_positive_text:
         if standard:
             raise click.UsageError("--literal-positive-text applies to --simple tables")
         kw["literal_text"] = True
-    table = _run_table(setting, standard, x_text, y_text, max_length, **kw)
+    table = _run_table(setting, standard, x_text, y_text, **kw)
     _save_store(store, path)
     _emit_table(table, fmt)
 
@@ -297,13 +300,12 @@ def tilt_km(
 @click.option("--x", "x_text", default=None, help="Index word; alternative to --weight.")
 @click.option("--y", "y_text", default=None, help="Restrict to one row.")
 @click.option("--standard/--simple", "standard", default=True)
-@click.option("--max-length", "max_length", type=int, default=None)
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 @click.option("--no-cache", is_flag=True)
 @click.option("--cache-path", default=None)
 def tilt_quantum(
     type_tag, ell, weight_text, i_text, x_text, y_text,
-    standard, max_length, fmt, no_cache, cache_path,
+    standard, fmt, no_cache, cache_path,
 ):
     """Quantum group at a root of unity: one linkage class of tilting modules."""
     if (weight_text is None) == (x_text is None):
@@ -322,9 +324,9 @@ def tilt_quantum(
         x_word = _parse_word_arg(x_text)
     y_word = _parse_word_arg(y_text) if y_text is not None else None
     if standard:
-        table = setting.standard_table(x_word, y_word, max_len=max_length)
+        table = setting.standard_table(x_word, y_word)
     else:
-        table = setting.simple_table(x_word, y_word, max_len=max_length)
+        table = setting.simple_table(x_word, y_word)
     _save_store(store, path)
     _emit_table(table, fmt)
 

@@ -68,7 +68,8 @@ class LaurentPoly:
         """Unchecked constructor for {exponent: coefficient} dicts of ints.
 
         Only for the ring operations, whose inputs are already-canonical
-        terms; everything from outside goes through the checking __init__.
+        terms, and for from_json_obj after its own checks; everything else
+        from outside goes through the checking __init__.
         """
         self = object.__new__(cls)
         _set_terms(self, acc)
@@ -261,7 +262,7 @@ class LaurentPoly:
             if not isinstance(c, int):
                 raise ValueError(f"bad coefficient {c!r} at exponent {k}")
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        return LaurentPoly._from_dict(acc)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))

@@ -232,8 +232,11 @@ class _Setting:
         """Rows (y, u_y) of a table at u_x, the explicit y and the truncation.
 
         An explicit y_word gives one validated row; otherwise the rows run
-        over the index set below u_x.
+        over the index set below u_x, which is finite, so max_len (a bound
+        for the upward rows of positive level) is rejected.
         """
+        if max_len is not None:
+            raise ValidationError("max_len applies to positive level only")
         if y_word is not None:
             y = self._element(y_word, "y")
             return [(y, self._require_member(y, "y"))], y, None
@@ -351,6 +354,7 @@ class _NegativeLike(_Setting):
         self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
     ) -> MultiplicityTable:
         x, u_x = self._index(x_word)
+        targets, explicit, _ = self._targets(u_x, y_word, max_len)
         n_col = self.hecke.parabolic_column("n", self.I, self._n_index(u_x))
         zs = {self._embed(u): u for u in self._enumerate_u_below(u_x)}
         direct = {z: n_col.get(self._n_index(u), ZERO) for z, u in zs.items()}
@@ -358,7 +362,6 @@ class _NegativeLike(_Setting):
             z: self.hecke.inverse_column("m", self.I, u.inverse())
             for z, u in zs.items()
         }
-        targets, explicit, _ = self._targets(u_x, y_word, max_len)
         rows: dict[CoxeterElement, LaurentPoly] = {}
         for y, u_y in targets:
             inv = {z: col.get(u_y.inverse(), ZERO) for z, col in inv_cols.items()}
@@ -407,8 +410,10 @@ class KacMoody(_NegativeLike):
 
     def _targets(self, u_x, y_word, max_len):
         """Positive level tables run up the order; enumeration must truncate."""
-        if self.level == "neg" or y_word is not None:
+        if self.level == "neg":
             return super()._targets(u_x, y_word, max_len)
+        if y_word is not None:  # one row: nothing to truncate
+            return super()._targets(u_x, y_word, None)
         if max_len is None:
             raise ValidationError(
                 "positive-level tables over all y need max_len (support is upward)"
@@ -421,7 +426,7 @@ class KacMoody(_NegativeLike):
 
     def standard_table(self, x_word, y_word=None, max_len: int | None = None):
         if self.level == "neg":
-            return super().standard_table(x_word, y_word)
+            return super().standard_table(x_word, y_word, max_len)
         x, u_x = self._index(x_word)
         a = self._n_index(u_x)
         targets, explicit, truncated = self._targets(u_x, y_word, max_len)
@@ -435,7 +440,7 @@ class KacMoody(_NegativeLike):
         if self.level == "neg":
             if literal_text:
                 raise ValidationError("literal_text applies to positive level only")
-            return super().simple_table(x_word, y_word)
+            return super().simple_table(x_word, y_word, max_len)
         x, u_x = self._index(x_word)
         targets, explicit, truncated = self._targets(u_x, y_word, max_len)
         if literal_text:

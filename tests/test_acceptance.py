@@ -118,6 +118,14 @@ def test_criterion_2_inversion_identities():
                 for fam in ("m", "n"):
                     for x in minimal_reps(hecke.system, elements, I):
                         _check_inversion(hecke, fam, I, x)
+        for tag in ("A3", "B3"):
+            hecke = HeckeContext(CoxeterSystem.from_type(tag))
+            elements = hecke.system.enumerate_below(hecke.system.longest_element())
+            names = hecke.system.names
+            for I in [c for k in (1, 2) for c in combinations(names, k)]:
+                for fam in ("m", "n"):
+                    for x in minimal_reps(hecke.system, elements, I):
+                        _check_inversion(hecke, fam, I, x)
 
 
 def test_criterion_3_longest_element_twist():

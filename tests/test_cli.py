@@ -172,6 +172,27 @@ class TestTilt:
         )
         assert rc == 1
 
+    def test_usage_errors(self, capsys):
+        # rows of O and quantum tables are finite: no length bound to set
+        rc, _, err = run(
+            capsys, "tilt", "O", "--type", "A2", "--x", "1 2 1", "--max-length", "1"
+        )
+        assert rc == 1 and "no such option" in err.lower()
+        rc, _, err = run(
+            capsys, "tilt", "quantum", "--type", "A1", "--ell", "5",
+            "--weight", "7", "--max-length", "1",
+        )
+        assert rc == 1 and "no such option" in err.lower()
+
+    def test_invalid_input(self, capsys):
+        rc, _, err = run(
+            capsys, "tilt", "km", "--type", "affA1", "--level", "neg",
+            "--x", "0 1", "--max-length", "1",
+        )
+        assert rc == 2
+        assert err.startswith("error: invalid-input:")
+        assert "max_len applies to positive level only" in err
+
     def test_quantum_non_dominant_weight(self, capsys):
         rc, _, err = run(
             capsys, "tilt", "quantum", "--type", "A1", "--ell", "5", "--weight", "-3"

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "argv",
     [
         ["scripts/kl_table.py", "--type", "A2"],
+        ["scripts/kl_table.py", "--type", "B2", "--inverse"],
         ["scripts/tilt_grid.py", "--type", "A2"],
         ["scripts/tilt_grid.py", "--type", "affA1", "--level", "pos", "--max-length", "4"],
         ["scripts/oracle_demo.py"],

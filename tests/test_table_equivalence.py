@@ -1,11 +1,13 @@
-"""Pinned digests of multiplicity tables over a grid of all settings.
+"""Pinned digests of multiplicity tables and inverse columns.
 
 Each group below renders every table of its grid (or the error a query
 raises) as one canonical line and compares the sha256 of the lines with a
-pinned value.  The pins were generated from the table code before it was
-merged into one engine, so any change to an entry, a weight echo, a flag, a
-truncation or an error message shows here.  Do not regenerate them to make
-a change pass: a differing digest means the tables changed.
+pinned value.  The table pins were generated from the table code before it
+was merged into one engine, and the inverse-column pins from the interval
+scan that inverse_column used before it became a downward push, so any
+change to an entry, a weight echo, a flag, a truncation or an error message
+shows here.  Do not regenerate them to make a change pass: a differing
+digest means the results changed.
 """
 
 import hashlib
@@ -14,9 +16,9 @@ from itertools import combinations
 
 import pytest
 
-from tiltc.coxeter import CoxeterElement, CoxeterSystem
+from tiltc.coxeter import CoxeterElement, CoxeterSystem, format_word
 from tiltc.errors import InternalInvariantError, ValidationError
-from tiltc.hecke import HeckeContext
+from tiltc.hecke import HeckeContext, family_id
 from tiltc.rootdata import LinkageDatum
 from tiltc.tilting import CategoryO, KacMoody, Quantum
 
@@ -175,3 +177,53 @@ PINS = {
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_tables_match_pinned_digest(group):
     assert digest(GROUPS[group]()) == PINS[group]
+
+
+def inverse_lines(tag, max_len=None):
+    """Every inverse column (or its error) of h, and of m and n with |I| <= 2."""
+    system = CoxeterSystem.from_type(tag)
+    hecke = HeckeContext(system)
+    xs = (
+        system.enumerate_below(system.longest_element())
+        if max_len is None
+        else ball(system, max_len)
+    )
+    xs = sorted(xs, key=CoxeterElement.sort_key)
+    queries = [("h", ())] + [
+        (fam, I) for fam in ("m", "n") for I in subsets(system.names, 2)
+    ]
+    lines = []
+    for fam, I in queries:
+        for x in xs:
+            head = f"{family_id(fam + '_inv', I)} {format_word(x.word) or 'e'}"
+            try:
+                col = hecke.inverse_column(fam, I, x)
+            except (ValidationError, InternalInvariantError) as exc:
+                lines.append(f"{head} error {type(exc).__name__}: {exc}")
+                continue
+            entries = {
+                format_word(y.word) or "e": col[y].to_json_obj()
+                for y in sorted(col, key=CoxeterElement.sort_key)
+            }
+            lines.append(f"{head} {json.dumps(entries, sort_keys=True)}")
+    return lines
+
+
+INVERSE_GROUPS = {
+    "A3": lambda: inverse_lines("A3"),
+    "B3": lambda: inverse_lines("B3"),
+    "affA1 up to length 8": lambda: inverse_lines("affA1", 8),
+    "affA2 up to length 6": lambda: inverse_lines("affA2", 6),
+}
+
+INVERSE_PINS = {
+    "A3": "9a9be6176e57bc8c1d7425b76629bafb9d39c8f23e47396d825518cf6ea446b1",
+    "B3": "b0b84cce1fa327d75ae314c767181c5a768d86ab661c74a7fb6cbbcb917f9f5a",
+    "affA1 up to length 8": "2c3d4b4bd3914b541099442da52673a9ef783dee1a4244171db9f34ff8ba60bb",
+    "affA2 up to length 6": "17438ba1aeb3b2d85ea6fb92beb4c002d14a36c31c44dce949ab166b1a2f5e5b",
+}
+
+
+@pytest.mark.parametrize("group", sorted(INVERSE_GROUPS))
+def test_inverse_columns_match_pinned_digest(group):
+    assert digest(INVERSE_GROUPS[group]()) == INVERSE_PINS[group]
