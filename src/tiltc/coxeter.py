@@ -208,6 +208,10 @@ class CoxeterElement:
             return NotImplemented
         if other.system is not self.system:
             raise ValueError("elements of different systems")
+        if not self.word:
+            return other
+        if not other.word:
+            return self
         return self.system._from_matrices(
             _matmul(self.matrix, other.matrix), _matmul(other.inv_matrix, self.inv_matrix)
         )

@@ -20,6 +20,12 @@ push through the direct columns and checked once against the inversion
 identity whenever a column is computed (columns read from a store are not
 re-checked).
 
+Arithmetic is fused: a column (and the inversion residue, and the bar
+expansions) is summed as raw {element: {exponent: coefficient}} dicts by
+the multiply-accumulate laurent._mac, and each entry becomes a LaurentPoly
+once, when the column is finished.  Finished polynomials are interned per
+HeckeContext, so equal entries of its columns are one shared object.
+
 Family keys: ("h", ()) ordinary, ("m", I) / ("n", I) parabolic, and the
 corresponding inverse families ("h_inv", ()), ("m_inv", I), ("n_inv", I).
 """
@@ -30,11 +36,12 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 from .coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
-from .laurent import ONE, V, ZERO, LaurentPoly
+from .laurent import ONE, V, ZERO, LaurentPoly, Terms, _mac
 
 __all__ = [
     "HeckeContext",
@@ -45,6 +52,8 @@ __all__ = [
 ]
 
 Coords = dict[CoxeterElement, LaurentPoly]
+# a column being summed: {element: raw {exponent: coefficient}}, zeros allowed
+Raw = defaultdict[CoxeterElement, dict[int, int]]
 
 V_INV = LaurentPoly.v(-1)
 V_MINUS_VINV = V - V_INV  # v - v^-1
@@ -61,13 +70,33 @@ def family_id(fam: str, I: tuple[int, ...]) -> str:
     return f"{fam}[{','.join(str(s) for s in I)}]"
 
 
-def _add_into(acc: Coords, x: CoxeterElement, p: LaurentPoly) -> None:
-    q = acc.get(x)
-    acc[x] = p if q is None else q + p
+Step = tuple[Terms, Terms, Terms]
 
 
-def _clean(acc: Coords) -> Coords:
-    return {x: p for x, p in acc.items() if p}
+def _step(a: LaurentPoly, scalar: LaurentPoly = ZERO) -> Step:
+    """The terms (up, down, stay) of the action of H_s + a on a basis vector.
+
+    H_x (H_s + a) is H_xs + up H_x when xs > x, H_xs + down H_x when xs < x,
+    and stay H_x when xs leaves a parabolic index set (scalar is the value of
+    H_s there); the same holds for multiplication on the left.
+    """
+    return a.terms, (a + VINV_MINUS_V).terms, (a + scalar).terms
+
+
+# multiplication by C_s = H_s + v, and by bar(H_s) = H_s^-1 = H_s + (v - v^-1);
+# m is the spherical module (H_s acts by v^-1 off the index set), n the
+# antispherical one (-v, so C_s kills the vector)
+_KL_STEP = {"h": _step(V), "m": _step(V, V_INV), "n": _step(V, -V)}
+_BAR_STEP = {
+    "h": _step(V_MINUS_VINV),
+    "m": _step(V_MINUS_VINV, V_INV),
+    "n": _step(V_MINUS_VINV, -V),
+}
+_ONE_TERMS = ONE.terms
+
+
+def _neg(terms: Terms) -> Terms:
+    return tuple((e, -c) for e, c in terms)
 
 
 class PolyStore:
@@ -199,44 +228,49 @@ class HeckeContext:
         self._columns: dict[tuple[str, tuple[int, ...]], Coords] = {}
         self._bar_std: dict[CoxeterElement, Coords] = {}
         self._bar_par: dict[tuple, Coords] = {}
+        # every polynomial this context finishes, by its terms: equal column
+        # entries are one shared object
+        self._polys: dict[Terms, LaurentPoly] = {ZERO.terms: ZERO, ONE.terms: ONE}
 
-    # -- standard basis multiplication ---------------------------------------
+    # -- raw accumulation ------------------------------------------------------
 
-    def lmul_gen_std(self, coords: Coords, s: int) -> Coords:
-        out: Coords = {}
+    def _intern(self, acc: dict[int, int]) -> LaurentPoly:
+        """The finished polynomial of a raw sum, shared within this context."""
+        terms = tuple(sorted(t for t in acc.items() if t[1]))
+        p = self._polys.get(terms)
+        if p is None:
+            p = self._polys[terms] = LaurentPoly._from_terms(terms)
+        return p
+
+    def _finish(self, acc: Raw) -> Coords:
+        """The column of a raw sum, zero entries dropped."""
+        return {u: p for u, d in acc.items() if (p := self._intern(d))}
+
+    # -- multiplication by a generator -----------------------------------------
+
+    def _lmul_gen_std(self, acc: Raw, coords: Coords, s: int, step: Step) -> None:
+        """Add (H_s + a) * coords in the standard basis into acc; step = _step(a)."""
+        up, down, _ = step
         for x, p in coords.items():
             sx = x.times_gen(s, "left")
-            if sx.length > x.length:
-                _add_into(out, sx, p)
-            else:
-                _add_into(out, sx, p)
-                _add_into(out, x, p * VINV_MINUS_V)
-        return _clean(out)
-
-    # -- parabolic module multiplication ---------------------------------------
+            _mac(acc[sx], p, _ONE_TERMS)
+            _mac(acc[x], p, up if sx.length > x.length else down)
 
     def _in_quotient(self, x: CoxeterElement, I: tuple[int, ...]) -> bool:
         return not any(x.has_left_descent(t) for t in I)
 
-    def rmul_gen_par(self, coords: Coords, s: int, I: tuple[int, ...], flavor: str) -> Coords:
-        if flavor == "spherical":
-            scalar = V_INV
-        elif flavor == "antispherical":
-            scalar = -V
-        else:
-            raise ValidationError(f"unknown flavor {flavor!r}")
-        out: Coords = {}
+    def _rmul_gen_par(
+        self, acc: Raw, coords: Coords, s: int, I: tuple[int, ...], step: Step
+    ) -> None:
+        """Add coords * (H_s + a) in a parabolic module into acc; step = _step(a, scalar)."""
+        up, down, stay = step
         for x, p in coords.items():
             xs = x.times_gen(s, "right")
             if self._in_quotient(xs, I):
-                if xs.length > x.length:
-                    _add_into(out, xs, p)
-                else:
-                    _add_into(out, xs, p)
-                    _add_into(out, x, p * VINV_MINUS_V)
+                _mac(acc[xs], p, _ONE_TERMS)
+                _mac(acc[x], p, up if xs.length > x.length else down)
             else:
-                _add_into(out, x, p * scalar)
-        return _clean(out)
+                _mac(acc[x], p, stay)
 
     # -- self-dual basis columns -----------------------------------------------
 
@@ -275,19 +309,18 @@ class HeckeContext:
         sy = y.times_gen(s, "left")
         base = self.kl_column(sy)
         # C_s * C_{sy} = (H_s + v) * C_{sy}
-        acc = self.lmul_gen_std(base, s)
-        for x, p in base.items():
-            _add_into(acc, x, p * V)
-        acc = _clean(acc)
+        acc: Raw = defaultdict(dict)
+        self._lmul_gen_std(acc, base, s, _KL_STEP["h"])
         # remove the self-dual disturbance: mu(z, sy) C_z for z with sz < z
         for z in sorted(base, key=CoxeterElement.sort_key, reverse=True):
             if z == sy:
                 continue
             mu = base[z].coeff(1)
             if mu and z.has_left_descent(s):
+                minus_mu = ((0, -mu),)
                 for u, q in self.kl_column(z).items():
-                    _add_into(acc, u, q * (-mu))
-        col = _clean(acc)
+                    _mac(acc[u], q, minus_mu)
+        col = self._finish(acc)
         self._check_unitriangular(col, y, fam)
         self._put_cached(fam, y, col)
         return col
@@ -297,11 +330,7 @@ class HeckeContext:
     ) -> Coords:
         """Self-dual basis column of the parabolic module ('m' or 'n')."""
         I = self.system.check_names(I)
-        if fam == "m":
-            flavor = "spherical"
-        elif fam == "n":
-            flavor = "antispherical"
-        else:
+        if fam not in ("m", "n"):
             raise ValidationError(f"unknown parabolic family {fam!r}")
         if not self._in_quotient(y, I):
             raise ValidationError(
@@ -319,36 +348,30 @@ class HeckeContext:
         ys = y.times_gen(s, "right")
         base = self.parabolic_column(fam, I, ys)
         # column * C_s = column * (H_s + v)
-        acc = self.rmul_gen_par(base, s, I, flavor)
-        for x, p in base.items():
-            _add_into(acc, x, p * V)
-        acc = _clean(acc)
+        acc: Raw = defaultdict(dict)
+        self._rmul_gen_par(acc, base, s, I, _KL_STEP[fam])
         # greedy self-dual correction, largest length first: subtract the
         # bar-invariant completion of each coordinate not yet in v*Z[v]
-        if acc:
-            max_len = max(u.length for u in acc)
-            for length in range(max_len, -1, -1):
-                layer = sorted(
-                    (u for u in list(acc) if u.length == length and u != y),
-                    key=CoxeterElement.sort_key,
-                )
-                for u in layer:
-                    p = acc.get(u)
-                    if p is None or not p:
-                        continue
-                    down = {e: c for e, c in p if e <= 0}
-                    if not down:
-                        continue
-                    # symmetric completion: c_0 + sum_{k>0} c_{-k} (v^k + v^-k)
-                    comp: dict[int, int] = {0: down.get(0, 0)}
-                    for e, c in down.items():
-                        if e < 0:
-                            comp[e] = comp.get(e, 0) + c
-                            comp[-e] = comp.get(-e, 0) + c
-                    q = LaurentPoly(comp)
-                    for z, r in self.parabolic_column(fam, I, u).items():
-                        _add_into(acc, z, r * (-q))
-        col = _clean(acc)
+        max_len = max((u.length for u in acc), default=-1)
+        for length in range(max_len, -1, -1):
+            layer = sorted(
+                (u for u in list(acc) if u.length == length and u != y),
+                key=CoxeterElement.sort_key,
+            )
+            for u in layer:
+                down = {e: c for e, c in acc[u].items() if e <= 0 and c}
+                if not down:
+                    continue
+                # minus the symmetric completion c_0 + sum_{k>0} c_{-k} (v^k + v^-k)
+                comp: dict[int, int] = {0: down.get(0, 0)}
+                for e, c in down.items():
+                    if e < 0:
+                        comp[e] = comp.get(e, 0) + c
+                        comp[-e] = comp.get(-e, 0) + c
+                minus_comp = [(e, -c) for e, c in comp.items() if c]
+                for z, r in self.parabolic_column(fam, I, u).items():
+                    _mac(acc[z], r, minus_comp)
+        col = self._finish(acc)
         self._check_unitriangular(col, y, fid)
         self._put_cached(fid, y, col)
         return col
@@ -406,12 +429,14 @@ class HeckeContext:
         self, fam: str, I: tuple[int, ...], x: CoxeterElement, inv: Coords
     ) -> Coords:
         """Nonzero entries of sum_z inv[z] (signed direct column of z) - e_x."""
-        out: Coords = {x: -ONE}
+        out: Raw = defaultdict(dict)
+        out[x][0] = -1
         for z, c in inv.items():
+            plus, minus = c.terms, _neg(c.terms)
+            lz = z.length
             for u, p in self.column(fam, I, z).items():
-                q = p * c
-                _add_into(out, u, -q if (u.length + z.length) % 2 else q)
-        return _clean(out)
+                _mac(out[u], p, minus if (u.length + lz) % 2 else plus)
+        return self._finish(out)
 
     def inverse_column(
         self, fam: str, I: tuple[int, ...], x: CoxeterElement
@@ -419,11 +444,11 @@ class HeckeContext:
         """Inverse-family column {y: fam^{x,y}} by signed unitriangular inversion.
 
         It solves sum_z (-1)^(l(u)+l(z)) fam_{u,z} fam^{x,z} = delta_{u,x} by
-        one push down the lengths from -1 at x: each z holding a nonzero
-        value a gets fam^{x,z} = -a, pushed through the signed off-diagonal
-        entries of the direct column of z.  Those are strictly shorter than
-        z, so a value is final when its length is reached.  The identity is
-        then checked once, as a fresh signed product.
+        one push down the lengths from 1 at x: each z holding a nonzero value
+        gets it as fam^{x,z}, and its negative is pushed through the signed
+        off-diagonal entries of the direct column of z.  Those are strictly
+        shorter than z, so a value is final when its length is reached.  The
+        identity is then checked once, as a fresh signed product.
         """
         if fam not in DIRECT_FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
@@ -436,16 +461,22 @@ class HeckeContext:
             raise ValidationError(
                 f"{format_word(x.word) or 'e'} is not in the index set of {family_id(fam, I)}"
             )
-        acc: Coords = {x: -ONE}
+        # the values still to be pushed, one raw sum per element and length
+        pending: list[Raw] = [defaultdict(dict) for _ in range(x.length + 1)]
+        pending[x.length][x][0] = 1
         inv: Coords = {}
         for length in range(x.length, -1, -1):
-            layer = [z for z in acc if z.length == length and acc[z]]
+            layer = pending[length]
             for z in sorted(layer, key=CoxeterElement.sort_key, reverse=True):
-                inv[z] = -acc[z]
+                c = self._intern(layer[z])
+                if not c:
+                    continue
+                inv[z] = c
+                plus, minus = c.terms, _neg(c.terms)
                 for u, p in self.column(fam, I, z).items():
-                    if u != z:
-                        q = p * inv[z]
-                        _add_into(acc, u, -q if (u.length + z.length) % 2 else q)
+                    lu = u.length
+                    if lu < length:  # every entry but the diagonal one
+                        _mac(pending[lu][u], p, plus if (lu + length) % 2 else minus)
         residue = self._inversion_residue(fam, I, x, inv)
         if residue:
             u = min(residue, key=CoxeterElement.sort_key)
@@ -467,16 +498,14 @@ class HeckeContext:
         else:
             s = x.word[0]
             rest = self.bar_std_basis(x.times_gen(s, "left"))
-            out = self.lmul_gen_std(rest, s)
-            for z, p in rest.items():
-                _add_into(out, z, p * V_MINUS_VINV)
-            out = _clean(out)
+            acc: Raw = defaultdict(dict)
+            self._lmul_gen_std(acc, rest, s, _BAR_STEP["h"])
+            out = self._finish(acc)
         self._bar_std[x] = out
         return out
 
     def bar_par_basis(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
         """Coordinates of bar(basis vector at x) in a parabolic module."""
-        flavor = "spherical" if fam == "m" else "antispherical"
         key = (fam, I, x.word)
         cached = self._bar_par.get(key)
         if cached is not None:
@@ -486,25 +515,24 @@ class HeckeContext:
         else:
             s = x.word[-1]
             rest = self.bar_par_basis(fam, I, x.times_gen(s, "right"))
-            out = self.rmul_gen_par(rest, s, I, flavor)
-            for z, p in rest.items():
-                _add_into(out, z, p * V_MINUS_VINV)
-            out = _clean(out)
+            acc: Raw = defaultdict(dict)
+            self._rmul_gen_par(acc, rest, s, I, _BAR_STEP["m" if fam == "m" else "n"])
+            out = self._finish(acc)
         self._bar_par[key] = out
         return out
 
     def bar_expand(self, fam: str, I: tuple[int, ...], coords: Coords) -> Coords:
         """Expand bar(sum p_x B_x) in the same standard/module basis."""
-        out: Coords = {}
+        acc: Raw = defaultdict(dict)
         for x, p in coords.items():
             basis = (
                 self.bar_std_basis(x) if fam == "h" else self.bar_par_basis(fam, I, x)
             )
-            pb = p.bar()
+            p_bar = [(-e, c) for e, c in p.terms]
             for z, q in basis.items():
-                _add_into(out, z, q * pb)
-        return _clean(out)
+                _mac(acc[z], q, p_bar)
+        return self._finish(acc)
 
     def is_selfdual(self, fam: str, I: tuple[int, ...], coords: Coords) -> bool:
         """Check bar-invariance by direct expansion in the standard basis."""
-        return self.bar_expand(fam, I, coords) == _clean(dict(coords))
+        return self.bar_expand(fam, I, coords) == {x: p for x, p in coords.items() if p}

@@ -40,6 +40,9 @@ _TERM_RE = re.compile(
 )
 
 
+Terms = tuple[tuple[int, int], ...]
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial with int coefficients.
 
@@ -49,7 +52,7 @@ class LaurentPoly:
 
     __slots__ = ("_terms", "_hash")
 
-    _terms: tuple[tuple[int, int], ...]
+    _terms: Terms
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         if isinstance(coeffs, Mapping):
@@ -73,6 +76,14 @@ class LaurentPoly:
         """
         self = object.__new__(cls)
         _set_terms(self, acc)
+        return self
+
+    @classmethod
+    def _from_terms(cls, terms: Terms) -> "LaurentPoly":
+        """Unchecked constructor for a terms tuple already in canonical form."""
+        self = object.__new__(cls)
+        _put_terms(self, terms)
+        _put_hash(self, hash(terms))
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -287,6 +298,19 @@ def _set_terms(p: LaurentPoly, acc: dict[int, int]) -> None:
     terms = tuple(sorted(acc.items()))
     _put_terms(p, terms)
     _put_hash(p, hash(terms))
+
+
+def _mac(acc: dict[int, int], p: LaurentPoly, q: Iterable[tuple[int, int]]) -> None:
+    """Multiply-accumulate acc += p * q on a raw {exponent: coefficient} dict.
+
+    q is any sequence of (exponent, coefficient) pairs.  acc may hold zero
+    coefficients; a fused sum canonicalizes it once, when it is complete,
+    instead of building a LaurentPoly for every product and partial sum.
+    """
+    for e1, c1 in p._terms:
+        for e2, c2 in q:
+            k = e1 + e2
+            acc[k] = acc.get(k, 0) + c1 * c2
 
 
 ZERO = LaurentPoly()

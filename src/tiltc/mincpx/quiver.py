@@ -522,23 +522,36 @@ def minimal_projective_resolution(
     M: ModuleRep,
 ) -> tuple[list[tuple[ModuleRep, list[str]]], list[VMap], VMap]:
     """([(P_i, labels_i)], [d_i: P_i -> P_{i-1} for i >= 1], P_0 -> M)."""
+    return _resolve(M, None)
+
+
+def _resolve(
+    M: ModuleRep, last: int | None
+) -> tuple[list[tuple[ModuleRep, list[str]]], list[VMap], VMap]:
+    """The minimal projective resolution of M, cut after term P_last if given."""
     P0, labels0, aug = projective_cover(M)
     terms = [(P0, labels0)]
     diffs: list[VMap] = []
-    K, incl = kernel_rep(aug, P0, M)
-    while not K.is_zero():
+    cov, covered = aug, M  # the newest cover and the module it covers
+    while len(terms) - 1 != last:
+        K, incl = kernel_rep(cov, terms[-1][0], covered)
+        if K.is_zero():
+            break
         if len(terms) > _RESOLUTION_GUARD:
             raise InternalInvariantError("projective resolution exceeds guard")
         P, labels, cov = projective_cover(K)
         diffs.append(vmap_compose(incl, cov, P, terms[-1][0]))
         terms.append((P, labels))
-        K, incl = kernel_rep(cov, P, K)
+        covered = K
     return terms, diffs, aug
 
 
 def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:
-    """[dim Ext^i(M, N) for i in 0..up_to], by the minimal resolution."""
-    terms, diffs, _ = minimal_projective_resolution(M)
+    """[dim Ext^i(M, N) for i in 0..up_to], by the minimal resolution.
+
+    Ext^i needs the resolution only up to the term P_{i+1}, so it stops there.
+    """
+    terms, diffs, _ = _resolve(M, up_to + 1)
     order = M.algebra.vertices
     hom_bases = [hom_basis(P, N) for P, _ in terms]
     d_mats: list[Mat] = []

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from .coxeter import CoxeterElement, format_word
 from .errors import InternalInvariantError, ValidationError
 from .hecke import HeckeContext, PolyStore
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, _mac
 from .rootdata import LinkageDatum, format_weight
 
 __all__ = [
@@ -136,7 +136,7 @@ def convolution(
     is only an upper bound and exact=False is returned.
     """
     exact = True
-    total = ZERO
+    total: dict[int, int] = {}
     for z, pz in p.items():
         lz = length_of[z]
         if not pz.has_parity(len_first - lz):
@@ -145,8 +145,8 @@ def convolution(
         if q and not q.has_parity(len_second - lz):
             exact = False
         if pz and q:
-            total = total + pz.bar() * q
-    return total, exact
+            _mac(total, q, [(-e, c) for e, c in pz.terms])
+    return LaurentPoly(total), exact
 
 
 class _Setting:
@@ -475,14 +475,14 @@ class KacMoody(_NegativeLike):
             n_fixed = self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).get(
                 self._n_index(u_x), ZERO
             )
-            total = ZERO
+            total: dict[int, int] = {}
             for u_z in z_parts:
                 m = self.hecke.inverse_column("m", self.I, u_z.inverse()).get(
                     u_x.inverse(), ZERO
                 )
                 if m and n_fixed:
-                    total = total + m.bar() * n_fixed
-            rows[y] = total
+                    _mac(total, n_fixed, [(-e, c) for e, c in m.terms])
+            rows[y] = LaurentPoly(total)
         return self._finalize(
             x,
             rows,

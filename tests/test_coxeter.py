@@ -158,6 +158,12 @@ class TestElementOps:
         with pytest.raises(ValueError):
             A2.generators[1] * A3.generators[1]
 
+    @pytest.mark.parametrize("W", [A3, AFF2], ids=["A3", "affA2"])
+    def test_identity_factor_returns_other(self, W):
+        for x in W.enumerate_below(W.element([1, 2, 1, 0 if W is AFF2 else 3])):
+            assert W.identity * x is x
+            assert x * W.identity is x
+
     def test_sort_key_deterministic(self):
         els = sorted(A2.enumerate_below(A2.longest_element()))
         assert [e.word for e in els] == [(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]

@@ -1,6 +1,7 @@
 """Self-dual bases, parabolic modules, inverse families, persistence."""
 
 import os
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from tiltc.coxeter import CoxeterSystem
 from tiltc.errors import CacheError, ValidationError
 from tiltc.hecke import HeckeContext, PolyStore, family_id
-from tiltc.laurent import ONE, ZERO, LaurentPoly
+from tiltc.laurent import ONE, ZERO, LaurentPoly, _mac
 
 A1 = CoxeterSystem.from_type("A1")
 A2 = CoxeterSystem.from_type("A2")
 A3 = CoxeterSystem.from_type("A3")
 B2 = CoxeterSystem.from_type("B2")
+B3 = CoxeterSystem.from_type("B3")
 AFF1 = CoxeterSystem.from_type("affA1")
 AFF2 = CoxeterSystem.from_type("affA2")
 
@@ -183,6 +185,20 @@ class TestInverseColumns:
                     total = total + c.kl_column(z).get(u, ZERO) * col[z] * sign
             assert total == (ONE if u == x else ZERO)
 
+    @pytest.mark.parametrize(
+        "system, fam, I", [(B3, "h", ()), (A3, "n", (1,))], ids=["B3-h", "A3-n[1]"]
+    )
+    def test_inversion_check_catches_a_flipped_sign(self, system, fam, I):
+        c = ctx(system)
+        reps, _ = system.quotient_reps(I, "left")
+        x = max(reps, key=lambda w: w.length)
+        col = c.inverse_column(fam, I, x)
+        assert len(col) > 1
+        assert c._inversion_residue(fam, I, x, col) == {}
+        for z in col:
+            flipped = {**col, z: -col[z]}
+            assert c._inversion_residue(fam, I, x, flipped)
+
     def test_positivity_on_small_grid(self):
         for sys, I in [(A3, ()), (A3, (2,)), (AFF2, (1,)), (B2, (1,))]:
             c = ctx(sys)
@@ -191,6 +207,57 @@ class TestInverseColumns:
                 for x in reps:
                     for p in c.inverse_column(fam, I, x).values():
                         assert p.is_nonneg()
+
+
+polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3)).map(LaurentPoly)
+
+
+class TestRawAccumulator:
+    """The raw multiply-accumulate and the finish step behind every column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), polys, polys, st.sampled_from((1, -1))),
+            max_size=12,
+        ),
+        st.lists(st.tuples(polys, polys), max_size=4),
+    )
+    def test_finish_equals_operator_sum(self, products, cancelled):
+        c = ctx(A2)
+        keys = sorted(A2.enumerate_below(A2.longest_element()))
+        acc = defaultdict(dict)
+        expected = {}
+        for k, p, q, sign in products:
+            _mac(acc[keys[k]], p, [(e, sign * a) for e, a in q.terms])
+            expected[keys[k]] = expected.get(keys[k], ZERO) + p * q * sign
+        # products that cancel exactly: their entry finishes as 0 and is dropped
+        for p, q in cancelled:
+            _mac(acc[keys[5]], p, q.terms)
+            _mac(acc[keys[5]], q, (-p).terms)
+        col = c._finish(acc)
+        assert col == {u: p for u, p in expected.items() if p}
+        assert keys[5] not in col
+        for u in col:
+            for w in col:
+                if col[u] == col[w]:
+                    assert col[u] is col[w]
+
+    def test_equal_entries_are_shared_within_a_context(self):
+        c = ctx(A3)
+        y = A3.longest_element()
+        # h_{x,w0} = v^(l(w0) - l(x)): one shared object per length
+        col = c.kl_column(y)
+        by_length = {x.length: p for x, p in col.items()}
+        assert len(by_length) < len(col)
+        assert all(p is by_length[x.length] for x, p in col.items())
+        acc = defaultdict(dict)
+        _mac(acc[y], LaurentPoly.v(1), ((1, 2),))
+        twice = c._finish(acc)[y]
+        acc = defaultdict(dict)
+        _mac(acc[y], LaurentPoly({1: 2}), ((1, 1),))
+        assert c._finish(acc)[y] is twice
+        assert ctx(A3)._finish(acc)[y] is not twice  # nothing shared across contexts
 
 
 class TestUniformAccess:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltc.errors import InternalInvariantError, ValidationError
-from tiltc.mincpx import linalg
+from tiltc.mincpx import linalg, quiver
 from tiltc.mincpx.block import (
     SUITE_NAMES,
     TiltingCategory,
@@ -186,6 +186,19 @@ class TestQuiver:
         assert ext_dims(m["std_s"], m["L_e"], 3) == [0, 0, 0, 0]
         assert ext_dims(m["L_e"], m["costd_s"], 3) == [0, 0, 0, 0]
 
+    def test_ext_dims_stops_at_the_needed_term(self, sl2_modules, monkeypatch):
+        # L_s has the three-term resolution P_s <- P_e <- P_s; Ext^0 needs two
+        calls = []
+        real = quiver.projective_cover
+        monkeypatch.setattr(
+            quiver, "projective_cover", lambda M: calls.append(M) or real(M)
+        )
+        assert ext_dims(sl2_modules["L_s"], sl2_modules["L_e"], 0) == [0]
+        assert len(calls) == 2
+        calls.clear()
+        assert ext_dims(sl2_modules["L_s"], sl2_modules["L_e"], 4) == [0, 1, 0, 0, 0]
+        assert len(calls) == 3
+
     def test_projective_cover_of_tilting(self, sl2_modules):
         P, labels, cov = projective_cover(sl2_modules["tilt_s"])
         assert labels == ["e"]
@@ -351,6 +364,15 @@ class TestBlockParsing:
         assert b.words == {"e": "", "s": "1"}
         assert ("e", "s") in b.leq and ("s", "e") not in b.leq
         assert b.module("tilt", "s").dims == {"e": 2, "s": 1}
+
+    def test_truncated_ext_dims_are_prefixes(self, sl2_block):
+        mods = sl2_block.modules.values()
+        assert len(mods) == 12  # std, costd, simple, tilt, proj, inj of e and s
+        for M in mods:
+            for N in mods:
+                full = ext_dims(M, N, 4)
+                for k in (0, 1):
+                    assert ext_dims(M, N, k) == full[: k + 1]
 
     def test_missing_block(self):
         with pytest.raises(ValidationError, match="no bundled block"):
