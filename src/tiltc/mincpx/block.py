@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from ast import literal_eval
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -192,9 +191,7 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
                     cur["dims"][key[4:].strip()] = int(val)
                 elif key.startswith("map "):
                     data = literal_eval(val)
-                    cur["mats"][key[4:].strip()] = tuple(
-                        tuple(Fraction(x) for x in row) for row in data
-                    )
+                    cur["mats"][key[4:].strip()] = linalg.mat(data)
                 else:
                     raise ValidationError(f"{name}: bad module line {line!r}")
     if not vertices:
@@ -242,13 +239,16 @@ def load_block(name: str) -> BlockData:
 
 
 def _vmap_lincomb(
-    coeffs: Sequence[Fraction], maps: Sequence[VMap], src: ModuleRep, tgt: ModuleRep
+    coeffs: Sequence[linalg.Scalar],
+    maps: Sequence[VMap],
+    src: ModuleRep,
+    tgt: ModuleRep,
 ) -> VMap:
     out: VMap = {}
     for v in src.algebra.vertices:
         rows = tgt.dims[v]
         cols = src.dims[v]
-        acc = [[Fraction(0)] * cols for _ in range(rows)]
+        acc = [[0] * cols for _ in range(rows)]
         for c, f in zip(coeffs, maps):
             if not c:
                 continue
@@ -269,8 +269,8 @@ def _vmap_equal(f: VMap, g: VMap, src: ModuleRep, tgt: ModuleRep) -> bool:
             fr = f[v][i] if i < len(f[v]) else ()
             gr = g[v][i] if i < len(g[v]) else ()
             for j in range(cols):
-                fe = fr[j] if j < len(fr) else Fraction(0)
-                ge = gr[j] if j < len(gr) else Fraction(0)
+                fe = fr[j] if j < len(fr) else 0
+                ge = gr[j] if j < len(gr) else 0
                 if fe != ge:
                     return False
     return True
@@ -286,7 +286,7 @@ class TiltingCategory:
         self.tilts = {lab: block.module("tilt", lab) for lab in self.labels}
         order = self.algebra.vertices
         self._basis: dict[tuple[str, str], list[VMap]] = {}
-        self._flat: dict[tuple[str, str], list[tuple[Fraction, ...]]] = {}
+        self._flat: dict[tuple[str, str], list[linalg.Vec]] = {}
         hom_dim: dict[tuple[str, str], int] = {}
         for a in self.labels:
             for b in self.labels:
@@ -379,14 +379,14 @@ class TiltingCategory:
         for v in self.algebra.vertices:
             rows = tgt_rep.dims[v]
             cols = src_rep.dims[v]
-            acc = [[Fraction(0)] * cols for _ in range(rows)]
+            acc = [[0] * cols for _ in range(rows)]
             for i, tl in enumerate(tgts):
                 for j, sl in enumerate(srcs):
                     blk = self.realize(sl, tl, mat[i][j])[v]
                     for r in range(self.tilts[tl].dims[v]):
                         brow = blk[r] if r < len(blk) else ()
                         for c in range(self.tilts[sl].dims[v]):
-                            val = brow[c] if c < len(brow) else Fraction(0)
+                            val = brow[c] if c < len(brow) else 0
                             if val:
                                 acc[tgt_off[i][v] + r][src_off[j][v] + c] = val
             out[v] = tuple(tuple(r) for r in acc)
@@ -445,7 +445,7 @@ def _approximation(
     order = tcat.algebra.vertices
     homs = {b: hom_basis(M, tcat.tilts[b]) for b in tcat.labels}
     labels: list[str] = []
-    rows: dict[str, list[tuple[Fraction, ...]]] = {v: [] for v in order}
+    rows: dict[str, list[linalg.Vec]] = {v: [] for v in order}
     for a in tcat.labels:
         if not homs[a]:
             continue
@@ -536,8 +536,8 @@ def _solve_chain_lift(
             for j, sl in enumerate(Rs.term(k)):
                 unknown_off[(k, i, j)] = nvar
                 nvar += cat.hom_dim[(sl, tl)]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[linalg.Scalar]] = []
+    rhs: list[linalg.Scalar] = []
     # realized condition at degree n0
     if n0 in Rs.terms:
         src_labels = Rs.term(n0)
@@ -548,19 +548,15 @@ def _solve_chain_lift(
             for r in range(sumY.dims[v]):
                 for c in range(P.dims[v]):
                     row_index[(v, r, c)] = len(rows)
-                    rows.append([Fraction(0)] * nvar)
+                    rows.append([0] * nvar)
                     er = eta[v][r] if r < len(eta[v]) else ()
-                    rhs.append(er[c] if c < len(er) else Fraction(0))
+                    rhs.append(er[c] if c < len(er) else 0)
         for i, tl in enumerate(Y.term(n0)):
             for j, sl in enumerate(src_labels):
                 base = unknown_off.get((n0, i, j))
                 if base is None:
                     continue
-                for cidx in range(cat.hom_dim[(sl, tl)]):
-                    unit = tuple(
-                        Fraction(1 if t == cidx else 0)
-                        for t in range(cat.hom_dim[(sl, tl)])
-                    )
+                for cidx, unit in enumerate(linalg.ident(cat.hom_dim[(sl, tl)])):
                     B = tcat.realize(sl, tl, unit)
                     for v in tcat.algebra.vertices:
                         src_dim = tcat.tilts[sl].dims[v]
@@ -574,7 +570,7 @@ def _solve_chain_lift(
                         for r in range(tcat.tilts[tl].dims[v]):
                             crow = contrib[r] if r < len(contrib) else ()
                             for c in range(P.dims[v]):
-                                val = crow[c] if c < len(crow) else Fraction(0)
+                                val = crow[c] if c < len(crow) else 0
                                 if val:
                                     ridx = row_index[(v, tgt_off[i][v] + r, c)]
                                     rows[ridx][base + cidx] += val
@@ -587,16 +583,12 @@ def _solve_chain_lift(
         for t, tl in enumerate(Y.term(k + 1)):
             for s2, sl in enumerate(Rs.term(k)):
                 dim_eq = cat.hom_dim[(sl, tl)]
-                eq_rows = [[Fraction(0)] * nvar for _ in range(dim_eq)]
+                eq_rows = [[0] * nvar for _ in range(dim_eq)]
                 for i, ml in enumerate(Y.term(k)):
                     base = unknown_off.get((k, i, s2))
                     if base is None:
                         continue
-                    hd = cat.hom_dim[(sl, ml)]
-                    for cidx in range(hd):
-                        unit = tuple(
-                            Fraction(1 if t2 == cidx else 0) for t2 in range(hd)
-                        )
+                    for cidx, unit in enumerate(linalg.ident(cat.hom_dim[(sl, ml)])):
                         vec = cat.comp(sl, ml, tl, dY[t][i], unit)
                         for e, val in enumerate(vec):
                             if val:
@@ -605,11 +597,7 @@ def _solve_chain_lift(
                     base = unknown_off.get((k + 1, t, i2))
                     if base is None:
                         continue
-                    hd = cat.hom_dim[(ml, tl)]
-                    for cidx in range(hd):
-                        unit = tuple(
-                            Fraction(1 if t2 == cidx else 0) for t2 in range(hd)
-                        )
+                    for cidx, unit in enumerate(linalg.ident(cat.hom_dim[(ml, tl)])):
                         vec = cat.comp(sl, ml, tl, unit, dRs[i2][s2])
                         for e, val in enumerate(vec):
                             if val:
@@ -617,9 +605,9 @@ def _solve_chain_lift(
                 for e in range(dim_eq):
                     if any(eq_rows[e]):
                         rows.append(eq_rows[e])
-                        rhs.append(Fraction(0))
+                        rhs.append(0)
     if nvar == 0:
-        sol: tuple[Fraction, ...] = ()
+        sol: linalg.Vec = ()
         if any(rhs):
             raise InternalInvariantError("chain lift has no solution")
     else:
@@ -630,7 +618,7 @@ def _solve_chain_lift(
             if sol is None:
                 raise InternalInvariantError("chain lift has no solution")
         else:
-            sol = (Fraction(0),) * nvar
+            sol = (0,) * nvar
     chi: dict[int, CoordMat] = {}
     for k in degs:
         mat = []
@@ -695,23 +683,23 @@ def cmin_module(
             S_cone, offs = tcat.sum_rep(both)
             kap: VMap = {}
             for v in tcat.algebra.vertices:
-                rows_v: list[tuple[Fraction, ...]] = []
+                rows_v: list[linalg.Vec] = []
                 x_rep, _ = tcat.sum_rep(xs)
                 if n == -j and xs:
                     for r in range(x_rep.dims[v]):
                         rows_v.append(
-                            tuple(iota[v][r]) if r < len(iota[v]) else (Fraction(0),) * P_i.dims[v]
+                            tuple(iota[v][r]) if r < len(iota[v]) else (0,) * P_i.dims[v]
                         )
                 else:
                     for r in range(x_rep.dims[v]):
-                        rows_v.append((Fraction(0),) * P_i.dims[v])
+                        rows_v.append((0,) * P_i.dims[v])
                 prev = kappa.get(n)
                 y_rep, _ = tcat.sum_rep(ys)
                 for r in range(y_rep.dims[v]):
                     if prev is not None and r < len(prev[v]):
                         rows_v.append(tuple(prev[v][r]))
                     else:
-                        rows_v.append((Fraction(0),) * P_i.dims[v])
+                        rows_v.append((0,) * P_i.dims[v])
                 kap[v] = tuple(rows_v)
             if n in pi:
                 big = tcat.realize_block(C.term(n), C_min.term(n), pi[n])
@@ -806,7 +794,7 @@ def _verify_cmin(
         for n in range(lo, hi):
             rows = dims[n + 1]
             cols = dims[n]
-            acc = [[Fraction(0)] * cols for _ in range(rows)]
+            acc = [[0] * cols for _ in range(rows)]
             p_src = p_at(n + 1)
             p_tgt = p_at(n + 2)
             sy_src, _ = tcat.sum_rep(Y.term(n))

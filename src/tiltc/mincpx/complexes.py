@@ -13,13 +13,12 @@ complex can be transported through the reduction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..errors import InternalInvariantError, ValidationError
 from . import linalg
 
-Coords = tuple[Fraction, ...]
+Coords = linalg.Vec
 CoordMat = tuple[tuple[Coords, ...], ...]
 
 __all__ = [
@@ -31,18 +30,14 @@ __all__ = [
 
 
 def _as_coords(vec: Sequence) -> Coords:
-    return tuple(Fraction(x) for x in vec)
-
-
-def _add(x: Coords, y: Coords) -> Coords:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(x if type(x) is int else linalg.exact(x) for x in vec)
 
 
 def _sub(x: Coords, y: Coords) -> Coords:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def _scal(c: Fraction, x: Coords) -> Coords:
+def _scal(c: int, x: Coords) -> Coords:
     return tuple(c * a for a in x)
 
 
@@ -76,12 +71,12 @@ class CategoryPresentation:
     # -- morphism arithmetic ---------------------------------------------------
 
     def zero(self, a: str, b: str) -> Coords:
-        return (Fraction(0),) * self.hom_dim[(a, b)]
+        return (0,) * self.hom_dim[(a, b)]
 
     def comp(self, a: str, b: str, c: str, g: Coords, f: Coords) -> Coords:
         """Composite g after f, where f: a -> b and g: b -> c."""
         tensor = self.compose_tensor[(a, b, c)]
-        out = [Fraction(0)] * self.hom_dim[(a, c)]
+        out = [0] * self.hom_dim[(a, c)]
         for i, fi in enumerate(f):
             if not fi:
                 continue
@@ -99,9 +94,7 @@ class CategoryPresentation:
     def invert(self, a: str, phi: Coords) -> Coords | None:
         """Two-sided inverse of phi in End(a), or None."""
         n = self.hom_dim[(a, a)]
-        basis = [
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        ]
+        basis = linalg.ident(n)
         left = linalg.transpose(
             tuple(self.comp(a, a, a, phi, e) for e in basis)
         )
@@ -118,11 +111,9 @@ class CategoryPresentation:
     def _end_radical(self, a: str) -> list[Coords]:
         """Basis of the radical of End(a), via the trace form of left multiplication."""
         n = self.hom_dim[(a, a)]
-        basis = [
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        ]
+        basis = linalg.ident(n)
 
-        def left_mult_trace(x: Coords) -> Fraction:
+        def left_mult_trace(x: Coords) -> linalg.Scalar:
             return sum(
                 self.comp(a, a, a, x, basis[j])[j] for j in range(n)
             )
@@ -158,8 +149,7 @@ class CategoryPresentation:
                         )
         # unit laws
         for (a, b), d in self.hom_dim.items():
-            for i in range(d):
-                f = tuple(Fraction(1 if k == i else 0) for k in range(d))
+            for f in linalg.ident(d):
                 if self.comp(a, a, b, f, self.identity[a]) != f:
                     raise InternalInvariantError(f"right unit law fails on Hom({a},{b})")
                 if self.comp(a, b, b, self.identity[b], f) != f:
@@ -169,22 +159,9 @@ class CategoryPresentation:
             for b in self.labels:
                 for c in self.labels:
                     for d_ in self.labels:
-                        nab = self.hom_dim[(a, b)]
-                        nbc = self.hom_dim[(b, c)]
-                        ncd = self.hom_dim[(c, d_)]
-                        for i in range(nab):
-                            f = tuple(
-                                Fraction(1 if k == i else 0) for k in range(nab)
-                            )
-                            for j in range(nbc):
-                                g = tuple(
-                                    Fraction(1 if k == j else 0) for k in range(nbc)
-                                )
-                                for k2 in range(ncd):
-                                    h = tuple(
-                                        Fraction(1 if k == k2 else 0)
-                                        for k in range(ncd)
-                                    )
+                        for f in linalg.ident(self.hom_dim[(a, b)]):
+                            for g in linalg.ident(self.hom_dim[(b, c)]):
+                                for h in linalg.ident(self.hom_dim[(c, d_)]):
                                     lhs = self.comp(
                                         a, b, d_, self.comp(b, c, d_, h, g), f
                                     )
@@ -227,14 +204,8 @@ class CategoryPresentation:
             for b in self.labels:
                 if a == b:
                     continue
-                nab = self.hom_dim[(a, b)]
-                nba = self.hom_dim[(b, a)]
-                for i in range(nab):
-                    f = tuple(Fraction(1 if k == i else 0) for k in range(nab))
-                    for j in range(nba):
-                        g = tuple(
-                            Fraction(1 if k == j else 0) for k in range(nba)
-                        )
+                for f in linalg.ident(self.hom_dim[(a, b)]):
+                    for g in linalg.ident(self.hom_dim[(b, a)]):
                         comp = self.comp(a, b, a, g, f)
                         if not any(comp):
                             continue
@@ -382,7 +353,7 @@ class FormalComplex:
 
     def shift(self, k: int) -> "FormalComplex":
         """The complex X[k] with X[k]^n = X^(n+k) and differential (-1)^k d."""
-        sign = Fraction(-1 if k % 2 else 1)
+        sign = -1 if k % 2 else 1
         terms = {n - k: labels for n, labels in self.terms.items()}
         diffs = {
             n - k: tuple(tuple(_scal(sign, e) for e in row) for row in mat)
@@ -449,7 +420,7 @@ def cone(
         fmat = f_at(n + 1)
         rows = []
         for i, t in enumerate(xt):
-            row = [_scal(Fraction(-1), dX[i][j]) for j in range(len(xs))]
+            row = [_scal(-1, dX[i][j]) for j in range(len(xs))]
             row += [cat.zero(s, t) for s in ys]
             rows.append(tuple(row))
         for i, t in enumerate(yt):

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are tuples of row tuples of Fractions; an (m, n) matrix is a linear
-map from n-space to m-space acting on column vectors.  Everything is exact;
-there is no floating point anywhere in the oracle.
+Matrices are tuples of row tuples; an (m, n) matrix is a linear map from
+n-space to m-space acting on column vectors.  An entry is a Python ``int``
+when it is integral and a ``Fraction`` only when it is not, so integer data
+never pays for rational arithmetic (the fraction-free idea of Bareiss 1968).
+Everything stays exact; there is no floating point anywhere in the oracle.
 """
 
 from __future__ import annotations
@@ -10,22 +12,39 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Mat = tuple[tuple[Fraction, ...], ...]
-Vec = tuple[Fraction, ...]
+Scalar = int | Fraction  # int when integral, Fraction otherwise
+Vec = tuple[Scalar, ...]
+Mat = tuple[Vec, ...]
+
+
+def exact(x) -> Scalar:
+    """x as an exact scalar: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ints(row: Iterable[Scalar]) -> list[Scalar]:
+    """Integral Fractions of a computed row turned back into ints."""
+    return [
+        x.numerator if type(x) is Fraction and x.denominator == 1 else x
+        for x in row
+    ]
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(
+        tuple(x if type(x) is int else exact(x) for x in row) for row in rows
+    )
 
 
 def zeros(m: int, n: int) -> Mat:
-    return tuple((Fraction(0),) * n for _ in range(m))
+    return tuple((0,) * n for _ in range(m))
 
 
 def ident(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def shape(a: Mat) -> tuple[int, int]:
@@ -45,8 +64,10 @@ def sub(a: Mat, b: Mat) -> Mat:
 
 
 def scal(c, a: Mat) -> Mat:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+    c = exact(c)
+    if type(c) is int:
+        return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple(_ints(c * x for x in row)) for row in a)
 
 
 def mul(a: Mat, b: Mat) -> Mat:
@@ -84,21 +105,14 @@ def transpose(a: Mat) -> Mat:
     return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
 
 
-def hcat(*mats: Mat) -> Mat:
-    rows = len(mats[0])
-    return tuple(
-        tuple(x for a in mats for x in (a[i] if a else ())) for i in range(rows)
-    )
-
-
-def vcat(*mats: Mat) -> Mat:
-    return tuple(row for a in mats for row in a)
-
-
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
+    """Reduced row echelon form and the pivot column indices.
+
+    A pivot of 1 or -1 needs no division, so integer rows stay integer; rows
+    that did meet a Fraction are normalized back to ints where they can be.
+    """
     m, n = shape(a)
-    rows = [list(row) for row in a]
+    rows = [[x if type(x) is int else exact(x) for x in row] for row in a]
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -106,12 +120,19 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        p = rows[r][c]
+        if p == -1:
+            rows[r] = [-x for x in rows[r]]
+        elif p != 1:
+            inv = Fraction(1, p) if type(p) is int else 1 / p
+            rows[r] = _ints([x * inv for x in rows[r]])
+        prow = rows[r]
+        integral = all(type(x) is int for x in prow)
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f != 0:
+                new = [x - f * y for x, y in zip(rows[i], prow)]
+                rows[i] = new if integral and type(f) is int else _ints(new)
         pivots.append(c)
         r += 1
         if r == m:
@@ -131,15 +152,15 @@ def nullspace(a: Mat) -> list[Vec]:
     if n == 0:
         return []
     if m == 0:
-        return [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
+        return list(ident(n))
     r, pivots = rref(a)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
+        v = [0] * n
+        v[free] = 1
         for row_idx, pc in enumerate(pivots):
             v[pc] = -r[row_idx][free]
         basis.append(tuple(v))
@@ -151,11 +172,11 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     m, n = shape(a)
     aug = tuple(row + (bv,) for row, bv in zip(a, b)) if m else ()
     if m == 0:
-        return (Fraction(0),) * n
+        return (0,) * n
     r, pivots = rref(aug)
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for row_idx, pc in enumerate(pivots):
         x[pc] = r[row_idx][n]
     return tuple(x)
@@ -175,16 +196,6 @@ def solve_matrix(a: Mat, b: Mat) -> Mat | None:
     return transpose(tuple(cols))
 
 
-def inverse(a: Mat) -> Mat | None:
-    m, n = shape(a)
-    if m != n:
-        return None
-    x = solve_matrix(a, ident(n))
-    if x is None or mul(a, x) != ident(n) or mul(x, a) != ident(n):
-        return None
-    return x
-
-
 def express_in_span(basis: Sequence[Vec], v: Vec) -> Vec | None:
     """Coordinates of v in the given spanning vectors, or None if outside."""
     if not basis:
@@ -200,10 +211,7 @@ def column_space_projector(vectors: Sequence[Vec], dim: int) -> tuple[list[Vec],
     coordinates) and the matrix of the projection in those coordinates.
     """
     if not vectors:
-        return (
-            [tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)],
-            ident(dim),
-        )
+        return list(ident(dim)), ident(dim)
     r, pivots = rref(tuple(vectors))  # rref of the row space of the span
     pivot_set = set(pivots)
     free = [j for j in range(dim) if j not in pivot_set]
@@ -214,11 +222,11 @@ def column_space_projector(vectors: Sequence[Vec], dim: int) -> tuple[list[Vec],
         row = []
         for i in range(dim):
             if i == f:
-                row.append(Fraction(1))
+                row.append(1)
             elif i in pivot_set:
                 row.append(-r[pivots.index(i)][f])
             else:
-                row.append(Fraction(0))
+                row.append(0)
         proj_rows.append(tuple(row))
-    basis = [tuple(Fraction(1 if i == f else 0) for i in range(dim)) for f in free]
+    basis = [tuple(1 if i == f else 0 for i in range(dim)) for f in free]
     return basis, tuple(proj_rows)

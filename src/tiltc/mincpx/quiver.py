@@ -13,15 +13,14 @@ A representation assigns a space to each vertex and a matrix of shape
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..errors import InternalInvariantError, ValidationError
 from . import linalg
-from .linalg import Mat
+from .linalg import Mat, Scalar, Vec
 
 Path = tuple[str, ...]
-Relation = tuple[tuple[Fraction, Path], ...]
+Relation = tuple[tuple[Scalar, Path], ...]
 VMap = dict[str, Mat]  # one matrix per vertex
 
 _PATH_GUARD = 200000
@@ -49,12 +48,15 @@ class AlgebraPresentation:
                 raise ValidationError(f"arrow {name!r} uses unknown vertices")
             self.arrows[name] = (src, tgt)
         self.relations = tuple(
-            self._parse_relation(r) if isinstance(r, str) else tuple(r)
+            self._parse_relation(r)
+            if isinstance(r, str)
+            else tuple((linalg.exact(c), tuple(p)) for c, p in r)
             for r in relations
         )
         for rel in self.relations:
             self._check_relation(rel)
         self._build_path_classes()
+        self._projectives: dict[str, tuple[ModuleRep, tuple]] = {}
 
     # -- paths -------------------------------------------------------------------
 
@@ -72,7 +74,7 @@ class AlgebraPresentation:
 
     def _parse_relation(self, text: str) -> Relation:
         """Parse 'beta alpha' or '2 a b - c d' into (coeff, path) terms."""
-        terms: list[tuple[Fraction, Path]] = []
+        terms: list[tuple[Scalar, Path]] = []
         chunk = ""
         sign = 1
         pieces: list[tuple[int, str]] = []
@@ -91,9 +93,9 @@ class AlgebraPresentation:
             pieces.append((sign, chunk))
         for sgn, piece in pieces:
             words = piece.split()
-            coeff = Fraction(sgn)
+            coeff = sgn
             if words and words[0].lstrip("-").isdigit():
-                coeff *= Fraction(words[0])
+                coeff *= linalg.exact(words[0])
                 words = words[1:]
             if not words:
                 raise ValidationError(f"empty term in relation {text!r}")
@@ -168,7 +170,7 @@ class AlgebraPresentation:
                             )
                             for left in lefts:
                                 for right in rights:
-                                    vec = [Fraction(0)] * len(paths)
+                                    vec = [0] * len(paths)
                                     for coeff, mid in rel:
                                         vec[index[left + mid + right]] += coeff
                                     if any(vec):
@@ -202,25 +204,31 @@ class AlgebraPresentation:
         paths, _, free = entry
         return [paths[f] for f in free]
 
-    def reduce_path(self, path: Path) -> list[tuple[Fraction, Path]]:
+    def reduce_path(self, path: Path) -> list[tuple[Scalar, Path]]:
         """Class of a path as a combination of basis representatives."""
         src, tgt = self.path_endpoints(path)
         entry = self._classes.get((src, tgt, len(path)))
         if entry is None:
             return []
         paths, proj, free = entry
-        vec = tuple(Fraction(1 if p == path else 0) for p in paths)
+        vec = tuple(1 if p == path else 0 for p in paths)
         coords = linalg.apply(proj, vec)
         return [(c, paths[f]) for c, f in zip(coords, free) if c]
 
     # -- distinguished modules ----------------------------------------------------
 
-    def projective(self, v: str) -> tuple["ModuleRep", list[tuple[str, int, Path]]]:
+    def projective(
+        self, v: str
+    ) -> tuple["ModuleRep", tuple[tuple[str, int, Path], ...]]:
         """Projective cover of the simple at v, with its path-class basis.
 
         The basis at vertex u consists of classes of paths v -> u (the trivial
-        path when u == v); arrows act by appending and reducing.
+        path when u == v); arrows act by appending and reducing.  Each vertex
+        is built and validated once per algebra; later calls return the same
+        objects, which nothing mutates.
         """
+        if v in self._projectives:
+            return self._projectives[v]
         if v not in self.vertices:
             raise ValidationError(f"unknown vertex {v!r}")
         basis: list[tuple[str, int, Path]] = [(v, 0, ())]
@@ -234,7 +242,7 @@ class AlgebraPresentation:
         dims = {u: len(per_vertex[u]) for u in self.vertices}
         mats: dict[str, Mat] = {}
         for a, (s, t) in self.arrows.items():
-            rows = [[Fraction(0)] * dims[s] for _ in range(dims[t])]
+            rows = [[0] * dims[s] for _ in range(dims[t])]
             for col, (length, p) in enumerate(per_vertex[s]):
                 if length == 0 and s != v:
                     raise InternalInvariantError("trivial path at wrong vertex")
@@ -245,7 +253,8 @@ class AlgebraPresentation:
             mats[a] = tuple(tuple(r) for r in rows)
         rep = ModuleRep(self, dims, mats)
         rep.validate()
-        return rep, basis
+        self._projectives[v] = (rep, tuple(basis))
+        return self._projectives[v]
 
     def simple(self, v: str) -> "ModuleRep":
         dims = {u: (1 if u == v else 0) for u in self.vertices}
@@ -272,6 +281,7 @@ class ModuleRep:
             else:
                 m = linalg.mat(m)
             self.mats[a] = m
+        self._resolution: _Resolution | None = None  # grown by _resolve
 
     def validate(self) -> None:
         for a, (s, t) in self.algebra.arrows.items():
@@ -318,7 +328,7 @@ def direct_sum(reps: Sequence[ModuleRep]) -> ModuleRep:
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.vertices}
     mats = {}
     for a, (s, t) in alg.arrows.items():
-        rows: list[list[Fraction]] = [[Fraction(0)] * dims[s] for _ in range(dims[t])]
+        rows: list[list[Scalar]] = [[0] * dims[s] for _ in range(dims[t])]
         roff = coff = 0
         for r in reps:
             m = r.mats[a]
@@ -339,22 +349,14 @@ def vmap_compose(f: VMap, g: VMap, src: ModuleRep, tgt: ModuleRep) -> VMap:
     }
 
 
-def vmap_sub(f: VMap, g: VMap) -> VMap:
-    return {v: linalg.sub(f[v], g[v]) for v in f}
-
-
 def vmap_zero(src: ModuleRep, tgt: ModuleRep) -> VMap:
     return {
         v: linalg.zeros(tgt.dims[v], src.dims[v]) for v in src.algebra.vertices
     }
 
 
-def vmap_is_zero(f: VMap) -> bool:
-    return all(linalg.is_zero(m) for m in f.values())
-
-
-def flatten_vmap(f: VMap, order: Sequence[str]) -> tuple[Fraction, ...]:
-    out: list[Fraction] = []
+def flatten_vmap(f: VMap, order: Sequence[str]) -> Vec:
+    out: list[Scalar] = []
     for v in order:
         for row in f[v]:
             out.extend(row)
@@ -370,12 +372,12 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
         offsets[v] = pos
         pos += N.dims[v] * M.dims[v]
     nvars = pos
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[Vec] = []
     for a, (s, t) in alg.arrows.items():
         # f_t @ M_a == N_a @ f_s, one equation per (i, j)
         for i in range(N.dims[t]):
             for j in range(M.dims[s]):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 for k in range(M.dims[t]):
                     row[offsets[t] + i * M.dims[t] + k] += M.mats[a][k][j]
                 for k in range(N.dims[s]):
@@ -383,7 +385,7 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
                 if any(row):
                     rows.append(tuple(row))
     basis = []
-    for vec in linalg.nullspace(tuple(rows)) if rows else _full_space(nvars):
+    for vec in linalg.nullspace(tuple(rows)) if rows else linalg.ident(nvars):
         f: VMap = {}
         for v in alg.vertices:
             entries = vec[offsets[v] : offsets[v] + N.dims[v] * M.dims[v]]
@@ -395,13 +397,7 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
     return basis
 
 
-def _full_space(n: int):
-    return [
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    ]
-
-
-def top_generators(M: ModuleRep) -> list[tuple[str, tuple[Fraction, ...]]]:
+def top_generators(M: ModuleRep) -> list[tuple[str, Vec]]:
     """Vectors projecting to a basis of M / rad M, as (vertex, vector)."""
     out = []
     for v in M.algebra.vertices:
@@ -434,7 +430,7 @@ def projective_cover(M: ModuleRep) -> tuple[ModuleRep, list[str], VMap]:
         bases.append(basis)
     P = direct_sum(summands)
     # build columns vertex by vertex, summand by summand, in sum order
-    col_entries: dict[str, list[tuple[Fraction, ...]]] = {u: [] for u in alg.vertices}
+    col_entries: dict[str, list[Vec]] = {u: [] for u in alg.vertices}
     for (v, gen), basis in zip(gens, bases):
         per_vertex: dict[str, list[Path]] = {u: [] for u in alg.vertices}
         for u, _, p in basis:
@@ -469,7 +465,7 @@ def kernel_rep(f: VMap, M: ModuleRep, N: ModuleRep) -> tuple[ModuleRep, VMap]:
         if M.dims[v] == 0:
             basis = []
         elif N.dims[v] == 0:
-            basis = _full_space(M.dims[v])
+            basis = linalg.ident(M.dims[v])
         else:
             basis = linalg.nullspace(f[v])
         kdims[v] = len(basis)
@@ -525,25 +521,50 @@ def minimal_projective_resolution(
     return _resolve(M, None)
 
 
+@dataclass
+class _Resolution:
+    """The terms of a minimal projective resolution built so far."""
+
+    terms: list[tuple[ModuleRep, tuple[str, ...]]]
+    diffs: list[VMap]
+    aug: VMap
+    cov: VMap  # the newest cover, P_last -> (kernel, or M itself if None)
+    kernel: ModuleRep | None = None  # never M itself, which would be a cycle
+    complete: bool = False
+
+
 def _resolve(
     M: ModuleRep, last: int | None
 ) -> tuple[list[tuple[ModuleRep, list[str]]], list[VMap], VMap]:
-    """The minimal projective resolution of M, cut after term P_last if given."""
-    P0, labels0, aug = projective_cover(M)
-    terms = [(P0, labels0)]
-    diffs: list[VMap] = []
-    cov, covered = aug, M  # the newest cover and the module it covers
-    while len(terms) - 1 != last:
-        K, incl = kernel_rep(cov, terms[-1][0], covered)
+    """The minimal projective resolution of M, cut after term P_last if given.
+
+    The terms are kept on M, so a later call takes a prefix of them or
+    extends them and never rebuilds one; only terms whose cover and kernel
+    passed their checks are kept.  Callers get fresh lists and dicts.
+    """
+    res = M._resolution
+    if res is None:
+        P0, labels0, aug = projective_cover(M)
+        res = M._resolution = _Resolution([(P0, tuple(labels0))], [], aug, aug)
+    terms = res.terms
+    while not res.complete and (last is None or len(terms) <= last):
+        covered = M if res.kernel is None else res.kernel
+        K, incl = kernel_rep(res.cov, terms[-1][0], covered)
         if K.is_zero():
+            res.complete = True
             break
         if len(terms) > _RESOLUTION_GUARD:
             raise InternalInvariantError("projective resolution exceeds guard")
         P, labels, cov = projective_cover(K)
-        diffs.append(vmap_compose(incl, cov, P, terms[-1][0]))
-        terms.append((P, labels))
-        covered = K
-    return terms, diffs, aug
+        res.diffs.append(vmap_compose(incl, cov, P, terms[-1][0]))
+        terms.append((P, tuple(labels)))
+        res.cov, res.kernel = cov, K
+    n = len(terms) if last is None else min(len(terms), last + 1)
+    return (
+        [(P, list(labels)) for P, labels in terms[:n]],
+        [dict(d) for d in res.diffs[: n - 1]],
+        dict(res.aug),
+    )
 
 
 def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:

@@ -48,6 +48,8 @@ def _mat(rows):
 
 small_dims = st.integers(min_value=1, max_value=4)
 small_entry = st.integers(min_value=-4, max_value=4)
+# denominators up to 4, so non-unit pivots and non-integral entries occur
+rational_entry = st.builds(F, small_entry, st.integers(min_value=1, max_value=4))
 
 
 @st.composite
@@ -55,8 +57,61 @@ def matrices(draw, rows=None, cols=None):
     m = draw(small_dims) if rows is None else rows
     n = draw(small_dims) if cols is None else cols
     return _mat(
-        [[draw(small_entry) for _ in range(n)] for _ in range(m)]
+        [[draw(rational_entry) for _ in range(n)] for _ in range(m)]
     )
+
+
+def _fraction_rref(a):
+    """Plain-Fraction Gauss-Jordan elimination: the reference for linalg.rref."""
+    rows = [[F(x) for x in row] for row in a]
+    m, n = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def _fraction_nullspace(a):
+    n = len(a[0])
+    r, pivots = _fraction_rref(a)
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        v = [F(0)] * n
+        v[free] = F(1)
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -r[row_idx][free]
+        basis.append(v)
+    return basis
+
+
+def _fraction_solve(a, b):
+    n = len(a[0])
+    r, pivots = _fraction_rref([list(row) + [bv] for row, bv in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for row_idx, pc in enumerate(pivots):
+        x[pc] = r[row_idx][n]
+    return x
+
+
+def _assert_int_first(values):
+    for x in values:
+        assert type(x) is (int if x.denominator == 1 else Fraction), x
 
 
 class TestLinalg:
@@ -91,12 +146,35 @@ class TestLinalg:
         a = _mat([[1, 1], [1, 1]])
         assert linalg.solve(a, (F(0), F(1))) is None
 
-    def test_inverse(self):
-        a = _mat([[2, 1], [1, 1]])
-        inv = linalg.inverse(a)
-        assert linalg.mul(a, inv) == linalg.ident(2)
-        assert linalg.mul(inv, a) == linalg.ident(2)
-        assert linalg.inverse(_mat([[1, 2], [2, 4]])) is None
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_int_first_matches_fraction_reference(self, data):
+        a = data.draw(matrices())
+        b = tuple(data.draw(rational_entry) for _ in a)
+        r, pivots = linalg.rref(a)
+        want_r, want_pivots = _fraction_rref(a)
+        assert list(pivots) == want_pivots
+        assert [list(row) for row in r] == want_r
+        null = linalg.nullspace(a)
+        assert [list(v) for v in null] == _fraction_nullspace(a)
+        sol = linalg.solve(a, b)
+        want_sol = _fraction_solve(a, b)
+        assert (sol is None) == (want_sol is None)
+        if sol is not None:
+            assert list(sol) == want_sol
+        # integral entries come back as ints, never as Fractions
+        _assert_int_first([x for row in r for x in row])
+        _assert_int_first([x for v in null for x in v])
+        _assert_int_first(sol or ())
+
+    def test_integer_input_stays_integer(self):
+        a = ((2, 4, 1), (1, 3, 5), (-1, -1, 2))
+        r, pivots = linalg.rref(a)
+        assert pivots == (0, 1, 2)
+        assert r == linalg.ident(3)
+        assert all(type(x) is int for row in r for x in row)
+        assert linalg.mat([[F(4, 2), F(1, 3)]]) == ((2, F(1, 3)),)
+        assert type(linalg.mat([[F(4, 2)]])[0][0]) is int
 
     def test_express_in_span(self):
         basis = [(F(1), F(0), F(1)), (F(0), F(1), F(1))]
@@ -186,18 +264,70 @@ class TestQuiver:
         assert ext_dims(m["std_s"], m["L_e"], 3) == [0, 0, 0, 0]
         assert ext_dims(m["L_e"], m["costd_s"], 3) == [0, 0, 0, 0]
 
-    def test_ext_dims_stops_at_the_needed_term(self, sl2_modules, monkeypatch):
-        # L_s has the three-term resolution P_s <- P_e <- P_s; Ext^0 needs two
+    def test_ext_dims_stops_at_the_needed_term(self, sl2_algebra, monkeypatch):
+        # L_s has the three-term resolution P_s <- P_e <- P_s; Ext^0 needs two.
+        # The resolution is kept on the module, so each count starts from a
+        # freshly built L_s.
         calls = []
         real = quiver.projective_cover
         monkeypatch.setattr(
             quiver, "projective_cover", lambda M: calls.append(M) or real(M)
         )
-        assert ext_dims(sl2_modules["L_s"], sl2_modules["L_e"], 0) == [0]
+        L_e = sl2_algebra.simple("e")
+        L_s = sl2_algebra.simple("s")
+        assert ext_dims(L_s, L_e, 0) == [0]
         assert len(calls) == 2
         calls.clear()
-        assert ext_dims(sl2_modules["L_s"], sl2_modules["L_e"], 4) == [0, 1, 0, 0, 0]
+        assert ext_dims(sl2_algebra.simple("s"), L_e, 4) == [0, 1, 0, 0, 0]
         assert len(calls) == 3
+        # a deeper call pays only the missing cover, a repeated one none
+        calls.clear()
+        assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
+        assert len(calls) == 1
+        calls.clear()
+        assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
+        assert ext_dims(L_s, L_e, 1) == [0, 1]
+        assert calls == []
+
+    def test_projectives_are_built_once(self, sl2_algebra):
+        fresh = AlgebraPresentation(
+            ("e", "s"), [("alpha", "e", "s"), ("beta", "s", "e")], ("beta alpha",)
+        )
+        for v in sl2_algebra.vertices:
+            P, basis = sl2_algebra.projective(v)
+            assert sl2_algebra.projective(v) is sl2_algebra.projective(v)
+            Q, fresh_basis = fresh.projective(v)
+            assert (P.dims, P.mats, basis) == (Q.dims, Q.mats, fresh_basis)
+
+    def test_kept_resolutions_match_fresh_builds(self):
+        block = load_block("sl2")
+        mods = block.modules
+        fresh = load_block("sl2").modules
+        for name, M in mods.items():
+            for other in ("costd_e", "simple_s"):
+                full = ext_dims(fresh[name], fresh[other], 4)
+                for up_to in (0, 4, 1):
+                    assert ext_dims(M, mods[other], up_to) == full[: up_to + 1]
+        for name, M in mods.items():
+            terms, diffs, aug = minimal_projective_resolution(fresh[name])
+            kept = M._resolution
+            assert kept.complete
+            assert [list(labels) for _, labels in kept.terms] == [
+                labels for _, labels in terms
+            ]
+            assert [(P.dims, P.mats) for P, _ in kept.terms] == [
+                (P.dims, P.mats) for P, _ in terms
+            ]
+            assert kept.diffs == diffs and kept.aug == aug
+            # callers get copies: changing them leaves the kept terms alone
+            got_terms, got_diffs, _ = minimal_projective_resolution(M)
+            got_terms[0][1].append("x")
+            got_terms.clear()
+            got_diffs.append({})
+            assert minimal_projective_resolution(M)[0] == [
+                (P, list(labels)) for P, labels in kept.terms
+            ]
+            assert len(kept.diffs) == len(diffs)
 
     def test_projective_cover_of_tilting(self, sl2_modules):
         P, labels, cov = projective_cover(sl2_modules["tilt_s"])
