@@ -246,34 +246,12 @@ def _vmap_lincomb(
 ) -> VMap:
     out: VMap = {}
     for v in src.algebra.vertices:
-        rows = tgt.dims[v]
-        cols = src.dims[v]
-        acc = [[0] * cols for _ in range(rows)]
+        acc = linalg.zeros(tgt.dims[v], src.dims[v])
         for c, f in zip(coeffs, maps):
-            if not c:
-                continue
-            mat = f[v]
-            for i in range(rows):
-                row = mat[i] if i < len(mat) else ()
-                for j in range(cols):
-                    if j < len(row) and row[j]:
-                        acc[i][j] += c * row[j]
-        out[v] = tuple(tuple(r) for r in acc)
+            if c:
+                acc = linalg.add(acc, linalg.scal(c, f[v]))
+        out[v] = acc
     return out
-
-
-def _vmap_equal(f: VMap, g: VMap, src: ModuleRep, tgt: ModuleRep) -> bool:
-    for v in src.algebra.vertices:
-        rows, cols = tgt.dims[v], src.dims[v]
-        for i in range(rows):
-            fr = f[v][i] if i < len(f[v]) else ()
-            gr = g[v][i] if i < len(g[v]) else ()
-            for j in range(cols):
-                fe = fr[j] if j < len(fr) else 0
-                ge = gr[j] if j < len(gr) else 0
-                if fe != ge:
-                    return False
-    return True
 
 
 class TiltingCategory:
@@ -373,24 +351,21 @@ class TiltingCategory:
     def realize_block(
         self, srcs: Sequence[str], tgts: Sequence[str], mat: CoordMat
     ) -> VMap:
-        src_rep, src_off = self.sum_rep(srcs)
-        tgt_rep, tgt_off = self.sum_rep(tgts)
-        out: VMap = {}
-        for v in self.algebra.vertices:
-            rows = tgt_rep.dims[v]
-            cols = src_rep.dims[v]
-            acc = [[0] * cols for _ in range(rows)]
-            for i, tl in enumerate(tgts):
-                for j, sl in enumerate(srcs):
-                    blk = self.realize(sl, tl, mat[i][j])[v]
-                    for r in range(self.tilts[tl].dims[v]):
-                        brow = blk[r] if r < len(blk) else ()
-                        for c in range(self.tilts[sl].dims[v]):
-                            val = brow[c] if c < len(brow) else 0
-                            if val:
-                                acc[tgt_off[i][v] + r][src_off[j][v] + c] = val
-            out[v] = tuple(tuple(r) for r in acc)
-        return out
+        grid = [
+            [
+                self.realize(sl, tl, mat[i][j]) if any(mat[i][j]) else None
+                for j, sl in enumerate(srcs)
+            ]
+            for i, tl in enumerate(tgts)
+        ]
+        return {
+            v: linalg.blocks(
+                [[None if f is None else f[v] for f in line] for line in grid],
+                [self.tilts[tl].dims[v] for tl in tgts],
+                [self.tilts[sl].dims[v] for sl in srcs],
+            )
+            for v in self.algebra.vertices
+        }
 
     def coordinatize(self, a: str, b: str, f: VMap) -> Coords:
         coords = linalg.express_in_span(
@@ -526,11 +501,12 @@ def _solve_chain_lift(
     P: ModuleRep,
 ) -> dict[int, CoordMat]:
     """Chain map chi: Rs -> Y whose degree-n0 component realizes to a map
-    with chi o iota = eta, where iota : P -> (sum of Rs^n0)."""
+    with chi o iota = eta, where iota : P -> (sum of Rs^n0).  chi has a
+    component in every degree of Rs, with no rows where Y is zero."""
     cat = tcat.category
     unknown_off: dict[tuple[int, int, int], int] = {}
     nvar = 0
-    degs = sorted(set(Rs.degrees()) & set(Y.degrees()))
+    degs = Rs.degrees()
     for k in degs:
         for i, tl in enumerate(Y.term(k)):
             for j, sl in enumerate(Rs.term(k)):
@@ -538,45 +514,36 @@ def _solve_chain_lift(
                 nvar += cat.hom_dim[(sl, tl)]
     rows: list[list[linalg.Scalar]] = []
     rhs: list[linalg.Scalar] = []
-    # realized condition at degree n0
+    # realized condition at degree n0, one equation per entry of eta: the
+    # column of an unknown is its basis map after iota, placed in its block row
     if n0 in Rs.terms:
-        src_labels = Rs.term(n0)
-        _, src_off = tcat.sum_rep(src_labels)
-        sumY, tgt_off = tcat.sum_rep(Y.term(n0))
-        row_index: dict[tuple[str, int, int], int] = {}
-        for v in tcat.algebra.vertices:
-            for r in range(sumY.dims[v]):
-                for c in range(P.dims[v]):
-                    row_index[(v, r, c)] = len(rows)
-                    rows.append([0] * nvar)
-                    er = eta[v][r] if r < len(eta[v]) else ()
-                    rhs.append(er[c] if c < len(er) else 0)
-        for i, tl in enumerate(Y.term(n0)):
-            for j, sl in enumerate(src_labels):
-                base = unknown_off.get((n0, i, j))
-                if base is None:
-                    continue
-                for cidx, unit in enumerate(linalg.ident(cat.hom_dim[(sl, tl)])):
-                    B = tcat.realize(sl, tl, unit)
-                    for v in tcat.algebra.vertices:
-                        src_dim = tcat.tilts[sl].dims[v]
-                        iota_blk = tuple(
-                            iota[v][src_off[j][v] + r] if src_off[j][v] + r < len(iota[v]) else ()
-                            for r in range(src_dim)
+        srcs, tgts = Rs.term(n0), Y.term(n0)
+        _, src_off = tcat.sum_rep(srcs)
+        order = tcat.algebra.vertices
+        flat_eta = flatten_vmap(eta, order)
+        cols = [(0,) * len(flat_eta)] * nvar
+        for j, sl in enumerate(srcs):
+            iota_j = {  # iota onto summand j
+                v: iota[v][src_off[j][v] : src_off[j][v] + tcat.tilts[sl].dims[v]]
+                for v in order
+            }
+            for i, tl in enumerate(tgts):
+                for c, g in enumerate(tcat._basis[(sl, tl)]):
+                    g_iota = vmap_compose(g, iota_j, P, tcat.tilts[tl])
+                    placed = {
+                        v: linalg.blocks(
+                            [[g_iota[v] if k == i else None] for k in range(len(tgts))],
+                            [tcat.tilts[t].dims[v] for t in tgts],
+                            [P.dims[v]],
                         )
-                        contrib = linalg.mul_shaped(
-                            B[v], iota_blk, tcat.tilts[tl].dims[v], P.dims[v]
-                        )
-                        for r in range(tcat.tilts[tl].dims[v]):
-                            crow = contrib[r] if r < len(contrib) else ()
-                            for c in range(P.dims[v]):
-                                val = crow[c] if c < len(crow) else 0
-                                if val:
-                                    ridx = row_index[(v, tgt_off[i][v] + r, c)]
-                                    rows[ridx][base + cidx] += val
+                        for v in order
+                    }
+                    cols[unknown_off[(n0, i, j)] + c] = flatten_vmap(placed, order)
+        rows.extend([col[e] for col in cols] for e in range(len(flat_eta)))
+        rhs.extend(flat_eta)
     # coordinate chain conditions
-    for k in sorted(set(Rs.degrees())):
-        if not Y.term(k + 1) or not Rs.term(k):
+    for k in degs:
+        if not Y.term(k + 1):
             continue
         dY = Y.diff(k)
         dRs = Rs.diff(k)
@@ -585,18 +552,14 @@ def _solve_chain_lift(
                 dim_eq = cat.hom_dim[(sl, tl)]
                 eq_rows = [[0] * nvar for _ in range(dim_eq)]
                 for i, ml in enumerate(Y.term(k)):
-                    base = unknown_off.get((k, i, s2))
-                    if base is None:
-                        continue
+                    base = unknown_off[(k, i, s2)]
                     for cidx, unit in enumerate(linalg.ident(cat.hom_dim[(sl, ml)])):
                         vec = cat.comp(sl, ml, tl, dY[t][i], unit)
                         for e, val in enumerate(vec):
                             if val:
                                 eq_rows[e][base + cidx] += val
                 for i2, ml in enumerate(Rs.term(k + 1)):
-                    base = unknown_off.get((k + 1, t, i2))
-                    if base is None:
-                        continue
+                    base = unknown_off[(k + 1, t, i2)]
                     for cidx, unit in enumerate(linalg.ident(cat.hom_dim[(ml, tl)])):
                         vec = cat.comp(sl, ml, tl, unit, dRs[i2][s2])
                         for e, val in enumerate(vec):
@@ -648,93 +611,69 @@ def cmin_module(
     projs = [P for P, _ in res_terms]
     Y, aug0 = tilting_coresolution(tcat, projs[0])
     kappa: dict[int, VMap] = {0: aug0}
+    if len(projs) == 1:
+        # no cone stage runs, so strip any split summands of the coresolution
+        Y, kappa = _minimize_carrying(tcat, Y, kappa, projs, scan)
     for j in range(1, len(projs)):
         P_j = projs[j]
-        d_j = res_diffs[j - 1]
         R, iota = tilting_coresolution(tcat, P_j)
         Rs = R.shift(j - 1)
         sumY_prev, _ = tcat.sum_rep(Y.term(1 - j))
         if (1 - j) in kappa:
-            eta = vmap_compose(kappa[1 - j], d_j, P_j, sumY_prev)
+            eta = vmap_compose(kappa[1 - j], res_diffs[j - 1], P_j, sumY_prev)
         else:
             eta = vmap_zero(P_j, sumY_prev)
         chi = _solve_chain_lift(tcat, Rs, Y, 1 - j, iota, eta, P_j)
         # realized witness: chi at degree 1 - j composed with the
         # coresolution augmentation must equal eta
         if Rs.term(1 - j):
-            chi_mod = tcat.realize_block(
-                Rs.term(1 - j), Y.term(1 - j), _chi_at(tcat, chi, Rs, Y, 1 - j)
-            )
-            composed = vmap_compose(chi_mod, iota, P_j, sumY_prev)
-            if not _vmap_equal(composed, eta, P_j, sumY_prev):
+            chi_mod = tcat.realize_block(Rs.term(1 - j), Y.term(1 - j), chi[1 - j])
+            if vmap_compose(chi_mod, iota, P_j, sumY_prev) != eta:
                 raise InternalInvariantError(
                     "chain lift witness fails at the augmentation"
                 )
-        C = cone(chi, Rs, Y)
-        C_min, pi = minimize(C, scan=scan)
-        kappa_new: dict[int, VMap] = {}
+        # the comparison map into the cone: iota onto the Rs summands in
+        # degree -j, kappa onto the Y summands
+        kap: dict[int, VMap] = {}
         for n in range(-j, 1):
-            xs = Rs.term(n + 1)
-            ys = Y.term(n)
-            both = xs + ys
-            if not both:
+            xs, ys = Rs.term(n + 1), Y.term(n)
+            if not xs + ys:
                 continue
-            P_i = projs[-n]
-            S_cone, offs = tcat.sum_rep(both)
-            kap: VMap = {}
-            for v in tcat.algebra.vertices:
-                rows_v: list[linalg.Vec] = []
-                x_rep, _ = tcat.sum_rep(xs)
-                if n == -j and xs:
-                    for r in range(x_rep.dims[v]):
-                        rows_v.append(
-                            tuple(iota[v][r]) if r < len(iota[v]) else (0,) * P_i.dims[v]
-                        )
-                else:
-                    for r in range(x_rep.dims[v]):
-                        rows_v.append((0,) * P_i.dims[v])
-                prev = kappa.get(n)
-                y_rep, _ = tcat.sum_rep(ys)
-                for r in range(y_rep.dims[v]):
-                    if prev is not None and r < len(prev[v]):
-                        rows_v.append(tuple(prev[v][r]))
-                    else:
-                        rows_v.append((0,) * P_i.dims[v])
-                kap[v] = tuple(rows_v)
-            if n in pi:
-                big = tcat.realize_block(C.term(n), C_min.term(n), pi[n])
-                S_min, _ = tcat.sum_rep(C_min.term(n))
-                kappa_new[n] = vmap_compose(big, kap, P_i, S_min)
-        kappa = kappa_new
-        Y = C_min
-    if len(projs) == 1:
-        # no cone stage ran, so strip any split summands of the coresolution
-        C_min, pi = minimize(Y, scan=scan)
-        kappa_new = {}
-        for n, kap in kappa.items():
-            if n in pi:
-                big = tcat.realize_block(Y.term(n), C_min.term(n), pi[n])
-                S_min, _ = tcat.sum_rep(C_min.term(n))
-                kappa_new[n] = vmap_compose(big, kap, projs[-n], S_min)
-        kappa = kappa_new
-        Y = C_min
+            x_rep, _ = tcat.sum_rep(xs)
+            y_rep, _ = tcat.sum_rep(ys)
+            kap[n] = {
+                v: linalg.blocks(
+                    [
+                        [iota[v] if n == -j else None],
+                        [kappa[n][v] if n in kappa else None],
+                    ],
+                    [x_rep.dims[v], y_rep.dims[v]],
+                    [projs[-n].dims[v]],
+                )
+                for v in tcat.algebra.vertices
+            }
+        Y, kappa = _minimize_carrying(tcat, cone(chi, Rs, Y), kap, projs, scan)
     _verify_cmin(tcat, projs, res_diffs, Y, kappa)
     return Y, kappa
 
 
-def _chi_at(
+def _minimize_carrying(
     tcat: TiltingCategory,
-    chi: Mapping[int, CoordMat],
-    Rs: FormalComplex,
-    Y: FormalComplex,
-    n: int,
-) -> CoordMat:
-    if n in chi:
-        return chi[n]
-    return tuple(
-        tuple(tcat.category.zero(sl, tl) for sl in Rs.term(n))
-        for tl in Y.term(n)
-    )
+    C: FormalComplex,
+    kappa: Mapping[int, VMap],
+    projs: Sequence[ModuleRep],
+    scan: str,
+) -> tuple[FormalComplex, dict[int, VMap]]:
+    """Minimize C and carry the maps kappa[n]: projs[-n] -> C^n through the
+    projection onto the minimal complex."""
+    C_min, pi = minimize(C, scan=scan)
+    out: dict[int, VMap] = {}
+    for n, kap in kappa.items():
+        if n in pi:
+            big = tcat.realize_block(C.term(n), C_min.term(n), pi[n])
+            S_min, _ = tcat.sum_rep(C_min.term(n))
+            out[n] = vmap_compose(big, kap, projs[-n], S_min)
+    return C_min, out
 
 
 def _verify_cmin(
@@ -750,79 +689,54 @@ def _verify_cmin(
     if not Y.is_minimal():
         raise InternalInvariantError("complex is not minimal")
     m = len(projs) - 1
-    alg = tcat.algebra
-    # chain-map identities, module level
-    for i in range(1, m + 1):
-        n = -i
-        lhs_src = projs[i]
-        sum_next, _ = tcat.sum_rep(Y.term(n + 1))
-        kap_next = kappa.get(n + 1)
-        d_i = res_diffs[i - 1]
-        if kap_next is not None:
-            lhs = vmap_compose(kap_next, d_i, lhs_src, sum_next)
-        else:
-            lhs = vmap_zero(lhs_src, sum_next)
-        kap_n = kappa.get(n)
-        if kap_n is not None:
-            dY = tcat.realized_diff(Y, n)
-            sum_n, _ = tcat.sum_rep(Y.term(n))
-            rhs = vmap_compose(dY, kap_n, lhs_src, sum_next)
-        else:
-            rhs = vmap_zero(lhs_src, sum_next)
-        if not _vmap_equal(lhs, rhs, lhs_src, sum_next):
-            raise InternalInvariantError(
-                f"comparison map fails the chain identity at degree {n}"
-            )
-    # acyclicity of the cone, vertex by vertex
     y_degs = Y.degrees()
     lo = min([-m - 1] + y_degs)
     hi = max([0] + y_degs) + 1
+    sums = {n: tcat.sum_rep(Y.term(n))[0] for n in range(lo, hi + 1)}
+    dY = {n: tcat.realized_diff(Y, n) for n in Y.diffs}  # both terms nonzero
+    # chain-map identities, module level
+    for i in range(1, m + 1):
+        n = -i
+        P, tgt = projs[i], sums[n + 1]
+        if n + 1 in kappa:
+            lhs = vmap_compose(kappa[n + 1], res_diffs[i - 1], P, tgt)
+        else:
+            lhs = vmap_zero(P, tgt)
+        if n in kappa and n in dY:
+            rhs = vmap_compose(dY[n], kappa[n], P, tgt)
+        else:
+            rhs = vmap_zero(P, tgt)
+        if lhs != rhs:
+            raise InternalInvariantError(
+                f"comparison map fails the chain identity at degree {n}"
+            )
 
-    def p_at(n: int) -> ModuleRep | None:
-        i = -n
-        if 0 <= i <= m:
-            return projs[i]
-        return None
+    # acyclicity of the cone, vertex by vertex: degree n is P_(-n-1) + Y^n,
+    # with differential [[-d_P, 0], [kappa, d_Y]]
+    def p_dim(i: int, v: str) -> int:
+        return projs[i].dims[v] if 0 <= i <= m else 0
 
-    for v in alg.vertices:
-        dims: dict[int, int] = {}
-        mats: dict[int, linalg.Mat] = {}
-        for n in range(lo, hi + 1):
-            pz = p_at(n + 1)
-            sy, _ = tcat.sum_rep(Y.term(n))
-            dims[n] = (pz.dims[v] if pz else 0) + sy.dims[v]
-        for n in range(lo, hi):
-            rows = dims[n + 1]
-            cols = dims[n]
-            acc = [[0] * cols for _ in range(rows)]
-            p_src = p_at(n + 1)
-            p_tgt = p_at(n + 2)
-            sy_src, _ = tcat.sum_rep(Y.term(n))
-            sy_tgt, _ = tcat.sum_rep(Y.term(n + 1))
-            if p_src and p_tgt:
-                d_p = res_diffs[-(n + 1) - 1]
-                for r in range(p_tgt.dims[v]):
-                    drow = d_p[v][r] if r < len(d_p[v]) else ()
-                    for c in range(p_src.dims[v]):
-                        if c < len(drow) and drow[c]:
-                            acc[r][c] = -drow[c]
-            kap = kappa.get(n + 1)
-            if p_src and kap is not None:
-                for r in range(sy_tgt.dims[v]):
-                    krow = kap[v][r] if r < len(kap[v]) else ()
-                    for c in range(p_src.dims[v]):
-                        if c < len(krow) and krow[c]:
-                            acc[(p_tgt.dims[v] if p_tgt else 0) + r][c] = krow[c]
-            if sy_src.dims[v] and sy_tgt.dims[v]:
-                dY = tcat.realized_diff(Y, n)
-                for r in range(sy_tgt.dims[v]):
-                    drow = dY[v][r] if r < len(dY[v]) else ()
-                    for c in range(sy_src.dims[v]):
-                        if c < len(drow) and drow[c]:
-                            acc[(p_tgt.dims[v] if p_tgt else 0) + r][
-                                (p_src.dims[v] if p_src else 0) + c
-                            ] = drow[c]
-            mats[n] = tuple(tuple(r) for r in acc)
+    for v in tcat.algebra.vertices:
+        dims = {n: p_dim(-n - 1, v) + sums[n].dims[v] for n in range(lo, hi + 1)}
+        mats = {
+            n: linalg.blocks(
+                [
+                    [
+                        linalg.scal(-1, res_diffs[-n - 2][v])
+                        if -m - 1 <= n <= -2
+                        else None,
+                        None,
+                    ],
+                    [
+                        kappa[n + 1][v] if n + 1 in kappa else None,
+                        dY[n][v] if n in dY else None,
+                    ],
+                ],
+                [p_dim(-n - 2, v), sums[n + 1].dims[v]],
+                [p_dim(-n - 1, v), sums[n].dims[v]],
+            )
+            for n in range(lo, hi)
+        }
         # differential squares to zero and the complex is exact
         for n in range(lo, hi - 1):
             sq = linalg.mul_shaped(
@@ -843,10 +757,6 @@ def _verify_cmin(
 
 
 # -- invariant suites ------------------------------------------------------------------
-
-
-def _hom_dim_modules(M: ModuleRep, N: ModuleRep) -> int:
-    return len(hom_basis(M, N))
 
 
 def _rad_std(block: BlockData, lab: str) -> tuple[ModuleRep, bool]:
@@ -897,9 +807,9 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     for a in labels:
         std_a = block.module("std", a)
         costd_a = block.module("costd", a)
-        if _hom_dim_modules(std_a, std_a) != 1:
+        if len(hom_basis(std_a, std_a)) != 1:
             raise InternalInvariantError(f"End(std_{a}) is not one dimensional")
-        if _hom_dim_modules(costd_a, costd_a) != 1:
+        if len(hom_basis(costd_a, costd_a)) != 1:
             raise InternalInvariantError(f"End(costd_{a}) is not one dimensional")
     ext_witness = 0
     for a in labels:
@@ -909,7 +819,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
             costd_b = block.module("costd", b)
             simple_b = block.module("simple", b)
             tilt_b = block.module("tilt", b)
-            if _hom_dim_modules(std_a, std_b) and not leq(a, b):
+            if hom_basis(std_a, std_b) and not leq(a, b):
                 raise InternalInvariantError(
                     f"Hom(std_{a}, std_{b}) nonzero without {a} <= {b}"
                 )
@@ -927,7 +837,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
                 raise InternalInvariantError(
                     f"Ext^i(std_{a}, costd_{b}) does not vanish for i >= 1"
                 )
-            if _hom_dim_modules(std_a, simple_b) != (1 if a == b else 0):
+            if len(hom_basis(std_a, simple_b)) != (1 if a == b else 0):
                 raise InternalInvariantError(
                     f"Hom(std_{a}, simple_{b}) is not delta_(a,b)"
                 )
@@ -962,7 +872,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
             raise InternalInvariantError(
                 f"declared proj_{a} does not match the computed cover"
             )
-        if _hom_dim_modules(proj_a, P) == 0:
+        if not hom_basis(proj_a, P):
             raise InternalInvariantError(
                 f"declared proj_{a} has no map to the computed cover"
             )
@@ -974,17 +884,18 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
         )
     )
 
-    # 3: minimal complexes with exact witnesses
-    complexes: dict[str, FormalComplex] = {}
+    # 3: minimal complexes with exact witnesses, each kept next to its module
+    # so that suite 8 reuses the modules (and their kept resolutions)
+    complexes: dict[str, tuple[ModuleRep, FormalComplex]] = {}
     for role in ("std", "simple"):
         for a in labels:
-            cpx, _ = cmin_module(tcat, block.module(role, a))
-            complexes[f"{role}_{a}"] = cpx
+            mod = block.module(role, a)
+            complexes[f"{role}_{a}"] = (mod, cmin_module(tcat, mod)[0])
     results.append(
         (
             SUITE_NAMES[2],
             "; ".join(
-                f"{k}: {complexes[k].summary()}" for k in sorted(complexes)
+                f"{k}: {complexes[k][1].summary()}" for k in sorted(complexes)
             ),
         )
     )
@@ -993,7 +904,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     for role in ("std", "simple"):
         for a in labels:
             cpx_b, _ = cmin_module(tcat, block.module(role, a), scan="backward")
-            if cpx_b.label_counts() != complexes[f"{role}_{a}"].label_counts():
+            if cpx_b.label_counts() != complexes[f"{role}_{a}"][1].label_counts():
                 raise InternalInvariantError(
                     f"scan orders disagree on {role}_{a}"
                 )
@@ -1002,7 +913,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     # 5: the object indexes itself once, in degree zero only
     for role in ("std", "simple"):
         for a in labels:
-            counts = complexes[f"{role}_{a}"].label_counts()
+            counts = complexes[f"{role}_{a}"][1].label_counts()
             if counts.get(0, {}).get(a, 0) != 1:
                 raise InternalInvariantError(
                     f"tilt_{a} does not appear exactly once in degree 0 of "
@@ -1023,9 +934,9 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
             continue
         rad_checked += 1
         c_rad, _ = cmin_module(tcat, rad)
-        complexes[f"rad_std_{a}"] = c_rad
-        c_std = complexes[f"std_{a}"].label_counts()
-        c_simple = complexes[f"simple_{a}"].label_counts()
+        complexes[f"rad_std_{a}"] = (rad, c_rad)
+        c_std = complexes[f"std_{a}"][1].label_counts()
+        c_simple = complexes[f"simple_{a}"][1].label_counts()
         c_r = c_rad.label_counts()
 
         def count(table, n, lab):
@@ -1058,19 +969,14 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     )
 
     # 7: support degrees form an interval
-    for key, cpx in complexes.items():
+    for key, (_, cpx) in complexes.items():
         degs = cpx.degrees()
         if degs and degs != list(range(degs[0], degs[-1] + 1)):
             raise InternalInvariantError(f"complex of {key} has a degree gap")
     results.append((SUITE_NAMES[6], f"no gaps across {len(complexes)} complexes"))
 
     # 8: support endpoints match extension vanishing bounds
-    for key, cpx in complexes.items():
-        role, _, lab = key.rpartition("_")
-        if role.startswith("rad_"):
-            mod = _rad_std(block, lab)[0]
-        else:
-            mod = block.module(role, lab)
+    for key, (mod, cpx) in complexes.items():
         span = cpx.support_interval()
         if span is None:
             continue
@@ -1115,7 +1021,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     for role, method in (("std", "standard_table"), ("simple", "simple_table")):
         for a in labels:
             table = getattr(setting, method)(word_of[a])
-            counts = complexes[f"{role}_{a}"].label_counts()
+            counts = complexes[f"{role}_{a}"][1].label_counts()
             seen: dict[int, dict[str, int]] = {}
             for y_word, poly in table.entries:
                 if poly.is_zero():
@@ -1142,7 +1048,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
                     f"{counts} != {seen}"
                 )
             nabla, delta = table.dims()
-            span = complexes[f"{role}_{a}"].support_interval()
+            span = complexes[f"{role}_{a}"][1].support_interval()
             lo_c, hi_c = span if span else (0, 0)
             if (hi_c, -lo_c) != (nabla, delta):
                 raise InternalInvariantError(

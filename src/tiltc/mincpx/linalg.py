@@ -5,6 +5,12 @@ n-space to m-space acting on column vectors.  An entry is a Python ``int``
 when it is integral and a ``Fraction`` only when it is not, so integer data
 never pays for rational arithmetic (the fraction-free idea of Bareiss 1968).
 Everything stays exact; there is no floating point anywhere in the oracle.
+
+An (m, n) matrix has m rows of n entries each, with one exception: a
+matrix with no rows is the empty tuple ``()`` whatever n is, since that is
+the one shape a tuple of rows cannot record.  ``blocks`` assembles block
+matrices under this rule, and ``mul_shaped`` takes the result shape from
+its caller for products through zero-dimensional spaces.
 """
 
 from __future__ import annotations
@@ -56,11 +62,9 @@ def is_zero(a: Mat) -> bool:
 
 
 def add(a: Mat, b: Mat) -> Mat:
+    if list(map(len, a)) != list(map(len, b)):
+        raise ValueError(f"cannot add {shape(a)} and {shape(b)}")
     return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def scal(c, a: Mat) -> Mat:
@@ -85,15 +89,47 @@ def mul(a: Mat, b: Mat) -> Mat:
 
 
 def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
-    """Product with the result shape supplied by the caller.
+    """Product a @ b of shape (rows, cols), supplied by the caller.
 
-    A matrix with zero rows is stored as the empty tuple and forgets its
-    column count, so composites through zero-dimensional spaces need the
-    target shape passed in explicitly.
+    A zero-row matrix is ``()`` and does not record its column count, so a
+    composite through a zero-dimensional space (b with no rows, hence a
+    with no columns) cannot read its shape off its factors.  Factors whose
+    shapes are not (rows, k) and (k, cols) raise ValueError.
     """
-    if rows == 0 or cols == 0 or len(a) == 0 or len(b) == 0 or len(a[0]) == 0:
+    inner = len(b)
+    if len(a) != rows or (a and len(a[0]) != inner) or (b and len(b[0]) != cols):
+        raise ValueError(f"cannot multiply {shape(a)} @ {shape(b)} to {(rows, cols)}")
+    if not (rows and cols and inner):
         return zeros(rows, cols)
     return mul(a, b)
+
+
+def blocks(
+    grid: Sequence[Sequence[Mat | None]], rows: Sequence[int], cols: Sequence[int]
+) -> Mat:
+    """Block matrix whose block (i, j) is grid[i][j], of shape (rows[i], cols[j]).
+
+    ``None`` stands for a zero block.  A block of any other shape raises
+    ValueError; the zero-row block ``()`` fits every column count.
+    """
+    if len(grid) != len(rows) or any(len(line) != len(cols) for line in grid):
+        raise ValueError(f"block grid does not have {len(rows)}x{len(cols)} blocks")
+    out: list[Vec] = []
+    for i, (line, m) in enumerate(zip(grid, rows)):
+        parts = []
+        for j, (blk, n) in enumerate(zip(line, cols)):
+            if blk is None:
+                blk = ((0,) * n,) * m
+            elif list(map(len, blk)) != [n] * m:
+                raise ValueError(
+                    f"block ({i}, {j}) has shape {shape(blk)}, expected {(m, n)}"
+                )
+            parts.append(blk)
+        if parts:
+            out.extend(sum(pieces, ()) for pieces in zip(*parts))
+        else:
+            out.extend(((),) * m)
+    return tuple(out)
 
 
 def apply(a: Mat, v: Vec) -> Vec:

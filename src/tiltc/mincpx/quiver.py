@@ -7,7 +7,11 @@ homogeneous: every term of one relation has the same length and the same
 endpoints, which keeps the path-class bases graded by length.
 
 A representation assigns a space to each vertex and a matrix of shape
-(dim tgt, dim src) to each arrow; all maps act on column vectors.
+(dim tgt, dim src) to each arrow; all maps act on column vectors.  A module
+map M -> N (a ``VMap``) holds one full-shape matrix per vertex v, of shape
+(N.dims[v], M.dims[v]) in the sense of :mod:`tiltc.mincpx.linalg`, so maps
+compare with ``==`` and block matrices of them are assembled by
+``linalg.blocks``, which rejects a block of the wrong shape.
 """
 
 from __future__ import annotations
@@ -326,18 +330,17 @@ def direct_sum(reps: Sequence[ModuleRep]) -> ModuleRep:
         raise ValidationError("empty direct sum needs an algebra")
     alg = reps[0].algebra
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.vertices}
-    mats = {}
-    for a, (s, t) in alg.arrows.items():
-        rows: list[list[Scalar]] = [[0] * dims[s] for _ in range(dims[t])]
-        roff = coff = 0
-        for r in reps:
-            m = r.mats[a]
-            for i in range(r.dims[t]):
-                for j in range(r.dims[s]):
-                    rows[roff + i][coff + j] = m[i][j]
-            roff += r.dims[t]
-            coff += r.dims[s]
-        mats[a] = tuple(tuple(row) for row in rows)
+    mats = {
+        a: linalg.blocks(
+            [
+                [r.mats[a] if i == k else None for k in range(len(reps))]
+                for i, r in enumerate(reps)
+            ],
+            [r.dims[t] for r in reps],
+            [r.dims[s] for r in reps],
+        )
+        for a, (s, t) in alg.arrows.items()
+    }
     return ModuleRep(alg, dims, mats)
 
 
@@ -571,40 +574,26 @@ def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:
     """[dim Ext^i(M, N) for i in 0..up_to], by the minimal resolution.
 
     Ext^i needs the resolution only up to the term P_{i+1}, so it stops there.
+    Each dimension comes from ranks alone: dim Ext^i = dim Hom(P_i, N)
+    - rank(d_{i+1}^*) - rank(d_i^*), where d_i^* : Hom(P_{i-1}, N) ->
+    Hom(P_i, N) is precomposition with d_i.
     """
     terms, diffs, _ = _resolve(M, up_to + 1)
     order = M.algebra.vertices
     hom_bases = [hom_basis(P, N) for P, _ in terms]
-    d_mats: list[Mat] = []
+    ranks = [0]  # ranks[i] = rank(d_i^*), with d_0^* = 0
     for i, d in enumerate(diffs, start=1):
-        src_basis = hom_bases[i - 1]
-        tgt_basis = hom_bases[i]
-        flat_tgt = [flatten_vmap(g, order) for g in tgt_basis]
-        cols = []
-        for f in src_basis:
+        flat_tgt = [flatten_vmap(g, order) for g in hom_bases[i]]
+        coords = []
+        for f in hom_bases[i - 1]:
             g = vmap_compose(f, d, terms[i][0], N)
-            coords = linalg.express_in_span(flat_tgt, flatten_vmap(g, order))
-            if coords is None:
+            c = linalg.express_in_span(flat_tgt, flatten_vmap(g, order))
+            if c is None:
                 raise InternalInvariantError("composite leaves the hom space")
-            cols.append(coords)
-        if cols and flat_tgt:
-            d_mats.append(linalg.transpose(tuple(cols)))
-        else:
-            # keep the column count even when a hom space is zero, so kernel
-            # dimensions come out right
-            d_mats.append(linalg.zeros(len(tgt_basis) or 1, len(src_basis)))
-    out = []
-    for i in range(up_to + 1):
-        if i >= len(hom_bases):
-            out.append(0)
-            continue
-        cycles = (
-            len(hom_bases[i])
-            if i >= len(d_mats)
-            else len(linalg.nullspace(d_mats[i]))
-            if len(hom_bases[i])
-            else 0
-        )
-        boundaries = linalg.rank(d_mats[i - 1]) if i >= 1 and i - 1 < len(d_mats) else 0
-        out.append(cycles - boundaries)
-    return out
+            coords.append(c)
+        ranks.append(linalg.rank(tuple(coords)))
+    ranks.append(0)  # past the last term d^* is zero, or beyond up_to
+    return [
+        len(hom_bases[i]) - ranks[i + 1] - ranks[i] if i < len(hom_bases) else 0
+        for i in range(up_to + 1)
+    ]
