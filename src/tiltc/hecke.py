@@ -17,8 +17,7 @@ v + v^-1) and 'antispherical' (-v, so C_s kills the vector).  Their self-dual
 bases give the families m^I and n^I; the inverse families are defined by
 signed unitriangular inversion of the direct ones, solved by one downward
 push through the direct columns and checked once against the inversion
-identity whenever a column is computed (columns read from a store are not
-re-checked).
+identity whenever a column is computed or read from a store.
 
 Arithmetic is fused: a column (and the inversion residue, and the bar
 expansions) is summed as raw {element: {exponent: coefficient}} dicts by
@@ -32,6 +31,7 @@ corresponding inverse families ("h_inv", ()), ("m_inv", I), ("n_inv", I).
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -105,6 +105,19 @@ class PolyStore:
     File format: one JSON header line {"format", "system", "generators",
     "records", "checksum"}, then one JSON line per stored column.  The
     checksum is the sha256 of the record lines and is verified on load.
+
+    Records are parsed lazily.  ``load`` checks the header and the checksum
+    and runs json.loads on every record line, reading its family and upper
+    word, but keeps the line itself; ``get_column`` parses a record's
+    entries the first time a query asks for it.  ``save`` writes a record
+    nobody parsed back as its line, which is already canonical (sorted keys,
+    compact separators), so the bytes written do not depend on what was
+    parsed.
+
+    A save holds an exclusive flock on the sidecar file ``<name>.lock``.
+    Under it the file on disk is loaded again and its records are merged
+    with this store's, so concurrent writers lose no column; a record on
+    disk that differs from this store's for the same column is a CacheError.
     """
 
     FORMAT = 1
@@ -112,12 +125,25 @@ class PolyStore:
     def __init__(self, system_tag: str, generators: int):
         self.system_tag = system_tag
         self.generators = generators
-        # family id -> upper word -> {lower word -> poly}
-        self.columns: dict[str, dict[tuple[int, ...], dict[tuple[int, ...], LaurentPoly]]] = {}
+        # family id -> upper word -> the record line as read, or the parsed
+        # column {lower word -> poly}
+        self.columns: dict[
+            str, dict[tuple[int, ...], str | dict[tuple[int, ...], LaurentPoly]]
+        ] = {}
         self.dirty = False
 
     def get_column(self, fam_id: str, upper: tuple[int, ...]):
-        return self.columns.get(fam_id, {}).get(upper)
+        col = self.columns.get(fam_id, {}).get(upper)
+        if isinstance(col, str):
+            try:
+                col = {
+                    parse_word(k): LaurentPoly.from_json_obj(v)
+                    for k, v in json.loads(col)["entries"].items()
+                }
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CacheError(f"cache key parse failure: {exc}") from exc
+            self.columns[fam_id][upper] = col
+        return col
 
     def put_column(self, fam_id: str, upper: tuple[int, ...], col: dict[tuple[int, ...], LaurentPoly]) -> None:
         fam = self.columns.setdefault(fam_id, {})
@@ -125,50 +151,67 @@ class PolyStore:
             fam[upper] = dict(col)
             self.dirty = True
 
-    def record_count(self) -> int:
-        return sum(len(f) for f in self.columns.values())
+    @staticmethod
+    def _line(fam_id: str, upper: tuple[int, ...], col) -> str:
+        """The record line of a column; an unparsed record is its own line."""
+        if isinstance(col, str):
+            return col
+        rec = {
+            "family": fam_id,
+            "upper": format_word(upper),
+            "entries": {
+                format_word(low): col[low].to_json_obj()
+                for low in sorted(col, key=lambda w: (len(w), w))
+            },
+        }
+        return json.dumps(rec, separators=(",", ":"), sort_keys=True)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        lines = []
-        for fam_id in sorted(self.columns):
-            for upper in sorted(self.columns[fam_id], key=lambda w: (len(w), w)):
-                col = self.columns[fam_id][upper]
-                rec = {
-                    "family": fam_id,
-                    "upper": format_word(upper),
-                    "entries": {
-                        format_word(low): col[low].to_json_obj()
-                        for low in sorted(col, key=lambda w: (len(w), w))
-                    },
-                }
-                lines.append(json.dumps(rec, separators=(",", ":"), sort_keys=True))
-        body = "\n".join(lines)
-        header = json.dumps(
-            {
-                "format": self.FORMAT,
-                "system": self.system_tag,
-                "generators": self.generators,
-                "records": len(lines),
-                "checksum": hashlib.sha256(body.encode()).hexdigest(),
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        )
         path.parent.mkdir(parents=True, exist_ok=True)
-        # a temp file of its own, so concurrent writers never rename each
-        # other's half-written files into place
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                os.fchmod(fh.fileno(), 0o644)  # mkstemp creates 0600
-                fh.write(header + "\n" + body + ("\n" if body else ""))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with open(path.with_name(path.name + ".lock"), "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            records = {
+                (fam_id, upper): self._line(fam_id, upper, col)
+                for fam_id, fam in self.columns.items()
+                for upper, col in fam.items()
+            }
+            if path.exists():
+                on_disk = self.load(path, self.system_tag, self.generators)
+                for fam_id, fam in on_disk.columns.items():
+                    for upper, line in fam.items():
+                        if records.setdefault((fam_id, upper), line) != line:
+                            raise CacheError(
+                                f"cache file holds a different {fam_id} column "
+                                f"at {format_word(upper) or 'e'}"
+                            )
+            body = "\n".join(
+                records[k] for k in sorted(records, key=lambda k: (k[0], len(k[1]), k[1]))
+            )
+            header = json.dumps(
+                {
+                    "format": self.FORMAT,
+                    "system": self.system_tag,
+                    "generators": self.generators,
+                    "records": len(records),
+                    "checksum": hashlib.sha256(body.encode()).hexdigest(),
+                },
+                separators=(",", ":"),
+                sort_keys=True,
+            )
+            # a temp file of its own, so a writer that ignores the lock never
+            # renames another's half-written file into place
+            fd, tmp = tempfile.mkstemp(
+                prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+            )
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    os.fchmod(fh.fileno(), 0o644)  # mkstemp creates 0600
+                    fh.write(header + "\n" + body + ("\n" if body else ""))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
         self.dirty = False
 
     @classmethod
@@ -190,21 +233,16 @@ class PolyStore:
         if hashlib.sha256(body.encode()).hexdigest() != header.get("checksum"):
             raise CacheError("cache checksum failure")
         store = cls(system_tag, generators)
-        if not body:
-            return store
-        for line in body.split("\n"):
+        for line in body.split("\n") if body else ():
             try:
                 rec = json.loads(line)
                 fam_id = rec["family"]
                 upper = parse_word(rec["upper"])
-                col = {
-                    parse_word(k): LaurentPoly.from_json_obj(v)
-                    for k, v in rec["entries"].items()
-                }
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
+                if not isinstance(fam_id, str) or not isinstance(rec["entries"], dict):
+                    raise ValueError(f"malformed record {line[:60]!r}")
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
-            store.columns.setdefault(fam_id, {})[upper] = col
-        store.dirty = False
+            store.columns.setdefault(fam_id, {})[upper] = line
         return store
 
 
@@ -214,7 +252,8 @@ class HeckeContext:
     An optional PolyStore provides persistence; computed columns are written
     back to it (serialize with store.save).  A direct-family column read from
     the store passes the unitriangularity check of a computed one, and for h
-    also parity and positivity, or raises CacheError.  All public results are columns:
+    also parity and positivity, and an inverse-family column passes the
+    inversion identity, or raises CacheError.  All public results are columns:
     maps {lower element -> polynomial} attached to an upper element.
     """
 
@@ -284,6 +323,8 @@ class HeckeContext:
                 col = {self.system.element(w): p for w, p in raw.items()}
                 if fam_id.partition("[")[0] in DIRECT_FAMILIES:
                     self._check_stored(col, upper, fam_id)
+                else:
+                    self._check_stored_inverse(col, upper, fam_id)
                 self._columns[(fam_id, upper.word)] = col
                 return col
         return None
@@ -404,6 +445,20 @@ class HeckeContext:
                     f"stored column {y!r} has {p!r} at {x!r}, violating "
                     "parity or positivity"
                 )
+
+    def _check_stored_inverse(self, inv: Coords, x: CoxeterElement, fid: str) -> None:
+        """The inversion identity of a computed inverse column."""
+        fam, _, rest = fid.partition("[")
+        try:
+            residue = self._inversion_residue(
+                fam[: -len("_inv")], parse_word(rest.rstrip("]")), x, inv
+            )
+        except ValidationError as exc:
+            raise CacheError(f"stored column {fid} of {x!r}: {exc}") from exc
+        if residue:
+            raise CacheError(
+                f"stored column {fid} of {x!r} fails the inversion identity"
+            )
 
     def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Coords:
         """Uniform access to any direct or inverse family column."""

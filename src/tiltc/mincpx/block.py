@@ -317,6 +317,20 @@ class TiltingCategory:
         self._costd_sum = direct_sum(
             [block.module("costd", lab) for lab in self.labels]
         )
+        # the most standard factors of one tilting module, read off the
+        # dimension vectors, which bound the terms of a coresolution
+        std_dims = [
+            tuple(block.module("std", lab).dims[v] for v in order) for lab in self.labels
+        ]
+        counts = [
+            linalg.express_in_span(std_dims, tuple(self.tilts[a].dims[v] for v in order))
+            for a in self.labels
+        ]
+        if any(c is None for c in counts):
+            raise InternalInvariantError(
+                "a tilting dimension vector is not a combination of standard ones"
+            )
+        self.max_std_factors = max(int(sum(c)) for c in counts)
         self._sum_cache: dict[tuple[str, ...], tuple[ModuleRep, list[dict[str, int]]]] = {}
 
     # -- sums and (de)coordinatization ---------------------------------------------
@@ -452,6 +466,15 @@ def tilting_coresolution(
     complex of the T^i (degrees 0, 1, ...) and the augmentation M -> T^0 as
     an exact module map.
     """
+    # A size bound.  The minimal approximation of a standard-filtered C is a
+    # summand of the sum of T(l) over the standard factors D(l) of C, and its
+    # cokernel has only factors below those l.  So, with t the most standard
+    # factors of one tilting module, term i has at most t (t - 1)^i times as
+    # many summands as M has standard factors (at most dim M), and i is below
+    # the number of labels.  A larger term means a non-minimal approximation,
+    # which would grow at every step.
+    t = tcat.max_std_factors
+    size_bound = t * max(1, t - 1) ** (len(tcat.labels) - 1) * M.total_dim
     terms: dict[int, tuple[str, ...]] = {}
     diffs: dict[int, CoordMat] = {}
     aug: VMap | None = None
@@ -462,6 +485,11 @@ def tilting_coresolution(
         if cur.is_zero():
             break
         labels, f = _approximation(tcat, cur)
+        if len(labels) > size_bound:
+            raise InternalInvariantError(
+                f"tilting coresolution term {step} has {len(labels)} summands, "
+                f"more than the bound {size_bound}"
+            )
         S, _ = tcat.sum_rep(labels)
         if any(linalg.rank(f[v]) != cur.dims[v] for v in tcat.algebra.vertices):
             raise InternalInvariantError("the add(T)-approximation is not injective")

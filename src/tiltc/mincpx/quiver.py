@@ -16,8 +16,9 @@ compare with ``==`` and block matrices of them are assembled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from ..errors import InternalInvariantError, ValidationError
 from . import linalg
@@ -534,6 +535,11 @@ class _Resolution:
     cov: VMap  # the newest cover, P_last -> (kernel, or M itself if None)
     kernel: ModuleRep | None = None  # never M itself, which would be a cycle
     complete: bool = False
+    # target module N -> [hom_basis(P_i, N)] for the first terms P_i; weak
+    # keys, so N and M never keep each other alive in a cycle
+    homs: WeakKeyDictionary[ModuleRep, list[list[VMap]]] = field(
+        default_factory=WeakKeyDictionary
+    )
 
 
 def _resolve(
@@ -574,13 +580,16 @@ def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:
     """[dim Ext^i(M, N) for i in 0..up_to], by the minimal resolution.
 
     Ext^i needs the resolution only up to the term P_{i+1}, so it stops there.
+    The hom bases Hom(P_i, N) are kept next to the resolution on M, per N.
     Each dimension comes from ranks alone: dim Ext^i = dim Hom(P_i, N)
     - rank(d_{i+1}^*) - rank(d_i^*), where d_i^* : Hom(P_{i-1}, N) ->
     Hom(P_i, N) is precomposition with d_i.
     """
     terms, diffs, _ = _resolve(M, up_to + 1)
     order = M.algebra.vertices
-    hom_bases = [hom_basis(P, N) for P, _ in terms]
+    kept = M._resolution.homs.setdefault(N, [])
+    kept.extend(hom_basis(P, N) for P, _ in terms[len(kept):])
+    hom_bases = kept[: len(terms)]
     ranks = [0]  # ranks[i] = rank(d_i^*), with d_0^* = 0
     for i, d in enumerate(diffs, start=1):
         flat_tgt = [flatten_vmap(g, order) for g in hom_bases[i]]

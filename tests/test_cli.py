@@ -273,26 +273,68 @@ class TestCache:
         rc, _, err = run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
         assert rc == 2 and err.startswith("error: cache:")
 
+    @staticmethod
+    def tamper(f, family, upper, lower, poly):
+        """Set one entry of a stored column and recompute the checksum."""
+        head, _, body = f.read_text().partition("\n")
+        lines = body.rstrip("\n").split("\n")
+        hits = 0
+        for k, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec["family"] == family and rec["upper"] == upper:
+                rec["entries"][lower] = poly
+                lines[k] = json.dumps(rec, separators=(",", ":"), sort_keys=True)
+                hits += 1
+        assert hits == 1
+        body = "\n".join(lines)
+        obj = json.loads(head)
+        obj["checksum"] = hashlib.sha256(body.encode()).hexdigest()
+        f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
+
     def test_tampered_column_rejected(self, capsys, tmp_path):
         # an edited polynomial behind a recomputed checksum is still caught
         cache = str(tmp_path)
         args = ("kl", "--type", "A2", "--y", "1 2 1", "--cache-path", cache)
         rc, _, _ = run(capsys, *args)
         assert rc == 0
-        f = tmp_path / "A2.jsonl"
-        head, _, body = f.read_text().partition("\n")
-        lines = body.rstrip("\n").split("\n")
-        for k, line in enumerate(lines):
-            rec = json.loads(line)
-            if rec["family"] == "h" and rec["upper"] == "1 2 1":
-                rec["entries"]["1"] = {"2": -7}
-                lines[k] = json.dumps(rec, separators=(",", ":"), sort_keys=True)
-        body = "\n".join(lines)
-        obj = json.loads(head)
-        obj["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-        f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
+        self.tamper(tmp_path / "A2.jsonl", "h", "1 2 1", "1", {"2": -7})
         rc, out, err = run(capsys, *args)
         assert rc == 2 and err.startswith("error: cache:") and out == ""
+
+    def test_unparsable_entry_rejected_when_read(self, capsys, tmp_path):
+        # records are parsed lazily; a bad exponent key in a column the query
+        # reads still fails the run
+        cache = str(tmp_path)
+        args = ("kl", "--type", "A2", "--y", "1 2 1", "--cache-path", cache)
+        rc, _, _ = run(capsys, *args)
+        assert rc == 0
+        self.tamper(tmp_path / "A2.jsonl", "h", "1 2 1", "1", {"one": 1})
+        rc, out, err = run(capsys, *args)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cache: cache key parse failure")
+
+    @pytest.mark.parametrize(
+        "lower,poly,message",
+        [
+            # the entry keeps its shape, so only the inversion identity catches it
+            pytest.param("2 1", {"2": 2}, "fails the inversion identity", id="value"),
+            # an entry outside the index set of n[1]
+            pytest.param("1", {"1": 1}, "not a minimal coset representative", id="index"),
+        ],
+    )
+    def test_tampered_inverse_column_rejected(self, capsys, tmp_path, lower, poly, message):
+        cache = str(tmp_path)
+        args = (
+            "kl", "--type", "A3", "--parabolic", "1", "--flavor", "antispherical",
+            "--inverse", "--x", "2 1 3 2", "--cache-path", cache,
+        )
+        rc, clean, _ = run(capsys, *args)
+        assert rc == 0 and "2 1 3 2\t2 1\tv^2\n" in clean
+        self.tamper(tmp_path / "A3.jsonl", "n_inv[1]", "2 1 3 2", lower, poly)
+        rc, out, err = run(capsys, *args)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cache: stored column n_inv[1]")
+        assert message in err
 
     def test_wrong_system_rejected(self, capsys, tmp_path):
         cache = str(tmp_path)

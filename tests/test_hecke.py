@@ -1,5 +1,8 @@
 """Self-dual bases, parabolic modules, inverse families, persistence."""
 
+import hashlib
+import json
+import multiprocessing
 import os
 from collections import defaultdict
 
@@ -289,10 +292,17 @@ class TestPolyStore:
         c.store.save(path)
         return c, path
 
+    @staticmethod
+    def assert_same_columns(a, b):
+        keys = {(f, u) for f, fam in a.columns.items() for u in fam}
+        assert keys == {(f, u) for f, fam in b.columns.items() for u in fam}
+        for f, u in keys:
+            assert a.get_column(f, u) == b.get_column(f, u)
+
     def test_round_trip(self, tmp_path):
         c, path = self.make_store(tmp_path)
         loaded = PolyStore.load(path, "A3", 3)
-        assert loaded.columns == c.store.columns
+        self.assert_same_columns(loaded, c.store)
         # a context running from the warm store reproduces the columns
         c2 = HeckeContext(A3, loaded)
         y = A3.element([2, 1, 3, 2])
@@ -339,8 +349,12 @@ class TestPolyStore:
         c.store.dirty = True
         c.store.save(path)
         assert other.read_text() == "half-written by another process"
-        assert PolyStore.load(path, "A3", 3).columns == c.store.columns
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["A3.jsonl", "A3.jsonl.tmp"]
+        self.assert_same_columns(PolyStore.load(path, "A3", 3), c.store)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "A3.jsonl",
+            "A3.jsonl.lock",
+            "A3.jsonl.tmp",
+        ]
 
     def test_failed_save_removes_its_temp_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):
@@ -349,7 +363,7 @@ class TestPolyStore:
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="disk full"):
             PolyStore("A2", 2).save(tmp_path / "A2.jsonl")
-        assert list(tmp_path.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["A2.jsonl.lock"]
 
     @pytest.mark.parametrize(
         "fid,upper,lower,poly",
@@ -378,3 +392,111 @@ class TestPolyStore:
         p = tmp_path / "e.jsonl"
         s.save(p)
         assert PolyStore.load(p, "A2", 2).columns == {}
+
+    def test_untouched_save_is_verbatim(self, tmp_path):
+        _, path = self.make_store(tmp_path)
+        loaded = PolyStore.load(path, "A3", 3)
+        loaded.save(tmp_path / "copy" / "A3.jsonl")
+        assert (tmp_path / "copy" / "A3.jsonl").read_bytes() == path.read_bytes()
+        loaded.save(path)  # merged with itself on disk
+        assert (tmp_path / "copy" / "A3.jsonl").read_bytes() == path.read_bytes()
+
+    def test_touched_save_matches_eager_save(self, tmp_path):
+        _, path = self.make_store(tmp_path)
+        lazy = PolyStore.load(path, "A3", 3)
+        c = HeckeContext(A3, lazy)
+        y = A3.element([2, 1, 3, 2])
+        c.kl_column(y)  # served from the store: parsed, not recomputed
+        c.inverse_column("n", (1,), A3.project(y, (1,), "left"))
+        c.kl_column(A3.element([1, 2, 3]))  # a new column
+        assert lazy.dirty
+        eager = PolyStore.load(path, "A3", 3)
+        for fam_id, fam in eager.columns.items():
+            for upper in list(fam):
+                eager.get_column(fam_id, upper)  # every record parsed
+        for fam_id, fam in lazy.columns.items():
+            for upper in fam:
+                eager.put_column(fam_id, upper, lazy.get_column(fam_id, upper))
+        assert all(not isinstance(col, str) for fam in eager.columns.values() for col in fam.values())
+        lazy.save(tmp_path / "lazy" / "A3.jsonl")
+        eager.save(tmp_path / "eager" / "A3.jsonl")
+        assert (tmp_path / "lazy" / "A3.jsonl").read_bytes() == (
+            tmp_path / "eager" / "A3.jsonl"
+        ).read_bytes()
+
+    @staticmethod
+    def rewrite_records(path, edit):
+        """Replace the record lines by edit(lines) and recompute the checksum."""
+        head, _, body = path.read_text().partition("\n")
+        body = "\n".join(edit(body.rstrip("\n").split("\n")))
+        obj = json.loads(head)
+        obj["checksum"] = hashlib.sha256(body.encode()).hexdigest()
+        path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
+
+    def test_entries_are_parsed_when_read(self, tmp_path):
+        _, path = self.make_store(tmp_path)
+
+        def add_bad_key(lines):
+            lines[0] = lines[0].replace('"entries":{', '"entries":{"x":{"0":1},', 1)
+            return lines
+
+        self.rewrite_records(path, add_bad_key)
+        store = PolyStore.load(path, "A3", 3)  # the bad key is not read yet
+        rec = json.loads(path.read_text().split("\n")[1])
+        with pytest.raises(CacheError, match="cache key parse failure"):
+            store.get_column(rec["family"], tuple(int(t) for t in rec["upper"].split()))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("not json", id="garbled-line"),
+            pytest.param('{"entries":{},"upper":""}', id="no-family"),
+            pytest.param('{"entries":{},"family":"h","upper":"x"}', id="bad-upper"),
+            pytest.param('{"entries":[],"family":"h","upper":""}', id="entries-not-object"),
+        ],
+    )
+    def test_bad_record_rejected_at_load(self, tmp_path, line):
+        _, path = self.make_store(tmp_path)
+        self.rewrite_records(path, lambda old: old + [line])
+        with pytest.raises(CacheError, match="cache key parse failure"):
+            PolyStore.load(path, "A3", 3)
+
+    def test_save_rejects_a_conflicting_record_on_disk(self, tmp_path):
+        c, path = self.make_store(tmp_path)
+        other = PolyStore("A3", 3)
+        y = (2, 1, 3, 2)
+        col = dict(c.store.get_column("h", y))
+        col[()] = LaurentPoly({1: 5})
+        other.put_column("h", y, col)
+        before = path.read_bytes()
+        with pytest.raises(CacheError, match="different h column at 2 1 3 2"):
+            other.save(path)
+        assert path.read_bytes() == before
+
+    def test_concurrent_writers_lose_no_column(self, tmp_path):
+        # four processes start from empty stores and save disjoint queries to
+        # one file at the same moment; the file ends up with every column, as
+        # one process saving all the queries writes it
+        elements = sorted(A3.enumerate_below(A3.longest_element()), key=lambda x: x.sort_key())
+        ctx_mp = multiprocessing.get_context("fork")
+        barrier = ctx_mp.Barrier(4)
+        path = tmp_path / "A3.jsonl"
+
+        def writer(k):
+            c = HeckeContext(A3, PolyStore("A3", 3))
+            for y in elements[k::4]:
+                c.kl_column(y)
+            barrier.wait(30)
+            c.store.save(path)
+
+        procs = [ctx_mp.Process(target=writer, args=(k,)) for k in range(4)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(60)
+        assert [p.exitcode for p in procs] == [0] * 4
+        one = HeckeContext(A3, PolyStore("A3", 3))
+        for y in elements:
+            one.kl_column(y)
+        one.store.save(tmp_path / "one" / "A3.jsonl")
+        assert path.read_bytes() == (tmp_path / "one" / "A3.jsonl").read_bytes()

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -325,6 +326,27 @@ class TestQuiver:
         assert ext_dims(m["std_s"], m["costd_s"], 3) == [1, 0, 0, 0]
         assert ext_dims(m["std_s"], m["L_e"], 3) == [0, 0, 0, 0]
         assert ext_dims(m["L_e"], m["costd_s"], 3) == [0, 0, 0, 0]
+
+    def test_ext_dims_keeps_hom_bases(self, sl2_algebra, monkeypatch):
+        # the bases Hom(P_i, N) are kept next to the resolution, per target N
+        calls = []
+        real = quiver.hom_basis
+        monkeypatch.setattr(quiver, "hom_basis", lambda M, N: calls.append(M) or real(M, N))
+        L_e, L_s = sl2_algebra.simple("e"), sl2_algebra.simple("s")
+        assert ext_dims(L_s, L_e, 0) == [0]
+        assert len(calls) == 2  # P_0 and P_1
+        calls.clear()
+        assert ext_dims(L_s, L_e, 0) == [0]
+        assert calls == []  # a repeated call solves none
+        assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
+        assert len(calls) == 1  # only the new term P_2
+        calls.clear()
+        assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
+        assert ext_dims(L_s, L_e, 1) == [0, 1]
+        assert calls == []
+        # another target object gets bases of its own
+        assert ext_dims(L_s, sl2_algebra.simple("e"), 4) == [0, 1, 0, 0, 0]
+        assert len(calls) == 3
 
     def test_ext_dims_stops_at_the_needed_term(self, sl2_algebra, monkeypatch):
         # L_s has the three-term resolution P_s <- P_e <- P_s; Ext^0 needs two.
@@ -650,6 +672,30 @@ class TestCoresolutions:
         # the approximation is minimal: no split summand rides along
         R, _ = tilting_coresolution(sl2_tcat, sl2_block.module("tilt", label))
         assert R.summary() == f"[0: {label}]"
+
+    def test_non_minimal_approximation_fails_fast(self, sl2_block, sl2_tcat, monkeypatch):
+        # the universal map M -> sum of T_a over a basis of every Hom(M, T_a)
+        # is an approximation but not a minimal one: its terms grow each step.
+        # On sl2 tilt_s has two standard factors, so the bound is 2 * dim M.
+        from tiltc.mincpx import block as block_mod
+
+        order = sl2_tcat.algebra.vertices
+
+        def universal(tcat, M):
+            labels, rows = [], {v: [] for v in order}
+            for a in tcat.labels:
+                for g in hom_basis(M, tcat.tilts[a]):
+                    labels.append(a)
+                    for v in order:
+                        rows[v].extend(g[v])
+            return tuple(labels), {v: tuple(rows[v]) for v in order}
+
+        monkeypatch.setattr(block_mod, "_approximation", universal)
+        M = direct_sum([sl2_block.module("tilt", "s")] * 2)
+        t0 = time.perf_counter()
+        with pytest.raises(InternalInvariantError, match="more than the bound 12"):
+            tilting_coresolution(sl2_tcat, M)
+        assert time.perf_counter() - t0 < 5.0
 
     # sums with repeated summands: each label appears with its multiplicity
     SUMS = {
