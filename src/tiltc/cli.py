@@ -381,6 +381,12 @@ def cache_info(path: str | None) -> None:
 @cache_group.command("clear")
 @click.option("--path", default=None, help="Cache directory (defaults to $TILTC_CACHE).")
 def cache_clear(path: str | None) -> None:
+    """Remove the column files (*.jsonl) of the cache directory.
+
+    The <system>.jsonl.lock files stay: another process may hold the lock
+    on one, and unlinking it would let the next save lock a new file of the
+    same name, so two saves could run at once.
+    """
     d = _cache_dir(path)
     if d is None:
         raise click.UsageError("no cache directory: set TILTC_CACHE or pass --path")

@@ -14,10 +14,22 @@ Parabolic quotient modules over a subset I of the generators come in two
 flavors, distinguished by the scalar a generator acts by on a basis vector
 that leaves the minimal-coset index set: 'spherical' (v^-1, so C_s acts by
 v + v^-1) and 'antispherical' (-v, so C_s kills the vector).  Their self-dual
-bases give the families m^I and n^I; the inverse families are defined by
-signed unitriangular inversion of the direct ones, solved by one downward
-push through the direct columns and checked once against the inversion
-identity whenever a column is computed or read from a store.
+bases give the families m^I and n^I; with I = () either module is the Hecke
+algebra itself, and its self-dual basis gives h.
+
+One routine builds every direct column: with s the smallest right descent
+of y, C_{ys} C_s = C_y + sum_u mu(u, ys) C_u over the u with us < u
+(Kazhdan-Lusztig 1979; Soergel 1997, Prop. 3.4 for the modules).  Off the
+diagonal C_{ys} lies in v*Z[v], and C_s acts on a basis vector by 1, v,
+v^-1, v + v^-1 or 0, so every entry of the product lies in Z[v], and its
+only part outside v*Z[v] is a constant c = mu at some u != y.  Subtracting
+c C_u changes no other constant term, so the corrections need no order, and
+every computed column is checked to be unitriangular over v*Z[v].
+
+The inverse families are defined by signed unitriangular inversion of the
+direct ones, solved by one downward push through the direct columns and
+checked once against the inversion identity whenever a column is computed
+or read from a store.
 
 Arithmetic is fused: a column (and the inversion residue, and the bar
 expansions) is summed as raw {element: {exponent: coefficient}} dicts by
@@ -78,7 +90,7 @@ def _step(a: LaurentPoly, scalar: LaurentPoly = ZERO) -> Step:
 
     H_x (H_s + a) is H_xs + up H_x when xs > x, H_xs + down H_x when xs < x,
     and stay H_x when xs leaves a parabolic index set (scalar is the value of
-    H_s there); the same holds for multiplication on the left.
+    H_s there).
     """
     return a.terms, (a + VINV_MINUS_V).terms, (a + scalar).terms
 
@@ -265,7 +277,6 @@ class HeckeContext:
             raise CacheError("store does not match the system")
         self.store = store
         self._columns: dict[tuple[str, tuple[int, ...]], Coords] = {}
-        self._bar_std: dict[CoxeterElement, Coords] = {}
         self._bar_par: dict[tuple, Coords] = {}
         # every polynomial this context finishes, by its terms: equal column
         # entries are one shared object
@@ -287,21 +298,13 @@ class HeckeContext:
 
     # -- multiplication by a generator -----------------------------------------
 
-    def _lmul_gen_std(self, acc: Raw, coords: Coords, s: int, step: Step) -> None:
-        """Add (H_s + a) * coords in the standard basis into acc; step = _step(a)."""
-        up, down, _ = step
-        for x, p in coords.items():
-            sx = x.times_gen(s, "left")
-            _mac(acc[sx], p, _ONE_TERMS)
-            _mac(acc[x], p, up if sx.length > x.length else down)
-
     def _in_quotient(self, x: CoxeterElement, I: tuple[int, ...]) -> bool:
         return not any(x.has_left_descent(t) for t in I)
 
     def _rmul_gen_par(
         self, acc: Raw, coords: Coords, s: int, I: tuple[int, ...], step: Step
     ) -> None:
-        """Add coords * (H_s + a) in a parabolic module into acc; step = _step(a, scalar)."""
+        """Add coords * (H_s + a), step = _step(a, scalar), into acc; I = () is the algebra."""
         up, down, stay = step
         for x, p in coords.items():
             xs = x.times_gen(s, "right")
@@ -313,58 +316,36 @@ class HeckeContext:
 
     # -- self-dual basis columns -----------------------------------------------
 
-    def _get_cached(self, fam_id: str, upper: CoxeterElement) -> Coords | None:
-        col = self._columns.get((fam_id, upper.word))
+    def _get_cached(
+        self, fam: str, I: tuple[int, ...], upper: CoxeterElement
+    ) -> Coords | None:
+        key = (family_id(fam, I), upper.word)
+        col = self._columns.get(key)
         if col is not None:
             return col
         if self.store is not None:
-            raw = self.store.get_column(fam_id, upper.word)
+            raw = self.store.get_column(*key)
             if raw is not None:
                 col = {self.system.element(w): p for w, p in raw.items()}
-                if fam_id.partition("[")[0] in DIRECT_FAMILIES:
-                    self._check_stored(col, upper, fam_id)
+                if fam in DIRECT_FAMILIES:
+                    self._check_stored(col, upper, fam, I)
                 else:
-                    self._check_stored_inverse(col, upper, fam_id)
-                self._columns[(fam_id, upper.word)] = col
+                    self._check_stored_inverse(col, upper, fam, I)
+                self._columns[key] = col
                 return col
         return None
 
-    def _put_cached(self, fam_id: str, upper: CoxeterElement, col: Coords) -> None:
-        self._columns[(fam_id, upper.word)] = col
+    def _put_cached(
+        self, fam: str, I: tuple[int, ...], upper: CoxeterElement, col: Coords
+    ) -> None:
+        fid = family_id(fam, I)
+        self._columns[(fid, upper.word)] = col
         if self.store is not None:
-            self.store.put_column(
-                fam_id, upper.word, {x.word: p for x, p in col.items()}
-            )
+            self.store.put_column(fid, upper.word, {x.word: p for x, p in col.items()})
 
     def kl_column(self, y: CoxeterElement) -> Coords:
         """Coordinates {x: h_{x,y}} of the self-dual basis element C_y."""
-        fam = family_id("h", ())
-        cached = self._get_cached(fam, y)
-        if cached is not None:
-            return cached
-        if y.is_identity():
-            col: Coords = {self.system.identity: ONE}
-            self._put_cached(fam, y, col)
-            return col
-        s = min(y.left_descents())
-        sy = y.times_gen(s, "left")
-        base = self.kl_column(sy)
-        # C_s * C_{sy} = (H_s + v) * C_{sy}
-        acc: Raw = defaultdict(dict)
-        self._lmul_gen_std(acc, base, s, _KL_STEP["h"])
-        # remove the self-dual disturbance: mu(z, sy) C_z for z with sz < z
-        for z in sorted(base, key=CoxeterElement.sort_key, reverse=True):
-            if z == sy:
-                continue
-            mu = base[z].coeff(1)
-            if mu and z.has_left_descent(s):
-                minus_mu = ((0, -mu),)
-                for u, q in self.kl_column(z).items():
-                    _mac(acc[u], q, minus_mu)
-        col = self._finish(acc)
-        self._check_unitriangular(col, y, fam)
-        self._put_cached(fam, y, col)
-        return col
+        return self._direct_column("h", (), y)
 
     def parabolic_column(
         self, fam: str, I: tuple[int, ...], y: CoxeterElement
@@ -377,44 +358,30 @@ class HeckeContext:
             raise ValidationError(
                 f"{format_word(y.word) or 'e'} is not a minimal coset representative for I={list(I)}"
             )
-        fid = family_id(fam, I)
-        cached = self._get_cached(fid, y)
+        return self._direct_column(fam, I, y)
+
+    def _direct_column(
+        self, fam: str, I: tuple[int, ...], y: CoxeterElement
+    ) -> Coords:
+        """The column of C_y in the module of (fam, I): C_{ys} C_s less mu C_u."""
+        cached = self._get_cached(fam, I, y)
         if cached is not None:
             return cached
         if y.is_identity():
             col: Coords = {self.system.identity: ONE}
-            self._put_cached(fid, y, col)
-            return col
-        s = min(y.right_descents())
-        ys = y.times_gen(s, "right")
-        base = self.parabolic_column(fam, I, ys)
-        # column * C_s = column * (H_s + v)
-        acc: Raw = defaultdict(dict)
-        self._rmul_gen_par(acc, base, s, I, _KL_STEP[fam])
-        # greedy self-dual correction, largest length first: subtract the
-        # bar-invariant completion of each coordinate not yet in v*Z[v]
-        max_len = max((u.length for u in acc), default=-1)
-        for length in range(max_len, -1, -1):
-            layer = sorted(
-                (u for u in list(acc) if u.length == length and u != y),
-                key=CoxeterElement.sort_key,
-            )
-            for u in layer:
-                down = {e: c for e, c in acc[u].items() if e <= 0 and c}
-                if not down:
-                    continue
-                # minus the symmetric completion c_0 + sum_{k>0} c_{-k} (v^k + v^-k)
-                comp: dict[int, int] = {0: down.get(0, 0)}
-                for e, c in down.items():
-                    if e < 0:
-                        comp[e] = comp.get(e, 0) + c
-                        comp[-e] = comp.get(-e, 0) + c
-                minus_comp = [(e, -c) for e, c in comp.items() if c]
-                for z, r in self.parabolic_column(fam, I, u).items():
-                    _mac(acc[z], r, minus_comp)
-        col = self._finish(acc)
-        self._check_unitriangular(col, y, fid)
-        self._put_cached(fid, y, col)
+        else:
+            s = min(y.right_descents())
+            acc: Raw = defaultdict(dict)
+            base = self.column(fam, I, y.times_gen(s, "right"))
+            self._rmul_gen_par(acc, base, s, I, _KL_STEP[fam])
+            for u, d in list(acc.items()):
+                if u != y and (c := d.get(0)):
+                    minus_c = ((0, -c),)
+                    for z, q in self.column(fam, I, u).items():
+                        _mac(acc[z], q, minus_c)
+            col = self._finish(acc)
+            self._check_unitriangular(col, y, family_id(fam, I))
+        self._put_cached(fam, I, y, col)
         return col
 
     def _check_unitriangular(self, col: Coords, y: CoxeterElement, fid: str) -> None:
@@ -431,13 +398,15 @@ class HeckeContext:
                         "violating strict v*Z[v] unitriangularity"
                     )
 
-    def _check_stored(self, col: Coords, y: CoxeterElement, fid: str) -> None:
+    def _check_stored(
+        self, col: Coords, y: CoxeterElement, fam: str, I: tuple[int, ...]
+    ) -> None:
         """The invariants of a computed column, plus parity and positivity for h."""
         try:
-            self._check_unitriangular(col, y, fid)
+            self._check_unitriangular(col, y, family_id(fam, I))
         except InternalInvariantError as exc:
             raise CacheError(f"stored column fails its check: {exc}") from exc
-        if fid != "h":
+        if fam != "h":
             return
         for x, p in col.items():
             if any(c < 0 or (e + y.length - x.length) % 2 for e, c in p):
@@ -446,13 +415,13 @@ class HeckeContext:
                     "parity or positivity"
                 )
 
-    def _check_stored_inverse(self, inv: Coords, x: CoxeterElement, fid: str) -> None:
+    def _check_stored_inverse(
+        self, inv: Coords, x: CoxeterElement, fam: str, I: tuple[int, ...]
+    ) -> None:
         """The inversion identity of a computed inverse column."""
-        fam, _, rest = fid.partition("[")
+        fid = family_id(fam, I)
         try:
-            residue = self._inversion_residue(
-                fam[: -len("_inv")], parse_word(rest.rstrip("]")), x, inv
-            )
+            residue = self._inversion_residue(fam[: -len("_inv")], I, x, inv)
         except ValidationError as exc:
             raise CacheError(f"stored column {fid} of {x!r}: {exc}") from exc
         if residue:
@@ -508,8 +477,7 @@ class HeckeContext:
         if fam not in DIRECT_FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
         I = self.system.check_names(I)
-        fid = family_id(fam + "_inv", I)
-        cached = self._get_cached(fid, x)
+        cached = self._get_cached(fam + "_inv", I, x)
         if cached is not None:
             return cached
         if fam != "h" and not self._in_quotient(x, I):
@@ -536,31 +504,15 @@ class HeckeContext:
         if residue:
             u = min(residue, key=CoxeterElement.sort_key)
             raise InternalInvariantError(
-                f"{fid}: inversion identity fails at {u!r} below {x!r}"
+                f"{family_id(fam + '_inv', I)}: inversion identity fails at {u!r} below {x!r}"
             )
-        self._put_cached(fid, x, inv)
+        self._put_cached(fam + "_inv", I, x, inv)
         return inv
 
     # -- bar involution expansion (verification route) ----------------------------
 
-    def bar_std_basis(self, x: CoxeterElement) -> Coords:
-        """Coordinates of bar(H_x) in the standard basis."""
-        cached = self._bar_std.get(x)
-        if cached is not None:
-            return cached
-        if x.is_identity():
-            out: Coords = {self.system.identity: ONE}
-        else:
-            s = x.word[0]
-            rest = self.bar_std_basis(x.times_gen(s, "left"))
-            acc: Raw = defaultdict(dict)
-            self._lmul_gen_std(acc, rest, s, _BAR_STEP["h"])
-            out = self._finish(acc)
-        self._bar_std[x] = out
-        return out
-
     def bar_par_basis(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
-        """Coordinates of bar(basis vector at x) in a parabolic module."""
+        """Coordinates of bar(basis vector at x) in the module of (fam, I)."""
         key = (fam, I, x.word)
         cached = self._bar_par.get(key)
         if cached is not None:
@@ -571,7 +523,7 @@ class HeckeContext:
             s = x.word[-1]
             rest = self.bar_par_basis(fam, I, x.times_gen(s, "right"))
             acc: Raw = defaultdict(dict)
-            self._rmul_gen_par(acc, rest, s, I, _BAR_STEP["m" if fam == "m" else "n"])
+            self._rmul_gen_par(acc, rest, s, I, _BAR_STEP[fam])
             out = self._finish(acc)
         self._bar_par[key] = out
         return out
@@ -580,11 +532,8 @@ class HeckeContext:
         """Expand bar(sum p_x B_x) in the same standard/module basis."""
         acc: Raw = defaultdict(dict)
         for x, p in coords.items():
-            basis = (
-                self.bar_std_basis(x) if fam == "h" else self.bar_par_basis(fam, I, x)
-            )
             p_bar = [(-e, c) for e, c in p.terms]
-            for z, q in basis.items():
+            for z, q in self.bar_par_basis(fam, I, x).items():
                 _mac(acc[z], q, p_bar)
         return self._finish(acc)
 

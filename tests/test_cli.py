@@ -253,6 +253,10 @@ class TestCache:
         assert rc == 0 and "A1.jsonl" in out
         rc, out, _ = run(capsys, "cache", "clear", "--path", cache)
         assert rc == 0 and out == "removed 1 cache file(s)\n"
+        # the lock sidecar stays, and the help says why
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["A1.jsonl.lock"]
+        rc, out, _ = run(capsys, "cache", "clear", "--help")
+        assert rc == 0 and ".lock files stay" in out
         rc, out, _ = run(capsys, "cache", "info", "--path", cache)
         assert "(no column files)" in out
 

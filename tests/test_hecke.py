@@ -7,7 +7,7 @@ import os
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tiltc.coxeter import CoxeterSystem
 from tiltc.errors import CacheError, ValidationError
@@ -122,12 +122,20 @@ class TestParabolicColumns:
         with pytest.raises(ValidationError):
             ctx(A2).parabolic_column("x", (), A2.identity)
 
-    @given(st.sampled_from(["m", "n"]), words(AFF2, 5))
-    @settings(max_examples=20, deadline=None)
-    def test_selfdual_parabolic(self, fam, w):
-        c = ctx(AFF2)
-        I = (1,)
-        y = AFF2.project(AFF2.element(w), I, "left")
+    @given(
+        st.sampled_from(["m", "n"]),
+        st.one_of(
+            st.tuples(st.just(system), st.just(I), words(system, max_len))
+            for system, I, max_len in [(AFF2, (1,), 5), (A3, (1, 3), 6), (B3, (2,), 9)]
+        ),
+    )
+    @example("m", (A3, (1, 3), (1, 2, 3, 1, 2, 1)))
+    @example("n", (B3, (2,), (1, 2, 3, 1, 2, 3, 1, 2, 3)))
+    @settings(max_examples=30, deadline=None)
+    def test_selfdual_parabolic(self, fam, case):
+        system, I, w = case
+        c = ctx(system)
+        y = system.project(system.element(w), I, "left")
         col = c.parabolic_column(fam, I, y)
         assert c.is_selfdual(fam, I, col)
 
@@ -139,6 +147,20 @@ class TestParabolicColumns:
             for x in c.parabolic_column(fam, I, y):
                 assert A3.is_minimal(x, I, "left")
                 assert A3.bruhat_leq(x, y)
+
+
+class TestBarInvolution:
+    @pytest.mark.parametrize(
+        "system, max_len", [(B3, None), (AFF2, 5)], ids=["B3", "affA2"]
+    )
+    @pytest.mark.parametrize(
+        "fam, I", [("h", ()), ("m", (1,)), ("n", (1,))], ids=["h", "m[1]", "n[1]"]
+    )
+    def test_bar_is_an_involution(self, system, max_len, fam, I):
+        c = ctx(system)
+        reps, _ = system.quotient_reps(I, "left", max_len=max_len)
+        for x in reps:
+            assert c.bar_expand(fam, I, c.bar_expand(fam, I, {x: ONE})) == {x: ONE}
 
 
 class TestInverseColumns:

@@ -1,12 +1,14 @@
-"""Pinned digests of multiplicity tables and inverse columns.
+"""Pinned digests of multiplicity tables, direct columns and inverse columns.
 
 Each group below renders every table of its grid (or the error a query
 raises) as one canonical line and compares the sha256 of the lines with a
 pinned value.  The table pins were generated from the table code before it
-was merged into one engine, and the inverse-column pins from the interval
-scan that inverse_column used before it became a downward push, so any
-change to an entry, a weight echo, a flag, a truncation or an error message
-shows here.  Do not regenerate them to make a change pass: a differing
+was merged into one engine, the direct-column pins from the left-multiplying
+h recursion and the greedy parabolic completion that preceded the one
+right-multiplying column routine, and the inverse-column pins from the
+interval scan that inverse_column used before it became a downward push, so
+any change to an entry, a weight echo, a flag, a truncation or an error
+message shows here.  Do not regenerate them to make a change pass: a differing
 digest means the results changed.
 """
 
@@ -179,6 +181,54 @@ def test_tables_match_pinned_digest(group):
     assert digest(GROUPS[group]()) == PINS[group]
 
 
+def column_line(hecke, fam, I, x):
+    """One canonical line of a column, or of the error its query raises."""
+    head = f"{family_id(fam, I)} {format_word(x.word) or 'e'}"
+    try:
+        col = hecke.column(fam, I, x)
+    except (ValidationError, InternalInvariantError) as exc:
+        return f"{head} error {type(exc).__name__}: {exc}"
+    entries = {
+        format_word(y.word) or "e": col[y].to_json_obj()
+        for y in sorted(col, key=CoxeterElement.sort_key)
+    }
+    return f"{head} {json.dumps(entries, sort_keys=True)}"
+
+
+def direct_lines(tag, max_len, parabolic):
+    """Every h column, and every m and n column for each I, in a ball."""
+    system = CoxeterSystem.from_type(tag)
+    hecke = HeckeContext(system)
+    queries = [("h", ())] + [(fam, I) for fam in ("m", "n") for I in parabolic]
+    return [
+        column_line(hecke, fam, I, x)
+        for fam, I in queries
+        for x in ball(system, max_len)
+    ]
+
+
+DIRECT_GROUPS = {
+    "A3 up to length 6": lambda: direct_lines("A3", 6, [(), (1,), (1, 3)]),
+    "B3 up to length 5": lambda: direct_lines("B3", 5, [(), (1,)]),
+    "G2 up to length 6": lambda: direct_lines("G2", 6, [(), (1,)]),
+    "affA1 up to length 6": lambda: direct_lines("affA1", 6, [(), (1,)]),
+    "affA2 up to length 4": lambda: direct_lines("affA2", 4, [(), (1,)]),
+}
+
+DIRECT_PINS = {
+    "A3 up to length 6": "75731b1e289e723d808e9c1cc4e69ca0051cf854682a448dd1334d3f691ce78e",
+    "B3 up to length 5": "21bba220e18b480dcda3218ab3df61761f348aa91bea30da6d282464b49f0265",
+    "G2 up to length 6": "cb17291b2b0ea9f80691dd752219d052137081f47f2e472b193e934f2561485f",
+    "affA1 up to length 6": "cee1ec11fa9004ab1a8e3f5156d4c172cf9ea7bbb3624737f8a5c0276a2029e4",
+    "affA2 up to length 4": "d0a74b1ec1f81127ccb74537622c7c9601279b1946bf676c0f6cfac524cd010f",
+}
+
+
+@pytest.mark.parametrize("group", sorted(DIRECT_GROUPS))
+def test_direct_columns_match_pinned_digest(group):
+    assert digest(DIRECT_GROUPS[group]()) == DIRECT_PINS[group]
+
+
 def inverse_lines(tag, max_len=None):
     """Every inverse column (or its error) of h, and of m and n with |I| <= 2."""
     system = CoxeterSystem.from_type(tag)
@@ -192,21 +242,9 @@ def inverse_lines(tag, max_len=None):
     queries = [("h", ())] + [
         (fam, I) for fam in ("m", "n") for I in subsets(system.names, 2)
     ]
-    lines = []
-    for fam, I in queries:
-        for x in xs:
-            head = f"{family_id(fam + '_inv', I)} {format_word(x.word) or 'e'}"
-            try:
-                col = hecke.inverse_column(fam, I, x)
-            except (ValidationError, InternalInvariantError) as exc:
-                lines.append(f"{head} error {type(exc).__name__}: {exc}")
-                continue
-            entries = {
-                format_word(y.word) or "e": col[y].to_json_obj()
-                for y in sorted(col, key=CoxeterElement.sort_key)
-            }
-            lines.append(f"{head} {json.dumps(entries, sort_keys=True)}")
-    return lines
+    return [
+        column_line(hecke, fam + "_inv", I, x) for fam, I in queries for x in xs
+    ]
 
 
 INVERSE_GROUPS = {
