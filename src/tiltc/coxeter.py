@@ -13,6 +13,16 @@ only the columns c with C[i][c] != 0.  The normal form of a new element y is
 (s,) + word(s*y) for its smallest left descent s, so it is found by peeling
 left descents with the same row steps until a known element is reached.
 
+Each system keeps an element table, after the numbered elements of du
+Cloux's Coxeter3: every element is built once, gets the next dense id
+(``W._by_id[x.id] is x``), and carries as plain attributes its length, its
+left and right descent sets as bitmasks over generator positions, and a slot
+per generator and side for its neighbour x*s or s*x, filled on the first
+step (and the neighbour's slot back to x with it).  Equality of elements of
+one system is identity, and a repeated step is one list read.  Ids follow
+the order in which elements were built, so they key internal tables only:
+order, hashing and output go by the word.
+
 Generator names are 1-based for finite types (A3 has S = {1,2,3}); affine
 types prepend the affine node as generator 0.
 
@@ -80,6 +90,16 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
     )
+
+
+def _desc_mask(m: Matrix) -> int:
+    """Bit j set when column j of m, the image of alpha_j, is a negative root."""
+    mask, bit = 0, 1
+    for col in zip(*m):
+        if max(col) <= 0:
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 def finite_cartan(family: str, rank: int) -> Matrix:
@@ -185,20 +205,39 @@ def _coxeter_order(prod: int) -> int:
 
 
 class CoxeterElement:
-    """Group element: canonical reduced word plus action matrices."""
+    """Group element: canonical reduced word, action matrices and table slots.
 
-    __slots__ = ("system", "word", "matrix", "inv_matrix", "_hash")
+    Built only by its system, which assigns ``id``.  ``ldesc`` / ``rdesc``
+    have bit i set when the generator at position i is a left / right
+    descent; ``_succ[i]`` and ``_succ[rank + i]`` hold x*s_i and s_i*x once
+    a step has built them.
+    """
 
-    def __init__(self, system: "CoxeterSystem", word: tuple[int, ...], matrix: Matrix, inv_matrix: Matrix):
+    __slots__ = (
+        "system", "word", "matrix", "inv_matrix", "_hash",
+        "length", "id", "ldesc", "rdesc", "_succ",
+    )
+
+    def __init__(
+        self,
+        system: "CoxeterSystem",
+        id: int,
+        word: tuple[int, ...],
+        matrix: Matrix,
+        inv_matrix: Matrix,
+        ldesc: int,
+        rdesc: int,
+    ):
         self.system = system
         self.word = word
         self.matrix = matrix
         self.inv_matrix = inv_matrix
         self._hash = hash((system.tag, word))
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
+        self.length = len(word)
+        self.id = id
+        self.ldesc = ldesc
+        self.rdesc = rdesc
+        self._succ: list[CoxeterElement | None] = [None] * (2 * system.rank)
 
     def is_identity(self) -> bool:
         return not self.word
@@ -228,38 +267,31 @@ class CoxeterElement:
         return tuple(row[j] for row in self.matrix)
 
     def right_descents(self) -> frozenset[int]:
-        sys = self.system
-        out = []
-        for s in sys.names:
-            j = sys._idx[s]
-            if all(row[j] <= 0 for row in self.matrix):
-                out.append(s)
-        return frozenset(out)
+        return self.system._names_of(self.rdesc)
 
     def left_descents(self) -> frozenset[int]:
-        sys = self.system
-        out = []
-        for s in sys.names:
-            j = sys._idx[s]
-            if all(row[j] <= 0 for row in self.inv_matrix):
-                out.append(s)
-        return frozenset(out)
+        return self.system._names_of(self.ldesc)
 
     def has_right_descent(self, s: int) -> bool:
-        j = self.system._idx[s]
-        return all(row[j] <= 0 for row in self.matrix)
+        return bool(self.rdesc >> self.system._idx[s] & 1)
 
     def has_left_descent(self, s: int) -> bool:
-        j = self.system._idx[s]
-        return all(row[j] <= 0 for row in self.inv_matrix)
+        return bool(self.ldesc >> self.system._idx[s] & 1)
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.word), self.word)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, CoxeterElement):
             return NotImplemented
-        return self.system.tag == other.system.tag and self.word == other.word
+        # each system builds an element once: within one, equal means identical
+        return (
+            other.system is not self.system
+            and self.system.tag == other.system.tag
+            and self.word == other.word
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -310,12 +342,12 @@ class CoxeterSystem:
                     prod = self.cartan[self._idx[s]][self._idx[t]] * self.cartan[self._idx[t]][self._idx[s]]
                     self.coxeter_matrix[(s, t)] = _coxeter_order(prod)
 
+        # the element table: by matrix, and by id
         self._elements: dict[Matrix, CoxeterElement] = {}
-        self._gen_step: dict[tuple[tuple[int, ...], int, str], CoxeterElement] = {}
+        self._by_id: list[CoxeterElement] = []
         self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         ident = _ident(n)
-        self.identity = CoxeterElement(self, (), ident, ident)
-        self._elements[ident] = self.identity
+        self.identity = self._register((), ident, ident, 0)
         self.generators: dict[int, CoxeterElement] = {
             s: self._times_gen(self.identity, s, "right") for s in self.names
         }
@@ -342,6 +374,21 @@ class CoxeterSystem:
 
     # -- element plumbing ----------------------------------------------------
 
+    def _register(
+        self, word: tuple[int, ...], mat: Matrix, inv: Matrix, ldesc: int
+    ) -> CoxeterElement:
+        el = CoxeterElement(self, len(self._by_id), word, mat, inv, ldesc, _desc_mask(mat))
+        self._by_id.append(el)
+        self._elements[mat] = el
+        return el
+
+    def mask(self, subset: Iterable[int]) -> int:
+        """Bitmask of generator positions of a subset of the names."""
+        return sum(1 << self._idx[s] for s in set(subset))
+
+    def _names_of(self, mask: int) -> frozenset[int]:
+        return frozenset(s for i, s in enumerate(self.names) if mask >> i & 1)
+
     def _from_matrices(self, mat: Matrix, inv: Matrix) -> CoxeterElement:
         el = self._elements.get(mat)
         return el if el is not None else self._peel(mat, inv)
@@ -351,14 +398,15 @@ class CoxeterSystem:
 
         Peels the smallest left descent s (the ShortLex first letter) until a
         known element is reached, then registers the peeled elements back up,
-        each with word (s,) + word(s*y).
+        each with word (s,) + word(s*y), linking the left s-slots of y and
+        s*y to each other.
         """
-        peeled: list[tuple[int, Matrix, Matrix]] = []
+        peeled: list[tuple[int, Matrix, Matrix, int]] = []
         for _ in range(_ASCEND_GUARD):
-            # names are sorted; first hit is ShortLex choice
-            s = next(t for t in self.names if all(row[self._idx[t]] <= 0 for row in inv))
-            peeled.append((s, mat, inv))
-            i = self._idx[s]
+            # names are sorted, so the lowest descent bit is the ShortLex choice
+            ldesc = _desc_mask(inv)
+            i = (ldesc & -ldesc).bit_length() - 1
+            peeled.append((i, mat, inv, ldesc))
             mat = _row_step(mat, i, self.cartan[i])
             el = self._elements.get(mat)
             if el is not None:
@@ -366,38 +414,47 @@ class CoxeterSystem:
             inv = _col_step(inv, i, self._support[i])
         else:
             raise RuntimeError("normal form did not terminate")
-        for s, mat, inv in reversed(peeled):
-            el = CoxeterElement(self, (s,) + el.word, mat, inv)
-            self._elements[mat] = el
+        for i, mat, inv, ldesc in reversed(peeled):
+            below = el
+            el = self._register((self.names[i],) + below.word, mat, inv, ldesc)
+            el._succ[self.rank + i] = below
+            below._succ[self.rank + i] = el
         return el
 
     def _times_gen(self, x: CoxeterElement, s: int, side: str) -> CoxeterElement:
-        key = (x.word, s, side)
-        el = self._gen_step.get(key)
+        i = self._idx[s]
+        if side == "right":
+            slot = i
+        elif side == "left":
+            slot = self.rank + i
+        else:
+            raise ValueError("side must be 'left' or 'right'")
+        el = x._succ[slot]
         if el is None:
-            i = self._idx[s]
             if side == "right":
                 mat = _col_step(x.matrix, i, self._support[i])
                 el = self._elements.get(mat)
                 if el is None:
                     el = self._peel(mat, _row_step(x.inv_matrix, i, self.cartan[i]))
-            elif side == "left":
+            else:
                 mat = _row_step(x.matrix, i, self.cartan[i])
                 el = self._elements.get(mat)
                 if el is None:
                     el = self._peel(mat, _col_step(x.inv_matrix, i, self._support[i]))
-            else:
-                raise ValueError("side must be 'left' or 'right'")
-            self._gen_step[key] = el
+            # (x s) s = x: one step fills both slots
+            x._succ[slot] = el
+            el._succ[slot] = x
         return el
 
     def element(self, word: Iterable[int]) -> CoxeterElement:
         """Element of the group from any word in the generators."""
         el = self.identity
+        idx = self._idx
         for s in word:
-            if s not in self._idx:
+            i = idx.get(s)
+            if i is None:
                 raise ValueError(f"unknown generator {s!r} for system {self.tag}")
-            el = self._times_gen(el, s, "right")
+            el = el._succ[i] or self._times_gen(el, s, "right")
         return el
 
     def check_names(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -462,11 +519,11 @@ class CoxeterSystem:
         return x
 
     def is_minimal(self, x: CoxeterElement, I: Iterable[int], side: str) -> bool:
-        I = self.check_names(I)
+        mask = self.mask(self.check_names(I))
         if side == "left":
-            return not any(x.has_left_descent(s) for s in I)
+            return not x.ldesc & mask
         if side == "right":
-            return not any(x.has_right_descent(s) for s in I)
+            return not x.rdesc & mask
         raise ValueError("side must be 'left' or 'right'")
 
     def quotient_reps(

@@ -32,10 +32,14 @@ checked once against the inversion identity whenever a column is computed
 or read from a store.
 
 Arithmetic is fused: a column (and the inversion residue, and the bar
-expansions) is summed as raw {element: {exponent: coefficient}} dicts by
+expansions) is summed as raw {element id: {exponent: coefficient}} dicts by
 the multiply-accumulate laurent._mac, and each entry becomes a LaurentPoly
-once, when the column is finished.  Finished polynomials are interned per
-HeckeContext, so equal entries of its columns are one shared object.
+once, when the column is finished and its ids are mapped back to elements.
+Finished polynomials are interned per HeckeContext, so equal entries of its
+columns are one shared object.  Generator steps inside the loops read the
+element table's step slots (see coxeter); every public column is keyed by
+elements of the context's own system, and an element of another system
+with the same tag is first re-read there by its word.
 
 Family keys: ("h", ()) ordinary, ("m", I) / ("n", I) parabolic, and the
 corresponding inverse families ("h_inv", ()), ("m_inv", I), ("n_inv", I).
@@ -64,8 +68,8 @@ __all__ = [
 ]
 
 Coords = dict[CoxeterElement, LaurentPoly]
-# a column being summed: {element: raw {exponent: coefficient}}, zeros allowed
-Raw = defaultdict[CoxeterElement, dict[int, int]]
+# a column being summed: {element id: raw {exponent: coefficient}}, zeros allowed
+Raw = defaultdict[int, dict[int, int]]
 
 V_INV = LaurentPoly.v(-1)
 V_MINUS_VINV = V - V_INV  # v - v^-1
@@ -114,17 +118,22 @@ def _neg(terms: Terms) -> Terms:
 class PolyStore:
     """Persistent column store for the polynomial families of one system.
 
-    File format: one JSON header line {"format", "system", "generators",
-    "records", "checksum"}, then one JSON line per stored column.  The
-    checksum is the sha256 of the record lines and is verified on load.
+    File format: one JSON header line {"format", "normalization", "system",
+    "generators", "records", "checksum"}, then one JSON line per stored
+    column.  The checksum is the sha256 of the record lines and is verified
+    on load.  ``format`` versions the file layout and ``normalization`` the
+    meaning of the stored polynomials (the Hecke relation and the
+    self-dual basis in the module docstring); a file with another version of
+    either is refused.
 
     Records are parsed lazily.  ``load`` checks the header and the checksum
     and runs json.loads on every record line, reading its family and upper
     word, but keeps the line itself; ``get_column`` parses a record's
-    entries the first time a query asks for it.  ``save`` writes a record
-    nobody parsed back as its line, which is already canonical (sorted keys,
-    compact separators), so the bytes written do not depend on what was
-    parsed.
+    entries the first time a query asks for it, parsing each distinct word
+    text once per store (columns share most of their lower words).
+    ``save`` writes a record nobody parsed back as its line, which is
+    already canonical (sorted keys, compact separators), so the bytes
+    written do not depend on what was parsed.
 
     A save holds an exclusive flock on the sidecar file ``<name>.lock``.
     Under it the file on disk is loaded again and its records are merged
@@ -133,6 +142,7 @@ class PolyStore:
     """
 
     FORMAT = 1
+    NORMALIZATION = 1
 
     def __init__(self, system_tag: str, generators: int):
         self.system_tag = system_tag
@@ -143,13 +153,21 @@ class PolyStore:
             str, dict[tuple[int, ...], str | dict[tuple[int, ...], LaurentPoly]]
         ] = {}
         self.dirty = False
+        self._words: dict[str, tuple[int, ...]] = {}
+
+    def _word(self, text: str) -> tuple[int, ...]:
+        """parse_word, once per distinct text."""
+        word = self._words.get(text)
+        if word is None:
+            word = self._words[text] = parse_word(text)
+        return word
 
     def get_column(self, fam_id: str, upper: tuple[int, ...]):
         col = self.columns.get(fam_id, {}).get(upper)
         if isinstance(col, str):
             try:
                 col = {
-                    parse_word(k): LaurentPoly.from_json_obj(v)
+                    self._word(k): LaurentPoly.from_json_obj(v)
                     for k, v in json.loads(col)["entries"].items()
                 }
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -203,6 +221,7 @@ class PolyStore:
             header = json.dumps(
                 {
                     "format": self.FORMAT,
+                    "normalization": self.NORMALIZATION,
                     "system": self.system_tag,
                     "generators": self.generators,
                     "records": len(records),
@@ -238,6 +257,11 @@ class PolyStore:
             raise CacheError(f"cache header unreadable: {exc}") from exc
         if header.get("format") != cls.FORMAT:
             raise CacheError(f"cache format version mismatch: {header.get('format')!r}")
+        if header.get("normalization") != cls.NORMALIZATION:
+            raise CacheError(
+                "cache polynomial normalization version mismatch: "
+                f"{header.get('normalization')!r}, expected {cls.NORMALIZATION}"
+            )
         if header.get("system") != system_tag or header.get("generators") != generators:
             raise CacheError(
                 f"cache is for system {header.get('system')!r}, not {system_tag!r}"
@@ -249,7 +273,7 @@ class PolyStore:
             try:
                 rec = json.loads(line)
                 fam_id = rec["family"]
-                upper = parse_word(rec["upper"])
+                upper = store._word(rec["upper"])
                 if not isinstance(fam_id, str) or not isinstance(rec["entries"], dict):
                     raise ValueError(f"malformed record {line[:60]!r}")
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -285,34 +309,52 @@ class HeckeContext:
     # -- raw accumulation ------------------------------------------------------
 
     def _intern(self, acc: dict[int, int]) -> LaurentPoly:
-        """The finished polynomial of a raw sum, shared within this context."""
-        terms = tuple(sorted(t for t in acc.items() if t[1]))
+        """The finished polynomial of a raw sum, shared within this context.
+
+        A sum that cancels to nothing finishes as the ZERO object itself.
+        """
+        if 0 in acc.values():
+            acc = {e: c for e, c in acc.items() if c}
+        terms = tuple(sorted(acc.items()))
         p = self._polys.get(terms)
         if p is None:
             p = self._polys[terms] = LaurentPoly._from_terms(terms)
         return p
 
     def _finish(self, acc: Raw) -> Coords:
-        """The column of a raw sum, zero entries dropped."""
-        return {u: p for u, d in acc.items() if (p := self._intern(d))}
+        """The column of a raw sum, keyed by element, zero entries dropped."""
+        by_id = self.system._by_id
+        return {by_id[u]: p for u, d in acc.items() if (p := self._intern(d)) is not ZERO}
+
+    def _own(self, x: CoxeterElement) -> CoxeterElement:
+        """x as an element of this context's system, re-read by its word."""
+        if x.system is self.system:
+            return x
+        if x.system.tag != self.system.tag:
+            raise ValidationError(
+                f"element {x!r} is not of system {self.system.tag}"
+            )
+        return self.system.element(x.word)
 
     # -- multiplication by a generator -----------------------------------------
 
     def _in_quotient(self, x: CoxeterElement, I: tuple[int, ...]) -> bool:
-        return not any(x.has_left_descent(t) for t in I)
+        return not x.ldesc & self.system.mask(I)
 
     def _rmul_gen_par(
         self, acc: Raw, coords: Coords, s: int, I: tuple[int, ...], step: Step
     ) -> None:
         """Add coords * (H_s + a), step = _step(a, scalar), into acc; I = () is the algebra."""
         up, down, stay = step
+        W = self.system
+        i, mask = W._idx[s], W.mask(I)
         for x, p in coords.items():
-            xs = x.times_gen(s, "right")
-            if self._in_quotient(xs, I):
-                _mac(acc[xs], p, _ONE_TERMS)
-                _mac(acc[x], p, up if xs.length > x.length else down)
+            xs = x._succ[i] or x.times_gen(s, "right")
+            if xs.ldesc & mask:
+                _mac(acc[x.id], p, stay)
             else:
-                _mac(acc[x], p, stay)
+                _mac(acc[xs.id], p, _ONE_TERMS)
+                _mac(acc[x.id], p, up if xs.length > x.length else down)
 
     # -- self-dual basis columns -----------------------------------------------
 
@@ -345,12 +387,13 @@ class HeckeContext:
 
     def kl_column(self, y: CoxeterElement) -> Coords:
         """Coordinates {x: h_{x,y}} of the self-dual basis element C_y."""
-        return self._direct_column("h", (), y)
+        return self._direct_column("h", (), self._own(y))
 
     def parabolic_column(
         self, fam: str, I: tuple[int, ...], y: CoxeterElement
     ) -> Coords:
         """Self-dual basis column of the parabolic module ('m' or 'n')."""
+        y = self._own(y)
         I = self.system.check_names(I)
         if fam not in ("m", "n"):
             raise ValidationError(f"unknown parabolic family {fam!r}")
@@ -374,11 +417,12 @@ class HeckeContext:
             acc: Raw = defaultdict(dict)
             base = self.column(fam, I, y.times_gen(s, "right"))
             self._rmul_gen_par(acc, base, s, I, _KL_STEP[fam])
+            by_id = self.system._by_id
             for u, d in list(acc.items()):
-                if u != y and (c := d.get(0)):
+                if u != y.id and (c := d.get(0)):
                     minus_c = ((0, -c),)
-                    for z, q in self.column(fam, I, u).items():
-                        _mac(acc[z], q, minus_c)
+                    for z, q in self.column(fam, I, by_id[u]).items():
+                        _mac(acc[z.id], q, minus_c)
             col = self._finish(acc)
             self._check_unitriangular(col, y, family_id(fam, I))
         self._put_cached(fam, I, y, col)
@@ -386,7 +430,7 @@ class HeckeContext:
 
     def _check_unitriangular(self, col: Coords, y: CoxeterElement, fid: str) -> None:
         for x, p in col.items():
-            if x == y:
+            if x is y:
                 if p != ONE:
                     raise InternalInvariantError(
                         f"{fid}: diagonal entry at {y!r} is {p!r}, not 1"
@@ -441,11 +485,11 @@ class HeckeContext:
 
     def poly(self, fam: str, I: tuple[int, ...], lower: CoxeterElement, upper: CoxeterElement) -> LaurentPoly:
         """Single polynomial; absent column entries are zero."""
-        return self.column(fam, I, upper).get(lower, ZERO)
+        return self.column(fam, I, upper).get(self._own(lower), ZERO)
 
     def mu(self, x: CoxeterElement, y: CoxeterElement) -> int:
         """Coefficient of v in h_{x,y}."""
-        return self.kl_column(y).get(x, ZERO).coeff(1)
+        return self.kl_column(y).get(self._own(x), ZERO).coeff(1)
 
     # -- inverse families --------------------------------------------------------
 
@@ -454,12 +498,12 @@ class HeckeContext:
     ) -> Coords:
         """Nonzero entries of sum_z inv[z] (signed direct column of z) - e_x."""
         out: Raw = defaultdict(dict)
-        out[x][0] = -1
+        out[x.id][0] = -1
         for z, c in inv.items():
             plus, minus = c.terms, _neg(c.terms)
             lz = z.length
             for u, p in self.column(fam, I, z).items():
-                _mac(out[u], p, minus if (u.length + lz) % 2 else plus)
+                _mac(out[u.id], p, minus if (u.length + lz) % 2 else plus)
         return self._finish(out)
 
     def inverse_column(
@@ -476,6 +520,7 @@ class HeckeContext:
         """
         if fam not in DIRECT_FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
+        x = self._own(x)
         I = self.system.check_names(I)
         cached = self._get_cached(fam + "_inv", I, x)
         if cached is not None:
@@ -486,20 +531,23 @@ class HeckeContext:
             )
         # the values still to be pushed, one raw sum per element and length
         pending: list[Raw] = [defaultdict(dict) for _ in range(x.length + 1)]
-        pending[x.length][x][0] = 1
+        pending[x.length][x.id][0] = 1
         inv: Coords = {}
+        by_id = self.system._by_id
         for length in range(x.length, -1, -1):
             layer = pending[length]
-            for z in sorted(layer, key=CoxeterElement.sort_key, reverse=True):
-                c = self._intern(layer[z])
-                if not c:
+            for z in sorted(
+                map(by_id.__getitem__, layer), key=CoxeterElement.sort_key, reverse=True
+            ):
+                c = self._intern(layer[z.id])
+                if c is ZERO:
                     continue
                 inv[z] = c
                 plus, minus = c.terms, _neg(c.terms)
                 for u, p in self.column(fam, I, z).items():
                     lu = u.length
                     if lu < length:  # every entry but the diagonal one
-                        _mac(pending[lu][u], p, plus if (lu + length) % 2 else minus)
+                        _mac(pending[lu][u.id], p, plus if (lu + length) % 2 else minus)
         residue = self._inversion_residue(fam, I, x, inv)
         if residue:
             u = min(residue, key=CoxeterElement.sort_key)
@@ -513,7 +561,8 @@ class HeckeContext:
 
     def bar_par_basis(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
         """Coordinates of bar(basis vector at x) in the module of (fam, I)."""
-        key = (fam, I, x.word)
+        x = self._own(x)
+        key = (fam, I, x.id)
         cached = self._bar_par.get(key)
         if cached is not None:
             return cached
@@ -534,7 +583,7 @@ class HeckeContext:
         for x, p in coords.items():
             p_bar = [(-e, c) for e, c in p.terms]
             for z, q in self.bar_par_basis(fam, I, x).items():
-                _mac(acc[z], q, p_bar)
+                _mac(acc[z.id], q, p_bar)
         return self._finish(acc)
 
     def is_selfdual(self, fam: str, I: tuple[int, ...], coords: Coords) -> bool:

@@ -277,6 +277,18 @@ class TestCache:
         rc, _, err = run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
         assert rc == 2 and err.startswith("error: cache:")
 
+    def test_other_normalization_version_rejected(self, capsys, tmp_path):
+        cache = str(tmp_path)
+        run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
+        f = tmp_path / "A1.jsonl"
+        head, _, body = f.read_text().partition("\n")
+        obj = json.loads(head)
+        obj["normalization"] += 1
+        f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body)
+        rc, _, err = run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
+        assert rc == 2 and err.startswith("error: cache:")
+        assert "normalization version mismatch" in err
+
     @staticmethod
     def tamper(f, family, upper, lower, poly):
         """Set one entry of a stored column and recompute the checksum."""

@@ -238,6 +238,62 @@ class TestRankOneSteps:
                 assert W.element(ab.word) is ab
 
 
+def _table_elements(tag):
+    """Every element of a finite type, the length <= 6 ball of an affine one."""
+    W = CoxeterSystem.from_type(tag)
+    if W.is_finite:
+        return W, W.enumerate_below(W.longest_element())
+    return W, _ball(W, 6)
+
+
+class TestElementTable:
+    """Ids, slot-held lengths and descent masks, and the step slots."""
+
+    TAGS = ["A3", "B3", "G2", "affA2"]
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_steps_are_the_registered_elements(self, tag):
+        W, els = _table_elements(tag)
+        for x in els:
+            for s in W.names:
+                right, left = x.times_gen(s, "right"), x.times_gen(s, "left")
+                assert right is W.element(x.word + (s,))
+                assert left is W.element((s,) + x.word)
+                assert right.times_gen(s, "right") is x
+                assert left.times_gen(s, "left") is x
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_lengths_and_masks(self, tag):
+        W, els = _table_elements(tag)
+        for x in els:
+            assert x.length == len(x.word)
+            for j, s in enumerate(W.names):
+                right = all(row[j] <= 0 for row in x.matrix)
+                left = all(row[j] <= 0 for row in x.inv_matrix)
+                assert bool(x.rdesc >> j & 1) == right == x.has_right_descent(s)
+                assert bool(x.ldesc >> j & 1) == left == x.has_left_descent(s)
+                assert (s in x.right_descents()) == right
+                assert (s in x.left_descents()) == left
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_ids_are_dense(self, tag):
+        W, els = _table_elements(tag)
+        assert sorted(x.id for x in W._by_id) == list(range(len(W._by_id)))
+        assert len(W._by_id) == len(W._elements)
+        for x in els:
+            assert W._by_id[x.id] is x
+
+    def test_ids_follow_build_order_and_nothing_else(self):
+        W1, W2 = CoxeterSystem.from_type("A3"), CoxeterSystem.from_type("A3")
+        ws = [x.word for x in A3.enumerate_below(A3.longest_element())]
+        xs1 = [W1.element(w) for w in ws]
+        xs2 = [W2.element(w) for w in reversed(ws)][::-1]
+        assert [x.id for x in xs1] != [x.id for x in xs2]
+        assert xs1 == xs2
+        assert [hash(x) for x in xs1] == [hash(x) for x in xs2]
+        assert [x.word for x in sorted(xs1)] == [x.word for x in sorted(xs2)]
+
+
 class TestBruhat:
     def test_example_A3(self):
         assert A3.bruhat_leq(A3.element([2]), A3.element([2, 1, 3, 2]))

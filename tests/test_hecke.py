@@ -9,7 +9,8 @@ from collections import defaultdict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tiltc.coxeter import CoxeterSystem
+from tiltc import hecke
+from tiltc.coxeter import CoxeterSystem, parse_word
 from tiltc.errors import CacheError, ValidationError
 from tiltc.hecke import HeckeContext, PolyStore, family_id
 from tiltc.laurent import ONE, ZERO, LaurentPoly, _mac
@@ -238,7 +239,10 @@ polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3)).map(LaurentPoly)
 
 
 class TestRawAccumulator:
-    """The raw multiply-accumulate and the finish step behind every column."""
+    """The raw multiply-accumulate and the finish step behind every column.
+
+    Raw sums are keyed by element id; _finish keys the column by element.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -254,12 +258,12 @@ class TestRawAccumulator:
         acc = defaultdict(dict)
         expected = {}
         for k, p, q, sign in products:
-            _mac(acc[keys[k]], p, [(e, sign * a) for e, a in q.terms])
+            _mac(acc[keys[k].id], p, [(e, sign * a) for e, a in q.terms])
             expected[keys[k]] = expected.get(keys[k], ZERO) + p * q * sign
         # products that cancel exactly: their entry finishes as 0 and is dropped
         for p, q in cancelled:
-            _mac(acc[keys[5]], p, q.terms)
-            _mac(acc[keys[5]], q, (-p).terms)
+            _mac(acc[keys[5].id], p, q.terms)
+            _mac(acc[keys[5].id], q, (-p).terms)
         col = c._finish(acc)
         assert col == {u: p for u, p in expected.items() if p}
         assert keys[5] not in col
@@ -277,10 +281,10 @@ class TestRawAccumulator:
         assert len(by_length) < len(col)
         assert all(p is by_length[x.length] for x, p in col.items())
         acc = defaultdict(dict)
-        _mac(acc[y], LaurentPoly.v(1), ((1, 2),))
+        _mac(acc[y.id], LaurentPoly.v(1), ((1, 2),))
         twice = c._finish(acc)[y]
         acc = defaultdict(dict)
-        _mac(acc[y], LaurentPoly({1: 2}), ((1, 1),))
+        _mac(acc[y.id], LaurentPoly({1: 2}), ((1, 1),))
         assert c._finish(acc)[y] is twice
         assert ctx(A3)._finish(acc)[y] is not twice  # nothing shared across contexts
 
@@ -297,6 +301,36 @@ class TestUniformAccess:
     def test_poly_absent_is_zero(self):
         c = ctx(A2)
         assert c.poly("h", (), A2.element([1]), A2.element([2])) == ZERO
+
+    def test_element_of_another_system_with_the_same_type(self):
+        W1, W2 = CoxeterSystem.from_type("A3"), CoxeterSystem.from_type("A3")
+        c = HeckeContext(W1)
+        col = c.kl_column(W2.longest_element())
+        assert len(col) == 24
+        assert col == c.kl_column(W1.longest_element())
+        assert all(x.system is W1 for x in col)
+        y2, x2 = W2.element([2, 1, 3, 2]), W2.element([2])
+        y1, x1 = W1.element([2, 1, 3, 2]), W1.element([2])
+        assert c.parabolic_column("n", (1,), y2) == c.parabolic_column("n", (1,), y1)
+        assert c.inverse_column("h", (), y2) == c.inverse_column("h", (), y1)
+        assert c.column("m_inv", (1,), y2) == c.column("m_inv", (1,), y1)
+        assert c.poly("h", (), x2, y2) == LaurentPoly({1: 1, 3: 1})
+        assert c.mu(x2, y2) == 1
+        assert c.bar_par_basis("h", (), y2) == c.bar_par_basis("h", (), y1)
+
+    def test_element_of_another_type_rejected(self):
+        c = ctx(A3)
+        y = B3.element([1, 2])
+        for call in (
+            lambda: c.kl_column(y),
+            lambda: c.parabolic_column("n", (1,), y),
+            lambda: c.inverse_column("h", (), y),
+            lambda: c.column("h", (), y),
+            lambda: c.poly("h", (), y, A3.element([1, 2])),
+            lambda: c.mu(y, A3.element([1, 2])),
+        ):
+            with pytest.raises(ValidationError, match="not of system A3"):
+                call()
 
     def test_family_id(self):
         assert family_id("h", ()) == "h"
@@ -352,6 +386,24 @@ class TestPolyStore:
         head, _, rest = path.read_text().partition("\n")
         path.write_text(head.replace('"format":1', '"format":99') + "\n" + rest)
         with pytest.raises(CacheError, match="version|format"):
+            PolyStore.load(path, "A3", 3)
+
+    @pytest.mark.parametrize(
+        "edit, shown",
+        [
+            (lambda h: h.replace('"normalization":1', '"normalization":2'), "2"),
+            (lambda h: h.replace('"normalization":1,', ""), "None"),
+        ],
+        ids=["other", "missing"],
+    )
+    def test_normalization_version_mismatch(self, tmp_path, edit, shown):
+        _, path = self.make_store(tmp_path)
+        head, _, rest = path.read_text().partition("\n")
+        assert json.loads(head)["normalization"] == PolyStore.NORMALIZATION == 1
+        path.write_text(edit(head) + "\n" + rest)
+        with pytest.raises(
+            CacheError, match=f"normalization version mismatch: {shown}, expected 1"
+        ):
             PolyStore.load(path, "A3", 3)
 
     def test_garbled_header(self, tmp_path):
@@ -467,6 +519,25 @@ class TestPolyStore:
         rec = json.loads(path.read_text().split("\n")[1])
         with pytest.raises(CacheError, match="cache key parse failure"):
             store.get_column(rec["family"], tuple(int(t) for t in rec["upper"].split()))
+
+    def test_each_word_text_is_parsed_once(self, tmp_path, monkeypatch):
+        _, path = self.make_store(tmp_path)
+        parsed = []
+
+        def counting_parse_word(text):
+            parsed.append(text)
+            return parse_word(text)
+
+        monkeypatch.setattr(hecke, "parse_word", counting_parse_word)
+        store = PolyStore.load(path, "A3", 3)
+        texts = set()
+        for line in path.read_text().split("\n")[1:]:
+            if line:
+                rec = json.loads(line)
+                texts |= {rec["upper"], *rec["entries"]}
+                col = store.get_column(rec["family"], parse_word(rec["upper"]))
+                assert col == {parse_word(k): LaurentPoly.from_json_obj(v) for k, v in rec["entries"].items()}
+        assert sorted(parsed) == sorted(texts)
 
     @pytest.mark.parametrize(
         "line",
