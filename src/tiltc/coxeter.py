@@ -306,7 +306,7 @@ class CoxeterElement:
 class CoxeterSystem:
     """A Coxeter system with named generators and exact matrix realization.
 
-    Construct with from_type ("A3", "B2", "affA1", ...) or from_cartan for a
+    Construct with from_type ("A3", "B2", "affA1", ...), or directly from a
     custom generalized Cartan matrix (used by the root-of-unity linkage data).
     """
 
@@ -367,10 +367,6 @@ class CoxeterSystem:
         pairs = roots_and_coroots(fin)
         highest = max(pairs, key=lambda p: sum(p[0]))
         return cls(tag, range(0, rank + 1), affinize_cartan(fin, highest), finite=False)
-
-    @classmethod
-    def from_cartan(cls, tag: str, cartan: Matrix, names: Sequence[int], finite: bool) -> "CoxeterSystem":
-        return cls(tag, names, cartan, finite)
 
     # -- element plumbing ----------------------------------------------------
 
@@ -604,6 +600,16 @@ class CoxeterSystem:
             units.add(tuple(-c for c in e_u))
         return all(w.root_image(t) not in units for t in I)
 
+    def is_regular_double_coset_rep(
+        self, w: CoxeterElement, J: Iterable[int], I: Iterable[int]
+    ) -> bool:
+        """w is minimal in W_J w W_I on both sides and regular for (J, I)."""
+        return (
+            self.is_minimal(w, J, "left")
+            and self.is_minimal(w, I, "right")
+            and self.is_regular_coset_rep(w, J, I)
+        )
+
     def regular_double_coset_reps(
         self, J: Iterable[int], I: Iterable[int], max_len: int | None = None
     ) -> tuple[list[CoxeterElement], bool]:
@@ -615,12 +621,7 @@ class CoxeterSystem:
         J = self.check_names(J)
         I = self.check_names(I)
         reps, truncated = self.quotient_reps(J, side="left", max_len=max_len)
-        out = [
-            w
-            for w in reps
-            if self.is_minimal(w, I, "right") and self.is_regular_coset_rep(w, J, I)
-        ]
-        return out, truncated
+        return [w for w in reps if self.is_regular_double_coset_rep(w, J, I)], truncated
 
 
 def affinize_cartan(

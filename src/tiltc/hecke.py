@@ -15,7 +15,7 @@ flavors, distinguished by the scalar a generator acts by on a basis vector
 that leaves the minimal-coset index set: 'spherical' (v^-1, so C_s acts by
 v + v^-1) and 'antispherical' (-v, so C_s kills the vector).  Their self-dual
 bases give the families m^I and n^I; with I = () either module is the Hecke
-algebra itself, and its self-dual basis gives h.
+algebra itself, and its self-dual basis gives h, so such columns are held as h.
 
 One routine builds every direct column: with s the smallest right descent
 of y, C_{ys} C_s = C_y + sum_u mu(u, ys) C_u over the u with us < u
@@ -28,8 +28,8 @@ every computed column is checked to be unitriangular over v*Z[v].
 
 The inverse families are defined by signed unitriangular inversion of the
 direct ones, solved by one downward push through the direct columns and
-checked once against the inversion identity whenever a column is computed
-or read from a store.
+checked once against the inversion identity; they are never stored, as a
+stored one would need that check, which costs about as much as the push.
 
 Arithmetic is fused: a column (and the inversion residue, and the bar
 expansions) is summed as raw {element id: {exponent: coefficient}} dicts by
@@ -116,7 +116,7 @@ def _neg(terms: Terms) -> Terms:
 
 
 class PolyStore:
-    """Persistent column store for the polynomial families of one system.
+    """Persistent column store for the direct families of one system.
 
     File format: one JSON header line {"format", "normalization", "system",
     "generators", "records", "checksum"}, then one JSON line per stored
@@ -139,6 +139,9 @@ class PolyStore:
     Under it the file on disk is loaded again and its records are merged
     with this store's, so concurrent writers lose no column; a record on
     disk that differs from this store's for the same column is a CacheError.
+
+    HeckeContext uses h, m and n records only; the m[], n[] and inverse
+    records of files written by older versions are kept verbatim, unread.
     """
 
     FORMAT = 1
@@ -285,12 +288,12 @@ class PolyStore:
 class HeckeContext:
     """All polynomial families attached to one Coxeter system, memoized.
 
-    An optional PolyStore provides persistence; computed columns are written
-    back to it (serialize with store.save).  A direct-family column read from
-    the store passes the unitriangularity check of a computed one, and for h
-    also parity and positivity, and an inverse-family column passes the
-    inversion identity, or raises CacheError.  All public results are columns:
-    maps {lower element -> polynomial} attached to an upper element.
+    An optional PolyStore persists the direct columns (serialize with
+    store.save); one read from it passes the unitriangularity check of a
+    computed one, and for h also parity and positivity, or raises
+    CacheError.  Inverse columns are always computed.  All public results
+    are columns: maps {lower element -> polynomial} attached to an upper
+    element.
     """
 
     def __init__(self, system: CoxeterSystem, store: PolyStore | None = None):
@@ -358,33 +361,6 @@ class HeckeContext:
 
     # -- self-dual basis columns -----------------------------------------------
 
-    def _get_cached(
-        self, fam: str, I: tuple[int, ...], upper: CoxeterElement
-    ) -> Coords | None:
-        key = (family_id(fam, I), upper.word)
-        col = self._columns.get(key)
-        if col is not None:
-            return col
-        if self.store is not None:
-            raw = self.store.get_column(*key)
-            if raw is not None:
-                col = {self.system.element(w): p for w, p in raw.items()}
-                if fam in DIRECT_FAMILIES:
-                    self._check_stored(col, upper, fam, I)
-                else:
-                    self._check_stored_inverse(col, upper, fam, I)
-                self._columns[key] = col
-                return col
-        return None
-
-    def _put_cached(
-        self, fam: str, I: tuple[int, ...], upper: CoxeterElement, col: Coords
-    ) -> None:
-        fid = family_id(fam, I)
-        self._columns[(fid, upper.word)] = col
-        if self.store is not None:
-            self.store.put_column(fid, upper.word, {x.word: p for x, p in col.items()})
-
     def kl_column(self, y: CoxeterElement) -> Coords:
         """Coordinates {x: h_{x,y}} of the self-dual basis element C_y."""
         return self._direct_column("h", (), self._own(y))
@@ -401,17 +377,26 @@ class HeckeContext:
             raise ValidationError(
                 f"{format_word(y.word) or 'e'} is not a minimal coset representative for I={list(I)}"
             )
-        return self._direct_column(fam, I, y)
+        # with I = () either module is the Hecke algebra: its column is h
+        return self._direct_column(fam if I else "h", I, y)
 
     def _direct_column(
         self, fam: str, I: tuple[int, ...], y: CoxeterElement
     ) -> Coords:
-        """The column of C_y in the module of (fam, I): C_{ys} C_s less mu C_u."""
-        cached = self._get_cached(fam, I, y)
-        if cached is not None:
-            return cached
-        if y.is_identity():
-            col: Coords = {self.system.identity: ONE}
+        """The column of C_y in the module of (fam, I): C_{ys} C_s less mu C_u.
+
+        Memoized, and read from and written to the store when there is one.
+        """
+        key = (family_id(fam, I), y.word)
+        col = self._columns.get(key)
+        if col is not None:
+            return col
+        raw = None if self.store is None else self.store.get_column(*key)
+        if raw is not None:
+            col = {self.system.element(w): p for w, p in raw.items()}
+            self._check_stored(col, y, fam, I)
+        elif y.is_identity():
+            col = {self.system.identity: ONE}
         else:
             s = min(y.right_descents())
             acc: Raw = defaultdict(dict)
@@ -424,8 +409,10 @@ class HeckeContext:
                     for z, q in self.column(fam, I, by_id[u]).items():
                         _mac(acc[z.id], q, minus_c)
             col = self._finish(acc)
-            self._check_unitriangular(col, y, family_id(fam, I))
-        self._put_cached(fam, I, y, col)
+            self._check_unitriangular(col, y, key[0])
+        if raw is None and self.store is not None:
+            self.store.put_column(*key, {x.word: p for x, p in col.items()})
+        self._columns[key] = col
         return col
 
     def _check_unitriangular(self, col: Coords, y: CoxeterElement, fid: str) -> None:
@@ -458,20 +445,6 @@ class HeckeContext:
                     f"stored column {y!r} has {p!r} at {x!r}, violating "
                     "parity or positivity"
                 )
-
-    def _check_stored_inverse(
-        self, inv: Coords, x: CoxeterElement, fam: str, I: tuple[int, ...]
-    ) -> None:
-        """The inversion identity of a computed inverse column."""
-        fid = family_id(fam, I)
-        try:
-            residue = self._inversion_residue(fam[: -len("_inv")], I, x, inv)
-        except ValidationError as exc:
-            raise CacheError(f"stored column {fid} of {x!r}: {exc}") from exc
-        if residue:
-            raise CacheError(
-                f"stored column {fid} of {x!r} fails the inversion identity"
-            )
 
     def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Coords:
         """Uniform access to any direct or inverse family column."""
@@ -522,10 +495,13 @@ class HeckeContext:
             raise ValidationError(f"unknown family {fam!r}")
         x = self._own(x)
         I = self.system.check_names(I)
-        cached = self._get_cached(fam + "_inv", I, x)
+        if not I:
+            fam = "h"  # either module with I = () is the Hecke algebra
+        key = (family_id(fam + "_inv", I), x.word)  # memoized, never stored
+        cached = self._columns.get(key)
         if cached is not None:
             return cached
-        if fam != "h" and not self._in_quotient(x, I):
+        if not self._in_quotient(x, I):
             raise ValidationError(
                 f"{format_word(x.word) or 'e'} is not in the index set of {family_id(fam, I)}"
             )
@@ -554,7 +530,7 @@ class HeckeContext:
             raise InternalInvariantError(
                 f"{family_id(fam + '_inv', I)}: inversion identity fails at {u!r} below {x!r}"
             )
-        self._put_cached(fam + "_inv", I, x, inv)
+        self._columns[key] = inv
         return inv
 
     # -- bar involution expansion (verification route) ----------------------------

@@ -18,7 +18,6 @@ self-dual bases.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Iterable, Iterator, Mapping
 
@@ -274,13 +273,6 @@ class LaurentPoly:
                 raise ValueError(f"bad coefficient {c!r} at exponent {k}")
             acc[e] = acc.get(e, 0) + c
         return LaurentPoly._from_dict(acc)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "LaurentPoly":
-        return LaurentPoly.from_json_obj(json.loads(text))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"

@@ -204,10 +204,10 @@ class LinkageDatum:
             self.wall_root = R.highest_short_root
             dual = R.D > 1
         aff_tag = "aff" + type_tag + ("d" if dual else "")
-        self.coxeter = CoxeterSystem.from_cartan(
+        self.coxeter = CoxeterSystem(
             aff_tag,
-            affinize_cartan(R.cartan, (self.wall_root.coords, self.wall_root.coroot)),
             range(0, R.rank + 1),
+            affinize_cartan(R.cartan, (self.wall_root.coords, self.wall_root.coroot)),
             finite=False,
         )
         self.finite_coxeter = CoxeterSystem.from_type(type_tag)

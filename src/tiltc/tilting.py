@@ -199,11 +199,7 @@ class _Setting:
     def _require_member(self, x: CoxeterElement, name: str) -> CoxeterElement:
         """Validate membership in the index set; returns the coset part u."""
         u = self._coset_part(x)
-        if not (
-            self.system.is_minimal(u, self.J, "left")
-            and self.system.is_minimal(u, self.I, "right")
-            and self.system.is_regular_coset_rep(u, self.J, self.I)
-        ):
+        if not self.system.is_regular_double_coset_rep(u, self.J, self.I):
             raise ValidationError(
                 f"{name} = {format_word(x.word) or 'e'} is not a dominant regular "
                 f"representative for I={list(self.I)}, J={list(self.J)}"
@@ -216,15 +212,11 @@ class _Setting:
 
     def _enumerate_u_below(self, u_top: CoxeterElement) -> list[CoxeterElement]:
         """Index-set coset parts u below u_top (all settings: finite sets)."""
-        out = []
-        for u in self.system.enumerate_below(u_top):
-            if (
-                self.system.is_minimal(u, self.J, "left")
-                and self.system.is_minimal(u, self.I, "right")
-                and self.system.is_regular_coset_rep(u, self.J, self.I)
-            ):
-                out.append(u)
-        return out
+        return [
+            u
+            for u in self.system.enumerate_below(u_top)
+            if self.system.is_regular_double_coset_rep(u, self.J, self.I)
+        ]
 
     def _targets(
         self, u_x: CoxeterElement, y_word: Sequence[int] | None, max_len: int | None

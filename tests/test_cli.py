@@ -3,10 +3,16 @@ codes, formats, cache behavior, and byte determinism."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from tiltc.cli import main
+from tiltc.coxeter import CoxeterSystem
+from tiltc.hecke import HeckeContext, PolyStore
+from tiltc.laurent import LaurentPoly
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
@@ -329,28 +335,80 @@ class TestCache:
         assert rc == 2 and out == ""
         assert err.startswith("error: cache: cache key parse failure")
 
+    @staticmethod
+    def records(f):
+        return f.read_text().rstrip("\n").split("\n")[1:]
+
     @pytest.mark.parametrize(
-        "lower,poly,message",
+        "lower,poly",
         [
-            # the entry keeps its shape, so only the inversion identity catches it
-            pytest.param("2 1", {"2": 2}, "fails the inversion identity", id="value"),
+            # the entry keeps its shape; the true value is v^2
+            pytest.param((2, 1), {2: 2}, id="value"),
             # an entry outside the index set of n[1]
-            pytest.param("1", {"1": 1}, "not a minimal coset representative", id="index"),
+            pytest.param((1,), {1: 1}, id="index"),
         ],
     )
-    def test_tampered_inverse_column_rejected(self, capsys, tmp_path, lower, poly, message):
-        cache = str(tmp_path)
+    def test_forged_inverse_record_is_not_read(self, capsys, tmp_path, lower, poly):
+        # stores written by older versions also hold inverse columns; inverse
+        # columns now always come from the push, so a forged one behind a
+        # valid checksum changes nothing and is saved back as it was read
         args = (
             "kl", "--type", "A3", "--parabolic", "1", "--flavor", "antispherical",
-            "--inverse", "--x", "2 1 3 2", "--cache-path", cache,
+            "--inverse", "--x", "2 1 3 2",
         )
-        rc, clean, _ = run(capsys, *args)
+        rc, clean, _ = run(capsys, *args, "--no-cache")
         assert rc == 0 and "2 1 3 2\t2 1\tv^2\n" in clean
-        self.tamper(tmp_path / "A3.jsonl", "n_inv[1]", "2 1 3 2", lower, poly)
-        rc, out, err = run(capsys, *args)
-        assert rc == 2 and out == ""
-        assert err.startswith("error: cache: stored column n_inv[1]")
-        assert message in err
+        A3 = CoxeterSystem.from_type("A3")
+        x = A3.element([2, 1, 3, 2])
+        col = {z.word: p for z, p in HeckeContext(A3).inverse_column("n", (1,), x).items()}
+        col[lower] = LaurentPoly(poly)
+        old = PolyStore("A3", 3)
+        old.put_column("n_inv[1]", x.word, col)
+        old.save(tmp_path / "A3.jsonl")
+        [forged] = self.records(tmp_path / "A3.jsonl")
+        rc, out, err = run(capsys, *args, "--cache-path", str(tmp_path))
+        assert (rc, out, err) == (0, clean, "")
+        # the query computed and saved its n[1] columns next to the record
+        saved = self.records(tmp_path / "A3.jsonl")
+        assert forged in saved and len(saved) > 1
+        assert {json.loads(line)["family"] for line in saved} == {"n[1]", "n_inv[1]"}
+
+    def test_store_holds_only_h_for_a_regular_block(self, capsys, tmp_path):
+        # the I = () modules of a regular block are the Hecke algebra, and
+        # inverse columns are not stored: every record is an h column
+        cache = str(tmp_path)
+        for args in (
+            ("tilt", "O", "--type", "A3", "--x", "2 1 3 2", "--simple"),
+            ("kl", "--type", "A3", "--x", "2 1 3 2", "--inverse"),
+        ):
+            rc, _, _ = run(capsys, *args, "--cache-path", cache)
+            assert rc == 0
+        saved = self.records(tmp_path / "A3.jsonl")
+        assert saved and all('"family":"h"' in line for line in saved)
+
+    def test_store_with_m_n_and_inverse_records_loads(self, capsys, tmp_path):
+        # a store written by a version that also stored m[], n[] and inverse
+        # columns: the outputs are those of a run without a store, the
+        # records no query reads now are saved back verbatim, and only h
+        # columns are added
+        old = (DATA / "A3-all-families.jsonl").read_text()
+        (tmp_path / "A3.jsonl").write_text(old)
+        for args in (
+            ("tilt", "O", "--type", "A3", "--x", "2 1 3 2", "--simple"),
+            ("kl", "--type", "A3", "--x", "2 1 3 2", "--inverse"),
+            (
+                "kl", "--type", "A3", "--parabolic", "1", "--flavor",
+                "antispherical", "--inverse", "--x", "2 1 3 2",
+            ),
+            ("kl", "--type", "A3", "--x", "1 2 3", "--inverse"),  # new columns
+        ):
+            rc, clean, _ = run(capsys, *args, "--no-cache")
+            assert rc == 0
+            assert run(capsys, *args, "--cache-path", str(tmp_path)) == (0, clean, "")
+        kept = set(old.rstrip("\n").split("\n")[1:])
+        added = set(self.records(tmp_path / "A3.jsonl")) - kept
+        assert kept <= set(self.records(tmp_path / "A3.jsonl"))
+        assert added and all('"family":"h"' in line for line in added)
 
     def test_wrong_system_rejected(self, capsys, tmp_path):
         cache = str(tmp_path)

@@ -114,6 +114,17 @@ class TestParabolicColumns:
             assert c.parabolic_column("m", (), y) == h
             assert c.parabolic_column("n", (), y) == h
 
+    @pytest.mark.parametrize("system", [A3, AFF1], ids=["A3", "affA1"])
+    def test_empty_I_columns_are_held_once(self, system):
+        # either module with I = () is the Hecke algebra: one context computes
+        # and memoizes its direct and inverse columns once, as h
+        c = ctx(system)
+        for y in system.quotient_reps((), max_len=6)[0]:
+            for fam in ("m", "n"):
+                assert c.parabolic_column(fam, (), y) is c.kl_column(y)
+                assert c.inverse_column(fam, (), y) is c.inverse_column("h", (), y)
+        assert {fid for fid, _ in c._columns} == {"h", "h_inv"}
+
     def test_membership_validated(self):
         c = ctx(A2)
         with pytest.raises(ValidationError):

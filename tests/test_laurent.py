@@ -151,8 +151,8 @@ class TestText:
 
 class TestJson:
     def test_form(self):
-        assert (V + LaurentPoly.v(3)).to_json() == '{"1":1,"3":1}'
-        assert ZERO.to_json() == "{}"
+        assert (V + LaurentPoly.v(3)).to_json_obj() == {"1": 1, "3": 1}
+        assert ZERO.to_json_obj() == {}
 
     def test_key_order_ascending(self):
         obj = P({3: 1, -1: 2}).to_json_obj()
@@ -166,14 +166,16 @@ class TestJson:
 
     @given(polys)
     def test_json_round_trip(self, p):
-        q = LaurentPoly.from_json(p.to_json())
+        text = json.dumps(p.to_json_obj(), separators=(",", ":"))
+        q = LaurentPoly.from_json_obj(json.loads(text))
         assert q == p
         # and the serialized form itself is reproducible (canonicity)
-        assert q.to_json() == p.to_json()
+        assert json.dumps(q.to_json_obj(), separators=(",", ":")) == text
 
     @given(polys)
     def test_json_is_valid(self, p):
-        json.loads(p.to_json())
+        obj = json.loads(json.dumps(p.to_json_obj()))
+        assert [(int(e), c) for e, c in obj.items()] == list(p.terms)
 
 
 class TestCheckedOnce:
