@@ -383,8 +383,10 @@ def cache_info(path: str | None) -> None:
 def cache_clear(path: str | None) -> None:
     """Remove the column files (*.jsonl) of the cache directory.
 
-    The <system>.jsonl.lock files stay: another process may hold the lock
-    on one, and unlinking it would let the next save lock a new file of the
+    Each file is removed under its system's lock, with the temp files
+    (.<system>.jsonl.*.tmp) of saves killed before their rename.  The
+    <system>.jsonl.lock files stay: another process may hold the lock on
+    one, and unlinking it would let the next save lock a new file of the
     same name, so two saves could run at once.
     """
     d = _cache_dir(path)
@@ -392,9 +394,11 @@ def cache_clear(path: str | None) -> None:
         raise click.UsageError("no cache directory: set TILTC_CACHE or pass --path")
     removed = 0
     if d.exists():
-        for f in sorted(d.glob("*.jsonl")):
-            f.unlink()
-            removed += 1
+        names = {f.name for f in d.glob("*.jsonl")}
+        # a temp file .<system>.jsonl.<random>.tmp; the random part has no dot
+        names |= {f.name[1:].rsplit(".", 2)[0] for f in d.glob(".*.jsonl.*.tmp")}
+        for name in sorted(names):
+            removed += PolyStore.clear(d / name)
     click.echo(f"removed {removed} cache file(s)")
 
 

@@ -48,12 +48,15 @@ corresponding inverse families ("h_inv", ()), ("m_inv", I), ("n_inv", I).
 from __future__ import annotations
 
 import fcntl
+import glob
 import hashlib
 import json
 import os
 import tempfile
 from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
@@ -115,6 +118,14 @@ def _neg(terms: Terms) -> Terms:
     return tuple((e, -c) for e, c in terms)
 
 
+@contextmanager
+def _store_lock(path: Path) -> Iterator[None]:
+    """Hold the exclusive flock on the sidecar ``<name>.lock`` of a store file."""
+    with open(path.with_name(path.name + ".lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        yield
+
+
 class PolyStore:
     """Persistent column store for the direct families of one system.
 
@@ -139,6 +150,7 @@ class PolyStore:
     Under it the file on disk is loaded again and its records are merged
     with this store's, so concurrent writers lose no column; a record on
     disk that differs from this store's for the same column is a CacheError.
+    ``clear`` removes a store file under the same lock.
 
     HeckeContext uses h, m and n records only; the m[], n[] and inverse
     records of files written by older versions are kept verbatim, unread.
@@ -202,8 +214,7 @@ class PolyStore:
     def save(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path.with_name(path.name + ".lock"), "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        with _store_lock(path):
             records = {
                 (fam_id, upper): self._line(fam_id, upper, col)
                 for fam_id, fam in self.columns.items()
@@ -247,6 +258,23 @@ class PolyStore:
                 os.unlink(tmp)
                 raise
         self.dirty = False
+
+    @staticmethod
+    def clear(path: str | Path) -> bool:
+        """Remove a store file and the temp files of saves killed before
+        their rename; the lock file stays.
+
+        Both go under the lock, so a save in flight renames its file into
+        place before it is removed, and every temp file left is stale.
+        Returns whether the store file existed.
+        """
+        path = Path(path)
+        with _store_lock(path):
+            for tmp in path.parent.glob(glob.escape(f".{path.name}.") + "*.tmp"):
+                tmp.unlink()
+            existed = path.exists()
+            path.unlink(missing_ok=True)
+        return existed
 
     @classmethod
     def load(cls, path: str | Path, system_tag: str, generators: int) -> "PolyStore":

@@ -13,7 +13,10 @@ any module from first principles: take the minimal projective resolution,
 coresolve each projective by tilting modules (each step is the minimal left
 add(T)-approximation of the last cokernel, read off hom bases), splice the
 pieces together with iterated mapping cones, and strip invertible
-differential entries by Gaussian elimination.  Every step carries exact witnesses (chain-map
+differential entries by Gaussian elimination.  A ``TiltingCategory`` holds
+the coresolution of each projective it has seen, keyed by the module's
+content, so a projective is coresolved once however many resolutions it
+appears in.  Every step carries exact witnesses (chain-map
 identities, cone acyclicity checked by vertexwise rank counting), so the
 resulting graded multiplicities are independent of, and a check on, the
 closed formulas in :mod:`tiltc.tilting`.
@@ -332,6 +335,19 @@ class TiltingCategory:
             )
         self.max_std_factors = max(int(sum(c)) for c in counts)
         self._sum_cache: dict[tuple[str, ...], tuple[ModuleRep, list[dict[str, int]]]] = {}
+        self._coresolutions: dict[tuple, tuple[FormalComplex, VMap]] = {}
+
+    def coresolve(self, M: ModuleRep) -> tuple[FormalComplex, VMap]:
+        """``tilting_coresolution`` of M, computed once per module content.
+
+        Resolution terms are fresh objects, but equal representations have
+        equal coresolutions, so the key is the dimension vector and the arrow
+        matrices.  Callers must not mutate the shared result.
+        """
+        key = (tuple(M.dims.items()), tuple(M.mats.items()))
+        if key not in self._coresolutions:
+            self._coresolutions[key] = tilting_coresolution(self, M)
+        return self._coresolutions[key]
 
     # -- sums and (de)coordinatization ---------------------------------------------
 
@@ -637,14 +653,14 @@ def cmin_module(
     """
     res_terms, res_diffs, aug = minimal_projective_resolution(M)
     projs = [P for P, _ in res_terms]
-    Y, aug0 = tilting_coresolution(tcat, projs[0])
+    Y, aug0 = tcat.coresolve(projs[0])
     kappa: dict[int, VMap] = {0: aug0}
     if len(projs) == 1:
         # no cone stage runs, so strip any split summands of the coresolution
         Y, kappa = _minimize_carrying(tcat, Y, kappa, projs, scan)
     for j in range(1, len(projs)):
         P_j = projs[j]
-        R, iota = tilting_coresolution(tcat, P_j)
+        R, iota = tcat.coresolve(P_j)
         Rs = R.shift(j - 1)
         sumY_prev, _ = tcat.sum_rep(Y.term(1 - j))
         if (1 - j) in kappa:

@@ -1,8 +1,10 @@
 """End-to-end tests of the command line interface: pinned outputs, exit
 codes, formats, cache behavior, and byte determinism."""
 
+import fcntl
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -265,6 +267,42 @@ class TestCache:
         assert rc == 0 and ".lock files stay" in out
         rc, out, _ = run(capsys, "cache", "info", "--path", cache)
         assert "(no column files)" in out
+
+    def test_clear_removes_stale_temp_files(self, capsys, tmp_path):
+        cache = str(tmp_path)
+        run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
+        # saves killed between mkstemp and the rename, one of them the first
+        # save of its system, so no B2.jsonl exists
+        (tmp_path / ".A1.jsonl.x.tmp").write_text("half a save")
+        (tmp_path / ".B2.jsonl.y.tmp").write_text("half a save")
+        (tmp_path / "notes.tmp").write_text("not the cache's")
+        rc, out, _ = run(capsys, "cache", "clear", "--path", cache)
+        assert rc == 0 and out == "removed 1 cache file(s)\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "A1.jsonl.lock", "B2.jsonl.lock", "notes.tmp",
+        ]
+
+    def test_clear_waits_for_a_save_in_flight(self, tmp_path):
+        # a save holds the lock from its reload of the file to its rename; a
+        # clear in between would see the cleared columns renamed back
+        path = tmp_path / "A1.jsonl"
+        path.write_text("columns")
+        done = threading.Event()
+
+        def clear():
+            main(["cache", "clear", "--path", str(tmp_path)])
+            done.set()
+
+        with open(tmp_path / "A1.jsonl.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            worker = threading.Thread(target=clear, daemon=True)
+            worker.start()
+            assert not done.wait(0.3)
+            assert path.read_text() == "columns"
+            path.write_text("columns renamed into place")
+        worker.join(timeout=30)
+        assert not worker.is_alive() and done.is_set()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["A1.jsonl.lock"]
 
     def test_info_disabled_without_location(self, capsys):
         rc, out, _ = run(capsys, "cache", "info")

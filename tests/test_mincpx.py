@@ -754,6 +754,44 @@ class TestMinimalTiltingComplexes:
         assert cpx.label_counts() == {0: {"s": 1}}
 
 
+class TestCoresolutionMemo:
+    MODULES = [(role, lab) for role in ("std", "simple", "proj", "tilt") for lab in "es"]
+
+    @pytest.mark.parametrize("scan", ["forward", "backward"])
+    def test_memo_hit_equals_fresh_build(self, sl2_block, scan):
+        shared = TiltingCategory(sl2_block)
+        for role, lab in self.MODULES:  # fill the memo
+            cmin_module(shared, sl2_block.module(role, lab), scan=scan)
+        assert len(shared._coresolutions) == 2
+        for role, lab in self.MODULES:
+            M = sl2_block.module(role, lab)
+            hit, hit_kappa = cmin_module(shared, M, scan=scan)
+            new, new_kappa = cmin_module(TiltingCategory(sl2_block), M, scan=scan)
+            assert hit.summary() == new.summary(), (role, lab)
+            assert hit.label_counts() == new.label_counts(), (role, lab)
+            assert hit.diffs == new.diffs, (role, lab)
+            assert hit_kappa == new_kappa, (role, lab)
+        assert len(shared._coresolutions) == 2
+
+    def test_key_is_module_content(self, sl2_block):
+        tcat = TiltingCategory(sl2_block)
+        proj_s = sl2_block.module("proj", "s")
+        copy = direct_sum([proj_s])
+        assert copy is not proj_s
+        assert tcat.coresolve(copy) is tcat.coresolve(proj_s)
+        assert len(tcat._coresolutions) == 1
+        # the same dimension vector with other matrices is another module
+        scaled = ModuleRep(
+            sl2_block.algebra, proj_s.dims, {**proj_s.mats, "beta": ((2,),)}
+        )
+        scaled.validate()
+        R, aug = tcat.coresolve(scaled)
+        assert len(tcat._coresolutions) == 2
+        assert aug != tcat.coresolve(proj_s)[1]
+        R_new, aug_new = tilting_coresolution(tcat, scaled)
+        assert (R.terms, R.diffs, aug) == (R_new.terms, R_new.diffs, aug_new)
+
+
 class TestVerifyBlock:
     def test_all_nine_suites(self, sl2_block):
         results = verify_block(sl2_block)
@@ -771,6 +809,21 @@ class TestVerifyBlock:
         )
         verify_block(load_block("sl2"))
         assert sorted(calls) == ["e", "s"]
+
+    def test_projectives_are_coresolved_once(self, monkeypatch):
+        # the resolutions of the nine suites hold proj_e and proj_s many
+        # times over, as fresh objects; each is coresolved once
+        from tiltc.mincpx import block as block_mod
+
+        calls = []
+        real = block_mod.tilting_coresolution
+        monkeypatch.setattr(
+            block_mod,
+            "tilting_coresolution",
+            lambda tcat, M: calls.append(M) or real(tcat, M),
+        )
+        verify_block(load_block("sl2"))
+        assert len(calls) == 2
 
     def test_formula_agreement_is_exact(self, sl2_block, sl2_tcat):
         # independent spot check of the suite-9 comparison for the simple
