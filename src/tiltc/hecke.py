@@ -11,38 +11,39 @@ C_y = sum_x h_{x,y} H_x has h_{y,y} = 1 and h_{x,y} in v*Z[v] for x < y;
 C_s = H_s + v H_e.
 
 Parabolic quotient modules over a subset I of the generators come in two
-flavors, distinguished by the scalar a generator acts by on a basis vector
-that leaves the minimal-coset index set: 'spherical' (v^-1, so C_s acts by
+flavors, by the scalar H_s acts by on a basis vector whose product with s
+leaves the minimal-coset index set: 'spherical' (v^-1, so C_s acts by
 v + v^-1) and 'antispherical' (-v, so C_s kills the vector).  Their self-dual
 bases give the families m^I and n^I; with I = () either module is the Hecke
-algebra itself, and its self-dual basis gives h, so such columns are held as h.
+algebra, and such columns are held as h.
 
-One routine builds every direct column: with s the smallest right descent
+One routine builds every m and n column: with s the smallest right descent
 of y, C_{ys} C_s = C_y + sum_u mu(u, ys) C_u over the u with us < u
-(Kazhdan-Lusztig 1979; Soergel 1997, Prop. 3.4 for the modules).  Off the
-diagonal C_{ys} lies in v*Z[v], and C_s acts on a basis vector by 1, v,
-v^-1, v + v^-1 or 0, so every entry of the product lies in Z[v], and its
-only part outside v*Z[v] is a constant c = mu at some u != y.  Subtracting
-c C_u changes no other constant term, so the corrections need no order, and
-every computed column is checked to be unitriangular over v*Z[v].
+(Kazhdan-Lusztig 1979; Soergel 1997, Prop. 3.4).  Off the diagonal C_{ys}
+lies in v*Z[v], and C_s acts on a basis vector by 1, v, v^-1, v + v^-1 or 0,
+so the only part of the product outside v*Z[v] is a constant c = mu at some
+u != y, and subtracting c C_u changes no other constant term.
 
-The inverse families are defined by signed unitriangular inversion of the
-direct ones, solved by one downward push through the direct columns and
-checked once against the inversion identity; they are never stored, as a
-stored one would need that check, which costs about as much as the push.
+An h column is read off a spherical one.  With K = L(y), which generates a
+finite parabolic, and y = w_K y', h_{x,y} = v h_{sx,y} for s in K with
+sx > x (Kazhdan-Lusztig 1979) and h_{w_K x', w_K y'} = m^K_{x',y'}
+(Deodhar 1987), so h_{u x',y} = v^(l(w_K) - l(u)) m^K_{x',y'} for u in W_K.
+Every computed column is checked to be unitriangular over v*Z[v].
 
-Arithmetic is fused: a column (and the inversion residue, and the bar
-expansions) is summed as raw {element id: {exponent: coefficient}} dicts by
-the multiply-accumulate laurent._mac, and each entry becomes a LaurentPoly
-once, when the column is finished and its ids are mapped back to elements.
-Finished polynomials are interned per HeckeContext, so equal entries of its
-columns are one shared object.  Generator steps inside the loops read the
-element table's step slots (see coxeter); every public column is keyed by
-elements of the context's own system, and an element of another system
-with the same tag is first re-read there by its word.
+The inverse families, by signed unitriangular inversion of the direct ones,
+are solved by one downward push and checked once against the inversion
+identity; they are never stored, as a stored one would need that check,
+which costs about as much as the push.
 
-Family keys: ("h", ()) ordinary, ("m", I) / ("n", I) parabolic, and the
-corresponding inverse families ("h_inv", ()), ("m_inv", I), ("n_inv", I).
+Arithmetic is fused: columns, the inversion residue and bar expansions are
+summed as raw {element id: {exponent: coefficient}} dicts by laurent._mac,
+and each entry becomes a LaurentPoly once, interned per HeckeContext, when
+the column is finished.  Loops step elements through their step slots (see
+coxeter); public columns are keyed by elements of the context's own system,
+and an element of another system with the same tag is re-read by its word.
+
+Family keys: ("h", ()), ("m", I), ("n", I) and the inverse families
+("h_inv", ()), ("m_inv", I), ("n_inv", I).
 """
 
 from __future__ import annotations
@@ -62,13 +63,7 @@ from .coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
 from .laurent import ONE, V, ZERO, LaurentPoly, Terms, _mac
 
-__all__ = [
-    "HeckeContext",
-    "PolyStore",
-    "family_id",
-    "DIRECT_FAMILIES",
-    "INVERSE_FAMILIES",
-]
+__all__ = ["HeckeContext", "PolyStore", "family_id", "DIRECT_FAMILIES", "INVERSE_FAMILIES"]
 
 Coords = dict[CoxeterElement, LaurentPoly]
 # a column being summed: {element id: raw {exponent: coefficient}}, zeros allowed
@@ -105,7 +100,7 @@ def _step(a: LaurentPoly, scalar: LaurentPoly = ZERO) -> Step:
 # multiplication by C_s = H_s + v, and by bar(H_s) = H_s^-1 = H_s + (v - v^-1);
 # m is the spherical module (H_s acts by v^-1 off the index set), n the
 # antispherical one (-v, so C_s kills the vector)
-_KL_STEP = {"h": _step(V), "m": _step(V, V_INV), "n": _step(V, -V)}
+_KL_STEP = {"m": _step(V, V_INV), "n": _step(V, -V)}
 _BAR_STEP = {
     "h": _step(V_MINUS_VINV),
     "m": _step(V_MINUS_VINV, V_INV),
@@ -131,29 +126,27 @@ class PolyStore:
 
     File format: one JSON header line {"format", "normalization", "system",
     "generators", "records", "checksum"}, then one JSON line per stored
-    column.  The checksum is the sha256 of the record lines and is verified
-    on load.  ``format`` versions the file layout and ``normalization`` the
-    meaning of the stored polynomials (the Hecke relation and the
-    self-dual basis in the module docstring); a file with another version of
-    either is refused.
+    column.  The checksum is the sha256 of the record lines.  ``format``
+    versions the file layout and ``normalization`` the meaning of the stored
+    polynomials (the module docstring); a file with another version of either
+    is refused.
 
-    Records are parsed lazily.  ``load`` checks the header and the checksum
-    and runs json.loads on every record line, reading its family and upper
-    word, but keeps the line itself; ``get_column`` parses a record's
-    entries the first time a query asks for it, parsing each distinct word
-    text once per store (columns share most of their lower words).
-    ``save`` writes a record nobody parsed back as its line, which is
-    already canonical (sorted keys, compact separators), so the bytes
-    written do not depend on what was parsed.
+    Records are parsed lazily: ``load`` checks the header and the checksum
+    and reads each record's family and upper word, but keeps the line;
+    ``get_column`` parses a record's entries the first time a query asks for
+    it, each distinct word text once per store (columns share most of their
+    lower words).  ``save`` writes a record nobody parsed back as its line,
+    which is already canonical (sorted keys, compact separators), so the
+    bytes written do not depend on what was parsed.
 
-    A save holds an exclusive flock on the sidecar file ``<name>.lock``.
-    Under it the file on disk is loaded again and its records are merged
-    with this store's, so concurrent writers lose no column; a record on
-    disk that differs from this store's for the same column is a CacheError.
-    ``clear`` removes a store file under the same lock.
+    A save holds an exclusive flock on the sidecar file ``<name>.lock``, and
+    under it merges the records on disk with this store's, so concurrent
+    writers lose no column; a record on disk that differs from this store's
+    for the same column is a CacheError.  ``clear`` takes the same lock.
 
-    HeckeContext uses h, m and n records only; the m[], n[] and inverse
-    records of files written by older versions are kept verbatim, unread.
+    HeckeContext uses m and n records only; h is read off m^{L(y)}.  The h,
+    m[], n[] and inverse records of files written by older versions are kept
+    verbatim, unread.
     """
 
     FORMAT = 1
@@ -261,13 +254,10 @@ class PolyStore:
 
     @staticmethod
     def clear(path: str | Path) -> bool:
-        """Remove a store file and the temp files of saves killed before
-        their rename; the lock file stays.
-
-        Both go under the lock, so a save in flight renames its file into
-        place before it is removed, and every temp file left is stale.
-        Returns whether the store file existed.
-        """
+        """Remove a store file and the temp files of killed saves; return
+        whether the file existed.  The lock file stays.  Both go under the
+        lock, so a save in flight renames its file into place first, and
+        every temp file left is stale."""
         path = Path(path)
         with _store_lock(path):
             for tmp in path.parent.glob(glob.escape(f".{path.name}.") + "*.tmp"):
@@ -316,23 +306,21 @@ class PolyStore:
 class HeckeContext:
     """All polynomial families attached to one Coxeter system, memoized.
 
-    An optional PolyStore persists the direct columns (serialize with
-    store.save); one read from it passes the unitriangularity check of a
-    computed one, and for h also parity and positivity, or raises
-    CacheError.  Inverse columns are always computed.  All public results
-    are columns: maps {lower element -> polynomial} attached to an upper
-    element.
+    An optional PolyStore persists the m and n columns (serialize with
+    store.save); one read from it passes the checks of _check_column or
+    raises CacheError.  h columns are read off m columns and inverse columns
+    are pushed; neither is stored.  All public results are columns: maps
+    {lower element -> polynomial} attached to an upper element.
     """
 
     def __init__(self, system: CoxeterSystem, store: PolyStore | None = None):
         self.system = system
-        if store is not None and (
-            store.system_tag != system.tag or store.generators != system.rank
-        ):
+        if store is not None and (store.system_tag, store.generators) != (system.tag, system.rank):
             raise CacheError("store does not match the system")
         self.store = store
         self._columns: dict[tuple[str, tuple[int, ...]], Coords] = {}
         self._bar_par: dict[tuple, Coords] = {}
+        self._walks: dict[int, tuple[int, list[tuple[int, int, int, int]]]] = {}
         # every polynomial this context finishes, by its terms: equal column
         # entries are one shared object
         self._polys: dict[Terms, LaurentPoly] = {ZERO.terms: ZERO, ONE.terms: ONE}
@@ -362,15 +350,10 @@ class HeckeContext:
         if x.system is self.system:
             return x
         if x.system.tag != self.system.tag:
-            raise ValidationError(
-                f"element {x!r} is not of system {self.system.tag}"
-            )
+            raise ValidationError(f"element {x!r} is not of system {self.system.tag}")
         return self.system.element(x.word)
 
     # -- multiplication by a generator -----------------------------------------
-
-    def _in_quotient(self, x: CoxeterElement, I: tuple[int, ...]) -> bool:
-        return not x.ldesc & self.system.mask(I)
 
     def _rmul_gen_par(
         self, acc: Raw, coords: Coords, s: int, I: tuple[int, ...], step: Step
@@ -393,38 +376,35 @@ class HeckeContext:
         """Coordinates {x: h_{x,y}} of the self-dual basis element C_y."""
         return self._direct_column("h", (), self._own(y))
 
-    def parabolic_column(
-        self, fam: str, I: tuple[int, ...], y: CoxeterElement
-    ) -> Coords:
+    def parabolic_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> Coords:
         """Self-dual basis column of the parabolic module ('m' or 'n')."""
         y = self._own(y)
         I = self.system.check_names(I)
         if fam not in ("m", "n"):
             raise ValidationError(f"unknown parabolic family {fam!r}")
-        if not self._in_quotient(y, I):
+        if y.ldesc & self.system.mask(I):
             raise ValidationError(
                 f"{format_word(y.word) or 'e'} is not a minimal coset representative for I={list(I)}"
             )
         # with I = () either module is the Hecke algebra: its column is h
         return self._direct_column(fam if I else "h", I, y)
 
-    def _direct_column(
-        self, fam: str, I: tuple[int, ...], y: CoxeterElement
-    ) -> Coords:
-        """The column of C_y in the module of (fam, I): C_{ys} C_s less mu C_u.
-
-        Memoized, and read from and written to the store when there is one.
-        """
+    def _direct_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> Coords:
+        """The column of C_y in the module of (fam, I), memoized: for m and n
+        C_{ys} C_s less mu C_u, read from and written to the store when there
+        is one; for h the expansion of m^{L(y)} (module docstring)."""
         key = (family_id(fam, I), y.word)
         col = self._columns.get(key)
         if col is not None:
             return col
-        raw = None if self.store is None else self.store.get_column(*key)
+        stored = self.store is not None and fam != "h"
+        raw = self.store.get_column(*key) if stored else None
         if raw is not None:
             col = {self.system.element(w): p for w, p in raw.items()}
-            self._check_stored(col, y, fam, I)
         elif y.is_identity():
             col = {self.system.identity: ONE}
+        elif fam == "h":
+            col = self._expand_spherical(y)
         else:
             s = min(y.right_descents())
             acc: Raw = defaultdict(dict)
@@ -437,41 +417,64 @@ class HeckeContext:
                     for z, q in self.column(fam, I, by_id[u]).items():
                         _mac(acc[z.id], q, minus_c)
             col = self._finish(acc)
-            self._check_unitriangular(col, y, key[0])
-        if raw is None and self.store is not None:
+        self._check_column(col, y, key[0], loaded=raw is not None)
+        if stored and raw is None:
             self.store.put_column(*key, {x.word: p for x, p in col.items()})
         self._columns[key] = col
         return col
 
-    def _check_unitriangular(self, col: Coords, y: CoxeterElement, fid: str) -> None:
+    def _expand_spherical(self, y: CoxeterElement) -> Coords:
+        """h column of y != e: v^(l(w_K) - l(u)) m^K_{x',y'} at u x', K = L(y)."""
+        W = self.system
+        K = W.check_names(y.left_descents())
+        top, walk = self._walks.get(y.ldesc) or self._walk(y.ldesc)
+        col: Coords = {}
+        for x0, p in self._direct_column("m", K, W.project(y, K, "left")).items():
+            shifted = [p] + [
+                self._intern({e + d: c for e, c in p.terms}) for d in range(1, top + 1)
+            ]
+            col[x0] = shifted[top]
+            coset = [x0]
+            for j, slot, s, d in walk:
+                x = coset[j]._succ[slot] or coset[j].times_gen(s, "left")
+                coset.append(x)
+                col[x] = shifted[d]
+        return col
+
+    def _walk(self, mask: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+        """l(w_K) and W_K by length, K the generators in mask, memoized: row k
+        is (j, slot, s, d) for u_k = s u_j, slot the left s-slot of u_j and
+        d = l(w_K) - l(u_k); u_0 = e has no row."""
+        W = self.system
+        elts, rows = [W.identity], []
+        for j, u in enumerate(elts):  # grows while read: breadth first
+            for i, s in enumerate(W.names):
+                if mask >> i & 1 and not u.ldesc >> i & 1:
+                    su = u._succ[W.rank + i] or u.times_gen(s, "left")
+                    if su.ldesc & -su.ldesc == 1 << i:  # s is its first letter: met once
+                        elts.append(su)
+                        rows.append((j, W.rank + i, s, su.length))
+        top = elts[-1].length
+        walk = self._walks[mask] = (top, [(j, slot, s, top - n) for j, slot, s, n in rows])
+        return walk
+
+    def _check_column(self, col: Coords, y: CoxeterElement, fid: str, loaded: bool) -> None:
+        """Unitriangularity over v*Z[v]; for a column loaded from the store also
+        parity and positivity when it is an m column, whose entries are h
+        values (Deodhar 1987), and a failure is a CacheError."""
+        signs = loaded and fid.startswith("m[")
         for x, p in col.items():
             if x is y:
-                if p != ONE:
-                    raise InternalInvariantError(
-                        f"{fid}: diagonal entry at {y!r} is {p!r}, not 1"
-                    )
+                bad = p != ONE
             else:
-                if x.length >= y.length or (p and p.min_degree() < 1):
-                    raise InternalInvariantError(
-                        f"{fid}: coordinate at {x!r} of column {y!r} is {p!r}, "
-                        "violating strict v*Z[v] unitriangularity"
-                    )
-
-    def _check_stored(
-        self, col: Coords, y: CoxeterElement, fam: str, I: tuple[int, ...]
-    ) -> None:
-        """The invariants of a computed column, plus parity and positivity for h."""
-        try:
-            self._check_unitriangular(col, y, family_id(fam, I))
-        except InternalInvariantError as exc:
-            raise CacheError(f"stored column fails its check: {exc}") from exc
-        if fam != "h":
-            return
-        for x, p in col.items():
-            if any(c < 0 or (e + y.length - x.length) % 2 for e, c in p):
-                raise CacheError(
-                    f"stored column {y!r} has {p!r} at {x!r}, violating "
-                    "parity or positivity"
+                bad = x.length >= y.length or (p and p.min_degree() < 1) or (
+                    signs and any(c < 0 or (e + y.length - x.length) % 2 for e, c in p)
+                )
+            if bad:
+                raise (CacheError if loaded else InternalInvariantError)(
+                    f"{'stored' if loaded else 'computed'} column {y!r} of {fid} has "
+                    f"{p!r} at {x!r}, violating unitriangularity over v*Z[v]"
+                    + (", parity or positivity" if signs else "")
                 )
 
     def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Coords:
@@ -507,17 +510,14 @@ class HeckeContext:
                 _mac(out[u.id], p, minus if (u.length + lz) % 2 else plus)
         return self._finish(out)
 
-    def inverse_column(
-        self, fam: str, I: tuple[int, ...], x: CoxeterElement
-    ) -> Coords:
+    def inverse_column(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
         """Inverse-family column {y: fam^{x,y}} by signed unitriangular inversion.
 
         It solves sum_z (-1)^(l(u)+l(z)) fam_{u,z} fam^{x,z} = delta_{u,x} by
         one push down the lengths from 1 at x: each z holding a nonzero value
-        gets it as fam^{x,z}, and its negative is pushed through the signed
-        off-diagonal entries of the direct column of z.  Those are strictly
-        shorter than z, so a value is final when its length is reached.  The
-        identity is then checked once, as a fresh signed product.
+        gets it as fam^{x,z} and pushes its negative through the strictly
+        shorter signed entries of its direct column, so a value is final when
+        its length is reached.  The identity is then checked as a fresh product.
         """
         if fam not in DIRECT_FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
@@ -529,7 +529,7 @@ class HeckeContext:
         cached = self._columns.get(key)
         if cached is not None:
             return cached
-        if not self._in_quotient(x, I):
+        if x.ldesc & self.system.mask(I):
             raise ValidationError(
                 f"{format_word(x.word) or 'e'} is not in the index set of {family_id(fam, I)}"
             )

@@ -327,9 +327,8 @@ class _NegativeLike(_Setting):
         The same multiplicity must equal the direct antispherical polynomial
         at indices twisted by w_I on the left and w_J w_0 on the right.
         """
-        w0 = self.system.longest_element()
-        a = self.wI * x.inverse() * self.wJ * w0
-        b = self.wI * y.inverse() * self.wJ * w0
+        a = self.wI * x.inverse() * self.wJ_w0
+        b = self.wI * y.inverse() * self.wJ_w0
         try:
             got = self.hecke.parabolic_column("n", self.I, b).get(a, ZERO)
         except ValidationError as exc:
@@ -371,6 +370,7 @@ class CategoryO(_NegativeLike):
         super().__init__(hecke, I, J)
         if not self.system.is_finite:
             raise ValidationError("category O tables need a finite Weyl type")
+        self.wJ_w0 = self.wJ * self.system.longest_element()  # the cross-check's twist
 
 
 class KacMoody(_NegativeLike):

@@ -352,12 +352,13 @@ class TestCache:
         f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
 
     def test_tampered_column_rejected(self, capsys, tmp_path):
-        # an edited polynomial behind a recomputed checksum is still caught
+        # an edited polynomial behind a recomputed checksum is still caught;
+        # the h column of 2 1 is read off the m[2] record at 1 (2 1 = s_2 * 1)
         cache = str(tmp_path)
-        args = ("kl", "--type", "A2", "--y", "1 2 1", "--cache-path", cache)
+        args = ("kl", "--type", "A2", "--y", "2 1", "--cache-path", cache)
         rc, _, _ = run(capsys, *args)
         assert rc == 0
-        self.tamper(tmp_path / "A2.jsonl", "h", "1 2 1", "1", {"2": -7})
+        self.tamper(tmp_path / "A2.jsonl", "m[2]", "1", "", {"1": -7})
         rc, out, err = run(capsys, *args)
         assert rc == 2 and err.startswith("error: cache:") and out == ""
 
@@ -365,10 +366,10 @@ class TestCache:
         # records are parsed lazily; a bad exponent key in a column the query
         # reads still fails the run
         cache = str(tmp_path)
-        args = ("kl", "--type", "A2", "--y", "1 2 1", "--cache-path", cache)
+        args = ("kl", "--type", "A2", "--y", "2 1", "--cache-path", cache)
         rc, _, _ = run(capsys, *args)
         assert rc == 0
-        self.tamper(tmp_path / "A2.jsonl", "h", "1 2 1", "1", {"one": 1})
+        self.tamper(tmp_path / "A2.jsonl", "m[2]", "1", "", {"one": 1})
         rc, out, err = run(capsys, *args)
         assert rc == 2 and out == ""
         assert err.startswith("error: cache: cache key parse failure")
@@ -411,9 +412,16 @@ class TestCache:
         assert forged in saved and len(saved) > 1
         assert {json.loads(line)["family"] for line in saved} == {"n[1]", "n_inv[1]"}
 
-    def test_store_holds_only_h_for_a_regular_block(self, capsys, tmp_path):
-        # the I = () modules of a regular block are the Hecke algebra, and
-        # inverse columns are not stored: every record is an h column
+    @staticmethod
+    def unread_kind(line):
+        """Whether a record is of a kind no query reads: h, m[], n[] or inverse."""
+        fid = json.loads(line)["family"]
+        return fid == "h" or fid.endswith("[]") or "_inv" in fid
+
+    def test_store_holds_only_spherical_records_for_a_regular_block(self, capsys, tmp_path):
+        # the I = () modules of a regular block are the Hecke algebra, whose
+        # h columns are read off m[L(y)] columns, and inverse columns are not
+        # stored: no h, m[], n[] or inverse record is written
         cache = str(tmp_path)
         for args in (
             ("tilt", "O", "--type", "A3", "--x", "2 1 3 2", "--simple"),
@@ -422,13 +430,16 @@ class TestCache:
             rc, _, _ = run(capsys, *args, "--cache-path", cache)
             assert rc == 0
         saved = self.records(tmp_path / "A3.jsonl")
-        assert saved and all('"family":"h"' in line for line in saved)
+        assert saved and all(
+            json.loads(line)["family"].startswith("m[") and not self.unread_kind(line)
+            for line in saved
+        )
 
     def test_store_with_m_n_and_inverse_records_loads(self, capsys, tmp_path):
-        # a store written by a version that also stored m[], n[] and inverse
-        # columns: the outputs are those of a run without a store, the
-        # records no query reads now are saved back verbatim, and only h
-        # columns are added
+        # a store written by a version that also stored h, m[], n[] and
+        # inverse columns: the outputs are those of a run without a store,
+        # the records no query reads now are saved back verbatim, and no h,
+        # m[], n[] or inverse record is added
         old = (DATA / "A3-all-families.jsonl").read_text()
         (tmp_path / "A3.jsonl").write_text(old)
         for args in (
@@ -446,7 +457,7 @@ class TestCache:
         kept = set(old.rstrip("\n").split("\n")[1:])
         added = set(self.records(tmp_path / "A3.jsonl")) - kept
         assert kept <= set(self.records(tmp_path / "A3.jsonl"))
-        assert added and all('"family":"h"' in line for line in added)
+        assert added and not any(self.unread_kind(line) for line in added)
 
     def test_wrong_system_rejected(self, capsys, tmp_path):
         cache = str(tmp_path)

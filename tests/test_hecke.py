@@ -20,6 +20,7 @@ A2 = CoxeterSystem.from_type("A2")
 A3 = CoxeterSystem.from_type("A3")
 B2 = CoxeterSystem.from_type("B2")
 B3 = CoxeterSystem.from_type("B3")
+G2 = CoxeterSystem.from_type("G2")
 AFF1 = CoxeterSystem.from_type("affA1")
 AFF2 = CoxeterSystem.from_type("affA2")
 
@@ -97,6 +98,36 @@ class TestOrdinaryColumns:
                     assert p.min_degree() >= 1
 
 
+class TestSphericalReduction:
+    """h columns are read off m^{L(y)}: check them by two other routes."""
+
+    @given(
+        st.one_of(
+            st.tuples(st.just(system), words(system, max_len))
+            for system, max_len in [(A3, 6), (B3, 9), (G2, 6), (AFF2, 6)]
+        )
+    )
+    @example((B3, (1, 2, 3, 1, 2, 3, 1, 2, 3)))
+    @example((AFF2, (0, 1, 2, 0, 1, 0)))
+    @settings(max_examples=40, deadline=None)
+    def test_selfdual_and_mirror(self, case):
+        system, w = case
+        c = ctx(system)
+        y = system.element(w)
+        col = c.kl_column(y)
+        # unitriangular and bar-invariant: the self-dual basis element itself
+        assert c.is_selfdual("h", (), col)
+        # h_{x,y} = h_{x^-1,y^-1}, read from the column of y^-1
+        assert c.kl_column(y.inverse()) == {x.inverse(): p for x, p in col.items()}
+
+    def test_longest_element_column_E6(self):
+        E6 = CoxeterSystem.from_type("E6")
+        w0 = E6.longest_element()
+        col = ctx(E6).kl_column(w0)
+        assert len(col) == 51840
+        assert all(p == LaurentPoly.v(w0.length - x.length) for x, p in col.items())
+
+
 class TestParabolicColumns:
     def test_affine_A1_values(self):
         c = ctx(AFF1)
@@ -117,13 +148,16 @@ class TestParabolicColumns:
     @pytest.mark.parametrize("system", [A3, AFF1], ids=["A3", "affA1"])
     def test_empty_I_columns_are_held_once(self, system):
         # either module with I = () is the Hecke algebra: one context computes
-        # and memoizes its direct and inverse columns once, as h
+        # and memoizes its direct and inverse columns once, as h, next to the
+        # m[L(y)] columns its h columns are read off
         c = ctx(system)
         for y in system.quotient_reps((), max_len=6)[0]:
             for fam in ("m", "n"):
                 assert c.parabolic_column(fam, (), y) is c.kl_column(y)
                 assert c.inverse_column(fam, (), y) is c.inverse_column("h", (), y)
-        assert {fid for fid, _ in c._columns} == {"h", "h_inv"}
+        fids = {fid for fid, _ in c._columns}
+        assert {"h", "h_inv"} <= fids
+        assert all(fid.startswith("m[") and fid != "m[]" for fid in fids - {"h", "h_inv"})
 
     def test_membership_validated(self):
         c = ctx(A2)
@@ -451,26 +485,28 @@ class TestPolyStore:
         assert [p.name for p in tmp_path.iterdir()] == ["A2.jsonl.lock"]
 
     @pytest.mark.parametrize(
-        "fid,upper,lower,poly",
+        "query,fid,upper,lower,poly",
         [
-            pytest.param("h", (1, 2, 1), (1,), {-2: 1}, id="h-triangularity"),
-            pytest.param("h", (1, 2, 1), (1, 2, 1), {0: 2}, id="h-diagonal"),
-            pytest.param("h", (1, 2, 1), (1,), {2: -7}, id="h-positivity"),
-            pytest.param("h", (1, 2, 1), (1,), {1: 1}, id="h-parity"),
-            pytest.param("n[1]", (2, 1), (2,), {0: 1}, id="n-triangularity"),
+            # the h column of 2 1 3 is read off the m[2] record at 1 3
+            pytest.param((2, 1, 3), "m[2]", (1, 3), (1,), {-2: 1}, id="h-triangularity"),
+            pytest.param((2, 1, 3), "m[2]", (1, 3), (1, 3), {0: 2}, id="h-diagonal"),
+            pytest.param((2, 1, 3), "m[2]", (1, 3), (), {2: -7}, id="h-positivity"),
+            pytest.param((2, 1, 3), "m[2]", (1, 3), (1,), {2: 1}, id="h-parity"),
+            pytest.param((2, 1), "n[1]", (2, 1), (2,), {0: 1}, id="n-triangularity"),
         ],
     )
-    def test_loaded_direct_columns_are_checked(self, fid, upper, lower, poly):
-        c = HeckeContext(A2)
+    def test_loaded_direct_columns_are_checked(self, query, fid, upper, lower, poly):
+        c = HeckeContext(A3)
         fam, _, rest = fid.partition("[")
         I = tuple(int(t) for t in rest.rstrip("]").split(",") if t)
-        good = c.column(fam, I, A2.element(upper))
+        good = c.column(fam, I, A3.element(upper))
         col = {x.word: p for x, p in good.items()}
         col[lower] = LaurentPoly(poly)
-        store = PolyStore("A2", 2)
+        store = PolyStore("A3", 3)
         store.put_column(fid, upper, col)
+        qfam = "h" if fam == "m" else fam
         with pytest.raises(CacheError, match="stored column"):
-            HeckeContext(A2, store).column(fam, I, A2.element(upper))
+            HeckeContext(A3, store).column(qfam, I, A3.element(query))
 
     def test_empty_store_round_trip(self, tmp_path):
         s = PolyStore("A2", 2)
@@ -568,12 +604,13 @@ class TestPolyStore:
     def test_save_rejects_a_conflicting_record_on_disk(self, tmp_path):
         c, path = self.make_store(tmp_path)
         other = PolyStore("A3", 3)
-        y = (2, 1, 3, 2)
-        col = dict(c.store.get_column("h", y))
+        # the m[2] column at 1 3 2 that the h column of 2 1 3 2 is read off
+        y = (1, 3, 2)
+        col = dict(c.store.get_column("m[2]", y))
         col[()] = LaurentPoly({1: 5})
-        other.put_column("h", y, col)
+        other.put_column("m[2]", y, col)
         before = path.read_bytes()
-        with pytest.raises(CacheError, match="different h column at 2 1 3 2"):
+        with pytest.raises(CacheError, match=r"different m\[2\] column at 1 3 2"):
             other.save(path)
         assert path.read_bytes() == before
 
