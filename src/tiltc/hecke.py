@@ -30,10 +30,11 @@ sx > x (Kazhdan-Lusztig 1979) and h_{w_K x', w_K y'} = m^K_{x',y'}
 (Deodhar 1987), so h_{u x',y} = v^(l(w_K) - l(u)) m^K_{x',y'} for u in W_K.
 Every computed column is checked to be unitriangular over v*Z[v].
 
-The inverse families, by signed unitriangular inversion of the direct ones,
-are solved by one downward push and checked once against the inversion
-identity; they are never stored, as a stored one would need that check,
-which costs about as much as the push.
+The inverse families come by signed unitriangular inversion of the direct
+ones: inverse_combination pushes sum_a c_a fam^{a,.} down the lengths from
+every seed a at once, checks the parity of every direct entry it reads, and
+checks the inversion identity once.  They are never stored, as a stored one
+would need that check, which costs about as much as the push.
 
 Arithmetic is fused: columns, the inversion residue and bar expansions are
 summed as raw {element id: {exponent: coefficient}} dicts by laurent._mac,
@@ -57,7 +58,7 @@ import tempfile
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
@@ -107,6 +108,7 @@ _BAR_STEP = {
     "n": _step(V_MINUS_VINV, -V),
 }
 _ONE_TERMS = ONE.terms
+_BITS = (frozenset({0}), frozenset({1}))  # the exponents mod 2 an entry may have
 
 
 def _neg(terms: Terms) -> Terms:
@@ -497,48 +499,62 @@ class HeckeContext:
 
     # -- inverse families --------------------------------------------------------
 
-    def _inversion_residue(
-        self, fam: str, I: tuple[int, ...], x: CoxeterElement, inv: Coords
-    ) -> Coords:
-        """Nonzero entries of sum_z inv[z] (signed direct column of z) - e_x."""
+    def _inversion_residue(self, fam: str, I: tuple[int, ...], seeds: Coords, inv: Coords) -> Coords:
+        """Nonzero entries of sum_z inv[z] (signed direct column of z) - seeds."""
         out: Raw = defaultdict(dict)
-        out[x.id][0] = -1
+        for a, p in seeds.items():
+            _mac(out[a.id], p, ((0, -1),))
         for z, c in inv.items():
             plus, minus = c.terms, _neg(c.terms)
-            lz = z.length
-            for u, p in self.column(fam, I, z).items():
-                _mac(out[u.id], p, minus if (u.length + lz) % 2 else plus)
+            for u, p in self._direct_column(fam, I, z).items():
+                _mac(out[u.id], p, minus if (u.length + z.length) % 2 else plus)
         return self._finish(out)
 
-    def inverse_column(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
-        """Inverse-family column {y: fam^{x,y}} by signed unitriangular inversion.
-
-        It solves sum_z (-1)^(l(u)+l(z)) fam_{u,z} fam^{x,z} = delta_{u,x} by
-        one push down the lengths from 1 at x: each z holding a nonzero value
-        gets it as fam^{x,z} and pushes its negative through the strictly
-        shorter signed entries of its direct column, so a value is final when
-        its length is reached.  The identity is then checked as a fresh product.
-        """
+    def _inverse_family(self, fam: str, I: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
         if fam not in DIRECT_FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
-        x = self._own(x)
         I = self.system.check_names(I)
-        if not I:
-            fam = "h"  # either module with I = () is the Hecke algebra
-        key = (family_id(fam + "_inv", I), x.word)  # memoized, never stored
-        cached = self._columns.get(key)
-        if cached is not None:
-            return cached
-        if x.ldesc & self.system.mask(I):
-            raise ValidationError(
-                f"{format_word(x.word) or 'e'} is not in the index set of {family_id(fam, I)}"
-            )
+        return (fam if I else "h"), I  # either module with I = () is the Hecke algebra
+
+    def inverse_column(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
+        """Inverse-family column {y: fam^{x,y}}: the combination of {x: 1}, memoized."""
+        fam, I = self._inverse_family(fam, I)
+        x = self._own(x)
+        key = (family_id(fam + "_inv", I), x.word)  # never stored
+        inv = self._columns.get(key)
+        if inv is None:
+            inv = self._columns[key] = self.inverse_combination(fam, I, {x: ONE})
+        return inv
+
+    def inverse_combination(
+        self, fam: str, I: tuple[int, ...], seeds: Mapping[CoxeterElement, LaurentPoly]
+    ) -> Coords:
+        """{y: sum_a seeds[a] fam^{a,y}}, by signed unitriangular inversion.
+
+        It solves sum_z (-1)^(l(u)+l(z)) fam_{u,z} r_z = seeds[u] by one push
+        down the lengths from every seed at once: each z holding a nonzero
+        value gets it as r_z and pushes its negative through the strictly
+        shorter signed entries of its direct column (each must have parity
+        l(z) - l(u)); a value is final when its length is reached, and the
+        identity is then checked as a fresh product.
+        """
+        fam, I = self._inverse_family(fam, I)
+        fid = family_id(fam + "_inv", I)
+        seeds = {self._own(a): p for a, p in seeds.items()}
+        for a in seeds:
+            if a.ldesc & self.system.mask(I):
+                raise ValidationError(
+                    f"{format_word(a.word) or 'e'} is not in the index set of {family_id(fam, I)}"
+                )
         # the values still to be pushed, one raw sum per element and length
-        pending: list[Raw] = [defaultdict(dict) for _ in range(x.length + 1)]
-        pending[x.length][x.id][0] = 1
+        top = max((a.length for a in seeds), default=-1)
+        pending: list[Raw] = [defaultdict(dict) for _ in range(top + 1)]
+        for a, p in seeds.items():
+            _mac(pending[a.length][a.id], p, _ONE_TERMS)
         inv: Coords = {}
+        parity: dict[LaurentPoly, set[int]] = {}  # the exponents mod 2 of each entry read
         by_id = self.system._by_id
-        for length in range(x.length, -1, -1):
+        for length in range(top, -1, -1):
             layer = pending[length]
             for z in sorted(
                 map(by_id.__getitem__, layer), key=CoxeterElement.sort_key, reverse=True
@@ -548,17 +564,23 @@ class HeckeContext:
                     continue
                 inv[z] = c
                 plus, minus = c.terms, _neg(c.terms)
-                for u, p in self.column(fam, I, z).items():
+                for u, p in self._direct_column(fam, I, z).items():
                     lu = u.length
                     if lu < length:  # every entry but the diagonal one
-                        _mac(pending[lu][u.id], p, plus if (lu + length) % 2 else minus)
-        residue = self._inversion_residue(fam, I, x, inv)
+                        odd = (lu + length) & 1
+                        bits = parity.get(p)
+                        if bits is None:
+                            bits = parity[p] = {e & 1 for e, _ in p.terms}
+                        if not bits <= _BITS[odd]:
+                            raise InternalInvariantError(
+                                f"{fid}: parity certificate failed at {u!r} in the column of {z!r}"
+                            )
+                        _mac(pending[lu][u.id], p, plus if odd else minus)
+        residue = self._inversion_residue(fam, I, seeds, inv)
         if residue:
             u = min(residue, key=CoxeterElement.sort_key)
-            raise InternalInvariantError(
-                f"{family_id(fam + '_inv', I)}: inversion identity fails at {u!r} below {x!r}"
-            )
-        self._columns[key] = inv
+            x = max(seeds, key=CoxeterElement.sort_key)
+            raise InternalInvariantError(f"{fid}: inversion identity fails at {u!r} below {x!r}")
         return inv
 
     # -- bar involution expansion (verification route) ----------------------------

@@ -11,8 +11,12 @@ inverse family:
 
   standard:  one inverse-family entry at indices twisted by the relevant
              longest elements;
-  simple:    sum over z between y and x of bar(direct) * inverse, which is
-             exactly the convolution pairing below.
+  simple:    sum over z between y and x of bar(n_{z,x}) * m^{z,y}, linear in
+             the seeds bar(n_{z,x}): at negative level the row is one
+             inverse_combination, whose parity certificate is checked on its
+             inputs (each seed has parity l(x) - l(z), each direct entry the
+             solve reads that of its length difference), so no two terms
+             cancel; at positive level, the convolution pairing below.
 
 All tables enforce: unit diagonal, support bounded by the Bruhat order
 (reversed at positive level), exponent parity len(x) + len(y) mod 2, and
@@ -236,23 +240,6 @@ class _Setting:
 
     # -- table assembly with invariant enforcement ------------------------------
 
-    def _convolve(
-        self,
-        first: Mapping[CoxeterElement, LaurentPoly],
-        second: Mapping[CoxeterElement, LaurentPoly],
-        x: CoxeterElement,
-        y: CoxeterElement,
-    ) -> LaurentPoly:
-        """The convolution pairing at row y; a failed parity certificate raises."""
-        total, exact = convolution(
-            first, second, {z: z.length for z in first}, x.length, y.length
-        )
-        if not exact:
-            raise InternalInvariantError(
-                f"parity certificate failed in the simple-object formula at y={y!r}"
-            )
-        return total
-
     def _finalize(
         self,
         x: CoxeterElement,
@@ -262,21 +249,13 @@ class _Setting:
         truncated_at: int | None = None,
         enforce: bool = True,
     ) -> MultiplicityTable:
-        if enforce:
-            for y, p in rows.items():
-                if y == x:
-                    if p != ONE:
-                        raise InternalInvariantError(
-                            f"diagonal multiplicity at x = {x!r} is {p!r}, not 1"
-                        )
-                if p and not p.has_parity(x.length + y.length):
-                    raise InternalInvariantError(
-                        f"multiplicity at y = {y!r} violates exponent parity"
-                    )
-                if not p.is_nonneg():
-                    raise InternalInvariantError(
-                        f"multiplicity at y = {y!r} has a negative coefficient"
-                    )
+        for y, p in rows.items() if enforce else ():
+            if y == x and p != ONE:
+                raise InternalInvariantError(f"diagonal multiplicity at x = {x!r} is {p!r}, not 1")
+            if p and not p.has_parity(x.length + y.length):
+                raise InternalInvariantError(f"multiplicity at y = {y!r} violates exponent parity")
+            if not p.is_nonneg():
+                raise InternalInvariantError(f"multiplicity at y = {y!r} has a negative coefficient")
         items = {
             y.word: p
             for y, p in rows.items()
@@ -284,14 +263,8 @@ class _Setting:
         }
         entries = tuple(sorted(items.items(), key=lambda t: (len(t[0]), t[0])))
         return MultiplicityTable(
-            setting=self.setting_name,
-            system=self.system.tag,
-            I=self.I,
-            J=self.J,
-            x=x.word,
-            entries=entries,
-            flags=flags,
-            truncated_at=truncated_at,
+            setting=self.setting_name, system=self.system.tag, I=self.I, J=self.J,
+            x=x.word, entries=entries, flags=flags, truncated_at=truncated_at,
         )
 
 
@@ -300,9 +273,8 @@ class _NegativeLike(_Setting):
 
     Index elements are x = w_J u with u minimal in W_J\\W/W_I and I-regular
     (quantum indexes by u itself).  The standard multiplicity is the inverse
-    spherical entry at the inverted coset parts; the simple multiplicity
-    convolves the bar of the direct antispherical family against the inverse
-    spherical family.
+    spherical entry at the inverted coset parts; the simple row is one inverse
+    spherical combination, seeded by the bar of the antispherical column of x.
     """
 
     cross_check = False
@@ -347,16 +319,18 @@ class _NegativeLike(_Setting):
         x, u_x = self._index(x_word)
         targets, explicit, _ = self._targets(u_x, y_word, max_len)
         n_col = self.hecke.parabolic_column("n", self.I, self._n_index(u_x))
-        zs = {self._embed(u): u for u in self._enumerate_u_below(u_x)}
-        direct = {z: n_col.get(self._n_index(u), ZERO) for z, u in zs.items()}
-        inv_cols = {
-            z: self.hecke.inverse_column("m", self.I, u.inverse())
-            for z, u in zs.items()
-        }
-        rows: dict[CoxeterElement, LaurentPoly] = {}
-        for y, u_y in targets:
-            inv = {z: col.get(u_y.inverse(), ZERO) for z, col in inv_cols.items()}
-            rows[y] = self._convolve(direct, inv, x, y)
+        # the pairing is linear in bar(n): one solve seeded at every z below x
+        seeds = {}
+        for u in self._enumerate_u_below(u_x):
+            p = n_col.get(self._n_index(u), ZERO)
+            if not p.has_parity(u_x.length - u.length):  # l(x) - l(z), z = w_J u or u
+                raise InternalInvariantError(
+                    f"parity certificate failed in the simple-object formula at z={self._embed(u)!r}"
+                )
+            if p:
+                seeds[u.inverse()] = p.bar()
+        row = self.hecke.inverse_combination("m", self.I, seeds)
+        rows = {y: row.get(u_y.inverse(), ZERO) for y, u_y in targets}
         return self._finalize(x, rows, explicit)
 
 
@@ -451,7 +425,11 @@ class KacMoody(_NegativeLike):
                 for z, u in zs.items()
             }
             # roles mirrored: bar acts on the inverse factor
-            rows[y] = self._convolve(inv, direct, x, y)
+            rows[y], exact = convolution(inv, direct, {z: z.length for z in inv}, x.length, y.length)
+            if not exact:
+                raise InternalInvariantError(
+                    f"parity certificate failed in the simple-object formula at y={y!r}"
+                )
         return self._finalize(x, rows, explicit, truncated_at=truncated)
 
     def _literal_table(self, x, u_x, targets, explicit, max_len):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tiltc import hecke
 from tiltc.coxeter import CoxeterSystem, parse_word
-from tiltc.errors import CacheError, ValidationError
+from tiltc.errors import CacheError, InternalInvariantError, ValidationError
 from tiltc.hecke import HeckeContext, PolyStore, family_id
 from tiltc.laurent import ONE, ZERO, LaurentPoly, _mac
 
@@ -265,10 +265,74 @@ class TestInverseColumns:
         x = max(reps, key=lambda w: w.length)
         col = c.inverse_column(fam, I, x)
         assert len(col) > 1
-        assert c._inversion_residue(fam, I, x, col) == {}
+        assert c._inversion_residue(fam, I, {x: ONE}, col) == {}
         for z in col:
             flipped = {**col, z: -col[z]}
-            assert c._inversion_residue(fam, I, x, flipped)
+            assert c._inversion_residue(fam, I, {x: ONE}, flipped)
+
+    COMBINATION_CASES = [
+        (A3, "h", (), None),
+        (B3, "h", (), None),
+        (A3, "n", (1,), None),
+        (A3, "m", (1,), None),
+        (AFF1, "h", (), 5),
+    ]
+
+    @staticmethod
+    def seeds_of(system, I, max_len):
+        """Mixed-parity Laurent seeds on every third element of the index set."""
+        reps, _ = system.quotient_reps(I, "left", max_len=max_len)
+        coeffs = [ONE, LaurentPoly({-1: 2, 2: -1}), LaurentPoly.v(3), LaurentPoly({0: -1, 1: 1})]
+        return {a: coeffs[k % len(coeffs)] for k, a in enumerate(reps[::3])}
+
+    @pytest.mark.parametrize(
+        "system, fam, I, max_len", COMBINATION_CASES,
+        ids=["A3-h", "B3-h", "A3-n[1]", "A3-m[1]", "affA1-h"],
+    )
+    def test_combination_is_the_sum_of_inverse_columns(self, system, fam, I, max_len):
+        seeds = self.seeds_of(system, I, max_len)
+        assert len(seeds) > 2
+        c = ctx(system)
+        expected = defaultdict(lambda: ZERO)
+        for a, p in seeds.items():
+            for y, q in c.inverse_column(fam, I, a).items():
+                expected[y] = expected[y] + p * q
+        got = ctx(system).inverse_combination(fam, I, seeds)
+        assert got == {y: q for y, q in expected.items() if q}
+
+    def test_combination_of_one_seed_is_the_inverse_column(self):
+        x = A3.element((1, 2, 3, 2, 1))
+        assert ctx(A3).inverse_combination("h", (), {x: ONE}) == ctx(A3).inverse_column("h", (), x)
+        assert ctx(A3).inverse_combination("h", (), {}) == {}
+
+    def test_combination_seed_outside_the_index_set(self):
+        c = ctx(A3)
+        seeds = {A3.element((2, 3)): ONE, A3.element((1, 2)): LaurentPoly.v(1)}
+        with pytest.raises(ValidationError, match="1 2 is not in the index set of n\\[1\\]"):
+            c.inverse_combination("n", (1,), seeds)
+        with pytest.raises(ValidationError, match="unknown family"):
+            c.inverse_combination("q", (), {A3.identity: ONE})
+
+    def test_combination_raises_when_the_identity_fails(self, monkeypatch):
+        c = ctx(A3)
+        x = A3.element((1, 2, 3))
+        monkeypatch.setattr(c, "_inversion_residue", lambda *args: {A3.identity: ONE})
+        with pytest.raises(InternalInvariantError, match="h_inv: inversion identity fails at"):
+            c.inverse_combination("h", (), {x: ONE})
+
+    @pytest.mark.parametrize(
+        "system, fam, I, max_len", COMBINATION_CASES,
+        ids=["A3-h", "B3-h", "A3-n[1]", "A3-m[1]", "affA1-h"],
+    )
+    def test_combination_residue_catches_one_corrupted_entry(self, system, fam, I, max_len):
+        seeds = self.seeds_of(system, I, max_len)
+        c = ctx(system)
+        got = c.inverse_combination(fam, I, seeds)
+        fam_key = fam if I else "h"
+        assert c._inversion_residue(fam_key, I, seeds, got) == {}
+        for y in got:
+            for bad in (got[y] + LaurentPoly.v(1), ZERO):
+                assert c._inversion_residue(fam_key, I, seeds, {**got, y: bad})
 
     def test_positivity_on_small_grid(self):
         for sys, I in [(A3, ()), (A3, (2,)), (AFF2, (1,)), (B2, (1,))]:

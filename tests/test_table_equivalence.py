@@ -6,7 +6,9 @@ pinned value.  The table pins were generated from the table code before it
 was merged into one engine, the direct-column pins from the left-multiplying
 h recursion and the greedy parabolic completion that preceded the one
 right-multiplying column routine, and the inverse-column pins from the
-interval scan that inverse_column used before it became a downward push, so
+interval scan that inverse_column used before it became a downward push,
+and the w0 simple-table pins from the per-z pairing (one inverse column per
+z, then the convolution at every row) that preceded the one-solve row, so
 any change to an entry, a weight echo, a flag, a truncation or an error
 message shows here.  Do not regenerate them to make a change pass: a differing
 digest means the results changed.
@@ -265,3 +267,18 @@ INVERSE_PINS = {
 @pytest.mark.parametrize("group", sorted(INVERSE_GROUPS))
 def test_inverse_columns_match_pinned_digest(group):
     assert digest(INVERSE_GROUPS[group]()) == INVERSE_PINS[group]
+
+
+W0_SIMPLE_PINS = {
+    "B4": "5dbed424ba1b48eab53060ddda298693a4436a761c0584ca6330caf3301374a7",
+    "A5": "806b5a506e23760f0907e74bf41bc00262b1cd3f24a8e37c5736090e3467ec69",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(W0_SIMPLE_PINS))
+def test_w0_simple_table_matches_pinned_digest(tag):
+    """CategoryO(I = J = ()).simple_table(w0), the largest table of its type."""
+    system = CoxeterSystem.from_type(tag)
+    setting = CategoryO(HeckeContext(system), I=(), J=())
+    line = render(lambda: setting.simple_table(system.longest_element().word))
+    assert digest([line]) == W0_SIMPLE_PINS[tag]

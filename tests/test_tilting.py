@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tiltc.coxeter import CoxeterSystem
 from tiltc.errors import InternalInvariantError, ValidationError
-from tiltc.hecke import HeckeContext
+from tiltc.hecke import HeckeContext, family_id
 from tiltc.laurent import ONE, ZERO, LaurentPoly
 from tiltc.rootdata import LinkageDatum
 from tiltc.tilting import (
@@ -298,6 +298,114 @@ class TestQuantum:
         for u in reps:
             Q.standard_table(u.word)
             Q.simple_table(u.word)
+
+
+def o_setting(tag, I=(), J=()):
+    return CategoryO(HeckeContext(CoxeterSystem.from_type(tag)), I, J)
+
+
+def km_setting(tag, I=(), J=()):
+    return KacMoody(HeckeContext(CoxeterSystem.from_type(tag)), I, J, "neg")
+
+
+def quantum_setting(tag, ell, I=()):
+    return Quantum(LinkageDatum(tag, ell), I)
+
+
+def index_words(setting, max_len=None):
+    """Index words x = w_J u of a setting, u of length at most max_len."""
+    reps, _ = setting.system.regular_double_coset_reps(setting.J, setting.I, max_len=max_len)
+    return [setting._embed(u).word for u in reps]
+
+
+def column_key(setting, fam, u):
+    """Memo key of the fam column at u in the context of a setting."""
+    return (family_id(fam, setting.I) if setting.I else "h", u.word)
+
+
+class TestSimpleTableChecks:
+    """The one-solve simple table keeps the parity certificate on its inputs."""
+
+    SETTINGS = {
+        "O-A3": lambda: (o_setting("A3"), (1, 2, 3, 2)),
+        "O-A3-I": lambda: (o_setting("A3", (2,)), (1, 2, 3)),
+        "KM-affA1": lambda: (km_setting("affA1"), (0, 1, 0)),
+        "quantum-A2-l5": lambda: (quantum_setting("A2", 5), (0, 1, 2, 0)),
+    }
+
+    @staticmethod
+    def plant(setting, key, low, length_gap):
+        """Add v^(length_gap + 1), of the wrong parity, at low to a memoized column."""
+        col = setting.hecke._columns[key]
+        bad = col.get(low, ZERO) + LaurentPoly.v(length_gap + 1)
+        setting.hecke._columns[key] = {**col, low: bad}
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_wrong_parity_in_a_direct_column_read_by_the_solve(self, name):
+        setting, x = self.SETTINGS[name]()
+        table = setting.simple_table(x)  # memoizes every column the solve reads
+        u_x = setting._coset_part(setting.system.element(x))
+        n_key = column_key(setting, "n", setting._n_index(u_x))
+        for w, _ in reversed(table.entries):  # the solve reads the m column at each u_y^-1
+            u = setting._coset_part(setting.system.element(w)).inverse()
+            key = column_key(setting, "m", u)
+            low = next((z for z in setting.hecke._columns[key] if z != u), None)
+            if key != n_key and low is not None:
+                break
+        self.plant(setting, key, low, u.length - low.length)
+        with pytest.raises(InternalInvariantError, match=r"_inv\S*: parity certificate failed"):
+            setting.simple_table(x)
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_wrong_parity_in_a_seed(self, name):
+        setting, x = self.SETTINGS[name]()
+        setting.simple_table(x)
+        u_x = setting._coset_part(setting.system.element(x))
+        u = next(u for u in setting._enumerate_u_below(u_x) if u != u_x)
+        key = column_key(setting, "n", setting._n_index(u_x))
+        self.plant(setting, key, setting._n_index(u), u_x.length - u.length)
+        with pytest.raises(
+            InternalInvariantError, match="parity certificate failed in the simple-object formula"
+        ):
+            setting.simple_table(x)
+
+
+def per_z_rows(setting, x_word):
+    """The simple table by the literal pairing: one inverse column per z, then
+    the convolution at every row, with the parity certificate on its terms."""
+    x, u_x = setting._index(x_word)
+    n_col = setting.hecke.parabolic_column("n", setting.I, setting._n_index(u_x))
+    zs = {setting._embed(u): u for u in setting._enumerate_u_below(u_x)}
+    direct = {z: n_col.get(setting._n_index(u), ZERO) for z, u in zs.items()}
+    inv_cols = {z: setting.hecke.inverse_column("m", setting.I, u.inverse()) for z, u in zs.items()}
+    rows = {}
+    for y, u_y in setting._targets(u_x, None, None)[0]:
+        inv = {z: col.get(u_y.inverse(), ZERO) for z, col in inv_cols.items()}
+        total, exact = convolution(direct, inv, {z: z.length for z in zs}, x.length, y.length)
+        assert exact
+        if total:
+            rows[y.word] = total
+    return rows
+
+
+PER_Z_CASES = [
+    pytest.param(make, tag, I, J, max_len, id=f"{name}-{tag}-I{list(I)}-J{list(J)}")
+    for name, make, tags, subsets, max_len in [
+        ("O", o_setting, ("A3", "B3", "G2"), [((), ()), ((1,), ()), ((), (2,))], None),
+        ("KM-", km_setting, ("affA1", "affA2"), [((), ()), ((1,), ()), ((), (0,))], 4),
+    ]
+    for tag in tags
+    for I, J in subsets
+]
+
+
+@pytest.mark.parametrize("make, tag, I, J, max_len", PER_Z_CASES)
+def test_one_solve_equals_the_per_z_pairing(make, tag, I, J, max_len):
+    setting = make(tag, I, J)
+    words = index_words(setting, max_len)
+    assert words
+    for x in words:
+        assert as_dict(setting.simple_table(x)) == per_z_rows(setting, x)
 
 
 class TestConvolution:
