@@ -13,13 +13,20 @@ any module from first principles: take the minimal projective resolution,
 coresolve each projective by tilting modules (each step is the minimal left
 add(T)-approximation of the last cokernel, read off hom bases), splice the
 pieces together with iterated mapping cones, and strip invertible
-differential entries by Gaussian elimination.  A ``TiltingCategory`` holds
-the coresolution of each projective it has seen, keyed by the module's
-content, so a projective is coresolved once however many resolutions it
-appears in.  Every step carries exact witnesses (chain-map
-identities, cone acyclicity checked by vertexwise rank counting), so the
-resulting graded multiplicities are independent of, and a check on, the
-closed formulas in :mod:`tiltc.tilting`.
+differential entries by Gaussian elimination.  Every step carries exact
+witnesses (chain-map identities, cone acyclicity checked by vertexwise rank
+counting), so the resulting graded multiplicities are independent of, and a
+check on, the closed formulas in :mod:`tiltc.tilting`.
+
+Work is done once per module content (the dimension vector and the arrow
+matrices, ``ModuleRep.content_key``).  ``parse_block_text`` validates every
+declared module and then hands out one object per content, so equal roles
+(``std_e``, ``simple_e``, ``costd_e`` and ``tilt_e`` of sl2) share the
+resolution and the hom bases that a module keeps.  A ``TiltingCategory``
+keeps the coresolution of each projective it has seen, so a projective is
+coresolved once however many resolutions it appears in, and
+``TiltingCategory.minimal_complex`` keeps the ``cmin_module`` result per
+content and scan order, each built and checked on its first request.
 
 ``verify_block`` runs nine invariant suites over a named block and raises
 on the first violated invariant.
@@ -208,11 +215,14 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
         if a not in labels or b not in labels:
             raise ValidationError(f"{name}: poset uses unknown label")
     leq = _poset_closure(labels, covers)
+    # equal declared modules (std_e and simple_e of sl2, say) become one
+    # object, which then keeps one resolution and one set of hom bases
     modules: dict[str, ModuleRep] = {}
+    by_content: dict[tuple, ModuleRep] = {}
     for mod_name, spec in module_specs.items():
         rep = ModuleRep(algebra, spec["dims"], spec["mats"])
         rep.validate()
-        modules[mod_name] = rep
+        modules[mod_name] = by_content.setdefault(rep.content_key(), rep)
     for role in ROLES:
         for lab in labels:
             if f"{role}_{lab}" not in modules:
@@ -336,18 +346,32 @@ class TiltingCategory:
         self.max_std_factors = max(int(sum(c)) for c in counts)
         self._sum_cache: dict[tuple[str, ...], tuple[ModuleRep, list[dict[str, int]]]] = {}
         self._coresolutions: dict[tuple, tuple[FormalComplex, VMap]] = {}
+        self._complexes: dict[tuple, tuple[FormalComplex, dict[int, VMap]]] = {}
 
     def coresolve(self, M: ModuleRep) -> tuple[FormalComplex, VMap]:
         """``tilting_coresolution`` of M, computed once per module content.
 
         Resolution terms are fresh objects, but equal representations have
-        equal coresolutions, so the key is the dimension vector and the arrow
-        matrices.  Callers must not mutate the shared result.
+        equal coresolutions, so the key is ``M.content_key()``.  Callers must
+        not mutate the shared result.
         """
-        key = (tuple(M.dims.items()), tuple(M.mats.items()))
+        key = M.content_key()
         if key not in self._coresolutions:
             self._coresolutions[key] = tilting_coresolution(self, M)
         return self._coresolutions[key]
+
+    def minimal_complex(
+        self, M: ModuleRep, scan: str = "forward"
+    ) -> tuple[FormalComplex, dict[int, VMap]]:
+        """``cmin_module`` of M, computed once per module content and scan.
+
+        Each complex is built, with its witnesses, on the first request.
+        Callers must not mutate the shared result.
+        """
+        key = (M.content_key(), scan)
+        if key not in self._complexes:
+            self._complexes[key] = cmin_module(self, M, scan)
+        return self._complexes[key]
 
     # -- sums and (de)coordinatization ---------------------------------------------
 
@@ -934,7 +958,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     for role in ("std", "simple"):
         for a in labels:
             mod = block.module(role, a)
-            complexes[f"{role}_{a}"] = (mod, cmin_module(tcat, mod)[0])
+            complexes[f"{role}_{a}"] = (mod, tcat.minimal_complex(mod)[0])
     results.append(
         (
             SUITE_NAMES[2],
@@ -947,7 +971,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     # 4: elimination order does not change the answer
     for role in ("std", "simple"):
         for a in labels:
-            cpx_b, _ = cmin_module(tcat, block.module(role, a), scan="backward")
+            cpx_b, _ = tcat.minimal_complex(block.module(role, a), scan="backward")
             if cpx_b.label_counts() != complexes[f"{role}_{a}"][1].label_counts():
                 raise InternalInvariantError(
                     f"scan orders disagree on {role}_{a}"
@@ -977,7 +1001,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
         if not nonzero:
             continue
         rad_checked += 1
-        c_rad, _ = cmin_module(tcat, rad)
+        c_rad, _ = tcat.minimal_complex(rad)
         complexes[f"rad_std_{a}"] = (rad, c_rad)
         c_std = complexes[f"std_{a}"][1].label_counts()
         c_simple = complexes[f"simple_{a}"][1].label_counts()

@@ -10,12 +10,16 @@ An (m, n) matrix has m rows of n entries each, with one exception: a
 matrix with no rows is the empty tuple ``()`` whatever n is, since that is
 the one shape a tuple of rows cannot record.  ``blocks`` assembles block
 matrices under this rule, and ``mul_shaped`` takes the result shape from
-its caller for products through zero-dimensional spaces.
+its caller for products through zero-dimensional spaces.  ``zeros`` and
+``ident`` hand out one cached tuple per shape; tuples are immutable, so
+sharing them is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from operator import add as _plus, mul as _times
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction  # int when integral, Fraction otherwise
@@ -39,16 +43,26 @@ def _ints(row: Iterable[Scalar]) -> list[Scalar]:
     ]
 
 
+def _exact_row(row: Vec) -> Vec:
+    """A computed row, through ``_ints`` only if it met a Fraction."""
+    for x in row:
+        if type(x) is not int:
+            return tuple(_ints(row))
+    return row
+
+
 def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(
         tuple(x if type(x) is int else exact(x) for x in row) for row in rows
     )
 
 
+@cache
 def zeros(m: int, n: int) -> Mat:
-    return tuple((0,) * n for _ in range(m))
+    return ((0,) * n,) * m
 
 
+@cache
 def ident(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -64,28 +78,29 @@ def is_zero(a: Mat) -> bool:
 def add(a: Mat, b: Mat) -> Mat:
     if list(map(len, a)) != list(map(len, b)):
         raise ValueError(f"cannot add {shape(a)} and {shape(b)}")
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+    return tuple(_exact_row(tuple(map(_plus, r, s))) for r, s in zip(a, b))
 
 
 def scal(c, a: Mat) -> Mat:
     c = exact(c)
-    if type(c) is int:
-        return tuple(tuple(c * x for x in row) for row in a)
-    return tuple(tuple(_ints(c * x for x in row)) for row in a)
+    return tuple(_exact_row(tuple([c * x for x in row])) for row in a)
+
+
+def _product(a: Mat, b: Mat) -> Mat:
+    """a @ b for a with rows of len(b) entries, as checked by the caller."""
+    cols = tuple(zip(*b))
+    return tuple(
+        _exact_row(tuple([sum(map(_times, row, col)) for col in cols])) for row in a
+    )
 
 
 def mul(a: Mat, b: Mat) -> Mat:
     """Matrix product a @ b; the composite 'b first, then a'."""
     if len(a) == 0:
         return ()
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
+    if len(a[0]) != len(b):
         raise ValueError(f"shape mismatch in product: {shape(a)} @ {shape(b)}")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return _product(a, b)
 
 
 def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
@@ -101,7 +116,7 @@ def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
         raise ValueError(f"cannot multiply {shape(a)} @ {shape(b)} to {(rows, cols)}")
     if not (rows and cols and inner):
         return zeros(rows, cols)
-    return mul(a, b)
+    return _product(a, b)
 
 
 def blocks(
@@ -133,12 +148,11 @@ def blocks(
 
 
 def apply(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return _exact_row(tuple([sum(map(_times, row, v)) for row in a]))
 
 
 def transpose(a: Mat) -> Mat:
-    m, n = shape(a)
-    return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
+    return tuple(zip(*a))
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -152,8 +166,10 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     pivots: list[int] = []
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
+        for pivot in range(r, m):
+            if rows[pivot][c]:
+                break
+        else:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         p = rows[r][c]

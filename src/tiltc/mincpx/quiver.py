@@ -315,6 +315,11 @@ class ModuleRep:
             )
         return acc
 
+    def content_key(self) -> tuple:
+        """Equal for equal representations: the dimension vector and the
+        arrow matrices (over one algebra)."""
+        return (tuple(self.dims.items()), tuple(self.mats.items()))
+
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())

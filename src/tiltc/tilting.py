@@ -223,20 +223,27 @@ class _Setting:
         ]
 
     def _targets(
-        self, u_x: CoxeterElement, y_word: Sequence[int] | None, max_len: int | None
+        self,
+        u_x: CoxeterElement,
+        y_word: Sequence[int] | None,
+        max_len: int | None,
+        below: list[CoxeterElement] | None = None,
     ) -> tuple[list[tuple[CoxeterElement, CoxeterElement]], CoxeterElement | None, int | None]:
         """Rows (y, u_y) of a table at u_x, the explicit y and the truncation.
 
         An explicit y_word gives one validated row; otherwise the rows run
-        over the index set below u_x, which is finite, so max_len (a bound
-        for the upward rows of positive level) is rejected.
+        over the index set below u_x (``below``, if the caller enumerated it
+        already), which is finite, so max_len (a bound for the upward rows of
+        positive level) is rejected.
         """
         if max_len is not None:
             raise ValidationError("max_len applies to positive level only")
         if y_word is not None:
             y = self._element(y_word, "y")
             return [(y, self._require_member(y, "y"))], y, None
-        return [(self._embed(u), u) for u in self._enumerate_u_below(u_x)], None, None
+        if below is None:
+            below = self._enumerate_u_below(u_x)
+        return [(self._embed(u), u) for u in below], None, None
 
     # -- table assembly with invariant enforcement ------------------------------
 
@@ -317,11 +324,12 @@ class _NegativeLike(_Setting):
         self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
     ) -> MultiplicityTable:
         x, u_x = self._index(x_word)
-        targets, explicit, _ = self._targets(u_x, y_word, max_len)
+        below = self._enumerate_u_below(u_x)
+        targets, explicit, _ = self._targets(u_x, y_word, max_len, below)
         n_col = self.hecke.parabolic_column("n", self.I, self._n_index(u_x))
         # the pairing is linear in bar(n): one solve seeded at every z below x
         seeds = {}
-        for u in self._enumerate_u_below(u_x):
+        for u in below:
             p = n_col.get(self._n_index(u), ZERO)
             if not p.has_parity(u_x.length - u.length):  # l(x) - l(z), z = w_J u or u
                 raise InternalInvariantError(
@@ -374,10 +382,10 @@ class KacMoody(_NegativeLike):
             return self.wJ * x
         return x * self.wI
 
-    def _targets(self, u_x, y_word, max_len):
+    def _targets(self, u_x, y_word, max_len, below=None):
         """Positive level tables run up the order; enumeration must truncate."""
         if self.level == "neg":
-            return super()._targets(u_x, y_word, max_len)
+            return super()._targets(u_x, y_word, max_len, below)
         if y_word is not None:  # one row: nothing to truncate
             return super()._targets(u_x, y_word, None)
         if max_len is None:

@@ -253,6 +253,48 @@ class TestLinalg:
         b = _mat([[3], [4]])
         assert linalg.mul_shaped(a, b, 1, 1) == _mat([[11]])
 
+    def test_integral_products_are_ints(self):
+        half = F(1, 2)
+        prod = linalg.mul(((half,),), ((2,),))
+        assert prod == ((1,),) and type(prod[0][0]) is int
+        prod = linalg.mul_shaped(((half, half),), ((1,), (1,)), 1, 1)
+        assert prod == ((1,),) and type(prod[0][0]) is int
+        assert linalg.mul(((half, 1),), ((1,), (1,))) == ((F(3, 2),),)
+        vec = linalg.apply(((half,), (F(1, 3),)), (2,))
+        assert vec == (1, F(2, 3)) and type(vec[0]) is int
+        total = linalg.add(((half,),), ((half,),))
+        assert total == ((1,),) and type(total[0][0]) is int
+        scaled = linalg.scal(2, ((half, F(1, 3)),))
+        assert scaled == ((1, F(2, 3)),) and type(scaled[0][0]) is int
+
+    def test_identity_and_zeros_are_shared(self):
+        assert linalg.ident(3) is linalg.ident(3)
+        assert linalg.zeros(2, 3) is linalg.zeros(2, 3)
+        assert linalg.zeros(0, 3) == () and linalg.zeros(2, 0) == ((), ())
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_products_match_triple_loop(self, data):
+        # m, k, n may each be zero; a zero-row factor or product is ()
+        m, k, n = (data.draw(st.integers(0, 3)) for _ in range(3))
+        entry = small_entry | rational_entry.map(linalg.exact)
+        a = tuple(tuple(data.draw(entry) for _ in range(k)) for _ in range(m))
+        b = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(k))
+        want = tuple(
+            tuple(linalg.exact(sum((a[i][t] * b[t][j] for t in range(k)), F(0)))
+                  for j in range(n))
+            for i in range(m)
+        )
+        got = linalg.mul_shaped(a, b, m, n)
+        assert got == want
+        _assert_int_first([x for row in got for x in row])
+        if k or not (m and n):  # mul reads n off b, which has no rows if k = 0
+            assert linalg.mul(a, b) == want
+            _assert_int_first([x for row in linalg.mul(a, b) for x in row])
+        assert linalg.transpose(a) == tuple(
+            tuple(a[i][j] for i in range(m)) for j in range(k if m else 0)
+        )
+
 
 # -- quiver representations -----------------------------------------------------------
 
@@ -588,6 +630,31 @@ class TestBlockParsing:
                 for k in (0, 1):
                     assert ext_dims(M, N, k) == full[: k + 1]
 
+    def test_equal_modules_are_shared(self, sl2_block):
+        groups: dict[int, list[str]] = {}
+        for name, mod in sl2_block.modules.items():
+            groups.setdefault(id(mod), []).append(name)
+        assert sorted(sorted(g) for g in groups.values()) == [
+            ["costd_e", "simple_e", "std_e", "tilt_e"],
+            ["costd_s", "inj_s"],
+            ["inj_e", "proj_e", "tilt_s"],
+            ["proj_s", "std_s"],
+            ["simple_s"],
+        ]
+
+    def test_modules_differing_in_one_entry_stay_apart(self):
+        from importlib import resources
+
+        text = resources.files("tiltc.blocks").joinpath("sl2.block").read_text()
+        head, sep, tail = text.partition("module inj_s")
+        assert sep and "map alpha = [[1]]" in tail
+        b = parse_block_text(head + sep + tail.replace("[[1]]", "[[2]]"))
+        assert b.module("inj", "s").mats["alpha"] == ((2,),)
+        assert b.module("costd", "s").mats["alpha"] == ((1,),)
+        assert b.module("inj", "s") is not b.module("costd", "s")
+        assert b.module("tilt", "e") is b.module("simple", "e")
+        assert len({id(m) for m in b.modules.values()}) == 6
+
     def test_missing_block(self):
         with pytest.raises(ValidationError, match="no bundled block"):
             load_block("nope")
@@ -792,6 +859,36 @@ class TestCoresolutionMemo:
         assert (R.terms, R.diffs, aug) == (R_new.terms, R_new.diffs, aug_new)
 
 
+class TestComplexMemo:
+    MODULES = [(role, lab) for role in ("std", "simple", "tilt", "costd") for lab in "es"]
+
+    @pytest.mark.parametrize("scan", ["forward", "backward"])
+    def test_memo_hit_equals_fresh_build(self, sl2_block, scan):
+        shared = TiltingCategory(sl2_block)
+        for role, lab in self.MODULES:  # fill the memo
+            shared.minimal_complex(sl2_block.module(role, lab), scan=scan)
+        # std_e = simple_e = tilt_e = costd_e; std_s, simple_s, tilt_s, costd_s
+        assert len(shared._complexes) == 5
+        for role, lab in self.MODULES:
+            M = sl2_block.module(role, lab)
+            hit, hit_kappa = shared.minimal_complex(M, scan=scan)
+            new, new_kappa = cmin_module(TiltingCategory(sl2_block), M, scan=scan)
+            assert hit.terms == new.terms, (role, lab)
+            assert hit.diffs == new.diffs, (role, lab)
+            assert hit_kappa == new_kappa, (role, lab)
+        assert len(shared._complexes) == 5
+
+    def test_key_is_module_content_and_scan(self, sl2_block):
+        tcat = TiltingCategory(sl2_block)
+        std_s = sl2_block.module("std", "s")
+        copy = direct_sum([std_s])
+        assert copy is not std_s
+        assert tcat.minimal_complex(copy) is tcat.minimal_complex(std_s)
+        backward = tcat.minimal_complex(std_s, scan="backward")
+        assert backward is not tcat.minimal_complex(std_s)
+        assert len(tcat._complexes) == 2
+
+
 class TestVerifyBlock:
     def test_all_nine_suites(self, sl2_block):
         results = verify_block(sl2_block)
@@ -824,6 +921,23 @@ class TestVerifyBlock:
         )
         verify_block(load_block("sl2"))
         assert len(calls) == 2
+
+    def test_each_complex_is_built_once(self, monkeypatch):
+        # suites 3, 4 and 6 ask for 9 complexes, but std_e, simple_e and the
+        # radical of std_s are one content: 3 contents, each in both scans
+        from tiltc.mincpx import block as block_mod
+
+        calls = []
+        real = block_mod.cmin_module
+        monkeypatch.setattr(
+            block_mod,
+            "cmin_module",
+            lambda tcat, M, scan="forward": calls.append((M.content_key(), scan))
+            or real(tcat, M, scan),
+        )
+        verify_block(load_block("sl2"))
+        assert len(calls) == len(set(calls)) == 6
+        assert sorted(scan for _, scan in calls) == ["backward"] * 3 + ["forward"] * 3
 
     def test_formula_agreement_is_exact(self, sl2_block, sl2_tcat):
         # independent spot check of the suite-9 comparison for the simple

@@ -369,6 +369,21 @@ class TestSimpleTableChecks:
         ):
             setting.simple_table(x)
 
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_index_set_is_enumerated_once(self, name, monkeypatch):
+        # the rows and the seeds of one table come from one enumeration
+        setting, x = self.SETTINGS[name]()
+        want = setting.simple_table(x)
+        want_y = setting.simple_table(x, y_word=x)
+        calls = []
+        real = setting._enumerate_u_below
+        monkeypatch.setattr(setting, "_enumerate_u_below", lambda u: calls.append(u) or real(u))
+        assert setting.simple_table(x) == want
+        assert setting.simple_table(x, y_word=x) == want_y
+        assert len(calls) == 2
+        with pytest.raises(ValidationError, match="max_len applies to positive level only"):
+            setting.simple_table(x, max_len=3)
+
 
 def per_z_rows(setting, x_word):
     """The simple table by the literal pairing: one inverse column per z, then
