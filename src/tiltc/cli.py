@@ -67,7 +67,6 @@ def _open_store(
 
 def _save_store(store: PolyStore | None, path: Path | None) -> None:
     if store is not None and path is not None and store.dirty:
-        path.parent.mkdir(parents=True, exist_ok=True)
         store.save(path)
 
 

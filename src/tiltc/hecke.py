@@ -146,9 +146,10 @@ class PolyStore:
     writers lose no column; a record on disk that differs from this store's
     for the same column is a CacheError.  ``clear`` takes the same lock.
 
-    HeckeContext uses m and n records only; h is read off m^{L(y)}.  The h,
-    m[], n[] and inverse records of files written by older versions are kept
-    verbatim, unread.
+    HeckeContext reads m[K] and n[I] records with K and I non-empty only; h
+    is read off m^{L(y)}.  The h, m[], n[] and inverse records of files
+    written by older versions are validated by ``load`` like any other record
+    and then dropped, so a save does not write them back.
     """
 
     FORMAT = 1
@@ -301,8 +302,14 @@ class PolyStore:
                     raise ValueError(f"malformed record {line[:60]!r}")
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
-            store.columns.setdefault(fam_id, {})[upper] = line
+            if cls._is_read(fam_id):
+                store.columns.setdefault(fam_id, {})[upper] = line
         return store
+
+    @staticmethod
+    def _is_read(fam_id: str) -> bool:
+        """Whether a query reads records of a family: m[K] or n[I], non-empty."""
+        return fam_id[:2] in ("m[", "n[") and fam_id[2:] != "]"
 
 
 class HeckeContext:

@@ -6,17 +6,20 @@ indexes its regular-linkage objects by twisted cosets x in w_J * (J-and-I
 minimal, I-regular) representatives of one Coxeter system, and the graded
 multiplicity of the tilting object T_y in the minimal complex C_min of a
 standard object Delta_x or simple object L_x is a single inverse parabolic
-Kazhdan-Lusztig polynomial, or a convolution of a direct family against an
+Kazhdan-Lusztig polynomial, or a pairing of a direct family with an
 inverse family:
 
   standard:  one inverse-family entry at indices twisted by the relevant
              longest elements;
-  simple:    sum over z between y and x of bar(n_{z,x}) * m^{z,y}, linear in
-             the seeds bar(n_{z,x}): at negative level the row is one
-             inverse_combination, whose parity certificate is checked on its
-             inputs (each seed has parity l(x) - l(z), each direct entry the
-             solve reads that of its length difference), so no two terms
-             cancel; at positive level, the convolution pairing below.
+  simple:    at negative level sum over z between y and x of
+             bar(n_{z,x}) * m^{z,y}, linear in the seeds bar(n_{z,x}), so the
+             row is one inverse_combination; at positive level sum over z
+             between x and y of bar(m^{z,x}) * n_{z,y}, where every z is a row
+             of the same table, so each inverse entry m^{z,x} is read once
+             per table and each row sums over its n column.  The parity
+             certificate is checked on the inputs (each factor has the parity
+             of its length difference, also each direct entry a solve
+             reads), so no two terms cancel.
 
 All tables enforce: unit diagonal, support bounded by the Bruhat order
 (reversed at positive level), exponent parity len(x) + len(y) mod 2, and
@@ -45,7 +48,6 @@ __all__ = [
     "CategoryO",
     "KacMoody",
     "Quantum",
-    "convolution",
     "filtration_dims",
 ]
 
@@ -123,34 +125,6 @@ def filtration_dims(entries: Mapping[tuple[int, ...], LaurentPoly]) -> tuple[int
             nabla = max(nabla, p.max_degree())
             delta = max(delta, -p.min_degree())
     return nabla, delta
-
-
-def convolution(
-    p: Mapping[object, LaurentPoly],
-    p_prime: Mapping[object, LaurentPoly],
-    length_of: Mapping[object, int],
-    len_first: int,
-    len_second: int,
-) -> tuple[LaurentPoly, bool]:
-    """Pairing sum_z bar(p_z) * p'_z with a parity certificate.
-
-    When every p_z has parity len_first - len(z) and every p'_z parity
-    len_second - len(z), no cancellation can occur between the terms of a
-    fixed tilting multiplicity and the result is exact; otherwise the result
-    is only an upper bound and exact=False is returned.
-    """
-    exact = True
-    total: dict[int, int] = {}
-    for z, pz in p.items():
-        lz = length_of[z]
-        if not pz.has_parity(len_first - lz):
-            exact = False
-        q = p_prime.get(z, ZERO)
-        if q and not q.has_parity(len_second - lz):
-            exact = False
-        if pz and q:
-            _mac(total, q, [(-e, c) for e, c in pz.terms])
-    return LaurentPoly(total), exact
 
 
 class _Setting:
@@ -419,25 +393,32 @@ class KacMoody(_NegativeLike):
         targets, explicit, truncated = self._targets(u_x, y_word, max_len)
         if literal_text:
             return self._literal_table(x, u_x, targets, explicit, max_len)
+        # every z with x <= z <= y is a row of the whole table (it lies above x
+        # and is no longer than y); one explicit y enumerates its own below it
+        zs = [u for _, u in targets] if explicit is None else self._enumerate_u_below(targets[0][1])
+        # bar(m^{z,x}) by the n index of z; an inverse entry is zero unless x <= z
+        bar_m = {}
+        for u in zs:
+            m = self.hecke.inverse_column("m", self.I, u.inverse()).get(u_x.inverse(), ZERO)
+            if not m.has_parity(u_x.length - u.length):  # l(x) - l(z), z = u w_I
+                raise InternalInvariantError(
+                    f"parity certificate failed in the simple-object formula at z={self._embed(u)!r}"
+                )
+            if m:
+                bar_m[self._n_index(u)] = (u, m.bar().terms)
         rows = {}
         for y, u_y in targets:
-            zs = {
-                self._embed(u): u
-                for u in self._enumerate_u_below(u_y)
-                if self.system.bruhat_leq(u_x, u)
-            }
-            col_y = self.hecke.parabolic_column("n", self.I, self._n_index(u_y))
-            direct = {z: col_y.get(self._n_index(u), ZERO) for z, u in zs.items()}
-            inv = {
-                z: self.hecke.inverse_column("m", self.I, u.inverse()).get(u_x.inverse(), ZERO)
-                for z, u in zs.items()
-            }
-            # roles mirrored: bar acts on the inverse factor
-            rows[y], exact = convolution(inv, direct, {z: z.length for z in inv}, x.length, y.length)
-            if not exact:
-                raise InternalInvariantError(
-                    f"parity certificate failed in the simple-object formula at y={y!r}"
-                )
+            total: dict[int, int] = {}
+            for a, n in self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).items():
+                if a in bar_m:
+                    u, m_terms = bar_m[a]
+                    if not n.has_parity(u_y.length - u.length):
+                        raise InternalInvariantError(
+                            "parity certificate failed in the simple-object formula "
+                            f"at y={y!r}, z={self._embed(u)!r}"
+                        )
+                    _mac(total, n, m_terms)
+            rows[y] = LaurentPoly(total)
         return self._finalize(x, rows, explicit, truncated_at=truncated)
 
     def _literal_table(self, x, u_x, targets, explicit, max_len):
@@ -447,20 +428,15 @@ class KacMoody(_NegativeLike):
         reps, _ = self.system.regular_double_coset_reps(
             self.J, self.I, max_len=max_len
         )
-        z_parts = [u for u in reps if self.system.bruhat_leq(u_x, u)]
-        rows = {}
-        for y, u_y in targets:
-            n_fixed = self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).get(
-                self._n_index(u_x), ZERO
-            )
-            total: dict[int, int] = {}
-            for u_z in z_parts:
-                m = self.hecke.inverse_column("m", self.I, u_z.inverse()).get(
-                    u_x.inverse(), ZERO
-                )
-                if m and n_fixed:
-                    _mac(total, n_fixed, [(-e, c) for e, c in m.terms])
-            rows[y] = LaurentPoly(total)
+        # sum_z bar(m^{z,x}) does not depend on y: one push seeded at every z
+        # (m^{z,x} is zero unless x <= z)
+        m_sum = self.hecke.inverse_combination("m", self.I, {u.inverse(): ONE for u in reps})
+        m_bar = m_sum.get(u_x.inverse(), ZERO).bar()
+        a = self._n_index(u_x)
+        rows = {
+            y: self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).get(a, ZERO) * m_bar
+            for y, u_y in targets
+        }
         return self._finalize(
             x,
             rows,

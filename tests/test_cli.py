@@ -101,6 +101,58 @@ class TestKl:
         assert rc == 2
 
 
+# taken before the positive-level simple table enumerated its index set once
+# per table
+KM_POS_AFFA2_SIMPLE = """\
+1\t1
+0 1\tv^-1 + v
+2 1\tv^-1 + v
+0 1 0\t1
+0 2 1\tv^-2 + 2 + v^2
+1 2 1\t1
+2 0 1\tv^-2 + 2 + v^2
+0 1 2 1\tv^-1 + v
+0 2 0 1\tv^-3 + 2*v^-1 + 2*v + v^3
+1 0 2 1\t2*v^-1 + 2*v
+1 2 0 1\t2*v^-1 + 2*v
+2 0 1 0\tv^-1 + v
+0 1 0 2 1\tv^-2 + 2 + v^2
+0 1 2 0 1\t2*v^-2 + 4 + 2*v^2
+0 2 0 1 0\tv^-2 + 2 + v^2
+0 2 0 1 2\tv^-2 + 2 + v^2
+1 0 2 0 1\t2*v^-2 + 4 + 2*v^2
+1 2 0 1 0\tv^-2 + 2 + v^2
+2 1 0 2 1\t2*v^-2 + 4 + 2*v^2
+0 1 0 2 0 1\tv^-3 + 4*v^-1 + 4*v + v^3
+0 1 2 0 1 0\tv^-3 + 3*v^-1 + 3*v + v^3
+0 2 1 0 2 1\tv^-3 + 4*v^-1 + 4*v + v^3
+1 0 2 0 1 0\t3*v^-1 + 3*v
+1 0 2 0 1 2\t3*v^-1 + 3*v
+1 2 1 0 2 1\tv^-3 + 4*v^-1 + 4*v + v^3
+2 0 1 0 2 1\tv^-3 + 3*v^-1 + 3*v + v^3
+2 0 1 2 0 1\tv^-3 + 4*v^-1 + 4*v + v^3
+# dims\tnabla=3\tdelta=3
+"""
+KM_POS_AFFA2_LITERAL = """\
+1\t4*v^-4 + 7*v^-3 + 9*v^-2 + 4*v^-1 + 1
+0 1\t4*v^-3 + 7*v^-2 + 9*v^-1 + 4 + v
+2 1\t4*v^-3 + 7*v^-2 + 9*v^-1 + 4 + v
+0 2 1\t4*v^-2 + 7*v^-1 + 9 + 4*v + v^2
+2 0 1\t4*v^-2 + 7*v^-1 + 9 + 4*v + v^2
+0 2 0 1\t4*v^-1 + 7 + 9*v + 4*v^2 + v^3
+0 1 2 0 1\t4*v^-2 + 7*v^-1 + 9 + 4*v + v^2
+0 2 0 1 0\t4*v^-2 + 7*v^-1 + 9 + 4*v + v^2
+0 2 0 1 2\t4*v^-2 + 7*v^-1 + 9 + 4*v + v^2
+2 1 0 2 1\t4*v^-2 + 7*v^-1 + 9 + 4*v + v^2
+0 1 2 0 1 0\t4*v^-1 + 7 + 9*v + 4*v^2 + v^3
+0 2 1 0 2 1\t4*v^-1 + 7 + 9*v + 4*v^2 + v^3
+2 0 1 0 2 1\t4*v^-1 + 7 + 9*v + 4*v^2 + v^3
+2 0 1 2 0 1\t4*v^-1 + 7 + 9*v + 4*v^2 + v^3
+# dims\tnabla=3\tdelta=4
+# flag\tliteral-positive-text
+"""
+
+
 class TestTilt:
     def test_o_simple_json_pinned(self, capsys):
         rc, out, _ = run(
@@ -147,6 +199,28 @@ class TestTilt:
         assert rc == 0
         lines = out.splitlines()
         assert "1\t1" in lines and "0 1\tv" in lines
+
+    KM_POS_AFFA2 = (
+        "tilt", "km", "--type", "affA2", "--I", "1", "--level", "pos", "--x", "1",
+    )
+
+    def test_km_positive_simple_pinned(self, capsys):
+        rc, out, err = run(capsys, *self.KM_POS_AFFA2, "--simple", "--max-length", "6")
+        assert (rc, out, err) == (0, KM_POS_AFFA2_SIMPLE, "")
+
+    def test_km_positive_literal_text_pinned(self, capsys):
+        rc, out, err = run(
+            capsys, *self.KM_POS_AFFA2, "--simple", "--max-length", "6",
+            "--literal-positive-text",
+        )
+        assert (rc, out, err) == (0, KM_POS_AFFA2_LITERAL, "")
+
+    def test_literal_text_needs_simple(self, capsys):
+        rc, out, err = run(
+            capsys, *self.KM_POS_AFFA2, "--max-length", "6", "--literal-positive-text"
+        )
+        assert rc == 1 and out == ""
+        assert "--literal-positive-text applies to --simple tables" in err
 
     def test_km_rejects_finite_type(self, capsys):
         rc, _, err = run(capsys, "tilt", "km", "--type", "A2", "--x", "1")
@@ -403,7 +477,7 @@ class TestCache:
     def test_forged_inverse_record_is_not_read(self, capsys, tmp_path, lower, poly):
         # stores written by older versions also hold inverse columns; inverse
         # columns now always come from the push, so a forged one behind a
-        # valid checksum changes nothing and is saved back as it was read
+        # valid checksum changes nothing and is dropped on load
         args = (
             "kl", "--type", "A3", "--parabolic", "1", "--flavor", "antispherical",
             "--inverse", "--x", "2 1 3 2",
@@ -420,10 +494,10 @@ class TestCache:
         [forged] = self.records(tmp_path / "A3.jsonl")
         rc, out, err = run(capsys, *args, "--cache-path", str(tmp_path))
         assert (rc, out, err) == (0, clean, "")
-        # the query computed and saved its n[1] columns next to the record
+        # the query computed and saved its n[1] columns, but not the record
         saved = self.records(tmp_path / "A3.jsonl")
-        assert forged in saved and len(saved) > 1
-        assert {json.loads(line)["family"] for line in saved} == {"n[1]", "n_inv[1]"}
+        assert forged not in saved and saved
+        assert {json.loads(line)["family"] for line in saved} == {"n[1]"}
 
     @staticmethod
     def unread_kind(line):
@@ -451,8 +525,8 @@ class TestCache:
     def test_store_with_m_n_and_inverse_records_loads(self, capsys, tmp_path):
         # a store written by a version that also stored h, m[], n[] and
         # inverse columns: the outputs are those of a run without a store,
-        # the records no query reads now are saved back verbatim, and no h,
-        # m[], n[] or inverse record is added
+        # the records a query reads are saved back verbatim, and the h, m[],
+        # n[] and inverse records are dropped
         old = (DATA / "A3-all-families.jsonl").read_text()
         (tmp_path / "A3.jsonl").write_text(old)
         for args in (
@@ -467,10 +541,11 @@ class TestCache:
             rc, clean, _ = run(capsys, *args, "--no-cache")
             assert rc == 0
             assert run(capsys, *args, "--cache-path", str(tmp_path)) == (0, clean, "")
-        kept = set(old.rstrip("\n").split("\n")[1:])
-        added = set(self.records(tmp_path / "A3.jsonl")) - kept
-        assert kept <= set(self.records(tmp_path / "A3.jsonl"))
-        assert added and not any(self.unread_kind(line) for line in added)
+        old_records = set(old.rstrip("\n").split("\n")[1:])
+        kept = {line for line in old_records if not self.unread_kind(line)}
+        saved = set(self.records(tmp_path / "A3.jsonl"))
+        assert kept and kept <= saved
+        assert saved - old_records and not any(self.unread_kind(line) for line in saved)
 
     def test_wrong_system_rejected(self, capsys, tmp_path):
         cache = str(tmp_path)

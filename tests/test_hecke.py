@@ -578,6 +578,29 @@ class TestPolyStore:
         s.save(p)
         assert PolyStore.load(p, "A2", 2).columns == {}
 
+    def test_records_no_query_reads_are_dropped_on_load(self, tmp_path):
+        # an h record, as older versions wrote, next to an m[1] record
+        c = HeckeContext(A3)
+        y = A3.element([2, 1])
+        m_col = {x.word: p for x, p in c.parabolic_column("m", (1,), y).items()}
+        h_col = {x.word: p for x, p in c.kl_column(y).items()}
+        m_line = PolyStore._line("m[1]", y.word, m_col)
+        body = "\n".join(sorted([PolyStore._line("h", y.word, h_col), m_line]))
+        head = {
+            "format": 1, "normalization": 1, "system": "A3", "generators": 3,
+            "records": 2, "checksum": hashlib.sha256(body.encode()).hexdigest(),
+        }
+        path = tmp_path / "A3.jsonl"
+        path.write_text(json.dumps(head) + "\n" + body + "\n")
+        store = PolyStore.load(path, "A3", 3)
+        assert store.columns == {"m[1]": {y.word: m_line}}
+        assert HeckeContext(A3, store).parabolic_column("m", (1,), y) == c.parabolic_column(
+            "m", (1,), y
+        )
+        assert not store.dirty  # served, not recomputed
+        store.save(path)
+        assert path.read_text().split("\n")[1:] == [m_line, ""]
+
     def test_untouched_save_is_verbatim(self, tmp_path):
         _, path = self.make_store(tmp_path)
         loaded = PolyStore.load(path, "A3", 3)

@@ -10,13 +10,7 @@ from tiltc.errors import InternalInvariantError, ValidationError
 from tiltc.hecke import HeckeContext, family_id
 from tiltc.laurent import ONE, ZERO, LaurentPoly
 from tiltc.rootdata import LinkageDatum
-from tiltc.tilting import (
-    CategoryO,
-    KacMoody,
-    Quantum,
-    convolution,
-    filtration_dims,
-)
+from tiltc.tilting import CategoryO, KacMoody, Quantum, filtration_dims
 
 A1 = CoxeterSystem.from_type("A1")
 A2 = CoxeterSystem.from_type("A2")
@@ -87,6 +81,20 @@ class TestCategoryOStandard:
     def test_needs_finite_type(self):
         with pytest.raises(ValidationError):
             CategoryO(HeckeContext(AFF1), (), ())
+
+    def test_antispherical_twin_cross_check_fires(self):
+        # a wrong entry in the memoized n column the twin reads at some y
+        O = CategoryO(HeckeContext(A3), (2,), ())
+        x = A3.element((1, 2, 3))
+        t = O.standard_table(x.word)
+        y = next(A3.element(w) for w, _ in t.entries if w != x.word)
+        a = O.wI * x.inverse() * O.wJ_w0
+        b = O.wI * y.inverse() * O.wJ_w0
+        key = (family_id("n", O.I), b.word)
+        col = O.hecke._columns[key]
+        O.hecke._columns[key] = {**col, a: col.get(a, ZERO) + P("v^2")}
+        with pytest.raises(InternalInvariantError, match="disagrees with its antispherical twin"):
+            O.standard_table(x.word)
 
 
 class TestCategoryOSimple:
@@ -323,14 +331,20 @@ def column_key(setting, fam, u):
     return (family_id(fam, setting.I) if setting.I else "h", u.word)
 
 
-class TestSimpleTableChecks:
-    """The one-solve simple table keeps the parity certificate on its inputs."""
+def km_pos_setting(tag, I=(), J=()):
+    return KacMoody(HeckeContext(CoxeterSystem.from_type(tag)), I, J, "pos")
 
+
+class TestSimpleTableChecks:
+    """The simple tables keep the parity certificate on their inputs."""
+
+    # (setting, x, max_len): a positive-level table over all y needs max_len
     SETTINGS = {
-        "O-A3": lambda: (o_setting("A3"), (1, 2, 3, 2)),
-        "O-A3-I": lambda: (o_setting("A3", (2,)), (1, 2, 3)),
-        "KM-affA1": lambda: (km_setting("affA1"), (0, 1, 0)),
-        "quantum-A2-l5": lambda: (quantum_setting("A2", 5), (0, 1, 2, 0)),
+        "O-A3": lambda: (o_setting("A3"), (1, 2, 3, 2), None),
+        "O-A3-I": lambda: (o_setting("A3", (2,)), (1, 2, 3), None),
+        "KM-affA1": lambda: (km_setting("affA1"), (0, 1, 0), None),
+        "KM+-affA2": lambda: (km_pos_setting("affA2", (1,)), (0, 1), 6),
+        "quantum-A2-l5": lambda: (quantum_setting("A2", 5), (0, 1, 2, 0), None),
     }
 
     @staticmethod
@@ -342,61 +356,145 @@ class TestSimpleTableChecks:
 
     @pytest.mark.parametrize("name", sorted(SETTINGS))
     def test_wrong_parity_in_a_direct_column_read_by_the_solve(self, name):
-        setting, x = self.SETTINGS[name]()
-        table = setting.simple_table(x)  # memoizes every column the solve reads
+        setting, x, max_len = self.SETTINGS[name]()
+        table = setting.simple_table(x, max_len=max_len)  # memoizes every column read
         u_x = setting._coset_part(setting.system.element(x))
         n_key = column_key(setting, "n", setting._n_index(u_x))
-        for w, _ in reversed(table.entries):  # the solve reads the m column at each u_y^-1
+        # the solve reads the m column at each u_y^-1 (at positive level the
+        # inverse column of each row z starts there)
+        for w, _ in reversed(table.entries):
             u = setting._coset_part(setting.system.element(w)).inverse()
             key = column_key(setting, "m", u)
             low = next((z for z in setting.hecke._columns[key] if z != u), None)
             if key != n_key and low is not None:
                 break
         self.plant(setting, key, low, u.length - low.length)
+        # inverse columns are memoized: drop them, so the pushes run again
+        for k in [k for k in setting.hecke._columns if "_inv" in k[0]]:
+            del setting.hecke._columns[k]
         with pytest.raises(InternalInvariantError, match=r"_inv\S*: parity certificate failed"):
-            setting.simple_table(x)
+            setting.simple_table(x, max_len=max_len)
 
     @pytest.mark.parametrize("name", sorted(SETTINGS))
     def test_wrong_parity_in_a_seed(self, name):
-        setting, x = self.SETTINGS[name]()
-        setting.simple_table(x)
+        setting, x, max_len = self.SETTINGS[name]()
+        table = setting.simple_table(x, max_len=max_len)
         u_x = setting._coset_part(setting.system.element(x))
-        u = next(u for u in setting._enumerate_u_below(u_x) if u != u_x)
-        key = column_key(setting, "n", setting._n_index(u_x))
-        self.plant(setting, key, setting._n_index(u), u_x.length - u.length)
+        # a seed is an n entry: at negative level the n column of x at each z
+        # below x, at positive level the n column of each row y at each z
+        if max_len is None:
+            top = u_x
+            low = next(u for u in setting._enumerate_u_below(u_x) if u != u_x)
+        else:  # the last row y at z = x, where m^{x,x} = 1
+            top = setting._coset_part(setting.system.element(table.entries[-1][0]))
+            low = u_x
+        key = column_key(setting, "n", setting._n_index(top))
+        self.plant(setting, key, setting._n_index(low), top.length - low.length)
         with pytest.raises(
             InternalInvariantError, match="parity certificate failed in the simple-object formula"
         ):
-            setting.simple_table(x)
+            setting.simple_table(x, max_len=max_len)
+
+    def test_wrong_parity_in_an_inverse_entry_at_positive_level(self):
+        # each memoized inverse column of a row z is read once, at x
+        setting, x, max_len = self.SETTINGS["KM+-affA2"]()
+        table = setting.simple_table(x, max_len=max_len)
+        u_x = setting._coset_part(setting.system.element(x))
+        u = setting._coset_part(setting.system.element(table.entries[-1][0]))
+        key = column_key(setting, "m_inv", u.inverse())
+        self.plant(setting, key, u_x.inverse(), u.length - u_x.length)
+        with pytest.raises(
+            InternalInvariantError, match="parity certificate failed in the simple-object formula"
+        ):
+            setting.simple_table(x, max_len=max_len)
 
     @pytest.mark.parametrize("name", sorted(SETTINGS))
     def test_index_set_is_enumerated_once(self, name, monkeypatch):
-        # the rows and the seeds of one table come from one enumeration
-        setting, x = self.SETTINGS[name]()
-        want = setting.simple_table(x)
+        # the rows and the seeds of one table come from one enumeration; at
+        # positive level every z of a row is a row, so only an explicit y
+        # enumerates, and the literal z-sum is one push
+        setting, x, max_len = self.SETTINGS[name]()
+        want = setting.simple_table(x, max_len=max_len)
         want_y = setting.simple_table(x, y_word=x)
         calls = []
         real = setting._enumerate_u_below
         monkeypatch.setattr(setting, "_enumerate_u_below", lambda u: calls.append(u) or real(u))
-        assert setting.simple_table(x) == want
+        assert setting.simple_table(x, max_len=max_len) == want
+        assert len(calls) == (1 if max_len is None else 0)
         assert setting.simple_table(x, y_word=x) == want_y
-        assert len(calls) == 2
-        with pytest.raises(ValidationError, match="max_len applies to positive level only"):
-            setting.simple_table(x, max_len=3)
+        assert len(calls) == (2 if max_len is None else 1)
+        if max_len is None:
+            with pytest.raises(ValidationError, match="max_len applies to positive level only"):
+                setting.simple_table(x, max_len=3)
+            return
+        want = setting.simple_table(x, max_len=max_len, literal_text=True)
+        pushes = []
+        hecke = setting.hecke
+        push = hecke.inverse_combination
+        monkeypatch.setattr(
+            hecke, "inverse_combination", lambda *a: pushes.append(a) or push(*a)
+        )
+        for _ in range(2):
+            assert setting.simple_table(x, max_len=max_len, literal_text=True) == want
+        assert len(pushes) == 2
 
 
-def per_z_rows(setting, x_word):
+def convolution(p, p_prime, length_of, len_first, len_second):
+    """Pairing sum_z bar(p_z) * p'_z with a parity certificate.
+
+    When every p_z has parity len_first - len(z) and every p'_z parity
+    len_second - len(z), no cancellation can occur between the terms of a
+    fixed tilting multiplicity and the result is exact; otherwise the result
+    is only an upper bound and exact=False is returned.
+    """
+    exact = True
+    total = ZERO
+    for z, pz in p.items():
+        lz = length_of[z]
+        if not pz.has_parity(len_first - lz):
+            exact = False
+        q = p_prime.get(z, ZERO)
+        if q and not q.has_parity(len_second - lz):
+            exact = False
+        total = total + pz.bar() * q
+    return total, exact
+
+
+def per_z_rows(setting, x_word, max_len=None):
     """The simple table by the literal pairing: one inverse column per z, then
-    the convolution at every row, with the parity certificate on its terms."""
+    the convolution at every row, with the parity certificate on its terms.
+    At negative level z runs below x and the pairing is bar(n_{z,x}) m^{z,y};
+    at positive level z runs between x and y and it is bar(m^{z,x}) n_{z,y}."""
     x, u_x = setting._index(x_word)
+    positive = getattr(setting, "level", None) == "pos"
     n_col = setting.hecke.parabolic_column("n", setting.I, setting._n_index(u_x))
-    zs = {setting._embed(u): u for u in setting._enumerate_u_below(u_x)}
-    direct = {z: n_col.get(setting._n_index(u), ZERO) for z, u in zs.items()}
-    inv_cols = {z: setting.hecke.inverse_column("m", setting.I, u.inverse()) for z, u in zs.items()}
     rows = {}
-    for y, u_y in setting._targets(u_x, None, None)[0]:
-        inv = {z: col.get(u_y.inverse(), ZERO) for z, col in inv_cols.items()}
-        total, exact = convolution(direct, inv, {z: z.length for z in zs}, x.length, y.length)
+    for y, u_y in setting._targets(u_x, None, max_len)[0]:
+        if positive:
+            zs = {
+                setting._embed(u): u
+                for u in setting._enumerate_u_below(u_y)
+                if setting.system.bruhat_leq(u_x, u)
+            }
+            y_col = setting.hecke.parabolic_column("n", setting.I, setting._n_index(u_y))
+            direct = {z: y_col.get(setting._n_index(u), ZERO) for z, u in zs.items()}
+            inv = {
+                z: setting.hecke.inverse_column("m", setting.I, u.inverse()).get(
+                    u_x.inverse(), ZERO
+                )
+                for z, u in zs.items()
+            }
+            total, exact = convolution(inv, direct, {z: z.length for z in zs}, x.length, y.length)
+        else:
+            zs = {setting._embed(u): u for u in setting._enumerate_u_below(u_x)}
+            direct = {z: n_col.get(setting._n_index(u), ZERO) for z, u in zs.items()}
+            inv = {
+                z: setting.hecke.inverse_column("m", setting.I, u.inverse()).get(
+                    u_y.inverse(), ZERO
+                )
+                for z, u in zs.items()
+            }
+            total, exact = convolution(direct, inv, {z: z.length for z in zs}, x.length, y.length)
         assert exact
         if total:
             rows[y.word] = total
@@ -421,6 +519,22 @@ def test_one_solve_equals_the_per_z_pairing(make, tag, I, J, max_len):
     assert words
     for x in words:
         assert as_dict(setting.simple_table(x)) == per_z_rows(setting, x)
+
+
+@pytest.mark.parametrize(
+    "tag, I, J",
+    [
+        pytest.param(tag, I, J, id=f"{tag}-I{list(I)}-J{list(J)}")
+        for tag, I, J in [("affA1", (1,), ()), ("affA2", (1,), ()), ("affA2", (1,), (0,))]
+    ],
+)
+def test_positive_table_equals_the_per_z_pairing(tag, I, J):
+    # index words x with u_x of length at most 2, rows y of length at most 6
+    setting = km_pos_setting(tag, I, J)
+    words = index_words(setting, 2)
+    assert words
+    for x in words:
+        assert as_dict(setting.simple_table(x, max_len=6)) == per_z_rows(setting, x, 6)
 
 
 class TestConvolution:
