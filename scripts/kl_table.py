@@ -13,22 +13,6 @@ from tiltc.coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
 from tiltc.hecke import HeckeContext
 
 
-def ball(system, max_len):
-    gens = {s: system.element((s,)) for s in system.names}
-    seen = {system.element(())}
-    frontier = list(seen)
-    for _ in range(max_len):
-        new = []
-        for w in frontier:
-            for s in system.names:
-                z = w * gens[s]
-                if z.length > w.length and z not in seen:
-                    seen.add(z)
-                    new.append(z)
-        frontier = new
-    return sorted(seen, key=CoxeterElement.sort_key)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--type", required=True, help="type tag, e.g. A3 or affA1")
@@ -43,18 +27,11 @@ def main() -> int:
     system = CoxeterSystem.from_type(args.type)
     hecke = HeckeContext(system)
     I = parse_word(args.parabolic) if args.parabolic else ()
-    if args.max_length is None:
-        if not system.is_finite:
-            ap.error("--max-length is required for affine types")
-        elements = system.enumerate_below(system.longest_element())
-        elements.sort(key=CoxeterElement.sort_key)
-    else:
-        elements = ball(system, args.max_length)
-    if args.family in ("m", "n"):
-        elements = [
-            w for w in elements
-            if not any(w.has_left_descent(t) for t in I)
-        ]
+    if args.max_length is None and not system.is_finite:
+        ap.error("--max-length is required for affine types")
+    # the m and n modules are indexed by the minimal representatives of W_I\W
+    quotient_by = I if args.family in ("m", "n") else ()
+    elements, _ = system.quotient_reps(quotient_by, max_len=args.max_length)
 
     name = args.family + ("^" if args.inverse else "")
     print(f"# {name} family over {system.tag}, I = {format_word(I) or '()'}")

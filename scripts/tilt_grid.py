@@ -14,25 +14,10 @@ Examples:
 import argparse
 from itertools import combinations
 
-from tiltc.coxeter import CoxeterElement, CoxeterSystem, format_word
+from tiltc.coxeter import CoxeterSystem, format_word
 from tiltc.errors import ValidationError
 from tiltc.hecke import HeckeContext
 from tiltc.tilting import CategoryO, KacMoody
-
-
-def ball(system, max_len):
-    seen = {system.element(())}
-    frontier = list(seen)
-    for _ in range(max_len):
-        new = []
-        for w in frontier:
-            for s in system.names:
-                z = w.times_gen(s)
-                if z.length > w.length and z not in seen:
-                    seen.add(z)
-                    new.append(z)
-        frontier = new
-    return sorted(seen, key=CoxeterElement.sort_key)
 
 
 def main() -> int:
@@ -47,7 +32,7 @@ def main() -> int:
 
     system = CoxeterSystem.from_type(args.type)
     hecke = HeckeContext(system)
-    elements = ball(system, args.max_length)
+    elements, _ = system.quotient_reps((), max_len=args.max_length)
     subsets = [
         c
         for k in range(args.max_subset + 1)

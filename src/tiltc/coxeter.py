@@ -7,11 +7,13 @@ Every element is stored as its ShortLex-least reduced word together with its
 matrix and inverse matrix, so equality, length, descent sets and Bruhat order
 are all exact and cheap at the ranks used here.
 
-A generator step never multiplies full matrices (Casselman, "Computation in
-Coxeter groups I"): s_i * M rewrites only row i of M, and M * s_i rewrites
-only the columns c with C[i][c] != 0.  The normal form of a new element y is
-(s,) + word(s*y) for its smallest left descent s, so it is found by peeling
-left descents with the same row steps until a known element is reached.
+No operation multiplies full matrices: a product walks the right factor's
+word through the slots (Casselman, "Computation in Coxeter groups I"), and
+the step that fills a slot rewrites part of a matrix: s_i * M rewrites only
+row i of M, and M * s_i rewrites only the columns c with C[i][c] != 0.  The
+normal form of a new element y is (s,) + word(s*y) for its smallest left
+descent s, so it is found by peeling left descents with the same row steps
+until a known element is reached.
 
 Each system keeps an element table, after the numbered elements of du
 Cloux's Coxeter3: every element is built once, gets the next dense id
@@ -82,14 +84,6 @@ def _col_step(m: Matrix, i: int, support: tuple[tuple[int, int], ...]) -> Matrix
             row = tuple(new)
         out.append(row)
     return tuple(out)
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
 
 
 def _desc_mask(m: Matrix) -> int:
@@ -247,13 +241,7 @@ class CoxeterElement:
             return NotImplemented
         if other.system is not self.system:
             raise ValueError("elements of different systems")
-        if not self.word:
-            return other
-        if not other.word:
-            return self
-        return self.system._from_matrices(
-            _matmul(self.matrix, other.matrix), _matmul(other.inv_matrix, self.inv_matrix)
-        )
+        return self.system._walk(self, other.word)
 
     def inverse(self) -> "CoxeterElement":
         return self.system._from_matrices(self.inv_matrix, self.matrix)
@@ -417,17 +405,23 @@ class CoxeterSystem:
             below._succ[self.rank + i] = el
         return el
 
-    def _times_gen(self, x: CoxeterElement, s: int, side: str) -> CoxeterElement:
-        i = self._idx[s]
+    def _offset(self, side: str) -> int:
+        """Slot offset of a step on ``side``: 0 for 'right', rank for 'left'."""
         if side == "right":
-            slot = i
-        elif side == "left":
-            slot = self.rank + i
-        else:
-            raise ValueError("side must be 'left' or 'right'")
+            return 0
+        if side == "left":
+            return self.rank
+        raise ValueError("side must be 'left' or 'right'")
+
+    def _times_gen(self, x: CoxeterElement, s: int, side: str) -> CoxeterElement:
+        return self._step(x, self._offset(side) + self._idx[s])
+
+    def _step(self, x: CoxeterElement, slot: int) -> CoxeterElement:
+        """x*s_i for slot i, s_i*x for slot rank + i; a list read once filled."""
         el = x._succ[slot]
         if el is None:
-            if side == "right":
+            i = slot % self.rank
+            if slot == i:
                 mat = _col_step(x.matrix, i, self._support[i])
                 el = self._elements.get(mat)
                 if el is None:
@@ -444,13 +438,16 @@ class CoxeterSystem:
 
     def element(self, word: Iterable[int]) -> CoxeterElement:
         """Element of the group from any word in the generators."""
-        el = self.identity
+        return self._walk(self.identity, word)
+
+    def _walk(self, el: CoxeterElement, word: Iterable[int]) -> CoxeterElement:
+        """el times the word, by right steps."""
         idx = self._idx
         for s in word:
             i = idx.get(s)
             if i is None:
                 raise ValueError(f"unknown generator {s!r} for system {self.tag}")
-            el = el._succ[i] or self._times_gen(el, s, "right")
+            el = el._succ[i] or self._step(el, i)
         return el
 
     def check_names(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -459,6 +456,9 @@ class CoxeterSystem:
             if s not in self._idx:
                 raise ValueError(f"unknown generator {s!r} for system {self.tag}")
         return out
+
+    def _valid_mask(self, subset: Iterable[int]) -> int:
+        return self.mask(self.check_names(subset))
 
     # -- Bruhat order ---------------------------------------------------------
 
@@ -477,12 +477,9 @@ class CoxeterSystem:
         elif x.length == y.length:
             res = x.word == y.word
         else:
-            s = min(y.right_descents())
-            ys = self._times_gen(y, s, "right")
-            if x.has_right_descent(s):
-                res = self.bruhat_leq(self._times_gen(x, s, "right"), ys)
-            else:
-                res = self.bruhat_leq(x, ys)
+            i = (y.rdesc & -y.rdesc).bit_length() - 1  # the smallest right descent
+            ys = self._step(y, i)
+            res = self.bruhat_leq(self._step(x, i) if x.rdesc >> i & 1 else x, ys)
         self._bruhat[key] = res
         return res
 
@@ -493,34 +490,19 @@ class CoxeterSystem:
             below |= {self._times_gen(z, s, "right") for z in below}
         return sorted(below, key=CoxeterElement.sort_key)
 
-    def bruhat_interval(self, x: CoxeterElement, y: CoxeterElement) -> list[CoxeterElement]:
-        """[x, y] in Bruhat order, sorted by (length, word)."""
-        return [z for z in self.enumerate_below(y) if self.bruhat_leq(x, z)]
-
     # -- quotients and cosets --------------------------------------------------
 
     def project(self, x: CoxeterElement, I: Iterable[int], side: str) -> CoxeterElement:
         """Minimal-length representative of W_I x (side='left') or x W_I (side='right')."""
-        I = self.check_names(I)
-        moved = True
-        while moved:
-            moved = False
-            for s in I:
-                if side == "left" and x.has_left_descent(s):
-                    x = self._times_gen(x, s, "left")
-                    moved = True
-                elif side == "right" and x.has_right_descent(s):
-                    x = self._times_gen(x, s, "right")
-                    moved = True
+        mask = self._valid_mask(I)
+        off = self._offset(side)
+        while d := (x.ldesc if off else x.rdesc) & mask:
+            x = self._step(x, off + (d & -d).bit_length() - 1)
         return x
 
     def is_minimal(self, x: CoxeterElement, I: Iterable[int], side: str) -> bool:
-        mask = self.mask(self.check_names(I))
-        if side == "left":
-            return not x.ldesc & mask
-        if side == "right":
-            return not x.rdesc & mask
-        raise ValueError("side must be 'left' or 'right'")
+        mask = self._valid_mask(I)
+        return not (x.ldesc if self._offset(side) else x.rdesc) & mask
 
     def quotient_reps(
         self, I: Iterable[int], side: str = "left", max_len: int | None = None
@@ -530,85 +512,68 @@ class CoxeterSystem:
         Returns (representatives sorted by (length, word), truncated flag).
         max_len bounds the search; it is required for infinite systems.
         """
-        I = self.check_names(I)
+        mask = self._valid_mask(I)
         if max_len is None:
             if not self.is_finite:
                 raise ValueError("max_len is required for an infinite system")
             max_len = 1 << 30
-        found = {self.identity}
-        frontier = [self.identity]
-        truncated = False
-        length = 0
-        while frontier:
-            if length >= max_len:
-                # anything on the frontier extends further: report truncation
-                for x in frontier:
-                    for s in self.names:
-                        grow = (
-                            not x.has_right_descent(s)
-                            if side == "left"
-                            else not x.has_left_descent(s)
-                        )
-                        if grow:
-                            y = self._times_gen(x, s, "right" if side == "left" else "left")
-                            if self.is_minimal(y, I, side):
-                                truncated = True
-                break
+        left = bool(self._offset(side))
+        # grow on the side away from I: a prefix of a minimal rep is minimal
+        grow = 0 if left else self.rank
+        found: list[CoxeterElement] = []
+        layer, length = [self.identity], 0
+        while layer:
+            found += layer
             nxt = set()
-            for x in frontier:
-                for s in self.names:
-                    # extend on the side away from I so minimality can persist
-                    if side == "left":
-                        if x.has_right_descent(s):
-                            continue
-                        y = self._times_gen(x, s, "right")
-                    else:
-                        if x.has_left_descent(s):
-                            continue
-                        y = self._times_gen(x, s, "left")
-                    if y not in found and self.is_minimal(y, I, side):
-                        nxt.add(y)
-            found |= nxt
-            frontier = sorted(nxt, key=CoxeterElement.sort_key)
+            for x in layer:
+                up = x.rdesc if left else x.ldesc
+                for i in range(self.rank):
+                    if not up >> i & 1:
+                        y = self._step(x, grow + i)
+                        if not (y.ldesc if left else y.rdesc) & mask:
+                            nxt.add(y)
+            if length >= max_len:
+                return found, bool(nxt)
+            layer = sorted(nxt, key=CoxeterElement.sort_key)
             length += 1
-        return sorted(found, key=CoxeterElement.sort_key), truncated
+        return found, False
 
     def longest_element(self, I: Iterable[int] | None = None) -> CoxeterElement:
         """Longest element of W_I (of the whole group when I is None)."""
         I = self.check_names(I if I is not None else self.names)
         if not self.is_finite and len(I) == self.rank:
             raise ValueError(f"system {self.tag} is infinite; it has no longest element")
+        mask = self.mask(I)
         w = self.identity
         for _ in range(_ASCEND_GUARD):
-            s = next((t for t in I if not w.has_right_descent(t)), None)
-            if s is None:
+            up = mask & ~w.rdesc
+            if not up:
                 return w
-            w = self._times_gen(w, s, "right")
+            w = self._step(w, (up & -up).bit_length() - 1)
         raise RuntimeError("longest-element ascent did not terminate")
+
+    def _is_regular(self, w: CoxeterElement, jmask: int, imask: int) -> bool:
+        """No t in I has w(alpha_t) = +-alpha_u with u in J (masks of positions)."""
+        for t in range(self.rank):
+            if imask >> t & 1:
+                col = [row[t] for row in w.matrix]
+                if sum(map(abs, col)) == 1 and any(c and jmask >> k & 1 for k, c in enumerate(col)):
+                    return False
+        return True
 
     def is_regular_coset_rep(self, w: CoxeterElement, J: Iterable[int], I: Iterable[int]) -> bool:
         """True when w I w^{-1} maps no simple reflection of I into W_J.
 
         Test: w(alpha_t) is not +-alpha_u for t in I, u in J.
         """
-        J = self.check_names(J)
-        I = self.check_names(I)
-        units = set()
-        for u in J:
-            e_u = tuple(1 if self._idx[u] == k else 0 for k in range(self.rank))
-            units.add(e_u)
-            units.add(tuple(-c for c in e_u))
-        return all(w.root_image(t) not in units for t in I)
+        return self._is_regular(w, self._valid_mask(J), self._valid_mask(I))
 
     def is_regular_double_coset_rep(
         self, w: CoxeterElement, J: Iterable[int], I: Iterable[int]
     ) -> bool:
         """w is minimal in W_J w W_I on both sides and regular for (J, I)."""
-        return (
-            self.is_minimal(w, J, "left")
-            and self.is_minimal(w, I, "right")
-            and self.is_regular_coset_rep(w, J, I)
-        )
+        jmask, imask = self._valid_mask(J), self._valid_mask(I)
+        return not (w.ldesc & jmask or w.rdesc & imask) and self._is_regular(w, jmask, imask)
 
     def regular_double_coset_reps(
         self, J: Iterable[int], I: Iterable[int], max_len: int | None = None
@@ -618,10 +583,10 @@ class CoxeterSystem:
         Minimal double-coset representatives are exactly the elements minimal
         on both sides; the regularity filter drops w with J meeting w I w^{-1}.
         """
-        J = self.check_names(J)
-        I = self.check_names(I)
+        jmask, imask = self._valid_mask(J), self._valid_mask(I)
         reps, truncated = self.quotient_reps(J, side="left", max_len=max_len)
-        return [w for w in reps if self.is_regular_double_coset_rep(w, J, I)], truncated
+        regular = [w for w in reps if not w.rdesc & imask and self._is_regular(w, jmask, imask)]
+        return regular, truncated
 
 
 def affinize_cartan(

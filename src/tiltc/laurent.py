@@ -91,14 +91,6 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return ZERO
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return ONE
-
-    @staticmethod
     def v(k: int = 1) -> "LaurentPoly":
         """The monomial v^k."""
         return LaurentPoly({k: 1})

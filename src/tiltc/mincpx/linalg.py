@@ -86,37 +86,24 @@ def scal(c, a: Mat) -> Mat:
     return tuple(_exact_row(tuple([c * x for x in row])) for row in a)
 
 
-def _product(a: Mat, b: Mat) -> Mat:
-    """a @ b for a with rows of len(b) entries, as checked by the caller."""
-    cols = tuple(zip(*b))
-    return tuple(
-        _exact_row(tuple([sum(map(_times, row, col)) for col in cols])) for row in a
-    )
-
-
-def mul(a: Mat, b: Mat) -> Mat:
-    """Matrix product a @ b; the composite 'b first, then a'."""
-    if len(a) == 0:
-        return ()
-    if len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch in product: {shape(a)} @ {shape(b)}")
-    return _product(a, b)
-
-
 def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
     """Product a @ b of shape (rows, cols), supplied by the caller.
 
-    A zero-row matrix is ``()`` and does not record its column count, so a
-    composite through a zero-dimensional space (b with no rows, hence a
-    with no columns) cannot read its shape off its factors.  Factors whose
-    shapes are not (rows, k) and (k, cols) raise ValueError.
+    a @ b is the composite 'b first, then a'.  A zero-row matrix is ``()``
+    and does not record its column count, so a composite through a
+    zero-dimensional space (b with no rows, hence a with no columns) cannot
+    read its shape off its factors.  Factors whose shapes are not (rows, k)
+    and (k, cols) raise ValueError.
     """
     inner = len(b)
     if len(a) != rows or (a and len(a[0]) != inner) or (b and len(b[0]) != cols):
         raise ValueError(f"cannot multiply {shape(a)} @ {shape(b)} to {(rows, cols)}")
     if not (rows and cols and inner):
         return zeros(rows, cols)
-    return _product(a, b)
+    b_cols = tuple(zip(*b))
+    return tuple(
+        _exact_row(tuple([sum(map(_times, row, col)) for col in b_cols])) for row in a
+    )
 
 
 def blocks(

@@ -395,7 +395,12 @@ class KacMoody(_NegativeLike):
             return self._literal_table(x, u_x, targets, explicit, max_len)
         # every z with x <= z <= y is a row of the whole table (it lies above x
         # and is no longer than y); one explicit y enumerates its own below it
-        zs = [u for _, u in targets] if explicit is None else self._enumerate_u_below(targets[0][1])
+        # and keeps the z above x, since m^{z,x} is zero for the others
+        if explicit is None:
+            zs = [u for _, u in targets]
+        else:
+            zs = self._enumerate_u_below(targets[0][1])
+            zs = [u for u in zs if self.system.bruhat_leq(u_x, u)]
         # bar(m^{z,x}) by the n index of z; an inverse entry is zero unless x <= z
         bar_m = {}
         for u in zs:
@@ -464,12 +469,10 @@ class Quantum(_NegativeLike):
         datum: LinkageDatum,
         I: Iterable[int],
         store: PolyStore | None = None,
-        hecke: HeckeContext | None = None,
     ):
         self.datum = datum
         self.finite_names = tuple(range(1, datum.roots.rank + 1))
-        hk = hecke if hecke is not None else HeckeContext(datum.coxeter, store)
-        super().__init__(hk, I, self.finite_names)
+        super().__init__(HeckeContext(datum.coxeter, store), I, self.finite_names)
         self.lam0: tuple[int, ...] | None = None
 
     @classmethod

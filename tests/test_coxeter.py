@@ -235,7 +235,22 @@ class TestRankOneSteps:
             assert W.element(a.inverse().word) is a.inverse()
             for b in ball[:: max(1, len(ball) // 12)]:
                 ab = a * b
-                assert W.element(ab.word) is ab
+                assert W._elements[ab.matrix] is ab is W._by_id[ab.id]
+
+    @pytest.mark.parametrize("tag", ["B3", "G2", "affG2"])
+    def test_products_match_full_products(self, tag):
+        W = CoxeterSystem.from_type(tag)
+        gens = {s: _gen_matrix(W, s) for s in W.names}
+        ball = _ball(W, 4)
+        for a in ball:
+            for b in ball:
+                ab = a * b
+                assert ab.matrix == _full_product(a.matrix, b.matrix), (a, b)
+                assert ab.inv_matrix == _full_product(b.inv_matrix, a.inv_matrix), (a, b)
+                word_matrix = W.identity.matrix
+                for s in ab.word:
+                    word_matrix = _full_product(word_matrix, gens[s])
+                assert word_matrix == ab.matrix, (a, b)
 
 
 def _table_elements(tag):
@@ -314,8 +329,13 @@ class TestBruhat:
         assert AFF1.bruhat_leq(x, y) == brute_bruhat_leq(x, y)
 
     def test_interval_example(self):
-        iv = AFF1.bruhat_interval(AFF1.identity, AFF1.element([0, 1]))
-        assert [z.word for z in iv] == [(), (0,), (1,), (0, 1)]
+        for x, y, interval in [
+            ((), (0, 1), [(), (0,), (1,), (0, 1)]),
+            ((0,), (0, 1, 0), [(0,), (0, 1), (1, 0), (0, 1, 0)]),
+        ]:
+            x, y = AFF1.element(x), AFF1.element(y)
+            iv = [z for z in AFF1.enumerate_below(y) if AFF1.bruhat_leq(x, z)]
+            assert [z.word for z in iv] == interval
 
     def test_enumerate_below_is_closed(self):
         y = B2.element([1, 2, 1])
@@ -396,6 +416,99 @@ class TestRegularCosets:
             assert AFF1.is_minimal(w, [1], "right")
             assert AFF1.is_regular_coset_rep(w, [1], [1])
         assert truncated
+
+
+def _subsets(W):
+    return [I for r in range(W.rank + 1) for I in itertools.combinations(W.names, r)]
+
+
+def _minimal(x, I, side):
+    """No s in I shortens x on that side, by step lengths rather than descent masks."""
+    return all(x.times_gen(s, side).length > x.length for s in I)
+
+
+def _coset(x, I, side):
+    """W_I x (side='left') or x W_I (side='right'), closed under steps."""
+    seen, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for s in I:
+            z = y.times_gen(s, side)
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return seen
+
+
+def _top(W, max_len):
+    return max_len if max_len is not None else W.longest_element().length
+
+
+class TestCosetsAgainstBruteForce:
+    """Coset walks against filters of the length ball and coset closures."""
+
+    CASES = [("A3", None), ("B3", None), ("B3", 4), ("G2", None), ("affA2", 5), ("affG2", 5)]
+    TAGS = ["A3", "B3", "G2", "affA2", "affG2"]
+
+    @pytest.mark.parametrize("tag, max_len", CASES)
+    def test_quotient_reps(self, tag, max_len):
+        W = CoxeterSystem.from_type(tag)
+        top = _top(W, max_len)
+        ball = _ball(W, top + 1)
+        for I in _subsets(W):
+            for side in ("left", "right"):
+                want = [x for x in ball if _minimal(x, I, side)]
+                reps, truncated = W.quotient_reps(I, side, max_len=max_len)
+                assert reps == [x for x in want if x.length <= top], (I, side)
+                assert truncated == any(x.length > top for x in want), (I, side)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_project(self, tag):
+        W = CoxeterSystem.from_type(tag)
+        for I in _subsets(W):
+            if len(I) == W.rank and not W.is_finite:
+                continue
+            for x in _ball(W, 4):
+                for side in ("left", "right"):
+                    coset = _coset(x, I, side)
+                    low = min(z.length for z in coset)
+                    [want] = [z for z in coset if z.length == low]
+                    assert W.project(x, I, side) is want, (x, I, side)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_longest_element(self, tag):
+        W = CoxeterSystem.from_type(tag)
+        for I in _subsets(W):
+            if len(I) == W.rank and not W.is_finite:
+                continue
+            group = _coset(W.identity, I, "right")
+            top = max(z.length for z in group)
+            [want] = [z for z in group if z.length == top]
+            assert W.longest_element(I) is want, I
+        if W.is_finite:
+            assert W.longest_element() is W.longest_element(W.names)
+
+    @pytest.mark.parametrize("tag, max_len", CASES)
+    def test_regular_double_coset_reps(self, tag, max_len):
+        W = CoxeterSystem.from_type(tag)
+        top = _top(W, max_len)
+        ball = _ball(W, top + 1)
+        for J in _subsets(W):
+            left_minimal = [w for w in ball if _minimal(w, J, "left")]
+            reflections = {W.generators[u] for u in J}
+            for I in _subsets(W):
+                # w I w^-1 meets W_J in a simple reflection iff w s_t w^-1 = s_u
+                want = [
+                    w
+                    for w in left_minimal
+                    if _minimal(w, I, "right")
+                    and all(w * W.generators[t] * w.inverse() not in reflections for t in I)
+                ]
+                reps, truncated = W.regular_double_coset_reps(J, I, max_len=max_len)
+                assert reps == [w for w in want if w.length <= top], (J, I)
+                assert truncated == any(w.length > top for w in left_minimal), (J, I)
+                for w in ball:
+                    assert W.is_regular_double_coset_rep(w, J, I) == (w in want), (w, J, I)
 
 
 class TestTwistBijection:

@@ -439,6 +439,22 @@ class TestSimpleTableChecks:
         assert len(pushes) == 2
 
 
+    def test_explicit_positive_row_reads_only_the_z_above_x(self):
+        # m^{z,x} is zero unless x <= z, so one row y builds the inverse
+        # columns of the z in [x, y] and of no other z below y
+        setting = km_pos_setting("affA2", (1,))
+        W = setting.system
+        reps, _ = W.regular_double_coset_reps((), (1,), max_len=11)
+        xs = [setting._embed(u) for u in reps]
+        x = next(x for x in xs if x.length == 9)
+        y = next(y for y in xs if y.length == 12 and W.bruhat_leq(x, y))
+        between = [z for z in xs if W.bruhat_leq(x, z) and W.bruhat_leq(z, y)]
+        row = setting.simple_table(x.word, y_word=y.word)
+        inverse_keys = [k for k in setting.hecke._columns if k[0] == "m_inv[1]"]
+        assert len(inverse_keys) == len(between) > 1
+        assert row.entry(y.word) == setting.simple_table(x.word, max_len=12).entry(y.word)
+        assert row.entry(y.word)
+
 def convolution(p, p_prime, length_of, len_first, len_second):
     """Pairing sum_z bar(p_z) * p'_z with a parity certificate.
 
