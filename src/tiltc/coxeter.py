@@ -249,11 +249,6 @@ class CoxeterElement:
     def times_gen(self, s: int, side: str = "right") -> "CoxeterElement":
         return self.system._times_gen(self, s, side)
 
-    def root_image(self, s: int) -> tuple[int, ...]:
-        """Coordinates of w(alpha_s) in the simple-root basis."""
-        j = self.system._idx[s]
-        return tuple(row[j] for row in self.matrix)
-
     def right_descents(self) -> frozenset[int]:
         return self.system._names_of(self.rdesc)
 
@@ -334,6 +329,8 @@ class CoxeterSystem:
         self._elements: dict[Matrix, CoxeterElement] = {}
         self._by_id: list[CoxeterElement] = []
         self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+        self._reps: dict[tuple[int, int, int | None], tuple[list[CoxeterElement], bool]] = {}
+        self._masks: dict[tuple[int, ...], int] = {}
         ident = _ident(n)
         self.identity = self._register((), ident, ident, 0)
         self.generators: dict[int, CoxeterElement] = {
@@ -458,7 +455,12 @@ class CoxeterSystem:
         return out
 
     def _valid_mask(self, subset: Iterable[int]) -> int:
-        return self.mask(self.check_names(subset))
+        """mask(check_names(subset)), memoized per subset as given."""
+        key = tuple(subset)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = self.mask(self.check_names(key))
+        return mask
 
     # -- Bruhat order ---------------------------------------------------------
 
@@ -582,10 +584,17 @@ class CoxeterSystem:
 
         Minimal double-coset representatives are exactly the elements minimal
         on both sides; the regularity filter drops w with J meeting w I w^{-1}.
+        Memoized per (J, I, max_len): the returned list is shared, so callers
+        must not mutate it.
         """
         jmask, imask = self._valid_mask(J), self._valid_mask(I)
+        key = (jmask, imask, max_len)
+        cached = self._reps.get(key)
+        if cached is not None:
+            return cached
         reps, truncated = self.quotient_reps(J, side="left", max_len=max_len)
         regular = [w for w in reps if not w.rdesc & imask and self._is_regular(w, jmask, imask)]
+        self._reps[key] = regular, truncated
         return regular, truncated
 
 

@@ -417,13 +417,13 @@ class HeckeContext:
         else:
             s = min(y.right_descents())
             acc: Raw = defaultdict(dict)
-            base = self.column(fam, I, y.times_gen(s, "right"))
+            base = self._direct_column(fam, I, y.times_gen(s, "right"))
             self._rmul_gen_par(acc, base, s, I, _KL_STEP[fam])
             by_id = self.system._by_id
             for u, d in list(acc.items()):
                 if u != y.id and (c := d.get(0)):
                     minus_c = ((0, -c),)
-                    for z, q in self.column(fam, I, by_id[u]).items():
+                    for z, q in self._direct_column(fam, I, by_id[u]).items():
                         _mac(acc[z.id], q, minus_c)
             col = self._finish(acc)
         self._check_column(col, y, key[0], loaded=raw is not None)

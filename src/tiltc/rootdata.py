@@ -49,7 +49,6 @@ __all__ = [
     "AffineElement",
     "parse_weight",
     "format_weight",
-    "antidominant_stabilizer",
 ]
 
 Vec = tuple[int, ...]
@@ -137,11 +136,6 @@ class RootSystem:
     def pair(self, weight: Sequence, coroot: Vec):
         """<weight, coroot> for a coroot in simple-coroot coordinates."""
         return sum(w * c for w, c in zip(weight, coroot))
-
-    def is_long(self, root: Root) -> bool:
-        i = next(k for k, m in enumerate(root.coords) if m != 0)
-        d_alpha = Fraction(self.symmetrizer[i] * root.coords[i], root.coroot[i])
-        return d_alpha == self.D
 
     # -- linear actions on fundamental coordinates ------------------------------
 
@@ -341,39 +335,3 @@ class LinkageDatum:
         the fundamental alcove used by the walk.
         """
         return all(w + 1 >= 0 for w in weight)
-
-    def dominant_reps(
-        self, I: Iterable[int], lam0: Sequence[int], max_len: int
-    ) -> tuple[list[CoxeterElement], bool]:
-        """Minimal regular double-coset representatives giving dominant weights.
-
-        These index the linkage-class weights in the dominant region: minimal
-        in W_fin w W_I, with W_I meeting no conjugate of a finite reflection.
-        Each representative is double-checked by direct weight computation.
-        """
-        I = self.coxeter.check_names(I)
-        finite_names = tuple(range(1, self.roots.rank + 1))
-        reps, truncated = self.coxeter.regular_double_coset_reps(
-            finite_names, I, max_len=max_len
-        )
-        for x in reps:
-            if not self.is_dominant(self.dot_word(x.word, lam0)):
-                raise InternalInvariantError(
-                    f"representative {x!r} does not give a dominant weight"
-                )
-        return reps, truncated
-
-
-def antidominant_stabilizer(roots: RootSystem, weight: Sequence[int]) -> Vec:
-    """Stabilizer I of an antidominant integral weight (dot action, finite).
-
-    Accepts weights with every (weight + rho) coordinate <= 0; the stabilizer
-    of the dot action is generated by the simple reflections with coordinate
-    exactly 0.
-    """
-    shifted = [w + 1 for w in weight]
-    if any(c > 0 for c in shifted):
-        raise ValidationError(
-            f"{format_weight(weight)} is not antidominant (needs weight + rho <= 0)"
-        )
-    return tuple(i + 1 for i, c in enumerate(shifted) if c == 0)

@@ -21,10 +21,11 @@ inverse family:
              of its length difference, also each direct entry a solve
              reads), so no two terms cancel.
 
-All tables enforce: unit diagonal, support bounded by the Bruhat order
-(reversed at positive level), exponent parity len(x) + len(y) mod 2, and
-nonnegative coefficients.  Violations raise InternalInvariantError since they
-would falsify the theory, not the input.
+All tables enforce unit diagonal, exponent parity len(x) + len(y) mod 2 and
+nonnegative coefficients; violations raise InternalInvariantError since they
+would falsify the theory, not the input.  Support bounded by the Bruhat order
+(reversed at positive level) holds by construction: rows below x are read off
+a downward solve, rows above x come from the index reps above x.
 
 The positive-level simple-object formula defaults to the summand-dependent
 index form, which satisfies all invariants; literal_text=True evaluates a
@@ -131,7 +132,7 @@ class _Setting:
     """Shared index-set plumbing and table engine for all four settings.
 
     A setting supplies its index map: _coset_part(x) -> u and its inverse
-    _embed(u) -> x.  Rows are resolved once, in _targets.
+    _embed(u) -> x.  Rows below x are read off the vectors a table solves.
     """
 
     setting_name = "?"
@@ -177,47 +178,44 @@ class _Setting:
     def _require_member(self, x: CoxeterElement, name: str) -> CoxeterElement:
         """Validate membership in the index set; returns the coset part u."""
         u = self._coset_part(x)
-        if not self.system.is_regular_double_coset_rep(u, self.J, self.I):
+        if not self._is_rep(u):
             raise ValidationError(
                 f"{name} = {format_word(x.word) or 'e'} is not a dominant regular "
                 f"representative for I={list(self.I)}, J={list(self.J)}"
             )
         return u
 
-    def _index(self, x_word: Sequence[int]) -> tuple[CoxeterElement, CoxeterElement]:
-        x = self._element(x_word, "x")
-        return x, self._require_member(x, "x")
+    def _index(self, word: Sequence[int], name: str = "x") -> tuple[CoxeterElement, CoxeterElement]:
+        x = self._element(word, name)
+        return x, self._require_member(x, name)
 
-    def _enumerate_u_below(self, u_top: CoxeterElement) -> list[CoxeterElement]:
-        """Index-set coset parts u below u_top (all settings: finite sets)."""
-        return [
-            u
-            for u in self.system.enumerate_below(u_top)
-            if self.system.is_regular_double_coset_rep(u, self.J, self.I)
-        ]
-
-    def _targets(
-        self,
-        u_x: CoxeterElement,
-        y_word: Sequence[int] | None,
-        max_len: int | None,
-        below: list[CoxeterElement] | None = None,
-    ) -> tuple[list[tuple[CoxeterElement, CoxeterElement]], CoxeterElement | None, int | None]:
-        """Rows (y, u_y) of a table at u_x, the explicit y and the truncation.
-
-        An explicit y_word gives one validated row; otherwise the rows run
-        over the index set below u_x (``below``, if the caller enumerated it
-        already), which is finite, so max_len (a bound for the upward rows of
-        positive level) is rejected.
-        """
+    def _explicit(self, y_word: Sequence[int] | None, max_len: int | None) -> tuple:
+        """The validated row (y, u_y) of an explicit y_word, or (None, None); rows
+        below x are finitely many, so max_len (for positive level) is rejected."""
         if max_len is not None:
             raise ValidationError("max_len applies to positive level only")
-        if y_word is not None:
-            y = self._element(y_word, "y")
-            return [(y, self._require_member(y, "y"))], y, None
-        if below is None:
-            below = self._enumerate_u_below(u_x)
-        return [(self._embed(u), u) for u in below], None, None
+        return (None, None) if y_word is None else self._index(y_word, "y")
+
+    def _is_rep(self, u: CoxeterElement) -> bool:
+        return self.system.is_regular_double_coset_rep(u, self.J, self.I)
+
+    def _n_entries(self, u: CoxeterElement) -> dict[CoxeterElement, LaurentPoly]:
+        """The n column of the coset part u, as {coset part: entry}."""
+        col = self.hecke.parabolic_column("n", self.I, self._n_index(u))
+        # _n_index inverted: w_J is an involution
+        return {v: p for a, p in col.items() if self._is_rep(v := (a * self.wJ).inverse())}
+
+    def _rows_below(
+        self,
+        vec: Mapping[CoxeterElement, LaurentPoly],
+        y: CoxeterElement | None,
+        u_y: CoxeterElement | None,
+    ) -> dict[CoxeterElement, LaurentPoly]:
+        """Rows read off a solved inverse vector {u^-1: entry}: its support lies
+        below its seeds, so it lists every nonzero row of the index set."""
+        if y is not None:
+            return {y: vec.get(u_y.inverse(), ZERO)}
+        return {self._embed(u): p for a, p in vec.items() if self._is_rep(u := a.inverse())}
 
     # -- table assembly with invariant enforcement ------------------------------
 
@@ -264,15 +262,13 @@ class _NegativeLike(_Setting):
         self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
     ) -> MultiplicityTable:
         x, u_x = self._index(x_word)
+        y, u_y = self._explicit(y_word, max_len)
         col = self.hecke.inverse_column("m", self.I, u_x.inverse())
-        targets, explicit, _ = self._targets(u_x, y_word, max_len)
-        rows: dict[CoxeterElement, LaurentPoly] = {}
-        for y, u_y in targets:
-            p = col.get(u_y.inverse(), ZERO)
-            if p and self.cross_check:
-                self._check_antispherical_form(x, y, p)
-            rows[y] = p
-        return self._finalize(x, rows, explicit)
+        rows = self._rows_below(col, y, u_y)
+        for z, p in rows.items() if self.cross_check else ():
+            if p:
+                self._check_antispherical_form(x, z, p)
+        return self._finalize(x, rows, y)
 
     def _check_antispherical_form(self, x, y, expected) -> None:
         """Finite-type cross-check of the standard formula.
@@ -298,22 +294,17 @@ class _NegativeLike(_Setting):
         self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
     ) -> MultiplicityTable:
         x, u_x = self._index(x_word)
-        below = self._enumerate_u_below(u_x)
-        targets, explicit, _ = self._targets(u_x, y_word, max_len, below)
-        n_col = self.hecke.parabolic_column("n", self.I, self._n_index(u_x))
-        # the pairing is linear in bar(n): one solve seeded at every z below x
+        y, u_y = self._explicit(y_word, max_len)
+        # the pairing is linear in bar(n): one solve seeded at x's n column
         seeds = {}
-        for u in below:
-            p = n_col.get(self._n_index(u), ZERO)
+        for u, p in self._n_entries(u_x).items():
             if not p.has_parity(u_x.length - u.length):  # l(x) - l(z), z = w_J u or u
                 raise InternalInvariantError(
                     f"parity certificate failed in the simple-object formula at z={self._embed(u)!r}"
                 )
-            if p:
-                seeds[u.inverse()] = p.bar()
+            seeds[u.inverse()] = p.bar()
         row = self.hecke.inverse_combination("m", self.I, seeds)
-        rows = {y: row.get(u_y.inverse(), ZERO) for y, u_y in targets}
-        return self._finalize(x, rows, explicit)
+        return self._finalize(x, self._rows_below(row, y, u_y), y)
 
 
 class CategoryO(_NegativeLike):
@@ -352,16 +343,14 @@ class KacMoody(_NegativeLike):
 
     # positive level: index elements are x = u w_I with the same u conditions
     def _coset_part(self, x: CoxeterElement) -> CoxeterElement:
-        if self.level == "neg":
-            return self.wJ * x
-        return x * self.wI
+        return self.wJ * x if self.level == "neg" else x * self.wI
 
-    def _targets(self, u_x, y_word, max_len, below=None):
-        """Positive level tables run up the order; enumeration must truncate."""
-        if self.level == "neg":
-            return super()._targets(u_x, y_word, max_len, below)
+    def _targets(self, u_x, y_word, max_len):
+        """Rows (y, u_y) of a positive-level table at u_x, the explicit y and
+        the truncation: rows run up the order, so a whole table needs max_len."""
         if y_word is not None:  # one row: nothing to truncate
-            return super()._targets(u_x, y_word, None)
+            y, u_y = self._index(y_word, "y")
+            return [(y, u_y)], y, None
         if max_len is None:
             raise ValidationError(
                 "positive-level tables over all y need max_len (support is upward)"
@@ -394,13 +383,12 @@ class KacMoody(_NegativeLike):
         if literal_text:
             return self._literal_table(x, u_x, targets, explicit, max_len)
         # every z with x <= z <= y is a row of the whole table (it lies above x
-        # and is no longer than y); one explicit y enumerates its own below it
-        # and keeps the z above x, since m^{z,x} is zero for the others
+        # and is no longer than y); one explicit y keeps the z of its n column
+        # above x, since m^{z,x} is zero for the others
         if explicit is None:
             zs = [u for _, u in targets]
         else:
-            zs = self._enumerate_u_below(targets[0][1])
-            zs = [u for u in zs if self.system.bruhat_leq(u_x, u)]
+            zs = [u for u in self._n_entries(targets[0][1]) if self.system.bruhat_leq(u_x, u)]
         # bar(m^{z,x}) by the n index of z; an inverse entry is zero unless x <= z
         bar_m = {}
         for u in zs:
@@ -430,9 +418,7 @@ class KacMoody(_NegativeLike):
         """z-independent second factor, as printed; needs its own cutoff."""
         if max_len is None:
             raise ValidationError("literal_text needs max_len for its z-sum")
-        reps, _ = self.system.regular_double_coset_reps(
-            self.J, self.I, max_len=max_len
-        )
+        reps, _ = self.system.regular_double_coset_reps(self.J, self.I, max_len=max_len)
         # sum_z bar(m^{z,x}) does not depend on y: one push seeded at every z
         # (m^{z,x} is zero unless x <= z)
         m_sum = self.hecke.inverse_combination("m", self.I, {u.inverse(): ONE for u in reps})
@@ -443,12 +429,7 @@ class KacMoody(_NegativeLike):
             for y, u_y in targets
         }
         return self._finalize(
-            x,
-            rows,
-            explicit,
-            flags=("literal-positive-text",),
-            truncated_at=max_len,
-            enforce=False,
+            x, rows, explicit, flags=("literal-positive-text",), truncated_at=max_len, enforce=False
         )
 
 

@@ -149,11 +149,6 @@ class TestElementOps:
         w0 = A2.longest_element()
         assert w0.right_descents() == {1, 2} == w0.left_descents()
 
-    def test_root_image(self):
-        s1 = A2.generators[1]
-        assert s1.root_image(1) == (-1, 0)
-        assert s1.root_image(2) == (1, 1)
-
     def test_cross_system_mul_rejected(self):
         with pytest.raises(ValueError):
             A2.generators[1] * A3.generators[1]

@@ -8,10 +8,20 @@ from tiltc.rootdata import (
     AffineElement,
     LinkageDatum,
     RootSystem,
-    antidominant_stabilizer,
     format_weight,
     parse_weight,
 )
+
+
+def squared_length(R, root):
+    """(alpha, alpha) up to scale: the form d_i C[i][j] is symmetric, with
+    d_i proportional to (alpha_i, alpha_i)."""
+    c = root.coords
+    return sum(
+        c[i] * R.symmetrizer[i] * R.cartan[i][j] * c[j]
+        for i in range(R.rank)
+        for j in range(R.rank)
+    )
 
 
 class TestRootSystem:
@@ -27,8 +37,9 @@ class TestRootSystem:
         assert R.D == 2 and R.symmetrizer == (2, 1)
         assert R.highest_root.coords == (1, 2)
         assert R.highest_short_root.coords == (1, 1)
-        assert R.is_long(R.highest_root)
-        assert not R.is_long(R.highest_short_root)
+        lengths = {squared_length(R, r) for r in R.positive_roots}
+        assert squared_length(R, R.highest_root) == max(lengths)
+        assert squared_length(R, R.highest_short_root) == min(lengths) < max(lengths)
 
     def test_G2(self):
         R = RootSystem.from_type("G2")
@@ -190,23 +201,32 @@ class TestAlcoveNormalize:
         assert d.coxeter.is_minimal(x, I, "right")
 
 
+def dominant_reps(d, I, lam0, max_len):
+    """The quantum index reps at lam0, each checked to give a dominant weight."""
+    finite = tuple(range(1, d.roots.rank + 1))
+    reps, truncated = d.coxeter.regular_double_coset_reps(finite, I, max_len=max_len)
+    for x in reps:
+        assert d.is_dominant(d.dot_word(x.word, lam0))
+    return reps, truncated
+
+
 class TestDominantReps:
     def test_A1_regular(self):
         d = LinkageDatum("A1", 5)
-        reps, truncated = d.dominant_reps((), (1,), 6)
+        reps, truncated = dominant_reps(d, (), (1,), 6)
         weights = [d.dot_word(x.word, (1,)) for x in reps]
         assert weights == [(1,), (7,), (11,), (17,), (21,), (27,), (31,)]
         assert truncated
 
     def test_A1_wall(self):
         d = LinkageDatum("A1", 5)
-        reps, _ = d.dominant_reps((0,), (4,), 6)
+        reps, _ = dominant_reps(d, (0,), (4,), 6)
         assert [d.dot_word(x.word, (4,)) for x in reps] == [(4,), (14,), (24,), (34,)]
 
     def test_reps_are_regular_cosets(self):
         d = LinkageDatum("A2", 5)
         x, lam0, I = d.alcove_normalize((3, 6))
-        reps, _ = d.dominant_reps(I, lam0, 5)
+        reps, _ = dominant_reps(d, I, lam0, 5)
         finite = (1, 2)
         for w in reps:
             assert d.coxeter.is_minimal(w, finite, "left")
@@ -223,10 +243,3 @@ class TestWeightsAndStabilizers:
             parse_weight("")
         with pytest.raises(ValidationError):
             parse_weight("a,b")
-
-    def test_antidominant_stabilizer(self):
-        R = RootSystem.from_type("A3")
-        assert antidominant_stabilizer(R, (-1, -3, -1)) == (1, 3)
-        assert antidominant_stabilizer(R, (-2, -2, -2)) == ()
-        with pytest.raises(ValidationError):
-            antidominant_stabilizer(R, (0, -2, -2))

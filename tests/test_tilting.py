@@ -326,6 +326,16 @@ def index_words(setting, max_len=None):
     return [setting._embed(u).word for u in reps]
 
 
+def index_below(setting, u_top):
+    """Coset parts u <= u_top of the index set, by the subword enumeration."""
+    W = setting.system
+    return [
+        u
+        for u in W.enumerate_below(u_top)
+        if W.is_regular_double_coset_rep(u, setting.J, setting.I)
+    ]
+
+
 def column_key(setting, fam, u):
     """Memo key of the fam column at u in the context of a setting."""
     return (family_id(fam, setting.I) if setting.I else "h", u.word)
@@ -384,7 +394,7 @@ class TestSimpleTableChecks:
         # below x, at positive level the n column of each row y at each z
         if max_len is None:
             top = u_x
-            low = next(u for u in setting._enumerate_u_below(u_x) if u != u_x)
+            low = next(u for u in index_below(setting, u_x) if u != u_x)
         else:  # the last row y at z = x, where m^{x,x} = 1
             top = setting._coset_part(setting.system.element(table.entries[-1][0]))
             low = u_x
@@ -410,19 +420,22 @@ class TestSimpleTableChecks:
 
     @pytest.mark.parametrize("name", sorted(SETTINGS))
     def test_index_set_is_enumerated_once(self, name, monkeypatch):
-        # the rows and the seeds of one table come from one enumeration; at
-        # positive level every z of a row is a row, so only an explicit y
-        # enumerates, and the literal z-sum is one push
+        # rows below x come off the solved vectors, so only the upward rows of
+        # positive level enumerate reps: once per (J, I, max_len) for every
+        # table of the system; an explicit y enumerates nothing, and the
+        # literal z-sum is one push
         setting, x, max_len = self.SETTINGS[name]()
-        want = setting.simple_table(x, max_len=max_len)
-        want_y = setting.simple_table(x, y_word=x)
         calls = []
-        real = setting._enumerate_u_below
-        monkeypatch.setattr(setting, "_enumerate_u_below", lambda u: calls.append(u) or real(u))
+        real = setting.system.quotient_reps
+        monkeypatch.setattr(
+            setting.system, "quotient_reps", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        want = setting.simple_table(x, max_len=max_len)
+        setting.standard_table(x, max_len=max_len)
         assert setting.simple_table(x, max_len=max_len) == want
-        assert len(calls) == (1 if max_len is None else 0)
-        assert setting.simple_table(x, y_word=x) == want_y
-        assert len(calls) == (2 if max_len is None else 1)
+        assert len(calls) == (0 if max_len is None else 1)
+        setting.simple_table(x, y_word=x)
+        assert len(calls) == (0 if max_len is None else 1)
         if max_len is None:
             with pytest.raises(ValidationError, match="max_len applies to positive level only"):
                 setting.simple_table(x, max_len=3)
@@ -438,22 +451,46 @@ class TestSimpleTableChecks:
             assert setting.simple_table(x, max_len=max_len, literal_text=True) == want
         assert len(pushes) == 2
 
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_tables_do_not_walk_the_bruhat_interval(self, name, monkeypatch):
+        # the same tables and explicit rows, with the subword enumeration gone
+        def tables():
+            setting, x, max_len = self.SETTINGS[name]()
+            whole = [t(x, max_len=max_len) for t in (setting.standard_table, setting.simple_table)]
+            y = next(w for w, _ in reversed(whole[1].entries) if w != tuple(x))
+            rows = [t(x, y_word=y) for t in (setting.standard_table, setting.simple_table)]
+            return whole + rows
+
+        want = tables()
+
+        def walk(*_):
+            raise AssertionError("a table walked the Bruhat interval")
+
+        monkeypatch.setattr(CoxeterSystem, "enumerate_below", walk)
+        assert tables() == want
+        assert all(t.entries for t in want)
 
     def test_explicit_positive_row_reads_only_the_z_above_x(self):
-        # m^{z,x} is zero unless x <= z, so one row y builds the inverse
-        # columns of the z in [x, y] and of no other z below y
+        # m^{z,x} is zero unless x <= z, and a z with n_{z,y} = 0 adds nothing,
+        # so one row y builds the inverse columns of the z in [x, y] with
+        # n_{z,y} != 0 and of no other z
         setting = km_pos_setting("affA2", (1,))
         W = setting.system
         reps, _ = W.regular_double_coset_reps((), (1,), max_len=11)
         xs = [setting._embed(u) for u in reps]
         x = next(x for x in xs if x.length == 9)
         y = next(y for y in xs if y.length == 12 and W.bruhat_leq(x, y))
-        between = [z for z in xs if W.bruhat_leq(x, z) and W.bruhat_leq(z, y)]
         row = setting.simple_table(x.word, y_word=y.word)
         inverse_keys = [k for k in setting.hecke._columns if k[0] == "m_inv[1]"]
-        assert len(inverse_keys) == len(between) > 1
+        n_index = lambda z: setting._n_index(setting._coset_part(z))  # noqa: E731
+        n_col = setting.hecke.parabolic_column("n", setting.I, n_index(y))
+        between = [z for z in xs if W.bruhat_leq(x, z) and W.bruhat_leq(z, y)]
+        reads = [z for z in between if n_col.get(n_index(z), ZERO)]
+        assert len(inverse_keys) == len(reads) > 1
+        assert len(reads) < len(between)
         assert row.entry(y.word) == setting.simple_table(x.word, max_len=12).entry(y.word)
         assert row.entry(y.word)
+
 
 def convolution(p, p_prime, length_of, len_first, len_second):
     """Pairing sum_z bar(p_z) * p'_z with a parity certificate.
@@ -480,17 +517,26 @@ def per_z_rows(setting, x_word, max_len=None):
     """The simple table by the literal pairing: one inverse column per z, then
     the convolution at every row, with the parity certificate on its terms.
     At negative level z runs below x and the pairing is bar(n_{z,x}) m^{z,y};
-    at positive level z runs between x and y and it is bar(m^{z,x}) n_{z,y}."""
-    x, u_x = setting._index(x_word)
+    at positive level z runs between x and y and it is bar(m^{z,x}) n_{z,y}.
+    The rows and the z come from the subword enumeration of each interval."""
+    W = setting.system
+    x = W.element(x_word)
+    u_x = setting._coset_part(x)
     positive = getattr(setting, "level", None) == "pos"
+    if positive:
+        reps, _ = W.regular_double_coset_reps(
+            setting.J, setting.I, max_len=max_len - setting.wI.length
+        )
+        targets = [u for u in reps if W.bruhat_leq(u_x, u)]
+    else:
+        targets = index_below(setting, u_x)
     n_col = setting.hecke.parabolic_column("n", setting.I, setting._n_index(u_x))
     rows = {}
-    for y, u_y in setting._targets(u_x, None, max_len)[0]:
+    for u_y in targets:
+        y = setting._embed(u_y)
         if positive:
             zs = {
-                setting._embed(u): u
-                for u in setting._enumerate_u_below(u_y)
-                if setting.system.bruhat_leq(u_x, u)
+                setting._embed(u): u for u in index_below(setting, u_y) if W.bruhat_leq(u_x, u)
             }
             y_col = setting.hecke.parabolic_column("n", setting.I, setting._n_index(u_y))
             direct = {z: y_col.get(setting._n_index(u), ZERO) for z, u in zs.items()}
@@ -502,7 +548,7 @@ def per_z_rows(setting, x_word, max_len=None):
             }
             total, exact = convolution(inv, direct, {z: z.length for z in zs}, x.length, y.length)
         else:
-            zs = {setting._embed(u): u for u in setting._enumerate_u_below(u_x)}
+            zs = {setting._embed(u): u for u in index_below(setting, u_x)}
             direct = {z: n_col.get(setting._n_index(u), ZERO) for z, u in zs.items()}
             inv = {
                 z: setting.hecke.inverse_column("m", setting.I, u.inverse()).get(
