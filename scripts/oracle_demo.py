@@ -2,9 +2,10 @@
 """Walk through the homological oracle on a bundled block, step by step.
 
 Loads the block, prints the quiver algebra and module dimensions, shows the
-tilting coresolutions of the projectives, computes the minimal tilting
-complex of every standard and simple object (printing the differentials in
-hom-basis coordinates), and finishes with the nine invariant suites.
+tilting coresolutions of the projectives (the minimal tilting complex of a
+projective is its coresolution), computes the minimal tilting complex of
+every standard and simple object (printing the differentials in hom-basis
+coordinates), and finishes with the nine invariant suites.
 
 Example:
     python3 scripts/oracle_demo.py --block sl2
@@ -12,13 +13,7 @@ Example:
 
 import argparse
 
-from tiltc.mincpx import (
-    TiltingCategory,
-    cmin_module,
-    load_block,
-    tilting_coresolution,
-    verify_block,
-)
+from tiltc.mincpx import TiltingCategory, cmin_module, load_block, verify_block
 
 
 def show_complex(cpx) -> None:
@@ -53,7 +48,7 @@ def main() -> int:
 
     print("\ntilting coresolutions of the projectives:")
     for lab in block.labels:
-        R, _ = tilting_coresolution(tcat, block.module("proj", lab))
+        R, _ = cmin_module(tcat, block.module("proj", lab))
         print(f"  proj_{lab}: {R.summary()}")
 
     print("\nminimal tilting complexes:")

@@ -1,9 +1,11 @@
 """Brute-force homological oracle over exact rationals.
 
 Realizes a highest-weight block as quiver representations, computes minimal
-complexes of tilting objects by cone-and-eliminate, and verifies the closed
-multiplicity formulas against them.  Everything here is independent of the
-Hecke-algebra recursions: agreement between the two routes is the point.
+complexes of tilting objects (one sweep of add(T)-approximations and
+pushouts up a projective resolution, then Gaussian elimination), and
+verifies the closed multiplicity formulas against them.  Everything here is
+independent of the Hecke-algebra recursions: agreement between the two
+routes is the point.
 """
 
 from .block import (
@@ -13,10 +15,9 @@ from .block import (
     cmin_module,
     load_block,
     parse_block_text,
-    tilting_coresolution,
     verify_block,
 )
-from .complexes import CategoryPresentation, FormalComplex, cone, minimize
+from .complexes import CategoryPresentation, FormalComplex, minimize
 from .quiver import (
     AlgebraPresentation,
     ModuleRep,
@@ -34,13 +35,11 @@ __all__ = [
     "SUITE_NAMES",
     "TiltingCategory",
     "cmin_module",
-    "cone",
     "ext_dims",
     "hom_basis",
     "load_block",
     "minimal_projective_resolution",
     "minimize",
     "parse_block_text",
-    "tilting_coresolution",
     "verify_block",
 ]

@@ -9,24 +9,27 @@ per label: ``simple``, ``std`` (standard), ``costd`` (costandard),
 From the tilting modules the block yields a finitely presented additive
 category (hom bases plus a composition tensor) over which bounded formal
 complexes live.  ``cmin_module`` rebuilds the minimal tilting complex of
-any module from first principles: take the minimal projective resolution,
-coresolve each projective by tilting modules (each step is the minimal left
-add(T)-approximation of the last cokernel, read off hom bases), splice the
-pieces together with iterated mapping cones, and strip invertible
-differential entries by Gaussian elimination.  Every step carries exact
-witnesses (chain-map identities, cone acyclicity checked by vertexwise rank
-counting), so the resulting graded multiplicities are independent of, and a
-check on, the closed formulas in :mod:`tiltc.tilting`.
+any module from first principles in one sweep up its minimal projective
+resolution: embed the current module in its minimal left
+add(T)-approximation (Ringel 1991, read off hom bases), push the rest forward
+onto the next projective, go on with plain cokernels once the projectives
+run out, and strip invertible differential entries by Gaussian elimination.
+Every step carries exact witnesses (each approximation is injective with a
+standard-filtered cokernel; the comparison map passes its chain-map
+identities and its cone is acyclic by vertexwise rank counting), so the
+resulting graded multiplicities are independent of, and a check on, the
+closed formulas in :mod:`tiltc.tilting`.
 
 Work is done once per module content (the dimension vector and the arrow
 matrices, ``ModuleRep.content_key``).  ``parse_block_text`` validates every
 declared module and then hands out one object per content, so equal roles
 (``std_e``, ``simple_e``, ``costd_e`` and ``tilt_e`` of sl2) share the
 resolution and the hom bases that a module keeps.  A ``TiltingCategory``
-keeps the coresolution of each projective it has seen, so a projective is
-coresolved once however many resolutions it appears in, and
-``TiltingCategory.minimal_complex`` keeps the ``cmin_module`` result per
-content and scan order, each built and checked on its first request.
+keeps the checked approximation of each module content it has approximated,
+so a projective is approximated once however many resolutions end in it, and
+the sweep of each module content, which both scan orders of the elimination
+share.  ``TiltingCategory.minimal_complex`` keeps the ``cmin_module`` result
+per content and scan order, each built and checked on its first request.
 
 ``verify_block`` runs nine invariant suites over a named block and raises
 on the first violated invariant.
@@ -46,7 +49,6 @@ from .complexes import (
     CoordMat,
     Coords,
     FormalComplex,
-    cone,
     minimize,
 )
 from .quiver import (
@@ -67,7 +69,7 @@ from .quiver import (
 
 ROLES = ("simple", "std", "costd", "tilt", "proj", "inj")
 
-_CORESOLUTION_GUARD = 20  # most steps of a tilting coresolution
+_SWEEP_GUARD = 20  # most steps of the sweep past degree 0
 _EXT_BOUND = 4  # highest Ext degree checked against costandards in suite 2
 
 SUITE_NAMES = (
@@ -89,7 +91,6 @@ __all__ = [
     "cmin_module",
     "load_block",
     "parse_block_text",
-    "tilting_coresolution",
     "verify_block",
 ]
 
@@ -197,13 +198,15 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
                     raise ValidationError(f"{name}: module data before a module line")
                 key, eq, val = line.partition("=")
                 key, val = key.strip(), val.strip()
-                if key.startswith("dim "):
-                    cur["dims"][key[4:].strip()] = int(val)
-                elif key.startswith("map "):
-                    data = literal_eval(val)
-                    cur["mats"][key[4:].strip()] = linalg.mat(data)
-                else:
+                if not key.startswith(("dim ", "map ")):
                     raise ValidationError(f"{name}: bad module line {line!r}")
+                try:
+                    if key.startswith("dim "):
+                        cur["dims"][key[4:].strip()] = int(val)
+                    else:
+                        cur["mats"][key[4:].strip()] = linalg.mat(literal_eval(val))
+                except (SyntaxError, ValueError, TypeError, OverflowError) as exc:
+                    raise ValidationError(f"{name}: bad module line {line!r}") from exc
     if not vertices:
         raise ValidationError(f"{name}: no vertices declared")
     algebra = AlgebraPresentation(vertices, arrows, relations)
@@ -330,35 +333,17 @@ class TiltingCategory:
         self._costd_sum = direct_sum(
             [block.module("costd", lab) for lab in self.labels]
         )
-        # the most standard factors of one tilting module, read off the
-        # dimension vectors, which bound the terms of a coresolution
-        std_dims = [
+        # the standard dimension vectors count the standard factors of a
+        # standard-filtered module, which bound its approximation
+        self._std_dims = [
             tuple(block.module("std", lab).dims[v] for v in order) for lab in self.labels
         ]
-        counts = [
-            linalg.express_in_span(std_dims, tuple(self.tilts[a].dims[v] for v in order))
-            for a in self.labels
-        ]
-        if any(c is None for c in counts):
-            raise InternalInvariantError(
-                "a tilting dimension vector is not a combination of standard ones"
-            )
-        self.max_std_factors = max(int(sum(c)) for c in counts)
         self._sum_cache: dict[tuple[str, ...], tuple[ModuleRep, list[dict[str, int]]]] = {}
-        self._coresolutions: dict[tuple, tuple[FormalComplex, VMap]] = {}
+        # both keyed by module content: resolution terms are fresh objects,
+        # but equal representations have equal approximations and sweeps
+        self._approximations: dict[tuple, _Approximation] = {}
+        self._sweeps: dict[tuple, _Sweep] = {}
         self._complexes: dict[tuple, tuple[FormalComplex, dict[int, VMap]]] = {}
-
-    def coresolve(self, M: ModuleRep) -> tuple[FormalComplex, VMap]:
-        """``tilting_coresolution`` of M, computed once per module content.
-
-        Resolution terms are fresh objects, but equal representations have
-        equal coresolutions, so the key is ``M.content_key()``.  Callers must
-        not mutate the shared result.
-        """
-        key = M.content_key()
-        if key not in self._coresolutions:
-            self._coresolutions[key] = tilting_coresolution(self, M)
-        return self._coresolutions[key]
 
     def minimal_complex(
         self, M: ModuleRep, scan: str = "forward"
@@ -459,7 +444,12 @@ class TiltingCategory:
         return self.realize_block(cpx.term(n), cpx.term(n + 1), cpx.diff(n))
 
 
-# -- tilting coresolutions of modules ------------------------------------------------
+# -- the sweep: approximations and pushouts -------------------------------------------
+
+# (labels of T, f: X -> T, coker f, projection T -> coker f)
+_Approximation = tuple[tuple[str, ...], VMap, ModuleRep, VMap]
+# (complex, kappa[n]: P_(-n) -> T^n, resolution terms, resolution differentials)
+_Sweep = tuple[FormalComplex, dict[int, VMap], list[ModuleRep], list[VMap]]
 
 
 def _approximation(
@@ -495,173 +485,107 @@ def _approximation(
     return tuple(labels), {v: tuple(rows[v]) for v in order}
 
 
-def tilting_coresolution(
-    tcat: TiltingCategory, M: ModuleRep
-) -> tuple[FormalComplex, VMap]:
-    """Finite coresolution 0 -> M -> T^0 -> T^1 -> ... by sums of tiltings.
+def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximation:
+    """The approximation f: X -> T of a standard-filtered X, checked, with its
+    cokernel; computed once per module content.
 
-    Each step is the minimal left add(T)-approximation of the current
-    cokernel, checked to be injective with a standard-filtered cokernel
-    (Ext^1 against the sum of the costandards vanishes).  Returns the formal
-    complex of the T^i (degrees 0, 1, ...) and the augmentation M -> T^0 as
-    an exact module map.
+    f must be injective with a standard-filtered cokernel (Ext^1 against the
+    sum of the costandards vanishes).  A size bound: the minimal
+    approximation is a summand of the sum of T(l) over the standard factors
+    D(l) of X, so it has at most as many summands as X has standard factors,
+    read off its dimension vector.  A non-minimal approximation fails here,
+    at its first step, instead of growing at every later one.
     """
-    # A size bound.  The minimal approximation of a standard-filtered C is a
-    # summand of the sum of T(l) over the standard factors D(l) of C, and its
-    # cokernel has only factors below those l.  So, with t the most standard
-    # factors of one tilting module, term i has at most t (t - 1)^i times as
-    # many summands as M has standard factors (at most dim M), and i is below
-    # the number of labels.  A larger term means a non-minimal approximation,
-    # which would grow at every step.
-    t = tcat.max_std_factors
-    size_bound = t * max(1, t - 1) ** (len(tcat.labels) - 1) * M.total_dim
+    key = X.content_key()
+    if key in tcat._approximations:
+        return tcat._approximations[key]
+    order = tcat.algebra.vertices
+    labels, f = _approximation(tcat, X)
+    factors = linalg.express_in_span(tcat._std_dims, tuple(X.dims[v] for v in order))
+    if factors is None:
+        raise InternalInvariantError(
+            "a dimension vector is not a combination of standard ones"
+        )
+    if len(labels) > sum(factors):
+        raise InternalInvariantError(
+            f"an add(T)-approximation has {len(labels)} summands, "
+            f"more than the bound {sum(factors)}"
+        )
+    T, _ = tcat.sum_rep(labels)
+    if any(linalg.rank(f[v]) != X.dims[v] for v in order):
+        raise InternalInvariantError("the add(T)-approximation is not injective")
+    C, proj, _ = cokernel_rep(f, X, T)
+    if not C.is_zero() and ext_dims(C, tcat._costd_sum, 1)[1]:
+        raise InternalInvariantError(
+            "the add(T)-approximation has a cokernel that is not standard-filtered"
+        )
+    tcat._approximations[key] = (labels, f, C, proj)
+    return tcat._approximations[key]
+
+
+def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
+    """A tilting complex of M, not yet minimal, with its comparison map from
+    the minimal projective resolution P_m -> ... -> P_0 of M; computed once
+    per module content.  Callers must not mutate the shared result.
+
+    X starts as P_m in degree k = -m.  At each k, f: X -> T^k is the checked
+    approximation, the differential T^(k-1) -> T^k is f after T^(k-1) -> X,
+    and kappa[k] is f after P_(-k) -> X.  Then X becomes the pushout
+    coker((f, -d): X -> T^k + P_(-k-1)), where d: X -> P_(-k-1) is the
+    resolution differential read through a section of the last pushout.  The
+    pushout is an extension of coker f by P_(-k-1), so standard-filtered
+    again.  Past degree 0 there is no P and X is coker f, so the tail is a
+    tilting coresolution; the sweep stops when X is zero.  Each pushout
+    square is exact, so the complex is quasi-isomorphic to M.
+    """
+    key = M.content_key()
+    if key in tcat._sweeps:
+        return tcat._sweeps[key]
+    res_terms, res_diffs, _ = minimal_projective_resolution(M)
+    projs = [P for P, _ in res_terms]
+    order = tcat.algebra.vertices
+    k = 1 - len(projs)
+    X = projs[-k]
+    from_p = {v: linalg.ident(X.dims[v]) for v in order}  # P_(-k) -> X
+    to_p = from_p  # X -> P_(-k), through the section of the last pushout
+    from_t: VMap | None = None  # T^(k-1) -> X
     terms: dict[int, tuple[str, ...]] = {}
     diffs: dict[int, CoordMat] = {}
-    aug: VMap | None = None
-    cur = M
-    prev_proj: VMap | None = None
-    prev_labels: tuple[str, ...] | None = None
-    for step in range(_CORESOLUTION_GUARD + 1):
-        if cur.is_zero():
-            break
-        labels, f = _approximation(tcat, cur)
-        if len(labels) > size_bound:
-            raise InternalInvariantError(
-                f"tilting coresolution term {step} has {len(labels)} summands, "
-                f"more than the bound {size_bound}"
-            )
-        S, _ = tcat.sum_rep(labels)
-        if any(linalg.rank(f[v]) != cur.dims[v] for v in tcat.algebra.vertices):
-            raise InternalInvariantError("the add(T)-approximation is not injective")
-        C, proj = cokernel_rep(f, cur, S)
-        if not C.is_zero() and ext_dims(C, tcat._costd_sum, 1)[1]:
-            raise InternalInvariantError(
-                "the add(T)-approximation has a cokernel that is not standard-filtered"
-            )
-        terms[step] = labels
-        if step == 0:
-            aug = f
+    kappa: dict[int, VMap] = {}
+    while k <= 0 or not X.is_zero():
+        if k > _SWEEP_GUARD:
+            raise InternalInvariantError("the tilting sweep exceeded the step guard")
+        labels, f, C, proj = _checked_approximation(tcat, X)
+        T, _ = tcat.sum_rep(labels)
+        terms[k] = labels
+        if from_t is not None:
+            T_prev, _ = tcat.sum_rep(terms[k - 1])
+            d_mod = vmap_compose(f, from_t, T_prev, T)
+            diffs[k - 1] = tcat.coordinatize_block(terms[k - 1], labels, d_mod)
+        if k <= 0:
+            kappa[k] = vmap_compose(f, from_p, projs[-k], T)
+        if k >= 0:
+            X, from_t = C, proj
         else:
-            S_prev, _ = tcat.sum_rep(prev_labels)
-            d_mod = vmap_compose(f, prev_proj, S_prev, S)
-            diffs[step - 1] = tcat.coordinatize_block(prev_labels, labels, d_mod)
-        prev_labels, prev_proj, cur = labels, proj, C
-    else:
-        raise InternalInvariantError("tilting coresolution exceeded the step guard")
-    if aug is None:
-        zero_rep, _ = tcat.sum_rep(())
-        aug = vmap_zero(M, zero_rep)
-    cpx = FormalComplex(tcat.category, terms, diffs)
-    cpx.validate()
-    return cpx, aug
-
-
-# -- minimal tilting complexes --------------------------------------------------------
-
-
-def _solve_chain_lift(
-    tcat: TiltingCategory,
-    Rs: FormalComplex,
-    Y: FormalComplex,
-    n0: int,
-    iota: VMap,
-    eta: VMap,
-    P: ModuleRep,
-) -> dict[int, CoordMat]:
-    """Chain map chi: Rs -> Y whose degree-n0 component realizes to a map
-    with chi o iota = eta, where iota : P -> (sum of Rs^n0).  chi has a
-    component in every degree of Rs, with no rows where Y is zero."""
-    cat = tcat.category
-    unknown_off: dict[tuple[int, int, int], int] = {}
-    nvar = 0
-    degs = Rs.degrees()
-    for k in degs:
-        for i, tl in enumerate(Y.term(k)):
-            for j, sl in enumerate(Rs.term(k)):
-                unknown_off[(k, i, j)] = nvar
-                nvar += cat.hom_dim[(sl, tl)]
-    rows: list[list[linalg.Scalar]] = []
-    rhs: list[linalg.Scalar] = []
-    # realized condition at degree n0, one equation per entry of eta: the
-    # column of an unknown is its basis map after iota, placed in its block row
-    if n0 in Rs.terms:
-        srcs, tgts = Rs.term(n0), Y.term(n0)
-        _, src_off = tcat.sum_rep(srcs)
-        order = tcat.algebra.vertices
-        flat_eta = flatten_vmap(eta, order)
-        cols = [(0,) * len(flat_eta)] * nvar
-        for j, sl in enumerate(srcs):
-            iota_j = {  # iota onto summand j
-                v: iota[v][src_off[j][v] : src_off[j][v] + tcat.tilts[sl].dims[v]]
+            P = projs[-k - 1]
+            d = vmap_compose(res_diffs[-k - 1], to_p, X, P)
+            fd = {
+                v: linalg.blocks(
+                    [[f[v]], [linalg.scal(-1, d[v])]],
+                    [T.dims[v], P.dims[v]],
+                    [X.dims[v]],
+                )
                 for v in order
             }
-            for i, tl in enumerate(tgts):
-                for c, g in enumerate(tcat._basis[(sl, tl)]):
-                    g_iota = vmap_compose(g, iota_j, P, tcat.tilts[tl])
-                    placed = {
-                        v: linalg.blocks(
-                            [[g_iota[v] if k == i else None] for k in range(len(tgts))],
-                            [tcat.tilts[t].dims[v] for t in tgts],
-                            [P.dims[v]],
-                        )
-                        for v in order
-                    }
-                    cols[unknown_off[(n0, i, j)] + c] = flatten_vmap(placed, order)
-        rows.extend([col[e] for col in cols] for e in range(len(flat_eta)))
-        rhs.extend(flat_eta)
-    # coordinate chain conditions
-    for k in degs:
-        if not Y.term(k + 1):
-            continue
-        dY = Y.diff(k)
-        dRs = Rs.diff(k)
-        for t, tl in enumerate(Y.term(k + 1)):
-            for s2, sl in enumerate(Rs.term(k)):
-                dim_eq = cat.hom_dim[(sl, tl)]
-                eq_rows = [[0] * nvar for _ in range(dim_eq)]
-                for i, ml in enumerate(Y.term(k)):
-                    base = unknown_off[(k, i, s2)]
-                    for cidx, unit in enumerate(linalg.ident(cat.hom_dim[(sl, ml)])):
-                        vec = cat.comp(sl, ml, tl, dY[t][i], unit)
-                        for e, val in enumerate(vec):
-                            if val:
-                                eq_rows[e][base + cidx] += val
-                for i2, ml in enumerate(Rs.term(k + 1)):
-                    base = unknown_off[(k + 1, t, i2)]
-                    for cidx, unit in enumerate(linalg.ident(cat.hom_dim[(ml, tl)])):
-                        vec = cat.comp(sl, ml, tl, unit, dRs[i2][s2])
-                        for e, val in enumerate(vec):
-                            if val:
-                                eq_rows[e][base + cidx] -= val
-                for e in range(dim_eq):
-                    if any(eq_rows[e]):
-                        rows.append(eq_rows[e])
-                        rhs.append(0)
-    if nvar == 0:
-        sol: linalg.Vec = ()
-        if any(rhs):
-            raise InternalInvariantError("chain lift has no solution")
-    else:
-        if rows:
-            sol = linalg.solve(
-                tuple(tuple(r) for r in rows), tuple(rhs)
-            )
-            if sol is None:
-                raise InternalInvariantError("chain lift has no solution")
-        else:
-            sol = (0,) * nvar
-    chi: dict[int, CoordMat] = {}
-    for k in degs:
-        mat = []
-        for i, tl in enumerate(Y.term(k)):
-            row = []
-            for j, sl in enumerate(Rs.term(k)):
-                base = unknown_off[(k, i, j)]
-                hd = cat.hom_dim[(sl, tl)]
-                row.append(tuple(sol[base : base + hd]))
-            mat.append(tuple(row))
-        chi[k] = tuple(mat)
-    return chi
+            X, pi, sec = cokernel_rep(fd, X, direct_sum([T, P]))
+            from_t = {v: tuple(row[: T.dims[v]] for row in pi[v]) for v in order}
+            from_p = {v: tuple(row[T.dims[v] :] for row in pi[v]) for v in order}
+            to_p = {v: sec[v][T.dims[v] :] for v in order}
+        k += 1
+    cpx = FormalComplex(tcat.category, terms, diffs)
+    cpx.validate()
+    tcat._sweeps[key] = (cpx, kappa, projs, res_diffs)
+    return tcat._sweeps[key]
 
 
 def cmin_module(
@@ -675,52 +599,8 @@ def cmin_module(
     map from the minimal projective resolution of M (one exact module map
     per degree).
     """
-    res_terms, res_diffs, aug = minimal_projective_resolution(M)
-    projs = [P for P, _ in res_terms]
-    Y, aug0 = tcat.coresolve(projs[0])
-    kappa: dict[int, VMap] = {0: aug0}
-    if len(projs) == 1:
-        # no cone stage runs, so strip any split summands of the coresolution
-        Y, kappa = _minimize_carrying(tcat, Y, kappa, projs, scan)
-    for j in range(1, len(projs)):
-        P_j = projs[j]
-        R, iota = tcat.coresolve(P_j)
-        Rs = R.shift(j - 1)
-        sumY_prev, _ = tcat.sum_rep(Y.term(1 - j))
-        if (1 - j) in kappa:
-            eta = vmap_compose(kappa[1 - j], res_diffs[j - 1], P_j, sumY_prev)
-        else:
-            eta = vmap_zero(P_j, sumY_prev)
-        chi = _solve_chain_lift(tcat, Rs, Y, 1 - j, iota, eta, P_j)
-        # realized witness: chi at degree 1 - j composed with the
-        # coresolution augmentation must equal eta
-        if Rs.term(1 - j):
-            chi_mod = tcat.realize_block(Rs.term(1 - j), Y.term(1 - j), chi[1 - j])
-            if vmap_compose(chi_mod, iota, P_j, sumY_prev) != eta:
-                raise InternalInvariantError(
-                    "chain lift witness fails at the augmentation"
-                )
-        # the comparison map into the cone: iota onto the Rs summands in
-        # degree -j, kappa onto the Y summands
-        kap: dict[int, VMap] = {}
-        for n in range(-j, 1):
-            xs, ys = Rs.term(n + 1), Y.term(n)
-            if not xs + ys:
-                continue
-            x_rep, _ = tcat.sum_rep(xs)
-            y_rep, _ = tcat.sum_rep(ys)
-            kap[n] = {
-                v: linalg.blocks(
-                    [
-                        [iota[v] if n == -j else None],
-                        [kappa[n][v] if n in kappa else None],
-                    ],
-                    [x_rep.dims[v], y_rep.dims[v]],
-                    [projs[-n].dims[v]],
-                )
-                for v in tcat.algebra.vertices
-            }
-        Y, kappa = _minimize_carrying(tcat, cone(chi, Rs, Y), kap, projs, scan)
+    cpx, kappa, projs, res_diffs = _sweep(tcat, M)
+    Y, kappa = _minimize_carrying(tcat, cpx, kappa, projs, scan)
     _verify_cmin(tcat, projs, res_diffs, Y, kappa)
     return Y, kappa
 

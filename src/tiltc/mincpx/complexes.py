@@ -2,13 +2,13 @@
 
 Objects are formal direct sums of labelled indecomposables.  A morphism
 between single summands is a coordinate vector in a fixed basis of the
-relevant hom space; composition is given by a structure tensor.  The two
-main operations are mapping cones and Gaussian elimination of invertible
-same-label differential entries, which shrinks a bounded complex to a
-homotopy-equivalent one whose differential has no invertible components
-(a minimal complex).  Elimination also returns the projection chain map
-from the original complex onto the minimal one, so that maps into the
-complex can be transported through the reduction.
+relevant hom space; composition is given by a structure tensor.  The main
+operation is Gaussian elimination of invertible same-label differential
+entries, which shrinks a bounded complex to a homotopy-equivalent one whose
+differential has no invertible components (a minimal complex).  Elimination
+also returns the projection chain map from the original complex onto the
+minimal one, so that maps into the complex can be transported through the
+reduction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ CoordMat = tuple[tuple[Coords, ...], ...]
 __all__ = [
     "CategoryPresentation",
     "FormalComplex",
-    "cone",
     "minimize",
 ]
 
@@ -35,10 +34,6 @@ def _as_coords(vec: Sequence) -> Coords:
 
 def _sub(x: Coords, y: Coords) -> Coords:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def _scal(c: int, x: Coords) -> Coords:
-    return tuple(c * a for a in x)
 
 
 class CategoryPresentation:
@@ -351,16 +346,6 @@ class FormalComplex:
                     f"differential does not square to zero at degree {n}"
                 )
 
-    def shift(self, k: int) -> "FormalComplex":
-        """The complex X[k] with X[k]^n = X^(n+k) and differential (-1)^k d."""
-        sign = -1 if k % 2 else 1
-        terms = {n - k: labels for n, labels in self.terms.items()}
-        diffs = {
-            n - k: tuple(tuple(_scal(sign, e) for e in row) for row in mat)
-            for n, mat in self.diffs.items()
-        }
-        return FormalComplex(self.cat, terms, diffs)
-
     def is_minimal(self) -> bool:
         for n, mat in self.diffs.items():
             src = self.term(n)
@@ -370,67 +355,6 @@ class FormalComplex:
                     if s == t and self.cat.invert(s, mat[i][j]) is not None:
                         return False
         return True
-
-
-def cone(
-    f: Mapping[int, Sequence[Sequence[Sequence]]],
-    x: FormalComplex,
-    y: FormalComplex,
-) -> FormalComplex:
-    """Mapping cone of a chain map f: x -> y.
-
-    The degree-n term is x^(n+1) + y^n, with differential
-    [[-d_x, 0], [f, d_y]].
-    """
-    cat = x.cat
-    fmats = {
-        n: tuple(tuple(_as_coords(e) for e in row) for row in mat)
-        for n, mat in f.items()
-    }
-
-    def f_at(n: int) -> CoordMat:
-        if n in fmats:
-            return fmats[n]
-        return _zero_mat(cat, x.term(n), y.term(n))
-
-    for n in sorted(set(x.degrees()) | set(y.degrees())):
-        lhs = _mat_comp(
-            cat, x.term(n), y.term(n), y.term(n + 1), y.diff(n), f_at(n)
-        )
-        rhs = _mat_comp(
-            cat, x.term(n), x.term(n + 1), y.term(n + 1), f_at(n + 1), x.diff(n)
-        )
-        if lhs != rhs:
-            raise InternalInvariantError(
-                f"cone input is not a chain map at degree {n}"
-            )
-
-    terms: dict[int, tuple[str, ...]] = {}
-    degs = {n - 1 for n in x.terms} | set(y.terms)
-    for n in degs:
-        terms[n] = x.term(n + 1) + y.term(n)
-    diffs: dict[int, CoordMat] = {}
-    for n in degs:
-        xs, ys = x.term(n + 1), y.term(n)
-        xt, yt = x.term(n + 2), y.term(n + 1)
-        if not (xs or ys) or not (xt or yt):
-            continue
-        dX = x.diff(n + 1)
-        dY = y.diff(n)
-        fmat = f_at(n + 1)
-        rows = []
-        for i, t in enumerate(xt):
-            row = [_scal(-1, dX[i][j]) for j in range(len(xs))]
-            row += [cat.zero(s, t) for s in ys]
-            rows.append(tuple(row))
-        for i, t in enumerate(yt):
-            row = [fmat[i][j] for j in range(len(xs))]
-            row += [dY[i][j] for j in range(len(ys))]
-            rows.append(tuple(row))
-        diffs[n] = tuple(rows)
-    out = FormalComplex(cat, terms, diffs)
-    out.validate()
-    return out
 
 
 def minimize(

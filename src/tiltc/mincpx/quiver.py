@@ -498,8 +498,14 @@ def kernel_rep(f: VMap, M: ModuleRep, N: ModuleRep) -> tuple[ModuleRep, VMap]:
     return K, incl
 
 
-def cokernel_rep(f: VMap, M: ModuleRep, N: ModuleRep) -> tuple[ModuleRep, VMap]:
-    """(C, projection N -> C) of the vertexwise cokernel."""
+def cokernel_rep(
+    f: VMap, M: ModuleRep, N: ModuleRep
+) -> tuple[ModuleRep, VMap, VMap]:
+    """(C, projection N -> C, section C -> N) of the vertexwise cokernel.
+
+    The section is linear at each vertex, not a module map; the projection
+    after it is the identity of C.
+    """
     alg = M.algebra
     proj: VMap = {}
     sections = {}
@@ -520,7 +526,7 @@ def cokernel_rep(f: VMap, M: ModuleRep, N: ModuleRep) -> tuple[ModuleRep, VMap]:
         mats[a] = linalg.mul_shaped(proj[t], step, cdims[t], cdims[s])
     C = ModuleRep(alg, cdims, mats)
     C.validate()
-    return C, proj
+    return C, proj, sections
 
 
 def minimal_projective_resolution(

@@ -336,6 +336,7 @@ class KacMoody(_NegativeLike):
             raise ValidationError(
                 "the subset I must generate a finite parabolic at positive level"
             )
+        self._n_parity_checked: set[CoxeterElement] = set()  # n column indices
 
     @property
     def setting_name(self) -> str:  # type: ignore[override]
@@ -402,17 +403,26 @@ class KacMoody(_NegativeLike):
         rows = {}
         for y, u_y in targets:
             total: dict[int, int] = {}
-            for a, n in self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).items():
+            for a, n in self._checked_n_column(y, u_y).items():
                 if a in bar_m:
-                    u, m_terms = bar_m[a]
-                    if not n.has_parity(u_y.length - u.length):
-                        raise InternalInvariantError(
-                            "parity certificate failed in the simple-object formula "
-                            f"at y={y!r}, z={self._embed(u)!r}"
-                        )
-                    _mac(total, n, m_terms)
+                    _mac(total, n, bar_m[a][1])
             rows[y] = LaurentPoly(total)
         return self._finalize(x, rows, explicit, truncated_at=truncated)
+
+    def _checked_n_column(self, y, u_y):
+        """The n column of u_y, the parity of every entry certified once per
+        setting: n_{z,y} has the parity of l(y) - l(z), whatever x reads it."""
+        b = self._n_index(u_y)
+        col = self.hecke.parabolic_column("n", self.I, b)
+        if b not in self._n_parity_checked:
+            for a, n in col.items():
+                if not n.has_parity(b.length - a.length):
+                    raise InternalInvariantError(
+                        "parity certificate failed in the simple-object formula "
+                        f"at y={y!r}, z={self._embed((a * self.wJ).inverse())!r}"
+                    )
+            self._n_parity_checked.add(b)
+        return col
 
     def _literal_table(self, x, u_x, targets, explicit, max_len):
         """z-independent second factor, as printed; needs its own cutoff."""

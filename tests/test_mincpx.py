@@ -21,13 +21,11 @@ from tiltc.mincpx.block import (
     cmin_module,
     load_block,
     parse_block_text,
-    tilting_coresolution,
     verify_block,
 )
 from tiltc.mincpx.complexes import (
     CategoryPresentation,
     FormalComplex,
-    cone,
     minimize,
 )
 from tiltc.mincpx.quiver import (
@@ -461,8 +459,24 @@ class TestQuiver:
     def test_cokernel(self, sl2_modules):
         m = sl2_modules
         f = hom_basis(m["std_s"], m["tilt_s"])[0]
-        C, _ = cokernel_rep(f, m["std_s"], m["tilt_s"])
+        C, _, _ = cokernel_rep(f, m["std_s"], m["tilt_s"])
         assert C.dims == {"e": 1, "s": 0}
+
+    @pytest.mark.parametrize(
+        "src,tgt", [("std_s", "tilt_s"), ("L_e", "tilt_s"), ("L_s", "costd_s")]
+    )
+    def test_cokernel_section_is_split_by_the_projection(self, sl2_modules, src, tgt):
+        M, N = sl2_modules[src], sl2_modules[tgt]
+        for f in hom_basis(M, N) + [quiver.vmap_zero(M, N)]:
+            C, proj, sec = cokernel_rep(f, M, N)
+            for v in M.algebra.vertices:
+                assert linalg.mul_shaped(proj[v], sec[v], C.dims[v], C.dims[v]) == (
+                    linalg.ident(C.dims[v])
+                )
+                # the projection kills the image of f
+                assert linalg.is_zero(
+                    linalg.mul_shaped(proj[v], f[v], C.dims[v], M.dims[v])
+                )
 
     def test_kernel_into_zero_module(self, sl2_modules):
         zero = ModuleRep(sl2_modules["L_e"].algebra, {})
@@ -556,30 +570,6 @@ class TestFormalComplex:
         assert pi[0] == (((F(1),), (F(0),)),)
         assert 1 not in pi
 
-    def test_cone_of_identity_is_contractible(self, toy_cat):
-        X = FormalComplex(toy_cat, {0: ("a",), 1: ("b",)}, {0: [[(1,)]]})
-        ident = {0: [[(1,)]], 1: [[(1, 0)]]}
-        C = cone(ident, X, X)
-        assert C.term(-1) == ("a",)
-        assert C.term(0) == ("b", "a")
-        m, _ = minimize(C)
-        assert m.terms == {}
-
-    def test_cone_rejects_non_chain_map(self, toy_cat):
-        X = FormalComplex(toy_cat, {0: ("a",), 1: ("b",)}, {0: [[(1,)]]})
-        broken = {0: [[(1,)]], 1: [[(0, 0)]]}
-        with pytest.raises(InternalInvariantError, match="chain map"):
-            cone(broken, X, X)
-
-    def test_shift_sign_and_involution(self, toy_cat):
-        X = FormalComplex(toy_cat, {0: ("a",), 1: ("b",)}, {0: [[(1,)]]})
-        Xs = X.shift(1)
-        assert Xs.term(-1) == ("a",)
-        assert Xs.diff(-1)[0][0] == (F(-1),)
-        Xs.validate()
-        back = Xs.shift(-1)
-        assert back.terms == X.terms and back.diffs == X.diffs
-
     def test_scan_orders_agree(self, toy_cat):
         W = FormalComplex(
             toy_cat,
@@ -652,6 +642,22 @@ class TestBlockParsing:
         assert b.module("tilt", "e") is b.module("simple", "e")
         assert len({id(m) for m in b.modules.values()}) == 6
 
+    @pytest.mark.parametrize(
+        "line",
+        ["map beta = [[1,", "dim s = one", "map beta = [[x]]", "map beta = 7"],
+    )
+    def test_malformed_module_data(self, line):
+        from importlib import resources
+
+        text = resources.files("tiltc.blocks").joinpath("sl2.block").read_text()
+        head, sep, tail = text.partition("module std_s\n")
+        assert sep and "map beta = [[1]]" in tail
+        bad = head + sep + line + "\n" + tail
+        with pytest.raises(ValidationError) as info:
+            parse_block_text(bad, name="sl2")
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"sl2: bad module line {line!r}"
+
     def test_missing_block(self):
         with pytest.raises(ValidationError, match="no bundled block"):
             load_block("nope")
@@ -718,32 +724,41 @@ class TestTiltingCategory:
 
 
 class TestCoresolutions:
+    # the minimal tilting complex of a projective (or of any module whose
+    # resolution has one term) is its tilting coresolution
     def test_projective_e_is_tilting(self, sl2_block, sl2_tcat):
-        R, aug = tilting_coresolution(sl2_tcat, sl2_block.module("proj", "e"))
+        P = sl2_block.module("proj", "e")
+        R, kappa = cmin_module(sl2_tcat, P)
         assert R.terms == {0: ("s",)}
         assert all(
-            linalg.rank(aug[v]) == sl2_block.module("proj", "e").dims[v]
-            for v in sl2_block.algebra.vertices
+            linalg.rank(kappa[0][v]) == P.dims[v] for v in sl2_block.algebra.vertices
         )
 
     def test_projective_s_two_steps(self, sl2_block, sl2_tcat):
-        R, _ = tilting_coresolution(sl2_tcat, sl2_block.module("proj", "s"))
+        R, _ = cmin_module(sl2_tcat, sl2_block.module("proj", "s"))
         assert R.terms == {0: ("s",), 1: ("e",)}
         R.validate()
 
     @pytest.mark.parametrize("label", ["e", "s"])
     def test_tilting_module_is_its_own_coresolution(self, sl2_block, sl2_tcat, label):
         # the approximation is minimal: no split summand rides along
-        R, _ = tilting_coresolution(sl2_tcat, sl2_block.module("tilt", label))
-        assert R.summary() == f"[0: {label}]"
-
-    def test_non_minimal_approximation_fails_fast(self, sl2_block, sl2_tcat, monkeypatch):
-        # the universal map M -> sum of T_a over a basis of every Hom(M, T_a)
-        # is an approximation but not a minimal one: its terms grow each step.
-        # On sl2 tilt_s has two standard factors, so the bound is 2 * dim M.
         from tiltc.mincpx import block as block_mod
 
-        order = sl2_tcat.algebra.vertices
+        T = sl2_block.module("tilt", label)
+        labels, _, C, _ = block_mod._checked_approximation(sl2_tcat, T)
+        assert labels == (label,) and C.is_zero()
+        R, _ = cmin_module(sl2_tcat, T)
+        assert R.summary() == f"[0: {label}]"
+
+    def test_non_minimal_approximation_fails_fast(self, sl2_block, monkeypatch):
+        # the universal map M -> sum of T_a over a basis of every Hom(M, T_a)
+        # is an approximation but not a minimal one: its terms grow each step.
+        # M = tilt_s + tilt_s is projective with four standard factors, and
+        # the universal map has six summands.
+        from tiltc.mincpx import block as block_mod
+
+        tcat = TiltingCategory(sl2_block)  # nothing approximated yet
+        order = tcat.algebra.vertices
 
         def universal(tcat, M):
             labels, rows = [], {v: [] for v in order}
@@ -757,8 +772,8 @@ class TestCoresolutions:
         monkeypatch.setattr(block_mod, "_approximation", universal)
         M = direct_sum([sl2_block.module("tilt", "s")] * 2)
         t0 = time.perf_counter()
-        with pytest.raises(InternalInvariantError, match="more than the bound 12"):
-            tilting_coresolution(sl2_tcat, M)
+        with pytest.raises(InternalInvariantError, match="more than the bound 4"):
+            cmin_module(tcat, M)
         assert time.perf_counter() - t0 < 5.0
 
     # sums with repeated summands: each label appears with its multiplicity
@@ -772,12 +787,14 @@ class TestCoresolutions:
 
     @pytest.mark.parametrize("name", sorted(SUMS))
     def test_direct_sums(self, sl2_block, sl2_tcat, name):
+        from tiltc.mincpx import block as block_mod
+
         parts, expected = self.SUMS[name]
         M = direct_sum([sl2_block.module(role, lab) for role, lab in parts])
-        R, aug = tilting_coresolution(sl2_tcat, M)
-        assert R.summary() == expected
+        labels, f, _, _ = block_mod._checked_approximation(sl2_tcat, M)
+        assert sorted(labels) == ["s"] * len(parts)
         assert all(
-            linalg.rank(aug[v]) == M.dims[v] for v in sl2_block.algebra.vertices
+            linalg.rank(f[v]) == M.dims[v] for v in sl2_block.algebra.vertices
         )
         cpx, _ = cmin_module(sl2_tcat, M)
         assert cpx.summary() == expected
@@ -819,14 +836,20 @@ class TestMinimalTiltingComplexes:
 
 
 class TestCoresolutionMemo:
+    # a coresolution is the tail of a sweep; a TiltingCategory keeps the
+    # checked approximation and the unminimized sweep of each module content
     MODULES = [(role, lab) for role in ("std", "simple", "proj", "tilt") for lab in "es"]
 
     @pytest.mark.parametrize("scan", ["forward", "backward"])
     def test_memo_hit_equals_fresh_build(self, sl2_block, scan):
+        from tiltc.mincpx import block as block_mod
+
         shared = TiltingCategory(sl2_block)
-        for role, lab in self.MODULES:  # fill the memo
+        for role, lab in self.MODULES:  # fill the memos
             cmin_module(shared, sl2_block.module(role, lab), scan=scan)
-        assert len(shared._coresolutions) == 2
+        # std_e = simple_e = tilt_e, proj_e = tilt_s, proj_s, simple_s; the
+        # approximated modules are proj_e, proj_s, std_e and one pushout
+        assert (len(shared._sweeps), len(shared._approximations)) == (4, 4)
         for role, lab in self.MODULES:
             M = sl2_block.module(role, lab)
             hit, hit_kappa = cmin_module(shared, M, scan=scan)
@@ -835,25 +858,33 @@ class TestCoresolutionMemo:
             assert hit.label_counts() == new.label_counts(), (role, lab)
             assert hit.diffs == new.diffs, (role, lab)
             assert hit_kappa == new_kappa, (role, lab)
-        assert len(shared._coresolutions) == 2
+            sweep = block_mod._sweep(shared, M)
+            fresh = block_mod._sweep(TiltingCategory(sl2_block), M)
+            assert (sweep[0].terms, sweep[0].diffs) == (fresh[0].terms, fresh[0].diffs)
+            assert sweep[1:] == fresh[1:], (role, lab)
+        assert (len(shared._sweeps), len(shared._approximations)) == (4, 4)
 
     def test_key_is_module_content(self, sl2_block):
+        from tiltc.mincpx import block as block_mod
+
         tcat = TiltingCategory(sl2_block)
         proj_s = sl2_block.module("proj", "s")
         copy = direct_sum([proj_s])
         assert copy is not proj_s
-        assert tcat.coresolve(copy) is tcat.coresolve(proj_s)
-        assert len(tcat._coresolutions) == 1
+        assert block_mod._sweep(tcat, copy) is block_mod._sweep(tcat, proj_s)
+        approx = block_mod._checked_approximation(tcat, proj_s)
+        assert block_mod._checked_approximation(tcat, copy) is approx
+        assert (len(tcat._sweeps), len(tcat._approximations)) == (1, 2)
         # the same dimension vector with other matrices is another module
         scaled = ModuleRep(
             sl2_block.algebra, proj_s.dims, {**proj_s.mats, "beta": ((2,),)}
         )
         scaled.validate()
-        R, aug = tcat.coresolve(scaled)
-        assert len(tcat._coresolutions) == 2
-        assert aug != tcat.coresolve(proj_s)[1]
-        R_new, aug_new = tilting_coresolution(tcat, scaled)
-        assert (R.terms, R.diffs, aug) == (R_new.terms, R_new.diffs, aug_new)
+        R, kappa, _, _ = block_mod._sweep(tcat, scaled)
+        assert len(tcat._sweeps) == 2
+        assert block_mod._checked_approximation(tcat, scaled)[1] != approx[1]
+        R_new, kappa_new, _, _ = block_mod._sweep(TiltingCategory(sl2_block), scaled)
+        assert (R.terms, R.diffs, kappa) == (R_new.terms, R_new.diffs, kappa_new)
 
 
 class TestComplexMemo:
@@ -904,20 +935,24 @@ class TestVerifyBlock:
         verify_block(load_block("sl2"))
         assert sorted(calls) == ["e", "s"]
 
-    def test_projectives_are_coresolved_once(self, monkeypatch):
-        # the resolutions of the nine suites hold proj_e and proj_s many
-        # times over, as fresh objects; each is coresolved once
+    def test_projectives_are_approximated_once(self, monkeypatch):
+        # the resolutions of the nine suites end in proj_s many times over, as
+        # fresh objects; every module content, proj_s among them, is
+        # approximated once: proj_s, one pushout and simple_e
         from tiltc.mincpx import block as block_mod
 
         calls = []
-        real = block_mod.tilting_coresolution
+        real = block_mod._approximation
         monkeypatch.setattr(
             block_mod,
-            "tilting_coresolution",
-            lambda tcat, M: calls.append(M) or real(tcat, M),
+            "_approximation",
+            lambda tcat, M: calls.append(M.content_key()) or real(tcat, M),
         )
-        verify_block(load_block("sl2"))
-        assert len(calls) == 2
+        block = load_block("sl2")
+        verify_block(block)
+        assert len(calls) == len(set(calls)) == 3
+        assert block.algebra.projective("s")[0].content_key() in calls
+        assert block.module("simple", "e").content_key() in calls
 
     def test_each_complex_is_built_once(self, monkeypatch):
         # suites 3, 4 and 6 ask for 9 complexes, but std_e, simple_e and the
@@ -980,6 +1015,46 @@ ORACLE_VERIFY_SL2_SHA256 = (
 ORACLE_DEMO_SHA256 = "76ca0424c5cb9a0a1299f25fa0d1d3a4d6de1f5d5102bc027d4137647a1515c9"
 
 
+# summary() and diffs of cmin_module over the 12 sl2 modules, the radical of
+# std_s and three direct sums (named by their parts), equal in both scans;
+# taken from the builder that spliced coresolutions with mapping cones
+CMIN_PINS = {
+    "costd_e": ("[0: e]", {}),
+    "costd_s": ("[-1: e] [0: s]", {-1: (((-1,),),)}),
+    "inj_e": ("[0: s]", {}),
+    "inj_s": ("[-1: e] [0: s]", {-1: (((-1,),),)}),
+    "proj_e": ("[0: s]", {}),
+    "proj_e+proj_s+std_s": (
+        "[0: 3*s] [1: 2*e]",
+        {0: (((0,), (1,), (0,)), ((0,), (0,), (1,)))},
+    ),
+    "proj_s": ("[0: s] [1: e]", {0: (((1,),),)}),
+    "rad_std_s": ("[0: e]", {}),
+    "simple_e": ("[0: e]", {}),
+    "simple_s": ("[-1: e] [0: s] [1: e]", {-1: (((-1,),),), 0: (((1,),),)}),
+    "simple_s+costd_s": (
+        "[-1: 2*e] [0: 2*s] [1: e]",
+        {-1: (((-1,), (0,)), ((0,), (-1,))), 0: (((0,), (1,)),)},
+    ),
+    "std_e": ("[0: e]", {}),
+    "std_s": ("[0: s] [1: e]", {0: (((1,),),)}),
+    "tilt_e": ("[0: e]", {}),
+    "tilt_s": ("[0: s]", {}),
+    "tilt_s+tilt_s": ("[0: 2*s]", {}),
+}
+
+
+def _pinned_module(block, name):
+    from tiltc.mincpx.block import _rad_std
+
+    if name == "rad_std_s":
+        return _rad_std(block, "s")[0]
+    parts = name.split("+")
+    if len(parts) == 1:
+        return block.modules[name]
+    return direct_sum([block.modules[p] for p in parts])
+
+
 class TestOraclePins:
     def test_sl2_ext_table(self):
         mods = load_block("sl2").modules
@@ -990,6 +1065,14 @@ class TestOraclePins:
                 "".join(map(str, ext_dims(mods[m], mods[n], 4))) for n in names
             )
             assert got == SL2_EXT_TABLE[m], m
+
+    @pytest.mark.parametrize("scan", ["forward", "backward"])
+    @pytest.mark.parametrize("name", sorted(CMIN_PINS))
+    def test_cmin_summary_and_diffs(self, sl2_block, name, scan):
+        cpx, _ = cmin_module(
+            TiltingCategory(sl2_block), _pinned_module(sl2_block, name), scan
+        )
+        assert (cpx.summary(), cpx.diffs) == CMIN_PINS[name]
 
     def test_oracle_verify_stdout(self, capsys):
         from tiltc.cli import main

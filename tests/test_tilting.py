@@ -1,6 +1,7 @@
 """Multiplicity tables for minimal tilting complexes in all four settings."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,8 +388,12 @@ class TestSimpleTableChecks:
 
     @pytest.mark.parametrize("name", sorted(SETTINGS))
     def test_wrong_parity_in_a_seed(self, name):
-        setting, x, max_len = self.SETTINGS[name]()
-        table = setting.simple_table(x, max_len=max_len)
+        # the rows come from a table on a twin setting; the column is planted
+        # before the first table that reads it, since at positive level each
+        # n column is certified once per setting
+        twin, x, max_len = self.SETTINGS[name]()
+        table = twin.simple_table(x, max_len=max_len)
+        setting = self.SETTINGS[name]()[0]
         u_x = setting._coset_part(setting.system.element(x))
         # a seed is an n entry: at negative level the n column of x at each z
         # below x, at positive level the n column of each row y at each z
@@ -399,11 +404,35 @@ class TestSimpleTableChecks:
             top = setting._coset_part(setting.system.element(table.entries[-1][0]))
             low = u_x
         key = column_key(setting, "n", setting._n_index(top))
+        setting.hecke.parabolic_column("n", setting.I, setting._n_index(top))
         self.plant(setting, key, setting._n_index(low), top.length - low.length)
         with pytest.raises(
             InternalInvariantError, match="parity certificate failed in the simple-object formula"
         ):
             setting.simple_table(x, max_len=max_len)
+
+    def test_n_columns_are_certified_once_per_setting(self, monkeypatch):
+        # at positive level the parity of n_{z,y} does not depend on x: a
+        # second table on the same setting re-checks no n entry
+        setting, x, max_len = self.SETTINGS["KM+-affA2"]()
+        callers = []
+        real = LaurentPoly.has_parity
+
+        def spy(p, k):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(p, k)
+
+        monkeypatch.setattr(LaurentPoly, "has_parity", spy)
+        first = setting.simple_table(x, max_len=max_len)
+        checked = set(setting._n_parity_checked)
+        assert "_checked_n_column" in callers and checked
+        callers.clear()
+        assert setting.simple_table(x, max_len=max_len) == first
+        above = first.entries[-1][0]  # another x, whose rows are among the first's
+        assert above != x
+        setting.simple_table(above, max_len=max_len)
+        assert "_checked_n_column" not in callers
+        assert setting._n_parity_checked == checked
 
     def test_wrong_parity_in_an_inverse_entry_at_positive_level(self):
         # each memoized inverse column of a row z is read once, at x
