@@ -28,7 +28,9 @@ An h column is read off a spherical one.  With K = L(y), which generates a
 finite parabolic, and y = w_K y', h_{x,y} = v h_{sx,y} for s in K with
 sx > x (Kazhdan-Lusztig 1979) and h_{w_K x', w_K y'} = m^K_{x',y'}
 (Deodhar 1987), so h_{u x',y} = v^(l(w_K) - l(u)) m^K_{x',y'} for u in W_K.
-Every computed column is checked to be unitriangular over v*Z[v].
+Every computed column is checked to be unitriangular over v*Z[v].  A single
+h entry (poly, mu) is read off the m^K column without expansion: no h
+column is built or memoized, and the one entry is checked instead.
 
 The inverse families come by signed unitriangular inversion of the direct
 ones: inverse_combination pushes sum_a c_a fam^{a,.} down the lengths from
@@ -133,13 +135,14 @@ class PolyStore:
     polynomials (the module docstring); a file with another version of either
     is refused.
 
-    Records are parsed lazily: ``load`` checks the header and the checksum
-    and reads each record's family and upper word, but keeps the line;
-    ``get_column`` parses a record's entries the first time a query asks for
-    it, each distinct word text once per store (columns share most of their
-    lower words).  ``save`` writes a record nobody parsed back as its line,
-    which is already canonical (sorted keys, compact separators), so the
-    bytes written do not depend on what was parsed.
+    Records are converted lazily: ``load`` checks the header and the
+    checksum and decodes each record line once, keeping the line and its
+    decoded entries; ``get_column`` turns a record's entries into
+    polynomials and words the first time a query asks for it, each distinct
+    word text once per store (columns share most of their lower words).
+    ``save`` writes a record nobody read back as its line, which is already
+    canonical (sorted keys, compact separators), so the bytes written do not
+    depend on what was read.
 
     A save holds an exclusive flock on the sidecar file ``<name>.lock``, and
     under it merges the records on disk with this store's, so concurrent
@@ -158,10 +161,10 @@ class PolyStore:
     def __init__(self, system_tag: str, generators: int):
         self.system_tag = system_tag
         self.generators = generators
-        # family id -> upper word -> the record line as read, or the parsed
-        # column {lower word -> poly}
+        # family id -> upper word -> (the record line as read, its decoded
+        # entries), or the converted column {lower word -> poly}
         self.columns: dict[
-            str, dict[tuple[int, ...], str | dict[tuple[int, ...], LaurentPoly]]
+            str, dict[tuple[int, ...], tuple[str, dict] | dict[tuple[int, ...], LaurentPoly]]
         ] = {}
         self.dirty = False
         self._words: dict[str, tuple[int, ...]] = {}
@@ -175,11 +178,11 @@ class PolyStore:
 
     def get_column(self, fam_id: str, upper: tuple[int, ...]):
         col = self.columns.get(fam_id, {}).get(upper)
-        if isinstance(col, str):
+        if isinstance(col, tuple):
             try:
                 col = {
                     self._word(k): LaurentPoly.from_json_obj(v)
-                    for k, v in json.loads(col)["entries"].items()
+                    for k, v in col[1].items()
                 }
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
@@ -194,9 +197,9 @@ class PolyStore:
 
     @staticmethod
     def _line(fam_id: str, upper: tuple[int, ...], col) -> str:
-        """The record line of a column; an unparsed record is its own line."""
-        if isinstance(col, str):
-            return col
+        """The record line of a column; an unread record keeps its line."""
+        if isinstance(col, tuple):
+            return col[0]
         rec = {
             "family": fam_id,
             "upper": format_word(upper),
@@ -219,7 +222,7 @@ class PolyStore:
             if path.exists():
                 on_disk = self.load(path, self.system_tag, self.generators)
                 for fam_id, fam in on_disk.columns.items():
-                    for upper, line in fam.items():
+                    for upper, (line, _) in fam.items():
                         if records.setdefault((fam_id, upper), line) != line:
                             raise CacheError(
                                 f"cache file holds a different {fam_id} column "
@@ -303,7 +306,7 @@ class PolyStore:
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
             if cls._is_read(fam_id):
-                store.columns.setdefault(fam_id, {})[upper] = line
+                store.columns.setdefault(fam_id, {})[upper] = (line, rec["entries"])
         return store
 
     @staticmethod
@@ -497,12 +500,37 @@ class HeckeContext:
         raise ValidationError(f"unknown family {fam!r}")
 
     def poly(self, fam: str, I: tuple[int, ...], lower: CoxeterElement, upper: CoxeterElement) -> LaurentPoly:
-        """Single polynomial; absent column entries are zero."""
+        """Single polynomial; absent column entries are zero.  An h entry
+        ('h', or 'm' or 'n' with I = ()) is read off m^{L(upper)}."""
+        if fam == "h" or (fam in ("m", "n") and not I):
+            return self._h_entry(self._own(lower), self._own(upper))
         return self.column(fam, I, upper).get(self._own(lower), ZERO)
+
+    def _h_entry(self, x: CoxeterElement, y: CoxeterElement) -> LaurentPoly:
+        """h_{x,y} = v^(l(w_K) - l(u)) m^K_{x',y'} at x = u x', K = L(y), with no
+        h column built; checked as one entry of a column unitriangular over
+        v*Z[v]."""
+        if y.is_identity():
+            p = ONE if x is y else ZERO
+        else:
+            W = self.system
+            K = W.check_names(y.left_descents())
+            x0 = W.project(x, K, "left")
+            p = self._direct_column("m", K, W.project(y, K, "left")).get(x0, ZERO)
+            if p:
+                top, _ = self._walks.get(y.ldesc) or self._walk(y.ldesc)
+                d = top - x.length + x0.length
+                p = self._intern({e + d: c for e, c in p.terms})
+        if (p != ONE) if x is y else p and (x.length >= y.length or p.min_degree() < 1):
+            raise InternalInvariantError(
+                f"h entry at {x!r} of column {y!r} is {p!r}, violating "
+                "unitriangularity over v*Z[v]"
+            )
+        return p
 
     def mu(self, x: CoxeterElement, y: CoxeterElement) -> int:
         """Coefficient of v in h_{x,y}."""
-        return self.kl_column(y).get(self._own(x), ZERO).coeff(1)
+        return self.poly("h", (), x, y).coeff(1)
 
     # -- inverse families --------------------------------------------------------
 

@@ -265,21 +265,23 @@ class _NegativeLike(_Setting):
         y, u_y = self._explicit(y_word, max_len)
         col = self.hecke.inverse_column("m", self.I, u_x.inverse())
         rows = self._rows_below(col, y, u_y)
-        for z, p in rows.items() if self.cross_check else ():
-            if p:
-                self._check_antispherical_form(x, z, p)
+        if self.cross_check:
+            a = self.wI * x.inverse() * self.wJ_w0  # the twin index of x
+            for z, p in rows.items():
+                if p:
+                    self._check_antispherical_form(x, a, z, p)
         return self._finalize(x, rows, y)
 
-    def _check_antispherical_form(self, x, y, expected) -> None:
+    def _check_antispherical_form(self, x, a, y, expected) -> None:
         """Finite-type cross-check of the standard formula.
 
         The same multiplicity must equal the direct antispherical polynomial
-        at indices twisted by w_I on the left and w_J w_0 on the right.
+        n_{a,b} at indices twisted by w_I on the left and w_J w_0 on the
+        right: a = w_I x^-1 w_J w_0 and b = w_I y^-1 w_J w_0.
         """
-        a = self.wI * x.inverse() * self.wJ_w0
         b = self.wI * y.inverse() * self.wJ_w0
         try:
-            got = self.hecke.parabolic_column("n", self.I, b).get(a, ZERO)
+            got = self.hecke.poly("n", self.I, a, b)
         except ValidationError as exc:
             raise InternalInvariantError(
                 f"antispherical twin index left the module at x={x!r}, y={y!r}: {exc}"

@@ -128,6 +128,49 @@ class TestSphericalReduction:
         assert all(p == LaurentPoly.v(w0.length - x.length) for x, p in col.items())
 
 
+class TestSingleEntries:
+    """poly reads one h entry off m^{L(y)}, building no h column."""
+
+    @pytest.mark.parametrize(
+        "tag,max_len",
+        [("A3", None), ("B3", None), ("G2", None), ("A4", None), ("affA2", 7), ("affB2", 6)],
+    )
+    def test_entry_is_the_column_entry(self, tag, max_len):
+        system = CoxeterSystem.from_type(tag)
+        elements, _ = system.quotient_reps((), max_len=max_len)
+        columns, entries = ctx(system), ctx(system)
+        zeros = 0
+        for y in elements:  # the identity column first
+            col = columns.kl_column(y)
+            for x in elements:
+                want = col.get(x, ZERO)
+                zeros += not want
+                assert entries.poly("h", (), x, y) == want, (x, y)
+                assert entries.poly("m", (), x, y) == entries.poly("n", (), x, y) == want
+                assert entries.mu(x, y) == want.coeff(1), (x, y)
+        assert zeros and elements[0].is_identity()
+        assert not {fid for fid, _ in entries._columns} & {"h", "m[]", "n[]"}
+
+    @pytest.mark.parametrize("where", ["below-v", "diagonal"])
+    def test_entry_check_fires(self, where):
+        # x = u x' below y = w_K y' reads m^K at x', shifted by l(w_K) - l(u);
+        # a corrupted m^K entry in the memo (columns are checked when built,
+        # not when read) must not pass as an h entry
+        c = ctx(A3)
+        y = A3.element([2, 1, 3, 2])
+        K = A3.check_names(y.left_descents())
+        wK, y0 = A3.longest_element(K), A3.project(y, K, "left")
+        if where == "below-v":  # x = w_K: no shift, so v^-l(w_K) stays below v
+            x, x0, bad = wK, A3.identity, LaurentPoly.v(-wK.length)
+        else:  # h_{y,y} = m^K_{y',y'} must be 1
+            x, x0, bad = y, y0, LaurentPoly.v(2)
+        c.poly("h", (), x, y)  # memoizes the m^K column, checked
+        key = (family_id("m", K), y0.word)
+        c._columns[key] = {**c._columns[key], x0: c._columns[key].get(x0, ZERO) + bad}
+        with pytest.raises(InternalInvariantError, match="violating unitriangularity"):
+            c.poly("h", (), x, y)
+
+
 class TestParabolicColumns:
     def test_affine_A1_values(self):
         c = ctx(AFF1)
@@ -593,7 +636,7 @@ class TestPolyStore:
         path = tmp_path / "A3.jsonl"
         path.write_text(json.dumps(head) + "\n" + body + "\n")
         store = PolyStore.load(path, "A3", 3)
-        assert store.columns == {"m[1]": {y.word: m_line}}
+        assert store.columns == {"m[1]": {y.word: (m_line, json.loads(m_line)["entries"])}}
         assert HeckeContext(A3, store).parabolic_column("m", (1,), y) == c.parabolic_column(
             "m", (1,), y
         )
@@ -625,7 +668,7 @@ class TestPolyStore:
         for fam_id, fam in lazy.columns.items():
             for upper in fam:
                 eager.put_column(fam_id, upper, lazy.get_column(fam_id, upper))
-        assert all(not isinstance(col, str) for fam in eager.columns.values() for col in fam.values())
+        assert all(not isinstance(col, tuple) for fam in eager.columns.values() for col in fam.values())
         lazy.save(tmp_path / "lazy" / "A3.jsonl")
         eager.save(tmp_path / "eager" / "A3.jsonl")
         assert (tmp_path / "lazy" / "A3.jsonl").read_bytes() == (
@@ -672,6 +715,21 @@ class TestPolyStore:
                 col = store.get_column(rec["family"], parse_word(rec["upper"]))
                 assert col == {parse_word(k): LaurentPoly.from_json_obj(v) for k, v in rec["entries"].items()}
         assert sorted(parsed) == sorted(texts)
+
+    def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
+        _, path = self.make_store(tmp_path)
+        loads, decoded = json.loads, []
+
+        def counting_loads(text):
+            decoded.append(text)
+            return loads(text)
+
+        monkeypatch.setattr(hecke.json, "loads", counting_loads)
+        store = PolyStore.load(path, "A3", 3)
+        for fam_id, fam in store.columns.items():
+            for upper in list(fam):
+                store.get_column(fam_id, upper)  # every record read
+        assert sorted(decoded) == sorted(path.read_text().rstrip("\n").split("\n"))
 
     @pytest.mark.parametrize(
         "line",

@@ -97,6 +97,40 @@ class TestCategoryOStandard:
         with pytest.raises(InternalInvariantError, match="disagrees with its antispherical twin"):
             O.standard_table(x.word)
 
+    @staticmethod
+    def corrupt_twin_source(O, x, y, bad):
+        """Add bad to the m^{L(b)} entry that the twin of (x, y) reads, with
+        I = (): h_{a,b} is read off m^K at a' = W_K a, b' = W_K b."""
+        W = O.system
+        a = O.wI * x.inverse() * O.wJ_w0
+        b = O.wI * y.inverse() * O.wJ_w0
+        K = W.check_names(b.left_descents())
+        a0 = W.project(a, K, "left")
+        key = (family_id("m", K), W.project(b, K, "left").word)
+        col = O.hecke._columns[key]
+        O.hecke._columns[key] = {**col, a0: col.get(a0, ZERO) + bad}
+
+    def test_antispherical_twin_cross_check_fires_for_empty_I(self):
+        # the twin is an h entry read off an m^K column; the table itself is
+        # the memoized inverse column, so the residue does not run again
+        O = CategoryO(HeckeContext(A3), (), ())
+        x = A3.element((1, 2, 3))
+        t = O.standard_table(x.word)
+        y = next(A3.element(w) for w, _ in t.entries if w != x.word)
+        self.corrupt_twin_source(O, x, y, P("v^2"))
+        with pytest.raises(InternalInvariantError, match="disagrees with its antispherical twin"):
+            O.standard_table(x.word)
+
+    def test_antispherical_twin_entry_is_checked_for_empty_I(self):
+        # an m^K entry outside v*Z[v] fails the check of the one h entry read
+        O = CategoryO(HeckeContext(A3), (), ())
+        x = A3.element((1, 2, 3))
+        t = O.standard_table(x.word)
+        y = next(A3.element(w) for w, _ in t.entries if w != x.word)
+        self.corrupt_twin_source(O, x, y, P(f"v^-{A3.longest_element().length}"))
+        with pytest.raises(InternalInvariantError, match="violating unitriangularity over v\\*Z\\[v\\]"):
+            O.standard_table(x.word)
+
 
 class TestCategoryOSimple:
     def test_sl2_simple_full_table(self):
