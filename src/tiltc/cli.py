@@ -183,10 +183,11 @@ def kl_cmd(
     if fmt == "text" and single:
         click.echo(records[0]["poly"].to_text())
         return
-    for r in records:
+    if records:  # one write: echo scans and flushes once per call
         click.echo(
-            "\t".join(
-                (_show_word(r["x"]), _show_word(r["y"]), r["poly"].to_text())
+            "\n".join(
+                f"{_show_word(r['x'])}\t{_show_word(r['y'])}\t{r['poly'].to_text()}"
+                for r in records
             )
         )
 

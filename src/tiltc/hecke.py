@@ -38,12 +38,22 @@ every seed a at once, checks the parity of every direct entry it reads, and
 checks the inversion identity once.  They are never stored, as a stored one
 would need that check, which costs about as much as the push.
 
-Arithmetic is fused: columns, the inversion residue and bar expansions are
-summed as raw {element id: {exponent: coefficient}} dicts by laurent._mac,
-and each entry becomes a LaurentPoly once, interned per HeckeContext, when
-the column is finished.  Loops step elements through their step slots (see
-coxeter); public columns are keyed by elements of the context's own system,
-and an element of another system with the same tag is re-read by its word.
+Packed form (Kronecker substitution): a direct column is {element id: int},
+each entry its value at v = 2^SLOT, so the coefficient of v^e is the signed
+SLOT-bit digit e; multiplying by v is a shift and a sum of products is one
+of ints.  A digit reads back exactly while every coefficient is below
+2^(SLOT-1), so every column carries a bound on its coefficients, checked
+before a digit of its sum is read: 2 bound(base) + sum |mu| bound(C_u) for
+the recursion, whose sums hold v times each value (v^-1 is a one-slot offset
+checked to be empty); past it a column raises InternalInvariantError.  A
+solve bounds its values by its largest seed coefficient plus sum_z
+|c_z|_1 bound(z) over what it pushed, and past 2^(width-1) starts again at
+twice the width, so nothing is decoded or tested for zero past its bound;
+its residue holds when every value is the integer 0.  Equal entries are one
+int per HeckeContext, each decoded to a LaurentPoly once: public columns are
+read-only views keyed by elements of the context's own system (one of
+another system with the same tag is re-read by its word).  Loops step
+elements through their step slots (see coxeter).
 
 Family keys: ("h", ()), ("m", I), ("n", I) and the inverse families
 ("h_inv", ()), ("m_inv", I), ("n_inv", I).
@@ -58,23 +68,21 @@ import json
 import os
 import tempfile
 from collections import defaultdict
+from collections.abc import Mapping
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
-from .laurent import ONE, V, ZERO, LaurentPoly, Terms, _mac
+from .laurent import ONE, ZERO, LaurentPoly, Terms
 
 __all__ = ["HeckeContext", "PolyStore", "family_id", "DIRECT_FAMILIES", "INVERSE_FAMILIES"]
 
 Coords = dict[CoxeterElement, LaurentPoly]
-# a column being summed: {element id: raw {exponent: coefficient}}, zeros allowed
-Raw = defaultdict[int, dict[int, int]]
+Packed = dict[int, int]  # a column: {element id: value at v = 2^SLOT}
 
-V_INV = LaurentPoly.v(-1)
-V_MINUS_VINV = V - V_INV  # v - v^-1
-VINV_MINUS_V = V_INV - V
+SLOT = 24  # bits per exponent slot of a packed polynomial
 
 DIRECT_FAMILIES = ("h", "m", "n")
 INVERSE_FAMILIES = ("h_inv", "m_inv", "n_inv")
@@ -87,34 +95,26 @@ def family_id(fam: str, I: tuple[int, ...]) -> str:
     return f"{fam}[{','.join(str(s) for s in I)}]"
 
 
-Step = tuple[Terms, Terms, Terms]
+def _pack(terms: Iterable[tuple[int, int]], width: int, off: int = 0) -> int:
+    """v^off times a polynomial, at v = 2^width (every e + off must be >= 0)."""
+    return sum(c << width * (e + off) for e, c in terms)
 
 
-def _step(a: LaurentPoly, scalar: LaurentPoly = ZERO) -> Step:
-    """The terms (up, down, stay) of the action of H_s + a on a basis vector.
-
-    H_x (H_s + a) is H_xs + up H_x when xs > x, H_xs + down H_x when xs < x,
-    and stay H_x when xs leaves a parabolic index set (scalar is the value of
-    H_s there).
-    """
-    return a.terms, (a + VINV_MINUS_V).terms, (a + scalar).terms
-
-
-# multiplication by C_s = H_s + v, and by bar(H_s) = H_s^-1 = H_s + (v - v^-1);
-# m is the spherical module (H_s acts by v^-1 off the index set), n the
-# antispherical one (-v, so C_s kills the vector)
-_KL_STEP = {"m": _step(V, V_INV), "n": _step(V, -V)}
-_BAR_STEP = {
-    "h": _step(V_MINUS_VINV),
-    "m": _step(V_MINUS_VINV, V_INV),
-    "n": _step(V_MINUS_VINV, -V),
-}
-_ONE_TERMS = ONE.terms
-_BITS = (frozenset({0}), frozenset({1}))  # the exponents mod 2 an entry may have
-
-
-def _neg(terms: Terms) -> Terms:
-    return tuple((e, -c) for e, c in terms)
+def _unpack(n: int, width: int, off: int = 0) -> Terms:
+    """The terms of v^-off times a packed value, each coefficient read as one
+    signed width-bit digit: exact while every one is below 2^(width-1)."""
+    terms = []
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    e = -off
+    while n:
+        skip = ((n & -n).bit_length() - 1) // width  # empty low slots
+        e, n = e + skip, n >> width * skip
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        terms.append((e, c))
+        e, n = e + 1, (n - c) >> width
+    return tuple(terms)
 
 
 @contextmanager
@@ -137,12 +137,13 @@ class PolyStore:
 
     Records are converted lazily: ``load`` checks the header and the
     checksum and decodes each record line once, keeping the line and its
-    decoded entries; ``get_column`` turns a record's entries into
-    polynomials and words the first time a query asks for it, each distinct
-    word text once per store (columns share most of their lower words).
-    ``save`` writes a record nobody read back as its line, which is already
-    canonical (sorted keys, compact separators), so the bytes written do not
-    depend on what was read.
+    decoded entries; ``get_column`` packs a record's entries (module
+    docstring) and parses its words the first time a query asks for it,
+    each distinct word text once per store (columns share most of their
+    lower words).  An exponent below 0 or a coefficient that does not fit a
+    slot is a CacheError.  ``save`` writes a record nobody read back as its
+    line, which is already canonical (sorted keys, compact separators), so
+    the bytes written do not depend on what was read.
 
     A save holds an exclusive flock on the sidecar file ``<name>.lock``, and
     under it merges the records on disk with this store's, so concurrent
@@ -162,9 +163,9 @@ class PolyStore:
         self.system_tag = system_tag
         self.generators = generators
         # family id -> upper word -> (the record line as read, its decoded
-        # entries), or the converted column {lower word -> poly}
+        # entries), or the packed column {lower word -> int}
         self.columns: dict[
-            str, dict[tuple[int, ...], tuple[str, dict] | dict[tuple[int, ...], LaurentPoly]]
+            str, dict[tuple[int, ...], tuple[str, dict] | dict[tuple[int, ...], int]]
         ] = {}
         self.dirty = False
         self._words: dict[str, tuple[int, ...]] = {}
@@ -180,16 +181,32 @@ class PolyStore:
         col = self.columns.get(fam_id, {}).get(upper)
         if isinstance(col, tuple):
             try:
-                col = {
-                    self._word(k): LaurentPoly.from_json_obj(v)
-                    for k, v in col[1].items()
-                }
+                col = {self._word(k): self._packed(v) for k, v in col[1].items()}
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
+            if None in col.values():
+                raise CacheError(
+                    f"stored column {format_word(upper) or 'e'} of {fam_id} has an "
+                    "exponent below 0, violating unitriangularity over v*Z[v]"
+                )
             self.columns[fam_id][upper] = col
         return col
 
-    def put_column(self, fam_id: str, upper: tuple[int, ...], col: dict[tuple[int, ...], LaurentPoly]) -> None:
+    @staticmethod
+    def _packed(obj) -> int | None:
+        """A record entry {exponent text: coefficient}, packed; None when an
+        exponent is below 0."""
+        n, limit = 0, 1 << (SLOT - 1)
+        for k, c in obj.items():
+            e = int(k)
+            if not isinstance(c, int) or not -limit < c < limit:
+                raise ValueError(f"bad coefficient {c!r} at exponent {k}")
+            if e < 0:
+                return None
+            n += c << SLOT * e
+        return n
+
+    def put_column(self, fam_id: str, upper: tuple[int, ...], col: dict[tuple[int, ...], int]) -> None:
         fam = self.columns.setdefault(fam_id, {})
         if upper not in fam:
             fam[upper] = dict(col)
@@ -204,7 +221,7 @@ class PolyStore:
             "family": fam_id,
             "upper": format_word(upper),
             "entries": {
-                format_word(low): col[low].to_json_obj()
+                format_word(low): {str(e): c for e, c in _unpack(col[low], SLOT)}
                 for low in sorted(col, key=lambda w: (len(w), w))
             },
         }
@@ -315,6 +332,31 @@ class PolyStore:
         return fam_id[:2] in ("m[", "n[") and fam_id[2:] != "]"
 
 
+class _Column(Mapping):
+    """A packed direct column as a read-only {element: LaurentPoly}."""
+
+    __slots__ = ("_ctx", "_col")
+
+    def __init__(self, ctx: "HeckeContext", col: Packed):
+        self._ctx, self._col = ctx, col
+
+    def __getitem__(self, x: CoxeterElement) -> LaurentPoly:
+        try:  # an element of another system of the same type is re-read
+            return self._ctx._poly(self._col[self._ctx._own(x).id])
+        except (AttributeError, ValidationError):
+            raise KeyError(x) from None
+
+    def __iter__(self) -> Iterator[CoxeterElement]:
+        return map(self._ctx.system._by_id.__getitem__, self._col)
+
+    def __len__(self) -> int:
+        return len(self._col)
+
+    def items(self) -> Iterator[tuple[CoxeterElement, LaurentPoly]]:  # type: ignore[override]
+        by_id, poly = self._ctx.system._by_id, self._ctx._poly
+        return ((by_id[u], poly(n)) for u, n in self._col.items())
+
+
 class HeckeContext:
     """All polynomial families attached to one Coxeter system, memoized.
 
@@ -330,32 +372,35 @@ class HeckeContext:
         if store is not None and (store.system_tag, store.generators) != (system.tag, system.rank):
             raise CacheError("store does not match the system")
         self.store = store
-        self._columns: dict[tuple[str, tuple[int, ...]], Coords] = {}
-        self._bar_par: dict[tuple, Coords] = {}
+        # direct columns, packed, with the bound of their coefficients
+        self._columns: dict[tuple[str, tuple[int, ...]], tuple[Packed, int]] = {}
+        self._inverses: dict[tuple[str, tuple[int, ...]], Coords] = {}
         self._walks: dict[int, tuple[int, list[tuple[int, int, int, int]]]] = {}
-        # every polynomial this context finishes, by its terms: equal column
-        # entries are one shared object
+        self._ints: dict[int, int] = {}  # every packed entry, so equal ones are one object
+        self._decoded: dict[int, LaurentPoly] = {}  # packed entry -> its polynomial
+        self._parity: dict[int, int] = {}  # packed entry -> bit k set if an exponent is k mod 2
+        self._wide: dict[tuple[int, int], int] = {}  # (packed entry, width) -> repacked
+        # every polynomial this context finishes, by its terms: one object each
         self._polys: dict[Terms, LaurentPoly] = {ZERO.terms: ZERO, ONE.terms: ONE}
 
-    # -- raw accumulation ------------------------------------------------------
-
-    def _intern(self, acc: dict[int, int]) -> LaurentPoly:
-        """The finished polynomial of a raw sum, shared within this context.
-
-        A sum that cancels to nothing finishes as the ZERO object itself.
-        """
-        if 0 in acc.values():
-            acc = {e: c for e, c in acc.items() if c}
-        terms = tuple(sorted(acc.items()))
+    def _intern(self, terms: Terms) -> LaurentPoly:
+        """The polynomial of canonical terms, shared within this context."""
         p = self._polys.get(terms)
         if p is None:
             p = self._polys[terms] = LaurentPoly._from_terms(terms)
         return p
 
-    def _finish(self, acc: Raw) -> Coords:
-        """The column of a raw sum, keyed by element, zero entries dropped."""
-        by_id = self.system._by_id
-        return {by_id[u]: p for u, d in acc.items() if (p := self._intern(d)) is not ZERO}
+    def _poly(self, n: int) -> LaurentPoly:
+        """The polynomial of a packed entry, decoded once per context."""
+        p = self._decoded.get(n)
+        if p is None:
+            p = self._decoded[n] = self._intern(_unpack(n, SLOT))
+        return p
+
+    def _finish(self, acc: Packed) -> Packed:
+        """A summed column: zero entries dropped, equal entries one object."""
+        ints = self._ints
+        return {u: ints.setdefault(n, n) for u, n in acc.items() if n}
 
     def _own(self, x: CoxeterElement) -> CoxeterElement:
         """x as an element of this context's system, re-read by its word."""
@@ -365,30 +410,15 @@ class HeckeContext:
             raise ValidationError(f"element {x!r} is not of system {self.system.tag}")
         return self.system.element(x.word)
 
-    # -- multiplication by a generator -----------------------------------------
-
-    def _rmul_gen_par(
-        self, acc: Raw, coords: Coords, s: int, I: tuple[int, ...], step: Step
-    ) -> None:
-        """Add coords * (H_s + a), step = _step(a, scalar), into acc; I = () is the algebra."""
-        up, down, stay = step
-        W = self.system
-        i, mask = W._idx[s], W.mask(I)
-        for x, p in coords.items():
-            xs = x._succ[i] or x.times_gen(s, "right")
-            if xs.ldesc & mask:
-                _mac(acc[x.id], p, stay)
-            else:
-                _mac(acc[xs.id], p, _ONE_TERMS)
-                _mac(acc[x.id], p, up if xs.length > x.length else down)
-
     # -- self-dual basis columns -----------------------------------------------
 
-    def kl_column(self, y: CoxeterElement) -> Coords:
+    def kl_column(self, y: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
         """Coordinates {x: h_{x,y}} of the self-dual basis element C_y."""
-        return self._direct_column("h", (), self._own(y))
+        return _Column(self, self._direct_column("h", (), self._own(y))[0])
 
-    def parabolic_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> Coords:
+    def parabolic_column(
+        self, fam: str, I: tuple[int, ...], y: CoxeterElement
+    ) -> Mapping[CoxeterElement, LaurentPoly]:
         """Self-dual basis column of the parabolic module ('m' or 'n')."""
         y = self._own(y)
         I = self.system.check_names(I)
@@ -399,59 +429,90 @@ class HeckeContext:
                 f"{format_word(y.word) or 'e'} is not a minimal coset representative for I={list(I)}"
             )
         # with I = () either module is the Hecke algebra: its column is h
-        return self._direct_column(fam if I else "h", I, y)
+        return _Column(self, self._direct_column(fam if I else "h", I, y)[0])
 
-    def _direct_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> Coords:
-        """The column of C_y in the module of (fam, I), memoized: for m and n
-        C_{ys} C_s less mu C_u, read from and written to the store when there
-        is one; for h the expansion of m^{L(y)} (module docstring)."""
+    def _direct_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> tuple[Packed, int]:
+        """The packed column of C_y in the module of (fam, I) and the bound of
+        its coefficients, memoized: for m and n C_{ys} C_s less mu C_u, read
+        from and written to the store when there is one; for h the expansion
+        of m^{L(y)} (module docstring)."""
         key = (family_id(fam, I), y.word)
-        col = self._columns.get(key)
-        if col is not None:
-            return col
+        memo = self._columns.get(key)
+        if memo is not None:
+            return memo
         stored = self.store is not None and fam != "h"
         raw = self.store.get_column(*key) if stored else None
         if raw is not None:
-            col = {self.system.element(w): p for w, p in raw.items()}
+            col, bound = self._finish({self.system.element(w).id: n for w, n in raw.items()}), None
         elif y.is_identity():
-            col = {self.system.identity: ONE}
+            col, bound = {y.id: 1}, 1
         elif fam == "h":
-            col = self._expand_spherical(y)
+            col, bound = self._expand_spherical(y)
         else:
-            s = min(y.right_descents())
-            acc: Raw = defaultdict(dict)
-            base = self._direct_column(fam, I, y.times_gen(s, "right"))
-            self._rmul_gen_par(acc, base, s, I, _KL_STEP[fam])
-            by_id = self.system._by_id
-            for u, d in list(acc.items()):
-                if u != y.id and (c := d.get(0)):
-                    minus_c = ((0, -c),)
-                    for z, q in self._direct_column(fam, I, by_id[u]).items():
-                        _mac(acc[z.id], q, minus_c)
-            col = self._finish(acc)
+            col, bound = self._product_column(fam, I, y, key[0]), None
         self._check_column(col, y, key[0], loaded=raw is not None)
+        if bound is None:  # the largest coefficient of its distinct entries
+            bound = max((max(abs(c) for _, c in self._poly(n)) for n in set(col.values())), default=0)
         if stored and raw is None:
-            self.store.put_column(*key, {x.word: p for x, p in col.items()})
-        self._columns[key] = col
-        return col
+            by_id = self.system._by_id
+            self.store.put_column(*key, {by_id[u].word: n for u, n in col.items()})
+        memo = self._columns[key] = col, bound
+        return memo
 
-    def _expand_spherical(self, y: CoxeterElement) -> Coords:
-        """h column of y != e: v^(l(w_K) - l(u)) m^K_{x',y'} at u x', K = L(y)."""
-        W = self.system
+    def _product_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement, fid: str) -> Packed:
+        """C_{ys} C_s less mu C_u, summed packed, each digit read under the bound."""
+        W, B = self.system, SLOT
+        mask, half = (1 << B) - 1, 1 << (B - 1)
+        s = min(y.right_descents())
+        i, in_I = W._idx[s], W.mask(I)
+        base, bound = self._direct_column(fam, I, y.times_gen(s, "right"))
+        bound *= 2  # a digit of the product sums at most two digits of the base
+        spherical, by_id = fam == "m", W._by_id
+        # each sum holds v times its value, so v^-1 p is p itself
+        acc: defaultdict[int, int] = defaultdict(int)
+        for u, n in base.items():
+            x = by_id[u]
+            xs = x._succ[i] or x.times_gen(s, "right")
+            if xs.ldesc & in_I:  # C_s acts by v + v^-1 (m) or 0 (n)
+                if spherical:
+                    acc[u] += (n << 2 * B) + n
+            else:
+                acc[xs.id] += n << B
+                acc[u] += n << 2 * B if xs.length > x.length else n
+        if bound >= half:
+            raise InternalInvariantError(f"{fid} column {y!r} needs the bound {bound} of a {B}-bit slot")
+        mus = []
+        for u, n in acc.items():
+            if n & mask:
+                raise InternalInvariantError(f"{fid} column {y!r} has a v^-1 term at {by_id[u]!r}")
+            n = acc[u] = n >> B
+            if u != y.id and (c := n & mask):
+                mus.append((c - mask - 1 if c >= half else c, self._direct_column(fam, I, by_id[u])))
+        bound += sum(abs(c) * b for c, (_, b) in mus)
+        if bound >= half:
+            raise InternalInvariantError(f"{fid} column {y!r} needs the bound {bound} of a {B}-bit slot")
+        for c, (col, _) in mus:
+            for z, n in col.items():
+                acc[z] -= c * n
+        return self._finish(acc)
+
+    def _expand_spherical(self, y: CoxeterElement) -> tuple[Packed, int]:
+        """h column of y != e: v^(l(w_K) - l(u)) m^K_{x',y'} at u x', K = L(y);
+        it has the bound of m^K."""
+        W, ints = self.system, self._ints
         K = W.check_names(y.left_descents())
         top, walk = self._walks.get(y.ldesc) or self._walk(y.ldesc)
-        col: Coords = {}
-        for x0, p in self._direct_column("m", K, W.project(y, K, "left")).items():
-            shifted = [p] + [
-                self._intern({e + d: c for e, c in p.terms}) for d in range(1, top + 1)
-            ]
-            col[x0] = shifted[top]
-            coset = [x0]
+        m, bound = self._direct_column("m", K, W.project(y, K, "left"))
+        col: Packed = {}
+        for u0, n in m.items():
+            shifted = [ints.setdefault(k, k) for k in (n << SLOT * d for d in range(top + 1))]
+            col[u0] = shifted[top]
+            coset = [W._by_id[u0]]
             for j, slot, s, d in walk:
                 x = coset[j]._succ[slot] or coset[j].times_gen(s, "left")
                 coset.append(x)
-                col[x] = shifted[d]
-        return col
+                col[x.id] = shifted[d]
+        return col, bound
 
     def _walk(self, mask: int) -> tuple[int, list[tuple[int, int, int, int]]]:
         """l(w_K) and W_K by length, K the generators in mask, memoized: row k
@@ -470,26 +531,30 @@ class HeckeContext:
         walk = self._walks[mask] = (top, [(j, slot, s, top - n) for j, slot, s, n in rows])
         return walk
 
-    def _check_column(self, col: Coords, y: CoxeterElement, fid: str, loaded: bool) -> None:
-        """Unitriangularity over v*Z[v]; for a column loaded from the store also
-        parity and positivity when it is an m column, whose entries are h
-        values (Deodhar 1987), and a failure is a CacheError."""
+    def _check_column(self, col: Packed, y: CoxeterElement, fid: str, loaded: bool) -> None:
+        """Unitriangularity over v*Z[v] (1 on the diagonal, otherwise shorter
+        and no constant digit); for a column loaded from the store also parity
+        and positivity when it is an m column, whose entries are h values
+        (Deodhar 1987), and a failure is a CacheError."""
         signs = loaded and fid.startswith("m[")
-        for x, p in col.items():
+        mask, by_id = (1 << SLOT) - 1, self.system._by_id
+        for u, n in col.items():
+            x = by_id[u]
             if x is y:
-                bad = p != ONE
+                bad = n != 1
             else:
-                bad = x.length >= y.length or (p and p.min_degree() < 1) or (
-                    signs and any(c < 0 or (e + y.length - x.length) % 2 for e, c in p)
+                bad = x.length >= y.length or n & mask or (
+                    signs
+                    and any(c < 0 or (e + y.length - x.length) % 2 for e, c in self._poly(n))
                 )
             if bad:
                 raise (CacheError if loaded else InternalInvariantError)(
                     f"{'stored' if loaded else 'computed'} column {y!r} of {fid} has "
-                    f"{p!r} at {x!r}, violating unitriangularity over v*Z[v]"
+                    f"{self._poly(n)!r} at {x!r}, violating unitriangularity over v*Z[v]"
                     + (", parity or positivity" if signs else "")
                 )
 
-    def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Coords:
+    def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
         """Uniform access to any direct or inverse family column."""
         if fam == "h":
             return self.kl_column(upper)
@@ -511,22 +576,21 @@ class HeckeContext:
         h column built; checked as one entry of a column unitriangular over
         v*Z[v]."""
         if y.is_identity():
-            p = ONE if x is y else ZERO
+            n = int(x is y)
         else:
             W = self.system
             K = W.check_names(y.left_descents())
             x0 = W.project(x, K, "left")
-            p = self._direct_column("m", K, W.project(y, K, "left")).get(x0, ZERO)
-            if p:
+            n = self._direct_column("m", K, W.project(y, K, "left"))[0].get(x0.id, 0)
+            if n:
                 top, _ = self._walks.get(y.ldesc) or self._walk(y.ldesc)
-                d = top - x.length + x0.length
-                p = self._intern({e + d: c for e, c in p.terms})
-        if (p != ONE) if x is y else p and (x.length >= y.length or p.min_degree() < 1):
+                n <<= SLOT * (top - x.length + x0.length)
+        if (n != 1) if x is y else n and (x.length >= y.length or n & (1 << SLOT) - 1):
             raise InternalInvariantError(
-                f"h entry at {x!r} of column {y!r} is {p!r}, violating "
+                f"h entry at {x!r} of column {y!r} is {self._poly(n)!r}, violating "
                 "unitriangularity over v*Z[v]"
             )
-        return p
+        return self._poly(n)
 
     def mu(self, x: CoxeterElement, y: CoxeterElement) -> int:
         """Coefficient of v in h_{x,y}."""
@@ -534,16 +598,29 @@ class HeckeContext:
 
     # -- inverse families --------------------------------------------------------
 
-    def _inversion_residue(self, fam: str, I: tuple[int, ...], seeds: Coords, inv: Coords) -> Coords:
-        """Nonzero entries of sum_z inv[z] (signed direct column of z) - seeds."""
-        out: Raw = defaultdict(dict)
-        for a, p in seeds.items():
-            _mac(out[a.id], p, ((0, -1),))
-        for z, c in inv.items():
-            plus, minus = c.terms, _neg(c.terms)
-            for u, p in self._direct_column(fam, I, z).items():
-                _mac(out[u.id], p, minus if (u.length + z.length) % 2 else plus)
-        return self._finish(out)
+    def _widen(self, n: int, width: int) -> int:
+        """A packed entry repacked at width, once per context."""
+        wide = self._wide.get((n, width))
+        if wide is None:
+            wide = self._wide[n, width] = _pack(self._poly(n).terms, width)
+        return wide
+
+    def _inversion_residue(
+        self, fam: str, I: tuple[int, ...], seeds: Packed, inv: Packed, width: int
+    ) -> Packed:
+        """Nonzero values of sum_z inv[z] (signed direct column of z) - seeds,
+        all packed at width with one offset."""
+        by_id = self.system._by_id
+        out: defaultdict[int, int] = defaultdict(int)
+        for a, n in seeds.items():
+            out[a] -= n
+        for z, q in inv.items():
+            lz, minus = by_id[z].length, -q
+            for u, n in self._direct_column(fam, I, by_id[z])[0].items():
+                if width != SLOT:
+                    n = self._widen(n, width)
+                out[u] += (minus if (by_id[u].length + lz) & 1 else q) * n
+        return {u: n for u, n in out.items() if n}
 
     def _inverse_family(self, fam: str, I: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
         if fam not in DIRECT_FAMILIES:
@@ -556,9 +633,9 @@ class HeckeContext:
         fam, I = self._inverse_family(fam, I)
         x = self._own(x)
         key = (family_id(fam + "_inv", I), x.word)  # never stored
-        inv = self._columns.get(key)
+        inv = self._inverses.get(key)
         if inv is None:
-            inv = self._columns[key] = self.inverse_combination(fam, I, {x: ONE})
+            inv = self._inverses[key] = self.inverse_combination(fam, I, {x: ONE})
         return inv
 
     def inverse_combination(
@@ -571,7 +648,9 @@ class HeckeContext:
         value gets it as r_z and pushes its negative through the strictly
         shorter signed entries of its direct column (each must have parity
         l(z) - l(u)); a value is final when its length is reached, and the
-        identity is then checked as a fresh product.
+        identity is then checked as a fresh product.  Values are packed at
+        SLOT bits, or at a multiple of it when the bound needs (module
+        docstring).
         """
         fam, I = self._inverse_family(fam, I)
         fid = family_id(fam + "_inv", I)
@@ -581,72 +660,60 @@ class HeckeContext:
                 raise ValidationError(
                     f"{format_word(a.word) or 'e'} is not in the index set of {family_id(fam, I)}"
                 )
-        # the values still to be pushed, one raw sum per element and length
+        width = SLOT
+        while (inv := self._solve(fam, I, fid, seeds, width)) is None:
+            width *= 2
+        return inv
+
+    def _solve(
+        self, fam: str, I: tuple[int, ...], fid: str, seeds: Coords, width: int
+    ) -> Coords | None:
+        """The push and residue of inverse_combination with values packed at
+        width, or None once the bound reaches 2^(width-1)."""
+        half, by_id, parity = 1 << (width - 1), self.system._by_id, self._parity
+        narrow = width == SLOT
+        # v^off times every value: a push adds no exponent below the seeds'
+        off = max([0] + [-p.min_degree() for p in seeds.values() if p])
         top = max((a.length for a in seeds), default=-1)
-        pending: list[Raw] = [defaultdict(dict) for _ in range(top + 1)]
-        for a, p in seeds.items():
-            _mac(pending[a.length][a.id], p, _ONE_TERMS)
+        pending: list[Packed] = [{} for _ in range(top + 1)]
+        packed = {a.id: _pack(p.terms, width, off) for a, p in seeds.items()}
+        for a in seeds:
+            pending[a.length][a.id] = packed[a.id]
+        bound = max([0] + [abs(c) for p in seeds.values() for _, c in p.terms])
         inv: Coords = {}
-        parity: dict[LaurentPoly, set[int]] = {}  # the exponents mod 2 of each entry read
-        by_id = self.system._by_id
+        solved: Packed = {}  # inv packed again, for the residue
         for length in range(top, -1, -1):
+            if bound >= half:  # a value of this length may have wrapped
+                return None
             layer = pending[length]
-            for z in sorted(
-                map(by_id.__getitem__, layer), key=CoxeterElement.sort_key, reverse=True
-            ):
-                c = self._intern(layer[z.id])
-                if c is ZERO:
+            for z in sorted(map(by_id.__getitem__, layer), key=CoxeterElement.sort_key, reverse=True):
+                q = layer[z.id]
+                if not q:
                     continue
-                inv[z] = c
-                plus, minus = c.terms, _neg(c.terms)
-                for u, p in self._direct_column(fam, I, z).items():
-                    lu = u.length
+                c = inv[z] = self._intern(_unpack(q, width, off))
+                solved[z.id], minus = _pack(c.terms, width, off), -q
+                col, b = self._direct_column(fam, I, z)
+                bound += b * sum(abs(k) for _, k in c.terms)
+                for u, n in col.items():
+                    lu = by_id[u].length
                     if lu < length:  # every entry but the diagonal one
                         odd = (lu + length) & 1
-                        bits = parity.get(p)
+                        bits = parity.get(n)
                         if bits is None:
-                            bits = parity[p] = {e & 1 for e, _ in p.terms}
-                        if not bits <= _BITS[odd]:
+                            bits = parity[n] = sum({1 << (e & 1) for e, _ in self._poly(n)})
+                        if bits & 2 >> odd:
                             raise InternalInvariantError(
-                                f"{fid}: parity certificate failed at {u!r} in the column of {z!r}"
+                                f"{fid}: parity certificate failed at {by_id[u]!r} in the column of {z!r}"
                             )
-                        _mac(pending[lu][u.id], p, plus if odd else minus)
-        residue = self._inversion_residue(fam, I, seeds, inv)
+                        if not narrow:
+                            n = self._widen(n, width)
+                        pend = pending[lu]
+                        pend[u] = pend.get(u, 0) + (q if odd else minus) * n
+        if bound >= half:
+            return None
+        residue = self._inversion_residue(fam, I, packed, solved, width)
         if residue:
-            u = min(residue, key=CoxeterElement.sort_key)
+            u = min(map(by_id.__getitem__, residue), key=CoxeterElement.sort_key)
             x = max(seeds, key=CoxeterElement.sort_key)
             raise InternalInvariantError(f"{fid}: inversion identity fails at {u!r} below {x!r}")
         return inv
-
-    # -- bar involution expansion (verification route) ----------------------------
-
-    def bar_par_basis(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
-        """Coordinates of bar(basis vector at x) in the module of (fam, I)."""
-        x = self._own(x)
-        key = (fam, I, x.id)
-        cached = self._bar_par.get(key)
-        if cached is not None:
-            return cached
-        if x.is_identity():
-            out: Coords = {self.system.identity: ONE}
-        else:
-            s = x.word[-1]
-            rest = self.bar_par_basis(fam, I, x.times_gen(s, "right"))
-            acc: Raw = defaultdict(dict)
-            self._rmul_gen_par(acc, rest, s, I, _BAR_STEP[fam])
-            out = self._finish(acc)
-        self._bar_par[key] = out
-        return out
-
-    def bar_expand(self, fam: str, I: tuple[int, ...], coords: Coords) -> Coords:
-        """Expand bar(sum p_x B_x) in the same standard/module basis."""
-        acc: Raw = defaultdict(dict)
-        for x, p in coords.items():
-            p_bar = [(-e, c) for e, c in p.terms]
-            for z, q in self.bar_par_basis(fam, I, x).items():
-                _mac(acc[z.id], q, p_bar)
-        return self._finish(acc)
-
-    def is_selfdual(self, fam: str, I: tuple[int, ...], coords: Coords) -> bool:
-        """Check bar-invariance by direct expansion in the standard basis."""
-        return self.bar_expand(fam, I, coords) == {x: p for x, p in coords.items() if p}

@@ -46,7 +46,6 @@ from .errors import InternalInvariantError, ValidationError
 __all__ = [
     "RootSystem",
     "LinkageDatum",
-    "AffineElement",
     "parse_weight",
     "format_weight",
 ]
@@ -165,18 +164,6 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class AffineElement:
-    """Element of the dilated affine Weyl group: translation part gamma (in
-    fundamental coordinates, to be scaled by r) and a finite Weyl part."""
-
-    gamma: tuple
-    finite: CoxeterElement
-
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.gamma) and self.finite.is_identity()
-
-
 class LinkageDatum:
     """Everything needed to act on weights at a root of unity."""
 
@@ -204,29 +191,8 @@ class LinkageDatum:
             affinize_cartan(R.cartan, (self.wall_root.coords, self.wall_root.coroot)),
             finite=False,
         )
-        self.finite_coxeter = CoxeterSystem.from_type(type_tag)
         self.rho: Vec = (1,) * R.rank
         self.wall_fund = R.fund_coords(self.wall_root)
-        self._s_beta = self._reflection_element(self.wall_root)
-
-    def _reflection_element(self, root: Root) -> CoxeterElement:
-        """The reflection s_root as an element of the finite system."""
-        R = self.roots
-        n = R.rank
-        rows = []
-        for k in range(n):
-            row = []
-            for j in range(n):
-                pairing = sum(
-                    root.coroot[i] * R.cartan[i][j] for i in range(n)
-                )  # <alpha_j, root^vee>
-                row.append((1 if k == j else 0) - pairing * root.coords[k])
-            rows.append(tuple(row))
-        mat = tuple(rows)
-        el = self.finite_coxeter._from_matrices(mat, mat)
-        if not (el * el).is_identity():
-            raise InternalInvariantError("reflection matrix is not an involution")
-        return el
 
     # -- dilated dot action ------------------------------------------------------
 
@@ -249,46 +215,6 @@ class LinkageDatum:
         for i in reversed(tuple(word)):
             out = self.dot_simple(i, out)
         return out
-
-    def dot_affine(self, ae: AffineElement, weight: Sequence) -> tuple:
-        R = self.roots
-        shifted = tuple(w + 1 for w in weight)
-        moved = R.act(ae.finite, shifted)
-        return tuple(
-            m + self.r * g - 1 for m, g in zip(moved, ae.gamma)
-        )
-
-    # -- translation/reflection form ----------------------------------------------
-
-    def generator_affine(self, i: int) -> AffineElement:
-        if i == 0:
-            return AffineElement(self.wall_fund, self._s_beta)
-        return AffineElement((0,) * self.roots.rank, self.finite_coxeter.generators[i])
-
-    def compose(self, a: AffineElement, b: AffineElement) -> AffineElement:
-        moved = self.roots.act(a.finite, b.gamma)
-        return AffineElement(
-            tuple(x + y for x, y in zip(a.gamma, moved)), a.finite * b.finite
-        )
-
-    def word_to_affine(self, word: Iterable[int]) -> AffineElement:
-        out = AffineElement((0,) * self.roots.rank, self.finite_coxeter.identity)
-        for i in word:
-            out = self.compose(out, self.generator_affine(i))
-        return out
-
-    def affine_to_word(self, ae: AffineElement) -> CoxeterElement:
-        """Canonical word of a translation/reflection pair, via a regular point."""
-        t = Fraction(self.r, self.wall_root.coheight() + 1)
-        base = tuple(t - 1 for _ in range(self.roots.rank))
-        target = self.dot_affine(ae, base)
-        letters, final = self._walk(target)
-        if final != base:
-            raise InternalInvariantError("affine element walk did not return to base")
-        x = self.coxeter.element(letters)
-        if self.word_to_affine(x.word) != ae:
-            raise InternalInvariantError("affine word round trip failed")
-        return x
 
     # -- alcove combinatorics --------------------------------------------------------
 

@@ -210,12 +210,14 @@ class _Setting:
         vec: Mapping[CoxeterElement, LaurentPoly],
         y: CoxeterElement | None,
         u_y: CoxeterElement | None,
-    ) -> dict[CoxeterElement, LaurentPoly]:
-        """Rows read off a solved inverse vector {u^-1: entry}: its support lies
-        below its seeds, so it lists every nonzero row of the index set."""
+    ) -> dict[CoxeterElement, tuple[CoxeterElement, LaurentPoly]]:
+        """Rows read off a solved inverse vector {u^-1: entry}, as {row: (key
+        u^-1, entry)}: its support lies below its seeds, so it lists every
+        nonzero row of the index set."""
         if y is not None:
-            return {y: vec.get(u_y.inverse(), ZERO)}
-        return {self._embed(u): p for a, p in vec.items() if self._is_rep(u := a.inverse())}
+            a = u_y.inverse()
+            return {y: (a, vec.get(a, ZERO))}
+        return {self._embed(u): (a, p) for a, p in vec.items() if self._is_rep(u := a.inverse())}
 
     # -- table assembly with invariant enforcement ------------------------------
 
@@ -266,20 +268,22 @@ class _NegativeLike(_Setting):
         col = self.hecke.inverse_column("m", self.I, u_x.inverse())
         rows = self._rows_below(col, y, u_y)
         if self.cross_check:
-            a = self.wI * x.inverse() * self.wJ_w0  # the twin index of x
-            for z, p in rows.items():
+            a = self.wI * u_x.inverse() * self.w0  # the twin index of x
+            for z, (key, p) in rows.items():
                 if p:
-                    self._check_antispherical_form(x, a, z, p)
-        return self._finalize(x, rows, y)
+                    self._check_antispherical_form(x, a, z, key, p)
+        return self._finalize(x, {z: p for z, (_, p) in rows.items()}, y)
 
-    def _check_antispherical_form(self, x, a, y, expected) -> None:
+    def _check_antispherical_form(self, x, a, y, key, expected) -> None:
         """Finite-type cross-check of the standard formula.
 
         The same multiplicity must equal the direct antispherical polynomial
         n_{a,b} at indices twisted by w_I on the left and w_J w_0 on the
-        right: a = w_I x^-1 w_J w_0 and b = w_I y^-1 w_J w_0.
+        right: a = w_I x^-1 w_J w_0 and b = w_I y^-1 w_J w_0.  With x = w_J u_x
+        and y = w_J u_y, these are w_I u_x^-1 w_0 and w_I key w_0 for the key
+        u_y^-1 of the row, so no row is inverted.
         """
-        b = self.wI * y.inverse() * self.wJ_w0
+        b = self.wI * key * self.w0
         try:
             got = self.hecke.poly("n", self.I, a, b)
         except ValidationError as exc:
@@ -306,7 +310,7 @@ class _NegativeLike(_Setting):
                 )
             seeds[u.inverse()] = p.bar()
         row = self.hecke.inverse_combination("m", self.I, seeds)
-        return self._finalize(x, self._rows_below(row, y, u_y), y)
+        return self._finalize(x, {z: p for z, (_, p) in self._rows_below(row, y, u_y).items()}, y)
 
 
 class CategoryO(_NegativeLike):
@@ -319,7 +323,7 @@ class CategoryO(_NegativeLike):
         super().__init__(hecke, I, J)
         if not self.system.is_finite:
             raise ValidationError("category O tables need a finite Weyl type")
-        self.wJ_w0 = self.wJ * self.system.longest_element()  # the cross-check's twist
+        self.w0 = self.system.longest_element()  # the cross-check's twist
 
 
 class KacMoody(_NegativeLike):

@@ -11,7 +11,7 @@ import pytest
 
 from tiltc.cli import main
 from tiltc.coxeter import CoxeterSystem
-from tiltc.hecke import HeckeContext, PolyStore
+from tiltc.hecke import SLOT, HeckeContext, PolyStore, _pack
 from tiltc.laurent import LaurentPoly
 
 DATA = Path(__file__).parent / "data"
@@ -488,6 +488,7 @@ class TestCache:
         x = A3.element([2, 1, 3, 2])
         col = {z.word: p for z, p in HeckeContext(A3).inverse_column("n", (1,), x).items()}
         col[lower] = LaurentPoly(poly)
+        col = {z: _pack(p.terms, SLOT) for z, p in col.items()}  # as a store holds it
         old = PolyStore("A3", 3)
         old.put_column("n_inv[1]", x.word, col)
         old.save(tmp_path / "A3.jsonl")

@@ -9,11 +9,12 @@ from collections import defaultdict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bar_reference import bar_expand, bar_par_basis, is_selfdual
 from tiltc import hecke
-from tiltc.coxeter import CoxeterSystem, parse_word
+from tiltc.coxeter import CoxeterSystem, format_word, parse_word
 from tiltc.errors import CacheError, InternalInvariantError, ValidationError
-from tiltc.hecke import HeckeContext, PolyStore, family_id
-from tiltc.laurent import ONE, ZERO, LaurentPoly, _mac
+from tiltc.hecke import SLOT, HeckeContext, PolyStore, _pack, _unpack, family_id
+from tiltc.laurent import ONE, ZERO, LaurentPoly
 
 A1 = CoxeterSystem.from_type("A1")
 A2 = CoxeterSystem.from_type("A2")
@@ -78,14 +79,14 @@ class TestOrdinaryColumns:
     def test_selfdual_B2(self, w):
         c = ctx(B2)
         y = B2.element(w)
-        assert c.is_selfdual("h", (), c.kl_column(y))
+        assert is_selfdual(c, "h", (), c.kl_column(y))
 
     @given(words(AFF2, 5))
     @settings(max_examples=20, deadline=None)
     def test_selfdual_affine(self, w):
         c = ctx(AFF2)
         y = AFF2.element(w)
-        assert c.is_selfdual("h", (), c.kl_column(y))
+        assert is_selfdual(c, "h", (), c.kl_column(y))
 
     def test_degree_and_parity_bounds(self):
         c = ctx(A3)
@@ -116,7 +117,7 @@ class TestSphericalReduction:
         y = system.element(w)
         col = c.kl_column(y)
         # unitriangular and bar-invariant: the self-dual basis element itself
-        assert c.is_selfdual("h", (), col)
+        assert is_selfdual(c, "h", (), col)
         # h_{x,y} = h_{x^-1,y^-1}, read from the column of y^-1
         assert c.kl_column(y.inverse()) == {x.inverse(): p for x, p in col.items()}
 
@@ -126,6 +127,28 @@ class TestSphericalReduction:
         col = ctx(E6).kl_column(w0)
         assert len(col) == 51840
         assert all(p == LaurentPoly.v(w0.length - x.length) for x, p in col.items())
+
+
+@pytest.mark.parametrize("slot", [3, 4])
+def test_narrow_slots_give_the_column_or_raise(monkeypatch, slot):
+    # h columns of B4 reach the coefficient 5: with 3 or 4 bits per packed
+    # slot some columns stay inside their bound and some must raise, and no
+    # column may differ from the one packed at the full width
+    W = CoxeterSystem.from_type("B4")
+    wide = ctx(W)
+    want = {y: dict(wide.kl_column(y).items()) for y in W.enumerate_below(W.longest_element())}
+    assert max(abs(c) for col in want.values() for p in col.values() for _, c in p) == 5
+    monkeypatch.setattr(hecke, "SLOT", slot)
+    narrow, raised = ctx(W), 0
+    for y, col in want.items():
+        try:
+            got = dict(narrow.kl_column(y).items())
+        except InternalInvariantError as exc:
+            assert "-bit slot" in str(exc)
+            raised += 1
+            continue
+        assert got == col, y
+    assert 0 < raised < len(want)
 
 
 class TestSingleEntries:
@@ -154,19 +177,20 @@ class TestSingleEntries:
     @pytest.mark.parametrize("where", ["below-v", "diagonal"])
     def test_entry_check_fires(self, where):
         # x = u x' below y = w_K y' reads m^K at x', shifted by l(w_K) - l(u);
-        # a corrupted m^K entry in the memo (columns are checked when built,
-        # not when read) must not pass as an h entry
+        # a corrupted packed m^K entry in the memo (columns are checked when
+        # built, not when read) must not pass as an h entry
         c = ctx(A3)
         y = A3.element([2, 1, 3, 2])
         K = A3.check_names(y.left_descents())
         wK, y0 = A3.longest_element(K), A3.project(y, K, "left")
-        if where == "below-v":  # x = w_K: no shift, so v^-l(w_K) stays below v
-            x, x0, bad = wK, A3.identity, LaurentPoly.v(-wK.length)
+        if where == "below-v":  # x = w_K: no shift, so a constant term stays below v
+            x, x0, bad = wK, A3.identity, 1
         else:  # h_{y,y} = m^K_{y',y'} must be 1
-            x, x0, bad = y, y0, LaurentPoly.v(2)
+            x, x0, bad = y, y0, 1 << 2 * SLOT  # v^2
         c.poly("h", (), x, y)  # memoizes the m^K column, checked
         key = (family_id("m", K), y0.word)
-        c._columns[key] = {**c._columns[key], x0: c._columns[key].get(x0, ZERO) + bad}
+        col, bound = c._columns[key]
+        c._columns[key] = {**col, x0.id: col.get(x0.id, 0) + bad}, bound
         with pytest.raises(InternalInvariantError, match="violating unitriangularity"):
             c.poly("h", (), x, y)
 
@@ -192,20 +216,37 @@ class TestParabolicColumns:
     def test_empty_I_columns_are_held_once(self, system):
         # either module with I = () is the Hecke algebra: one context computes
         # and memoizes its direct and inverse columns once, as h, next to the
-        # m[L(y)] columns its h columns are read off
+        # m[L(y)] columns its h columns are read off; public direct columns
+        # are views of the one packed column
         c = ctx(system)
         for y in system.quotient_reps((), max_len=6)[0]:
             for fam in ("m", "n"):
-                assert c.parabolic_column(fam, (), y) is c.kl_column(y)
+                assert c.parabolic_column(fam, (), y)._col is c.kl_column(y)._col
                 assert c.inverse_column(fam, (), y) is c.inverse_column("h", (), y)
+        assert {fid for fid, _ in c._inverses} == {"h_inv"}
         fids = {fid for fid, _ in c._columns}
-        assert {"h", "h_inv"} <= fids
-        assert all(fid.startswith("m[") and fid != "m[]" for fid in fids - {"h", "h_inv"})
+        assert "h" in fids
+        assert all(fid.startswith("m[") and fid != "m[]" for fid in fids - {"h"})
 
     def test_membership_validated(self):
         c = ctx(A2)
         with pytest.raises(ValidationError):
             c.parabolic_column("n", (1,), A2.element([1]))
+
+    @pytest.mark.parametrize("fam", ["m", "n"])
+    def test_recursion_refuses_a_base_entry_below_v(self, fam):
+        # C_{ys} C_s is summed as v times each value, so a constant term off
+        # the diagonal of the memoized C_{ys} leaves a v^-1 digit, which must
+        # be empty
+        c, I = ctx(A3), (1,)
+        y = A3.project(A3.longest_element(), I, "left")
+        ys = y.times_gen(min(y.right_descents()), "right")
+        c.parabolic_column(fam, I, ys)
+        key = (family_id(fam, I), ys.word)
+        col, bound = c._columns[key]
+        c._columns[key] = {u: n + (u != ys.id) for u, n in col.items()}, bound
+        with pytest.raises(InternalInvariantError, match="has a v\\^-1 term"):
+            c.parabolic_column(fam, I, y)
 
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
@@ -226,7 +267,7 @@ class TestParabolicColumns:
         c = ctx(system)
         y = system.project(system.element(w), I, "left")
         col = c.parabolic_column(fam, I, y)
-        assert c.is_selfdual(fam, I, col)
+        assert is_selfdual(c, fam, I, col)
 
     def test_support_in_index_set(self):
         c = ctx(A3)
@@ -249,7 +290,7 @@ class TestBarInvolution:
         c = ctx(system)
         reps, _ = system.quotient_reps(I, "left", max_len=max_len)
         for x in reps:
-            assert c.bar_expand(fam, I, c.bar_expand(fam, I, {x: ONE})) == {x: ONE}
+            assert bar_expand(c, fam, I, bar_expand(c, fam, I, {x: ONE})) == {x: ONE}
 
 
 class TestInverseColumns:
@@ -308,10 +349,10 @@ class TestInverseColumns:
         x = max(reps, key=lambda w: w.length)
         col = c.inverse_column(fam, I, x)
         assert len(col) > 1
-        assert c._inversion_residue(fam, I, {x: ONE}, col) == {}
+        assert c._inversion_residue(fam, I, *packed({x: ONE}, col), SLOT) == {}
         for z in col:
             flipped = {**col, z: -col[z]}
-            assert c._inversion_residue(fam, I, {x: ONE}, flipped)
+            assert c._inversion_residue(fam, I, *packed({x: ONE}, flipped), SLOT)
 
     COMBINATION_CASES = [
         (A3, "h", (), None),
@@ -359,7 +400,7 @@ class TestInverseColumns:
     def test_combination_raises_when_the_identity_fails(self, monkeypatch):
         c = ctx(A3)
         x = A3.element((1, 2, 3))
-        monkeypatch.setattr(c, "_inversion_residue", lambda *args: {A3.identity: ONE})
+        monkeypatch.setattr(c, "_inversion_residue", lambda *args: {A3.identity.id: 1})
         with pytest.raises(InternalInvariantError, match="h_inv: inversion identity fails at"):
             c.inverse_combination("h", (), {x: ONE})
 
@@ -372,10 +413,10 @@ class TestInverseColumns:
         c = ctx(system)
         got = c.inverse_combination(fam, I, seeds)
         fam_key = fam if I else "h"
-        assert c._inversion_residue(fam_key, I, seeds, got) == {}
+        assert c._inversion_residue(fam_key, I, *packed(seeds, got), SLOT) == {}
         for y in got:
             for bad in (got[y] + LaurentPoly.v(1), ZERO):
-                assert c._inversion_residue(fam_key, I, seeds, {**got, y: bad})
+                assert c._inversion_residue(fam_key, I, *packed(seeds, {**got, y: bad}), SLOT)
 
     def test_positivity_on_small_grid(self):
         for sys, I in [(A3, ()), (A3, (2,)), (AFF2, (1,)), (B2, (1,))]:
@@ -388,12 +429,23 @@ class TestInverseColumns:
 
 
 polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3)).map(LaurentPoly)
+OFF = 8  # an offset that lifts every exponent of these tests above 0
+
+
+def at(p):
+    """v^OFF p packed at SLOT, as a solve holds its seeds and values."""
+    return _pack(p.terms, SLOT, OFF)
+
+
+def packed(*columns):
+    """Columns {element: polynomial}, each entry packed by at()."""
+    return [{x.id: at(p) for x, p in col.items()} for col in columns]
 
 
 class TestRawAccumulator:
-    """The raw multiply-accumulate and the finish step behind every column.
+    """The packed multiply-accumulate and the finish step behind every column.
 
-    Raw sums are keyed by element id; _finish keys the column by element.
+    Sums are ints keyed by element id; _finish drops zeros and interns.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -407,18 +459,19 @@ class TestRawAccumulator:
     def test_finish_equals_operator_sum(self, products, cancelled):
         c = ctx(A2)
         keys = sorted(A2.enumerate_below(A2.longest_element()))
-        acc = defaultdict(dict)
+        acc = defaultdict(int)
         expected = {}
         for k, p, q, sign in products:
-            _mac(acc[keys[k].id], p, [(e, sign * a) for e, a in q.terms])
+            acc[keys[k].id] += sign * at(p) * at(q)
             expected[keys[k]] = expected.get(keys[k], ZERO) + p * q * sign
         # products that cancel exactly: their entry finishes as 0 and is dropped
         for p, q in cancelled:
-            _mac(acc[keys[5].id], p, q.terms)
-            _mac(acc[keys[5].id], q, (-p).terms)
+            acc[keys[5].id] += at(p) * at(q) + at(q) * at(-p)
         col = c._finish(acc)
-        assert col == {u: p for u, p in expected.items() if p}
-        assert keys[5] not in col
+        # each product of two values at offset OFF sits at offset 2 OFF
+        decoded = {A2._by_id[u]: LaurentPoly._from_terms(_unpack(n, SLOT, 2 * OFF)) for u, n in col.items()}
+        assert decoded == {u: p for u, p in expected.items() if p}
+        assert keys[5].id not in col
         for u in col:
             for w in col:
                 if col[u] == col[w]:
@@ -432,13 +485,26 @@ class TestRawAccumulator:
         by_length = {x.length: p for x, p in col.items()}
         assert len(by_length) < len(col)
         assert all(p is by_length[x.length] for x, p in col.items())
-        acc = defaultdict(dict)
-        _mac(acc[y.id], LaurentPoly.v(1), ((1, 2),))
-        twice = c._finish(acc)[y]
-        acc = defaultdict(dict)
-        _mac(acc[y.id], LaurentPoly({1: 2}), ((1, 1),))
-        assert c._finish(acc)[y] is twice
-        assert ctx(A3)._finish(acc)[y] is not twice  # nothing shared across contexts
+        twice = c._finish({y.id: (1 << SLOT) * (2 << SLOT)})[y.id]  # v * 2v
+        assert c._finish({y.id: (2 << SLOT) * (1 << SLOT)})[y.id] is twice
+        assert ctx(A3)._finish({y.id: (2 << SLOT) * (1 << SLOT)})[y.id] is not twice
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(-6, 12),
+            st.integers(-(1 << (SLOT - 1)) + 1, (1 << (SLOT - 1)) - 1),
+            max_size=8,
+        ),
+        st.integers(0, 3),
+    )
+    @example({0: (1 << (SLOT - 1)) - 1, 1: -(1 << (SLOT - 1)) + 1, 3: -1}, 0)
+    @example({-6: -1, 12: 1}, 0)
+    def test_pack_then_decode_is_the_identity(self, coeffs, extra):
+        p = LaurentPoly(coeffs)
+        off = max([0] + [-e for e in coeffs]) + extra
+        n = _pack(p.terms, SLOT, off)
+        assert _unpack(n, SLOT, off) == p.terms
 
 
 class TestUniformAccess:
@@ -468,7 +534,7 @@ class TestUniformAccess:
         assert c.column("m_inv", (1,), y2) == c.column("m_inv", (1,), y1)
         assert c.poly("h", (), x2, y2) == LaurentPoly({1: 1, 3: 1})
         assert c.mu(x2, y2) == 1
-        assert c.bar_par_basis("h", (), y2) == c.bar_par_basis("h", (), y1)
+        assert bar_par_basis(c, "h", (), y2) == bar_par_basis(c, "h", (), y1)
 
     def test_element_of_another_type_rejected(self):
         c = ctx(A3)
@@ -602,18 +668,40 @@ class TestPolyStore:
             pytest.param((2, 1), "n[1]", (2, 1), (2,), {0: 1}, id="n-triangularity"),
         ],
     )
-    def test_loaded_direct_columns_are_checked(self, query, fid, upper, lower, poly):
+    def test_loaded_direct_columns_are_checked(self, tmp_path, query, fid, upper, lower, poly):
         c = HeckeContext(A3)
         fam, _, rest = fid.partition("[")
         I = tuple(int(t) for t in rest.rstrip("]").split(",") if t)
         good = c.column(fam, I, A3.element(upper))
-        col = {x.word: p for x, p in good.items()}
-        col[lower] = LaurentPoly(poly)
-        store = PolyStore("A3", 3)
-        store.put_column(fid, upper, col)
+        entries = {format_word(x.word): p.to_json_obj() for x, p in good.items()}
+        entries[format_word(lower)] = LaurentPoly(poly).to_json_obj()
+        path = self.write_records(tmp_path, [{"family": fid, "upper": format_word(upper), "entries": entries}])
         qfam = "h" if fam == "m" else fam
         with pytest.raises(CacheError, match="stored column"):
-            HeckeContext(A3, store).column(qfam, I, A3.element(query))
+            HeckeContext(A3, PolyStore.load(path, "A3", 3)).column(qfam, I, A3.element(query))
+
+    def test_loaded_coefficient_past_the_slot(self, tmp_path):
+        # a coefficient that does not fit one signed slot would wrap into its
+        # neighbour, so it is refused before it is packed
+        c = HeckeContext(A3)
+        y = A3.element((1, 3))
+        entries = {format_word(x.word): p.to_json_obj() for x, p in c.column("m", (2,), y).items()}
+        entries[""] = {"2": 1 << (SLOT - 1)}
+        path = self.write_records(tmp_path, [{"family": "m[2]", "upper": "1 3", "entries": entries}])
+        with pytest.raises(CacheError, match="cache key parse failure: bad coefficient"):
+            HeckeContext(A3, PolyStore.load(path, "A3", 3)).kl_column(A3.element((2, 1, 3)))
+
+    @staticmethod
+    def write_records(tmp_path, records):
+        """A store file of A3 holding the given records, with a good checksum."""
+        body = "\n".join(json.dumps(r, separators=(",", ":"), sort_keys=True) for r in records)
+        head = {
+            "format": 1, "normalization": 1, "system": "A3", "generators": 3,
+            "records": len(records), "checksum": hashlib.sha256(body.encode()).hexdigest(),
+        }
+        path = tmp_path / "A3.jsonl"
+        path.write_text(json.dumps(head) + "\n" + body + "\n")
+        return path
 
     def test_empty_store_round_trip(self, tmp_path):
         s = PolyStore("A2", 2)
@@ -625,8 +713,8 @@ class TestPolyStore:
         # an h record, as older versions wrote, next to an m[1] record
         c = HeckeContext(A3)
         y = A3.element([2, 1])
-        m_col = {x.word: p for x, p in c.parabolic_column("m", (1,), y).items()}
-        h_col = {x.word: p for x, p in c.kl_column(y).items()}
+        m_col = {x.word: _pack(p.terms, SLOT) for x, p in c.parabolic_column("m", (1,), y).items()}
+        h_col = {x.word: _pack(p.terms, SLOT) for x, p in c.kl_column(y).items()}
         m_line = PolyStore._line("m[1]", y.word, m_col)
         body = "\n".join(sorted([PolyStore._line("h", y.word, h_col), m_line]))
         head = {
@@ -713,7 +801,10 @@ class TestPolyStore:
                 rec = json.loads(line)
                 texts |= {rec["upper"], *rec["entries"]}
                 col = store.get_column(rec["family"], parse_word(rec["upper"]))
-                assert col == {parse_word(k): LaurentPoly.from_json_obj(v) for k, v in rec["entries"].items()}
+                assert col == {
+                    parse_word(k): _pack(LaurentPoly.from_json_obj(v).terms, SLOT)
+                    for k, v in rec["entries"].items()
+                }
         assert sorted(parsed) == sorted(texts)
 
     def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
@@ -752,7 +843,7 @@ class TestPolyStore:
         # the m[2] column at 1 3 2 that the h column of 2 1 3 2 is read off
         y = (1, 3, 2)
         col = dict(c.store.get_column("m[2]", y))
-        col[()] = LaurentPoly({1: 5})
+        col[()] = 5 << SLOT  # 5v
         other.put_column("m[2]", y, col)
         before = path.read_bytes()
         with pytest.raises(CacheError, match=r"different m\[2\] column at 1 3 2"):

@@ -1,16 +1,77 @@
 """Root systems, dilated dot actions, linkage data, alcove walks."""
 
+from dataclasses import dataclass
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltc.errors import InternalInvariantError, ValidationError
-from tiltc.rootdata import (
-    AffineElement,
-    LinkageDatum,
-    RootSystem,
-    format_weight,
-    parse_weight,
-)
+from tiltc.coxeter import CoxeterElement, CoxeterSystem
+from tiltc.errors import ValidationError
+from tiltc.rootdata import LinkageDatum, RootSystem, format_weight, parse_weight
+
+
+@dataclass(frozen=True)
+class AffineElement:
+    """Element of the dilated affine Weyl group: translation part gamma (in
+    fundamental coordinates, to be scaled by r) and a finite Weyl part."""
+
+    gamma: tuple
+    finite: CoxeterElement
+
+
+class AffineForm:
+    """The translation/reflection form of a linkage datum: a second route to
+    its dot action and to the words of its affine Coxeter system."""
+
+    def __init__(self, datum: LinkageDatum):
+        self.d = datum
+        self.finite = CoxeterSystem.from_type(datum.roots.tag)
+        self.s_beta = self.reflection(datum.wall_root)
+
+    def reflection(self, root) -> CoxeterElement:
+        """The reflection s_root as an element of the finite system."""
+        R = self.d.roots
+        n = R.rank
+        rows = []
+        for k in range(n):
+            row = []
+            for j in range(n):
+                pairing = sum(root.coroot[i] * R.cartan[i][j] for i in range(n))
+                row.append((1 if k == j else 0) - pairing * root.coords[k])
+            rows.append(tuple(row))
+        mat = tuple(rows)
+        el = self.finite._from_matrices(mat, mat)
+        assert (el * el).is_identity(), "reflection matrix is not an involution"
+        return el
+
+    def generator(self, i: int) -> AffineElement:
+        if i == 0:
+            return AffineElement(self.d.wall_fund, self.s_beta)
+        return AffineElement((0,) * self.d.roots.rank, self.finite.generators[i])
+
+    def compose(self, a: AffineElement, b: AffineElement) -> AffineElement:
+        moved = self.d.roots.act(a.finite, b.gamma)
+        return AffineElement(tuple(x + y for x, y in zip(a.gamma, moved)), a.finite * b.finite)
+
+    def word_to_affine(self, word) -> AffineElement:
+        out = AffineElement((0,) * self.d.roots.rank, self.finite.identity)
+        for i in word:
+            out = self.compose(out, self.generator(i))
+        return out
+
+    def dot(self, ae: AffineElement, weight) -> tuple:
+        moved = self.d.roots.act(ae.finite, tuple(w + 1 for w in weight))
+        return tuple(m + self.d.r * g - 1 for m, g in zip(moved, ae.gamma))
+
+    def affine_to_word(self, ae: AffineElement) -> CoxeterElement:
+        """Canonical word of a translation/reflection pair, via a regular point."""
+        d = self.d
+        t = Fraction(d.r, d.wall_root.coheight() + 1)
+        base = tuple(t - 1 for _ in range(d.roots.rank))
+        letters, final = d._walk(self.dot(ae, base))
+        assert final == base, "affine element walk did not return to base"
+        return d.coxeter.element(letters)
 
 
 def squared_length(R, root):
@@ -139,30 +200,31 @@ class TestDotAction:
     @settings(max_examples=40, deadline=None)
     def test_affine_form_matches_word(self, lam, w):
         d = LinkageDatum("A2", 7)
-        assert d.dot_affine(d.word_to_affine(w), lam) == d.dot_word(w, lam)
+        f = AffineForm(d)
+        assert f.dot(f.word_to_affine(w), lam) == d.dot_word(w, lam)
 
 
 class TestAffineRoundTrip:
     @given(st.lists(st.sampled_from([0, 1, 2]), max_size=7).map(tuple))
     @settings(max_examples=40, deadline=None)
     def test_word_affine_word(self, w):
-        d = LinkageDatum("A2", 5)
-        ae = d.word_to_affine(w)
-        x = d.affine_to_word(ae)
-        assert d.word_to_affine(x.word) == ae
-        assert x == d.coxeter.element(w)
+        f = AffineForm(LinkageDatum("A2", 5))
+        ae = f.word_to_affine(w)
+        x = f.affine_to_word(ae)
+        assert f.word_to_affine(x.word) == ae
+        assert x == f.d.coxeter.element(w)
 
     def test_translation_parts(self):
-        d = LinkageDatum("A1", 5)
-        s0s1 = d.word_to_affine((0, 1))
+        s0s1 = AffineForm(LinkageDatum("A1", 5)).word_to_affine((0, 1))
         assert s0s1.finite.is_identity()
         assert s0s1.gamma == (2,)  # translation by alpha
 
     def test_nonsimply_laced_round_trip(self):
-        d = LinkageDatum("B2", 5)
+        f = AffineForm(LinkageDatum("B2", 5))
         for w in [(0,), (0, 2, 0), (1, 0, 2, 1), (0, 2, 0, 2)]:
-            ae = d.word_to_affine(w)
-            assert d.affine_to_word(ae) == d.coxeter.element(w)
+            ae = f.word_to_affine(w)
+            assert f.affine_to_word(ae) == f.d.coxeter.element(w)
+            assert f.word_to_affine(f.affine_to_word(ae).word) == ae
 
 
 class TestAlcoveNormalize:

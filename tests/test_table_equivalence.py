@@ -7,9 +7,10 @@ was merged into one engine, the direct-column pins from the left-multiplying
 h recursion and the greedy parabolic completion that preceded the one
 right-multiplying column routine, and the inverse-column pins from the
 interval scan that inverse_column used before it became a downward push,
-and the w0 simple-table pins from the per-z pairing (one inverse column per
-z, then the convolution at every row) that preceded the one-solve row, so
-any change to an entry, a weight echo, a flag, a truncation or an error
+and the B4 and A5 w0 simple-table pins from the per-z pairing (one inverse
+column per z, then the convolution at every row) that preceded the one-solve
+row, and the D5 one from the solve on Laurent-polynomial dicts that preceded
+packed columns, so any change to an entry, a weight echo, a flag, a truncation or an error
 message shows here.  Do not regenerate them to make a change pass: a differing
 digest means the results changed.
 """
@@ -272,6 +273,8 @@ def test_inverse_columns_match_pinned_digest(group):
 W0_SIMPLE_PINS = {
     "B4": "5dbed424ba1b48eab53060ddda298693a4436a761c0584ca6330caf3301374a7",
     "A5": "806b5a506e23760f0907e74bf41bc00262b1cd3f24a8e37c5736090e3467ec69",
+    # coefficients up to 1928, the largest any pin reaches
+    "D5": "9fe4b2078a825f18f54635718c2432dd06a924f806b35affda5d593075538409",
 }
 
 
