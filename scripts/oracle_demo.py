@@ -4,8 +4,9 @@
 Loads the block, prints the quiver algebra and module dimensions, shows the
 tilting coresolutions of the projectives (the minimal tilting complex of a
 projective is its coresolution), computes the minimal tilting complex of
-every standard and simple object (printing the differentials in hom-basis
-coordinates), and finishes with the nine invariant suites.
+every standard and simple object (printing each differential component, a
+module map between tilting modules, in the coordinates of its hom basis),
+and finishes with the nine invariant suites.
 
 Example:
     python3 scripts/oracle_demo.py --block sl2
@@ -16,13 +17,16 @@ import argparse
 from tiltc.mincpx import TiltingCategory, cmin_module, load_block, verify_block
 
 
-def show_complex(cpx) -> None:
+def show_complex(tcat, cpx) -> None:
     print(f"    {cpx.summary() or '(zero complex)'}")
     for n in cpx.degrees():
         if cpx.term(n + 1):
             print(f"    d^{n}: {cpx.term(n)} -> {cpx.term(n + 1)}")
-            for i, row in enumerate(cpx.diff(n)):
-                cells = ", ".join(str(tuple(map(str, c))) for c in row)
+            for i, (t, row) in enumerate(zip(cpx.term(n + 1), cpx.diff(n))):
+                cells = ", ".join(
+                    str(tuple(map(str, tcat.coordinatize(s, t, f))))
+                    for s, f in zip(cpx.term(n), row)
+                )
                 print(f"      row {i}: {cells}")
 
 
@@ -43,8 +47,8 @@ def main() -> int:
 
     tcat = TiltingCategory(block)
     print("\nhom dimensions between tilting modules:")
-    for pair, d in sorted(tcat.category.hom_dim.items()):
-        print(f"  Hom(tilt_{pair[0]}, tilt_{pair[1]}) = {d}")
+    for a, b in sorted(tcat.basis):
+        print(f"  Hom(tilt_{a}, tilt_{b}) = {len(tcat.basis[(a, b)])}")
 
     print("\ntilting coresolutions of the projectives:")
     for lab in block.labels:
@@ -56,7 +60,7 @@ def main() -> int:
         for lab in block.labels:
             cpx, _ = cmin_module(tcat, block.module(role, lab))
             print(f"  {role}_{lab}:")
-            show_complex(cpx)
+            show_complex(tcat, cpx)
 
     print("\ninvariant suites:")
     for name, detail in verify_block(block):

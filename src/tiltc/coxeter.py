@@ -255,9 +255,6 @@ class CoxeterElement:
     def left_descents(self) -> frozenset[int]:
         return self.system._names_of(self.ldesc)
 
-    def has_right_descent(self, s: int) -> bool:
-        return bool(self.rdesc >> self.system._idx[s] & 1)
-
     def has_left_descent(self, s: int) -> bool:
         return bool(self.ldesc >> self.system._idx[s] & 1)
 
@@ -562,13 +559,6 @@ class CoxeterSystem:
                 if sum(map(abs, col)) == 1 and any(c and jmask >> k & 1 for k, c in enumerate(col)):
                     return False
         return True
-
-    def is_regular_coset_rep(self, w: CoxeterElement, J: Iterable[int], I: Iterable[int]) -> bool:
-        """True when w I w^{-1} maps no simple reflection of I into W_J.
-
-        Test: w(alpha_t) is not +-alpha_u for t in I, u in J.
-        """
-        return self._is_regular(w, self._valid_mask(J), self._valid_mask(I))
 
     def is_regular_double_coset_rep(
         self, w: CoxeterElement, J: Iterable[int], I: Iterable[int]

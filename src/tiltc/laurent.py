@@ -180,10 +180,6 @@ class LaurentPoly:
             return self.__mul__(other)
         return NotImplemented
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        return LaurentPoly._from_dict({e + k: c for e, c in self._terms})
-
     def bar(self) -> "LaurentPoly":
         """The involution v |-> v^(-1)."""
         return LaurentPoly._from_dict({-e: c for e, c in self._terms})

@@ -2,10 +2,10 @@
 
 Realizes a highest-weight block as quiver representations, computes minimal
 complexes of tilting objects (one sweep of add(T)-approximations and
-pushouts up a projective resolution, then Gaussian elimination), and
-verifies the closed multiplicity formulas against them.  Everything here is
-independent of the Hecke-algebra recursions: agreement between the two
-routes is the point.
+pushouts up a projective resolution, then Gaussian elimination on the
+module maps between tilting summands), and verifies the closed
+multiplicity formulas against them.  Everything here is independent of the
+Hecke-algebra recursions: agreement between the two routes is the point.
 """
 
 from .block import (
@@ -17,7 +17,7 @@ from .block import (
     parse_block_text,
     verify_block,
 )
-from .complexes import CategoryPresentation, FormalComplex, minimize
+from .complexes import FormalComplex, minimize
 from .quiver import (
     AlgebraPresentation,
     ModuleRep,
@@ -29,7 +29,6 @@ from .quiver import (
 __all__ = [
     "AlgebraPresentation",
     "BlockData",
-    "CategoryPresentation",
     "FormalComplex",
     "ModuleRep",
     "SUITE_NAMES",

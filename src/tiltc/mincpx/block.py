@@ -6,14 +6,15 @@ per label: ``simple``, ``std`` (standard), ``costd`` (costandard),
 ``tilt`` (indecomposable tilting), ``proj`` (projective cover) and
 ``inj`` (injective hull).  All computations happen over exact rationals.
 
-From the tilting modules the block yields a finitely presented additive
-category (hom bases plus a composition tensor) over which bounded formal
-complexes live.  ``cmin_module`` rebuilds the minimal tilting complex of
-any module from first principles in one sweep up its minimal projective
-resolution: embed the current module in its minimal left
-add(T)-approximation (Ringel 1991, read off hom bases), push the rest forward
-onto the next projective, go on with plain cokernels once the projectives
-run out, and strip invertible differential entries by Gaussian elimination.
+Bounded complexes of tilting modules hold their differential components as
+module maps; hom bases between the tilting modules serve the approximations,
+the radical maps and the coordinates a caller may print.  ``cmin_module``
+rebuilds the minimal tilting complex of any module from first principles in
+one sweep up its minimal projective resolution: embed the current module in
+its minimal left add(T)-approximation (Ringel 1991, read off hom bases),
+push the rest forward onto the next projective, go on with plain cokernels
+once the projectives run out, and strip invertible differential entries by
+Gaussian elimination.
 Every step carries exact witnesses (each approximation is injective with a
 standard-filtered cokernel; the comparison map passes its chain-map
 identities and its cone is acyclic by vertexwise rank counting), so the
@@ -39,18 +40,14 @@ from __future__ import annotations
 
 from ast import literal_eval
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
+from ..coxeter import parse_word
 from ..errors import InternalInvariantError, ValidationError
 from . import linalg
-from .complexes import (
-    CategoryPresentation,
-    CoordMat,
-    Coords,
-    FormalComplex,
-    minimize,
-)
+from .complexes import FormalComplex, assemble, minimize, split
 from .quiver import (
     AlgebraPresentation,
     ModuleRep,
@@ -64,6 +61,7 @@ from .quiver import (
     minimal_projective_resolution,
     projective_cover,
     vmap_compose,
+    vmap_ident,
     vmap_zero,
 )
 
@@ -211,9 +209,19 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
         raise ValidationError(f"{name}: no vertices declared")
     algebra = AlgebraPresentation(vertices, arrows, relations)
     labels = tuple(vertices)
-    for lab in words:
+    for lab, word in words.items():
         if lab not in labels:
             raise ValidationError(f"{name}: meta label {lab!r} is not a vertex")
+        try:
+            parse_word(word)
+        except ValueError as exc:
+            raise ValidationError(
+                f"{name}: bad word {word!r} for label {lab!r}"
+            ) from exc
+    if system is not None:
+        for lab in labels:
+            if lab not in words:
+                raise ValidationError(f"{name}: label {lab!r} has no word in [meta]")
     for a, b in covers:
         if a not in labels or b not in labels:
             raise ValidationError(f"{name}: poset uses unknown label")
@@ -251,27 +259,29 @@ def load_block(name: str) -> BlockData:
     return parse_block_text(text, name=name)
 
 
-# -- the additive category of tilting modules ---------------------------------------
+# -- the tilting modules ------------------------------------------------------------
 
 
-def _vmap_lincomb(
-    coeffs: Sequence[linalg.Scalar],
-    maps: Sequence[VMap],
-    src: ModuleRep,
-    tgt: ModuleRep,
-) -> VMap:
-    out: VMap = {}
-    for v in src.algebra.vertices:
-        acc = linalg.zeros(tgt.dims[v], src.dims[v])
-        for c, f in zip(coeffs, maps):
-            if c:
-                acc = linalg.add(acc, linalg.scal(c, f[v]))
-        out[v] = acc
-    return out
+def _independent(maps: Sequence[VMap], order: Sequence[str]) -> list[VMap]:
+    """The maps that are not combinations of earlier ones (zero maps drop)."""
+    flat = tuple(flatten_vmap(f, order) for f in maps)
+    return [maps[p] for p in linalg.rref(linalg.transpose(flat))[1]]
+
+
+def _trace(f: VMap) -> linalg.Scalar:
+    return sum(m[i][i] for m in f.values() for i in range(len(m)))
+
+
+def _trace_free(f: VMap, T: ModuleRep) -> VMap:
+    """f - (tr f / dim T) id, for an endomorphism f of T."""
+    c = Fraction(-_trace(f), T.total_dim)
+    return {
+        v: linalg.add(m, linalg.scal(c, linalg.ident(T.dims[v]))) for v, m in f.items()
+    }
 
 
 class TiltingCategory:
-    """Hom bases and the composition tensor of the tilting modules of a block."""
+    """Hom bases between the tilting modules of a block, and their radicals."""
 
     def __init__(self, block: BlockData):
         self.block = block
@@ -279,57 +289,24 @@ class TiltingCategory:
         self.labels = block.labels
         self.tilts = {lab: block.module("tilt", lab) for lab in self.labels}
         order = self.algebra.vertices
-        self._basis: dict[tuple[str, str], list[VMap]] = {}
-        self._flat: dict[tuple[str, str], list[linalg.Vec]] = {}
-        hom_dim: dict[tuple[str, str], int] = {}
-        for a in self.labels:
-            for b in self.labels:
-                basis = hom_basis(self.tilts[a], self.tilts[b])
-                self._basis[(a, b)] = basis
-                self._flat[(a, b)] = [flatten_vmap(f, order) for f in basis]
-                hom_dim[(a, b)] = len(basis)
-        identity: dict[str, Coords] = {}
-        for a in self.labels:
-            rep = self.tilts[a]
-            ident_map = {v: linalg.ident(rep.dims[v]) for v in order}
-            coords = linalg.express_in_span(
-                self._flat[(a, a)], flatten_vmap(ident_map, order)
-            )
-            if coords is None:
-                raise InternalInvariantError(
-                    f"identity of tilt_{a} is not an intertwiner"
-                )
-            identity[a] = tuple(coords)
-        compose: dict[tuple[str, str, str], list] = {}
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.labels:
-                    tensor = []
-                    for f in self._basis[(a, b)]:
-                        row = []
-                        for g in self._basis[(b, c)]:
-                            gf = vmap_compose(g, f, self.tilts[a], self.tilts[c])
-                            coords = linalg.express_in_span(
-                                self._flat[(a, c)], flatten_vmap(gf, order)
-                            )
-                            if coords is None:
-                                raise InternalInvariantError(
-                                    "hom spaces are not closed under composition"
-                                )
-                            row.append(tuple(coords))
-                        tensor.append(row)
-                    compose[(a, b, c)] = tensor
-        self.category = CategoryPresentation(self.labels, hom_dim, compose, identity)
-        # radical maps tilt_b -> tilt_a: every map when b != a, rad End(tilt_a) when b == a
-        self._radical: dict[tuple[str, str], list[VMap]] = {
-            (b, a): (
-                [self.realize(a, a, r) for r in self.category._end_radical(a)]
-                if a == b
-                else self._basis[(b, a)]
-            )
+        self.basis: dict[tuple[str, str], list[VMap]] = {
+            (a, b): hom_basis(self.tilts[a], self.tilts[b])
             for a in self.labels
             for b in self.labels
         }
+        # radical maps tilt_b -> tilt_a: every map when b != a.  When End(tilt_a)
+        # is local, its radical is spanned by the trace-free parts
+        # f - (tr f / dim tilt_a) id of its basis maps (nilpotents have trace 0)
+        self._radical: dict[tuple[str, str], list[VMap]] = {
+            (b, a): self.basis[(b, a)]
+            for a in self.labels
+            for b in self.labels
+            if a != b
+        }
+        for a in self.labels:
+            self._radical[(a, a)] = _independent(
+                [_trace_free(f, self.tilts[a]) for f in self.basis[(a, a)]], order
+            )
         self._costd_sum = direct_sum(
             [block.module("costd", lab) for lab in self.labels]
         )
@@ -338,12 +315,43 @@ class TiltingCategory:
         self._std_dims = [
             tuple(block.module("std", lab).dims[v] for v in order) for lab in self.labels
         ]
-        self._sum_cache: dict[tuple[str, ...], tuple[ModuleRep, list[dict[str, int]]]] = {}
+        self._sum_cache: dict[tuple[str, ...], ModuleRep] = {}
         # both keyed by module content: resolution terms are fresh objects,
         # but equal representations have equal approximations and sweeps
         self._approximations: dict[tuple, _Approximation] = {}
         self._sweeps: dict[tuple, _Sweep] = {}
         self._complexes: dict[tuple, tuple[FormalComplex, dict[int, VMap]]] = {}
+
+    def validate(self) -> None:
+        """Each End(tilt_a) is local, and distinct labels have non-isomorphic
+        tilting modules; raises ValidationError otherwise."""
+        order = self.algebra.vertices
+        for a in self.labels:
+            T = self.tilts[a]
+            if not self.basis[(a, a)]:
+                raise ValidationError(f"End({a}) must be at least one dimensional")
+            # End(tilt_a) is local exactly when its trace-free maps (codimension
+            # one) generate a nilpotent ideal, that is, when every product of
+            # dim tilt_a of them vanishes; each round keeps a basis of the span
+            rad = span = self._radical[(a, a)]
+            for _ in range(T.total_dim - 1):
+                span = _independent(
+                    [vmap_compose(x, y, T, T) for x in span for y in rad], order
+                )
+            if span:
+                raise ValidationError(
+                    f"End({a}) is not local: its trace-free maps are not nilpotent"
+                )
+        # in a local End(tilt_a) a map is invertible exactly when its trace is
+        # not zero, so no composite tilt_a -> tilt_b -> tilt_a may have one
+        for a in self.labels:
+            for b in self.labels:
+                if a != b and any(
+                    _trace(vmap_compose(g, f, self.tilts[a], self.tilts[a]))
+                    for f in self.basis[(a, b)]
+                    for g in self.basis[(b, a)]
+                ):
+                    raise ValidationError(f"found an isomorphism between {a} and {b}")
 
     def minimal_complex(
         self, M: ModuleRep, scan: str = "forward"
@@ -358,90 +366,29 @@ class TiltingCategory:
             self._complexes[key] = cmin_module(self, M, scan)
         return self._complexes[key]
 
-    # -- sums and (de)coordinatization ---------------------------------------------
-
-    def sum_rep(
-        self, labels: Sequence[str]
-    ) -> tuple[ModuleRep, list[dict[str, int]]]:
-        """Direct sum of tilting modules with per-summand row offsets."""
+    def sum_rep(self, labels: Sequence[str]) -> ModuleRep:
+        """Direct sum of tilting modules."""
         key = tuple(labels)
-        if key in self._sum_cache:
-            return self._sum_cache[key]
-        if not key:
-            zero = ModuleRep(self.algebra, {})
-            self._sum_cache[key] = (zero, [])
-            return self._sum_cache[key]
-        reps = [self.tilts[lab] for lab in key]
-        total = direct_sum(reps)
-        offsets: list[dict[str, int]] = []
-        run = {v: 0 for v in self.algebra.vertices}
-        for rep in reps:
-            offsets.append(dict(run))
-            for v in self.algebra.vertices:
-                run[v] += rep.dims[v]
-        self._sum_cache[key] = (total, offsets)
+        if key not in self._sum_cache:
+            self._sum_cache[key] = (
+                direct_sum([self.tilts[lab] for lab in key])
+                if key
+                else ModuleRep(self.algebra, {})
+            )
         return self._sum_cache[key]
 
-    def realize(self, a: str, b: str, coords: Coords) -> VMap:
-        return _vmap_lincomb(
-            coords, self._basis[(a, b)], self.tilts[a], self.tilts[b]
-        )
-
-    def realize_block(
-        self, srcs: Sequence[str], tgts: Sequence[str], mat: CoordMat
-    ) -> VMap:
-        grid = [
-            [
-                self.realize(sl, tl, mat[i][j]) if any(mat[i][j]) else None
-                for j, sl in enumerate(srcs)
-            ]
-            for i, tl in enumerate(tgts)
-        ]
-        return {
-            v: linalg.blocks(
-                [[None if f is None else f[v] for f in line] for line in grid],
-                [self.tilts[tl].dims[v] for tl in tgts],
-                [self.tilts[sl].dims[v] for sl in srcs],
-            )
-            for v in self.algebra.vertices
-        }
-
-    def coordinatize(self, a: str, b: str, f: VMap) -> Coords:
+    def coordinatize(self, a: str, b: str, f: VMap) -> linalg.Vec:
+        """Coordinates of f: tilt_a -> tilt_b in the basis of Hom(tilt_a, tilt_b)."""
+        order = self.algebra.vertices
         coords = linalg.express_in_span(
-            self._flat[(a, b)], flatten_vmap(f, self.algebra.vertices)
+            [flatten_vmap(g, order) for g in self.basis[(a, b)]],
+            flatten_vmap(f, order),
         )
         if coords is None:
             raise InternalInvariantError(
                 f"map is not in the span of Hom(tilt_{a}, tilt_{b})"
             )
         return tuple(coords)
-
-    def coordinatize_block(
-        self, srcs: Sequence[str], tgts: Sequence[str], f: VMap
-    ) -> CoordMat:
-        _, src_off = self.sum_rep(srcs)
-        _, tgt_off = self.sum_rep(tgts)
-        rows = []
-        for i, tl in enumerate(tgts):
-            row = []
-            for j, sl in enumerate(srcs):
-                blk: VMap = {}
-                for v in self.algebra.vertices:
-                    r0 = tgt_off[i][v]
-                    c0 = src_off[j][v]
-                    blk[v] = tuple(
-                        tuple(
-                            f[v][r0 + r][c0 + c]
-                            for c in range(self.tilts[sl].dims[v])
-                        )
-                        for r in range(self.tilts[tl].dims[v])
-                    )
-                row.append(self.coordinatize(sl, tl, blk))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def realized_diff(self, cpx: FormalComplex, n: int) -> VMap:
-        return self.realize_block(cpx.term(n), cpx.term(n + 1), cpx.diff(n))
 
 
 # -- the sweep: approximations and pushouts -------------------------------------------
@@ -511,7 +458,7 @@ def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximatio
             f"an add(T)-approximation has {len(labels)} summands, "
             f"more than the bound {sum(factors)}"
         )
-    T, _ = tcat.sum_rep(labels)
+    T = tcat.sum_rep(labels)
     if any(linalg.rank(f[v]) != X.dims[v] for v in order):
         raise InternalInvariantError("the add(T)-approximation is not injective")
     C, proj, _ = cokernel_rep(f, X, T)
@@ -546,22 +493,21 @@ def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
     order = tcat.algebra.vertices
     k = 1 - len(projs)
     X = projs[-k]
-    from_p = {v: linalg.ident(X.dims[v]) for v in order}  # P_(-k) -> X
+    from_p = vmap_ident(X)  # P_(-k) -> X
     to_p = from_p  # X -> P_(-k), through the section of the last pushout
     from_t: VMap | None = None  # T^(k-1) -> X
     terms: dict[int, tuple[str, ...]] = {}
-    diffs: dict[int, CoordMat] = {}
+    diffs: dict[int, list[list[VMap]]] = {}
     kappa: dict[int, VMap] = {}
     while k <= 0 or not X.is_zero():
         if k > _SWEEP_GUARD:
             raise InternalInvariantError("the tilting sweep exceeded the step guard")
         labels, f, C, proj = _checked_approximation(tcat, X)
-        T, _ = tcat.sum_rep(labels)
+        T = tcat.sum_rep(labels)
         terms[k] = labels
         if from_t is not None:
-            T_prev, _ = tcat.sum_rep(terms[k - 1])
-            d_mod = vmap_compose(f, from_t, T_prev, T)
-            diffs[k - 1] = tcat.coordinatize_block(terms[k - 1], labels, d_mod)
+            d_mod = vmap_compose(f, from_t, tcat.sum_rep(terms[k - 1]), T)
+            diffs[k - 1] = split(tcat.tilts, terms[k - 1], labels, d_mod)
         if k <= 0:
             kappa[k] = vmap_compose(f, from_p, projs[-k], T)
         if k >= 0:
@@ -582,7 +528,7 @@ def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
             from_p = {v: tuple(row[T.dims[v] :] for row in pi[v]) for v in order}
             to_p = {v: sec[v][T.dims[v] :] for v in order}
         k += 1
-    cpx = FormalComplex(tcat.category, terms, diffs)
+    cpx = FormalComplex(tcat.tilts, terms, diffs)
     cpx.validate()
     tcat._sweeps[key] = (cpx, kappa, projs, res_diffs)
     return tcat._sweeps[key]
@@ -618,9 +564,8 @@ def _minimize_carrying(
     out: dict[int, VMap] = {}
     for n, kap in kappa.items():
         if n in pi:
-            big = tcat.realize_block(C.term(n), C_min.term(n), pi[n])
-            S_min, _ = tcat.sum_rep(C_min.term(n))
-            out[n] = vmap_compose(big, kap, projs[-n], S_min)
+            big = assemble(tcat.tilts, C.term(n), C_min.term(n), pi[n])
+            out[n] = vmap_compose(big, kap, projs[-n], tcat.sum_rep(C_min.term(n)))
     return C_min, out
 
 
@@ -640,8 +585,8 @@ def _verify_cmin(
     y_degs = Y.degrees()
     lo = min([-m - 1] + y_degs)
     hi = max([0] + y_degs) + 1
-    sums = {n: tcat.sum_rep(Y.term(n))[0] for n in range(lo, hi + 1)}
-    dY = {n: tcat.realized_diff(Y, n) for n in Y.diffs}  # both terms nonzero
+    sums = {n: tcat.sum_rep(Y.term(n)) for n in range(lo, hi + 1)}
+    dY = {n: Y.block(n) for n in Y.diffs}  # both terms nonzero
     # chain-map identities, module level
     for i in range(1, m + 1):
         n = -i
@@ -737,14 +682,15 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     labels = block.labels
     alg = block.algebra
 
-    # 1: presentation -- algebra, modules and category are all well formed
+    # 1: presentation -- the algebra and modules are well formed, and the
+    # tilting modules have local endomorphism rings and are pairwise distinct
     tcat = TiltingCategory(block)
-    tcat.category.validate()
+    tcat.validate()
     results.append(
         (
             SUITE_NAMES[0],
             f"algebra dim {alg.dimension}, {len(labels)} labels, "
-            f"{sum(len(b) for b in tcat._basis.values())} hom basis maps",
+            f"{sum(len(b) for b in tcat.basis.values())} hom basis maps",
         )
     )
 
@@ -957,7 +903,7 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
     # 9: agreement with the closed formulas
     if block.system is None:
         raise ValidationError(f"block {block.name} declares no ambient type")
-    from ..coxeter import CoxeterSystem, parse_word
+    from ..coxeter import CoxeterSystem
     from ..hecke import HeckeContext
     from ..tilting import CategoryO
 

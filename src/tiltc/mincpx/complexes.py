@@ -1,279 +1,142 @@
-"""Formal complexes over a finitely presented additive category.
+"""Bounded complexes of tilting modules, and their minimization.
 
-Objects are formal direct sums of labelled indecomposables.  A morphism
-between single summands is a coordinate vector in a fixed basis of the
-relevant hom space; composition is given by a structure tensor.  The main
-operation is Gaussian elimination of invertible same-label differential
-entries, which shrinks a bounded complex to a homotopy-equivalent one whose
-differential has no invertible components (a minimal complex).  Elimination
-also returns the projection chain map from the original complex onto the
-minimal one, so that maps into the complex can be transported through the
-reduction.
+Objects are formal direct sums of labelled indecomposable modules
+``tilts[label]``.  A morphism between single summands is a module map (a
+``VMap``), composed vertexwise.  The main operation is Gaussian elimination
+of invertible same-label differential entries, which shrinks a bounded
+complex to a homotopy-equivalent one whose differential has no invertible
+components (a minimal complex).  Elimination also returns the projection
+chain map from the original complex onto the minimal one, so that maps into
+the complex can be transported through the reduction.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from ..errors import InternalInvariantError, ValidationError
 from . import linalg
+from .quiver import ModuleRep, VMap, vmap_compose, vmap_ident, vmap_zero
 
-Coords = linalg.Vec
-CoordMat = tuple[tuple[Coords, ...], ...]
+# a morphism between sums: entry (i, j) maps summand j to summand i
+Grid = Sequence[Sequence[VMap]]
 
 __all__ = [
-    "CategoryPresentation",
     "FormalComplex",
+    "assemble",
     "minimize",
+    "split",
 ]
 
 
-def _as_coords(vec: Sequence) -> Coords:
-    return tuple(x if type(x) is int else linalg.exact(x) for x in vec)
+def _vertices(tilts: Mapping[str, ModuleRep]) -> tuple[str, ...]:
+    return next(iter(tilts.values())).algebra.vertices
 
 
-def _sub(x: Coords, y: Coords) -> Coords:
-    return tuple(a - b for a, b in zip(x, y))
+def _sizes(tilts: Mapping[str, ModuleRep], labels: Sequence[str], v: str) -> list[int]:
+    return [tilts[lab].dims[v] for lab in labels]
 
 
-class CategoryPresentation:
-    """A finite set of objects with based hom spaces and a composition tensor.
-
-    ``hom_dim[(a, b)]`` is the dimension of Hom(a, b).  The tensor entry
-    ``compose[(a, b, c)][i][j]`` holds the coordinates in Hom(a, c) of the
-    composite (j-th basis map of Hom(b, c)) after (i-th basis map of
-    Hom(a, b)).  ``identity[a]`` holds the coordinates of the identity in
-    Hom(a, a).
-    """
-
-    def __init__(
-        self,
-        labels: Sequence[str],
-        hom_dim: Mapping[tuple[str, str], int],
-        compose: Mapping[tuple[str, str, str], Sequence[Sequence[Sequence]]],
-        identity: Mapping[str, Sequence],
-    ):
-        self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("duplicate object labels")
-        self.hom_dim = {k: int(v) for k, v in hom_dim.items()}
-        self.compose_tensor = {
-            key: tuple(tuple(_as_coords(vec) for vec in row) for row in tensor)
-            for key, tensor in compose.items()
-        }
-        self.identity = {a: _as_coords(v) for a, v in identity.items()}
-
-    # -- morphism arithmetic ---------------------------------------------------
-
-    def zero(self, a: str, b: str) -> Coords:
-        return (0,) * self.hom_dim[(a, b)]
-
-    def comp(self, a: str, b: str, c: str, g: Coords, f: Coords) -> Coords:
-        """Composite g after f, where f: a -> b and g: b -> c."""
-        tensor = self.compose_tensor[(a, b, c)]
-        out = [0] * self.hom_dim[(a, c)]
-        for i, fi in enumerate(f):
-            if not fi:
-                continue
-            row = tensor[i]
-            for j, gj in enumerate(g):
-                if not gj:
-                    continue
-                vec = row[j]
-                coeff = fi * gj
-                for k, val in enumerate(vec):
-                    if val:
-                        out[k] += coeff * val
-        return tuple(out)
-
-    def invert(self, a: str, phi: Coords) -> Coords | None:
-        """Two-sided inverse of phi in End(a), or None."""
-        n = self.hom_dim[(a, a)]
-        basis = linalg.ident(n)
-        left = linalg.transpose(
-            tuple(self.comp(a, a, a, phi, e) for e in basis)
+def assemble(
+    tilts: Mapping[str, ModuleRep],
+    srcs: Sequence[str],
+    tgts: Sequence[str],
+    grid: Grid,
+) -> VMap:
+    """The map between the sums of ``srcs`` and of ``tgts`` with components
+    ``grid``; a component of the wrong shape raises ValueError."""
+    return {
+        v: linalg.blocks(
+            [[f[v] for f in row] for row in grid],
+            _sizes(tilts, tgts, v),
+            _sizes(tilts, srcs, v),
         )
-        psi = linalg.solve(left, self.identity[a])
-        if psi is None:
-            return None
-        psi = tuple(psi)
-        if self.comp(a, a, a, psi, phi) != self.identity[a]:
-            return None
-        return psi
+        for v in _vertices(tilts)
+    }
 
-    # -- structural validation ---------------------------------------------------
 
-    def _end_radical(self, a: str) -> list[Coords]:
-        """Basis of the radical of End(a), via the trace form of left multiplication."""
-        n = self.hom_dim[(a, a)]
-        basis = linalg.ident(n)
-
-        def left_mult_trace(x: Coords) -> linalg.Scalar:
-            return sum(
-                self.comp(a, a, a, x, basis[j])[j] for j in range(n)
-            )
-
-        gram = tuple(
-            tuple(
-                left_mult_trace(self.comp(a, a, a, basis[i], basis[j]))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return [tuple(v) for v in linalg.nullspace(gram)]
-
-    def validate(self) -> None:
-        for a in self.labels:
-            if (a, a) not in self.hom_dim or self.hom_dim[(a, a)] < 1:
-                raise ValidationError(f"End({a}) must be at least one dimensional")
-            if len(self.identity.get(a, ())) != self.hom_dim[(a, a)]:
-                raise ValidationError(f"identity coordinates of {a} have wrong length")
-        for (a, b), d in self.hom_dim.items():
-            if d < 0:
-                raise ValidationError(f"negative hom dimension for {(a, b)}")
-        for (a, b, c), tensor in self.compose_tensor.items():
-            if len(tensor) != self.hom_dim[(a, b)] or any(
-                len(row) != self.hom_dim[(b, c)] for row in tensor
-            ):
-                raise ValidationError(f"composition tensor {(a, b, c)} has wrong shape")
-            for row in tensor:
-                for vec in row:
-                    if len(vec) != self.hom_dim[(a, c)]:
-                        raise ValidationError(
-                            f"composition tensor {(a, b, c)} has wrong entry length"
-                        )
-        # unit laws
-        for (a, b), d in self.hom_dim.items():
-            for f in linalg.ident(d):
-                if self.comp(a, a, b, f, self.identity[a]) != f:
-                    raise InternalInvariantError(f"right unit law fails on Hom({a},{b})")
-                if self.comp(a, b, b, self.identity[b], f) != f:
-                    raise InternalInvariantError(f"left unit law fails on Hom({a},{b})")
-        # associativity on basis triples
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.labels:
-                    for d_ in self.labels:
-                        for f in linalg.ident(self.hom_dim[(a, b)]):
-                            for g in linalg.ident(self.hom_dim[(b, c)]):
-                                for h in linalg.ident(self.hom_dim[(c, d_)]):
-                                    lhs = self.comp(
-                                        a, b, d_, self.comp(b, c, d_, h, g), f
-                                    )
-                                    rhs = self.comp(
-                                        a, c, d_, h, self.comp(a, b, c, g, f)
-                                    )
-                                    if lhs != rhs:
-                                        raise InternalInvariantError(
-                                            "composition is not associative on "
-                                            f"({a},{b},{c},{d_})"
-                                        )
-        # each endomorphism algebra is local with a one dimensional quotient
-        for a in self.labels:
-            rad = self._end_radical(a)
-            n = self.hom_dim[(a, a)]
-            if n - len(rad) != 1:
-                raise ValidationError(
-                    f"End({a}) is not local: semisimple quotient has "
-                    f"dimension {n - len(rad)}"
+def split(
+    tilts: Mapping[str, ModuleRep],
+    srcs: Sequence[str],
+    tgts: Sequence[str],
+    f: VMap,
+) -> list[list[VMap]]:
+    """The components of a map between the sums of ``srcs`` and of ``tgts``;
+    the inverse of ``assemble``."""
+    vertices = _vertices(tilts)
+    rows = {v: list(accumulate(_sizes(tilts, tgts, v), initial=0)) for v in vertices}
+    cols = {v: list(accumulate(_sizes(tilts, srcs, v), initial=0)) for v in vertices}
+    return [
+        [
+            {
+                v: tuple(
+                    line[cols[v][j] : cols[v][j + 1]]
+                    for line in f[v][rows[v][i] : rows[v][i + 1]]
                 )
-            span = list(rad)
-            for _ in range(n + 1):
-                if not span:
-                    break
-                new = []
-                for x in span:
-                    for y in rad:
-                        new.append(self.comp(a, a, a, x, y))
-                prev_rank = linalg.rank(tuple(span))
-                span = [v for v in new if any(v)]
-                if linalg.rank(tuple(span)) >= prev_rank and span:
-                    raise ValidationError(f"radical of End({a}) is not nilpotent")
-            if span:
-                raise ValidationError(f"radical of End({a}) is not nilpotent")
-        # no isomorphisms between distinct labels: any composite through
-        # another object lands in the radical
-        for a in self.labels:
-            rad = self._end_radical(a)
-            flat_rad = [tuple(v) for v in rad]
-            for b in self.labels:
-                if a == b:
-                    continue
-                for f in linalg.ident(self.hom_dim[(a, b)]):
-                    for g in linalg.ident(self.hom_dim[(b, a)]):
-                        comp = self.comp(a, b, a, g, f)
-                        if not any(comp):
-                            continue
-                        if linalg.express_in_span(flat_rad, comp) is None:
-                            raise ValidationError(
-                                f"found an isomorphism between {a} and {b}"
-                            )
+                for v in vertices
+            }
+            for j in range(len(srcs))
+        ]
+        for i in range(len(tgts))
+    ]
 
 
-def _mat_comp(
-    cat: CategoryPresentation,
-    src: Sequence[str],
-    mid: Sequence[str],
-    tgt: Sequence[str],
-    a_mat: CoordMat,
-    b_mat: CoordMat,
-) -> CoordMat:
-    """Matrix-of-morphisms product a_mat @ b_mat (b first, then a)."""
-    out = []
-    for i, t in enumerate(tgt):
-        row = []
-        for j, s in enumerate(src):
-            acc = list(cat.zero(s, t))
-            for k, m in enumerate(mid):
-                c = cat.comp(s, m, t, a_mat[i][k], b_mat[k][j])
-                for idx, val in enumerate(c):
-                    acc[idx] += val
-            row.append(tuple(acc))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _zero_mat(
-    cat: CategoryPresentation, src: Sequence[str], tgt: Sequence[str]
-) -> CoordMat:
-    return tuple(tuple(cat.zero(s, t) for s in src) for t in tgt)
-
-
-def _ident_mat(cat: CategoryPresentation, labels: Sequence[str]) -> CoordMat:
-    return tuple(
-        tuple(
-            cat.identity[s] if i == j else cat.zero(s, t)
-            for j, s in enumerate(labels)
+def _compose_sums(
+    tilts: Mapping[str, ModuleRep],
+    srcs: Sequence[str],
+    tgts: Sequence[str],
+    g: VMap,
+    f: VMap,
+) -> VMap:
+    """g after f, from the sum of ``srcs`` to the sum of ``tgts``."""
+    return {
+        v: linalg.mul_shaped(
+            g[v], f[v], sum(_sizes(tilts, tgts, v)), sum(_sizes(tilts, srcs, v))
         )
-        for i, t in enumerate(labels)
-    )
+        for v in _vertices(tilts)
+    }
+
+
+def _sub(f: VMap, g: VMap) -> VMap:
+    return {v: linalg.add(m, linalg.scal(-1, g[v])) for v, m in f.items()}
+
+
+def _invert(rep: ModuleRep, f: VMap) -> VMap | None:
+    """Inverse of an endomorphism f of rep, or None when f is not bijective
+    at some vertex."""
+    inv: VMap = {}
+    for v, m in f.items():
+        x = linalg.solve_matrix(m, linalg.ident(rep.dims[v]))
+        if x is None:
+            return None
+        inv[v] = x
+    return inv
 
 
 class FormalComplex:
-    """A bounded cochain complex of formal sums of labelled objects.
+    """A bounded cochain complex of direct sums of labelled modules.
 
     ``terms[n]`` is the tuple of summand labels in degree n.  ``diffs[n]``
     is the matrix of the differential terms[n] -> terms[n+1]; its (i, j)
-    entry holds coordinates of the component from summand j of degree n to
-    summand i of degree n + 1.
+    entry is the module map tilts[terms[n][j]] -> tilts[terms[n+1][i]].
     """
 
     def __init__(
         self,
-        cat: CategoryPresentation,
+        tilts: Mapping[str, ModuleRep],
         terms: Mapping[int, Sequence[str]],
-        diffs: Mapping[int, Sequence[Sequence[Sequence]]] | None = None,
+        diffs: Mapping[int, Grid] | None = None,
     ):
-        self.cat = cat
+        self.tilts = tilts
         self.terms: dict[int, tuple[str, ...]] = {
             n: tuple(labels) for n, labels in terms.items() if labels
         }
-        self.diffs: dict[int, CoordMat] = {}
-        for n, mat in (diffs or {}).items():
-            if n in self.terms and (n + 1) in self.terms:
-                self.diffs[n] = tuple(
-                    tuple(_as_coords(entry) for entry in row) for row in mat
-                )
+        self.diffs: dict[int, tuple[tuple[VMap, ...], ...]] = {
+            n: tuple(tuple(row) for row in mat)
+            for n, mat in (diffs or {}).items()
+            if n in self.terms and (n + 1) in self.terms
+        }
 
     # -- accessors -----------------------------------------------------------------
 
@@ -283,10 +146,17 @@ class FormalComplex:
     def term(self, n: int) -> tuple[str, ...]:
         return self.terms.get(n, ())
 
-    def diff(self, n: int) -> CoordMat:
+    def diff(self, n: int) -> Grid:
         if n in self.diffs:
             return self.diffs[n]
-        return _zero_mat(self.cat, self.term(n), self.term(n + 1))
+        return tuple(
+            tuple(vmap_zero(self.tilts[s], self.tilts[t]) for s in self.term(n))
+            for t in self.term(n + 1)
+        )
+
+    def block(self, n: int) -> VMap:
+        """The differential at degree n as one map between the sums."""
+        return assemble(self.tilts, self.term(n), self.term(n + 1), self.diff(n))
 
     def label_counts(self) -> dict[int, dict[str, int]]:
         out: dict[int, dict[str, int]] = {}
@@ -319,47 +189,37 @@ class FormalComplex:
     # -- structure -----------------------------------------------------------------
 
     def validate(self) -> None:
-        for n, mat in self.diffs.items():
-            src = self.term(n)
-            tgt = self.term(n + 1)
-            if len(mat) != len(tgt) or any(len(row) != len(src) for row in mat):
-                raise ValidationError(f"differential at degree {n} has wrong shape")
-            for i, t in enumerate(tgt):
-                for j, s in enumerate(src):
-                    if len(mat[i][j]) != self.cat.hom_dim[(s, t)]:
-                        raise ValidationError(
-                            f"differential entry ({n},{i},{j}) has wrong length"
-                        )
-        for n in self.degrees():
-            if (n + 1) not in self.terms or (n + 2) not in self.terms:
+        blocks: dict[int, VMap] = {}
+        for n in self.diffs:
+            try:
+                blocks[n] = self.block(n)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"differential at degree {n} has wrong shape"
+                ) from exc
+        for n in self.diffs:
+            if n + 1 not in blocks:
                 continue
-            square = _mat_comp(
-                self.cat,
-                self.term(n),
-                self.term(n + 1),
-                self.term(n + 2),
-                self.diff(n + 1),
-                self.diff(n),
+            square = _compose_sums(
+                self.tilts, self.term(n), self.term(n + 2), blocks[n + 1], blocks[n]
             )
-            if any(any(any(e) for e in row) for row in square):
+            if not all(map(linalg.is_zero, square.values())):
                 raise InternalInvariantError(
                     f"differential does not square to zero at degree {n}"
                 )
 
     def is_minimal(self) -> bool:
         for n, mat in self.diffs.items():
-            src = self.term(n)
-            tgt = self.term(n + 1)
-            for i, t in enumerate(tgt):
-                for j, s in enumerate(src):
-                    if s == t and self.cat.invert(s, mat[i][j]) is not None:
+            for t, row in zip(self.term(n + 1), mat):
+                for s, f in zip(self.term(n), row):
+                    if s == t and _invert(self.tilts[s], f) is not None:
                         return False
         return True
 
 
 def minimize(
     cpx: FormalComplex, scan: str = "forward"
-) -> tuple[FormalComplex, dict[int, CoordMat]]:
+) -> tuple[FormalComplex, dict[int, Grid]]:
     """Remove invertible same-label differential entries by Gaussian elimination.
 
     Returns the reduced complex together with the projection chain map from
@@ -370,17 +230,24 @@ def minimize(
     """
     if scan not in ("forward", "backward"):
         raise ValidationError(f"unknown scan order {scan!r}")
-    cat = cpx.cat
+    tilts = cpx.tilts
+
+    def comp(g: VMap, f: VMap, a: str, c: str) -> VMap:
+        """g after f, where f starts at tilt_a and g ends at tilt_c."""
+        return vmap_compose(g, f, tilts[a], tilts[c])
+
     terms: dict[int, list[str]] = {n: list(v) for n, v in cpx.terms.items()}
-    diffs: dict[int, list[list[Coords]]] = {}
-    for n in list(terms):
-        src = terms.get(n, [])
-        tgt = terms.get(n + 1, [])
-        if src and tgt:
-            mat = cpx.diff(n)
-            diffs[n] = [list(row) for row in mat]
-    pi: dict[int, list[list[Coords]]] = {
-        n: [list(row) for row in _ident_mat(cat, labels)]
+    diffs: dict[int, list[list[VMap]]] = {
+        n: [list(row) for row in cpx.diff(n)] for n in terms if n + 1 in terms
+    }
+    pi: dict[int, list[list[VMap]]] = {
+        n: [
+            [
+                vmap_ident(tilts[s]) if i == j else vmap_zero(tilts[s], tilts[t])
+                for j, s in enumerate(labels)
+            ]
+            for i, t in enumerate(labels)
+        ]
         for n, labels in terms.items()
     }
     orig_terms = {n: tuple(v) for n, v in terms.items()}
@@ -400,10 +267,9 @@ def minimize(
                     cols = reversed(cols)
                 for j in cols:
                     s = terms[n][j]
-                    t = terms[n + 1][i]
-                    if s != t:
+                    if s != terms[n + 1][i]:
                         continue
-                    inv = cat.invert(s, mat[i][j])
+                    inv = _invert(tilts[s], mat[i][j])
                     if inv is not None:
                         return n, i, j, inv
         return None
@@ -424,12 +290,8 @@ def minimize(
         for r in keep_tgt:
             row = []
             for c in keep_src:
-                corr = cat.comp(
-                    src[c],
-                    label,
-                    tgt[r],
-                    d_n[r][q],
-                    cat.comp(src[c], label, label, phi_inv, d_n[p][c]),
+                corr = comp(
+                    d_n[r][q], comp(phi_inv, d_n[p][c], src[c], label), src[c], tgt[r]
                 )
                 row.append(_sub(d_n[r][c], corr))
             new_dn.append(row)
@@ -440,12 +302,10 @@ def minimize(
         if (n + 1) in pi:
             new_rows = []
             for r in keep_tgt:
-                gamma_phi_inv = cat.comp(label, label, tgt[r], d_n[r][q], phi_inv)
+                gamma_phi_inv = comp(d_n[r][q], phi_inv, label, tgt[r])
                 row = []
                 for j, lab_j in enumerate(orig_terms[n + 1]):
-                    corr = cat.comp(
-                        lab_j, label, tgt[r], gamma_phi_inv, pi[n + 1][p][j]
-                    )
+                    corr = comp(gamma_phi_inv, pi[n + 1][p][j], lab_j, tgt[r])
                     row.append(_sub(pi[n + 1][r][j], corr))
                 new_rows.append(row)
             pi[n + 1] = new_rows
@@ -468,35 +328,20 @@ def minimize(
             ):
                 del diffs[m]
 
-    out = FormalComplex(
-        cat,
-        {n: tuple(v) for n, v in terms.items()},
-        {n: tuple(tuple(row) for row in mat) for n, mat in diffs.items()},
-    )
+    out = FormalComplex(tilts, terms, diffs)
     out.validate()
     if not out.is_minimal():
         raise InternalInvariantError("elimination left an invertible entry")
-    pi_out: dict[int, CoordMat] = {
+    pi_out: dict[int, Grid] = {
         n: tuple(tuple(row) for row in mat) for n, mat in pi.items()
     }
     # the projection must itself be a chain map from the input complex
     for n in cpx.degrees():
-        lhs = _mat_comp(
-            cpx.cat,
-            cpx.term(n),
-            cpx.term(n + 1),
-            out.term(n + 1),
-            pi_out.get(n + 1, _zero_mat(cat, cpx.term(n + 1), out.term(n + 1))),
-            cpx.diff(n),
-        )
-        rhs = _mat_comp(
-            cpx.cat,
-            cpx.term(n),
-            out.term(n),
-            out.term(n + 1),
-            out.diff(n),
-            pi_out.get(n, _zero_mat(cat, cpx.term(n), out.term(n))),
-        )
+        src, mid, tgt = cpx.term(n), cpx.term(n + 1), out.term(n + 1)
+        pi_mid = assemble(tilts, mid, tgt, pi_out.get(n + 1, ()))
+        pi_src = assemble(tilts, src, out.term(n), pi_out.get(n, ()))
+        lhs = _compose_sums(tilts, src, tgt, pi_mid, cpx.block(n))
+        rhs = _compose_sums(tilts, src, tgt, out.block(n), pi_src)
         if lhs != rhs:
             raise InternalInvariantError(
                 f"reduction projection is not a chain map at degree {n}"

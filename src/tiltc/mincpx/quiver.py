@@ -364,6 +364,10 @@ def vmap_zero(src: ModuleRep, tgt: ModuleRep) -> VMap:
     }
 
 
+def vmap_ident(M: ModuleRep) -> VMap:
+    return {v: linalg.ident(M.dims[v]) for v in M.algebra.vertices}
+
+
 def flatten_vmap(f: VMap, order: Sequence[str]) -> Vec:
     out: list[Scalar] = []
     for v in order:

@@ -293,7 +293,7 @@ class TestDominantReps:
         for w in reps:
             assert d.coxeter.is_minimal(w, finite, "left")
             assert d.coxeter.is_minimal(w, I, "right")
-            assert d.coxeter.is_regular_coset_rep(w, finite, I)
+            assert d.coxeter.is_regular_double_coset_rep(w, finite, I)
 
 
 class TestWeightsAndStabilizers:
