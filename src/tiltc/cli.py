@@ -184,10 +184,11 @@ def kl_cmd(
         click.echo(records[0]["poly"].to_text())
         return
     if records:  # one write: echo scans and flushes once per call
+        # the upper word repeats on every record of a column: format each word once
+        shown = {w: _show_word(w) for w in {w for r in records for w in (r["x"], r["y"])}}
         click.echo(
             "\n".join(
-                f"{_show_word(r['x'])}\t{_show_word(r['y'])}\t{r['poly'].to_text()}"
-                for r in records
+                f"{shown[r['x']]}\t{shown[r['y']]}\t{r['poly'].to_text()}" for r in records
             )
         )
 

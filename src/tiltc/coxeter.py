@@ -3,17 +3,26 @@
 Groups are presented by a generalized Cartan matrix and realized faithfully
 on simple-root coordinates: generator s_i acts by the reflection matrix that
 is the identity except in row i, where (M_i)[i][j] = delta_ij - C[i][j].
-Every element is stored as its ShortLex-least reduced word together with its
-matrix and inverse matrix, so equality, length, descent sets and Bruhat order
-are all exact and cheap at the ranks used here.
+Every element w is stored as its ShortLex-least reduced word, its matrix
+(column j is w(alpha_j)) and two integral vectors: r(w), the heights of the
+w(alpha_j) (the column sums of the matrix), and l(w) = r(w^-1).  A root is
+positive or negative as its height is, so the signs of r(w) and l(w) are the
+right and left descent sets; and r(w) = r(w') forces w = w', since then
+w w'^-1 keeps the height of every root, so it has no descent.  So r keys the
+element table for right steps and l for left steps, and length, descent
+sets and Bruhat order are all exact and cheap at the ranks used here.
 
 No operation multiplies full matrices: a product walks the right factor's
-word through the slots (Casselman, "Computation in Coxeter groups I"), and
-the step that fills a slot rewrites part of a matrix: s_i * M rewrites only
-row i of M, and M * s_i rewrites only the columns c with C[i][c] != 0.  The
-normal form of a new element y is (s,) + word(s*y) for its smallest left
-descent s, so it is found by peeling left descents with the same row steps
-until a known element is reached.
+word through the slots (Casselman, "Computation in Coxeter groups I"), and a
+step by s_i reflects one vector in O(rank), v_k -> v_k - C[i][k] * v_i (r for
+x*s_i, l for s_i*x), and looks it up.  Only a new element steps a matrix.
+The normal form of a new y is (s,) + word(s*y) for its smallest left
+descent s.  For y = x*s_i the exchange condition (Bjorner-Brenti,
+"Combinatorics of Coxeter Groups", 1.5) gives the left descents:
+those of x, with s_j toggled when x(alpha_i) = +-alpha_j (then s_j*x = y);
+s*y is then x itself or (s*x)*s_i.  For y = s_i*x the left descents are the
+signs of l(y), and left descents are peeled until a known element is
+reached.
 
 Each system keeps an element table, after the numbered elements of du
 Cloux's Coxeter3: every element is built once, gets the next dense id
@@ -38,7 +47,10 @@ types prepend the affine node as generator 0.
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Iterable, Sequence
+
+from .errors import InternalInvariantError
 
 __all__ = [
     "CoxeterSystem",
@@ -60,18 +72,6 @@ def _ident(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _row_step(m: Matrix, i: int, crow: tuple[int, ...]) -> Matrix:
-    """g_i * m: row i becomes row_i - sum_j C[i][j] * row_j; other rows are shared."""
-    n = len(m)
-    new = list(m[i])
-    for j, c in enumerate(crow):
-        if c:
-            rj = m[j]
-            for k in range(n):
-                new[k] -= c * rj[k]
-    return m[:i] + (tuple(new),) + m[i + 1 :]
-
-
 def _col_step(m: Matrix, i: int, support: tuple[tuple[int, int], ...]) -> Matrix:
     """m * g_i: column c becomes col_c - C[i][c] * col_i for each (c, C[i][c]) in support."""
     out = []
@@ -86,14 +86,34 @@ def _col_step(m: Matrix, i: int, support: tuple[tuple[int, int], ...]) -> Matrix
     return tuple(out)
 
 
-def _desc_mask(m: Matrix) -> int:
-    """Bit j set when column j of m, the image of alpha_j, is a negative root."""
+def _reflect(v: tuple[int, ...], i: int, support: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """v_k - C[i][k] * v_i for each (k, C[i][k]) in support: r(x*s_i) from r(x), l(s_i*x) from l(x)."""
+    new = list(v)
+    a = v[i]
+    for k, cik in support:
+        new[k] -= a * cik
+    return tuple(new)
+
+
+def _neg_mask(v: tuple[int, ...]) -> int:
+    """Bit k set when v[k] < 0: the descents read off r(w) or l(w)."""
     mask, bit = 0, 1
-    for col in zip(*m):
-        if max(col) <= 0:
+    for a in v:
+        if a < 0:
             mask |= bit
         bit <<= 1
     return mask
+
+
+def _simple_image(x: "CoxeterElement", i: int) -> int:
+    """Position j with x(alpha_i) = +-alpha_j, or -1.
+
+    A root of height +-1 is +-alpha_j, and j is the one nonzero entry of
+    column i of the matrix.
+    """
+    if x.rvec[i] in (1, -1):
+        return next(k for k, row in enumerate(x.matrix) if row[i])
+    return -1
 
 
 def finite_cartan(family: str, rank: int) -> Matrix:
@@ -199,16 +219,17 @@ def _coxeter_order(prod: int) -> int:
 
 
 class CoxeterElement:
-    """Group element: canonical reduced word, action matrices and table slots.
+    """Group element: canonical reduced word, action matrix, r/l vectors and table slots.
 
-    Built only by its system, which assigns ``id``.  ``ldesc`` / ``rdesc``
-    have bit i set when the generator at position i is a left / right
-    descent; ``_succ[i]`` and ``_succ[rank + i]`` hold x*s_i and s_i*x once
-    a step has built them.
+    Built only by its system, which assigns ``id``.  ``rvec`` and ``lvec``
+    are r(x) and l(x) = r(x^-1) (see the module docstring); ``ldesc`` /
+    ``rdesc`` have bit i set when the generator at position i is a left /
+    right descent; ``_succ[i]`` and ``_succ[rank + i]`` hold x*s_i and
+    s_i*x once a step has built them.
     """
 
     __slots__ = (
-        "system", "word", "matrix", "inv_matrix", "_hash",
+        "system", "word", "matrix", "rvec", "lvec", "_hash",
         "length", "id", "ldesc", "rdesc", "_succ",
     )
 
@@ -218,14 +239,16 @@ class CoxeterElement:
         id: int,
         word: tuple[int, ...],
         matrix: Matrix,
-        inv_matrix: Matrix,
+        rvec: tuple[int, ...],
+        lvec: tuple[int, ...],
         ldesc: int,
         rdesc: int,
     ):
         self.system = system
         self.word = word
         self.matrix = matrix
-        self.inv_matrix = inv_matrix
+        self.rvec = rvec
+        self.lvec = lvec
         self._hash = hash((system.tag, word))
         self.length = len(word)
         self.id = id
@@ -244,7 +267,9 @@ class CoxeterElement:
         return self.system._walk(self, other.word)
 
     def inverse(self) -> "CoxeterElement":
-        return self.system._from_matrices(self.inv_matrix, self.matrix)
+        W = self.system
+        # r(x^-1) = l(x); an inverse not built yet is walked from its reversed word
+        return W._by_r.get(self.lvec) or W._walk(W.identity, reversed(self.word))
 
     def times_gen(self, s: int, side: str = "right") -> "CoxeterElement":
         return self.system._times_gen(self, s, side)
@@ -322,14 +347,15 @@ class CoxeterSystem:
                     prod = self.cartan[self._idx[s]][self._idx[t]] * self.cartan[self._idx[t]][self._idx[s]]
                     self.coxeter_matrix[(s, t)] = _coxeter_order(prod)
 
-        # the element table: by matrix, and by id
-        self._elements: dict[Matrix, CoxeterElement] = {}
+        # the element table: by r(x) for right steps, by l(x) for left steps, and by id
+        self._by_r: dict[tuple[int, ...], CoxeterElement] = {}
+        self._by_l: dict[tuple[int, ...], CoxeterElement] = {}
         self._by_id: list[CoxeterElement] = []
         self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         self._reps: dict[tuple[int, int, int | None], tuple[list[CoxeterElement], bool]] = {}
         self._masks: dict[tuple[int, ...], int] = {}
-        ident = _ident(n)
-        self.identity = self._register((), ident, ident, 0)
+        ones = (1,) * n
+        self.identity = self._register((), _ident(n), ones, ones, 0)
         self.generators: dict[int, CoxeterElement] = {
             s: self._times_gen(self.identity, s, "right") for s in self.names
         }
@@ -353,11 +379,12 @@ class CoxeterSystem:
     # -- element plumbing ----------------------------------------------------
 
     def _register(
-        self, word: tuple[int, ...], mat: Matrix, inv: Matrix, ldesc: int
+        self, word: tuple[int, ...], mat: Matrix, rvec: tuple[int, ...], lvec: tuple[int, ...], ldesc: int
     ) -> CoxeterElement:
-        el = CoxeterElement(self, len(self._by_id), word, mat, inv, ldesc, _desc_mask(mat))
+        el = CoxeterElement(self, len(self._by_id), word, mat, rvec, lvec, ldesc, _neg_mask(rvec))
         self._by_id.append(el)
-        self._elements[mat] = el
+        self._by_r[rvec] = el
+        self._by_l[lvec] = el
         return el
 
     def mask(self, subset: Iterable[int]) -> int:
@@ -366,38 +393,6 @@ class CoxeterSystem:
 
     def _names_of(self, mask: int) -> frozenset[int]:
         return frozenset(s for i, s in enumerate(self.names) if mask >> i & 1)
-
-    def _from_matrices(self, mat: Matrix, inv: Matrix) -> CoxeterElement:
-        el = self._elements.get(mat)
-        return el if el is not None else self._peel(mat, inv)
-
-    def _peel(self, mat: Matrix, inv: Matrix) -> CoxeterElement:
-        """Register the element of an unknown matrix with its ShortLex word.
-
-        Peels the smallest left descent s (the ShortLex first letter) until a
-        known element is reached, then registers the peeled elements back up,
-        each with word (s,) + word(s*y), linking the left s-slots of y and
-        s*y to each other.
-        """
-        peeled: list[tuple[int, Matrix, Matrix, int]] = []
-        for _ in range(_ASCEND_GUARD):
-            # names are sorted, so the lowest descent bit is the ShortLex choice
-            ldesc = _desc_mask(inv)
-            i = (ldesc & -ldesc).bit_length() - 1
-            peeled.append((i, mat, inv, ldesc))
-            mat = _row_step(mat, i, self.cartan[i])
-            el = self._elements.get(mat)
-            if el is not None:
-                break
-            inv = _col_step(inv, i, self._support[i])
-        else:
-            raise RuntimeError("normal form did not terminate")
-        for i, mat, inv, ldesc in reversed(peeled):
-            below = el
-            el = self._register((self.names[i],) + below.word, mat, inv, ldesc)
-            el._succ[self.rank + i] = below
-            below._succ[self.rank + i] = el
-        return el
 
     def _offset(self, side: str) -> int:
         """Slot offset of a step on ``side``: 0 for 'right', rank for 'left'."""
@@ -414,21 +409,98 @@ class CoxeterSystem:
         """x*s_i for slot i, s_i*x for slot rank + i; a list read once filled."""
         el = x._succ[slot]
         if el is None:
-            i = slot % self.rank
-            if slot == i:
-                mat = _col_step(x.matrix, i, self._support[i])
-                el = self._elements.get(mat)
-                if el is None:
-                    el = self._peel(mat, _row_step(x.inv_matrix, i, self.cartan[i]))
+            i = slot - self.rank
+            if i < 0:
+                v = _reflect(x.rvec, slot, self._support[slot])
+                el = self._by_r.get(v) or self._new_right(x, slot, v)
             else:
-                mat = _row_step(x.matrix, i, self.cartan[i])
-                el = self._elements.get(mat)
-                if el is None:
-                    el = self._peel(mat, _col_step(x.inv_matrix, i, self._support[i]))
+                v = _reflect(x.lvec, i, self._support[i])
+                el = self._by_l.get(v) or self._new_left(i, v)
             # (x s) s = x: one step fills both slots
             x._succ[slot] = el
             el._succ[slot] = x
         return el
+
+    def _new_right(self, x: CoxeterElement, i: int, rvec: tuple[int, ...]) -> CoxeterElement:
+        """Register y = x*s_i, not built yet, whose r(y) is ``rvec``.
+
+        Its left descents are those of x, with s_j toggled when x(alpha_i) =
+        +-alpha_j (then s_j*x = y).  With s the
+        smallest of them, s*y is x itself when s = s_j, and otherwise
+        (s*x)*s_i, where s*x is a left step down from x; the same test runs
+        on s*x until s*y is known.  Then the peeled elements are registered
+        back up, each with l(y) = l(s*(s*y)), which must have the descents
+        the exchange gave.
+        """
+        rank, sup = self.rank, self._support[i]
+        peeled: list[tuple[CoxeterElement, tuple[int, ...], int, int]] = []
+        while True:
+            j = _simple_image(x, i)
+            ldesc = x.ldesc if j < 0 else x.ldesc ^ 1 << j
+            s = (ldesc & -ldesc).bit_length() - 1
+            peeled.append((x, rvec, ldesc, s))
+            if s == j:
+                below = x
+                break
+            x = self._step(x, rank + s)
+            below = x._succ[i]
+            if below is None:
+                rvec = _reflect(x.rvec, i, sup)
+                below = self._by_r.get(rvec)
+            if below is not None:
+                break
+        for x, rvec, ldesc, s in reversed(peeled):
+            lvec = _reflect(below.lvec, s, self._support[s])
+            if _neg_mask(lvec) != ldesc:
+                raise InternalInvariantError(
+                    f"{self.tag}: the exchange condition and l(y) disagree on the left "
+                    f"descents of {format_word(x.word) or 'e'} * s_{self.names[i]}"
+                )
+            el = self._register(
+                (self.names[s],) + below.word, _col_step(x.matrix, i, sup), rvec, lvec, ldesc
+            )
+            el._succ[rank + s] = below
+            below._succ[rank + s] = el
+            el._succ[i] = x
+            x._succ[i] = el
+            below = el
+        return below
+
+    def _new_left(self, i: int, lvec: tuple[int, ...]) -> CoxeterElement:
+        """Register y = s_i*x, not built yet, whose l(y) is ``lvec``.
+
+        Peels the smallest left descent s (the ShortLex first letter, read off
+        the signs of l) until a known element is reached, then registers the
+        peeled elements back up, each with word (s,) + word(s*y) and matrix
+        g_s * M(s*y) (row s rewritten), linking the left s-slots of y and s*y
+        to each other.
+        """
+        peeled: list[tuple[tuple[int, ...], int, int]] = []
+        while True:
+            # names are sorted, so the lowest descent bit is the ShortLex choice
+            ldesc = _neg_mask(lvec)
+            s = (ldesc & -ldesc).bit_length() - 1
+            peeled.append((lvec, ldesc, s))
+            lvec = _reflect(lvec, s, self._support[s])
+            below = self._by_l.get(lvec)
+            if below is not None:
+                break
+        rank = self.rank
+        for lvec, ldesc, s in reversed(peeled):
+            # g_s * M changes row s only, by d = -sum_j C[s][j] * row_j; so does r
+            m, d = below.matrix, [0] * rank
+            for j, c in self._support[s]:
+                rj = m[j]
+                for k in range(rank):
+                    d[k] -= c * rj[k]
+            mat = m[:s] + (tuple(map(add, m[s], d)),) + m[s + 1 :]
+            el = self._register(
+                (self.names[s],) + below.word, mat, tuple(map(add, below.rvec, d)), lvec, ldesc
+            )
+            el._succ[rank + s] = below
+            below._succ[rank + s] = el
+            below = el
+        return below
 
     def element(self, word: Iterable[int]) -> CoxeterElement:
         """Element of the group from any word in the generators."""
@@ -555,8 +627,8 @@ class CoxeterSystem:
         """No t in I has w(alpha_t) = +-alpha_u with u in J (masks of positions)."""
         for t in range(self.rank):
             if imask >> t & 1:
-                col = [row[t] for row in w.matrix]
-                if sum(map(abs, col)) == 1 and any(c and jmask >> k & 1 for k, c in enumerate(col)):
+                u = _simple_image(w, t)
+                if u >= 0 and jmask >> u & 1:
                     return False
         return True
 
@@ -618,4 +690,4 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def format_word(word: Sequence[int]) -> str:
-    return " ".join(str(s) for s in word)
+    return " ".join(map(str, word))

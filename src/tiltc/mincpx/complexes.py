@@ -137,6 +137,7 @@ class FormalComplex:
             for n, mat in (diffs or {}).items()
             if n in self.terms and (n + 1) in self.terms
         }
+        self._blocks: dict[int, VMap] = {}
 
     # -- accessors -----------------------------------------------------------------
 
@@ -155,8 +156,14 @@ class FormalComplex:
         )
 
     def block(self, n: int) -> VMap:
-        """The differential at degree n as one map between the sums."""
-        return assemble(self.tilts, self.term(n), self.term(n + 1), self.diff(n))
+        """The differential at degree n as one map between the sums.
+
+        Assembled once per complex and shared, so callers must not mutate it.
+        """
+        b = self._blocks.get(n)
+        if b is None:
+            b = self._blocks[n] = assemble(self.tilts, self.term(n), self.term(n + 1), self.diff(n))
+        return b
 
     def label_counts(self) -> dict[int, dict[str, int]]:
         out: dict[int, dict[str, int]] = {}
@@ -336,12 +343,15 @@ def minimize(
         n: tuple(tuple(row) for row in mat) for n, mat in pi.items()
     }
     # the projection must itself be a chain map from the input complex
-    for n in cpx.degrees():
-        src, mid, tgt = cpx.term(n), cpx.term(n + 1), out.term(n + 1)
-        pi_mid = assemble(tilts, mid, tgt, pi_out.get(n + 1, ()))
-        pi_src = assemble(tilts, src, out.term(n), pi_out.get(n, ()))
-        lhs = _compose_sums(tilts, src, tgt, pi_mid, cpx.block(n))
-        rhs = _compose_sums(tilts, src, tgt, out.block(n), pi_src)
+    degs = cpx.degrees()
+    pi_sums = {
+        n: assemble(tilts, cpx.term(n), out.term(n), pi_out.get(n, ()))
+        for n in {*degs, *(n + 1 for n in degs)}
+    }
+    for n in degs:
+        src, tgt = cpx.term(n), out.term(n + 1)
+        lhs = _compose_sums(tilts, src, tgt, pi_sums[n + 1], cpx.block(n))
+        rhs = _compose_sums(tilts, src, tgt, out.block(n), pi_sums[n])
         if lhs != rhs:
             raise InternalInvariantError(
                 f"reduction projection is not a chain map at degree {n}"

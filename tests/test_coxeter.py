@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiltc import coxeter
 from tiltc.coxeter import (
     CoxeterSystem,
     finite_cartan,
@@ -12,6 +13,7 @@ from tiltc.coxeter import (
     parse_word,
     roots_and_coroots,
 )
+from tiltc.errors import InternalInvariantError
 
 A2 = CoxeterSystem.from_type("A2")
 A3 = CoxeterSystem.from_type("A3")
@@ -184,6 +186,24 @@ def _full_product(a, b):
     )
 
 
+def _word_matrix(system, word):
+    """Product of the test-side generator matrices along a word."""
+    n = system.rank
+    m = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    for s in word:
+        m = _full_product(m, _gen_matrix(system, s))
+    return m
+
+
+def _inv_matrix(x):
+    """Matrix of x^-1, the product along the reversed word of x."""
+    return _word_matrix(x.system, reversed(x.word))
+
+
+def _column_sums(m):
+    return tuple(map(sum, zip(*m)))
+
+
 def _ball(system, max_len):
     ball = [system.identity]
     frontier = [system.identity]
@@ -208,15 +228,17 @@ class TestRankOneSteps:
         ident = W.identity.matrix
         gens = {s: _gen_matrix(W, s) for s in W.names}
         for x in _ball(W, 6):
+            x_inv = _inv_matrix(x)
             for s, g in gens.items():
                 for side in ("left", "right"):
                     y = x.times_gen(s, side)
                     if side == "right":
-                        mat, inv = _full_product(x.matrix, g), _full_product(g, x.inv_matrix)
+                        mat, inv = _full_product(x.matrix, g), _full_product(g, x_inv)
                     else:
-                        mat, inv = _full_product(g, x.matrix), _full_product(x.inv_matrix, g)
-                    assert (y.matrix, y.inv_matrix) == (mat, inv), (x, s, side)
-                    assert _full_product(y.matrix, y.inv_matrix) == ident
+                        mat, inv = _full_product(g, x.matrix), _full_product(x_inv, g)
+                    assert (y.matrix, _inv_matrix(y)) == (mat, inv), (x, s, side)
+                    assert y.inverse().matrix == inv, (x, s, side)
+                    assert _full_product(y.matrix, inv) == ident
                     if not y.is_identity():
                         first = y.word[0]
                         assert first == min(y.left_descents())
@@ -230,7 +252,8 @@ class TestRankOneSteps:
             assert W.element(a.inverse().word) is a.inverse()
             for b in ball[:: max(1, len(ball) // 12)]:
                 ab = a * b
-                assert W._elements[ab.matrix] is ab is W._by_id[ab.id]
+                assert W._by_r[ab.rvec] is ab is W._by_l[ab.lvec]
+                assert W._by_id[ab.id] is ab
 
     @pytest.mark.parametrize("tag", ["B3", "G2", "affG2"])
     def test_products_match_full_products(self, tag):
@@ -241,7 +264,8 @@ class TestRankOneSteps:
             for b in ball:
                 ab = a * b
                 assert ab.matrix == _full_product(a.matrix, b.matrix), (a, b)
-                assert ab.inv_matrix == _full_product(b.inv_matrix, a.inv_matrix), (a, b)
+                inv = _full_product(_inv_matrix(b), _inv_matrix(a))
+                assert _inv_matrix(ab) == inv == ab.inverse().matrix, (a, b)
                 word_matrix = W.identity.matrix
                 for s in ab.word:
                     word_matrix = _full_product(word_matrix, gens[s])
@@ -277,9 +301,10 @@ class TestElementTable:
         W, els = _table_elements(tag)
         for x in els:
             assert x.length == len(x.word)
+            inv = _inv_matrix(x)
             for j, s in enumerate(W.names):
                 right = all(row[j] <= 0 for row in x.matrix)
-                left = all(row[j] <= 0 for row in x.inv_matrix)
+                left = all(row[j] <= 0 for row in inv)
                 assert bool(x.rdesc >> j & 1) == right
                 assert bool(x.ldesc >> j & 1) == left == x.has_left_descent(s)
                 assert (s in x.right_descents()) == right
@@ -289,9 +314,9 @@ class TestElementTable:
     def test_ids_are_dense(self, tag):
         W, els = _table_elements(tag)
         assert sorted(x.id for x in W._by_id) == list(range(len(W._by_id)))
-        assert len(W._by_id) == len(W._elements)
+        assert len(W._by_id) == len(W._by_r) == len(W._by_l)
         for x in els:
-            assert W._by_id[x.id] is x
+            assert W._by_id[x.id] is x is W._by_r[x.rvec] is W._by_l[x.lvec]
 
     def test_ids_follow_build_order_and_nothing_else(self):
         W1, W2 = CoxeterSystem.from_type("A3"), CoxeterSystem.from_type("A3")
@@ -302,6 +327,87 @@ class TestElementTable:
         assert xs1 == xs2
         assert [hash(x) for x in xs1] == [hash(x) for x in xs2]
         assert [x.word for x in sorted(xs1)] == [x.word for x in sorted(xs2)]
+
+
+def _shortlex_words(W, max_len):
+    """{matrix: word} over elements of length <= max_len, by test-side products.
+
+    Words of each length are extended in lexicographic order, only from
+    reduced words (a prefix of a reduced word is reduced), so the first word
+    met for a matrix is its lexicographically least reduced word.
+    """
+    gens = [(s, _gen_matrix(W, s)) for s in W.names]
+    first = {_word_matrix(W, ()): ()}
+    layer = [((), _word_matrix(W, ()))]
+    for _ in range(max_len):
+        nxt = []
+        for word, m in layer:
+            for s, g in gens:
+                mg = _full_product(m, g)
+                if mg not in first:
+                    first[mg] = word + (s,)
+                    nxt.append((word + (s,), mg))
+        layer = nxt
+    return first
+
+
+class TestVectorKeys:
+    """r(x) and l(x) key the table; words come from the exchange condition."""
+
+    @pytest.mark.parametrize("tag", ["A3", "B3", "G2", "D4", "affA2", "affG2", "affB2"])
+    def test_vectors_are_column_sums_and_distinct(self, tag):
+        W, els = _table_elements(tag)
+        for x in els:
+            assert x.rvec == _column_sums(x.matrix), x
+            assert x.lvec == _column_sums(_inv_matrix(x)), x
+        assert len({x.rvec for x in els}) == len(els)
+        assert len({x.lvec for x in els}) == len(els)
+
+    @pytest.mark.parametrize("tag, max_len", [("A3", 6), ("B3", 9), ("G2", 6), ("affA2", 6)])
+    def test_words_are_lex_least_reduced_words(self, tag, max_len):
+        W = CoxeterSystem.from_type(tag)
+        first = _shortlex_words(W, max_len)
+        # longest first, half of them by left steps, so both routes peel new elements
+        for n, (m, word) in enumerate(reversed(first.items())):
+            if n % 2:
+                x = W.identity
+                for s in reversed(word):
+                    x = x.times_gen(s, "left")
+            else:
+                x = W.element(word)
+            assert (x.word, x.matrix) == (word, m)
+        if W.is_finite:
+            assert len(first) == len(W._by_id)
+
+    @given(
+        st.sampled_from(["G2", "B3", "affA2", "affG2"]),
+        st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=14),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_walks_match_matrix_products(self, tag, steps):
+        W = CoxeterSystem.from_type(tag)
+        x, mat = W.identity, _word_matrix(W, ())
+        for k, left in steps:
+            s = W.names[k % W.rank]
+            g = _gen_matrix(W, s)
+            x = x.times_gen(s, "left" if left else "right")
+            mat = _full_product(g, mat) if left else _full_product(mat, g)
+            inv = _inv_matrix(x)
+            assert x.matrix == mat == _word_matrix(W, x.word)
+            assert x.inverse().matrix == inv
+            assert (x.rvec, x.lvec) == (_column_sums(mat), _column_sums(inv))
+            for j in range(W.rank):
+                assert bool(x.rdesc >> j & 1) == all(row[j] <= 0 for row in mat)
+                assert bool(x.ldesc >> j & 1) == all(row[j] <= 0 for row in inv)
+        assert W._by_r[x.rvec] is x is W._by_l[x.lvec]
+
+    def test_exchange_disagreement_raises(self, monkeypatch):
+        W = CoxeterSystem.from_type("B3")
+        x = W.element([1, 2])
+        neg_mask = coxeter._neg_mask
+        monkeypatch.setattr(coxeter, "_neg_mask", lambda v: neg_mask(v) ^ 1)
+        with pytest.raises(InternalInvariantError, match="exchange condition"):
+            x.times_gen(3)
 
 
 class TestBruhat:

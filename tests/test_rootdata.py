@@ -27,6 +27,7 @@ class AffineForm:
     def __init__(self, datum: LinkageDatum):
         self.d = datum
         self.finite = CoxeterSystem.from_type(datum.roots.tag)
+        self.finite.enumerate_below(self.finite.longest_element())  # build every element
         self.s_beta = self.reflection(datum.wall_root)
 
     def reflection(self, root) -> CoxeterElement:
@@ -41,7 +42,9 @@ class AffineForm:
                 row.append((1 if k == j else 0) - pairing * root.coords[k])
             rows.append(tuple(row))
         mat = tuple(rows)
-        el = self.finite._from_matrices(mat, mat)
+        # an element is keyed by the column sums of its matrix, the heights of w(alpha_j)
+        el = self.finite._by_r[tuple(map(sum, zip(*mat)))]
+        assert el.matrix == mat, "reflection matrix is not a group element"
         assert (el * el).is_identity(), "reflection matrix is not an involution"
         return el
 
