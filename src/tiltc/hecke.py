@@ -30,7 +30,8 @@ sx > x (Kazhdan-Lusztig 1979) and h_{w_K x', w_K y'} = m^K_{x',y'}
 (Deodhar 1987), so h_{u x',y} = v^(l(w_K) - l(u)) m^K_{x',y'} for u in W_K.
 Every computed column is checked to be unitriangular over v*Z[v].  A single
 h entry (poly, mu) is read off the m^K column without expansion: no h
-column is built or memoized, and the one entry is checked instead.
+column is built or memoized, W_K is not enumerated (l(w_K) is read off w_K,
+once per K), and the one entry is checked instead.
 
 The inverse families come by signed unitriangular inversion of the direct
 ones: inverse_combination pushes sum_a c_a fam^{a,.} down the lengths from
@@ -376,6 +377,9 @@ class HeckeContext:
         self._columns: dict[tuple[str, tuple[int, ...]], tuple[Packed, int]] = {}
         self._inverses: dict[tuple[str, tuple[int, ...]], Coords] = {}
         self._walks: dict[int, tuple[int, list[tuple[int, int, int, int]]]] = {}
+        self._tops: dict[int, int] = {}  # descent mask of K -> l(w_K)
+        # l(w_K) -> {m^K entry: its shifts by v^0 .. v^l(w_K)}, each interned
+        self._shifts: dict[int, dict[int, list[int]]] = {}
         self._ints: dict[int, int] = {}  # every packed entry, so equal ones are one object
         self._decoded: dict[int, LaurentPoly] = {}  # packed entry -> its polynomial
         self._parity: dict[int, int] = {}  # packed entry -> bit k set if an exponent is k mod 2
@@ -498,14 +502,18 @@ class HeckeContext:
 
     def _expand_spherical(self, y: CoxeterElement) -> tuple[Packed, int]:
         """h column of y != e: v^(l(w_K) - l(u)) m^K_{x',y'} at u x', K = L(y);
-        it has the bound of m^K."""
+        it has the bound of m^K.  The shifts of each distinct m^K entry are
+        interned once per context and l(w_K)."""
         W, ints = self.system, self._ints
         K = W.check_names(y.left_descents())
         top, walk = self._walks.get(y.ldesc) or self._walk(y.ldesc)
         m, bound = self._direct_column("m", K, W.project(y, K, "left"))
+        shifts = self._shifts.setdefault(top, {})
         col: Packed = {}
         for u0, n in m.items():
-            shifted = [ints.setdefault(k, k) for k in (n << SLOT * d for d in range(top + 1))]
+            shifted = shifts.get(n)
+            if shifted is None:
+                shifted = shifts[n] = [ints.setdefault(k, k) for k in (n << SLOT * d for d in range(top + 1))]
             col[u0] = shifted[top]
             coset = [W._by_id[u0]]
             for j, slot, s, d in walk:
@@ -573,8 +581,8 @@ class HeckeContext:
 
     def _h_entry(self, x: CoxeterElement, y: CoxeterElement) -> LaurentPoly:
         """h_{x,y} = v^(l(w_K) - l(u)) m^K_{x',y'} at x = u x', K = L(y), with no
-        h column built; checked as one entry of a column unitriangular over
-        v*Z[v]."""
+        h column built and l(w_K) memoized per K; checked as one entry of a
+        column unitriangular over v*Z[v]."""
         if y.is_identity():
             n = int(x is y)
         else:
@@ -583,7 +591,9 @@ class HeckeContext:
             x0 = W.project(x, K, "left")
             n = self._direct_column("m", K, W.project(y, K, "left"))[0].get(x0.id, 0)
             if n:
-                top, _ = self._walks.get(y.ldesc) or self._walk(y.ldesc)
+                top = self._tops.get(y.ldesc)
+                if top is None:
+                    top = self._tops[y.ldesc] = W.longest_element(K).length
                 n <<= SLOT * (top - x.length + x0.length)
         if (n != 1) if x is y else n and (x.length >= y.length or n & (1 << SLOT) - 1):
             raise InternalInvariantError(

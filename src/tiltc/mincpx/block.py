@@ -22,15 +22,17 @@ resulting graded multiplicities are independent of, and a check on, the
 closed formulas in :mod:`tiltc.tilting`.
 
 Work is done once per module content (the dimension vector and the arrow
-matrices, ``ModuleRep.content_key``).  ``parse_block_text`` validates every
-declared module and then hands out one object per content, so equal roles
-(``std_e``, ``simple_e``, ``costd_e`` and ``tilt_e`` of sl2) share the
-resolution and the hom bases that a module keeps.  A ``TiltingCategory``
-keeps the checked approximation of each module content it has approximated,
-so a projective is approximated once however many resolutions end in it, and
-the sweep of each module content, which both scan orders of the elimination
-share.  ``TiltingCategory.minimal_complex`` keeps the ``cmin_module`` result
-per content and scan order, each built and checked on its first request.
+matrices).  ``ModuleRep`` is interned per algebra, so equal contents are one
+object: equal declared roles (``std_e``, ``simple_e``, ``costd_e`` and
+``tilt_e`` of sl2), kernels, cokernels, pushouts and resolution terms alike.
+Each module keeps its validation, projective cover, resolution, hom bases
+per target and Ext ranks per target.  A ``TiltingCategory`` keeps, per
+module, the checked approximation, so a projective is approximated once
+however many resolutions end in it, and the sweep, which both scan orders of
+the elimination share.  ``TiltingCategory.minimal_complex`` keeps the
+``cmin_module`` result per module and scan order, each built and checked on
+its first request.  Every memo lives on the parsed block's algebra or on a
+``TiltingCategory`` of it, so nothing is shared between two parses.
 
 ``verify_block`` runs nine invariant suites over a named block and raises
 on the first violated invariant.
@@ -226,14 +228,12 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
         if a not in labels or b not in labels:
             raise ValidationError(f"{name}: poset uses unknown label")
     leq = _poset_closure(labels, covers)
-    # equal declared modules (std_e and simple_e of sl2, say) become one
-    # object, which then keeps one resolution and one set of hom bases
+    # equal declared modules (std_e and simple_e of sl2, say) are one
+    # interned object, validated once
     modules: dict[str, ModuleRep] = {}
-    by_content: dict[tuple, ModuleRep] = {}
     for mod_name, spec in module_specs.items():
-        rep = ModuleRep(algebra, spec["dims"], spec["mats"])
-        rep.validate()
-        modules[mod_name] = by_content.setdefault(rep.content_key(), rep)
+        modules[mod_name] = ModuleRep(algebra, spec["dims"], spec["mats"])
+        modules[mod_name].validate()
     for role in ROLES:
         for lab in labels:
             if f"{role}_{lab}" not in modules:
@@ -316,11 +316,12 @@ class TiltingCategory:
             tuple(block.module("std", lab).dims[v] for v in order) for lab in self.labels
         ]
         self._sum_cache: dict[tuple[str, ...], ModuleRep] = {}
-        # both keyed by module content: resolution terms are fresh objects,
-        # but equal representations have equal approximations and sweeps
-        self._approximations: dict[tuple, _Approximation] = {}
-        self._sweeps: dict[tuple, _Sweep] = {}
-        self._complexes: dict[tuple, tuple[FormalComplex, dict[int, VMap]]] = {}
+        # keyed by the interned module, so by module content
+        self._approximations: dict[ModuleRep, _Approximation] = {}
+        self._sweeps: dict[ModuleRep, _Sweep] = {}
+        self._complexes: dict[
+            tuple[ModuleRep, str], tuple[FormalComplex, dict[int, VMap]]
+        ] = {}
 
     def validate(self) -> None:
         """Each End(tilt_a) is local, and distinct labels have non-isomorphic
@@ -356,12 +357,12 @@ class TiltingCategory:
     def minimal_complex(
         self, M: ModuleRep, scan: str = "forward"
     ) -> tuple[FormalComplex, dict[int, VMap]]:
-        """``cmin_module`` of M, computed once per module content and scan.
+        """``cmin_module`` of M, computed once per module and scan.
 
         Each complex is built, with its witnesses, on the first request.
         Callers must not mutate the shared result.
         """
-        key = (M.content_key(), scan)
+        key = (M, scan)
         if key not in self._complexes:
             self._complexes[key] = cmin_module(self, M, scan)
         return self._complexes[key]
@@ -434,7 +435,7 @@ def _approximation(
 
 def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximation:
     """The approximation f: X -> T of a standard-filtered X, checked, with its
-    cokernel; computed once per module content.
+    cokernel; computed once per module.
 
     f must be injective with a standard-filtered cokernel (Ext^1 against the
     sum of the costandards vanishes).  A size bound: the minimal
@@ -443,9 +444,8 @@ def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximatio
     read off its dimension vector.  A non-minimal approximation fails here,
     at its first step, instead of growing at every later one.
     """
-    key = X.content_key()
-    if key in tcat._approximations:
-        return tcat._approximations[key]
+    if X in tcat._approximations:
+        return tcat._approximations[X]
     order = tcat.algebra.vertices
     labels, f = _approximation(tcat, X)
     factors = linalg.express_in_span(tcat._std_dims, tuple(X.dims[v] for v in order))
@@ -466,14 +466,14 @@ def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximatio
         raise InternalInvariantError(
             "the add(T)-approximation has a cokernel that is not standard-filtered"
         )
-    tcat._approximations[key] = (labels, f, C, proj)
-    return tcat._approximations[key]
+    tcat._approximations[X] = (labels, f, C, proj)
+    return tcat._approximations[X]
 
 
 def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
     """A tilting complex of M, not yet minimal, with its comparison map from
     the minimal projective resolution P_m -> ... -> P_0 of M; computed once
-    per module content.  Callers must not mutate the shared result.
+    per module.  Callers must not mutate the shared result.
 
     X starts as P_m in degree k = -m.  At each k, f: X -> T^k is the checked
     approximation, the differential T^(k-1) -> T^k is f after T^(k-1) -> X,
@@ -485,9 +485,8 @@ def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
     tilting coresolution; the sweep stops when X is zero.  Each pushout
     square is exact, so the complex is quasi-isomorphic to M.
     """
-    key = M.content_key()
-    if key in tcat._sweeps:
-        return tcat._sweeps[key]
+    if M in tcat._sweeps:
+        return tcat._sweeps[M]
     res_terms, res_diffs, _ = minimal_projective_resolution(M)
     projs = [P for P, _ in res_terms]
     order = tcat.algebra.vertices
@@ -530,8 +529,8 @@ def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
         k += 1
     cpx = FormalComplex(tcat.tilts, terms, diffs)
     cpx.validate()
-    tcat._sweeps[key] = (cpx, kappa, projs, res_diffs)
-    return tcat._sweeps[key]
+    tcat._sweeps[M] = (cpx, kappa, projs, res_diffs)
+    return tcat._sweeps[M]
 
 
 def cmin_module(
@@ -577,10 +576,8 @@ def _verify_cmin(
     kappa: Mapping[int, VMap],
 ) -> None:
     """Exact witnesses: the comparison map is a chain map and its cone is
-    acyclic (vertexwise rank count), so Y is quasi-isomorphic to M."""
-    Y.validate()
-    if not Y.is_minimal():
-        raise InternalInvariantError("complex is not minimal")
+    acyclic (vertexwise rank count), so Y is quasi-isomorphic to M.  That Y
+    is a minimal complex is checked by ``minimize``, which built it."""
     m = len(projs) - 1
     y_degs = Y.degrees()
     lo = min([-m - 1] + y_degs)

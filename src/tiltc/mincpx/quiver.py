@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-from weakref import WeakKeyDictionary
 
 from ..errors import InternalInvariantError, ValidationError
 from . import linalg
@@ -62,6 +61,8 @@ class AlgebraPresentation:
             self._check_relation(rel)
         self._build_path_classes()
         self._projectives: dict[str, tuple[ModuleRep, tuple]] = {}
+        # the intern table of ModuleRep: normalized content -> its one object
+        self._modules: dict[tuple, ModuleRep] = {}
 
     # -- paths -------------------------------------------------------------------
 
@@ -267,28 +268,48 @@ class AlgebraPresentation:
 
 
 class ModuleRep:
-    """A representation: spaces over vertices, matrices over arrows."""
+    """A representation: spaces over vertices, matrices over arrows.
 
-    def __init__(
-        self,
+    Interned: ``ModuleRep(algebra, dims, mats)`` returns one object per
+    normalized content (the dimension vector and the arrow matrices, unlisted
+    arrows zero) over an algebra, held in the algebra's own table, so equal
+    kernels, cokernels, direct sums, covers and declared modules are one
+    object and nothing outlives the algebra.  The content never changes; a
+    module keeps the results of the pure work on it, each done on first request:
+    ``validate``, ``path_matrix``, ``projective_cover`` (with its surjectivity
+    check), ``hom_basis`` per target and the minimal projective resolution
+    with the ranks ``ext_dims`` reads off it, per target.  Callers must not
+    mutate what it hands out.
+    """
+
+    def __new__(
+        cls,
         algebra: AlgebraPresentation,
         dims: Mapping[str, int],
         mats: Mapping[str, Mat] | None = None,
-    ):
-        self.algebra = algebra
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
-        self.mats: dict[str, Mat] = {}
+    ) -> "ModuleRep":
+        dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
         mats = mats or {}
+        full: dict[str, Mat] = {}
         for a, (s, t) in algebra.arrows.items():
             m = mats.get(a)
-            if m is None:
-                m = linalg.zeros(self.dims[t], self.dims[s])
-            else:
-                m = linalg.mat(m)
-            self.mats[a] = m
-        self._resolution: _Resolution | None = None  # grown by _resolve
+            full[a] = linalg.zeros(dims[t], dims[s]) if m is None else linalg.mat(m)
+        key = (tuple(dims.values()), tuple(full.values()))
+        self = algebra._modules.get(key)
+        if self is None:
+            self = algebra._modules[key] = super().__new__(cls)
+            self.algebra, self.dims, self.mats = algebra, dims, full
+            self._valid = False
+            self._paths: dict[Path, Mat] = {}
+            self._cover: tuple[ModuleRep, tuple[str, ...], VMap] | None = None
+            self._homs: dict[ModuleRep, list[VMap]] = {}  # target N -> Hom(self, N)
+            self._resolution: _Resolution | None = None  # grown by _resolve
+        return self
 
     def validate(self) -> None:
+        """Arrow shapes and relations; a module that passed is not checked again."""
+        if self._valid:
+            return
         for a, (s, t) in self.algebra.arrows.items():
             want = (self.dims[t], self.dims[s])
             got = linalg.shape(self.mats[a])
@@ -304,8 +325,12 @@ class ModuleRep:
                 acc = linalg.add(acc, linalg.scal(coeff, self.path_matrix(path)))
             if not linalg.is_zero(acc):
                 raise ValidationError(f"relation {rel} fails on the representation")
+        self._valid = True
 
     def path_matrix(self, path: Path) -> Mat:
+        acc = self._paths.get(path)
+        if acc is not None:
+            return acc
         src, _ = self.algebra.path_endpoints(path)
         acc = linalg.ident(self.dims[src])
         for a in path:
@@ -313,12 +338,8 @@ class ModuleRep:
             acc = linalg.mul_shaped(
                 self.mats[a], acc, self.dims[t], self.dims[src]
             )
+        self._paths[path] = acc
         return acc
-
-    def content_key(self) -> tuple:
-        """Equal for equal representations: the dimension vector and the
-        arrow matrices (over one algebra)."""
-        return (tuple(self.dims.items()), tuple(self.mats.items()))
 
     @property
     def total_dim(self) -> int:
@@ -377,7 +398,13 @@ def flatten_vmap(f: VMap, order: Sequence[str]) -> Vec:
 
 
 def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
-    """Basis of intertwiners M -> N, by solving the commutation equations."""
+    """Basis of intertwiners M -> N, by solving the commutation equations.
+
+    Solved once per pair and kept on M; callers must not mutate the list.
+    """
+    basis = M._homs.get(N)
+    if basis is not None:
+        return basis
     alg = M.algebra
     offsets = {}
     pos = 0
@@ -407,6 +434,7 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
                 for i in range(N.dims[v])
             )
         basis.append(f)
+    M._homs[N] = basis
     return basis
 
 
@@ -428,13 +456,24 @@ def top_generators(M: ModuleRep) -> list[tuple[str, Vec]]:
 
 
 def projective_cover(M: ModuleRep) -> tuple[ModuleRep, list[str], VMap]:
-    """(P, vertex labels of its summands, surjection P -> M)."""
+    """(P, vertex labels of its summands, surjection P -> M).
+
+    Built and checked once per module and kept on M; callers get a fresh
+    label list and must not mutate the surjection.
+    """
+    if M._cover is None:
+        M._cover = _cover(M)
+    P, labels, cover = M._cover
+    return P, list(labels), cover
+
+
+def _cover(M: ModuleRep) -> tuple[ModuleRep, tuple[str, ...], VMap]:
     alg = M.algebra
     gens = top_generators(M)
     if not gens:
         zero = ModuleRep(alg, {})
-        return zero, [], vmap_zero(zero, M)
-    labels = [v for v, _ in gens]
+        return zero, (), vmap_zero(zero, M)
+    labels = tuple(v for v, _ in gens)
     summands = []
     bases = []
     for v, _ in gens:
@@ -536,8 +575,16 @@ def cokernel_rep(
 def minimal_projective_resolution(
     M: ModuleRep,
 ) -> tuple[list[tuple[ModuleRep, list[str]]], list[VMap], VMap]:
-    """([(P_i, labels_i)], [d_i: P_i -> P_{i-1} for i >= 1], P_0 -> M)."""
-    return _resolve(M, None)
+    """([(P_i, labels_i)], [d_i: P_i -> P_{i-1} for i >= 1], P_0 -> M).
+
+    Callers get fresh lists and dicts of the resolution kept on M.
+    """
+    res = _resolve(M, None)
+    return (
+        [(P, list(labels)) for P, labels in res.terms],
+        [dict(d) for d in res.diffs],
+        dict(res.aug),
+    )
 
 
 @dataclass
@@ -548,23 +595,19 @@ class _Resolution:
     diffs: list[VMap]
     aug: VMap
     cov: VMap  # the newest cover, P_last -> (kernel, or M itself if None)
-    kernel: ModuleRep | None = None  # never M itself, which would be a cycle
+    kernel: ModuleRep | None = None  # None while the last term covers M
     complete: bool = False
-    # target module N -> [hom_basis(P_i, N)] for the first terms P_i; weak
-    # keys, so N and M never keep each other alive in a cycle
-    homs: WeakKeyDictionary[ModuleRep, list[list[VMap]]] = field(
-        default_factory=WeakKeyDictionary
-    )
+    # target module N -> [rank d_i^*] for the first differentials, with
+    # d_0^* = 0 in front, read by ext_dims
+    ranks: dict[ModuleRep, list[int]] = field(default_factory=dict)
 
 
-def _resolve(
-    M: ModuleRep, last: int | None
-) -> tuple[list[tuple[ModuleRep, list[str]]], list[VMap], VMap]:
-    """The minimal projective resolution of M, cut after term P_last if given.
+def _resolve(M: ModuleRep, last: int | None) -> _Resolution:
+    """The minimal projective resolution kept on M, grown until it is
+    complete or has the term P_last.
 
-    The terms are kept on M, so a later call takes a prefix of them or
-    extends them and never rebuilds one; only terms whose cover and kernel
-    passed their checks are kept.  Callers get fresh lists and dicts.
+    A later call extends the kept terms and never rebuilds one; only terms
+    whose cover and kernel passed their checks are kept.
     """
     res = M._resolution
     if res is None:
@@ -583,41 +626,36 @@ def _resolve(
         res.diffs.append(vmap_compose(incl, cov, P, terms[-1][0]))
         terms.append((P, tuple(labels)))
         res.cov, res.kernel = cov, K
-    n = len(terms) if last is None else min(len(terms), last + 1)
-    return (
-        [(P, list(labels)) for P, labels in terms[:n]],
-        [dict(d) for d in res.diffs[: n - 1]],
-        dict(res.aug),
-    )
+    return res
 
 
 def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:
     """[dim Ext^i(M, N) for i in 0..up_to], by the minimal resolution.
 
     Ext^i needs the resolution only up to the term P_{i+1}, so it stops there.
-    The hom bases Hom(P_i, N) are kept next to the resolution on M, per N.
     Each dimension comes from ranks alone: dim Ext^i = dim Hom(P_i, N)
     - rank(d_{i+1}^*) - rank(d_i^*), where d_i^* : Hom(P_{i-1}, N) ->
-    Hom(P_i, N) is precomposition with d_i.
+    Hom(P_i, N) is precomposition with d_i.  The ranks are kept next to the
+    resolution on M, per N, and the bases on each P_i, so each is computed
+    once.
     """
-    terms, diffs, _ = _resolve(M, up_to + 1)
+    res = _resolve(M, up_to + 1)
+    homs = [hom_basis(P, N) for P, _ in res.terms[: up_to + 2]]
+    ranks = res.ranks.setdefault(N, [0])
     order = M.algebra.vertices
-    kept = M._resolution.homs.setdefault(N, [])
-    kept.extend(hom_basis(P, N) for P, _ in terms[len(kept):])
-    hom_bases = kept[: len(terms)]
-    ranks = [0]  # ranks[i] = rank(d_i^*), with d_0^* = 0
-    for i, d in enumerate(diffs, start=1):
-        flat_tgt = [flatten_vmap(g, order) for g in hom_bases[i]]
+    for i in range(len(ranks), len(homs)):
+        P = res.terms[i][0]
+        flat_tgt = [flatten_vmap(g, order) for g in homs[i]]
         coords = []
-        for f in hom_bases[i - 1]:
-            g = vmap_compose(f, d, terms[i][0], N)
+        for f in homs[i - 1]:
+            g = vmap_compose(f, res.diffs[i - 1], P, N)
             c = linalg.express_in_span(flat_tgt, flatten_vmap(g, order))
             if c is None:
                 raise InternalInvariantError("composite leaves the hom space")
             coords.append(c)
         ranks.append(linalg.rank(tuple(coords)))
-    ranks.append(0)  # past the last term d^* is zero, or beyond up_to
+    rank = ranks + [0]  # past the last term d^* is zero
     return [
-        len(hom_bases[i]) - ranks[i + 1] - ranks[i] if i < len(hom_bases) else 0
+        len(homs[i]) - rank[i + 1] - rank[i] if i < len(homs) else 0
         for i in range(up_to + 1)
     ]

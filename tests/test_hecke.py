@@ -174,6 +174,25 @@ class TestSingleEntries:
         assert zeros and elements[0].is_identity()
         assert not {fid for fid, _ in entries._columns} & {"h", "m[]", "n[]"}
 
+    @pytest.mark.parametrize("tag", ["A4", "B3"])
+    def test_entry_builds_no_walk_of_the_parabolic(self, tag):
+        # the shift of an entry needs l(w_K) alone, not the elements of W_K
+        system = CoxeterSystem.from_type(tag)
+        elements, _ = system.quotient_reps(())
+        c = ctx(system)
+        got = {(x, y): c.poly("h", (), x, y) for y in elements for x in elements}
+        assert c._walks == {}
+        for y in elements:
+            col = c.kl_column(y)
+            for x in elements:
+                assert got[x, y] == col.get(x, ZERO), (x, y)
+        assert c._walks
+        # the expansion shifts each distinct m^K entry once per l(w_K)
+        assert c._shifts
+        for top, shifts in c._shifts.items():
+            for n, shifted in shifts.items():
+                assert shifted == [n << SLOT * d for d in range(top + 1)]
+
     @pytest.mark.parametrize("where", ["below-v", "diagonal"])
     def test_entry_check_fires(self, where):
         # x = u x' below y = w_K y' reads m^K at x', shifted by l(w_K) - l(u);

@@ -291,11 +291,16 @@ class TestLinalg:
 # -- quiver representations -----------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def sl2_algebra():
+def _sl2_algebra():
+    """A freshly built sl2 algebra, so with no module memos yet."""
     return AlgebraPresentation(
         ("e", "s"), [("alpha", "e", "s"), ("beta", "s", "e")], ("beta alpha",)
     )
+
+
+@pytest.fixture(scope="module")
+def sl2_algebra():
+    return _sl2_algebra()
 
 
 @pytest.fixture(scope="module")
@@ -361,42 +366,60 @@ class TestQuiver:
         assert ext_dims(m["std_s"], m["L_e"], 3) == [0, 0, 0, 0]
         assert ext_dims(m["L_e"], m["costd_s"], 3) == [0, 0, 0, 0]
 
-    def test_ext_dims_keeps_hom_bases(self, sl2_algebra, monkeypatch):
-        # the bases Hom(P_i, N) are kept next to the resolution, per target N
-        calls = []
+    def test_ext_dims_keeps_hom_bases(self, monkeypatch):
+        # each basis Hom(P_i, N) is solved once and kept on P_i, per target N,
+        # and the ranks of an Ext query are kept next to the resolution; each
+        # count starts on a freshly built algebra
+        solves = []
         real = quiver.hom_basis
-        monkeypatch.setattr(quiver, "hom_basis", lambda M, N: calls.append(M) or real(M, N))
-        L_e, L_s = sl2_algebra.simple("e"), sl2_algebra.simple("s")
+
+        def counted(M, N):
+            if N not in M._homs:
+                solves.append((M, N))
+            return real(M, N)
+
+        monkeypatch.setattr(quiver, "hom_basis", counted)
+        A = _sl2_algebra()
+        L_e, L_s = A.simple("e"), A.simple("s")
         assert ext_dims(L_s, L_e, 0) == [0]
-        assert len(calls) == 2  # P_0 and P_1
-        calls.clear()
+        P_s, P_e = A.projective("s")[0], A.projective("e")[0]
+        assert solves == [(P_s, L_e), (P_e, L_e)]  # P_0 and P_1
+        solves.clear()
         assert ext_dims(L_s, L_e, 0) == [0]
-        assert calls == []  # a repeated call solves none
+        assert solves == []  # a repeated call solves none
+        # the new term P_2 is P_s again, whose basis is kept
         assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
-        assert len(calls) == 1  # only the new term P_2
-        calls.clear()
+        assert L_s._resolution.terms[2][0] is P_s
+        assert solves == []
         assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
         assert ext_dims(L_s, L_e, 1) == [0, 1]
-        assert calls == []
-        # another target object gets bases of its own
-        assert ext_dims(L_s, sl2_algebra.simple("e"), 4) == [0, 1, 0, 0, 0]
-        assert len(calls) == 3
+        assert solves == []
+        assert hom_basis(P_s, L_e) is hom_basis(P_s, L_e)
+        # another target gets bases of its own, one per distinct term
+        assert ext_dims(L_s, L_s, 4) == [1, 0, 1, 0, 0]
+        assert solves == [(P_s, L_s), (P_e, L_s)]
+        # on a fresh algebra a deep first call solves each distinct term once
+        solves.clear()
+        B = _sl2_algebra()
+        assert ext_dims(B.simple("s"), B.simple("e"), 4) == [0, 1, 0, 0, 0]
+        assert [M for M, _ in solves] == [B.projective("s")[0], B.projective("e")[0]]
 
-    def test_ext_dims_stops_at_the_needed_term(self, sl2_algebra, monkeypatch):
+    def test_ext_dims_stops_at_the_needed_term(self, monkeypatch):
         # L_s has the three-term resolution P_s <- P_e <- P_s; Ext^0 needs two.
-        # The resolution is kept on the module, so each count starts from a
-        # freshly built L_s.
+        # The resolution is kept on the module, and L_s is one object per
+        # algebra, so each count starts on a freshly built algebra.
         calls = []
         real = quiver.projective_cover
         monkeypatch.setattr(
             quiver, "projective_cover", lambda M: calls.append(M) or real(M)
         )
-        L_e = sl2_algebra.simple("e")
-        L_s = sl2_algebra.simple("s")
+        A = _sl2_algebra()
+        L_e, L_s = A.simple("e"), A.simple("s")
         assert ext_dims(L_s, L_e, 0) == [0]
         assert len(calls) == 2
         calls.clear()
-        assert ext_dims(sl2_algebra.simple("s"), L_e, 4) == [0, 1, 0, 0, 0]
+        B = _sl2_algebra()
+        assert ext_dims(B.simple("s"), B.simple("e"), 4) == [0, 1, 0, 0, 0]
         assert len(calls) == 3
         # a deeper call pays only the missing cover, a repeated one none
         calls.clear()
@@ -879,6 +902,13 @@ class TestMinimalTiltingComplexes:
         cpx, _ = cmin_module(sl2_tcat, sl2_block.module("tilt", "s"))
         assert cpx.label_counts() == {0: {"s": 1}}
 
+    def test_minimality_is_checked_by_minimize(self, sl2_block, monkeypatch):
+        # minimize checks its result once; cmin_module does not repeat it,
+        # and a failing check still stops it
+        monkeypatch.setattr(FormalComplex, "is_minimal", lambda self: False)
+        with pytest.raises(InternalInvariantError, match="left an invertible entry"):
+            cmin_module(TiltingCategory(sl2_block), sl2_block.module("simple", "s"))
+
 
 class TestCoresolutionMemo:
     # a coresolution is the tail of a sweep; a TiltingCategory keeps the
@@ -898,24 +928,34 @@ class TestCoresolutionMemo:
         for role, lab in self.MODULES:
             M = sl2_block.module(role, lab)
             hit, hit_kappa = cmin_module(shared, M, scan=scan)
-            new, new_kappa = cmin_module(TiltingCategory(sl2_block), M, scan=scan)
+            # fresh builds on fresh parses share no kept work with the hits
+            other = load_block("sl2")
+            new, new_kappa = cmin_module(
+                TiltingCategory(other), other.module(role, lab), scan=scan
+            )
             assert hit.summary() == new.summary(), (role, lab)
             assert hit.label_counts() == new.label_counts(), (role, lab)
             assert hit.diffs == new.diffs, (role, lab)
             assert hit_kappa == new_kappa, (role, lab)
             sweep = block_mod._sweep(shared, M)
-            fresh = block_mod._sweep(TiltingCategory(sl2_block), M)
+            other = load_block("sl2")
+            fresh = block_mod._sweep(TiltingCategory(other), other.module(role, lab))
             assert (sweep[0].terms, sweep[0].diffs) == (fresh[0].terms, fresh[0].diffs)
-            assert sweep[1:] == fresh[1:], (role, lab)
+            assert sweep[1] == fresh[1] and sweep[3] == fresh[3], (role, lab)
+            assert [(P.dims, P.mats) for P in sweep[2]] == [
+                (P.dims, P.mats) for P in fresh[2]
+            ], (role, lab)
         assert (len(shared._sweeps), len(shared._approximations)) == (4, 4)
 
     def test_key_is_module_content(self, sl2_block):
+        # the memos are keyed by the interned module: a rebuilt module of
+        # equal content is the same key, other matrices another one
         from tiltc.mincpx import block as block_mod
 
         tcat = TiltingCategory(sl2_block)
         proj_s = sl2_block.module("proj", "s")
-        copy = direct_sum([proj_s])
-        assert copy is not proj_s
+        copy = ModuleRep(sl2_block.algebra, dict(proj_s.dims), dict(proj_s.mats))
+        assert copy is proj_s and direct_sum([proj_s]) is proj_s
         assert block_mod._sweep(tcat, copy) is block_mod._sweep(tcat, proj_s)
         approx = block_mod._checked_approximation(tcat, proj_s)
         assert block_mod._checked_approximation(tcat, copy) is approx
@@ -924,11 +964,15 @@ class TestCoresolutionMemo:
         scaled = ModuleRep(
             sl2_block.algebra, proj_s.dims, {**proj_s.mats, "beta": ((2,),)}
         )
+        assert scaled is not proj_s
         scaled.validate()
         R, kappa, _, _ = block_mod._sweep(tcat, scaled)
         assert len(tcat._sweeps) == 2
         assert block_mod._checked_approximation(tcat, scaled)[1] != approx[1]
-        R_new, kappa_new, _, _ = block_mod._sweep(TiltingCategory(sl2_block), scaled)
+        # built again on a fresh parse, so from no kept work at all
+        other = load_block("sl2")
+        fresh = ModuleRep(other.algebra, scaled.dims, scaled.mats)
+        R_new, kappa_new, _, _ = block_mod._sweep(TiltingCategory(other), fresh)
         assert (R.terms, R.diffs, kappa) == (R_new.terms, R_new.diffs, kappa_new)
 
 
@@ -945,7 +989,10 @@ class TestComplexMemo:
         for role, lab in self.MODULES:
             M = sl2_block.module(role, lab)
             hit, hit_kappa = shared.minimal_complex(M, scan=scan)
-            new, new_kappa = cmin_module(TiltingCategory(sl2_block), M, scan=scan)
+            other = load_block("sl2")
+            new, new_kappa = cmin_module(
+                TiltingCategory(other), other.module(role, lab), scan=scan
+            )
             assert hit.terms == new.terms, (role, lab)
             assert hit.diffs == new.diffs, (role, lab)
             assert hit_kappa == new_kappa, (role, lab)
@@ -954,12 +1001,116 @@ class TestComplexMemo:
     def test_key_is_module_content_and_scan(self, sl2_block):
         tcat = TiltingCategory(sl2_block)
         std_s = sl2_block.module("std", "s")
-        copy = direct_sum([std_s])
-        assert copy is not std_s
+        copy = ModuleRep(sl2_block.algebra, dict(std_s.dims), dict(std_s.mats))
+        assert copy is std_s and direct_sum([std_s]) is std_s
         assert tcat.minimal_complex(copy) is tcat.minimal_complex(std_s)
         backward = tcat.minimal_complex(std_s, scan="backward")
         assert backward is not tcat.minimal_complex(std_s)
         assert len(tcat._complexes) == 2
+        # other matrices on the same dimension vector: another key
+        scaled = ModuleRep(sl2_block.algebra, std_s.dims, {"beta": ((2,),)})
+        assert scaled is not std_s
+        tcat.minimal_complex(scaled)
+        assert len(tcat._complexes) == 3
+
+
+class TestInterning:
+    """ModuleRep(algebra, dims, mats) is one object per normalized content."""
+
+    def test_equal_content_is_one_object(self, sl2_algebra):
+        A = sl2_algebra
+        M = ModuleRep(A, {"e": 1, "s": 1}, {"beta": ((1,),)})
+        # integral Fractions, explicit zero matrices and zero dimensions
+        # normalize away
+        assert ModuleRep(A, {"e": 1, "s": 1}, {"beta": [[F(2, 2)]], "alpha": ((0,),)}) is M
+        assert direct_sum([M]) is M
+        assert A.simple("e") is ModuleRep(A, {"e": 1, "s": 0}, {})
+
+    def test_other_content_is_another_object(self, sl2_algebra):
+        A = sl2_algebra
+        M = ModuleRep(A, {"e": 1, "s": 1}, {"beta": ((1,),)})
+        others = [
+            ModuleRep(A, {"e": 1, "s": 1}, {"beta": ((2,),)}),
+            ModuleRep(A, {"e": 1, "s": 1}, {"alpha": ((1,),)}),
+            ModuleRep(A, {"e": 1, "s": 1}),
+            ModuleRep(_sl2_algebra(), M.dims, M.mats),  # another algebra
+        ]
+        assert len({id(N) for N in [M, *others]}) == 5
+
+    def test_computed_modules_are_the_declared_ones(self):
+        from tiltc.mincpx.block import _rad_std
+
+        block = load_block("sl2")
+        assert _rad_std(block, "s")[0] is block.module("simple", "e")
+        for lab in block.labels:
+            P = projective_cover(block.module("simple", lab))[0]
+            assert P is block.module("proj", lab) is block.algebra.projective(lab)[0]
+
+    def test_blocks_share_no_module(self):
+        a, b = load_block("sl2"), load_block("sl2")
+        verify_block(a)
+        verify_block(b)
+        in_a = {id(M) for M in a.algebra._modules.values()}
+        in_b = {id(M) for M in b.algebra._modules.values()}
+        assert {id(M) for M in a.modules.values()} <= in_a
+        assert in_a and not in_a & in_b
+        # the two verifications built the same contents
+        assert set(a.algebra._modules) == set(b.algebra._modules)
+
+    def test_memo_hits_equal_fresh_builds(self):
+        # every module verify_block builds, with every result kept on it,
+        # against the same content built on a fresh parse
+        block = load_block("sl2")
+        verify_block(block)
+        for M in list(block.algebra._modules.values()):
+            A = load_block("sl2").algebra
+
+            def fresh(N):
+                return ModuleRep(A, N.dims, N.mats)
+
+            M2 = fresh(M)
+            M.validate()  # direct sums are not validated by their builder
+            M2.validate()
+            if M._cover is not None:
+                P, labels, cov = projective_cover(M)
+                P2, labels2, cov2 = projective_cover(M2)
+                assert (P.dims, P.mats, labels, cov) == (P2.dims, P2.mats, labels2, cov2)
+            for N, basis in list(M._homs.items()):
+                assert hom_basis(M2, fresh(N)) == basis, (M, N)
+            res = M._resolution
+            if res is None:
+                continue
+            res2 = quiver._resolve(M2, None if res.complete else len(res.terms) - 1)
+            assert [(P.dims, P.mats, labels) for P, labels in res.terms] == [
+                (P.dims, P.mats, labels) for P, labels in res2.terms
+            ]
+            assert (res.diffs, res.aug, res.complete) == (res2.diffs, res2.aug, res2.complete)
+            for N, ranks in list(res.ranks.items()):
+                up_to = max(0, len(ranks) - 2)  # reads len(ranks) terms
+                assert ext_dims(M2, fresh(N), up_to) == ext_dims(M, N, up_to)
+                assert res2.ranks[fresh(N)] == ranks
+
+    def test_a_fresh_parse_solves_again(self, monkeypatch):
+        # no memo outlives its parsed block: a second verification does as
+        # many hom-basis solves as the first
+        from tiltc.mincpx import block as block_mod
+
+        solves = []
+        real = quiver.hom_basis
+
+        def counted(M, N):
+            solves.append(N not in M._homs)
+            return real(M, N)
+
+        for mod in (quiver, block_mod):
+            monkeypatch.setattr(mod, "hom_basis", counted)
+        counts = []
+        for _ in range(2):
+            solves.clear()
+            verify_block(load_block("sl2"))
+            counts.append(sum(solves))
+        assert counts[0] == counts[1] > 0
+        assert len(solves) > counts[1]  # and some requests were memo hits
 
 
 class TestVerifyBlock:
@@ -991,13 +1142,13 @@ class TestVerifyBlock:
         monkeypatch.setattr(
             block_mod,
             "_approximation",
-            lambda tcat, M: calls.append(M.content_key()) or real(tcat, M),
+            lambda tcat, M: calls.append(M) or real(tcat, M),
         )
         block = load_block("sl2")
         verify_block(block)
         assert len(calls) == len(set(calls)) == 3
-        assert block.algebra.projective("s")[0].content_key() in calls
-        assert block.module("simple", "e").content_key() in calls
+        assert block.algebra.projective("s")[0] in calls
+        assert block.module("simple", "e") in calls
 
     def test_each_complex_is_built_once(self, monkeypatch):
         # suites 3, 4 and 6 ask for 9 complexes, but std_e, simple_e and the
@@ -1009,7 +1160,7 @@ class TestVerifyBlock:
         monkeypatch.setattr(
             block_mod,
             "cmin_module",
-            lambda tcat, M, scan="forward": calls.append((M.content_key(), scan))
+            lambda tcat, M, scan="forward": calls.append((M, scan))
             or real(tcat, M, scan),
         )
         verify_block(load_block("sl2"))
