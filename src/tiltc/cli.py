@@ -15,22 +15,27 @@ Exit codes: 0 success, 1 usage error, 2 invalid input or cache failure,
 3 violated internal invariant.  Errors print one ``error: <kind>: ...``
 line to stderr.  Output bytes are deterministic for fixed inputs: entries
 are sorted by (length, word) and JSON keys are sorted.
+
+Start-up imports only the layers every ``kl`` and ``tilt`` query runs
+(coxeter, hecke, laurent); the tables, the root data, the oracle, ``json``
+and the store's file modules are imported by the commands that use them.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from .coxeter import CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
 from .hecke import HeckeContext, PolyStore
-from .laurent import ZERO
-from .rootdata import LinkageDatum, parse_weight
-from .tilting import CategoryO, KacMoody, MultiplicityTable, Quantum
+from .laurent import ZERO, LaurentPoly
+
+if TYPE_CHECKING:
+    from .tilting import MultiplicityTable
 
 FORMATS = click.Choice(["text", "json", "tsv"])
 
@@ -129,7 +134,7 @@ def kl_cmd(
             raise click.UsageError("a direct query needs at least one --y")
         uppers = list(y_texts)
 
-    def run_column(upper_text: str) -> list[dict]:
+    def run_column(upper_text: str) -> list[tuple[tuple[int, ...], tuple[int, ...], LaurentPoly]]:
         upper = system.element(_parse_word_arg(upper_text))
         if inverse:
             col = hecke.inverse_column(fam, I, upper)
@@ -140,57 +145,49 @@ def kl_cmd(
             wanted = {system.element(_parse_word_arg(t)) for t in y_texts}
         elif not inverse and x_text is not None:
             wanted = {system.element(_parse_word_arg(x_text))}
-        records = []
-        for lower in sorted(col, key=lambda z: z.sort_key()):
-            if wanted is not None and lower not in wanted:
-                continue
-            poly = col[lower]
-            if wanted is None and poly.is_zero():
-                continue
-            pair = (
-                (upper.word, lower.word) if inverse else (lower.word, upper.word)
-            )
-            records.append({"x": pair[0], "y": pair[1], "poly": poly})
-        if wanted is not None:
-            seen = {r["y"] if inverse else r["x"] for r in records}
-            for z in sorted(wanted, key=lambda z: z.sort_key()):
-                if z.word not in seen:
-                    pair = (upper.word, z.word) if inverse else (z.word, upper.word)
-                    records.append({"x": pair[0], "y": pair[1], "poly": ZERO})
-        return records
+        entries = sorted(col.items(), key=lambda e: e[0].sort_key())
+        if wanted is None:
+            found = [(z, p) for z, p in entries if not p.is_zero()]
+        else:
+            found = [(z, p) for z, p in entries if z in wanted]
+            missing = wanted.difference(z for z, _ in found)
+            found += [(z, ZERO) for z in sorted(missing, key=lambda z: z.sort_key())]
+        if inverse:
+            return [(upper.word, z.word, p) for z, p in found]
+        return [(z.word, upper.word, p) for z, p in found]
 
     records = [r for t in uppers for r in run_column(t)]
     _save_store(store, store_path)
 
+    # a column holds a handful of distinct polynomials and one upper word:
+    # format each of them once
+    polys = {p for _, _, p in records}
+    words = {w for x, y, _ in records for w in (x, y)}
     if fmt == "json":
+        import json
+
+        poly_obj = {p: p.to_json_obj() for p in polys}
+        word_text = {w: format_word(w) for w in words}
         obj = {
             "system": system.tag,
             "family": fam,
             "I": list(I),
             "inverse": inverse,
             "records": [
-                {
-                    "x": format_word(r["x"]),
-                    "y": format_word(r["y"]),
-                    "poly": r["poly"].to_json_obj(),
-                }
-                for r in records
+                {"x": word_text[x], "y": word_text[y], "poly": poly_obj[p]}
+                for x, y, p in records
             ],
         }
         click.echo(json.dumps(obj, sort_keys=True, indent=2))
         return
     single = len(records) == 1 and x_text is not None and len(y_texts) == 1
     if fmt == "text" and single:
-        click.echo(records[0]["poly"].to_text())
+        click.echo(records[0][2].to_text())
         return
     if records:  # one write: echo scans and flushes once per call
-        # the upper word repeats on every record of a column: format each word once
-        shown = {w: _show_word(w) for w in {w for r in records for w in (r["x"], r["y"])}}
-        click.echo(
-            "\n".join(
-                f"{shown[r['x']]}\t{shown[r['y']]}\t{r['poly'].to_text()}" for r in records
-            )
-        )
+        poly_text = {p: p.to_text() for p in polys}
+        shown = {w: _show_word(w) for w in words}
+        click.echo("\n".join(f"{shown[x]}\t{shown[y]}\t{poly_text[p]}" for x, y, p in records))
 
 
 # -- tilt ----------------------------------------------------------------------------
@@ -198,18 +195,22 @@ def kl_cmd(
 
 def _emit_table(table: MultiplicityTable, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         click.echo(json.dumps(table.to_json_obj(), sort_keys=True, indent=2))
         return
+    lines = []
     for w, p in table.entries:
         cells = [_show_word(w), p.to_text()]
         if table.weights is not None and w in table.weights:
             cells.append(table.weights[w])
-        click.echo("\t".join(cells))
+        lines.append("\t".join(cells))
     if fmt == "text":
         nabla, delta = table.dims()
-        click.echo(f"# dims\tnabla={nabla}\tdelta={delta}")
-        for flag in table.flags:
-            click.echo(f"# flag\t{flag}")
+        lines.append(f"# dims\tnabla={nabla}\tdelta={delta}")
+        lines += [f"# flag\t{flag}" for flag in table.flags]
+    if lines:  # one write, as in kl
+        click.echo("\n".join(lines))
 
 
 @cli.group("tilt")
@@ -247,6 +248,8 @@ def _run_table(setting, standard: bool, x_text: str, y_text: str | None, **kw):
 @_table_options
 def tilt_o(type_tag, i_text, j_text, x_text, y_text, standard, fmt, no_cache, cache_path):
     """Regular block of category O for a finite Weyl group."""
+    from .tilting import CategoryO
+
     system = CoxeterSystem.from_type(type_tag)
     store, path = _open_store(_cache_dir(cache_path), system.tag, len(system.names), no_cache)
     setting = CategoryO(HeckeContext(system, store), I=parse_word(i_text), J=parse_word(j_text))
@@ -275,6 +278,8 @@ def tilt_km(
     x_text, y_text, standard, max_length, fmt, no_cache, cache_path,
 ):
     """Affine Kac-Moody category O at negative or positive level."""
+    from .tilting import KacMoody
+
     system = CoxeterSystem.from_type(type_tag)
     store, path = _open_store(_cache_dir(cache_path), system.tag, len(system.names), no_cache)
     setting = KacMoody(
@@ -311,6 +316,9 @@ def tilt_quantum(
     """Quantum group at a root of unity: one linkage class of tilting modules."""
     if (weight_text is None) == (x_text is None):
         raise click.UsageError("give exactly one of --weight or --x")
+    from .rootdata import LinkageDatum, parse_weight
+    from .tilting import Quantum
+
     datum = LinkageDatum(type_tag, ell)
     store, path = _open_store(
         _cache_dir(cache_path), datum.coxeter.tag, len(datum.coxeter.names), no_cache

@@ -28,10 +28,12 @@ An h column is read off a spherical one.  With K = L(y), which generates a
 finite parabolic, and y = w_K y', h_{x,y} = v h_{sx,y} for s in K with
 sx > x (Kazhdan-Lusztig 1979) and h_{w_K x', w_K y'} = m^K_{x',y'}
 (Deodhar 1987), so h_{u x',y} = v^(l(w_K) - l(u)) m^K_{x',y'} for u in W_K.
-Every computed column is checked to be unitriangular over v*Z[v].  A single
-h entry (poly, mu) is read off the m^K column without expansion: no h
-column is built or memoized, W_K is not enumerated (l(w_K) is read off w_K,
-once per K), and the one entry is checked instead.
+Every m and n column, computed or stored, is checked to be unitriangular
+over v*Z[v].  An h column is not checked again: each entry is v^d times an
+entry of the checked m^K column, with d >= 0 and d = 0 only on the
+diagonal.  A single h entry (poly, mu) is read off the m^K column without
+expansion: no h column is built or memoized, W_K is not enumerated (l(w_K)
+is read off w_K, once per K), and the one entry is checked.
 
 The inverse families come by signed unitriangular inversion of the direct
 ones: inverse_combination pushes sum_a c_a fam^{a,.} down the lengths from
@@ -62,12 +64,7 @@ Family keys: ("h", ()), ("m", I), ("n", I) and the inverse families
 
 from __future__ import annotations
 
-import fcntl
-import glob
-import hashlib
-import json
 import os
-import tempfile
 from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -121,6 +118,8 @@ def _unpack(n: int, width: int, off: int = 0) -> Terms:
 @contextmanager
 def _store_lock(path: Path) -> Iterator[None]:
     """Hold the exclusive flock on the sidecar ``<name>.lock`` of a store file."""
+    import fcntl
+
     with open(path.with_name(path.name + ".lock"), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         yield
@@ -145,6 +144,9 @@ class PolyStore:
     slot is a CacheError.  ``save`` writes a record nobody read back as its
     line, which is already canonical (sorted keys, compact separators), so
     the bytes written do not depend on what was read.
+
+    The file modules (json, hashlib, tempfile, fcntl, glob) are imported by
+    the methods that use them, so a query without a store loads none of them.
 
     A save holds an exclusive flock on the sidecar file ``<name>.lock``, and
     under it merges the records on disk with this store's, so concurrent
@@ -218,6 +220,8 @@ class PolyStore:
         """The record line of a column; an unread record keeps its line."""
         if isinstance(col, tuple):
             return col[0]
+        import json
+
         rec = {
             "family": fam_id,
             "upper": format_word(upper),
@@ -229,6 +233,10 @@ class PolyStore:
         return json.dumps(rec, separators=(",", ":"), sort_keys=True)
 
     def save(self, path: str | Path) -> None:
+        import hashlib
+        import json
+        import tempfile
+
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with _store_lock(path):
@@ -282,6 +290,8 @@ class PolyStore:
         whether the file existed.  The lock file stays.  Both go under the
         lock, so a save in flight renames its file into place first, and
         every temp file left is stale."""
+        import glob
+
         path = Path(path)
         with _store_lock(path):
             for tmp in path.parent.glob(glob.escape(f".{path.name}.") + "*.tmp"):
@@ -292,6 +302,9 @@ class PolyStore:
 
     @classmethod
     def load(cls, path: str | Path, system_tag: str, generators: int) -> "PolyStore":
+        import hashlib
+        import json
+
         path = Path(path)
         text = path.read_text()
         head, _, body = text.partition("\n")
@@ -454,7 +467,8 @@ class HeckeContext:
             col, bound = self._expand_spherical(y)
         else:
             col, bound = self._product_column(fam, I, y, key[0]), None
-        self._check_column(col, y, key[0], loaded=raw is not None)
+        if fam != "h":  # an h entry shifts a checked m^K entry (module docstring)
+            self._check_column(col, y, key[0], loaded=raw is not None)
         if bound is None:  # the largest coefficient of its distinct entries
             bound = max((max(abs(c) for _, c in self._poly(n)) for n in set(col.values())), default=0)
         if stored and raw is None:

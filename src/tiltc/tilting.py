@@ -36,13 +36,15 @@ disabled and the result flagged "literal-positive-text".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterElement, format_word
 from .errors import InternalInvariantError, ValidationError
 from .hecke import HeckeContext, PolyStore
 from .laurent import ONE, ZERO, LaurentPoly, _mac
-from .rootdata import LinkageDatum, format_weight
+
+if TYPE_CHECKING:  # imported where read, so O and KM tables never load it
+    from .rootdata import LinkageDatum
 
 __all__ = [
     "MultiplicityTable",
@@ -477,6 +479,8 @@ class Quantum(_NegativeLike):
         cls, type_tag: str, ell: int, weight: Sequence[int], store: PolyStore | None = None
     ) -> tuple["Quantum", CoxeterElement]:
         """Build the setting of a dominant weight; returns it and the index x."""
+        from .rootdata import LinkageDatum, format_weight
+
         datum = LinkageDatum(type_tag, ell)
         if not datum.is_dominant(weight):
             raise ValidationError(
@@ -501,6 +505,8 @@ class Quantum(_NegativeLike):
         """Attach the weight of every row and of x, when built from a weight."""
         if self.lam0 is None:
             return table
+        from .rootdata import format_weight
+
         return replace(
             table,
             weights={

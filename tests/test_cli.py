@@ -4,6 +4,9 @@ codes, formats, cache behavior, and byte determinism."""
 import fcntl
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from tiltc.hecke import SLOT, HeckeContext, PolyStore, _pack
 from tiltc.laurent import LaurentPoly
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -554,6 +558,48 @@ class TestCache:
         (tmp_path / "A2.jsonl").write_text((tmp_path / "A1.jsonl").read_text())
         rc, _, err = run(capsys, "kl", "--type", "A2", "--y", "1", "--cache-path", cache)
         assert rc == 2 and err.startswith("error: cache:")
+
+
+def loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter loads running code after ``import click``."""
+    script = (
+        "import sys, click\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "TILTC_CACHE"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestStartup:
+    """Start-up loads what every kl and tilt query runs; commands load the rest."""
+
+    def test_import_loads_the_query_layers_only(self):
+        new = loaded_after("import tiltc.cli")
+        assert {m for m in new if m.partition(".")[0] == "tiltc"} == {
+            "tiltc", "tiltc.cli", "tiltc.coxeter", "tiltc.errors", "tiltc.hecke", "tiltc.laurent",
+        }
+        assert not new & {"fractions", "decimal", "dataclasses", "hashlib", "json"}
+
+    def test_kl_query_loads_no_tables(self):
+        new = loaded_after(
+            "from tiltc.cli import main\n"
+            'assert main(["kl", "--type", "A3", "--y", "1 2 1", "--no-cache"]) == 0'
+        )
+        assert "tiltc.tilting" not in new and "tiltc.rootdata" not in new
+
+    def test_tilt_O_query_loads_no_root_data(self):
+        new = loaded_after(
+            "from tiltc.cli import main\n"
+            'assert main(["tilt", "O", "--type", "A2", "--x", "1 2", "--no-cache"]) == 0'
+        )
+        assert "tiltc.tilting" in new and "tiltc.rootdata" not in new
 
 
 class TestHelp:

@@ -128,6 +128,20 @@ class TestSphericalReduction:
         assert len(col) == 51840
         assert all(p == LaurentPoly.v(w0.length - x.length) for x, p in col.items())
 
+    def test_the_mK_check_guards_h_columns(self, monkeypatch):
+        # an h column is not checked again, so a constant term off the
+        # diagonal of the m^K column it expands must be caught when m^K is built
+        product = HeckeContext._product_column
+
+        def bad_product(self, fam, I, y, fid):
+            col = product(self, fam, I, y, fid)
+            return {u: n + (u != y.id) for u, n in col.items()}
+
+        monkeypatch.setattr(HeckeContext, "_product_column", bad_product)
+        y = A3.element((1, 2))  # L(y) = {1}: read off the m[1] column of 2
+        with pytest.raises(InternalInvariantError, match="computed column .* of m\\[1\\]"):
+            ctx(A3).kl_column(y)
+
 
 @pytest.mark.parametrize("slot", [3, 4])
 def test_narrow_slots_give_the_column_or_raise(monkeypatch, slot):
@@ -834,7 +848,7 @@ class TestPolyStore:
             decoded.append(text)
             return loads(text)
 
-        monkeypatch.setattr(hecke.json, "loads", counting_loads)
+        monkeypatch.setattr(json, "loads", counting_loads)
         store = PolyStore.load(path, "A3", 3)
         for fam_id, fam in store.columns.items():
             for upper in list(fam):
