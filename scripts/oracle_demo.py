@@ -22,10 +22,10 @@ def show_complex(tcat, cpx) -> None:
     for n in cpx.degrees():
         if cpx.term(n + 1):
             print(f"    d^{n}: {cpx.term(n)} -> {cpx.term(n + 1)}")
-            for i, (t, row) in enumerate(zip(cpx.term(n + 1), cpx.diff(n))):
+            for i, t in enumerate(cpx.term(n + 1)):
                 cells = ", ".join(
-                    str(tuple(map(str, tcat.coordinatize(s, t, f))))
-                    for s, f in zip(cpx.term(n), row)
+                    str(tuple(map(str, tcat.coordinatize(s, t, cpx.component(n, i, j)))))
+                    for j, s in enumerate(cpx.term(n))
                 )
                 print(f"      row {i}: {cells}")
 

@@ -24,6 +24,7 @@ and the store's file modules are imported by the commands that use them.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,19 +60,21 @@ def _cache_dir(explicit: str | None) -> Path | None:
     return Path(env) if env else None
 
 
-def _open_store(
-    cache_dir: Path | None, tag: str, generators: int, no_cache: bool
-) -> tuple[PolyStore | None, Path | None]:
+@contextmanager
+def _column_store(system: CoxeterSystem, cache_path: str | None, no_cache: bool):
+    """The persistent column store of system, or None without a cache
+    directory; saved, if the body added columns, when the body returns."""
+    cache_dir = _cache_dir(cache_path)
     if no_cache or cache_dir is None:
-        return None, None
-    path = cache_dir / f"{tag}.jsonl"
+        yield None
+        return
+    path = cache_dir / f"{system.tag}.jsonl"
     if path.exists():
-        return PolyStore.load(path, tag, generators), path
-    return PolyStore(tag, generators), path
-
-
-def _save_store(store: PolyStore | None, path: Path | None) -> None:
-    if store is not None and path is not None and store.dirty:
+        store = PolyStore.load(path, system.tag, len(system.names))
+    else:
+        store = PolyStore(system.tag, len(system.names))
+    yield store
+    if store.dirty:
         store.save(path)
 
 
@@ -120,44 +123,41 @@ def kl_cmd(
     I = parse_word(parabolic_text) if parabolic_text else ()
     fam = "h" if flavor is None else ("m" if flavor == "spherical" else "n")
     system = CoxeterSystem.from_type(type_tag)
-    store, store_path = _open_store(
-        _cache_dir(cache_path), system.tag, len(system.names), no_cache
-    )
-    hecke = HeckeContext(system, store)
+    with _column_store(system, cache_path, no_cache) as store:
+        hecke = HeckeContext(system, store)
 
-    if inverse:
-        if x_text is None:
-            raise click.UsageError("--inverse needs --x (the column index)")
-        uppers = [x_text]
-    else:
-        if not y_texts:
-            raise click.UsageError("a direct query needs at least one --y")
-        uppers = list(y_texts)
-
-    def run_column(upper_text: str) -> list[tuple[tuple[int, ...], tuple[int, ...], LaurentPoly]]:
-        upper = system.element(_parse_word_arg(upper_text))
         if inverse:
-            col = hecke.inverse_column(fam, I, upper)
+            if x_text is None:
+                raise click.UsageError("--inverse needs --x (the column index)")
+            uppers = [x_text]
         else:
-            col = hecke.column(fam, I, upper)
-        wanted = None
-        if inverse and y_texts:
-            wanted = {system.element(_parse_word_arg(t)) for t in y_texts}
-        elif not inverse and x_text is not None:
-            wanted = {system.element(_parse_word_arg(x_text))}
-        entries = sorted(col.items(), key=lambda e: e[0].sort_key())
-        if wanted is None:
-            found = [(z, p) for z, p in entries if not p.is_zero()]
-        else:
-            found = [(z, p) for z, p in entries if z in wanted]
-            missing = wanted.difference(z for z, _ in found)
-            found += [(z, ZERO) for z in sorted(missing, key=lambda z: z.sort_key())]
-        if inverse:
-            return [(upper.word, z.word, p) for z, p in found]
-        return [(z.word, upper.word, p) for z, p in found]
+            if not y_texts:
+                raise click.UsageError("a direct query needs at least one --y")
+            uppers = list(y_texts)
 
-    records = [r for t in uppers for r in run_column(t)]
-    _save_store(store, store_path)
+        def run_column(upper_text: str) -> list[tuple[tuple[int, ...], tuple[int, ...], LaurentPoly]]:
+            upper = system.element(_parse_word_arg(upper_text))
+            if inverse:
+                col = hecke.inverse_column(fam, I, upper)
+            else:
+                col = hecke.column(fam, I, upper)
+            wanted = None
+            if inverse and y_texts:
+                wanted = {system.element(_parse_word_arg(t)) for t in y_texts}
+            elif not inverse and x_text is not None:
+                wanted = {system.element(_parse_word_arg(x_text))}
+            entries = sorted(col.items(), key=lambda e: e[0].sort_key())
+            if wanted is None:
+                found = [(z, p) for z, p in entries if not p.is_zero()]
+            else:
+                found = [(z, p) for z, p in entries if z in wanted]
+                missing = wanted.difference(z for z, _ in found)
+                found += [(z, ZERO) for z in sorted(missing, key=lambda z: z.sort_key())]
+            if inverse:
+                return [(upper.word, z.word, p) for z, p in found]
+            return [(z.word, upper.word, p) for z, p in found]
+
+        records = [r for t in uppers for r in run_column(t)]
 
     # a column holds a handful of distinct polynomials and one upper word:
     # format each of them once
@@ -233,8 +233,7 @@ def _table_options(fn):
     return fn
 
 
-def _run_table(setting, standard: bool, x_text: str, y_text: str | None, **kw):
-    x_word = _parse_word_arg(x_text)
+def _run_table(setting, standard: bool, x_word: tuple[int, ...], y_text: str | None, **kw):
     y_word = _parse_word_arg(y_text) if y_text is not None else None
     if standard:
         return setting.standard_table(x_word, y_word, **kw)
@@ -251,10 +250,9 @@ def tilt_o(type_tag, i_text, j_text, x_text, y_text, standard, fmt, no_cache, ca
     from .tilting import CategoryO
 
     system = CoxeterSystem.from_type(type_tag)
-    store, path = _open_store(_cache_dir(cache_path), system.tag, len(system.names), no_cache)
-    setting = CategoryO(HeckeContext(system, store), I=parse_word(i_text), J=parse_word(j_text))
-    table = _run_table(setting, standard, x_text, y_text)
-    _save_store(store, path)
+    with _column_store(system, cache_path, no_cache) as store:
+        setting = CategoryO(HeckeContext(system, store), I=parse_word(i_text), J=parse_word(j_text))
+        table = _run_table(setting, standard, _parse_word_arg(x_text), y_text)
     _emit_table(table, fmt)
 
 
@@ -281,20 +279,19 @@ def tilt_km(
     from .tilting import KacMoody
 
     system = CoxeterSystem.from_type(type_tag)
-    store, path = _open_store(_cache_dir(cache_path), system.tag, len(system.names), no_cache)
-    setting = KacMoody(
-        HeckeContext(system, store),
-        I=parse_word(i_text),
-        J=parse_word(j_text),
-        level=level,
-    )
-    kw = {"max_len": max_length}
-    if literal_positive_text:
-        if standard:
-            raise click.UsageError("--literal-positive-text applies to --simple tables")
-        kw["literal_text"] = True
-    table = _run_table(setting, standard, x_text, y_text, **kw)
-    _save_store(store, path)
+    with _column_store(system, cache_path, no_cache) as store:
+        setting = KacMoody(
+            HeckeContext(system, store),
+            I=parse_word(i_text),
+            J=parse_word(j_text),
+            level=level,
+        )
+        kw = {"max_len": max_length}
+        if literal_positive_text:
+            if standard:
+                raise click.UsageError("--literal-positive-text applies to --simple tables")
+            kw["literal_text"] = True
+        table = _run_table(setting, standard, _parse_word_arg(x_text), y_text, **kw)
     _emit_table(table, fmt)
 
 
@@ -320,23 +317,16 @@ def tilt_quantum(
     from .tilting import Quantum
 
     datum = LinkageDatum(type_tag, ell)
-    store, path = _open_store(
-        _cache_dir(cache_path), datum.coxeter.tag, len(datum.coxeter.names), no_cache
-    )
-    if weight_text is not None:
-        if i_text:
-            raise click.UsageError("--I is derived from the weight; use it only with --x")
-        setting, x = Quantum.from_weight(type_tag, ell, parse_weight(weight_text), store=store)
-        x_word: tuple[int, ...] = x.word
-    else:
-        setting = Quantum(datum, parse_word(i_text), store=store)
-        x_word = _parse_word_arg(x_text)
-    y_word = _parse_word_arg(y_text) if y_text is not None else None
-    if standard:
-        table = setting.standard_table(x_word, y_word)
-    else:
-        table = setting.simple_table(x_word, y_word)
-    _save_store(store, path)
+    with _column_store(datum.coxeter, cache_path, no_cache) as store:
+        if weight_text is not None:
+            if i_text:
+                raise click.UsageError("--I is derived from the weight; use it only with --x")
+            setting, x = Quantum.from_weight(type_tag, ell, parse_weight(weight_text), store=store)
+            x_word = x.word
+        else:
+            setting = Quantum(datum, parse_word(i_text), store=store)
+            x_word = _parse_word_arg(x_text)
+        table = _run_table(setting, standard, x_word, y_text)
     _emit_table(table, fmt)
 
 

@@ -2,9 +2,9 @@
 
 Realizes a highest-weight block as quiver representations, computes minimal
 complexes of tilting objects (one sweep of add(T)-approximations and
-pushouts up a projective resolution, then Gaussian elimination on the
-module maps between tilting summands), and verifies the closed
-multiplicity formulas against them.  Everything here is independent of the
+pushouts up a projective resolution, then Gaussian elimination on the block
+matrix of each differential, one module map between the sums of tilting
+summands), and verifies the closed multiplicity formulas against them.  Everything here is independent of the
 Hecke-algebra recursions: agreement between the two routes is the point.
 """
 

@@ -6,15 +6,16 @@ per label: ``simple``, ``std`` (standard), ``costd`` (costandard),
 ``tilt`` (indecomposable tilting), ``proj`` (projective cover) and
 ``inj`` (injective hull).  All computations happen over exact rationals.
 
-Bounded complexes of tilting modules hold their differential components as
-module maps; hom bases between the tilting modules serve the approximations,
-the radical maps and the coordinates a caller may print.  ``cmin_module``
-rebuilds the minimal tilting complex of any module from first principles in
-one sweep up its minimal projective resolution: embed the current module in
-its minimal left add(T)-approximation (Ringel 1991, read off hom bases),
-push the rest forward onto the next projective, go on with plain cokernels
-once the projectives run out, and strip invertible differential entries by
-Gaussian elimination.
+A bounded complex of tilting modules holds each differential as one module
+map between the sums of its terms; hom bases between the tilting modules
+serve the approximations, the radical maps and the coordinates of the
+components a caller may print.  ``cmin_module`` rebuilds the minimal
+tilting complex of any module from first principles in one sweep up its
+minimal projective resolution: embed the current module in its minimal left
+add(T)-approximation (Ringel 1991, read off hom bases), push the rest
+forward onto the next projective, go on with plain cokernels once the
+projectives run out, and strip invertible same-label components by Gaussian
+elimination on the block matrix of each differential.
 Every step carries exact witnesses (each approximation is injective with a
 standard-filtered cokernel; the comparison map passes its chain-map
 identities and its cone is acyclic by vertexwise rank counting), so the
@@ -49,7 +50,7 @@ from typing import Mapping, Sequence
 from ..coxeter import parse_word
 from ..errors import InternalInvariantError, ValidationError
 from . import linalg
-from .complexes import FormalComplex, assemble, minimize, split
+from .complexes import FormalComplex, minimize
 from .quiver import (
     AlgebraPresentation,
     ModuleRep,
@@ -496,7 +497,7 @@ def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
     to_p = from_p  # X -> P_(-k), through the section of the last pushout
     from_t: VMap | None = None  # T^(k-1) -> X
     terms: dict[int, tuple[str, ...]] = {}
-    diffs: dict[int, list[list[VMap]]] = {}
+    diffs: dict[int, VMap] = {}
     kappa: dict[int, VMap] = {}
     while k <= 0 or not X.is_zero():
         if k > _SWEEP_GUARD:
@@ -505,8 +506,7 @@ def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
         T = tcat.sum_rep(labels)
         terms[k] = labels
         if from_t is not None:
-            d_mod = vmap_compose(f, from_t, tcat.sum_rep(terms[k - 1]), T)
-            diffs[k - 1] = split(tcat.tilts, terms[k - 1], labels, d_mod)
+            diffs[k - 1] = vmap_compose(f, from_t, tcat.sum_rep(terms[k - 1]), T)
         if k <= 0:
             kappa[k] = vmap_compose(f, from_p, projs[-k], T)
         if k >= 0:
@@ -563,8 +563,7 @@ def _minimize_carrying(
     out: dict[int, VMap] = {}
     for n, kap in kappa.items():
         if n in pi:
-            big = assemble(tcat.tilts, C.term(n), C_min.term(n), pi[n])
-            out[n] = vmap_compose(big, kap, projs[-n], tcat.sum_rep(C_min.term(n)))
+            out[n] = vmap_compose(pi[n], kap, projs[-n], tcat.sum_rep(C_min.term(n)))
     return C_min, out
 
 
@@ -583,7 +582,7 @@ def _verify_cmin(
     lo = min([-m - 1] + y_degs)
     hi = max([0] + y_degs) + 1
     sums = {n: tcat.sum_rep(Y.term(n)) for n in range(lo, hi + 1)}
-    dY = {n: Y.block(n) for n in Y.diffs}  # both terms nonzero
+    dY = Y.diffs  # both terms nonzero
     # chain-map identities, module level
     for i in range(1, m + 1):
         n = -i

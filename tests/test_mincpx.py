@@ -581,18 +581,42 @@ class TestCategoryPresentation:
             verify_block(block)
 
 
+def _block_map(tilts, srcs, tgts, grid):
+    """The map between the sums of srcs and of tgts whose component from
+    summand j to summand i is grid[i][j] (None for zero)."""
+    return {
+        v: linalg.blocks(
+            [[None if f is None else f[v] for f in row] for row in grid],
+            [tilts[t].dims[v] for t in tgts],
+            [tilts[s].dims[v] for s in srcs],
+        )
+        for v in next(iter(tilts.values())).algebra.vertices
+    }
+
+
 class TestFormalComplex:
     def test_validate_rejects_nonzero_square(self, toy):
         bad = FormalComplex(
             toy["tilts"],
             {0: ("s",), 1: ("s",), 2: ("s",)},
-            {0: [[toy["eps"]]], 1: [[toy["id_s"]]]},
+            {0: toy["eps"], 1: toy["id_s"]},
         )
         with pytest.raises(InternalInvariantError):
             bad.validate()
 
+    def test_validate_rejects_wrong_shape(self, toy):
+        # f: tilt_e -> tilt_s given as the differential tilt_s -> tilt_e
+        bad = FormalComplex(toy["tilts"], {1: ("s",), 2: ("e",)}, {1: toy["f"]})
+        with pytest.raises(ValidationError, match="differential at degree 1 has wrong shape"):
+            bad.validate()
+        # the identity of tilt_s with one column too many at vertex s
+        wide = dict(toy["id_s"], s=((1, 0),))
+        bad = FormalComplex(toy["tilts"], {0: ("s",), 1: ("s",)}, {0: wide})
+        with pytest.raises(ValidationError, match="differential at degree 0 has wrong shape"):
+            bad.validate()
+
     def test_minimize_contractible_to_zero(self, toy):
-        Y = FormalComplex(toy["tilts"], {0: ("s",), 1: ("s",)}, {0: [[toy["id_s"]]]})
+        Y = FormalComplex(toy["tilts"], {0: ("s",), 1: ("s",)}, {0: toy["id_s"]})
         m, _ = minimize(Y)
         assert m.terms == {}
 
@@ -600,29 +624,28 @@ class TestFormalComplex:
         Z = FormalComplex(
             toy["tilts"],
             {0: ("s",), 1: ("s",), 2: ("s",)},
-            {0: [[toy["eps"]]], 1: [[toy["eps"]]]},
+            {0: toy["eps"], 1: toy["eps"]},
         )
         m, pi = minimize(Z)
         assert m.label_counts() == {0: {"s": 1}, 1: {"s": 1}, 2: {"s": 1}}
         # projection onto an untouched complex is the identity
-        assert pi[0] == ((toy["id_s"],),)
+        assert pi[0] == toy["id_s"]
 
     def test_minimize_partial_elimination(self, toy):
-        W = FormalComplex(
-            toy["tilts"], {0: ("e", "s"), 1: ("s",)}, {0: [[toy["f"], toy["id_s"]]]}
-        )
+        tilts = toy["tilts"]
+        d = _block_map(tilts, ("e", "s"), ("s",), [[toy["f"], toy["id_s"]]])
+        W = FormalComplex(tilts, {0: ("e", "s"), 1: ("s",)}, {0: d})
         m, pi = minimize(W)
         assert m.label_counts() == {0: {"e": 1}}
-        assert pi[0] == ((toy["id_e"], toy["zero_se"]),)
+        assert pi[0] == _block_map(tilts, ("e", "s"), ("e",), [[toy["id_e"], toy["zero_se"]]])
         assert 1 not in pi
 
     def test_scan_orders_agree(self, toy):
-        zero = quiver.vmap_zero(toy["tilts"]["e"], toy["tilts"]["s"])
-        W = FormalComplex(
-            toy["tilts"],
-            {0: ("s", "e"), 1: ("s", "s")},
-            {0: [[toy["id_s"], toy["f"]], [toy["eps"], zero]]},
+        tilts = toy["tilts"]
+        d = _block_map(
+            tilts, ("s", "e"), ("s", "s"), [[toy["id_s"], toy["f"]], [toy["eps"], None]]
         )
+        W = FormalComplex(tilts, {0: ("s", "e"), 1: ("s", "s")}, {0: d})
         mf, _ = minimize(W, scan="forward")
         mb, _ = minimize(W, scan="backward")
         assert mf.label_counts() == mb.label_counts()
@@ -754,8 +777,8 @@ class TestTiltingCategory:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_block_coordinate_roundtrip(self, sl2_tcat, data):
-        # components built from drawn hom-basis coordinates assemble into one
-        # map between the sums, which splits back into the same components
+        # components built from drawn hom-basis coordinates, assembled into
+        # one differential between the sums, read back through component()
         srcs = data.draw(st.sampled_from(self.LABEL_TUPLES))
         tgts = data.draw(st.sampled_from(self.LABEL_TUPLES))
         tilts = sl2_tcat.tilts
@@ -773,16 +796,13 @@ class TestTiltingCategory:
             ]
             for t, row in zip(tgts, coords)
         ]
-        f = complexes.assemble(tilts, srcs, tgts, grid)
-        for v in sl2_tcat.algebra.vertices:
-            rows = sum(tilts[t].dims[v] for t in tgts)
-            cols = sum(tilts[s].dims[v] for s in srcs)
-            assert len(f[v]) == rows
-            assert all(len(row) == cols for row in f[v])
-        assert complexes.split(tilts, srcs, tgts, f) == grid
-        for t, row, crow in zip(tgts, grid, coords):
-            for s, g, c in zip(srcs, row, crow):
-                assert sl2_tcat.coordinatize(s, t, g) == c
+        f = _block_map(tilts, srcs, tgts, grid)
+        cpx = FormalComplex(tilts, {0: srcs, 1: tgts}, {0: f})
+        cpx.validate()
+        for i, (t, row, crow) in enumerate(zip(tgts, grid, coords)):
+            for j, (s, g, c) in enumerate(zip(srcs, row, crow)):
+                assert cpx.component(0, i, j) == g
+                assert sl2_tcat.coordinatize(s, t, cpx.component(0, i, j)) == c
 
     def test_coordinate_roundtrip(self, sl2_tcat):
         for (a, b), basis in sl2_tcat.basis.items():
@@ -1285,10 +1305,13 @@ def _coordinates(tcat, cpx):
     """The differentials of cpx, each component in hom-basis coordinates."""
     return {
         n: tuple(
-            tuple(tcat.coordinatize(s, t, f) for s, f in zip(cpx.term(n), row))
-            for t, row in zip(cpx.term(n + 1), mat)
+            tuple(
+                tcat.coordinatize(s, t, cpx.component(n, i, j))
+                for j, s in enumerate(cpx.term(n))
+            )
+            for i, t in enumerate(cpx.term(n + 1))
         )
-        for n, mat in cpx.diffs.items()
+        for n in cpx.diffs
     }
 
 
