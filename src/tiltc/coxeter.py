@@ -29,10 +29,11 @@ Cloux's Coxeter3: every element is built once, gets the next dense id
 (``W._by_id[x.id] is x``), and carries as plain attributes its length, its
 left and right descent sets as bitmasks over generator positions, and a slot
 per generator and side for its neighbour x*s or s*x, filled on the first
-step (and the neighbour's slot back to x with it).  Equality of elements of
-one system is identity, and a repeated step is one list read.  Ids follow
-the order in which elements were built, so they key internal tables only:
-order, hashing and output go by the word.
+step (and the neighbour's slot back to x with it), so a repeated step is one
+list read.  Ids follow the order in which elements were built, so they key
+internal tables only: ordering and output use the reduced word; equality
+and hashing are the element's identity, so elements of two systems are never
+equal.
 
 Generator names are 1-based for finite types (A3 has S = {1,2,3}); affine
 types prepend the affine node as generator 0.
@@ -229,7 +230,7 @@ class CoxeterElement:
     """
 
     __slots__ = (
-        "system", "word", "matrix", "rvec", "lvec", "_hash",
+        "system", "word", "matrix", "rvec", "lvec",
         "length", "id", "ldesc", "rdesc", "_succ",
     )
 
@@ -249,7 +250,6 @@ class CoxeterElement:
         self.matrix = matrix
         self.rvec = rvec
         self.lvec = lvec
-        self._hash = hash((system.tag, word))
         self.length = len(word)
         self.id = id
         self.ldesc = ldesc
@@ -285,21 +285,6 @@ class CoxeterElement:
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.word), self.word)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, CoxeterElement):
-            return NotImplemented
-        # each system builds an element once: within one, equal means identical
-        return (
-            other.system is not self.system
-            and self.system.tag == other.system.tag
-            and self.word == other.word
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "CoxeterElement") -> bool:
         return self.sort_key() < other.sort_key()
@@ -351,7 +336,7 @@ class CoxeterSystem:
         self._by_r: dict[tuple[int, ...], CoxeterElement] = {}
         self._by_l: dict[tuple[int, ...], CoxeterElement] = {}
         self._by_id: list[CoxeterElement] = []
-        self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+        self._bruhat: dict[tuple[CoxeterElement, CoxeterElement], bool] = {}
         self._reps: dict[tuple[int, int, int | None], tuple[list[CoxeterElement], bool]] = {}
         self._masks: dict[tuple[int, ...], int] = {}
         ones = (1,) * n
@@ -537,7 +522,7 @@ class CoxeterSystem:
         """Bruhat order via the lifting property, memoized."""
         if x.system is not self or y.system is not self:
             raise ValueError("elements of a different system")
-        key = (x.word, y.word)
+        key = (x, y)
         cached = self._bruhat.get(key)
         if cached is not None:
             return cached
@@ -546,7 +531,7 @@ class CoxeterSystem:
         elif x.length > y.length:
             res = False
         elif x.length == y.length:
-            res = x.word == y.word
+            res = x is y
         else:
             i = (y.rdesc & -y.rdesc).bit_length() - 1  # the smallest right descent
             ys = self._step(y, i)

@@ -29,7 +29,8 @@ finite parabolic, and y = w_K y', h_{x,y} = v h_{sx,y} for s in K with
 sx > x (Kazhdan-Lusztig 1979) and h_{w_K x', w_K y'} = m^K_{x',y'}
 (Deodhar 1987), so h_{u x',y} = v^(l(w_K) - l(u)) m^K_{x',y'} for u in W_K.
 Every m and n column, computed or stored, is checked to be unitriangular
-over v*Z[v].  An h column is not checked again: each entry is v^d times an
+over v*Z[v]; a stored one also for parity, and a stored m column for
+positivity.  An h column is not checked again: each entry is v^d times an
 entry of the checked m^K column, with d >= 0 and d = 0 only on the
 diagonal.  A single h entry (poly, mu) is read off the m^K column without
 expansion: no h column is built or memoized, W_K is not enumerated (l(w_K)
@@ -54,9 +55,9 @@ solve bounds its values by its largest seed coefficient plus sum_z
 twice the width, so nothing is decoded or tested for zero past its bound;
 its residue holds when every value is the integer 0.  Equal entries are one
 int per HeckeContext, each decoded to a LaurentPoly once: public columns are
-read-only views keyed by elements of the context's own system (one of
-another system with the same tag is re-read by its word).  Loops step
-elements through their step slots (see coxeter).
+read-only views keyed by elements of the context's own system (an element
+of any other system is a ValidationError, and an absent key of a column).
+Loops step elements through their step slots (see coxeter).
 
 Family keys: ("h", ()), ("m", I), ("n", I) and the inverse families
 ("h_inv", ()), ("m_inv", I), ("n_inv", I).
@@ -355,7 +356,7 @@ class _Column(Mapping):
         self._ctx, self._col = ctx, col
 
     def __getitem__(self, x: CoxeterElement) -> LaurentPoly:
-        try:  # an element of another system of the same type is re-read
+        try:  # an element of another system is an absent key
             return self._ctx._poly(self._col[self._ctx._own(x).id])
         except (AttributeError, ValidationError):
             raise KeyError(x) from None
@@ -396,7 +397,6 @@ class HeckeContext:
         self._ints: dict[int, int] = {}  # every packed entry, so equal ones are one object
         self._decoded: dict[int, LaurentPoly] = {}  # packed entry -> its polynomial
         self._parity: dict[int, int] = {}  # packed entry -> bit k set if an exponent is k mod 2
-        self._wide: dict[tuple[int, int], int] = {}  # (packed entry, width) -> repacked
         # every polynomial this context finishes, by its terms: one object each
         self._polys: dict[Terms, LaurentPoly] = {ZERO.terms: ZERO, ONE.terms: ONE}
 
@@ -420,12 +420,10 @@ class HeckeContext:
         return {u: ints.setdefault(n, n) for u, n in acc.items() if n}
 
     def _own(self, x: CoxeterElement) -> CoxeterElement:
-        """x as an element of this context's system, re-read by its word."""
-        if x.system is self.system:
-            return x
-        if x.system.tag != self.system.tag:
+        """x, checked to be an element of this context's system."""
+        if x.system is not self.system:
             raise ValidationError(f"element {x!r} is not of system {self.system.tag}")
-        return self.system.element(x.word)
+        return x
 
     # -- self-dual basis columns -----------------------------------------------
 
@@ -555,7 +553,7 @@ class HeckeContext:
 
     def _check_column(self, col: Packed, y: CoxeterElement, fid: str, loaded: bool) -> None:
         """Unitriangularity over v*Z[v] (1 on the diagonal, otherwise shorter
-        and no constant digit); for a column loaded from the store also parity
+        and no constant digit); for a column loaded from the store also parity,
         and positivity when it is an m column, whose entries are h values
         (Deodhar 1987), and a failure is a CacheError."""
         signs = loaded and fid.startswith("m[")
@@ -566,14 +564,14 @@ class HeckeContext:
                 bad = n != 1
             else:
                 bad = x.length >= y.length or n & mask or (
-                    signs
-                    and any(c < 0 or (e + y.length - x.length) % 2 for e, c in self._poly(n))
+                    loaded
+                    and any(signs and c < 0 or (e + y.length - x.length) % 2 for e, c in self._poly(n))
                 )
             if bad:
                 raise (CacheError if loaded else InternalInvariantError)(
                     f"{'stored' if loaded else 'computed'} column {y!r} of {fid} has "
                     f"{self._poly(n)!r} at {x!r}, violating unitriangularity over v*Z[v]"
-                    + (", parity or positivity" if signs else "")
+                    + (", parity or positivity" if signs else ", parity" if loaded else "")
                 )
 
     def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
@@ -623,11 +621,8 @@ class HeckeContext:
     # -- inverse families --------------------------------------------------------
 
     def _widen(self, n: int, width: int) -> int:
-        """A packed entry repacked at width, once per context."""
-        wide = self._wide.get((n, width))
-        if wide is None:
-            wide = self._wide[n, width] = _pack(self._poly(n).terms, width)
-        return wide
+        """A packed entry repacked at width."""
+        return _pack(self._poly(n).terms, width)
 
     def _inversion_residue(
         self, fam: str, I: tuple[int, ...], seeds: Packed, inv: Packed, width: int
@@ -710,12 +705,12 @@ class HeckeContext:
             if bound >= half:  # a value of this length may have wrapped
                 return None
             layer = pending[length]
-            for z in sorted(map(by_id.__getitem__, layer), key=CoxeterElement.sort_key, reverse=True):
-                q = layer[z.id]
+            for zid, q in layer.items():
                 if not q:
                     continue
+                z = by_id[zid]
                 c = inv[z] = self._intern(_unpack(q, width, off))
-                solved[z.id], minus = _pack(c.terms, width, off), -q
+                solved[zid], minus = _pack(c.terms, width, off), -q
                 col, b = self._direct_column(fam, I, z)
                 bound += b * sum(abs(k) for _, k in c.terms)
                 for u, n in col.items():

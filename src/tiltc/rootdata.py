@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .coxeter import (
@@ -106,9 +107,7 @@ class RootSystem:
                     frontier.append(j)
         if any(x is None for x in d):
             raise ValidationError(f"type {tag} is not irreducible")
-        denom_lcm = 1
-        for x in d:
-            denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
+        denom_lcm = lcm(*(x.denominator for x in d))
         scaled = [x * denom_lcm for x in d]
         low = min(scaled)
         self.symmetrizer: Vec = tuple(int(x / low) for x in scaled)
@@ -156,12 +155,6 @@ class RootSystem:
         for s in reversed(w.word):
             out = self.reflect(out, s)
         return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class LinkageDatum:

@@ -453,6 +453,18 @@ class TestCache:
         rc, out, err = run(capsys, *args)
         assert rc == 2 and err.startswith("error: cache:") and out == ""
 
+    def test_tampered_n_record_rejected(self, capsys, tmp_path):
+        # a stored n entry edited off its parity, still unitriangular, is
+        # caught on load: n[1] of 2 1 is v at 2, and v^2 there is read back
+        cache = str(tmp_path)
+        args = ("kl", "--type", "A3", "--parabolic", "1", "--flavor", "antispherical",
+                "--y", "2 1", "--x", "2", "--cache-path", cache)
+        rc, out, _ = run(capsys, *args)
+        assert rc == 0 and out == "v\n"
+        self.tamper(tmp_path / "A3.jsonl", "n[1]", "2 1", "2", {"2": 1})
+        rc, out, err = run(capsys, *args)
+        assert rc == 2 and err.startswith("error: cache:") and out == ""
+
     def test_unparsable_entry_rejected_when_read(self, capsys, tmp_path):
         # records are parsed lazily; a bad exponent key in a column the query
         # reads still fails the run

@@ -324,9 +324,10 @@ class TestElementTable:
         xs1 = [W1.element(w) for w in ws]
         xs2 = [W2.element(w) for w in reversed(ws)][::-1]
         assert [x.id for x in xs1] != [x.id for x in xs2]
-        assert xs1 == xs2
-        assert [hash(x) for x in xs1] == [hash(x) for x in xs2]
-        assert [x.word for x in sorted(xs1)] == [x.word for x in sorted(xs2)]
+        assert [x.word for x in xs1] == [x.word for x in xs2] == ws
+        assert [x.word for x in sorted(W1._by_id)] == [x.word for x in sorted(W2._by_id)] == ws
+        # an element is its own identity: the same word in another system is another element
+        assert not any(x1 == x2 for x1, x2 in zip(xs1, xs2))
 
 
 def _shortlex_words(W, max_len):
