@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface: pinned outputs, exit
 codes, formats, cache behavior, and byte determinism."""
 
+import contextlib
 import fcntl
 import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -572,6 +575,86 @@ class TestCache:
         assert rc == 2 and err.startswith("error: cache:")
 
 
+def _run_quiet(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _zero_checksum(f):
+    head, _, body = f.read_text().partition("\n")
+    obj = json.loads(head)
+    obj["checksum"] = "0" * 64
+    f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body)
+
+
+# The stores a corpus line starting with @<name> runs on: the command that
+# fills the store, and the edit then made to its one file.
+STORES = {
+    "@A1": (["kl", "--type", "A1", "--y", "1"], None),
+    "@corrupt": (["kl", "--type", "A1", "--y", "1"], _zero_checksum),
+    "@tampered": (
+        ["kl", "--type", "A2", "--y", "2 1"],
+        lambda f: TestCache.tamper(f, "m[2]", "1", "", {"1": -7}),
+    ),
+    # one m^K entry wrong with its parity and sign kept, behind a recomputed
+    # checksum: it loads, and only the standard table's antispherical twin
+    # sees it
+    "@planted": (
+        ["tilt", "O", "--type", "A4", "--x", "1 2 1 3 2 1 4 3 2 1"],
+        lambda f: TestCache.tamper(f, "m[1,2,3]", "4 3", "4", {"1": 3}),
+    ),
+}
+CORPUS = DATA / "cli_corpus.tsv"
+
+
+def run_corpus_line(argv_text: str, tmp: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one corpus line, with its cache
+    directory written back as {cache}."""
+    cache = str(tmp / "cache")
+    argv = [a.replace("{cache}", cache) for a in shlex.split(argv_text)]
+    if argv and argv[0] in STORES:
+        fill, edit = STORES[argv.pop(0)]
+        assert _run_quiet(fill + ["--cache-path", cache])[0] == 0
+        if edit is not None:
+            [f] = Path(cache).glob("*.jsonl")
+            edit(f)
+    rc, out, err = _run_quiet(argv)
+    return rc, out.replace(cache, "{cache}"), err.replace(cache, "{cache}")
+
+
+def corpus_row(argv_text: str, rc: int, out: str, err: str) -> str:
+    """The pinned row of a line: exit code, sha256 of stdout, sha256 of
+    stderr (- on a usage error, whose wording is not pinned), argv."""
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
+    return "\t".join([str(rc), digest(out), digest(err) if rc != 1 else "-", argv_text])
+
+
+def corpus_lines():
+    for line in CORPUS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            argv_text = line.split("\t")[3]
+            yield pytest.param(line, id=argv_text or "(no arguments)")
+
+
+class TestCorpus:
+    """The CLI contract: every line of data/cli_corpus.tsv, run in process,
+    gives its pinned exit code and output digests; a usage error (exit 1)
+    also prints nothing on stdout and one error: usage: line on stderr.
+    Print the rows for the current program with
+    ``PYTHONPATH=src python tests/test_cli.py``; a differing row is a change
+    of the contract."""
+
+    @pytest.mark.parametrize("line", corpus_lines())
+    def test_line(self, tmp_path, line):
+        argv_text = line.split("\t")[3]
+        rc, out, err = run_corpus_line(argv_text, tmp_path)
+        assert corpus_row(argv_text, rc, out, err) == line
+        if rc == 1:
+            assert out == "" and err.startswith("error: usage: ")
+
+
 def loaded_after(code: str) -> set[str]:
     """The modules a fresh interpreter loads running code after ``import click``."""
     script = (
@@ -626,3 +709,15 @@ class TestHelp:
         assert rc == 0
         for name in ("O", "km", "quantum"):
             assert name in out
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.environ.pop("TILTC_CACHE", None)
+    for line in CORPUS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            argv_text = line.split("\t")[3]
+            with tempfile.TemporaryDirectory() as tmp:
+                line = corpus_row(argv_text, *run_corpus_line(argv_text, Path(tmp)))
+        print(line)
