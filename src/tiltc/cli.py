@@ -16,19 +16,23 @@ Exit codes: 0 success, 1 usage error, 2 invalid input or cache failure,
 line to stderr.  Output bytes are deterministic for fixed inputs: entries
 are sorted by (length, word) and JSON keys are sorted.
 
-Start-up imports only the layers every ``kl`` and ``tilt`` query runs
-(coxeter, hecke, laurent); the tables, the root data, the oracle, ``json``
-and the store's file modules are imported by the commands that use them.
+Command lines are parsed by the standard library's argparse, with options
+that are never abbreviated and values that are taken as given (see
+``_Parser``); the parser is built on the first ``main`` call.  Start-up imports only the standard library and the layers
+every ``kl`` and ``tilt`` query runs (coxeter, hecke, laurent); the tables,
+the root data, the oracle, ``json`` and the store's file modules are
+imported by the commands that use them.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 from .coxeter import CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
@@ -38,7 +42,11 @@ from .laurent import ZERO, LaurentPoly
 if TYPE_CHECKING:
     from .tilting import MultiplicityTable
 
-FORMATS = click.Choice(["text", "json", "tsv"])
+FORMATS = ("text", "json", "tsv")
+
+
+class UsageError(Exception):
+    """A command line the commands cannot run; exit 1."""
 
 
 def _parse_word_arg(text: str) -> tuple[int, ...]:
@@ -78,33 +86,13 @@ def _column_store(system: CoxeterSystem, cache_path: str | None, no_cache: bool)
         store.save(path)
 
 
-@click.group()
-def cli() -> None:
-    """Kazhdan-Lusztig polynomial families and tilting multiplicity tables."""
-
-
 # -- kl ------------------------------------------------------------------------------
 
 
-@cli.command("kl")
-@click.option("--type", "type_tag", required=True, help="Type tag, e.g. A3, B2, affA1.")
-@click.option("--x", "x_text", default=None, help="Lower index (direct) / column index (inverse).")
-@click.option("--y", "y_texts", multiple=True, help="Upper index (direct) / lower index (inverse); repeatable.")
-@click.option("--parabolic", "parabolic_text", default=None, help="Generator subset I, e.g. '1 3'.")
-@click.option(
-    "--flavor",
-    type=click.Choice(["spherical", "antispherical"]),
-    default=None,
-    help="Parabolic module flavor; selects the m (spherical) or n (antispherical) family.",
-)
-@click.option("--inverse", is_flag=True, help="Inverse family: columns indexed by x, entries at y <= x.")
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-@click.option("--no-cache", is_flag=True, help="Skip the persistent column store.")
-@click.option("--cache-path", default=None, help="Cache directory (defaults to $TILTC_CACHE).")
 def kl_cmd(
     type_tag: str,
     x_text: str | None,
-    y_texts: tuple[str, ...],
+    y_texts: list[str],
     parabolic_text: str | None,
     flavor: str | None,
     inverse: bool,
@@ -119,7 +107,7 @@ def kl_cmd(
     is indexed by --x and the entries run over y <= x.
     """
     if parabolic_text is not None and flavor is None:
-        raise click.UsageError("--parabolic needs --flavor")
+        raise UsageError("--parabolic needs --flavor")
     I = parse_word(parabolic_text) if parabolic_text else ()
     fam = "h" if flavor is None else ("m" if flavor == "spherical" else "n")
     system = CoxeterSystem.from_type(type_tag)
@@ -128,11 +116,11 @@ def kl_cmd(
 
         if inverse:
             if x_text is None:
-                raise click.UsageError("--inverse needs --x (the column index)")
+                raise UsageError("--inverse needs --x (the column index)")
             uppers = [x_text]
         else:
             if not y_texts:
-                raise click.UsageError("a direct query needs at least one --y")
+                raise UsageError("a direct query needs at least one --y")
             uppers = list(y_texts)
 
         def run_column(upper_text: str) -> list[tuple[tuple[int, ...], tuple[int, ...], LaurentPoly]]:
@@ -178,16 +166,16 @@ def kl_cmd(
                 for x, y, p in records
             ],
         }
-        click.echo(json.dumps(obj, sort_keys=True, indent=2))
+        print(json.dumps(obj, sort_keys=True, indent=2))
         return
     single = len(records) == 1 and x_text is not None and len(y_texts) == 1
     if fmt == "text" and single:
-        click.echo(records[0][2].to_text())
+        print(records[0][2].to_text())
         return
-    if records:  # one write: echo scans and flushes once per call
+    if records:  # one print for the column: each call makes two stream writes
         poly_text = {p: p.to_text() for p in polys}
         shown = {w: _show_word(w) for w in words}
-        click.echo("\n".join(f"{shown[x]}\t{shown[y]}\t{poly_text[p]}" for x, y, p in records))
+        print("\n".join(f"{shown[x]}\t{shown[y]}\t{poly_text[p]}" for x, y, p in records))
 
 
 # -- tilt ----------------------------------------------------------------------------
@@ -197,7 +185,7 @@ def _emit_table(table: MultiplicityTable, fmt: str) -> None:
     if fmt == "json":
         import json
 
-        click.echo(json.dumps(table.to_json_obj(), sort_keys=True, indent=2))
+        print(json.dumps(table.to_json_obj(), sort_keys=True, indent=2))
         return
     lines = []
     for w, p in table.entries:
@@ -209,28 +197,8 @@ def _emit_table(table: MultiplicityTable, fmt: str) -> None:
         nabla, delta = table.dims()
         lines.append(f"# dims\tnabla={nabla}\tdelta={delta}")
         lines += [f"# flag\t{flag}" for flag in table.flags]
-    if lines:  # one write, as in kl
-        click.echo("\n".join(lines))
-
-
-@cli.group("tilt")
-def tilt_group() -> None:
-    """Graded multiplicity tables of minimal tilting complexes."""
-
-
-def _table_options(fn):
-    fn = click.option("--x", "x_text", required=True, help="Index word; 'e' for the identity.")(fn)
-    fn = click.option("--y", "y_text", default=None, help="Restrict to one row.")(fn)
-    fn = click.option(
-        "--standard/--simple",
-        "standard",
-        default=True,
-        help="Complex of the standard (default) or simple object.",
-    )(fn)
-    fn = click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)(fn)
-    fn = click.option("--no-cache", is_flag=True)(fn)
-    fn = click.option("--cache-path", default=None)(fn)
-    return fn
+    if lines:  # one print, as in kl
+        print("\n".join(lines))
 
 
 def _run_table(setting, standard: bool, x_word: tuple[int, ...], y_text: str | None, **kw):
@@ -240,11 +208,6 @@ def _run_table(setting, standard: bool, x_word: tuple[int, ...], y_text: str | N
     return setting.simple_table(x_word, y_word, **kw)
 
 
-@tilt_group.command("O")
-@click.option("--type", "type_tag", required=True, help="Finite Weyl type, e.g. A2.")
-@click.option("--I", "i_text", default="", help="Left generator subset.")
-@click.option("--J", "j_text", default="", help="Right generator subset.")
-@_table_options
 def tilt_o(type_tag, i_text, j_text, x_text, y_text, standard, fmt, no_cache, cache_path):
     """Regular block of category O for a finite Weyl group."""
     from .tilting import CategoryO
@@ -256,21 +219,6 @@ def tilt_o(type_tag, i_text, j_text, x_text, y_text, standard, fmt, no_cache, ca
     _emit_table(table, fmt)
 
 
-@tilt_group.command("km")
-@click.option("--type", "type_tag", required=True, help="Affine type, e.g. affA1.")
-@click.option("--I", "i_text", default="", help="Left generator subset.")
-@click.option("--J", "j_text", default="", help="Right generator subset.")
-@click.option("--level", type=click.Choice(["neg", "pos"]), default="neg", show_default=True)
-@click.option(
-    "--literal-positive-text",
-    is_flag=True,
-    help="At positive level, print the z-independent variant of the simple formula, unchecked and flagged.",
-)
-@click.option(
-    "--max-length", "max_length", type=int, default=None,
-    help="Row length bound (positive level only).",
-)
-@_table_options
 def tilt_km(
     type_tag, i_text, j_text, level, literal_positive_text,
     x_text, y_text, standard, max_length, fmt, no_cache, cache_path,
@@ -289,30 +237,19 @@ def tilt_km(
         kw = {"max_len": max_length}
         if literal_positive_text:
             if standard:
-                raise click.UsageError("--literal-positive-text applies to --simple tables")
+                raise UsageError("--literal-positive-text applies to --simple tables")
             kw["literal_text"] = True
         table = _run_table(setting, standard, _parse_word_arg(x_text), y_text, **kw)
     _emit_table(table, fmt)
 
 
-@tilt_group.command("quantum")
-@click.option("--type", "type_tag", required=True, help="Finite type of the quantum group, e.g. A1.")
-@click.option("--ell", type=int, required=True, help="Order of the root of unity.")
-@click.option("--weight", "weight_text", default=None, help="Dominant weight, e.g. '7' or '1,2'.")
-@click.option("--I", "i_text", default="", help="Wall subset (only with --x).")
-@click.option("--x", "x_text", default=None, help="Index word; alternative to --weight.")
-@click.option("--y", "y_text", default=None, help="Restrict to one row.")
-@click.option("--standard/--simple", "standard", default=True)
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-@click.option("--no-cache", is_flag=True)
-@click.option("--cache-path", default=None)
 def tilt_quantum(
     type_tag, ell, weight_text, i_text, x_text, y_text,
     standard, fmt, no_cache, cache_path,
 ):
     """Quantum group at a root of unity: one linkage class of tilting modules."""
     if (weight_text is None) == (x_text is None):
-        raise click.UsageError("give exactly one of --weight or --x")
+        raise UsageError("give exactly one of --weight or --x")
     from .rootdata import LinkageDatum, parse_weight
     from .tilting import Quantum
 
@@ -320,7 +257,7 @@ def tilt_quantum(
     with _column_store(datum.coxeter, cache_path, no_cache) as store:
         if weight_text is not None:
             if i_text:
-                raise click.UsageError("--I is derived from the weight; use it only with --x")
+                raise UsageError("--I is derived from the weight; use it only with --x")
             setting, x = Quantum.from_weight(type_tag, ell, parse_weight(weight_text), store=store)
             x_word = x.word
         else:
@@ -333,13 +270,6 @@ def tilt_quantum(
 # -- oracle --------------------------------------------------------------------------
 
 
-@cli.group("oracle")
-def oracle_group() -> None:
-    """Brute-force homological verification over exact rationals."""
-
-
-@oracle_group.command("verify")
-@click.option("--block", "block_name", default="sl2", show_default=True, help="Bundled block name.")
 def oracle_verify(block_name: str) -> None:
     """Run all invariant suites over a block realization."""
     from .mincpx import load_block, verify_block
@@ -347,38 +277,30 @@ def oracle_verify(block_name: str) -> None:
     block = load_block(block_name)
     results = verify_block(block)
     for name, detail in results:
-        click.echo(f"ok {name}: {detail}")
-    click.echo(f"all {len(results)} invariant suites pass")
+        print(f"ok {name}: {detail}")
+    print(f"all {len(results)} invariant suites pass")
 
 
 # -- cache ---------------------------------------------------------------------------
 
 
-@cli.group("cache")
-def cache_group() -> None:
-    """Inspect or clear the persistent polynomial column store."""
-
-
-@cache_group.command("info")
-@click.option("--path", default=None, help="Cache directory (defaults to $TILTC_CACHE).")
 def cache_info(path: str | None) -> None:
+    """Show the cache directory and its column files."""
     d = _cache_dir(path)
     if d is None:
-        click.echo("cache: disabled (set TILTC_CACHE or pass --path)")
+        print("cache: disabled (set TILTC_CACHE or pass --path)")
         return
-    click.echo(f"cache: {d}")
+    print(f"cache: {d}")
     if not d.exists():
-        click.echo("(directory does not exist yet)")
+        print("(directory does not exist yet)")
         return
     files = sorted(d.glob("*.jsonl"))
     if not files:
-        click.echo("(no column files)")
+        print("(no column files)")
     for f in files:
-        click.echo(f"{f.name}\t{f.stat().st_size} bytes")
+        print(f"{f.name}\t{f.stat().st_size} bytes")
 
 
-@cache_group.command("clear")
-@click.option("--path", default=None, help="Cache directory (defaults to $TILTC_CACHE).")
 def cache_clear(path: str | None) -> None:
     """Remove the column files (*.jsonl) of the cache directory.
 
@@ -390,7 +312,7 @@ def cache_clear(path: str | None) -> None:
     """
     d = _cache_dir(path)
     if d is None:
-        raise click.UsageError("no cache directory: set TILTC_CACHE or pass --path")
+        raise UsageError("no cache directory: set TILTC_CACHE or pass --path")
     removed = 0
     if d.exists():
         names = {f.name for f in d.glob("*.jsonl")}
@@ -398,31 +320,193 @@ def cache_clear(path: str | None) -> None:
         names |= {f.name[1:].rsplit(".", 2)[0] for f in d.glob(".*.jsonl.*.tmp")}
         for name in sorted(names):
             removed += PolyStore.clear(d / name)
-    click.echo(f"removed {removed} cache file(s)")
+    print(f"removed {removed} cache file(s)")
 
 
-# -- entry point ---------------------------------------------------------------------
+# -- parser and entry point ---------------------------------------------------------
+
+
+class _Help(argparse.RawDescriptionHelpFormatter):
+    def _get_default_metavar_for_optional(self, action):
+        return action.option_strings[0].lstrip("-").upper()  # --type TYPE, not its dest
+
+
+class _Parser(argparse.ArgumentParser):
+    """One command's parser: no abbreviated options, no -h, and an option
+    that takes a value takes the next token, whatever it is (``--y --x``,
+    ``--weight -3,1``)."""
+
+    def __init__(self, **kw):
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Help, **kw)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # Read the options before argparse does: an unknown option or a
+        # missing value fails even next to --help, which wins over every
+        # later error; a value is glued on as --opt=value, which argparse
+        # never reads as an option; after "--" every token is an argument.
+        # A group's tokens end at the command name: the rest are the
+        # command's to read.
+        glued, rest, show_help = [], [], False
+        tokens = iter(sys.argv[1:] if args is None else args)
+        for token in tokens:
+            if token == "--":
+                rest = list(tokens)
+                break
+            if token[:1] != "-" or token == "-":
+                if self._subparsers is not None:
+                    rest = [token, *tokens]
+                    break
+                glued.append(token)
+                continue
+            option, eq, _ = token.partition("=")
+            action = self._option_string_actions.get(option)
+            if action is None:
+                raise UsageError(f"No such option '{option}'.")
+            if action.nargs is None and not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError(f"Option '{option}' requires an argument.")
+                token = f"{option}={value}"
+            elif action.nargs == 0 and eq:
+                raise UsageError(f"Option '{option}' does not take a value.")
+            show_help |= option == "--help"
+            glued.append(token)
+        if show_help:
+            self.print_help()
+            self.exit()
+        if self._subparsers is not None:
+            return super().parse_known_args(glued + rest, namespace)
+        namespace, extra = super().parse_known_args(glued, namespace)
+        return namespace, extra + rest
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _commands(parser: _Parser):
+    return parser.add_subparsers(title="commands", dest="run", metavar="COMMAND", required=True)
+
+
+def _command(commands, name: str, doc: str, run=None) -> _Parser:
+    """The parser of one command, or of a group of commands without run;
+    its help is doc, and the group's list shows doc's first line."""
+    lines = [line.strip() for line in doc.strip().splitlines()]
+    parser = commands.add_parser(name, help=lines[0], description="\n".join(lines))
+    parser.set_defaults(run=run)
+    return parser
+
+
+def _table_options(parser: _Parser) -> None:
+    parser.add_argument("--y", dest="y_text", help="Restrict to one row.")
+    parser.add_argument(
+        "--standard", action="store_true", default=True, help="Complex of the standard object (default)."
+    )
+    parser.add_argument("--simple", dest="standard", action="store_false", help="Complex of the simple object.")
+    _output_options(parser)
+
+
+def _output_options(parser: _Parser) -> None:
+    parser.add_argument(
+        "--format", dest="fmt", choices=FORMATS, default="text", help="Output format (default: text)."
+    )
+    parser.add_argument("--no-cache", action="store_true", help="Skip the persistent column store.")
+    parser.add_argument("--cache-path", help="Cache directory (defaults to $TILTC_CACHE).")
+
+
+@functools.cache
+def _parser() -> _Parser:
+    root = _Parser(
+        prog="tiltc", description="Kazhdan-Lusztig polynomial families and tilting multiplicity tables."
+    )
+    commands = _commands(root)
+
+    kl = _command(commands, "kl", kl_cmd.__doc__, kl_cmd)
+    kl.add_argument("--type", dest="type_tag", required=True, help="Type tag, e.g. A3, B2, affA1.")
+    kl.add_argument("--x", dest="x_text", help="Lower index (direct) / column index (inverse).")
+    kl.add_argument(
+        "--y", dest="y_texts", action="append", default=[],
+        help="Upper index (direct) / lower index (inverse); repeatable.",
+    )
+    kl.add_argument("--parabolic", dest="parabolic_text", help="Generator subset I, e.g. '1 3'.")
+    kl.add_argument(
+        "--flavor", choices=("spherical", "antispherical"),
+        help="Parabolic module flavor; selects the m (spherical) or n (antispherical) family.",
+    )
+    kl.add_argument(
+        "--inverse", action="store_true", help="Inverse family: columns indexed by x, entries at y <= x."
+    )
+    _output_options(kl)
+
+    tilt = _commands(
+        _command(commands, "tilt", "Graded multiplicity tables of minimal tilting complexes.")
+    )
+    o = _command(tilt, "O", tilt_o.__doc__, tilt_o)
+    o.add_argument("--type", dest="type_tag", required=True, help="Finite Weyl type, e.g. A2.")
+    km = _command(tilt, "km", tilt_km.__doc__, tilt_km)
+    km.add_argument("--type", dest="type_tag", required=True, help="Affine type, e.g. affA1.")
+    for parser in (o, km):
+        parser.add_argument("--I", dest="i_text", default="", help="Left generator subset.")
+        parser.add_argument("--J", dest="j_text", default="", help="Right generator subset.")
+        parser.add_argument("--x", dest="x_text", required=True, help="Index word; 'e' for the identity.")
+        _table_options(parser)
+    km.add_argument("--level", choices=("neg", "pos"), default="neg", help="Level (default: neg).")
+    km.add_argument(
+        "--literal-positive-text", action="store_true",
+        help="At positive level, print the z-independent variant of the simple formula, "
+        "unchecked and flagged.",
+    )
+    km.add_argument("--max-length", type=int, help="Row length bound (positive level only).")
+    quantum = _command(tilt, "quantum", tilt_quantum.__doc__, tilt_quantum)
+    quantum.add_argument(
+        "--type", dest="type_tag", required=True, help="Finite type of the quantum group, e.g. A1."
+    )
+    quantum.add_argument("--ell", type=int, required=True, help="Order of the root of unity.")
+    quantum.add_argument("--weight", dest="weight_text", help="Dominant weight, e.g. '7' or '1,2'.")
+    quantum.add_argument("--I", dest="i_text", default="", help="Wall subset (only with --x).")
+    quantum.add_argument("--x", dest="x_text", help="Index word; alternative to --weight.")
+    _table_options(quantum)
+
+    oracle = _commands(
+        _command(commands, "oracle", "Brute-force homological verification over exact rationals.")
+    )
+    _command(oracle, "verify", oracle_verify.__doc__, oracle_verify).add_argument(
+        "--block", dest="block_name", default="sl2", help="Bundled block name (default: sl2)."
+    )
+
+    cache = _commands(
+        _command(commands, "cache", "Inspect or clear the persistent polynomial column store.")
+    )
+    for name, run in (("info", cache_info), ("clear", cache_clear)):
+        _command(cache, name, run.__doc__, run).add_argument(
+            "--path", help="Cache directory (defaults to $TILTC_CACHE)."
+        )
+    return root
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cli.main(args=argv, prog_name="tiltc", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        click.echo(f"error: usage: {exc.format_message()}", err=True)
+        args, extra = _parser().parse_known_args(argv)
+        if extra:
+            raise UsageError(f"Got unexpected extra arguments ({' '.join(extra)})")
+        kwargs = vars(args)
+        kwargs.pop("run")(**kwargs)
+    except SystemExit as exc:  # --help printed the help
+        return exc.code
+    except UsageError as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
         return 1
-    except click.exceptions.Abort:
-        click.echo("error: usage: aborted", err=True)
+    except KeyboardInterrupt:
+        print("error: usage: aborted", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:
-        click.echo(f"error: internal-check: {exc}", err=True)
+        print(f"error: internal-check: {exc}", file=sys.stderr)
         return 3
     except CacheError as exc:
-        click.echo(f"error: cache: {exc}", err=True)
+        print(f"error: cache: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ValueError) as exc:
-        click.echo(f"error: invalid-input: {exc}", err=True)
+        print(f"error: invalid-input: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -407,11 +407,7 @@ class TestCache:
     def test_corrupted_checksum_rejected(self, capsys, tmp_path):
         cache = str(tmp_path)
         run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
-        f = tmp_path / "A1.jsonl"
-        head, _, body = f.read_text().partition("\n")
-        obj = json.loads(head)
-        obj["checksum"] = "0" * 64
-        f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body)
+        _zero_checksum(tmp_path / "A1.jsonl")
         rc, _, err = run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
         assert rc == 2 and err.startswith("error: cache:")
 
@@ -627,8 +623,8 @@ def run_corpus_line(argv_text: str, tmp: Path) -> tuple[int, str, str]:
 def corpus_row(argv_text: str, rc: int, out: str, err: str) -> str:
     """The pinned row of a line: exit code, sha256 of stdout, sha256 of
     stderr (- on a usage error, whose wording is not pinned), argv."""
-    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
-    return "\t".join([str(rc), digest(out), digest(err) if rc != 1 else "-", argv_text])
+    out_sha, err_sha = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    return "\t".join([str(rc), out_sha, err_sha if rc != 1 else "-", argv_text])
 
 
 def corpus_lines():
@@ -641,7 +637,7 @@ def corpus_lines():
 class TestCorpus:
     """The CLI contract: every line of data/cli_corpus.tsv, run in process,
     gives its pinned exit code and output digests; a usage error (exit 1)
-    also prints nothing on stdout and one error: usage: line on stderr.
+    also prints nothing on stdout, and its stderr starts "error: usage: ".
     Print the rows for the current program with
     ``PYTHONPATH=src python tests/test_cli.py``; a differing row is a change
     of the contract."""
@@ -656,9 +652,9 @@ class TestCorpus:
 
 
 def loaded_after(code: str) -> set[str]:
-    """The modules a fresh interpreter loads running code after ``import click``."""
+    """The modules a fresh interpreter loads running code."""
     script = (
-        "import sys, click\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         f"{code}\n"
         "print(*sorted(set(sys.modules) - before))\n"
@@ -681,6 +677,10 @@ class TestStartup:
             "tiltc", "tiltc.cli", "tiltc.coxeter", "tiltc.errors", "tiltc.hecke", "tiltc.laurent",
         }
         assert not new & {"fractions", "decimal", "dataclasses", "hashlib", "json"}
+        assert all(
+            m.partition(".")[0] in sys.stdlib_module_names or m.partition(".")[0] == "tiltc"
+            for m in new
+        ), sorted(new)
 
     def test_kl_query_loads_no_tables(self):
         new = loaded_after(
@@ -709,6 +709,50 @@ class TestHelp:
         assert rc == 0
         for name in ("O", "km", "quantum"):
             assert name in out
+
+    FIRST_LINES = {
+        "kl": "Polynomials of one family: single values or whole columns.",
+        "tilt": "Graded multiplicity tables of minimal tilting complexes.",
+        "O": "Regular block of category O for a finite Weyl group.",
+        "km": "Affine Kac-Moody category O at negative or positive level.",
+        "quantum": "Quantum group at a root of unity: one linkage class of tilting modules.",
+        "oracle": "Brute-force homological verification over exact rationals.",
+        "cache": "Inspect or clear the persistent polynomial column store.",
+        "clear": "Remove the column files (*.jsonl) of the cache directory.",
+    }
+
+    @pytest.mark.parametrize(
+        "argv,shown",
+        [
+            pytest.param([], ["kl", "tilt", "oracle", "cache"], id="root"),
+            pytest.param(["kl"], ["kl"], id="kl"),
+            pytest.param(["tilt"], ["tilt", "O", "km", "quantum"], id="tilt"),
+            pytest.param(["tilt", "km"], ["km"], id="tilt km"),
+            pytest.param(["cache", "clear"], ["clear"], id="cache clear"),
+        ],
+    )
+    def test_help_shows_first_docstring_lines(self, capsys, monkeypatch, argv, shown):
+        # a command's own docstring, and the first line of each command it lists
+        monkeypatch.setenv("COLUMNS", "80")
+        rc, out, err = run(capsys, *argv, "--help")
+        assert rc == 0 and err == ""
+        text = " ".join(out.split())  # as wrapped to the terminal
+        for name in shown:
+            assert self.FIRST_LINES[name] in text
+
+    def test_module_entry_point(self):
+        env = {k: v for k, v in os.environ.items() if k != "TILTC_CACHE"}
+        env["PYTHONPATH"] = str(SRC)
+        ran = [
+            subprocess.run(
+                [sys.executable, "-m", "tiltc.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            for argv in (["--help"], [])
+        ]
+        assert ran[0].returncode == 0 and "usage: tiltc" in ran[0].stdout and ran[0].stderr == ""
+        assert ran[1].returncode == 1 and ran[1].stdout == ""
+        assert ran[1].stderr.startswith("error: usage: ")
 
 
 if __name__ == "__main__":
