@@ -18,10 +18,12 @@ are sorted by (length, word) and JSON keys are sorted.
 
 Command lines are parsed by the standard library's argparse, with options
 that are never abbreviated and values that are taken as given (see
-``_Parser``); the parser is built on the first ``main`` call.  Start-up imports only the standard library and the layers
-every ``kl`` and ``tilt`` query runs (coxeter, hecke, laurent); the tables,
-the root data, the oracle, ``json`` and the store's file modules are
-imported by the commands that use them.
+``_Parser``); the command tree is built on the first ``main`` call, and
+a command's options when it runs or prints its help.  Start-up imports
+only the standard library and the layers every ``kl`` and ``tilt`` query
+runs (coxeter, hecke, laurent); the tables, the root data, the oracle,
+``json`` and the store's file modules are imported by the commands that
+use them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import functools
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -331,16 +334,27 @@ class _Help(argparse.RawDescriptionHelpFormatter):
         return action.option_strings[0].lstrip("-").upper()  # --type TYPE, not its dest
 
 
+_declaring = threading.Lock()
+
+
 class _Parser(argparse.ArgumentParser):
     """One command's parser: no abbreviated options, no -h, and an option
     that takes a value takes the next token, whatever it is (``--y --x``,
-    ``--weight -3,1``)."""
+    ``--weight -3,1``).  Its options are declared by ``options`` when the
+    parser first reads a command line, so a process declares only those of
+    the command it runs."""
 
-    def __init__(self, **kw):
+    def __init__(self, options=None, **kw):
         super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Help, **kw)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
+        self._declare = options or (lambda parser: None)
 
     def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            with _declaring:  # main may run in two threads at once
+                if self._declare is not None:
+                    self.add_argument("--help", action="help", help="Show this message and exit.")
+                    self._declare(self)
+                    self._declare = None
         # Read the options before argparse does: an unknown option or a
         # missing value fails even next to --help, which wins over every
         # later error; a value is glued on as --opt=value, which argparse
@@ -388,13 +402,62 @@ def _commands(parser: _Parser):
     return parser.add_subparsers(title="commands", dest="run", metavar="COMMAND", required=True)
 
 
-def _command(commands, name: str, doc: str, run=None) -> _Parser:
+def _command(commands, name: str, doc: str, run=None, options=None) -> _Parser:
     """The parser of one command, or of a group of commands without run;
-    its help is doc, and the group's list shows doc's first line."""
+    its help is doc, the group's list shows doc's first line, and options
+    declares its options."""
     lines = [line.strip() for line in doc.strip().splitlines()]
-    parser = commands.add_parser(name, help=lines[0], description="\n".join(lines))
+    parser = commands.add_parser(name, help=lines[0], description="\n".join(lines), options=options)
     parser.set_defaults(run=run)
     return parser
+
+
+def _kl_options(kl: _Parser) -> None:
+    kl.add_argument("--type", dest="type_tag", required=True, help="Type tag, e.g. A3, B2, affA1.")
+    kl.add_argument("--x", dest="x_text", help="Lower index (direct) / column index (inverse).")
+    kl.add_argument(
+        "--y", dest="y_texts", action="append", default=[],
+        help="Upper index (direct) / lower index (inverse); repeatable.",
+    )
+    kl.add_argument("--parabolic", dest="parabolic_text", help="Generator subset I, e.g. '1 3'.")
+    kl.add_argument(
+        "--flavor", choices=("spherical", "antispherical"),
+        help="Parabolic module flavor; selects the m (spherical) or n (antispherical) family.",
+    )
+    kl.add_argument(
+        "--inverse", action="store_true", help="Inverse family: columns indexed by x, entries at y <= x."
+    )
+    _output_options(kl)
+
+
+def _km_options(km: _Parser) -> None:
+    _coset_options(km, "Affine type, e.g. affA1.")
+    km.add_argument("--level", choices=("neg", "pos"), default="neg", help="Level (default: neg).")
+    km.add_argument(
+        "--literal-positive-text", action="store_true",
+        help="At positive level, print the z-independent variant of the simple formula, "
+        "unchecked and flagged.",
+    )
+    km.add_argument("--max-length", type=int, help="Row length bound (positive level only).")
+
+
+def _quantum_options(quantum: _Parser) -> None:
+    quantum.add_argument(
+        "--type", dest="type_tag", required=True, help="Finite type of the quantum group, e.g. A1."
+    )
+    quantum.add_argument("--ell", type=int, required=True, help="Order of the root of unity.")
+    quantum.add_argument("--weight", dest="weight_text", help="Dominant weight, e.g. '7' or '1,2'.")
+    quantum.add_argument("--I", dest="i_text", default="", help="Wall subset (only with --x).")
+    quantum.add_argument("--x", dest="x_text", help="Index word; alternative to --weight.")
+    _table_options(quantum)
+
+
+def _coset_options(parser: _Parser, type_help: str) -> None:
+    parser.add_argument("--type", dest="type_tag", required=True, help=type_help)
+    parser.add_argument("--I", dest="i_text", default="", help="Left generator subset.")
+    parser.add_argument("--J", dest="j_text", default="", help="Right generator subset.")
+    parser.add_argument("--x", dest="x_text", required=True, help="Index word; 'e' for the identity.")
+    _table_options(parser)
 
 
 def _table_options(parser: _Parser) -> None:
@@ -416,70 +479,36 @@ def _output_options(parser: _Parser) -> None:
 
 @functools.cache
 def _parser() -> _Parser:
+    """The command tree: every command's name and help line."""
     root = _Parser(
         prog="tiltc", description="Kazhdan-Lusztig polynomial families and tilting multiplicity tables."
     )
     commands = _commands(root)
-
-    kl = _command(commands, "kl", kl_cmd.__doc__, kl_cmd)
-    kl.add_argument("--type", dest="type_tag", required=True, help="Type tag, e.g. A3, B2, affA1.")
-    kl.add_argument("--x", dest="x_text", help="Lower index (direct) / column index (inverse).")
-    kl.add_argument(
-        "--y", dest="y_texts", action="append", default=[],
-        help="Upper index (direct) / lower index (inverse); repeatable.",
-    )
-    kl.add_argument("--parabolic", dest="parabolic_text", help="Generator subset I, e.g. '1 3'.")
-    kl.add_argument(
-        "--flavor", choices=("spherical", "antispherical"),
-        help="Parabolic module flavor; selects the m (spherical) or n (antispherical) family.",
-    )
-    kl.add_argument(
-        "--inverse", action="store_true", help="Inverse family: columns indexed by x, entries at y <= x."
-    )
-    _output_options(kl)
-
+    _command(commands, "kl", kl_cmd.__doc__, kl_cmd, _kl_options)
     tilt = _commands(
         _command(commands, "tilt", "Graded multiplicity tables of minimal tilting complexes.")
     )
-    o = _command(tilt, "O", tilt_o.__doc__, tilt_o)
-    o.add_argument("--type", dest="type_tag", required=True, help="Finite Weyl type, e.g. A2.")
-    km = _command(tilt, "km", tilt_km.__doc__, tilt_km)
-    km.add_argument("--type", dest="type_tag", required=True, help="Affine type, e.g. affA1.")
-    for parser in (o, km):
-        parser.add_argument("--I", dest="i_text", default="", help="Left generator subset.")
-        parser.add_argument("--J", dest="j_text", default="", help="Right generator subset.")
-        parser.add_argument("--x", dest="x_text", required=True, help="Index word; 'e' for the identity.")
-        _table_options(parser)
-    km.add_argument("--level", choices=("neg", "pos"), default="neg", help="Level (default: neg).")
-    km.add_argument(
-        "--literal-positive-text", action="store_true",
-        help="At positive level, print the z-independent variant of the simple formula, "
-        "unchecked and flagged.",
+    _command(
+        tilt, "O", tilt_o.__doc__, tilt_o, lambda o: _coset_options(o, "Finite Weyl type, e.g. A2.")
     )
-    km.add_argument("--max-length", type=int, help="Row length bound (positive level only).")
-    quantum = _command(tilt, "quantum", tilt_quantum.__doc__, tilt_quantum)
-    quantum.add_argument(
-        "--type", dest="type_tag", required=True, help="Finite type of the quantum group, e.g. A1."
-    )
-    quantum.add_argument("--ell", type=int, required=True, help="Order of the root of unity.")
-    quantum.add_argument("--weight", dest="weight_text", help="Dominant weight, e.g. '7' or '1,2'.")
-    quantum.add_argument("--I", dest="i_text", default="", help="Wall subset (only with --x).")
-    quantum.add_argument("--x", dest="x_text", help="Index word; alternative to --weight.")
-    _table_options(quantum)
-
+    _command(tilt, "km", tilt_km.__doc__, tilt_km, _km_options)
+    _command(tilt, "quantum", tilt_quantum.__doc__, tilt_quantum, _quantum_options)
     oracle = _commands(
         _command(commands, "oracle", "Brute-force homological verification over exact rationals.")
     )
-    _command(oracle, "verify", oracle_verify.__doc__, oracle_verify).add_argument(
-        "--block", dest="block_name", default="sl2", help="Bundled block name (default: sl2)."
+    _command(
+        oracle, "verify", oracle_verify.__doc__, oracle_verify,
+        lambda verify: verify.add_argument(
+            "--block", dest="block_name", default="sl2", help="Bundled block name (default: sl2)."
+        ),
     )
-
     cache = _commands(
         _command(commands, "cache", "Inspect or clear the persistent polynomial column store.")
     )
     for name, run in (("info", cache_info), ("clear", cache_clear)):
-        _command(cache, name, run.__doc__, run).add_argument(
-            "--path", help="Cache directory (defaults to $TILTC_CACHE)."
+        _command(
+            cache, name, run.__doc__, run,
+            lambda parser: parser.add_argument("--path", help="Cache directory (defaults to $TILTC_CACHE)."),
         )
     return root
 

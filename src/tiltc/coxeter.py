@@ -35,6 +35,12 @@ internal tables only: ordering and output use the reduced word; equality
 and hashing are the element's identity, so elements of two systems are never
 equal.
 
+The system owns its table: elements refer to it through one weak reference
+that they all share, and releasing the system unlinks their step slots, so
+reference counts free the whole table at once, with no work left to the
+cyclic collector.  An element kept after its system keeps its word, length,
+vectors and descent masks; a step from it raises ``ReferenceError``.
+
 Generator names are 1-based for finite types (A3 has S = {1,2,3}); affine
 types prepend the affine node as generator 0.
 
@@ -48,6 +54,7 @@ types prepend the affine node as generator 0.
 from __future__ import annotations
 
 import re
+import weakref
 from operator import add
 from typing import Iterable, Sequence
 
@@ -219,6 +226,13 @@ def _coxeter_order(prod: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}.get(prod, 0)
 
 
+class _SystemRef(weakref.ref):
+    """The weak reference every element of one system shares, with the
+    system's tag, so an element names itself after its system is gone."""
+
+    __slots__ = ("tag",)
+
+
 class CoxeterElement:
     """Group element: canonical reduced word, action matrix, r/l vectors and table slots.
 
@@ -226,17 +240,19 @@ class CoxeterElement:
     are r(x) and l(x) = r(x^-1) (see the module docstring); ``ldesc`` /
     ``rdesc`` have bit i set when the generator at position i is a left /
     right descent; ``_succ[i]`` and ``_succ[rank + i]`` hold x*s_i and
-    s_i*x once a step has built them.
+    s_i*x once a step has built them.  ``_ref`` is the system's shared weak
+    reference: two elements are of one system when their ``_ref`` is one
+    object.
     """
 
     __slots__ = (
-        "system", "word", "matrix", "rvec", "lvec",
+        "_ref", "word", "matrix", "rvec", "lvec",
         "length", "id", "ldesc", "rdesc", "_succ",
     )
 
     def __init__(
         self,
-        system: "CoxeterSystem",
+        ref: _SystemRef,
         id: int,
         word: tuple[int, ...],
         matrix: Matrix,
@@ -245,7 +261,7 @@ class CoxeterElement:
         ldesc: int,
         rdesc: int,
     ):
-        self.system = system
+        self._ref = ref
         self.word = word
         self.matrix = matrix
         self.rvec = rvec
@@ -254,7 +270,15 @@ class CoxeterElement:
         self.id = id
         self.ldesc = ldesc
         self.rdesc = rdesc
-        self._succ: list[CoxeterElement | None] = [None] * (2 * system.rank)
+        self._succ: list[CoxeterElement | None] | None = [None] * (2 * len(rvec))
+
+    @property
+    def system(self) -> "CoxeterSystem":
+        """The system of this element; ReferenceError once it is released."""
+        W = self._ref()
+        if W is None:
+            raise ReferenceError(f"the system of {self!r} has been released")
+        return W
 
     def is_identity(self) -> bool:
         return not self.word
@@ -262,7 +286,7 @@ class CoxeterElement:
     def __mul__(self, other: "CoxeterElement") -> "CoxeterElement":
         if not isinstance(other, CoxeterElement):
             return NotImplemented
-        if other.system is not self.system:
+        if other._ref is not self._ref:
             raise ValueError("elements of different systems")
         return self.system._walk(self, other.word)
 
@@ -290,7 +314,7 @@ class CoxeterElement:
         return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
-        return f"<{self.system.tag}:{format_word(self.word) or 'e'}>"
+        return f"<{self._ref.tag}:{format_word(self.word) or 'e'}>"
 
 
 class CoxeterSystem:
@@ -332,6 +356,8 @@ class CoxeterSystem:
                     prod = self.cartan[self._idx[s]][self._idx[t]] * self.cartan[self._idx[t]][self._idx[s]]
                     self.coxeter_matrix[(s, t)] = _coxeter_order(prod)
 
+        self._ref = _SystemRef(self)  # the one reference to the system its elements hold
+        self._ref.tag = tag
         # the element table: by r(x) for right steps, by l(x) for left steps, and by id
         self._by_r: dict[tuple[int, ...], CoxeterElement] = {}
         self._by_l: dict[tuple[int, ...], CoxeterElement] = {}
@@ -344,6 +370,14 @@ class CoxeterSystem:
         self.generators: dict[int, CoxeterElement] = {
             s: self._times_gen(self.identity, s, "right") for s in self.names
         }
+
+    def __del__(self):
+        # the step slots link the elements in cycles: unlink them, and the
+        # table goes with the system by reference counts (read by getattr:
+        # building self.__dict__ here would make the collector keep a
+        # system in a cycle as resurrected)
+        for el in getattr(self, "_by_id", ()):
+            el._succ = None
 
     # -- construction --------------------------------------------------------
 
@@ -366,7 +400,7 @@ class CoxeterSystem:
     def _register(
         self, word: tuple[int, ...], mat: Matrix, rvec: tuple[int, ...], lvec: tuple[int, ...], ldesc: int
     ) -> CoxeterElement:
-        el = CoxeterElement(self, len(self._by_id), word, mat, rvec, lvec, ldesc, _neg_mask(rvec))
+        el = CoxeterElement(self._ref, len(self._by_id), word, mat, rvec, lvec, ldesc, _neg_mask(rvec))
         self._by_id.append(el)
         self._by_r[rvec] = el
         self._by_l[lvec] = el
@@ -520,7 +554,7 @@ class CoxeterSystem:
 
     def bruhat_leq(self, x: CoxeterElement, y: CoxeterElement) -> bool:
         """Bruhat order via the lifting property, memoized."""
-        if x.system is not self or y.system is not self:
+        if x._ref is not self._ref or y._ref is not self._ref:
             raise ValueError("elements of a different system")
         key = (x, y)
         cached = self._bruhat.get(key)

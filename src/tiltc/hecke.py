@@ -421,7 +421,7 @@ class HeckeContext:
 
     def _own(self, x: CoxeterElement) -> CoxeterElement:
         """x, checked to be an element of this context's system."""
-        if x.system is not self.system:
+        if x._ref is not self.system._ref:  # an element of a released system too
             raise ValidationError(f"element {x!r} is not of system {self.system.tag}")
         return x
 

@@ -1,7 +1,10 @@
 """Multiplicity tables for minimal tilting complexes in all four settings."""
 
+import gc
 import itertools
+import re
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -724,6 +727,101 @@ class TestConvolution:
     def test_missing_second_factor_is_zero(self):
         total, exact = convolution({"z": P("v")}, {}, {"z": 0}, 1, 1)
         assert total == ZERO and exact
+
+
+def _system_with_its_table():
+    W = CoxeterSystem.from_type("A3")
+    W.quotient_reps(())  # every element, each step slot filled
+    return W, None
+
+
+def _hecke_with_every_family():
+    W = CoxeterSystem.from_type("A3")
+    ctx = HeckeContext(W)
+    w0, y = W.longest_element(), W.element((2, 1))
+    ctx.kl_column(w0)
+    ctx.parabolic_column("m", (1,), y)
+    ctx.parabolic_column("n", (1,), y)
+    ctx.inverse_column("h", (), w0)
+    ctx.inverse_column("n", (1,), y)
+    return W, ctx
+
+
+def _both_tables(setting, x_word, **kw):
+    setting.standard_table(x_word, **kw)
+    setting.simple_table(x_word, **kw)
+    return setting.system, setting
+
+
+def _quantum():
+    setting, x = Quantum.from_weight("A2", 5, (3, 1))
+    return _both_tables(setting, x.word)[0], (setting, x)
+
+
+HOLDERS = {
+    "system": _system_with_its_table,
+    "hecke": _hecke_with_every_family,
+    "O": lambda: _both_tables(CategoryO(HeckeContext(CoxeterSystem.from_type("A3")), (), ()), (1, 2, 1)),
+    "KM-": lambda: _both_tables(
+        KacMoody(HeckeContext(CoxeterSystem.from_type("affA2")), (), (), level="neg"), (0, 1, 2)
+    ),
+    "KM+": lambda: _both_tables(
+        KacMoody(HeckeContext(CoxeterSystem.from_type("affA2")), (1,), (), level="pos"), (1,), max_len=5
+    ),
+    "quantum": _quantum,
+}
+
+
+class TestLifetime:
+    """A system owns its element table, and its elements refer to it
+    weakly: the table is freed by reference counts when the last holder of
+    the system lets go, with nothing left for the cyclic collector."""
+
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_dropping_the_holder_frees_the_system(self, holder):
+        # a collection can finalize old garbage into new garbage
+        while gc.collect():
+            pass
+        gc.disable()
+        try:
+            system, kept = HOLDERS[holder]()
+            ref = weakref.ref(system)
+            del system, kept
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_system_in_a_cycle_goes_in_one_collection(self):
+        # releasing the system must make no new reference to its table, or
+        # the collector takes it for a resurrection and keeps it all
+        while gc.collect():
+            pass
+        gc.disable()
+        try:
+            W = CoxeterSystem.from_type("A3")
+            W.quotient_reps(())
+            W.itself = W
+            del W
+            assert gc.collect() > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_an_element_outlives_its_system(self):
+        W = CoxeterSystem.from_type("A3")
+        x, y = W.element((2, 1, 3, 2)), W.element((1,))
+        data = (x.word, x.length, x.rvec, x.lvec, x.ldesc, x.rdesc)
+        ref = weakref.ref(W)
+        del W
+        assert ref() is None
+        assert (x.word, x.length, x.rvec, x.lvec, x.ldesc, x.rdesc) == data
+        named = re.escape(repr(x))
+        for step in (lambda: x.times_gen(1), lambda: x * y, x.inverse, x.left_descents):
+            with pytest.raises(ReferenceError, match=named):
+                step()
+        with pytest.raises(ValidationError, match=f"element {named} is not of system A3"):
+            HeckeContext(CoxeterSystem.from_type("A3")).kl_column(x)
 
 
 class TestTableShape:
