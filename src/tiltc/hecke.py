@@ -28,19 +28,21 @@ An h column is read off a spherical one.  With K = L(y), which generates a
 finite parabolic, and y = w_K y', h_{x,y} = v h_{sx,y} for s in K with
 sx > x (Kazhdan-Lusztig 1979) and h_{w_K x', w_K y'} = m^K_{x',y'}
 (Deodhar 1987), so h_{u x',y} = v^(l(w_K) - l(u)) m^K_{x',y'} for u in W_K.
-Every m and n column, computed or stored, is checked to be unitriangular
-over v*Z[v]; a stored one also for parity, and a stored m column for
-positivity.  An h column is not checked again: each entry is v^d times an
-entry of the checked m^K column, with d >= 0 and d = 0 only on the
-diagonal.  A single h entry (poly, mu) is read off the m^K column without
-expansion: no h column is built or memoized, W_K is not enumerated (l(w_K)
-is read off w_K, once per K), and the one entry is checked.
+
+The certificate: every m and n column, computed or stored, passes one gate
+(_check_column) once, as it is memoized and so before anything reads it.
+The column is unitriangular over v*Z[v], each exponent at x has the parity
+of l(y) - l(x), and an m column, whose entries are h values (Deodhar 1987),
+has no negative coefficient.  An h column or entry is v^d times a gated m^K
+entry, d = l(w_K) - l(u) >= 0 and 0 only on the diagonal, so it inherits all
+three.  A single h entry (poly, mu) is read off m^K: no h column is built
+and W_K is not enumerated (l(w_K) is read off w_K, once per K).
 
 The inverse families come by signed unitriangular inversion of the direct
 ones: inverse_combination pushes sum_a c_a fam^{a,.} down the lengths from
-every seed a at once, checks the parity of every direct entry it reads, and
-checks the inversion identity once.  They are never stored, as a stored one
-would need that check, which costs about as much as the push.
+every seed a at once, through gated columns only, and checks the inversion
+identity once.  They are never stored, as a stored one would need that
+check, which costs about as much as the push.
 
 Packed form (Kronecker substitution): a direct column is {element id: int},
 each entry its value at v = 2^SLOT, so the coefficient of v^e is the signed
@@ -142,9 +144,9 @@ class PolyStore:
     docstring) and parses its words the first time a query asks for it,
     each distinct word text once per store (columns share most of their
     lower words).  An exponent below 0 or a coefficient that does not fit a
-    slot is a CacheError.  ``save`` writes a record nobody read back as its
-    line, which is already canonical (sorted keys, compact separators), so
-    the bytes written do not depend on what was read.
+    slot is a CacheError.  ``save`` writes every loaded record, read or not,
+    as its line, which is already canonical (sorted keys, compact
+    separators), and encodes only the columns this store computed.
 
     The file modules (json, hashlib, tempfile, fcntl, glob) are imported by
     the methods that use them, so a query without a store loads none of them.
@@ -152,7 +154,9 @@ class PolyStore:
     A save holds an exclusive flock on the sidecar file ``<name>.lock``, and
     under it merges the records on disk with this store's, so concurrent
     writers lose no column; a record on disk that differs from this store's
-    for the same column is a CacheError.  ``clear`` takes the same lock.
+    for the same column is a CacheError.  A file still as ``load`` read it
+    holds only this store's records and is not decoded again.  ``clear``
+    takes the same lock.
 
     HeckeContext reads m[K] and n[I] records with K and I non-empty only; h
     is read off m^{L(y)}.  The h, m[], n[] and inverse records of files
@@ -173,6 +177,8 @@ class PolyStore:
         ] = {}
         self.dirty = False
         self._words: dict[str, tuple[int, ...]] = {}
+        self._lines: dict[tuple[str, tuple[int, ...]], str] = {}  # of the records read, for save
+        self._digest: bytes | None = None  # sha256 of the file as loaded
 
     def _word(self, text: str) -> tuple[int, ...]:
         """parse_word, once per distinct text."""
@@ -184,8 +190,9 @@ class PolyStore:
     def get_column(self, fam_id: str, upper: tuple[int, ...]):
         col = self.columns.get(fam_id, {}).get(upper)
         if isinstance(col, tuple):
+            line, entries = col
             try:
-                col = {self._word(k): self._packed(v) for k, v in col[1].items()}
+                col = {self._word(k): self._packed(v) for k, v in entries.items()}
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
             if None in col.values():
@@ -193,6 +200,7 @@ class PolyStore:
                     f"stored column {format_word(upper) or 'e'} of {fam_id} has an "
                     "exponent below 0, violating unitriangularity over v*Z[v]"
                 )
+            self._lines[fam_id, upper] = line
             self.columns[fam_id][upper] = col
         return col
 
@@ -242,11 +250,11 @@ class PolyStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         with _store_lock(path):
             records = {
-                (fam_id, upper): self._line(fam_id, upper, col)
+                (fam_id, upper): self._lines.get((fam_id, upper)) or self._line(fam_id, upper, col)
                 for fam_id, fam in self.columns.items()
                 for upper, col in fam.items()
             }
-            if path.exists():
+            if path.exists() and hashlib.sha256(path.read_text().encode()).digest() != self._digest:
                 on_disk = self.load(path, self.system_tag, self.generators)
                 for fam_id, fam in on_disk.columns.items():
                     for upper, (line, _) in fam.items():
@@ -328,6 +336,7 @@ class PolyStore:
         if hashlib.sha256(body.encode()).hexdigest() != header.get("checksum"):
             raise CacheError("cache checksum failure")
         store = cls(system_tag, generators)
+        store._digest = hashlib.sha256(text.encode()).digest()
         for line in body.split("\n") if body else ():
             try:
                 rec = json.loads(line)
@@ -376,7 +385,7 @@ class HeckeContext:
     """All polynomial families attached to one Coxeter system, memoized.
 
     An optional PolyStore persists the m and n columns (serialize with
-    store.save); one read from it passes the checks of _check_column or
+    store.save); one read from it passes the gate of _check_column or
     raises CacheError.  h columns are read off m columns and inverse columns
     are pushed; neither is stored.  All public results are columns: maps
     {lower element -> polynomial} attached to an upper element.
@@ -396,7 +405,9 @@ class HeckeContext:
         self._shifts: dict[int, dict[int, list[int]]] = {}
         self._ints: dict[int, int] = {}  # every packed entry, so equal ones are one object
         self._decoded: dict[int, LaurentPoly] = {}  # packed entry -> its polynomial
-        self._parity: dict[int, int] = {}  # packed entry -> bit k set if an exponent is k mod 2
+        # packed entry -> its facts for the gate: largest |coefficient| << 3,
+        # 4 if a coefficient is negative, bit k set if an exponent is k mod 2
+        self._facts: dict[int, int] = {}
         # every polynomial this context finishes, by its terms: one object each
         self._polys: dict[Terms, LaurentPoly] = {ZERO.terms: ZERO, ONE.terms: ONE}
 
@@ -449,29 +460,26 @@ class HeckeContext:
     def _direct_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> tuple[Packed, int]:
         """The packed column of C_y in the module of (fam, I) and the bound of
         its coefficients, memoized: for m and n C_{ys} C_s less mu C_u, read
-        from and written to the store when there is one; for h the expansion
-        of m^{L(y)} (module docstring)."""
+        from and written to the store when there is one, and gated; for h the
+        expansion of m^{L(y)} (module docstring)."""
         key = (family_id(fam, I), y.word)
         memo = self._columns.get(key)
         if memo is not None:
             return memo
-        stored = self.store is not None and fam != "h"
-        raw = self.store.get_column(*key) if stored else None
-        if raw is not None:
-            col, bound = self._finish({self.system.element(w).id: n for w, n in raw.items()}), None
-        elif y.is_identity():
-            col, bound = {y.id: 1}, 1
-        elif fam == "h":
-            col, bound = self._expand_spherical(y)
+        if fam == "h":
+            col, bound = self._expand_spherical(y) if not y.is_identity() else ({y.id: 1}, 1)
         else:
-            col, bound = self._product_column(fam, I, y, key[0]), None
-        if fam != "h":  # an h entry shifts a checked m^K entry (module docstring)
-            self._check_column(col, y, key[0], loaded=raw is not None)
-        if bound is None:  # the largest coefficient of its distinct entries
-            bound = max((max(abs(c) for _, c in self._poly(n)) for n in set(col.values())), default=0)
-        if stored and raw is None:
-            by_id = self.system._by_id
-            self.store.put_column(*key, {by_id[u].word: n for u, n in col.items()})
+            raw = self.store.get_column(*key) if self.store is not None else None
+            if raw is not None:
+                col = self._finish({self.system.element(w).id: n for w, n in raw.items()})
+            elif y.is_identity():
+                col = {y.id: 1}
+            else:
+                col = self._product_column(fam, I, y, key[0])
+            bound = self._check_column(col, y, key[0], loaded=raw is not None)
+            if self.store is not None and raw is None:
+                by_id = self.system._by_id
+                self.store.put_column(*key, {by_id[u].word: n for u, n in col.items()})
         memo = self._columns[key] = col, bound
         return memo
 
@@ -551,28 +559,34 @@ class HeckeContext:
         walk = self._walks[mask] = (top, [(j, slot, s, top - n) for j, slot, s, n in rows])
         return walk
 
-    def _check_column(self, col: Packed, y: CoxeterElement, fid: str, loaded: bool) -> None:
-        """Unitriangularity over v*Z[v] (1 on the diagonal, otherwise shorter
-        and no constant digit); for a column loaded from the store also parity,
-        and positivity when it is an m column, whose entries are h values
-        (Deodhar 1987), and a failure is a CacheError."""
-        signs = loaded and fid.startswith("m[")
-        mask, by_id = (1 << SLOT) - 1, self.system._by_id
+    def _check_column(self, col: Packed, y: CoxeterElement, fid: str, loaded: bool) -> int:
+        """The bound of the coefficients of an m or n column that passes the
+        gate (module docstring): 1 on the diagonal, otherwise shorter, no
+        constant digit and parity; for m no negative coefficient.  A failure
+        is a CacheError for a column loaded from the store."""
+        facts, by_id, ly = self._facts, self.system._by_id, y.length
+        mask, signs = (1 << SLOT) - 1, 4 if fid.startswith("m[") else 0
+        top = 0
         for u, n in col.items():
-            x = by_id[u]
-            if x is y:
-                bad = n != 1
-            else:
-                bad = x.length >= y.length or n & mask or (
-                    loaded
-                    and any(signs and c < 0 or (e + y.length - x.length) % 2 for e, c in self._poly(n))
+            f = facts.get(n)
+            if f is None:
+                terms = self._poly(n).terms
+                f = facts[n] = (
+                    max(abs(c) for _, c in terms) << 3
+                    | any(c < 0 for _, c in terms) << 2
+                    | sum({1 << (e & 1) for e, _ in terms})
                 )
-            if bad:
+            if f > top:
+                top = f
+            x = by_id[u]
+            d = ly - x.length
+            if (n != 1) if x is y else d <= 0 or n & mask or f & (signs | 2 >> (d & 1)):
                 raise (CacheError if loaded else InternalInvariantError)(
                     f"{'stored' if loaded else 'computed'} column {y!r} of {fid} has "
-                    f"{self._poly(n)!r} at {x!r}, violating unitriangularity over v*Z[v]"
-                    + (", parity or positivity" if signs else ", parity" if loaded else "")
+                    f"{self._poly(n)!r} at {x!r}, violating unitriangularity over v*Z[v], "
+                    + ("parity or positivity" if signs else "parity")
                 )
+        return top >> 3
 
     def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
         """Uniform access to any direct or inverse family column."""
@@ -593,25 +607,19 @@ class HeckeContext:
 
     def _h_entry(self, x: CoxeterElement, y: CoxeterElement) -> LaurentPoly:
         """h_{x,y} = v^(l(w_K) - l(u)) m^K_{x',y'} at x = u x', K = L(y), with no
-        h column built and l(w_K) memoized per K; checked as one entry of a
-        column unitriangular over v*Z[v]."""
+        h column built and l(w_K) memoized per K; certified by the gate of
+        m^K (module docstring)."""
         if y.is_identity():
-            n = int(x is y)
-        else:
-            W = self.system
-            K = W.check_names(y.left_descents())
-            x0 = W.project(x, K, "left")
-            n = self._direct_column("m", K, W.project(y, K, "left"))[0].get(x0.id, 0)
-            if n:
-                top = self._tops.get(y.ldesc)
-                if top is None:
-                    top = self._tops[y.ldesc] = W.longest_element(K).length
-                n <<= SLOT * (top - x.length + x0.length)
-        if (n != 1) if x is y else n and (x.length >= y.length or n & (1 << SLOT) - 1):
-            raise InternalInvariantError(
-                f"h entry at {x!r} of column {y!r} is {self._poly(n)!r}, violating "
-                "unitriangularity over v*Z[v]"
-            )
+            return self._poly(int(x is y))
+        W = self.system
+        K = W.check_names(y.left_descents())
+        x0 = W.project(x, K, "left")
+        n = self._direct_column("m", K, W.project(y, K, "left"))[0].get(x0.id, 0)
+        if n:
+            top = self._tops.get(y.ldesc)
+            if top is None:
+                top = self._tops[y.ldesc] = W.longest_element(K).length
+            n <<= SLOT * (top - x.length + x0.length)
         return self._poly(n)
 
     def mu(self, x: CoxeterElement, y: CoxeterElement) -> int:
@@ -665,8 +673,8 @@ class HeckeContext:
         It solves sum_z (-1)^(l(u)+l(z)) fam_{u,z} r_z = seeds[u] by one push
         down the lengths from every seed at once: each z holding a nonzero
         value gets it as r_z and pushes its negative through the strictly
-        shorter signed entries of its direct column (each must have parity
-        l(z) - l(u)); a value is final when its length is reached, and the
+        shorter signed entries of its direct column (each of parity l(z) - l(u),
+        by the gate); a value is final when its length is reached, and the
         identity is then checked as a fresh product.  Values are packed at
         SLOT bits, or at a multiple of it when the bound needs (module
         docstring).
@@ -689,7 +697,7 @@ class HeckeContext:
     ) -> Coords | None:
         """The push and residue of inverse_combination with values packed at
         width, or None once the bound reaches 2^(width-1)."""
-        half, by_id, parity = 1 << (width - 1), self.system._by_id, self._parity
+        half, by_id = 1 << (width - 1), self.system._by_id
         narrow = width == SLOT
         # v^off times every value: a push adds no exponent below the seeds'
         off = max([0] + [-p.min_degree() for p in seeds.values() if p])
@@ -716,18 +724,10 @@ class HeckeContext:
                 for u, n in col.items():
                     lu = by_id[u].length
                     if lu < length:  # every entry but the diagonal one
-                        odd = (lu + length) & 1
-                        bits = parity.get(n)
-                        if bits is None:
-                            bits = parity[n] = sum({1 << (e & 1) for e, _ in self._poly(n)})
-                        if bits & 2 >> odd:
-                            raise InternalInvariantError(
-                                f"{fid}: parity certificate failed at {by_id[u]!r} in the column of {z!r}"
-                            )
                         if not narrow:
                             n = self._widen(n, width)
                         pend = pending[lu]
-                        pend[u] = pend.get(u, 0) + (q if odd else minus) * n
+                        pend[u] = pend.get(u, 0) + (q if (lu + length) & 1 else minus) * n
         if bound >= half:
             return None
         residue = self._inversion_residue(fam, I, packed, solved, width)

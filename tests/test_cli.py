@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from planting import tamper
 from tiltc.cli import main
 from tiltc.coxeter import CoxeterSystem
 from tiltc.hecke import SLOT, HeckeContext, PolyStore, _pack
@@ -424,24 +425,6 @@ class TestCache:
         assert rc == 2 and err.startswith("error: cache:")
         assert "normalization version mismatch" in err
 
-    @staticmethod
-    def tamper(f, family, upper, lower, poly):
-        """Set one entry of a stored column and recompute the checksum."""
-        head, _, body = f.read_text().partition("\n")
-        lines = body.rstrip("\n").split("\n")
-        hits = 0
-        for k, line in enumerate(lines):
-            rec = json.loads(line)
-            if rec["family"] == family and rec["upper"] == upper:
-                rec["entries"][lower] = poly
-                lines[k] = json.dumps(rec, separators=(",", ":"), sort_keys=True)
-                hits += 1
-        assert hits == 1
-        body = "\n".join(lines)
-        obj = json.loads(head)
-        obj["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-        f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
-
     def test_tampered_column_rejected(self, capsys, tmp_path):
         # an edited polynomial behind a recomputed checksum is still caught;
         # the h column of 2 1 is read off the m[2] record at 1 (2 1 = s_2 * 1)
@@ -449,7 +432,7 @@ class TestCache:
         args = ("kl", "--type", "A2", "--y", "2 1", "--cache-path", cache)
         rc, _, _ = run(capsys, *args)
         assert rc == 0
-        self.tamper(tmp_path / "A2.jsonl", "m[2]", "1", "", {"1": -7})
+        tamper(tmp_path / "A2.jsonl", "m[2]", "1", "", {"1": -7})
         rc, out, err = run(capsys, *args)
         assert rc == 2 and err.startswith("error: cache:") and out == ""
 
@@ -461,7 +444,7 @@ class TestCache:
                 "--y", "2 1", "--x", "2", "--cache-path", cache)
         rc, out, _ = run(capsys, *args)
         assert rc == 0 and out == "v\n"
-        self.tamper(tmp_path / "A3.jsonl", "n[1]", "2 1", "2", {"2": 1})
+        tamper(tmp_path / "A3.jsonl", "n[1]", "2 1", "2", {"2": 1})
         rc, out, err = run(capsys, *args)
         assert rc == 2 and err.startswith("error: cache:") and out == ""
 
@@ -472,7 +455,7 @@ class TestCache:
         args = ("kl", "--type", "A2", "--y", "2 1", "--cache-path", cache)
         rc, _, _ = run(capsys, *args)
         assert rc == 0
-        self.tamper(tmp_path / "A2.jsonl", "m[2]", "1", "", {"one": 1})
+        tamper(tmp_path / "A2.jsonl", "m[2]", "1", "", {"one": 1})
         rc, out, err = run(capsys, *args)
         assert rc == 2 and out == ""
         assert err.startswith("error: cache: cache key parse failure")
@@ -593,14 +576,14 @@ STORES = {
     "@corrupt": (["kl", "--type", "A1", "--y", "1"], _zero_checksum),
     "@tampered": (
         ["kl", "--type", "A2", "--y", "2 1"],
-        lambda f: TestCache.tamper(f, "m[2]", "1", "", {"1": -7}),
+        lambda f: tamper(f, "m[2]", "1", "", {"1": -7}),
     ),
     # one m^K entry wrong with its parity and sign kept, behind a recomputed
     # checksum: it loads, and only the standard table's antispherical twin
     # sees it
     "@planted": (
         ["tilt", "O", "--type", "A4", "--x", "1 2 1 3 2 1 4 3 2 1"],
-        lambda f: TestCache.tamper(f, "m[1,2,3]", "4 3", "4", {"1": 3}),
+        lambda f: tamper(f, "m[1,2,3]", "4 3", "4", {"1": 3}),
     ),
 }
 CORPUS = DATA / "cli_corpus.tsv"

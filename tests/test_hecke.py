@@ -4,12 +4,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bar_reference import bar_expand, is_selfdual
+from planting import plant_computed
 from tiltc import hecke
 from tiltc.coxeter import CoxeterSystem, format_word, parse_word
 from tiltc.errors import CacheError, InternalInvariantError, ValidationError
@@ -208,24 +210,87 @@ class TestSingleEntries:
                 assert shifted == [n << SLOT * d for d in range(top + 1)]
 
     @pytest.mark.parametrize("where", ["below-v", "diagonal"])
-    def test_entry_check_fires(self, where):
+    def test_entry_check_fires(self, where, monkeypatch):
         # x = u x' below y = w_K y' reads m^K at x', shifted by l(w_K) - l(u);
-        # a corrupted packed m^K entry in the memo (columns are checked when
-        # built, not when read) must not pass as an h entry
-        c = ctx(A3)
+        # a wrong m^K entry is refused by the gate as the m^K column is built,
+        # so no h entry is read off it
         y = A3.element([2, 1, 3, 2])
         K = A3.check_names(y.left_descents())
         wK, y0 = A3.longest_element(K), A3.project(y, K, "left")
         if where == "below-v":  # x = w_K: no shift, so a constant term stays below v
-            x, x0, bad = wK, A3.identity, 1
+            x, x0, bad = wK, A3.identity, ONE
         else:  # h_{y,y} = m^K_{y',y'} must be 1
-            x, x0, bad = y, y0, 1 << 2 * SLOT  # v^2
-        c.poly("h", (), x, y)  # memoizes the m^K column, checked
+            x, x0, bad = y, y0, LaurentPoly.v(2)
         key = (family_id("m", K), y0.word)
-        col, bound = c._columns[key]
-        c._columns[key] = {**col, x0.id: col.get(x0.id, 0) + bad}, bound
-        with pytest.raises(InternalInvariantError, match="violating unitriangularity"):
+        plant_computed(monkeypatch, *key, x0.word, bad)
+        c = ctx(A3)
+        with pytest.raises(
+            InternalInvariantError, match=rf"computed column {y0!r} of {re.escape(key[0])} .*violating unitriangularity"
+        ):
             c.poly("h", (), x, y)
+        assert key not in c._columns  # never memoized, so never read
+
+
+class TestGate:
+    """Every m and n column passes _check_column once, as it is memoized."""
+
+    def test_negative_coefficient_in_a_computed_m_column(self, monkeypatch):
+        # an m entry is an h value, so a coefficient below 0 is refused even
+        # where it keeps the parity of the length difference
+        I = (1,)
+        y = A3.project(A3.longest_element(), I, "left")
+        clean = ctx(A3).parabolic_column("m", I, y)
+        x, p = next((x, p) for x, p in clean.items() if x != y)
+        e, k = p.terms[0]
+        plant_computed(monkeypatch, "m[1]", y.word, x.word, LaurentPoly({e: -k - 1}))
+        c = ctx(A3)
+        with pytest.raises(
+            InternalInvariantError,
+            match=rf"computed column {y!r} of m\[1\] has .* at {x!r}, .*parity or positivity",
+        ):
+            c.parabolic_column("m", I, y)
+        assert ("m[1]", y.word) not in c._columns
+
+    def test_negative_coefficient_in_an_n_column_passes(self, monkeypatch):
+        # n entries are not h values: the gate checks their parity only
+        I = (1,)
+        y = A3.project(A3.longest_element(), I, "left")
+        clean = ctx(A3).parabolic_column("n", I, y)
+        x, p = next((x, p) for x, p in clean.items() if x != y)
+        e, k = p.terms[0]
+        plant_computed(monkeypatch, "n[1]", y.word, x.word, LaurentPoly({e: -k - 1}))
+        assert ctx(A3).parabolic_column("n", I, y)[x].coeff(e) == -1
+
+    @pytest.mark.parametrize("fam", ["m", "n"])
+    def test_wrong_parity_in_a_computed_column(self, fam, monkeypatch):
+        I = (1,)
+        y = A3.project(A3.longest_element(), I, "left")
+        clean = ctx(A3).parabolic_column(fam, I, y)
+        x = next(x for x in clean if x != y)
+        plant_computed(monkeypatch, family_id(fam, I), y.word, x.word, LaurentPoly.v(y.length - x.length + 1))
+        with pytest.raises(InternalInvariantError, match=r"computed column .*, parity"):
+            ctx(A3).parabolic_column(fam, I, y)
+
+    def test_each_column_is_gated_once(self, monkeypatch):
+        # direct columns, h columns read off them, single h entries and
+        # inverse columns: each m and n column passes the gate once, and
+        # the gate's bound is the largest coefficient of the column
+        gated = []
+        real = HeckeContext._check_column
+
+        def spy(self, col, y, fid, loaded):
+            bound = real(self, col, y, fid, loaded)
+            gated.append((fid, y.word))
+            assert bound == max(abs(k) for n in col.values() for _, k in self._poly(n))
+            return bound
+
+        monkeypatch.setattr(HeckeContext, "_check_column", spy)
+        c = ctx(B3)
+        for y in B3.quotient_reps((), max_len=6)[0]:
+            c.kl_column(y)
+            c.poly("h", (), B3.identity, y)
+            c.inverse_column("n", (2,), B3.project(y, (2,), "left"))
+        assert len(gated) == len(set(gated)) == sum(fid != "h" for fid, _ in c._columns)
 
 
 class TestParabolicColumns:
@@ -803,6 +868,53 @@ class TestPolyStore:
         assert (tmp_path / "lazy" / "A3.jsonl").read_bytes() == (
             tmp_path / "eager" / "A3.jsonl"
         ).read_bytes()
+
+    @staticmethod
+    def records(path):
+        return path.read_text().rstrip("\n").split("\n")[1:]
+
+    def test_read_records_are_not_encoded_again(self, tmp_path, monkeypatch):
+        # a record a query read keeps its line, so a save encodes only the
+        # columns this store computed: one json.dumps each, and the header
+        _, path = self.make_store(tmp_path)
+        before = self.records(path)
+        store = PolyStore.load(path, "A3", 3)
+        for fam_id, fam in store.columns.items():
+            for upper in list(fam):
+                store.get_column(fam_id, upper)  # every record read
+        HeckeContext(A3, store).kl_column(A3.element([1, 2, 3]))  # new columns
+        dumps, dumped = json.dumps, []
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: dumped.append(a) or dumps(*a, **k))
+        store.save(path)
+        after = self.records(path)
+        assert set(before) < set(after)
+        assert len(dumped) == 1 + len(after) - len(before)
+
+    def test_unchanged_file_is_not_decoded_again(self, tmp_path, monkeypatch):
+        _, path = self.make_store(tmp_path)
+        store = PolyStore.load(path, "A3", 3)
+        HeckeContext(A3, store).kl_column(A3.element([1, 2, 3]))  # new columns
+        loads, decoded = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        store.save(path)
+        assert decoded == []
+        self.assert_same_columns(PolyStore.load(path, "A3", 3), store)
+
+    def test_a_changed_file_is_merged(self, tmp_path, monkeypatch):
+        # another writer's save changes the bytes on disk: the next save
+        # decodes the file and keeps the other writer's columns
+        _, path = self.make_store(tmp_path)
+        store = PolyStore.load(path, "A3", 3)
+        HeckeContext(A3, store).kl_column(A3.element([1, 2, 3]))
+        other = HeckeContext(A3, PolyStore.load(path, "A3", 3))
+        other.kl_column(A3.element([3, 2, 1]))
+        other.store.save(path)
+        theirs = set(self.records(path))
+        loads, decoded = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        store.save(path)
+        assert decoded
+        assert theirs < set(self.records(path))
 
     @staticmethod
     def rewrite_records(path, edit):

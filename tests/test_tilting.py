@@ -3,16 +3,17 @@
 import gc
 import itertools
 import re
-import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planting import plant_computed, plant_stored, source_column
 from tiltc import hecke
-from tiltc.coxeter import CoxeterSystem
-from tiltc.errors import InternalInvariantError, ValidationError
-from tiltc.hecke import SLOT, HeckeContext, family_id
+from tiltc.coxeter import CoxeterElement, CoxeterSystem
+from tiltc.errors import CacheError, InternalInvariantError, ValidationError
+from tiltc.hecke import SLOT, HeckeContext, PolyStore, family_id
 from tiltc.laurent import ONE, ZERO, LaurentPoly
 from tiltc.rootdata import LinkageDatum
 from tiltc.tilting import CategoryO, KacMoody, Quantum, filtration_dims
@@ -102,15 +103,19 @@ class TestCategoryOStandard:
             O.standard_table(x.word)
 
     @staticmethod
-    def corrupt_twin_source(O, x, y, bad):
-        """Add the packed bad to the m^{L(b)} entry that the twin of (x, y)
-        reads, with I = (): h_{a,b} is read off m^K at a' = W_K a, b' = W_K b."""
-        W = O.system
+    def twin_source(O, x, y):
+        """The key of the m^{L(b)} column that the twin of (x, y) reads, with
+        I = (), and the element a' there: h_{a,b} is read off m^K at
+        a' = W_K a, b' = W_K b."""
         a = O.wI * x.inverse() * O.wJ * O.w0
         b = O.wI * y.inverse() * O.wJ * O.w0
-        K = W.check_names(b.left_descents())
-        a0 = W.project(a, K, "left")
-        key = (family_id("m", K), W.project(b, K, "left").word)
+        key, lower = source_column(O.hecke, "h", (), b)
+        return key, lower(a)
+
+    def corrupt_twin_source(self, O, x, y, bad):
+        """Add the packed bad to the memoized m^{L(b)} entry that the twin of
+        (x, y) reads."""
+        key, a0 = self.twin_source(O, x, y)
         col, bound = O.hecke._columns[key]
         O.hecke._columns[key] = {**col, a0.id: col.get(a0.id, 0) + bad}, bound
 
@@ -125,16 +130,24 @@ class TestCategoryOStandard:
         with pytest.raises(InternalInvariantError, match="disagrees with its antispherical twin"):
             O.standard_table(x.word)
 
-    def test_antispherical_twin_entry_is_checked_for_empty_I(self):
-        # a wrong m^K entry fails the check of the one h entry read: on the
-        # diagonal row the twin reads h_{b,b} = m^K_{b',b'} unshifted, which
-        # must be 1
-        O = CategoryO(HeckeContext(A3), (), ())
+    def test_antispherical_twin_entry_is_checked_for_empty_I(self, tmp_path):
+        # on the diagonal row the twin reads h_{b,b} = m^K_{b',b'} unshifted,
+        # which must be 1.  Here b = w_K, so m^K is the column of e, which no
+        # recursion builds: a v^2 planted in its record is refused by the
+        # gate as the column is loaded, before the solve or the twin reads it
         x = A3.element((1, 2, 3))
+        O = CategoryO(HeckeContext(A3, PolyStore("A3", 3)), (), ())
         O.standard_table(x.word)
-        self.corrupt_twin_source(O, x, x, 1 << 2 * SLOT)  # + v^2
-        with pytest.raises(InternalInvariantError, match="violating unitriangularity over v\\*Z\\[v\\]"):
+        O.hecke.store.save(tmp_path / "A3.jsonl")
+        key, a0 = self.twin_source(O, x, x)
+        assert key[1] == a0.word == ()
+        plant_stored(tmp_path / "A3.jsonl", *key, a0.word, LaurentPoly.v(2))
+        O = CategoryO(HeckeContext(A3, PolyStore.load(tmp_path / "A3.jsonl", "A3", 3)), (), ())
+        with pytest.raises(
+            CacheError, match=rf"stored column <A3:e> of {re.escape(key[0])} .*violating unitriangularity over v\*Z\[v\]"
+        ):
             O.standard_table(x.word)
+        assert key not in O.hecke._columns
 
 
 class TestCategoryOSimple:
@@ -348,16 +361,16 @@ class TestQuantum:
             Q.simple_table(u.word)
 
 
-def o_setting(tag, I=(), J=()):
-    return CategoryO(HeckeContext(CoxeterSystem.from_type(tag)), I, J)
+def o_setting(tag, I=(), J=(), store=None):
+    return CategoryO(HeckeContext(CoxeterSystem.from_type(tag), store), I, J)
 
 
-def km_setting(tag, I=(), J=()):
-    return KacMoody(HeckeContext(CoxeterSystem.from_type(tag)), I, J, "neg")
+def km_setting(tag, I=(), J=(), store=None):
+    return KacMoody(HeckeContext(CoxeterSystem.from_type(tag), store), I, J, "neg")
 
 
-def quantum_setting(tag, ell, I=()):
-    return Quantum(LinkageDatum(tag, ell), I)
+def quantum_setting(tag, ell, I=(), store=None):
+    return Quantum(LinkageDatum(tag, ell), I, store)
 
 
 def index_words(setting, max_len=None):
@@ -381,103 +394,126 @@ def column_key(setting, fam, u):
     return (family_id(fam, setting.I) if setting.I else "h", u.word)
 
 
-def km_pos_setting(tag, I=(), J=()):
-    return KacMoody(HeckeContext(CoxeterSystem.from_type(tag)), I, J, "pos")
+def km_pos_setting(tag, I=(), J=(), store=None):
+    return KacMoody(HeckeContext(CoxeterSystem.from_type(tag), store), I, J, "pos")
 
 
 class TestSimpleTableChecks:
-    """The simple tables keep the parity certificate on their inputs."""
+    """Every direct column a simple table reads passes the gate of hecke
+    once, as it is computed or loaded; the table itself checks the parity of
+    the inverse entries it reads at positive level."""
 
     # (setting, x, max_len): a positive-level table over all y needs max_len
     SETTINGS = {
-        "O-A3": lambda: (o_setting("A3"), (1, 2, 3, 2), None),
-        "O-A3-I": lambda: (o_setting("A3", (2,)), (1, 2, 3), None),
-        "KM-affA1": lambda: (km_setting("affA1"), (0, 1, 0), None),
-        "KM+-affA2": lambda: (km_pos_setting("affA2", (1,)), (0, 1), 6),
-        "quantum-A2-l5": lambda: (quantum_setting("A2", 5), (0, 1, 2, 0), None),
+        "O-A3": lambda store=None: (o_setting("A3", store=store), (1, 2, 3, 2), None),
+        "O-A3-I": lambda store=None: (o_setting("A3", (2,), store=store), (1, 2, 3), None),
+        "KM-affA1": lambda store=None: (km_setting("affA1", store=store), (0, 1, 0), None),
+        "KM+-affA2": lambda store=None: (km_pos_setting("affA2", (1,), store=store), (0, 1), 6),
+        "quantum-A2-l5": lambda store=None: (quantum_setting("A2", 5, store=store), (0, 1, 2, 0), None),
     }
+
+    @staticmethod
+    def solve_column(twin, table, x):
+        """The column, gated as itself or for I = () as the m^K column it is
+        read off, of an m column the solve reads: the one at u_y^-1 for the
+        longest row y whose column is not x's n column (at positive level the
+        inverse column of each row z starts there)."""
+        u_x = twin._coset_part(twin.system.element(x))
+        n_key = column_key(twin, "n", twin._n_index(u_x))
+        for w, _ in reversed(table.entries):
+            u = twin._coset_part(twin.system.element(w)).inverse()
+            key, _ = source_column(twin.hecke, "m", twin.I, u)
+            if column_key(twin, "m", u) != n_key and len(twin.hecke._columns.get(key, ({},))[0]) > 1:
+                return key
+
+    @staticmethod
+    def seed_column(twin, table, x):
+        """The gated column of a seed's n column: at negative level the n
+        column of x, at positive level the n column of the last row y."""
+        top = twin._coset_part(twin.system.element(table.entries[-1][0] if twin.setting_name == "KM+" else x))
+        return source_column(twin.hecke, "n", twin.I, twin._n_index(top))[0]
+
+    @staticmethod
+    def wrong_parity(context, key):
+        """The lower word of an entry off the diagonal of a memoized column,
+        and v^(d + 1) for d the difference of lengths: the wrong parity."""
+        W = context.system
+        y = W.element(key[1])
+        low = next(W._by_id[z] for z in context._columns[key][0] if z != y.id)
+        return low.word, LaurentPoly.v(y.length - low.length + 1)
+
+    def assert_gate_refuses(self, name, pick, source, monkeypatch, tmp_path):
+        """Plant the wrong parity in the column pick reads off a clean simple
+        table, computed or stored, and assert that the gate refuses it on
+        the next setting before any table reads it."""
+        W = self.SETTINGS[name]()[0].system
+        store = PolyStore(W.tag, W.rank) if source == "stored" else None
+        twin, x, max_len = self.SETTINGS[name](store)
+        key = pick(twin, twin.simple_table(x, max_len=max_len), x)
+        lower, bad = self.wrong_parity(twin.hecke, key)
+        if store is None:
+            plant_computed(monkeypatch, *key, lower, bad)
+            error, where = InternalInvariantError, "computed"
+        else:
+            store.save(tmp_path / "store.jsonl")
+            plant_stored(tmp_path / "store.jsonl", *key, lower, bad)
+            store = PolyStore.load(tmp_path / "store.jsonl", W.tag, W.rank)
+            error, where = CacheError, "stored"
+        setting = self.SETTINGS[name](store)[0]
+        with pytest.raises(error, match=rf"{where} column .* of {re.escape(key[0])} .*, parity"):
+            setting.simple_table(x, max_len=max_len)
+        assert key not in setting.hecke._columns  # never memoized, so never read
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_wrong_parity_in_a_direct_column_read_by_the_solve(self, name, monkeypatch):
+        self.assert_gate_refuses(name, self.solve_column, "computed", monkeypatch, None)
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_wrong_parity_in_a_seed(self, name, monkeypatch):
+        self.assert_gate_refuses(name, self.seed_column, "computed", monkeypatch, None)
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_wrong_parity_in_a_stored_column_read_by_the_solve(self, name, tmp_path):
+        self.assert_gate_refuses(name, self.solve_column, "stored", None, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_wrong_parity_in_a_stored_seed(self, name, tmp_path):
+        self.assert_gate_refuses(name, self.seed_column, "stored", None, tmp_path)
+
+    def test_each_column_passes_the_gate_once_per_context(self, monkeypatch):
+        # a column is certified as it is memoized, whatever reads it: the
+        # standard and simple tables of two x on a KM+ setting and of an O
+        # setting gate each (family, upper) once per context, and every m
+        # and n column they memoize
+        gated = []
+        real = HeckeContext._check_column
+
+        def spy(self, col, y, fid, loaded):
+            gated.append((id(self), fid, y.word))
+            return real(self, col, y, fid, loaded)
+
+        monkeypatch.setattr(HeckeContext, "_check_column", spy)
+        km, x, max_len = self.SETTINGS["KM+-affA2"]()
+        first = km.simple_table(x, max_len=max_len)
+        km.standard_table(x, max_len=max_len)
+        above = first.entries[-1][0]  # another x, whose rows are among the first's
+        assert above != x
+        km.simple_table(above, max_len=max_len)
+        km.standard_table(above, max_len=max_len)
+        O, x, _ = self.SETTINGS["O-A3-I"]()
+        O.standard_table(x)
+        O.simple_table(x)
+        assert len(set(gated)) == len(gated)
+        for context in (km.hecke, O.hecke):
+            got = {(fid, w) for c, fid, w in gated if c == id(context)}
+            assert got and got == {key for key in context._columns if key[0] != "h"}
 
     @staticmethod
     def plant(setting, key, low, length_gap):
         """Add v^(length_gap + 1), of the wrong parity, at low to a memoized
-        column: a packed direct one, or an inverse one."""
-        context = setting.hecke
-        if key in context._inverses:
-            col = context._inverses[key]
-            context._inverses[key] = {**col, low: col.get(low, ZERO) + LaurentPoly.v(length_gap + 1)}
-        else:
-            col, bound = context._columns[key]
-            bad = col.get(low.id, 0) + (1 << SLOT * (length_gap + 1))
-            context._columns[key] = {**col, low.id: bad}, bound
-
-    @pytest.mark.parametrize("name", sorted(SETTINGS))
-    def test_wrong_parity_in_a_direct_column_read_by_the_solve(self, name):
-        setting, x, max_len = self.SETTINGS[name]()
-        table = setting.simple_table(x, max_len=max_len)  # memoizes every column read
-        u_x = setting._coset_part(setting.system.element(x))
-        n_key = column_key(setting, "n", setting._n_index(u_x))
-        # the solve reads the m column at each u_y^-1 (at positive level the
-        # inverse column of each row z starts there)
-        for w, _ in reversed(table.entries):
-            u = setting._coset_part(setting.system.element(w)).inverse()
-            key = column_key(setting, "m", u)
-            by_id = setting.system._by_id
-            low = next((by_id[z] for z in setting.hecke._columns[key][0] if z != u.id), None)
-            if key != n_key and low is not None:
-                break
-        self.plant(setting, key, low, u.length - low.length)
-        # inverse columns are memoized: drop them, so the pushes run again
-        setting.hecke._inverses.clear()
-        with pytest.raises(InternalInvariantError, match=r"_inv\S*: parity certificate failed"):
-            setting.simple_table(x, max_len=max_len)
-
-    @pytest.mark.parametrize("name", sorted(SETTINGS))
-    def test_wrong_parity_in_a_seed(self, name):
-        # the rows come from a table on a twin setting; the column is planted
-        # before the first table that reads it, since at positive level each
-        # n column is certified once per setting
-        twin, x, max_len = self.SETTINGS[name]()
-        table = twin.simple_table(x, max_len=max_len)
-        setting = self.SETTINGS[name]()[0]
-        u_x = setting._coset_part(setting.system.element(x))
-        # a seed is an n entry: at negative level the n column of x at each z
-        # below x, at positive level the n column of each row y at each z
-        if max_len is None:
-            top = u_x
-            low = next(u for u in index_below(setting, u_x) if u != u_x)
-        else:  # the last row y at z = x, where m^{x,x} = 1
-            top = setting._coset_part(setting.system.element(table.entries[-1][0]))
-            low = u_x
-        key = column_key(setting, "n", setting._n_index(top))
-        setting.hecke.parabolic_column("n", setting.I, setting._n_index(top))
-        self.plant(setting, key, setting._n_index(low), top.length - low.length)
-        with pytest.raises(
-            InternalInvariantError, match="parity certificate failed in the simple-object formula"
-        ):
-            setting.simple_table(x, max_len=max_len)
-
-    def test_n_columns_are_certified_once_per_setting(self, monkeypatch):
-        # at positive level the parity of n_{z,y} does not depend on x: a
-        # second table on the same setting re-checks no n entry
-        setting, x, max_len = self.SETTINGS["KM+-affA2"]()
-        callers = []
-        real = LaurentPoly.has_parity
-
-        def spy(p, k):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real(p, k)
-
-        monkeypatch.setattr(LaurentPoly, "has_parity", spy)
-        first = setting.simple_table(x, max_len=max_len)
-        checked = set(setting._n_parity_checked)
-        assert "_checked_n_column" in callers and checked
-        callers.clear()
-        assert setting.simple_table(x, max_len=max_len) == first
-        above = first.entries[-1][0]  # another x, whose rows are among the first's
-        assert above != x
-        setting.simple_table(above, max_len=max_len)
-        assert "_checked_n_column" not in callers
-        assert setting._n_parity_checked == checked
+        inverse column."""
+        col = setting.hecke._inverses[key]
+        setting.hecke._inverses[key] = {**col, low: col.get(low, ZERO) + LaurentPoly.v(length_gap + 1)}
 
     def test_wrong_parity_in_an_inverse_entry_at_positive_level(self):
         # each memoized inverse column of a row z is read once, at x
@@ -564,6 +600,76 @@ class TestSimpleTableChecks:
         assert len(reads) < len(between)
         assert row.entry(y.word) == setting.simple_table(x.word, max_len=12).entry(y.word)
         assert row.entry(y.word)
+
+
+class TestTrustMap:
+    """Which check sees a wrong direct coefficient that keeps its parity and
+    sign, and so passes the gate: the trust map of the README, pinned."""
+
+    # (setting, x, max_len), with I non-empty so that m and n differ
+    SETTINGS = {
+        "O": lambda: (o_setting("A3", (2,)), (1, 2, 3), None),
+        "KM-": lambda: (km_setting("affA2", (1,)), (1, 0, 2, 1, 0), None),
+        "KM+": lambda: (km_pos_setting("affA2", (1,)), (0, 1), 6),
+        "quantum": lambda: (quantum_setting("A2", 5, (1,)), (0, 1, 2, 1, 0, 2), None),
+    }
+    # a phrase of each check's message -> its name in the map
+    ROUTES = {
+        "antispherical twin": "twin",
+        "inversion identity fails": "residue",
+        "multiplicity at": "_finalize",
+    }
+    HEADER = "| setting | object | m column | n column |"
+
+    @classmethod
+    def pinned(cls):
+        """The trust map of the README: {(setting, object): {family: route}}."""
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = {}
+        for line in text[text.index(cls.HEADER):].split("\n")[2:]:
+            if not line.startswith("|"):
+                break
+            setting, obj, m, n = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            rows[setting, obj] = {"m": m, "n": n}
+        return rows
+
+    def route(self, name, obj, fam, monkeypatch):
+        """Raise one coefficient by 2, keeping its sign, in the longest fam
+        column the table reads, at the longest entry whose fault reaches the
+        table (trying shorter columns next), and name the check that fires:
+        none when the table returns other rows, and — when it reads no
+        column of fam."""
+        clean_setting, x, max_len = self.SETTINGS[name]()
+        clean = getattr(clean_setting, obj + "_table")(x, max_len=max_len)
+        context, W = clean_setting.hecke, clean_setting.system
+        fid = family_id(fam, clean_setting.I)
+        by_length = lambda ids: sorted(map(W._by_id.__getitem__, ids), key=CoxeterElement.sort_key, reverse=True)  # noqa: E731
+        uppers = by_length(W.element(w).id for f, w in context._columns if f == fid)
+        if not uppers:
+            return "—"
+        for y in uppers:
+            col = context._columns[fid, y.word][0]
+            for low in by_length(u for u in col if u != y.id):
+                e, c = context._poly(col[low.id]).terms[0]
+                with monkeypatch.context() as patch:
+                    plant_computed(patch, fid, y.word, low.word, LaurentPoly({e: 2 if c > 0 else -2}))
+                    setting = self.SETTINGS[name]()[0]
+                    try:
+                        got = getattr(setting, obj + "_table")(x, max_len=max_len)
+                    except InternalInvariantError as exc:
+                        return next((route for text, route in self.ROUTES.items() if text in str(exc)), str(exc))
+                if got != clean:
+                    return "none"
+        raise AssertionError(f"no fault in {fid} reaches the {obj} table")
+
+    def test_the_map_covers_every_table(self):
+        assert set(self.pinned()) == {(name, obj) for name in self.SETTINGS for obj in ("standard", "simple")}
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    @pytest.mark.parametrize("obj", ["standard", "simple"])
+    def test_route(self, name, obj, monkeypatch):
+        got = {fam: self.route(name, obj, fam, monkeypatch) for fam in ("m", "n")}
+        assert got == self.pinned()[name, obj]
 
 
 def convolution(p, p_prime, length_of, len_first, len_second):
