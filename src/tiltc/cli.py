@@ -22,8 +22,8 @@ that are never abbreviated and values that are taken as given (see
 a command's options when it runs or prints its help.  Start-up imports
 only the standard library and the layers every ``kl`` and ``tilt`` query
 runs (coxeter, hecke, laurent); the tables, the root data, the oracle,
-``json`` and the store's file modules are imported by the commands that
-use them.
+the JSON writer and the store's file modules are imported by the commands
+that use them.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def kl_cmd(
     polys = {p for _, _, p in records}
     words = {w for x, y, _ in records for w in (x, y)}
     if fmt == "json":
-        import json
+        from .jsontext import dumps
 
         poly_obj = {p: p.to_json_obj() for p in polys}
         word_text = {w: format_word(w) for w in words}
@@ -169,7 +169,7 @@ def kl_cmd(
                 for x, y, p in records
             ],
         }
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        print(dumps(obj))
         return
     single = len(records) == 1 and x_text is not None and len(y_texts) == 1
     if fmt == "text" and single:
@@ -186,9 +186,9 @@ def kl_cmd(
 
 def _emit_table(table: MultiplicityTable, fmt: str) -> None:
     if fmt == "json":
-        import json
+        from .jsontext import dumps
 
-        print(json.dumps(table.to_json_obj(), sort_keys=True, indent=2))
+        print(dumps(table.to_json_obj()))
         return
     lines = []
     for w, p in table.entries:

@@ -33,7 +33,9 @@ however many resolutions end in it, and the sweep, which both scan orders of
 the elimination share.  ``TiltingCategory.minimal_complex`` keeps the
 ``cmin_module`` result per module and scan order, each built and checked on
 its first request.  Every memo lives on the parsed block's algebra or on a
-``TiltingCategory`` of it, so nothing is shared between two parses.
+``TiltingCategory`` of it, so nothing is shared between two parses, and
+everything goes by reference counts when the block is dropped (see
+:mod:`tiltc.mincpx.quiver`).
 
 ``verify_block`` runs nine invariant suites over a named block and raises
 on the first violated invariant.
@@ -41,7 +43,7 @@ on the first violated invariant.
 
 from __future__ import annotations
 
-from ast import literal_eval
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -205,8 +207,13 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
                     if key.startswith("dim "):
                         cur["dims"][key[4:].strip()] = int(val)
                     else:
-                        cur["mats"][key[4:].strip()] = linalg.mat(literal_eval(val))
-                except (SyntaxError, ValueError, TypeError, OverflowError) as exc:
+                        # bracketed integer rows; json.loads, unlike
+                        # ast.literal_eval, leaves no cyclic garbage
+                        rows = json.loads(val)
+                        if not all(type(x) is int for row in rows for x in row):
+                            raise ValueError("matrix entries must be integers")
+                        cur["mats"][key[4:].strip()] = linalg.mat(rows)
+                except (ValueError, TypeError, RecursionError) as exc:
                     raise ValidationError(f"{name}: bad module line {line!r}") from exc
     if not vertices:
         raise ValidationError(f"{name}: no vertices declared")

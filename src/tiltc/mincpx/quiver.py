@@ -12,10 +12,20 @@ map M -> N (a ``VMap``) holds one full-shape matrix per vertex v, of shape
 (N.dims[v], M.dims[v]) in the sense of :mod:`tiltc.mincpx.linalg`, so maps
 compare with ``==`` and block matrices of them are assembled by
 ``linalg.blocks``, which rejects a block of the wrong shape.
+
+The algebra owns its modules: it interns them, and each refers back to it
+through one weak reference that they all share.  Releasing the algebra
+drops what every module kept (path matrices, covers, hom bases and
+resolutions, which link modules to each other and to themselves), so
+reference counts free the whole intern table at once, with no work left to
+the cyclic collector.  A module kept after its algebra keeps its
+``dims`` and ``mats``; anything that needs the algebra raises
+``ReferenceError``.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -63,6 +73,15 @@ class AlgebraPresentation:
         self._projectives: dict[str, tuple[ModuleRep, tuple]] = {}
         # the intern table of ModuleRep: normalized content -> its one object
         self._modules: dict[tuple, ModuleRep] = {}
+        self._ref = weakref.ref(self)  # shared by every module of the table
+
+    def __del__(self):
+        # the kept results link the modules in cycles: drop them, and the
+        # table goes with the algebra by reference counts
+        for M in getattr(self, "_modules", {}).values():
+            M._paths.clear()
+            M._homs.clear()
+            M._cover = M._resolution = None
 
     # -- paths -------------------------------------------------------------------
 
@@ -274,13 +293,20 @@ class ModuleRep:
     normalized content (the dimension vector and the arrow matrices, unlisted
     arrows zero) over an algebra, held in the algebra's own table, so equal
     kernels, cokernels, direct sums, covers and declared modules are one
-    object and nothing outlives the algebra.  The content never changes; a
-    module keeps the results of the pure work on it, each done on first request:
+    object.  ``dims`` lists every vertex in the algebra's order, so it also
+    gives the vertex order; ``algebra`` is read through the algebra's shared
+    weak reference and raises ``ReferenceError`` once the algebra is
+    released.  The content never changes; a module keeps the results of the
+    pure work on it, each done on first request:
     ``validate``, ``path_matrix``, ``projective_cover`` (with its surjectivity
     check), ``hom_basis`` per target and the minimal projective resolution
     with the ranks ``ext_dims`` reads off it, per target.  Callers must not
     mutate what it hands out.
     """
+
+    __slots__ = (
+        "_ref", "dims", "mats", "_valid", "_paths", "_cover", "_homs", "_resolution",
+    )
 
     def __new__(
         cls,
@@ -298,7 +324,7 @@ class ModuleRep:
         self = algebra._modules.get(key)
         if self is None:
             self = algebra._modules[key] = super().__new__(cls)
-            self.algebra, self.dims, self.mats = algebra, dims, full
+            self._ref, self.dims, self.mats = algebra._ref, dims, full
             self._valid = False
             self._paths: dict[Path, Mat] = {}
             self._cover: tuple[ModuleRep, tuple[str, ...], VMap] | None = None
@@ -306,11 +332,20 @@ class ModuleRep:
             self._resolution: _Resolution | None = None  # grown by _resolve
         return self
 
+    @property
+    def algebra(self) -> AlgebraPresentation:
+        """The algebra of this module; ReferenceError once it is released."""
+        alg = self._ref()
+        if alg is None:
+            raise ReferenceError(f"the algebra of {self!r} has been released")
+        return alg
+
     def validate(self) -> None:
         """Arrow shapes and relations; a module that passed is not checked again."""
         if self._valid:
             return
-        for a, (s, t) in self.algebra.arrows.items():
+        alg = self.algebra
+        for a, (s, t) in alg.arrows.items():
             want = (self.dims[t], self.dims[s])
             got = linalg.shape(self.mats[a])
             # a zero-row matrix is stored as () and forgets its column count
@@ -318,8 +353,8 @@ class ModuleRep:
                 raise ValidationError(
                     f"matrix for arrow {a!r} has shape {got}, expected {want}"
                 )
-        for rel in self.algebra.relations:
-            src, tgt = self.algebra.path_endpoints(rel[0][1])
+        for rel in alg.relations:
+            src, tgt = alg.path_endpoints(rel[0][1])
             acc = linalg.zeros(self.dims[tgt], self.dims[src])
             for coeff, path in rel:
                 acc = linalg.add(acc, linalg.scal(coeff, self.path_matrix(path)))
@@ -331,10 +366,11 @@ class ModuleRep:
         acc = self._paths.get(path)
         if acc is not None:
             return acc
-        src, _ = self.algebra.path_endpoints(path)
+        alg = self.algebra
+        src, _ = alg.path_endpoints(path)
         acc = linalg.ident(self.dims[src])
         for a in path:
-            _, t = self.algebra.arrows[a]
+            _, t = alg.arrows[a]
             acc = linalg.mul_shaped(
                 self.mats[a], acc, self.dims[t], self.dims[src]
             )
@@ -373,20 +409,18 @@ def direct_sum(reps: Sequence[ModuleRep]) -> ModuleRep:
 
 def vmap_compose(f: VMap, g: VMap, src: ModuleRep, tgt: ModuleRep) -> VMap:
     """f after g, vertexwise; src and tgt pin shapes through zero-dim spaces."""
+    tdims = tgt.dims
     return {
-        v: linalg.mul_shaped(f[v], g[v], tgt.dims[v], src.dims[v])
-        for v in src.algebra.vertices
+        v: linalg.mul_shaped(f[v], g[v], tdims[v], n) for v, n in src.dims.items()
     }
 
 
 def vmap_zero(src: ModuleRep, tgt: ModuleRep) -> VMap:
-    return {
-        v: linalg.zeros(tgt.dims[v], src.dims[v]) for v in src.algebra.vertices
-    }
+    return {v: linalg.zeros(tgt.dims[v], n) for v, n in src.dims.items()}
 
 
 def vmap_ident(M: ModuleRep) -> VMap:
-    return {v: linalg.ident(M.dims[v]) for v in M.algebra.vertices}
+    return {v: linalg.ident(n) for v, n in M.dims.items()}
 
 
 def flatten_vmap(f: VMap, order: Sequence[str]) -> Vec:
@@ -441,9 +475,10 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
 def top_generators(M: ModuleRep) -> list[tuple[str, Vec]]:
     """Vectors projecting to a basis of M / rad M, as (vertex, vector)."""
     out = []
-    for v in M.algebra.vertices:
+    arrows = M.algebra.arrows
+    for v in M.dims:
         rad_vectors = []
-        for a, (s, t) in M.algebra.arrows.items():
+        for a, (s, t) in arrows.items():
             if t != v:
                 continue
             for col in linalg.transpose(M.mats[a]):
@@ -642,7 +677,7 @@ def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:
     res = _resolve(M, up_to + 1)
     homs = [hom_basis(P, N) for P, _ in res.terms[: up_to + 2]]
     ranks = res.ranks.setdefault(N, [0])
-    order = M.algebra.vertices
+    order = M.dims  # the vertices in order
     for i in range(len(ranks), len(homs)):
         P = res.terms[i][0]
         flat_tgt = [flatten_vmap(g, order) for g in homs[i]]

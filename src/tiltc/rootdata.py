@@ -144,11 +144,6 @@ class RootSystem:
             w - c * self.cartan[k][i - 1] for k, w in enumerate(weight)
         )
 
-    def reflect_by_root(self, weight: Sequence, root: Root) -> tuple:
-        val = self.pair(weight, root.coroot)
-        fund = self.fund_coords(root)
-        return tuple(w - val * f for w, f in zip(weight, fund))
-
     def act(self, w: CoxeterElement, weight: Sequence) -> tuple:
         """Linear action of a finite Weyl element (letters applied right to left)."""
         out = tuple(weight)
@@ -194,10 +189,9 @@ class LinkageDatum:
         R = self.roots
         shifted = tuple(w + 1 for w in weight)
         if i == 0:
-            refl = R.reflect_by_root(shifted, self.wall_root)
-            out = tuple(
-                x + self.r * f for x, f in zip(refl, self.wall_fund)
-            )
+            # the reflection in the wall <mu, theta^vee> = r
+            c = R.pair(shifted, self.wall_root.coroot) - self.r
+            out = tuple(x - c * f for x, f in zip(shifted, self.wall_fund))
         else:
             out = R.reflect(shifted, i)
         return tuple(x - 1 for x in out)

@@ -270,11 +270,21 @@ class _NegativeLike(_Setting):
         col = self.hecke.inverse_column("m", self.I, u_x.inverse())
         rows = self._rows_below(col, y, u_y)
         if self.cross_check:
-            a = self.wI * u_x.inverse() * self.w0  # the twin index of x
+            a = self._twin(u_x.inverse())  # the twin index of x
             for z, (key, p) in rows.items():
                 if p:
                     self._check_antispherical_form(x, a, z, key, p)
         return self._finalize(x, {z: p for z, (_, p) in rows.items()}, y)
+
+    def _twin(self, u: CoxeterElement) -> CoxeterElement:
+        """w_I u w_0.  u w_0 is looked up by its vector, r(u w_0)_j =
+        -r(u)_sigma(j), and walked only when it is not built yet; w_I is
+        applied by left steps."""
+        r = u.rvec
+        z = self.system._by_r.get(tuple([-r[k] for k in self._flip])) or u * self.w0
+        for s in reversed(self.wI.word):
+            z = z.times_gen(s, "left")
+        return z
 
     def _check_antispherical_form(self, x, a, y, key, expected) -> None:
         """Finite-type cross-check of the standard formula.
@@ -285,7 +295,7 @@ class _NegativeLike(_Setting):
         and y = w_J u_y, these are w_I u_x^-1 w_0 and w_I key w_0 for the key
         u_y^-1 of the row, so no row is inverted.
         """
-        b = self.wI * key * self.w0
+        b = self._twin(key)
         try:
             got = self.hecke.poly("n", self.I, a, b)
         except ValidationError as exc:
@@ -320,6 +330,9 @@ class CategoryO(_NegativeLike):
         if not self.system.is_finite:
             raise ValidationError("category O tables need a finite Weyl type")
         self.w0 = self.system.longest_element()  # the cross-check's twist
+        # w0(alpha_j) = -alpha_sigma(j), with sigma the diagram involution
+        m = self.w0.matrix
+        self._flip = tuple(next(k for k, row in enumerate(m) if row[j]) for j in range(len(m)))
 
 
 class KacMoody(_NegativeLike):
@@ -485,14 +498,24 @@ class Quantum(_NegativeLike):
             return table
         from .rootdata import format_weight
 
+        # the weight of a word is its first letter acting on the weight of
+        # its tail: each tail is reached once per table
+        dot_simple, weight_of = self.datum.dot_simple, {(): self.lam0}
+
+        def weight(word):
+            k = 0
+            while word[k:] not in weight_of:
+                k += 1
+            mu = weight_of[word[k:]]
+            for j in range(k - 1, -1, -1):
+                mu = weight_of[word[j:]] = dot_simple(word[j], mu)
+            return format_weight(mu)
+
         return replace(
             table,
-            weights={
-                w: format_weight(self.datum.dot_word(w, self.lam0))
-                for w, _ in table.entries
-            },
+            weights={w: weight(w) for w, _ in table.entries},
             extra={
-                "lambda": format_weight(self.datum.dot_word(table.x, self.lam0)),
+                "lambda": weight(table.x),
                 "lambda0": format_weight(self.lam0),
                 "stabilizer": list(self.I),
             },

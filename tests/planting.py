@@ -30,11 +30,24 @@ def plant_computed(monkeypatch, fid, upper, lower, delta):
     monkeypatch.setattr(HeckeContext, "_product_column", planted)
 
 
+def write_store(path, head, lines):
+    """Write a store file: the header fields head, with the checksum of the
+    record lines recomputed, then the lines."""
+    body = "\n".join(lines)
+    head = {**head, "checksum": hashlib.sha256(body.encode()).hexdigest()}
+    path.write_text(json.dumps(head, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
+
+
+def read_store(path):
+    """The header fields and the record lines of a store file."""
+    head, _, body = path.read_text().partition("\n")
+    return json.loads(head), body.rstrip("\n").split("\n")
+
+
 def _rewrite(path, family, upper, edit):
     """Apply edit to the entries of the one stored record of family at the
     word text upper, and recompute the checksum."""
-    head, _, body = path.read_text().partition("\n")
-    lines = body.rstrip("\n").split("\n")
+    head, lines = read_store(path)
     hits = 0
     for k, line in enumerate(lines):
         rec = json.loads(line)
@@ -43,10 +56,7 @@ def _rewrite(path, family, upper, edit):
             lines[k] = json.dumps(rec, separators=(",", ":"), sort_keys=True)
             hits += 1
     assert hits == 1, (family, upper)
-    body = "\n".join(lines)
-    obj = json.loads(head)
-    obj["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
+    write_store(path, head, lines)
 
 
 def tamper(path, family, upper, lower, poly):

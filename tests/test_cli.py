@@ -642,11 +642,10 @@ class TestNoCyclicGarbage:
     command returns.  With the collector off, every object a line makes
     stays in the youngest generation, so collecting that generation alone
     finds all of the line's cyclic garbage.  The guard does not cover the
-    other garbage such lines leave: a ``--format json`` line leaves 33
-    objects from the closures of the standard library's indented JSON
-    encoder, ``oracle verify`` about 489 from the module and algebra cycles
-    of ``tiltc.mincpx``, and the first line of a command in a process up
-    to 61 from the help formatters argparse makes as it declares options."""
+    other garbage such lines leave: the first line of a command in a
+    process leaves about 60-95 objects from the help formatters argparse
+    makes as it declares options.  A repeated command leaves none
+    (``test_repeated_command``)."""
 
     @pytest.mark.parametrize(
         "line", [p for p in corpus_lines() if p.values[0].startswith("0\t")]
@@ -666,6 +665,28 @@ class TestNoCyclicGarbage:
             gc.garbage.clear()
             gc.enable()
         assert left == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tilt", "O", "--type", "A3", "--x", "1 2 1", "--format", "json"],
+            ["kl", "--type", "A3", "--y", "1 2 1", "--format", "json"],
+            ["tilt", "quantum", "--type", "A2", "--ell", "5", "--weight", "3,1", "--format", "json"],
+            ["oracle", "verify", "--block", "sl2"],
+        ],
+        ids=["tilt-json", "kl-json", "quantum-json", "oracle"],
+    )
+    def test_repeated_command(self, argv):
+        # the first run declares the command's options
+        assert _run_quiet(argv)[0] == 0
+        while gc.collect():
+            pass
+        gc.disable()
+        try:
+            assert _run_quiet(argv)[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def loaded_after(code: str) -> set[str]:

@@ -1,6 +1,5 @@
 """Self-dual bases, parabolic modules, inverse families, persistence."""
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bar_reference import bar_expand, is_selfdual
-from planting import plant_computed
+from planting import plant_computed, read_store, write_store
 from tiltc import hecke
 from tiltc.coxeter import CoxeterSystem, format_word, parse_word
 from tiltc.errors import CacheError, InternalInvariantError, ValidationError
@@ -26,6 +25,8 @@ B3 = CoxeterSystem.from_type("B3")
 G2 = CoxeterSystem.from_type("G2")
 AFF1 = CoxeterSystem.from_type("affA1")
 AFF2 = CoxeterSystem.from_type("affA2")
+# the header fields of an A3 store file, but for its record count and checksum
+A3_STORE_HEAD = {"format": 1, "normalization": 1, "system": "A3", "generators": 3}
 
 
 def ctx(system):
@@ -800,13 +801,11 @@ class TestPolyStore:
     @staticmethod
     def write_records(tmp_path, records):
         """A store file of A3 holding the given records, with a good checksum."""
-        body = "\n".join(json.dumps(r, separators=(",", ":"), sort_keys=True) for r in records)
-        head = {
-            "format": 1, "normalization": 1, "system": "A3", "generators": 3,
-            "records": len(records), "checksum": hashlib.sha256(body.encode()).hexdigest(),
-        }
         path = tmp_path / "A3.jsonl"
-        path.write_text(json.dumps(head) + "\n" + body + "\n")
+        write_store(
+            path, A3_STORE_HEAD | {"records": len(records)},
+            [json.dumps(r, separators=(",", ":"), sort_keys=True) for r in records],
+        )
         return path
 
     def test_empty_store_round_trip(self, tmp_path):
@@ -822,13 +821,11 @@ class TestPolyStore:
         m_col = {x.word: _pack(p.terms, SLOT) for x, p in c.parabolic_column("m", (1,), y).items()}
         h_col = {x.word: _pack(p.terms, SLOT) for x, p in c.kl_column(y).items()}
         m_line = PolyStore._line("m[1]", y.word, m_col)
-        body = "\n".join(sorted([PolyStore._line("h", y.word, h_col), m_line]))
-        head = {
-            "format": 1, "normalization": 1, "system": "A3", "generators": 3,
-            "records": 2, "checksum": hashlib.sha256(body.encode()).hexdigest(),
-        }
         path = tmp_path / "A3.jsonl"
-        path.write_text(json.dumps(head) + "\n" + body + "\n")
+        write_store(
+            path, A3_STORE_HEAD | {"records": 2},
+            sorted([PolyStore._line("h", y.word, h_col), m_line]),
+        )
         store = PolyStore.load(path, "A3", 3)
         assert store.columns == {"m[1]": {y.word: (m_line, json.loads(m_line)["entries"])}}
         assert HeckeContext(A3, store).parabolic_column("m", (1,), y) == c.parabolic_column(
@@ -919,11 +916,8 @@ class TestPolyStore:
     @staticmethod
     def rewrite_records(path, edit):
         """Replace the record lines by edit(lines) and recompute the checksum."""
-        head, _, body = path.read_text().partition("\n")
-        body = "\n".join(edit(body.rstrip("\n").split("\n")))
-        obj = json.loads(head)
-        obj["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-        path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body + "\n")
+        head, lines = read_store(path)
+        write_store(path, head, edit(lines))
 
     def test_entries_are_parsed_when_read(self, tmp_path):
         _, path = self.make_store(tmp_path)

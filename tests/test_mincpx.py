@@ -1,12 +1,14 @@
 """Tests for the exact homological oracle: linear algebra over the rationals,
 quiver representations, formal complexes, and the sl2 block realization."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -441,9 +443,8 @@ class TestQuiver:
             assert (P.dims, P.mats, basis) == (Q.dims, Q.mats, fresh_basis)
 
     def test_kept_resolutions_match_fresh_builds(self):
-        block = load_block("sl2")
-        mods = block.modules
-        fresh = load_block("sl2").modules
+        block, fresh_block = load_block("sl2"), load_block("sl2")
+        mods, fresh = block.modules, fresh_block.modules
         for name, M in mods.items():
             for other in ("costd_e", "simple_s"):
                 full = ext_dims(fresh[name], fresh[other], 4)
@@ -1133,6 +1134,55 @@ class TestInterning:
         assert len(solves) > counts[1]  # and some requests were memo hits
 
 
+class TestLifetime:
+    """An algebra owns its intern table, and its modules refer to it weakly:
+    a dropped block is freed by reference counts, with nothing left for the
+    cyclic collector."""
+
+    def test_a_verification_leaves_no_cyclic_garbage(self):
+        while gc.collect():
+            pass
+        gc.disable()
+        try:
+            verify_block(load_block("sl2"))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_dropping_the_block_frees_the_algebra(self):
+        while gc.collect():
+            pass
+        gc.disable()
+        try:
+            block = load_block("sl2")
+            verify_block(block)
+            ref = weakref.ref(block.algebra)
+            del block
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_module_used_after_its_block_raises(self):
+        block = load_block("sl2")
+        M, N = block.module("std", "s"), block.module("costd", "e")
+        ext_dims(M, N, 1)  # keeps a resolution and hom bases on the modules
+        content = (M.dims, M.mats)
+        del block
+        # the content stays; everything that needs the algebra raises
+        assert (M.dims, M.mats) == content
+        with pytest.raises(ReferenceError, match="has been released"):
+            M.algebra
+        for use in (
+            lambda: hom_basis(M, N),
+            lambda: ext_dims(M, N, 1),
+            lambda: projective_cover(M),
+            lambda: direct_sum([M, N]),
+        ):
+            with pytest.raises(ReferenceError):
+                use()
+
+
 class TestVerifyBlock:
     def test_all_nine_suites(self, sl2_block):
         results = verify_block(sl2_block)
@@ -1317,7 +1367,8 @@ def _coordinates(tcat, cpx):
 
 class TestOraclePins:
     def test_sl2_ext_table(self):
-        mods = load_block("sl2").modules
+        block = load_block("sl2")
+        mods = block.modules
         names = sorted(mods)
         assert names == sorted(SL2_EXT_TABLE)
         for m in names:
