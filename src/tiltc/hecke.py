@@ -322,6 +322,8 @@ class PolyStore:
             header = json.loads(head)
         except json.JSONDecodeError as exc:
             raise CacheError(f"cache header unreadable: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CacheError(f"cache header unreadable: not a JSON object: {head[:60]!r}")
         if header.get("format") != cls.FORMAT:
             raise CacheError(f"cache format version mismatch: {header.get('format')!r}")
         if header.get("normalization") != cls.NORMALIZATION:

@@ -60,6 +60,7 @@ from .quiver import (
     cokernel_rep,
     direct_sum,
     ext_dims,
+    flat_columns,
     flatten_vmap,
     hom_basis,
     kernel_rep,
@@ -389,15 +390,15 @@ class TiltingCategory:
     def coordinatize(self, a: str, b: str, f: VMap) -> linalg.Vec:
         """Coordinates of f: tilt_a -> tilt_b in the basis of Hom(tilt_a, tilt_b)."""
         order = self.algebra.vertices
-        coords = linalg.express_in_span(
-            [flatten_vmap(g, order) for g in self.basis[(a, b)]],
-            flatten_vmap(f, order),
+        rows = sum(self.tilts[a].dims[v] * self.tilts[b].dims[v] for v in order)
+        coords = linalg.solve_matrix(
+            flat_columns(self.basis[(a, b)], order, rows), flat_columns([f], order, rows)
         )
         if coords is None:
             raise InternalInvariantError(
                 f"map is not in the span of Hom(tilt_{a}, tilt_{b})"
             )
-        return tuple(coords)
+        return tuple(row[0] for row in coords)
 
 
 # -- the sweep: approximations and pushouts -------------------------------------------
@@ -456,15 +457,18 @@ def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximatio
         return tcat._approximations[X]
     order = tcat.algebra.vertices
     labels, f = _approximation(tcat, X)
-    factors = linalg.express_in_span(tcat._std_dims, tuple(X.dims[v] for v in order))
+    factors = linalg.solve_matrix(
+        linalg.transpose(tcat._std_dims), tuple((X.dims[v],) for v in order)
+    )
     if factors is None:
         raise InternalInvariantError(
             "a dimension vector is not a combination of standard ones"
         )
-    if len(labels) > sum(factors):
+    bound = sum(row[0] for row in factors)
+    if len(labels) > bound:
         raise InternalInvariantError(
             f"an add(T)-approximation has {len(labels)} summands, "
-            f"more than the bound {sum(factors)}"
+            f"more than the bound {bound}"
         )
     T = tcat.sum_rep(labels)
     if any(linalg.rank(f[v]) != X.dims[v] for v in order):

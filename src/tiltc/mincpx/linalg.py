@@ -6,6 +6,13 @@ when it is integral and a ``Fraction`` only when it is not, so integer data
 never pays for rational arithmetic (the fraction-free idea of Bareiss 1968).
 Everything stays exact; there is no floating point anywhere in the oracle.
 
+Every linear question of the oracle goes to one of four eliminations:
+``rref`` (an echelon basis of a span, and its pivots), ``rank``,
+``nullspace`` (a kernel; its vectors, read as rows, also project onto the
+quotient by a span of row vectors, whose basis is the unit vectors at the
+free columns) and ``solve_matrix``, which solves a X = b for every column
+of b at once.
+
 An (m, n) matrix has m rows of n entries each, with one exception: a
 matrix with no rows is the empty tuple ``()`` whatever n is, since that is
 the one shape a tuple of rows cannot record.  ``blocks`` assembles block
@@ -180,18 +187,12 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(a: Mat) -> int:
-    if not a or not a[0]:
-        return 0
     return len(rref(a)[1])
 
 
 def nullspace(a: Mat) -> list[Vec]:
     """Basis of {v : a v = 0}, one vector per free column."""
-    m, n = shape(a)
-    if n == 0:
-        return []
-    if m == 0:
-        return list(ident(n))
+    n = shape(a)[1]
     r, pivots = rref(a)
     pivot_set = set(pivots)
     basis = []
@@ -206,66 +207,23 @@ def nullspace(a: Mat) -> list[Vec]:
     return basis
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of a x = b, or None if inconsistent."""
-    m, n = shape(a)
-    aug = tuple(row + (bv,) for row, bv in zip(a, b)) if m else ()
-    if m == 0:
-        return (0,) * n
-    r, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [0] * n
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx][n]
-    return tuple(x)
-
-
 def solve_matrix(a: Mat, b: Mat) -> Mat | None:
-    """X with a X = b (columnwise solve), or None."""
-    bt = transpose(b)
-    cols = []
-    for col in bt:
-        x = solve(a, col)
-        if x is None:
-            return None
-        cols.append(x)
-    if not cols:
-        return zeros(shape(a)[1], 0)
-    return transpose(tuple(cols))
+    """X with a X = b, or None if some column of b is not in the column
+    space of a.
 
-
-def express_in_span(basis: Sequence[Vec], v: Vec) -> Vec | None:
-    """Coordinates of v in the given spanning vectors, or None if outside."""
-    if not basis:
-        return () if all(x == 0 for x in v) else None
-    a = transpose(tuple(basis))
-    return solve(a, v)
-
-
-def column_space_projector(vectors: Sequence[Vec], dim: int) -> tuple[list[Vec], Mat]:
-    """Quotient of dim-space by the span: (complement labels, projection).
-
-    Returns the standard basis vectors indexing the quotient (the non-pivot
-    coordinates) and the matrix of the projection in those coordinates.
+    a is (m, n) and b is (m, k); every column of b is solved in one
+    elimination of [a | b], with the free unknowns set to zero.  A column of
+    b is outside the column space exactly when [a | b] has a pivot there.
+    A zero-row a is ``()`` and records no n, so it gives ``()``.
     """
-    if not vectors:
-        return list(ident(dim)), ident(dim)
-    r, pivots = rref(tuple(vectors))  # rref of the row space of the span
-    pivot_set = set(pivots)
-    free = [j for j in range(dim) if j not in pivot_set]
-    proj_rows = []
-    for f in free:
-        # coordinate along quotient basis vector e_f of the class of each e_i:
-        # pivot coordinates reduce by their rref row, free ones are kept
-        row = []
-        for i in range(dim):
-            if i == f:
-                row.append(1)
-            elif i in pivot_set:
-                row.append(-r[pivots.index(i)][f])
-            else:
-                row.append(0)
-        proj_rows.append(tuple(row))
-    basis = [tuple(1 if i == f else 0 for i in range(dim)) for f in free]
-    return basis, tuple(proj_rows)
+    n = shape(a)[1]
+    if len(b) != len(a):
+        raise ValueError(f"cannot solve {shape(a)} against {shape(b)}")
+    r, pivots = rref(tuple(row + rhs for row, rhs in zip(a, b)))
+    if pivots and pivots[-1] >= n:
+        return None
+    k = len(b[0]) if b else 0
+    x = [(0,) * k] * n
+    for row, pc in zip(r, pivots):
+        x[pc] = row[n:]
+    return tuple(x)

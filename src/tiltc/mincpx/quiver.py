@@ -146,79 +146,80 @@ class AlgebraPresentation:
     # -- path classes modulo the relation ideal ----------------------------------
 
     def _build_path_classes(self) -> None:
-        """Graded bases of all path classes; fails if the algebra is infinite."""
-        by_len: list[list[Path]] = [[]]  # trivial paths handled separately
+        """Graded bases of all path classes; fails if the algebra is infinite.
+
+        The paths of each length are bucketed by endpoints.  Relations are
+        homogeneous, so the degree-L part of the ideal in a bucket is spanned
+        by the relations of length L and by r a and a r for the arrows a and
+        the rows r of the degree-(L - 1) part.  One rref per bucket gives
+        those rows for the next length, and the projection onto the path
+        classes is their nullspace.
+        """
         arrows_from: dict[str, list[str]] = {v: [] for v in self.vertices}
         for a, (s, _) in self.arrows.items():
             arrows_from[s].append(a)
-        by_len.append([(a,) for a in sorted(self.arrows)])
         # reduction tables: (src, tgt, length) -> (paths, projection, free columns)
         self._classes: dict[
             tuple[str, str, int], tuple[list[Path], Mat, list[int]]
         ] = {}
         self.dimension = len(self.vertices)
-        total_paths = len(self.arrows)
+        level = [((a,), *self.arrows[a]) for a in sorted(self.arrows)]
+        total_paths = len(level)
+        # (src, tgt) -> the ideal of the last length, as sparse rows
+        ideal: dict[tuple[str, str], list[Relation]] = {}
         length = 1
         while True:
             if length >= _LENGTH_GUARD or total_paths > _PATH_GUARD:
                 raise ValidationError(
                     "the algebra presentation is not visibly finite dimensional"
                 )
-            survivors = 0
-            for src in self.vertices:
-                for tgt in self.vertices:
-                    paths = [
-                        p
-                        for p in by_len[length]
-                        if self.path_endpoints(p) == (src, tgt)
-                    ]
-                    if not paths:
-                        continue
-                    index = {p: k for k, p in enumerate(paths)}
-                    ideal_vectors = []
-                    for rel in self.relations:
-                        lr = len(rel[0][1])
-                        if lr > length:
-                            continue
-                        a, b = self.path_endpoints(rel[0][1])
-                        for i in range(length - lr + 1):
-                            lefts = (
-                                [p for p in by_len[i] if self.path_endpoints(p) == (src, a)]
-                                if i
-                                else ([()] if src == a else [])
-                            )
-                            j = length - lr - i
-                            rights = (
-                                [p for p in by_len[j] if self.path_endpoints(p) == (b, tgt)]
-                                if j
-                                else ([()] if b == tgt else [])
-                            )
-                            for left in lefts:
-                                for right in rights:
-                                    vec = [0] * len(paths)
-                                    for coeff, mid in rel:
-                                        vec[index[left + mid + right]] += coeff
-                                    if any(vec):
-                                        ideal_vectors.append(tuple(vec))
-                    basis, proj = linalg.column_space_projector(
-                        ideal_vectors, len(paths)
+            buckets: dict[tuple[str, str], list[Path]] = {}
+            for p, s, t in level:
+                buckets.setdefault((s, t), []).append(p)
+            gens: dict[tuple[str, str], list[Relation]] = {}
+            for rel in self.relations:
+                if len(rel[0][1]) == length:
+                    gens.setdefault(self.path_endpoints(rel[0][1]), []).append(rel)
+            for (s, t), rows in ideal.items():
+                for a in arrows_from[t]:
+                    gens.setdefault((s, self.arrows[a][1]), []).extend(
+                        tuple((c, p + (a,)) for c, p in r) for r in rows
                     )
-                    free = [
-                        next(i for i, x in enumerate(b) if x == 1) for b in basis
-                    ]
-                    self._classes[(src, tgt, length)] = (paths, proj, free)
-                    survivors += len(basis)
+                for a, (u, v) in self.arrows.items():
+                    if v == s:
+                        gens.setdefault((u, t), []).extend(
+                            tuple((c, (a,) + p) for c, p in r) for r in rows
+                        )
+            survivors = 0
+            ideal = {}
+            for (s, t), paths in buckets.items():
+                index = {p: k for k, p in enumerate(paths)}
+                vectors = []
+                for terms in gens.get((s, t), ()):
+                    vec = [0] * len(paths)
+                    for c, p in terms:
+                        vec[index[p]] += c
+                    vectors.append(tuple(vec))
+                rows, pivots = linalg.rref(tuple(vectors))
+                free = [j for j in range(len(paths)) if j not in pivots]
+                # rows is reduced already: nullspace does no further elimination
+                proj = tuple(linalg.nullspace(rows)) if pivots else linalg.ident(len(paths))
+                self._classes[(s, t, length)] = (paths, proj, free)
+                ideal[(s, t)] = [
+                    tuple((c, p) for c, p in zip(row, paths) if c)
+                    for row in rows[: len(pivots)]
+                ]
+                survivors += len(free)
             self.dimension += survivors
             if survivors == 0:
                 self.max_path_length = length - 1
                 break
-            nxt = []
-            for p in by_len[length]:
-                _, t = self.path_endpoints(p)
-                for a in arrows_from[t]:
-                    nxt.append(p + (a,))
-            total_paths += len(nxt)
-            by_len.append(nxt)
+            level = [
+                (p + (a,), s, self.arrows[a][1])
+                for p, s, t in level
+                for a in arrows_from[t]
+            ]
+            total_paths += len(level)
             length += 1
 
     def class_basis(self, src: str, tgt: str, length: int) -> list[Path]:
@@ -236,9 +237,8 @@ class AlgebraPresentation:
         if entry is None:
             return []
         paths, proj, free = entry
-        vec = tuple(1 if p == path else 0 for p in paths)
-        coords = linalg.apply(proj, vec)
-        return [(c, paths[f]) for c, f in zip(coords, free) if c]
+        k = paths.index(path)
+        return [(row[k], paths[f]) for row, f in zip(proj, free) if row[k]]
 
     # -- distinguished modules ----------------------------------------------------
 
@@ -431,6 +431,12 @@ def flatten_vmap(f: VMap, order: Sequence[str]) -> Vec:
     return tuple(out)
 
 
+def flat_columns(maps: Sequence[VMap], order: Sequence[str], rows: int) -> Mat:
+    """The matrix whose columns are the flattened maps; rows is their length."""
+    vecs = tuple(flatten_vmap(f, order) for f in maps)
+    return linalg.transpose(vecs) if vecs else linalg.zeros(rows, 0)
+
+
 def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
     """Basis of intertwiners M -> N, by solving the commutation equations.
 
@@ -473,20 +479,19 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
 
 
 def top_generators(M: ModuleRep) -> list[tuple[str, Vec]]:
-    """Vectors projecting to a basis of M / rad M, as (vertex, vector)."""
+    """Vectors projecting to a basis of M / rad M, as (vertex, vector): the
+    unit vectors at the free columns of the radical's echelon form."""
     out = []
     arrows = M.algebra.arrows
-    for v in M.dims:
-        rad_vectors = []
-        for a, (s, t) in arrows.items():
-            if t != v:
-                continue
-            for col in linalg.transpose(M.mats[a]):
-                if any(col):
-                    rad_vectors.append(col)
-        basis, _ = linalg.column_space_projector(rad_vectors, M.dims[v])
-        for vec in basis:
-            out.append((v, vec))
+    for v, n in M.dims.items():
+        rad = tuple(
+            col
+            for a, (_, t) in arrows.items()
+            if t == v
+            for col in linalg.transpose(M.mats[a])
+        )
+        pivots = linalg.rref(rad)[1]
+        out.extend((v, e) for j, e in enumerate(linalg.ident(n)) if j not in pivots)
     return out
 
 
@@ -549,12 +554,8 @@ def kernel_rep(f: VMap, M: ModuleRep, N: ModuleRep) -> tuple[ModuleRep, VMap]:
     incl: VMap = {}
     kdims = {}
     for v in alg.vertices:
-        if M.dims[v] == 0:
-            basis = []
-        elif N.dims[v] == 0:
-            basis = linalg.ident(M.dims[v])
-        else:
-            basis = linalg.nullspace(f[v])
+        # f[v] is () when N.dims[v] is 0, and records no columns then
+        basis = linalg.nullspace(f[v]) if N.dims[v] else linalg.ident(M.dims[v])
         kdims[v] = len(basis)
         incl[v] = (
             linalg.transpose(tuple(basis))
@@ -564,13 +565,9 @@ def kernel_rep(f: VMap, M: ModuleRep, N: ModuleRep) -> tuple[ModuleRep, VMap]:
     mats = {}
     for a, (s, t) in alg.arrows.items():
         rhs = linalg.mul_shaped(M.mats[a], incl[s], M.dims[t], kdims[s])
-        if M.dims[t] == 0:
-            mats[a] = linalg.zeros(kdims[t], kdims[s])
-        else:
-            sol = linalg.solve_matrix(incl[t], rhs)
-            if sol is None:
-                raise InternalInvariantError("kernel is not arrow-stable")
-            mats[a] = sol
+        mats[a] = linalg.solve_matrix(incl[t], rhs)
+        if mats[a] is None:
+            raise InternalInvariantError("kernel is not arrow-stable")
     K = ModuleRep(alg, kdims, mats)
     K.validate()
     return K, incl
@@ -588,16 +585,14 @@ def cokernel_rep(
     proj: VMap = {}
     sections = {}
     cdims = {}
-    for v in alg.vertices:
-        image_cols = [col for col in linalg.transpose(f[v]) if any(col)]
-        qbasis, p = linalg.column_space_projector(image_cols, N.dims[v])
-        cdims[v] = len(qbasis)
-        proj[v] = p
-        sections[v] = (
-            linalg.transpose(tuple(qbasis))
-            if qbasis
-            else linalg.zeros(N.dims[v], 0)
-        )
+    for v, n in N.dims.items():
+        # the projection rows are the nullspace of the image columns, the
+        # section the unit vectors at their free columns
+        rows, pivots = linalg.rref(linalg.transpose(f[v]))
+        free = [j for j in range(n) if j not in pivots]
+        cdims[v] = len(free)
+        proj[v] = tuple(linalg.nullspace(rows)) if pivots else linalg.ident(n)
+        sections[v] = tuple(tuple(e[j] for j in free) for e in linalg.ident(n))
     mats = {}
     for a, (s, t) in alg.arrows.items():
         step = linalg.mul_shaped(N.mats[a], sections[s], N.dims[t], cdims[s])
@@ -680,15 +675,14 @@ def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:
     order = M.dims  # the vertices in order
     for i in range(len(ranks), len(homs)):
         P = res.terms[i][0]
-        flat_tgt = [flatten_vmap(g, order) for g in homs[i]]
-        coords = []
-        for f in homs[i - 1]:
-            g = vmap_compose(f, res.diffs[i - 1], P, N)
-            c = linalg.express_in_span(flat_tgt, flatten_vmap(g, order))
-            if c is None:
-                raise InternalInvariantError("composite leaves the hom space")
-            coords.append(c)
-        ranks.append(linalg.rank(tuple(coords)))
+        rows = sum(P.dims[v] * N.dims[v] for v in order)
+        composites = [vmap_compose(f, res.diffs[i - 1], P, N) for f in homs[i - 1]]
+        coords = linalg.solve_matrix(
+            flat_columns(homs[i], order, rows), flat_columns(composites, order, rows)
+        )
+        if coords is None:
+            raise InternalInvariantError("composite leaves the hom space")
+        ranks.append(linalg.rank(coords))
     rank = ranks + [0]  # past the last term d^* is zero
     return [
         len(homs[i]) - rank[i + 1] - rank[i] if i < len(homs) else 0

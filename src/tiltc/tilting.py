@@ -360,9 +360,16 @@ class KacMoody(_NegativeLike):
     def _coset_part(self, x: CoxeterElement) -> CoxeterElement:
         return self.wJ * x if self.level == "neg" else x * self.wI
 
-    def _targets(self, u_x, y_word, max_len):
-        """Rows (y, u_y) of a positive-level table at u_x, the explicit y and
-        the truncation: rows run up the order, so a whole table needs max_len."""
+    def _targets(self, x, u_x, y_word, max_len):
+        """Rows (y, u_y) of a positive-level table at x = u_x w_I, the explicit
+        y and the truncation: rows run up the order, so a whole table needs
+        max_len, and a bound below l(x), which would leave out x's own row
+        (and every z of the literal text's sum), is refused."""
+        if max_len is not None and max_len < x.length:
+            raise ValidationError(
+                f"max_len {max_len} is below l(x) = {x.length}, "
+                "so the table would miss x's own row"
+            )
         if y_word is not None:  # one row: nothing to truncate
             y, u_y = self._index(y_word, "y")
             return [(y, u_y)], y, None
@@ -371,7 +378,7 @@ class KacMoody(_NegativeLike):
                 "positive-level tables over all y need max_len (support is upward)"
             )
         reps, truncated = self.system.regular_double_coset_reps(
-            self.J, self.I, max_len=max(0, max_len - self.wI.length)
+            self.J, self.I, max_len=max_len - self.wI.length
         )
         rows = [(self._embed(u), u) for u in reps if self.system.bruhat_leq(u_x, u)]
         return rows, None, (max_len if truncated else None)
@@ -381,7 +388,7 @@ class KacMoody(_NegativeLike):
             return super().standard_table(x_word, y_word, max_len)
         x, u_x = self._index(x_word)
         a = self._n_index(u_x)
-        targets, explicit, truncated = self._targets(u_x, y_word, max_len)
+        targets, explicit, truncated = self._targets(x, u_x, y_word, max_len)
         rows = {
             y: self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).get(a, ZERO)
             for y, u_y in targets
@@ -394,7 +401,7 @@ class KacMoody(_NegativeLike):
                 raise ValidationError("literal_text applies to positive level only")
             return super().simple_table(x_word, y_word, max_len)
         x, u_x = self._index(x_word)
-        targets, explicit, truncated = self._targets(u_x, y_word, max_len)
+        targets, explicit, truncated = self._targets(x, u_x, y_word, max_len)
         if literal_text:
             return self._literal_table(x, u_x, targets, explicit, max_len)
         # every z with x <= z <= y is a row of the whole table (it lies above x
@@ -473,6 +480,11 @@ class Quantum(_NegativeLike):
         from .rootdata import LinkageDatum, format_weight
 
         datum = LinkageDatum(type_tag, ell)
+        if len(weight) != datum.roots.rank:
+            raise ValidationError(
+                f"weight {format_weight(weight)} needs {datum.roots.rank} "
+                f"coordinates for type {type_tag}, not {len(weight)}"
+            )
         if not datum.is_dominant(weight):
             raise ValidationError(
                 f"weight {format_weight(weight)} is not dominant"

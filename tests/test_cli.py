@@ -413,6 +413,13 @@ class TestCache:
         rc, _, err = run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)
         assert rc == 2 and err.startswith("error: cache:")
 
+    @pytest.mark.parametrize("head", ["[]", '"x"'])
+    def test_header_that_is_not_an_object_rejected(self, capsys, tmp_path, head):
+        (tmp_path / "A1.jsonl").write_text(head + "\n")
+        rc, out, err = run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cache: cache header unreadable")
+
     def test_other_normalization_version_rejected(self, capsys, tmp_path):
         cache = str(tmp_path)
         run(capsys, "kl", "--type", "A1", "--y", "1", "--cache-path", cache)

@@ -735,6 +735,13 @@ class TestPolyStore:
         with pytest.raises(CacheError):
             PolyStore.load(p, "A3", 3)
 
+    @pytest.mark.parametrize("head", ["[]", '"x"', "3", "null"])
+    def test_header_that_is_not_an_object(self, tmp_path, head):
+        p = tmp_path / "x.jsonl"
+        p.write_text(head + "\n")
+        with pytest.raises(CacheError, match="cache header unreadable"):
+            PolyStore.load(p, "A3", 3)
+
     def test_context_rejects_mismatched_store(self):
         with pytest.raises(CacheError):
             HeckeContext(A2, PolyStore("A3", 3))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from path_classes_reference import path_classes
 from tiltc.errors import InternalInvariantError, ValidationError
 from tiltc.mincpx import complexes, linalg, quiver
 from tiltc.mincpx.block import (
@@ -144,38 +145,79 @@ class TestLinalg:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_solve_consistent_systems(self, data):
+        # several right-hand sides, solved in one elimination
         a = data.draw(matrices())
-        n = len(a[0])
-        x = tuple(F(data.draw(small_entry)) for _ in range(n))
-        b = linalg.apply(a, x)
-        sol = linalg.solve(a, b)
-        assert sol is not None
-        assert linalg.apply(a, sol) == tuple(b)
+        m, n = linalg.shape(a)
+        k = data.draw(st.integers(0, 3))
+        x = tuple(tuple(F(data.draw(small_entry)) for _ in range(k)) for _ in range(n))
+        b = linalg.mul_shaped(a, x, m, k)
+        sol = linalg.solve_matrix(a, b)
+        assert sol is not None and linalg.shape(sol) == (n, k)
+        assert linalg.mul_shaped(a, sol, m, k) == b
 
     def test_solve_inconsistent_returns_none(self):
         a = _mat([[1, 1], [1, 1]])
-        assert linalg.solve(a, (F(0), F(1))) is None
+        assert linalg.solve_matrix(a, _mat([[0], [1]])) is None
+        # one inconsistent column among consistent ones fails the whole solve
+        assert linalg.solve_matrix(a, _mat([[2, 0, 3], [2, 1, 3]])) is None
+        assert linalg.solve_matrix(a, _mat([[2, 3], [2, 3]])) == ((2, 3), (0, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_inconsistent_column_returns_none(self, data):
+        # under a zero row appended to a, a column that does not end in zero
+        # is outside the column space, wherever it stands among consistent ones
+        a = data.draw(matrices())
+        m, n = linalg.shape(a)
+        k = data.draw(st.integers(0, 3))
+        x = tuple(tuple(data.draw(small_entry) for _ in range(k)) for _ in range(n))
+        cols = [col + (0,) for col in linalg.transpose(linalg.mul_shaped(a, x, m, k))]
+        a0 = a + ((0,) * n,)
+        b = linalg.transpose(cols) if cols else linalg.zeros(m + 1, 0)
+        assert linalg.mul_shaped(a0, linalg.solve_matrix(a0, b), m + 1, k) == b
+        bad = tuple(data.draw(rational_entry) for _ in a)
+        cols.insert(data.draw(st.integers(0, k)), bad + (data.draw(rational_entry.filter(bool)),))
+        assert linalg.solve_matrix(a0, linalg.transpose(cols)) is None
+
+    def test_zero_row_and_zero_column_shapes(self):
+        a = _mat([[1, 2], [3, 4], [5, 6]])
+        # no right-hand side: an (n, 0) solution
+        assert linalg.solve_matrix(a, linalg.zeros(3, 0)) == linalg.zeros(2, 0)
+        # no unknowns: only zero columns are solvable, with a () solution
+        assert linalg.solve_matrix(linalg.zeros(3, 0), linalg.zeros(3, 2)) == ()
+        assert linalg.solve_matrix(linalg.zeros(3, 0), _mat([[0], [1], [0]])) is None
+        # no equations: a is () and records no n
+        assert linalg.solve_matrix((), ()) == ()
+        with pytest.raises(ValueError):
+            linalg.solve_matrix(a, linalg.zeros(2, 1))
+        # an empty vector list spans nothing: no pivots, so the quotient by it
+        # keeps every unit vector, and a zero-row matrix has an empty kernel
+        # basis only because it records no columns
+        assert linalg.rref(()) == ((), ())
+        assert linalg.rank(()) == 0 and linalg.nullspace(()) == []
+        assert linalg.nullspace(linalg.zeros(2, 3)) == list(linalg.ident(3))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_int_first_matches_fraction_reference(self, data):
         a = data.draw(matrices())
-        b = tuple(data.draw(rational_entry) for _ in a)
+        k = data.draw(st.integers(0, 3))
+        b = tuple(tuple(data.draw(rational_entry) for _ in range(k)) for _ in a)
         r, pivots = linalg.rref(a)
         want_r, want_pivots = _fraction_rref(a)
         assert list(pivots) == want_pivots
         assert [list(row) for row in r] == want_r
         null = linalg.nullspace(a)
         assert [list(v) for v in null] == _fraction_nullspace(a)
-        sol = linalg.solve(a, b)
-        want_sol = _fraction_solve(a, b)
-        assert (sol is None) == (want_sol is None)
+        sol = linalg.solve_matrix(a, b)
+        want = [_fraction_solve(a, col) for col in zip(*b)] if k else []
+        assert (sol is None) == (None in want)
         if sol is not None:
-            assert list(sol) == want_sol
+            assert [list(col) for col in zip(*sol)] == want
         # integral entries come back as ints, never as Fractions
         _assert_int_first([x for row in r for x in row])
         _assert_int_first([x for v in null for x in v])
-        _assert_int_first(sol or ())
+        _assert_int_first([x for row in sol or () for x in row])
 
     def test_integer_input_stays_integer(self):
         a = ((2, 4, 1), (1, 3, 5), (-1, -1, 2))
@@ -186,10 +228,12 @@ class TestLinalg:
         assert linalg.mat([[F(4, 2), F(1, 3)]]) == ((2, F(1, 3)),)
         assert type(linalg.mat([[F(4, 2)]])[0][0]) is int
 
-    def test_express_in_span(self):
-        basis = [(F(1), F(0), F(1)), (F(0), F(1), F(1))]
-        assert linalg.express_in_span(basis, (F(2), F(3), F(5))) == (F(2), F(3))
-        assert linalg.express_in_span(basis, (F(0), F(0), F(1))) is None
+    def test_coordinates_in_a_span(self):
+        basis = linalg.transpose([(F(1), F(0), F(1)), (F(0), F(1), F(1))])
+        vectors = linalg.transpose([(F(2), F(3), F(5)), (F(1), F(-1), F(0))])
+        assert linalg.solve_matrix(basis, vectors) == ((2, 1), (3, -1))
+        outside = linalg.transpose([(F(2), F(3), F(5)), (F(0), F(0), F(1))])
+        assert linalg.solve_matrix(basis, outside) is None
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -318,6 +362,120 @@ def sl2_modules(sl2_algebra):
             A, {"e": 2, "s": 1}, {"alpha": _mat([[1, 0]]), "beta": _mat([[0], [1]])}
         ),
     }
+
+
+def _preprojective_a(n):
+    """The preprojective algebra of type A_n, with the mesh relation at
+    every vertex."""
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    arrows += [(f"b{i}", str(i + 1), str(i)) for i in range(1, n)]
+    relations = ["a1 b1", f"b{n - 1} a{n - 1}"]
+    relations += [f"a{i} b{i} - b{i - 1} a{i - 1}" for i in range(2, n)]
+    return AlgebraPresentation([str(i) for i in range(1, n + 1)], arrows, relations)
+
+
+def _truncated_cycle(n, length):
+    """The n-cycle with every path of the given length zero."""
+    arrows = [(f"c{i}", str(i), str((i + 1) % n)) for i in range(n)]
+    relations = [
+        " ".join(f"c{(i + k) % n}" for k in range(length)) for i in range(n)
+    ]
+    return AlgebraPresentation([str(i) for i in range(n)], arrows, relations)
+
+
+nonzero_coeff = st.integers(-3, 3).filter(bool) | st.builds(
+    F, st.integers(-3, 3).filter(bool), st.integers(2, 3)
+).map(linalg.exact)
+
+
+@st.composite
+def presentations(draw):
+    """A quiver of at most three vertices and four arrows (loops and
+    parallel arrows allowed), with up to four homogeneous relations of
+    length at most three, each a combination of paths with one pair of
+    endpoints."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    arrows = {
+        f"a{k}": (draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+        for k in range(draw(st.integers(1, 4)))
+    }
+    paths: dict[tuple, list] = {}
+    level = [((a,), s, t) for a, (s, t) in arrows.items()]
+    for length in range(1, 4):
+        for p, s, t in level:
+            paths.setdefault((s, t, length), []).append(p)
+        level = [
+            (p + (a,), s, arrows[a][1]) for p, s, t in level for a in arrows
+            if arrows[a][0] == t
+        ]
+    keys = sorted(paths)
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        bucket = paths[draw(st.sampled_from(keys))]
+        terms = draw(st.lists(st.sampled_from(bucket), min_size=1, max_size=3, unique=True))
+        relations.append(tuple((draw(nonzero_coeff), p) for p in terms))
+    return vertices, arrows, relations
+
+
+class TestPathClasses:
+    """The path classes built degree by degree from the ideal below match a
+    full enumeration of the products p r q (tests/path_classes_reference)."""
+
+    @staticmethod
+    def enumerated(A):
+        return path_classes(A.vertices, A.arrows, A.relations)
+
+    @pytest.mark.parametrize(
+        "build, dimension, top",
+        [
+            (_sl2_algebra, 5, 2),
+            (lambda: _preprojective_a(5), 35, 4),
+            (lambda: _truncated_cycle(4, 7), 28, 6),
+            (lambda: AlgebraPresentation(
+                "1234", [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"),
+                         ("d", "3", "4")], ["a b - c d"]), 9, 2),
+        ],
+        ids=["sl2", "preprojective-A5", "4-cycle-length-7", "commutative-square"],
+    )
+    def test_pinned_algebras(self, build, dimension, top):
+        A = build()
+        assert (A.dimension, A.max_path_length) == (dimension, top)
+        assert (A._classes, A.dimension, A.max_path_length) == self.enumerated(A)
+
+    @settings(max_examples=100, deadline=None)
+    @given(presentations())
+    def test_classes_match_the_enumeration(self, pres):
+        # lowered guards keep the enumeration of an infinite algebra short;
+        # both routes read them from the module
+        vertices, arrows, relations = pres
+        arrow_list = [(a, s, t) for a, (s, t) in arrows.items()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quiver, "_LENGTH_GUARD", 8)
+            mp.setattr(quiver, "_PATH_GUARD", 120)
+            try:
+                want = path_classes(vertices, arrows, relations)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=str(exc)):
+                    AlgebraPresentation(vertices, arrow_list, relations)
+                return
+            A = AlgebraPresentation(vertices, arrow_list, relations)
+        assert (A._classes, A.dimension, A.max_path_length) == want
+        # the projectives, whose arrows act by reduce_path, satisfy the
+        # relations and add up to the algebra
+        assert sum(A.projective(v)[0].total_dim for v in vertices) == A.dimension
+
+    def test_infinite_algebras_hit_the_guards(self, monkeypatch):
+        # a free loop grows one path a length until the length guard
+        with pytest.raises(ValidationError, match="not visibly finite dimensional"):
+            AlgebraPresentation(("a",), [("x", "a", "a")], ())
+        # two loops, free or commuting, double the paths at each length until
+        # the path guard, lowered here: a bucket with no relation in it
+        # stores an identity projection, square in its number of paths
+        monkeypatch.setattr(quiver, "_PATH_GUARD", 1000)
+        loops = [("x", "a", "a"), ("y", "a", "a")]
+        for relations in ((), ("x y - y x",)):
+            with pytest.raises(ValidationError, match="not visibly finite dimensional"):
+                AlgebraPresentation(("a",), loops, relations)
 
 
 class TestQuiver:

@@ -280,6 +280,21 @@ class TestKacMoodyPositive:
         with pytest.raises(ValidationError):
             KM.standard_table((1,))
 
+    def test_bound_below_x_is_rejected(self):
+        # x = 1 has length 1; a bound below it would print a table without
+        # x's own row, whatever the coset bound max_len - l(w_I) clamps to
+        KM = KacMoody(HeckeContext(AFF1), (1,), (), "pos")
+        for max_len in (-3, 0):
+            with pytest.raises(ValidationError, match="below l\\(x\\)"):
+                KM.standard_table((1,), max_len=max_len)
+            with pytest.raises(ValidationError, match="below l\\(x\\)"):
+                KM.simple_table((1,), max_len=max_len)
+            # the literal text's z-sum has its own cutoff, checked with a y too
+            with pytest.raises(ValidationError, match="below l\\(x\\)"):
+                KM.simple_table((1,), (0, 1), max_len=max_len, literal_text=True)
+        t = KM.standard_table((1,), max_len=1)
+        assert as_dict(t) == {(1,): ONE} and t.truncated_at == 1
+
     def test_literal_text_is_flagged_and_unenforced(self):
         KM = KacMoody(HeckeContext(AFF1), (1,), (), "pos")
         t = KM.simple_table((1,), max_len=6, literal_text=True)
@@ -326,6 +341,11 @@ class TestQuantum:
     def test_nondominant_weight_rejected(self):
         with pytest.raises(ValidationError):
             Quantum.from_weight("A1", 5, (-2,))
+
+    @pytest.mark.parametrize("weight", [(7,), (1, 2, 3), ()])
+    def test_weight_of_the_wrong_rank_rejected(self, weight):
+        with pytest.raises(ValidationError, match="needs 2 coordinates for type A2"):
+            Quantum.from_weight("A2", 5, weight)
 
     def test_finite_wall_weight_not_regular(self):
         # -1 is dominant (closure) but fixed by the finite reflection,
