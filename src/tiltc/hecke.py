@@ -68,6 +68,7 @@ Family keys: ("h", ()), ("m", I), ("n", I) and the inverse families
 from __future__ import annotations
 
 import os
+import re
 from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -118,6 +119,12 @@ def _unpack(n: int, width: int, off: int = 0) -> Terms:
     return tuple(terms)
 
 
+# a record line as json.dumps writes it with sorted keys and compact
+# separators: the entries object, then the family and the upper word texts
+# (compiled by PolyStore.load, so a query without a store compiles nothing)
+_RECORD = r'\{"entries":\{.*\},"family":"([^"\\]*)","upper":"([^"\\]*)"\}'
+
+
 @contextmanager
 def _store_lock(path: Path) -> Iterator[None]:
     """Hold the exclusive flock on the sidecar ``<name>.lock`` of a store file."""
@@ -138,15 +145,20 @@ class PolyStore:
     polynomials (the module docstring); a file with another version of either
     is refused.
 
-    Records are converted lazily: ``load`` checks the header and the
-    checksum and decodes each record line once, keeping the line and its
-    decoded entries; ``get_column`` packs a record's entries (module
-    docstring) and parses its words the first time a query asks for it,
-    each distinct word text once per store (columns share most of their
-    lower words).  An exponent below 0 or a coefficient that does not fit a
-    slot is a CacheError.  ``save`` writes every loaded record, read or not,
-    as its line, which is already canonical (sorted keys, compact
-    separators), and encodes only the columns this store computed.
+    Records are decoded lazily: ``load`` checks the header and the checksum
+    and indexes each record line by its family and upper word, read off the
+    line's canonical tail ``,"family":"...","upper":"..."}`` (sorted keys,
+    compact separators, so the entries object comes first) without decoding
+    the line.  ``get_column`` decodes a record's line the first time a query
+    reads it, checks that its family and upper are the indexed ones, and
+    packs its entries (module docstring), each distinct word text parsed once
+    per store (columns share most of their lower words).  A line not in that
+    form, or whose upper is not a word, is a CacheError at load; an entry
+    that does not parse, an exponent below 0 or a coefficient that does not
+    fit a slot is a CacheError when its record is read, so a broken record
+    fails only the queries that read it.  ``save`` writes every loaded
+    record, read or not, as its line, and encodes only the columns this
+    store computed.
 
     The file modules (json, hashlib, tempfile, fcntl, glob) are imported by
     the methods that use them, so a query without a store loads none of them.
@@ -155,13 +167,13 @@ class PolyStore:
     under it merges the records on disk with this store's, so concurrent
     writers lose no column; a record on disk that differs from this store's
     for the same column is a CacheError.  A file still as ``load`` read it
-    holds only this store's records and is not decoded again.  ``clear``
+    holds only this store's records and is not loaded again.  ``clear``
     takes the same lock.
 
     HeckeContext reads m[K] and n[I] records with K and I non-empty only; h
     is read off m^{L(y)}.  The h, m[], n[] and inverse records of files
-    written by older versions are validated by ``load`` like any other record
-    and then dropped, so a save does not write them back.
+    written by older versions have their keys checked by ``load`` like any
+    other record and are then dropped, so a save does not write them back.
     """
 
     FORMAT = 1
@@ -170,11 +182,9 @@ class PolyStore:
     def __init__(self, system_tag: str, generators: int):
         self.system_tag = system_tag
         self.generators = generators
-        # family id -> upper word -> (the record line as read, its decoded
-        # entries), or the packed column {lower word -> int}
-        self.columns: dict[
-            str, dict[tuple[int, ...], tuple[str, dict] | dict[tuple[int, ...], int]]
-        ] = {}
+        # family id -> upper word -> the record line as read, or the packed
+        # column {lower word -> int}
+        self.columns: dict[str, dict[tuple[int, ...], str | dict[tuple[int, ...], int]]] = {}
         self.dirty = False
         self._words: dict[str, tuple[int, ...]] = {}
         self._lines: dict[tuple[str, tuple[int, ...]], str] = {}  # of the records read, for save
@@ -189,10 +199,15 @@ class PolyStore:
 
     def get_column(self, fam_id: str, upper: tuple[int, ...]):
         col = self.columns.get(fam_id, {}).get(upper)
-        if isinstance(col, tuple):
-            line, entries = col
+        if isinstance(col, str):
+            import json
+
+            line = col
             try:
-                col = {self._word(k): self._packed(v) for k, v in entries.items()}
+                rec = json.loads(line)
+                if rec["family"] != fam_id or self._word(rec["upper"]) != upper:
+                    raise ValueError(f"record keys differ from its tail: {line[:60]!r}")
+                col = {self._word(k): self._packed(v) for k, v in rec["entries"].items()}
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
             if None in col.values():
@@ -227,8 +242,8 @@ class PolyStore:
     @staticmethod
     def _line(fam_id: str, upper: tuple[int, ...], col) -> str:
         """The record line of a column; an unread record keeps its line."""
-        if isinstance(col, tuple):
-            return col[0]
+        if isinstance(col, str):
+            return col
         import json
 
         rec = {
@@ -257,7 +272,7 @@ class PolyStore:
             if path.exists() and hashlib.sha256(path.read_text().encode()).digest() != self._digest:
                 on_disk = self.load(path, self.system_tag, self.generators)
                 for fam_id, fam in on_disk.columns.items():
-                    for upper, (line, _) in fam.items():
+                    for upper, line in fam.items():
                         if records.setdefault((fam_id, upper), line) != line:
                             raise CacheError(
                                 f"cache file holds a different {fam_id} column "
@@ -339,17 +354,17 @@ class PolyStore:
             raise CacheError("cache checksum failure")
         store = cls(system_tag, generators)
         store._digest = hashlib.sha256(text.encode()).digest()
+        record = re.compile(_RECORD).fullmatch
         for line in body.split("\n") if body else ():
             try:
-                rec = json.loads(line)
-                fam_id = rec["family"]
-                upper = store._word(rec["upper"])
-                if not isinstance(fam_id, str) or not isinstance(rec["entries"], dict):
+                key = record(line)
+                if key is None:
                     raise ValueError(f"malformed record {line[:60]!r}")
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                fam_id, upper = key[1], store._word(key[2])
+            except ValueError as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
             if cls._is_read(fam_id):
-                store.columns.setdefault(fam_id, {})[upper] = (line, rec["entries"])
+                store.columns.setdefault(fam_id, {})[upper] = line
         return store
 
     @staticmethod
@@ -387,10 +402,13 @@ class HeckeContext:
     """All polynomial families attached to one Coxeter system, memoized.
 
     An optional PolyStore persists the m and n columns (serialize with
-    store.save); one read from it passes the gate of _check_column or
-    raises CacheError.  h columns are read off m columns and inverse columns
-    are pushed; neither is stored.  All public results are columns: maps
-    {lower element -> polynomial} attached to an upper element.
+    store.save).  A column is read from it, and its record decoded, only when
+    a query needs that column; each stored lower word is walked to its
+    element once per context, and the column passes the gate of
+    _check_column or raises CacheError.  h columns are read off m columns
+    and inverse columns are pushed; neither is stored.  All public results
+    are columns: maps {lower element -> polynomial} attached to an upper
+    element.
     """
 
     def __init__(self, system: CoxeterSystem, store: PolyStore | None = None):
@@ -403,6 +421,7 @@ class HeckeContext:
         self._inverses: dict[tuple[str, tuple[int, ...]], Coords] = {}
         self._walks: dict[int, tuple[int, list[tuple[int, int, int, int]]]] = {}
         self._tops: dict[int, int] = {}  # descent mask of K -> l(w_K)
+        self._stored_ids: dict[tuple[int, ...], int] = {}  # stored word -> element id
         # l(w_K) -> {m^K entry: its shifts by v^0 .. v^l(w_K)}, each interned
         self._shifts: dict[int, dict[int, list[int]]] = {}
         self._ints: dict[int, int] = {}  # every packed entry, so equal ones are one object
@@ -473,7 +492,10 @@ class HeckeContext:
         else:
             raw = self.store.get_column(*key) if self.store is not None else None
             if raw is not None:
-                col = self._finish({self.system.element(w).id: n for w, n in raw.items()})
+                ids = self._stored_ids
+                for w in raw.keys() - ids.keys():
+                    ids[w] = self.system.element(w).id
+                col = self._finish({ids[w]: n for w, n in raw.items()})
             elif y.is_identity():
                 col = {y.id: 1}
             else:

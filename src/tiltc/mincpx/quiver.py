@@ -153,14 +153,16 @@ class AlgebraPresentation:
         by the relations of length L and by r a and a r for the arrows a and
         the rows r of the degree-(L - 1) part.  One rref per bucket gives
         those rows for the next length, and the projection onto the path
-        classes is their nullspace.
+        classes is their nullspace; a bucket with no relation in it keeps no
+        projection, as each of its paths is its own class.
         """
         arrows_from: dict[str, list[str]] = {v: [] for v in self.vertices}
         for a, (s, _) in self.arrows.items():
             arrows_from[s].append(a)
-        # reduction tables: (src, tgt, length) -> (paths, projection, free columns)
+        # reduction tables: (src, tgt, length) -> (paths, projection or None
+        # with no relation in the bucket, free columns)
         self._classes: dict[
-            tuple[str, str, int], tuple[list[Path], Mat, list[int]]
+            tuple[str, str, int], tuple[list[Path], Mat | None, list[int]]
         ] = {}
         self.dimension = len(self.vertices)
         level = [((a,), *self.arrows[a]) for a in sorted(self.arrows)]
@@ -203,7 +205,7 @@ class AlgebraPresentation:
                 rows, pivots = linalg.rref(tuple(vectors))
                 free = [j for j in range(len(paths)) if j not in pivots]
                 # rows is reduced already: nullspace does no further elimination
-                proj = tuple(linalg.nullspace(rows)) if pivots else linalg.ident(len(paths))
+                proj = tuple(linalg.nullspace(rows)) if pivots else None
                 self._classes[(s, t, length)] = (paths, proj, free)
                 ideal[(s, t)] = [
                     tuple((c, p) for c, p in zip(row, paths) if c)
@@ -237,6 +239,8 @@ class AlgebraPresentation:
         if entry is None:
             return []
         paths, proj, free = entry
+        if proj is None:
+            return [(1, path)]
         k = paths.index(path)
         return [(row[k], paths[f]) for row, f in zip(proj, free) if row[k]]
 

@@ -15,9 +15,10 @@ from tiltc.mincpx import linalg, quiver
 
 
 def _quotient(vectors, dim):
-    """(free columns, projection) of dim-space modulo the span of vectors."""
+    """(free columns, projection) of dim-space modulo the span of vectors;
+    no projection when there is nothing to divide by."""
     if not vectors:
-        return list(range(dim)), linalg.ident(dim)
+        return list(range(dim)), None
     r, pivots = linalg.rref(tuple(vectors))
     free = [j for j in range(dim) if j not in pivots]
     proj = []

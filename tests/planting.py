@@ -59,6 +59,16 @@ def _rewrite(path, family, upper, edit):
     write_store(path, head, lines)
 
 
+def garble(path, family, upper):
+    """Make the entries object of the one stored record of family at the word
+    text upper not JSON, its line's tail kept, and recompute the checksum."""
+    head, lines = read_store(path)
+    tail = f',"family":"{family}","upper":"{upper}"}}'
+    [k] = [k for k, line in enumerate(lines) if line.endswith(tail)]
+    lines[k] = '{"entries":{"":{"0":1},garbled}' + tail
+    write_store(path, head, lines)
+
+
 def tamper(path, family, upper, lower, poly):
     """Set the entry at the word text lower of a stored column to the JSON
     polynomial poly, and recompute the checksum."""

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from planting import tamper
+from planting import garble, tamper
 from tiltc.cli import main
 from tiltc.coxeter import CoxeterSystem
 from tiltc.hecke import SLOT, HeckeContext, PolyStore, _pack
@@ -585,6 +585,13 @@ STORES = {
         ["kl", "--type", "A2", "--y", "2 1"],
         lambda f: tamper(f, "m[2]", "1", "", {"1": -7}),
     ),
+    # every column of the w0 simple table; a kl query then reads one record
+    "@A4w0": (["tilt", "O", "--type", "A4", "--x", "1 2 1 3 2 1 4 3 2 1", "--simple"], None),
+    # the m[2] record at 1 3 2 is not JSON inside: only a query that reads it fails
+    "@broken": (
+        ["kl", "--type", "A3", "--y", "2 1 3 2"],
+        lambda f: garble(f, "m[2]", "1 3 2"),
+    ),
     # one m^K entry wrong with its parity and sign kept, behind a recomputed
     # checksum: it loads, and only the standard table's antispherical twin
     # sees it
@@ -641,6 +648,22 @@ class TestCorpus:
         if rc == 1:
             assert out == "" and err.startswith("error: usage: ")
 
+    def test_store_rows_print_what_their_no_cache_rows_print(self):
+        # a query served from a store prints what it prints without one
+        rows = {}
+        for p in corpus_lines():
+            rc, out, _, argv = p.values[0].split("\t")
+            rows[argv] = rc, out
+        twins = [
+            (rows[argv], rows[bare])
+            for argv in rows
+            if argv.startswith("@") and "--cache-path {cache}" in argv
+            and (bare := argv.split(" ", 1)[1].replace("--cache-path {cache}", "--no-cache")) in rows
+        ]
+        assert len(twins) == 2
+        for row, bare_row in twins:
+            assert row == bare_row and row[0] == "0"
+
 
 class TestNoCyclicGarbage:
     """Every exit-0 line of the corpus, rerun in process with the cyclic
@@ -680,10 +703,13 @@ class TestNoCyclicGarbage:
             ["kl", "--type", "A3", "--y", "1 2 1", "--format", "json"],
             ["tilt", "quantum", "--type", "A2", "--ell", "5", "--weight", "3,1", "--format", "json"],
             ["oracle", "verify", "--block", "sl2"],
+            # the first run fills the store, the second reads it
+            ["tilt", "O", "--type", "A3", "--x", "2 1 3 2", "--simple", "--cache-path", "{cache}"],
         ],
-        ids=["tilt-json", "kl-json", "quantum-json", "oracle"],
+        ids=["tilt-json", "kl-json", "quantum-json", "oracle", "tilt-store"],
     )
-    def test_repeated_command(self, argv):
+    def test_repeated_command(self, tmp_path, argv):
+        argv = [a.replace("{cache}", str(tmp_path)) for a in argv]
         # the first run declares the command's options
         assert _run_quiet(argv)[0] == 0
         while gc.collect():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bar_reference import bar_expand, is_selfdual
-from planting import plant_computed, read_store, write_store
+from planting import garble, plant_computed, read_store, write_store
 from tiltc import hecke
 from tiltc.coxeter import CoxeterSystem, format_word, parse_word
 from tiltc.errors import CacheError, InternalInvariantError, ValidationError
@@ -834,7 +834,7 @@ class TestPolyStore:
             sorted([PolyStore._line("h", y.word, h_col), m_line]),
         )
         store = PolyStore.load(path, "A3", 3)
-        assert store.columns == {"m[1]": {y.word: (m_line, json.loads(m_line)["entries"])}}
+        assert store.columns == {"m[1]": {y.word: m_line}}
         assert HeckeContext(A3, store).parabolic_column("m", (1,), y) == c.parabolic_column(
             "m", (1,), y
         )
@@ -866,7 +866,7 @@ class TestPolyStore:
         for fam_id, fam in lazy.columns.items():
             for upper in fam:
                 eager.put_column(fam_id, upper, lazy.get_column(fam_id, upper))
-        assert all(not isinstance(col, tuple) for fam in eager.columns.values() for col in fam.values())
+        assert all(isinstance(col, dict) for fam in eager.columns.values() for col in fam.values())
         lazy.save(tmp_path / "lazy" / "A3.jsonl")
         eager.save(tmp_path / "eager" / "A3.jsonl")
         assert (tmp_path / "lazy" / "A3.jsonl").read_bytes() == (
@@ -876,6 +876,13 @@ class TestPolyStore:
     @staticmethod
     def records(path):
         return path.read_text().rstrip("\n").split("\n")[1:]
+
+    @staticmethod
+    def counting_loads(monkeypatch):
+        """The texts json.loads decodes from now on."""
+        loads, decoded = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        return decoded
 
     def test_read_records_are_not_encoded_again(self, tmp_path, monkeypatch):
         # a record a query read keeps its line, so a save encodes only the
@@ -898,26 +905,26 @@ class TestPolyStore:
         _, path = self.make_store(tmp_path)
         store = PolyStore.load(path, "A3", 3)
         HeckeContext(A3, store).kl_column(A3.element([1, 2, 3]))  # new columns
-        loads, decoded = json.loads, []
-        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        decoded = self.counting_loads(monkeypatch)
         store.save(path)
         assert decoded == []
         self.assert_same_columns(PolyStore.load(path, "A3", 3), store)
 
     def test_a_changed_file_is_merged(self, tmp_path, monkeypatch):
         # another writer's save changes the bytes on disk: the next save
-        # decodes the file and keeps the other writer's columns
+        # loads the file again, decoding its header only, and keeps the
+        # other writer's records
         _, path = self.make_store(tmp_path)
         store = PolyStore.load(path, "A3", 3)
         HeckeContext(A3, store).kl_column(A3.element([1, 2, 3]))
         other = HeckeContext(A3, PolyStore.load(path, "A3", 3))
         other.kl_column(A3.element([3, 2, 1]))
         other.store.save(path)
+        head = path.read_text().split("\n")[0]
         theirs = set(self.records(path))
-        loads, decoded = json.loads, []
-        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        decoded = self.counting_loads(monkeypatch)
         store.save(path)
-        assert decoded
+        assert decoded == [head]
         assert theirs < set(self.records(path))
 
     @staticmethod
@@ -963,18 +970,73 @@ class TestPolyStore:
 
     def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
         _, path = self.make_store(tmp_path)
-        loads, decoded = json.loads, []
-
-        def counting_loads(text):
-            decoded.append(text)
-            return loads(text)
-
-        monkeypatch.setattr(json, "loads", counting_loads)
+        decoded = self.counting_loads(monkeypatch)
         store = PolyStore.load(path, "A3", 3)
         for fam_id, fam in store.columns.items():
             for upper in list(fam):
                 store.get_column(fam_id, upper)  # every record read
         assert sorted(decoded) == sorted(path.read_text().rstrip("\n").split("\n"))
+
+    def test_a_query_decodes_only_the_records_it_reads(self, tmp_path, monkeypatch):
+        # the h column of 2 1 3 is read off the one m[2] record at 1 3; the
+        # 600 records around it are indexed by their tails, never decoded
+        c = HeckeContext(A3)
+        y = A3.element((1, 3))
+        col = {x.word: _pack(p.terms, SLOT) for x, p in c.parabolic_column("m", (2,), y).items()}
+        line = PolyStore._line("m[2]", y.word, col)
+        pad = [
+            PolyStore._line(fid, (k,), {(): 1})
+            for fid in ("h", "m[1]", "n[2]") for k in range(10, 210)
+        ]
+        path = tmp_path / "A3.jsonl"
+        write_store(path, A3_STORE_HEAD | {"records": 601}, sorted(pad + [line]))
+        decoded = self.counting_loads(monkeypatch)
+        store = PolyStore.load(path, "A3", 3)
+        assert len(store.columns["m[1]"]) == len(store.columns["n[2]"]) == 200
+        got = HeckeContext(A3, store).kl_column(A3.element((2, 1, 3)))
+        assert decoded == [path.read_text().split("\n")[0], line]
+        assert got == c.kl_column(A3.element((2, 1, 3)))
+
+    def test_each_stored_word_is_walked_once_per_context(self, tmp_path, monkeypatch):
+        W = CoxeterSystem.from_type("A3")
+        cold = HeckeContext(W, PolyStore("A3", 3))
+        elements = sorted(W.enumerate_below(W.longest_element()), key=lambda x: x.sort_key())
+        for y in elements:
+            cold.kl_column(y)
+        path = tmp_path / "A3.jsonl"
+        cold.store.save(path)
+        walked = []
+        element = W.element
+        monkeypatch.setattr(W, "element", lambda word: walked.append(word) or element(word))
+        for _ in range(2):  # a context for each store: the walks are per context
+            store = PolyStore.load(path, "A3", 3)
+            warm = HeckeContext(W, store)
+            for y in elements:
+                assert warm.kl_column(y) == cold.kl_column(y)
+            stored = [low for f, u in store._lines for low in store.get_column(f, u)]
+            assert len(set(stored)) < len(stored)  # columns share lower words
+            assert sorted(walked) == sorted(set(stored))
+            walked.clear()
+
+    def test_a_record_broken_inside_fails_only_when_read(self, tmp_path):
+        _, path = self.make_store(tmp_path)
+        garble(path, "m[2]", "1 3 2")
+        store = PolyStore.load(path, "A3", 3)
+        keys = [(f, u) for f, fam in store.columns.items() for u in fam]
+        others = [key for key in keys if key != ("m[2]", (1, 3, 2))]
+        assert len(others) == len(keys) - 1 == len(self.records(path)) - 1
+        for f, u in others:
+            assert isinstance(store.get_column(f, u), dict)
+        with pytest.raises(CacheError, match="cache key parse failure: Expecting property name"):
+            store.get_column("m[2]", (1, 3, 2))
+
+    def test_a_record_read_under_another_key_is_refused(self, tmp_path):
+        _, path = self.make_store(tmp_path)
+        store = PolyStore.load(path, "A3", 3)
+        fam = store.columns["m[2]"]
+        fam[(1,)] = fam[1, 3, 2]
+        with pytest.raises(CacheError, match="record keys differ from its tail"):
+            store.get_column("m[2]", (1,))
 
     @pytest.mark.parametrize(
         "line",
