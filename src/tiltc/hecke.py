@@ -17,12 +17,18 @@ v + v^-1) and 'antispherical' (-v, so C_s kills the vector).  Their self-dual
 bases give the families m^I and n^I; with I = () either module is the Hecke
 algebra, and such columns are held as h.
 
-One routine builds every m and n column: with s the smallest right descent
-of y, C_{ys} C_s = C_y + sum_u mu(u, ys) C_u over the u with us < u
-(Kazhdan-Lusztig 1979; Soergel 1997, Prop. 3.4).  Off the diagonal C_{ys}
-lies in v*Z[v], and C_s acts on a basis vector by 1, v, v^-1, v + v^-1 or 0,
-so the only part of the product outside v*Z[v] is a constant c = mu at some
-u != y, and subtracting c C_u changes no other constant term.
+One routine builds every m and n column: for a right descent s of y,
+C_{ys} C_s = C_y + sum_u mu(u, ys) C_u over the u with us < u
+(Kazhdan-Lusztig 1979; Soergel 1997, Prop. 3.4).  Any right descent gives
+the same column; the recursion takes the last letter of y's ShortLex normal
+form, so ys is that word's prefix (a prefix of a normal form is one).  The
+chain of bases below any column, a mu column's included, then runs down the
+prefixes of its word, and the columns of words with a common prefix share
+that part of the chain (a top-length n[1] column of E6 memoizes 131
+columns).  Off the diagonal C_{ys} lies in v*Z[v], and C_s acts on a basis
+vector by 1, v, v^-1, v + v^-1 or 0, so the only part of the product outside
+v*Z[v] is a constant c = mu at some u != y, and subtracting c C_u changes no
+other constant term.
 
 An h column is read off a spherical one.  With K = L(y), which generates a
 finite parabolic, and y = w_K y', h_{x,y} = v h_{sx,y} for s in K with
@@ -151,10 +157,11 @@ class PolyStore:
     compact separators, so the entries object comes first) without decoding
     the line.  ``get_column`` decodes a record's line the first time a query
     reads it, checks that its family and upper are the indexed ones, and
-    packs its entries (module docstring), each distinct word text parsed once
-    per store (columns share most of their lower words).  A line not in that
-    form, or whose upper is not a word, is a CacheError at load; an entry
-    that does not parse, an exponent below 0 or a coefficient that does not
+    packs its entries (module docstring), each distinct word text parsed and
+    each distinct entry packed once per store (columns share most of their
+    lower words and values).  A line not in that form, or whose upper is not
+    a word, is a CacheError at load; an entry that does not parse, an
+    exponent below 0 or a coefficient that is not a JSON integer or does not
     fit a slot is a CacheError when its record is read, so a broken record
     fails only the queries that read it.  ``save`` writes every loaded
     record, read or not, as its line, and encodes only the columns this
@@ -166,9 +173,13 @@ class PolyStore:
     A save holds an exclusive flock on the sidecar file ``<name>.lock``, and
     under it merges the records on disk with this store's, so concurrent
     writers lose no column; a record on disk that differs from this store's
-    for the same column is a CacheError.  A file still as ``load`` read it
-    holds only this store's records and is not loaded again.  ``clear``
-    takes the same lock.
+    for the same column is a CacheError.  A file whose header line is still
+    the one ``load`` read, which carries the sha256 of the records and their
+    count, holds only this store's records and is not loaded again: only the
+    header is read, so ``load`` hashes the file once.  A body damaged behind
+    an unchanged header is therefore overwritten by the next save rather
+    than refused by it; any load still refuses it.  ``clear`` takes the same
+    lock.
 
     HeckeContext reads m[K] and n[I] records with K and I non-empty only; h
     is read off m^{L(y)}.  The h, m[], n[] and inverse records of files
@@ -188,7 +199,8 @@ class PolyStore:
         self.dirty = False
         self._words: dict[str, tuple[int, ...]] = {}
         self._lines: dict[tuple[str, tuple[int, ...]], str] = {}  # of the records read, for save
-        self._digest: bytes | None = None  # sha256 of the file as loaded
+        self._packs: dict[tuple[tuple[str, int], ...], int | None] = {}  # entry items -> packed
+        self._head: str | None = None  # the header line as loaded
 
     def _word(self, text: str) -> tuple[int, ...]:
         """parse_word, once per distinct text."""
@@ -207,7 +219,7 @@ class PolyStore:
                 rec = json.loads(line)
                 if rec["family"] != fam_id or self._word(rec["upper"]) != upper:
                     raise ValueError(f"record keys differ from its tail: {line[:60]!r}")
-                col = {self._word(k): self._packed(v) for k, v in rec["entries"].items()}
+                col = self._packed_entries(rec["entries"])
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
             if None in col.values():
@@ -219,14 +231,30 @@ class PolyStore:
             self.columns[fam_id][upper] = col
         return col
 
+    def _packed_entries(self, entries: dict) -> dict[tuple[int, ...], int | None]:
+        """A record's entries {lower word text: {exponent text: coefficient}},
+        packed; each distinct entry is packed once per store, by its items.
+        Every coefficient's type is checked, as 1.0 and True equal 1."""
+        packs, col = self._packs, {}
+        for k, obj in entries.items():
+            for e, c in obj.items():
+                if type(c) is not int:
+                    raise ValueError(f"bad coefficient {c!r} at exponent {e}")
+            items = tuple(obj.items())
+            n = packs.get(items)
+            if n is None:
+                n = packs[items] = self._packed(obj)
+            col[self._word(k)] = n
+        return col
+
     @staticmethod
     def _packed(obj) -> int | None:
-        """A record entry {exponent text: coefficient}, packed; None when an
-        exponent is below 0."""
+        """A record entry {exponent text: int coefficient}, packed; None when
+        an exponent is below 0."""
         n, limit = 0, 1 << (SLOT - 1)
         for k, c in obj.items():
             e = int(k)
-            if not isinstance(c, int) or not -limit < c < limit:
+            if not -limit < c < limit:
                 raise ValueError(f"bad coefficient {c!r} at exponent {k}")
             if e < 0:
                 return None
@@ -269,7 +297,7 @@ class PolyStore:
                 for fam_id, fam in self.columns.items()
                 for upper, col in fam.items()
             }
-            if path.exists() and hashlib.sha256(path.read_text().encode()).digest() != self._digest:
+            if path.exists() and self._head_on_disk(path) != self._head:
                 on_disk = self.load(path, self.system_tag, self.generators)
                 for fam_id, fam in on_disk.columns.items():
                     for upper, line in fam.items():
@@ -307,6 +335,12 @@ class PolyStore:
                 os.unlink(tmp)
                 raise
         self.dirty = False
+
+    @staticmethod
+    def _head_on_disk(path: Path) -> str:
+        """The header line of a store file."""
+        with open(path) as fh:
+            return fh.readline().rstrip("\n")
 
     @staticmethod
     def clear(path: str | Path) -> bool:
@@ -353,7 +387,7 @@ class PolyStore:
         if hashlib.sha256(body.encode()).hexdigest() != header.get("checksum"):
             raise CacheError("cache checksum failure")
         store = cls(system_tag, generators)
-        store._digest = hashlib.sha256(text.encode()).digest()
+        store._head = head
         record = re.compile(_RECORD).fullmatch
         for line in body.split("\n") if body else ():
             try:
@@ -508,10 +542,12 @@ class HeckeContext:
         return memo
 
     def _product_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement, fid: str) -> Packed:
-        """C_{ys} C_s less mu C_u, summed packed, each digit read under the bound."""
+        """C_{ys} C_s less mu C_u, summed packed, each digit read under the bound;
+        s is the last letter of y's normal form, so ys is its prefix (module
+        docstring)."""
         W, B = self.system, SLOT
         mask, half = (1 << B) - 1, 1 << (B - 1)
-        s = min(y.right_descents())
+        s = y.word[-1]
         i, in_I = W._idx[s], W.mask(I)
         base, bound = self._direct_column(fam, I, y.times_gen(s, "right"))
         bound *= 2  # a digit of the product sums at most two digits of the base

@@ -1,5 +1,6 @@
 """Self-dual bases, parabolic modules, inverse families, persistence."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -376,6 +377,28 @@ class TestParabolicColumns:
             for x in c.parabolic_column(fam, I, y):
                 assert A3.is_minimal(x, I, "left")
                 assert A3.bruhat_leq(x, y)
+
+
+class TestProductRecursion:
+    # with s the last letter of y's normal form, the bases below a column run
+    # down the prefixes of its word; the smallest right descent took 239, 184
+    # and 237 columns for these three
+    @pytest.mark.parametrize(
+        "tag, word, most",
+        [
+            ("D5", None, 21),
+            ("A6", None, 21),
+            ("D5", "2 1 3 2 1 4 3 2 1 5 3 2 1 4 3 2 5 3", 20),
+        ],
+        ids=["D5-top", "A6-top", "D5-pool"],
+    )
+    def test_an_n_column_memoizes_its_prefix_chain(self, tag, word, most):
+        W = CoxeterSystem.from_type(tag)
+        # the top-length n[1] column is that of w_I w_0, I = (1,)
+        y = W.element(parse_word(word)) if word else W.project(W.longest_element(), (1,), "left")
+        c = HeckeContext(W)
+        c.parabolic_column("n", (1,), y)
+        assert len(c._columns) <= most
 
 
 class TestBarInvolution:
@@ -926,6 +949,43 @@ class TestPolyStore:
         store.save(path)
         assert decoded == [head]
         assert theirs < set(self.records(path))
+
+    def test_one_load_hashes_once(self, tmp_path, monkeypatch):
+        # the checksum is the one hash of a load; a save of a file whose
+        # header is unchanged reads that line and hashes only its new body
+        _, path = self.make_store(tmp_path)
+        before = path.read_bytes()
+        sha256, hashed = hashlib.sha256, []
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        store = PolyStore.load(path, "A3", 3)
+        assert len(hashed) == 1
+        store.save(path)
+        assert len(hashed) == 2 and path.read_bytes() == before
+
+    def test_a_body_damaged_behind_its_header_is_overwritten(self, tmp_path):
+        # a save reads the header only: the body it did not load is written
+        # again from this store, and any load refuses the damaged file
+        _, path = self.make_store(tmp_path)
+        good = path.read_text()
+        store = PolyStore.load(path, "A3", 3)
+        path.write_text(good.replace('"1":1', '"1":2', 1))
+        with pytest.raises(CacheError, match="checksum"):
+            PolyStore.load(path, "A3", 3)
+        store.save(path)
+        assert path.read_text() == good
+
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "float"])
+    def test_a_coefficient_that_is_not_an_int_is_refused_when_read(self, tmp_path, bad):
+        # true and 1.0 equal 1, so the packing memo would serve the packed 1
+        # for either; every coefficient's type is checked
+        path = self.write_records(tmp_path, [
+            {"family": "m[2]", "upper": "1", "entries": {"": {"1": 1}, "1": {"0": 1}}},
+            {"family": "m[2]", "upper": "3", "entries": {"": {"1": bad}, "3": {"0": 1}}},
+        ])
+        store = PolyStore.load(path, "A3", 3)
+        assert store.get_column("m[2]", (1,)) == {(): 1 << SLOT, (1,): 1}
+        with pytest.raises(CacheError, match=f"bad coefficient {bad!r} at exponent 1"):
+            store.get_column("m[2]", (3,))
 
     @staticmethod
     def rewrite_records(path, edit):

@@ -1,5 +1,6 @@
 """Smoke test of the example scripts, which call the table API directly."""
 
+import json
 import os
 import re
 import subprocess
@@ -19,6 +20,11 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/tilt_grid.py", "--type", "A2"],
         ["scripts/tilt_grid.py", "--type", "affA1", "--level", "pos", "--max-length", "4"],
         ["scripts/oracle_demo.py"],
+        [
+            "scripts/column_cost.py", "--type", "D5",
+            "--y", "2 1 3 2 1 4 3 2 1 5 3 2 1 4 3 2 5 3",
+            "--parabolic", "1", "--flavor", "antispherical",
+        ],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -32,3 +38,8 @@ def test_script_runs(argv):
         # a grid whose every index fails still exits 0; it must build tables
         built = re.search(r"^# built (\d+) tables", proc.stdout, re.M)
         assert built is not None and int(built.group(1)) > 0, proc.stdout[-300:]
+    if argv[0] == "scripts/column_cost.py":
+        # the recursion walks the prefixes of y's word: 20 columns, where the
+        # smallest right descent took 237
+        cost = json.loads(proc.stdout)
+        assert cost["size"] == 480 and cost["columns"] <= 21, cost
