@@ -6,7 +6,8 @@ ValidationError: the request is well-formed but mathematically inadmissible
 InternalInvariantError: a computation produced something the theory forbids
 (non-unitriangular basis, negative coefficient, failed parity).  CLI exit 3.
 
-CacheError: a persistent polynomial table could not be trusted.  CLI exit 2.
+CacheError: a persistent polynomial table could not be read, written or
+trusted.  CLI exit 2.
 """
 
 __all__ = ["ValidationError", "InternalInvariantError", "CacheError"]

@@ -141,6 +141,16 @@ def _store_lock(path: Path) -> Iterator[None]:
         yield
 
 
+@contextmanager
+def _file_errors(action: str, path: Path) -> Iterator[None]:
+    """An OSError or UnicodeDecodeError of a store file, its lock or its temp
+    file, as a CacheError naming the file."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CacheError(f"cannot {action} {path}: {exc}") from exc
+
+
 class PolyStore:
     """Persistent column store for the direct families of one system.
 
@@ -179,7 +189,8 @@ class PolyStore:
     header is read, so ``load`` hashes the file once.  A body damaged behind
     an unchanged header is therefore overwritten by the next save rather
     than refused by it; any load still refuses it.  ``clear`` takes the same
-    lock.
+    lock.  An OSError or UnicodeDecodeError of the file, its lock or a temp
+    file is a CacheError that names the file.
 
     HeckeContext reads m[K] and n[I] records with K and I non-empty only; h
     is read off m^{L(y)}.  The h, m[], n[] and inverse records of files
@@ -290,8 +301,9 @@ class PolyStore:
         import tempfile
 
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with _store_lock(path):
+        with _file_errors("write", path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        with _file_errors("write", path), _store_lock(path):
             records = {
                 (fam_id, upper): self._lines.get((fam_id, upper)) or self._line(fam_id, upper, col)
                 for fam_id, fam in self.columns.items()
@@ -351,7 +363,7 @@ class PolyStore:
         import glob
 
         path = Path(path)
-        with _store_lock(path):
+        with _file_errors("clear", path), _store_lock(path):
             for tmp in path.parent.glob(glob.escape(f".{path.name}.") + "*.tmp"):
                 tmp.unlink()
             existed = path.exists()
@@ -364,7 +376,8 @@ class PolyStore:
         import json
 
         path = Path(path)
-        text = path.read_text()
+        with _file_errors("read", path):
+            text = path.read_text()
         head, _, body = text.partition("\n")
         body = body.rstrip("\n")
         try:

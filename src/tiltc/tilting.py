@@ -7,7 +7,9 @@ minimal, I-regular) representatives of one Coxeter system, and the graded
 multiplicity of the tilting object T_y in the minimal complex C_min of a
 standard object Delta_x or simple object L_x is a single inverse parabolic
 Kazhdan-Lusztig polynomial, or a pairing of a direct family with an
-inverse family:
+inverse family.  Rows are keyed by k = u^-1 for u the coset part of an index
+element (x = w_J u, x = u w_I at positive level, x = u for quantum), the
+index that every Hecke query of a table takes:
 
   standard:  one inverse-family entry at indices twisted by the relevant
              longest elements;
@@ -133,8 +135,12 @@ def filtration_dims(entries: Mapping[tuple[int, ...], LaurentPoly]) -> tuple[int
 class _Setting:
     """Shared index-set plumbing and table engine for all four settings.
 
-    A setting supplies its index map: _coset_part(x) -> u and its inverse
-    _embed(u) -> x.  Rows below x are read off the vectors a table solves.
+    Rows, seeds and solved vectors are keyed by k = u^-1, for u the coset
+    part of an index element, since every Hecke query of a table takes k:
+    the inverse columns at k and the n column at k w_J.  A setting declares
+    one twist by an involution, _twist; the key of an index x is the twist
+    of x^-1, the index of a key is the inverse of its twist, and the keys
+    are the regular representatives of W_I\\W/W_J.
     """
 
     setting_name = "?"
@@ -158,18 +164,12 @@ class _Setting:
     def _parabolic_is_finite(self, subset: tuple[int, ...]) -> bool:
         return self.system.is_finite or len(subset) < self.system.rank
 
-    # coset part u of an index element; setting-specific
-    def _coset_part(self, x: CoxeterElement) -> CoxeterElement:
-        return self.wJ * x
+    def _twist(self, k: CoxeterElement) -> CoxeterElement:
+        """k w_J: index elements are x = w_J u, so x^-1 w_J = u^-1."""
+        return k * self.wJ
 
-    def _embed(self, u: CoxeterElement) -> CoxeterElement:
-        """Index element of the coset part u."""
-        # every setting twists by an involution, so the map is its own inverse
-        return self._coset_part(u)
-
-    def _n_index(self, u: CoxeterElement) -> CoxeterElement:
-        """Index of the coset part u in the antispherical module."""
-        return u.inverse() * self.wJ
+    def _index_of(self, k: CoxeterElement) -> CoxeterElement:
+        return self._twist(k).inverse()
 
     def _element(self, word: Sequence[int], name: str) -> CoxeterElement:
         try:
@@ -177,49 +177,44 @@ class _Setting:
         except ValueError as exc:
             raise ValidationError(f"{name}: {exc}") from exc
 
-    def _require_member(self, x: CoxeterElement, name: str) -> CoxeterElement:
-        """Validate membership in the index set; returns the coset part u."""
-        u = self._coset_part(x)
-        if not self._is_rep(u):
+    def _index(self, word: Sequence[int], name: str = "x") -> tuple[CoxeterElement, CoxeterElement]:
+        """The element of word and its key, validated as a member of the index set."""
+        x = self._element(word, name)
+        k = self._twist(x.inverse())
+        if not self._is_key(k):
             raise ValidationError(
                 f"{name} = {format_word(x.word) or 'e'} is not a dominant regular "
                 f"representative for I={list(self.I)}, J={list(self.J)}"
             )
-        return u
-
-    def _index(self, word: Sequence[int], name: str = "x") -> tuple[CoxeterElement, CoxeterElement]:
-        x = self._element(word, name)
-        return x, self._require_member(x, name)
+        return x, k
 
     def _explicit(self, y_word: Sequence[int] | None, max_len: int | None) -> tuple:
-        """The validated row (y, u_y) of an explicit y_word, or (None, None); rows
+        """The validated row (y, k_y) of an explicit y_word, or (None, None); rows
         below x are finitely many, so max_len (for positive level) is rejected."""
         if max_len is not None:
             raise ValidationError("max_len applies to positive level only")
         return (None, None) if y_word is None else self._index(y_word, "y")
 
-    def _is_rep(self, u: CoxeterElement) -> bool:
-        return self.system.is_regular_double_coset_rep(u, self.J, self.I)
+    def _is_key(self, k: CoxeterElement) -> bool:
+        return self.system.is_regular_double_coset_rep(k, self.I, self.J)
 
-    def _n_entries(self, u: CoxeterElement) -> dict[CoxeterElement, LaurentPoly]:
-        """The n column of the coset part u, as {coset part: entry}."""
-        col = self.hecke.parabolic_column("n", self.I, self._n_index(u))
-        # _n_index inverted: w_J is an involution
-        return {v: p for a, p in col.items() if self._is_rep(v := (a * self.wJ).inverse())}
+    def _n_entries(self, k: CoxeterElement) -> dict[CoxeterElement, LaurentPoly]:
+        """The n column of the key k, at k w_J, as {key: entry}."""
+        col = self.hecke.parabolic_column("n", self.I, k * self.wJ)
+        return {b: p for a, p in col.items() if self._is_key(b := a * self.wJ)}
 
     def _rows_below(
         self,
         vec: Mapping[CoxeterElement, LaurentPoly],
         y: CoxeterElement | None,
-        u_y: CoxeterElement | None,
+        k_y: CoxeterElement | None,
     ) -> dict[CoxeterElement, tuple[CoxeterElement, LaurentPoly]]:
-        """Rows read off a solved inverse vector {u^-1: entry}, as {row: (key
-        u^-1, entry)}: its support lies below its seeds, so it lists every
-        nonzero row of the index set."""
+        """Rows read off a solved inverse vector {key: entry}, as {row: (key,
+        entry)}: its support lies below its seeds, so it lists every nonzero
+        row of the index set."""
         if y is not None:
-            a = u_y.inverse()
-            return {y: (a, vec.get(a, ZERO))}
-        return {self._embed(u): (a, p) for a, p in vec.items() if self._is_rep(u := a.inverse())}
+            return {y: (k_y, vec.get(k_y, ZERO))}
+        return {self._index_of(k): (k, p) for k, p in vec.items() if self._is_key(k)}
 
     # -- table assembly with invariant enforcement ------------------------------
 
@@ -256,46 +251,73 @@ class _NegativeLike(_Setting):
 
     Index elements are x = w_J u with u minimal in W_J\\W/W_I and I-regular
     (quantum indexes by u itself).  The standard multiplicity is the inverse
-    spherical entry at the inverted coset parts; the simple row is one inverse
-    spherical combination, seeded by the bar of the antispherical column of x.
+    spherical entry at the keys; the simple row is one inverse spherical
+    combination, seeded by the bar of the antispherical column of x.
     """
-
-    cross_check = False
 
     def standard_table(
         self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
     ) -> MultiplicityTable:
-        x, u_x = self._index(x_word)
-        y, u_y = self._explicit(y_word, max_len)
-        col = self.hecke.inverse_column("m", self.I, u_x.inverse())
-        rows = self._rows_below(col, y, u_y)
-        if self.cross_check:
-            a = self._twin(u_x.inverse())  # the twin index of x
-            for z, (key, p) in rows.items():
-                if p:
-                    self._check_antispherical_form(x, a, z, key, p)
+        x, k_x = self._index(x_word)
+        y, k_y = self._explicit(y_word, max_len)
+        rows = self._rows_below(self.hecke.inverse_column("m", self.I, k_x), y, k_y)
+        self._check_rows(x, k_x, rows)
         return self._finalize(x, {z: p for z, (_, p) in rows.items()}, y)
 
-    def _twin(self, u: CoxeterElement) -> CoxeterElement:
-        """w_I u w_0.  u w_0 is looked up by its vector, r(u w_0)_j =
-        -r(u)_sigma(j), and walked only when it is not built yet; w_I is
+    def _check_rows(self, x, k_x, rows) -> None:
+        """A second route for the rows {row: (key, entry)} of a standard
+        table at x; a setting without one checks nothing here."""
+
+    def simple_table(
+        self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
+    ) -> MultiplicityTable:
+        x, k_x = self._index(x_word)
+        y, k_y = self._explicit(y_word, max_len)
+        # the pairing is linear in bar(n): one solve seeded at x's n column
+        seeds = {k: p.bar() for k, p in self._n_entries(k_x).items()}
+        row = self.hecke.inverse_combination("m", self.I, seeds)
+        return self._finalize(x, {z: p for z, (_, p) in self._rows_below(row, y, k_y).items()}, y)
+
+
+class CategoryO(_NegativeLike):
+    """Regular-block category O of a finite Weyl type."""
+
+    setting_name = "O"
+
+    def __init__(self, hecke: HeckeContext, I: Iterable[int], J: Iterable[int]):
+        super().__init__(hecke, I, J)
+        if not self.system.is_finite:
+            raise ValidationError("category O tables need a finite Weyl type")
+        self.w0 = self.system.longest_element()  # the cross-check's twist
+        # w0(alpha_j) = -alpha_sigma(j), with sigma the diagram involution
+        m = self.w0.matrix
+        self._flip = tuple(next(k for k, row in enumerate(m) if row[j]) for j in range(len(m)))
+
+    def _check_rows(self, x, k_x, rows) -> None:
+        a = self._twin(k_x)  # the twin index of x
+        for z, (k, p) in rows.items():
+            if p:
+                self._check_antispherical_form(x, a, z, k, p)
+
+    def _twin(self, k: CoxeterElement) -> CoxeterElement:
+        """w_I k w_0.  k w_0 is looked up by its vector, r(k w_0)_j =
+        -r(k)_sigma(j), and walked only when it is not built yet; w_I is
         applied by left steps."""
-        r = u.rvec
-        z = self.system._by_r.get(tuple([-r[k] for k in self._flip])) or u * self.w0
+        r = k.rvec
+        z = self.system._by_r.get(tuple([-r[i] for i in self._flip])) or k * self.w0
         for s in reversed(self.wI.word):
             z = z.times_gen(s, "left")
         return z
 
-    def _check_antispherical_form(self, x, a, y, key, expected) -> None:
+    def _check_antispherical_form(self, x, a, y, k, expected) -> None:
         """Finite-type cross-check of the standard formula.
 
         The same multiplicity must equal the direct antispherical polynomial
         n_{a,b} at indices twisted by w_I on the left and w_J w_0 on the
-        right: a = w_I x^-1 w_J w_0 and b = w_I y^-1 w_J w_0.  With x = w_J u_x
-        and y = w_J u_y, these are w_I u_x^-1 w_0 and w_I key w_0 for the key
-        u_y^-1 of the row, so no row is inverted.
+        right: a = w_I x^-1 w_J w_0 and b = w_I y^-1 w_J w_0, that is
+        w_I k_x w_0 and w_I k w_0 for the keys k_x of x and k of the row y.
         """
-        b = self._twin(key)
+        b = self._twin(k)
         try:
             got = self.hecke.poly("n", self.I, a, b)
         except ValidationError as exc:
@@ -307,32 +329,6 @@ class _NegativeLike(_Setting):
                 "standard multiplicity disagrees with its antispherical twin "
                 f"at x={x!r}, y={y!r}: {expected!r} vs {got!r}"
             )
-
-    def simple_table(
-        self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
-    ) -> MultiplicityTable:
-        x, u_x = self._index(x_word)
-        y, u_y = self._explicit(y_word, max_len)
-        # the pairing is linear in bar(n): one solve seeded at x's n column
-        seeds = {u.inverse(): p.bar() for u, p in self._n_entries(u_x).items()}
-        row = self.hecke.inverse_combination("m", self.I, seeds)
-        return self._finalize(x, {z: p for z, (_, p) in self._rows_below(row, y, u_y).items()}, y)
-
-
-class CategoryO(_NegativeLike):
-    """Regular-block category O of a finite Weyl type."""
-
-    setting_name = "O"
-    cross_check = True
-
-    def __init__(self, hecke: HeckeContext, I: Iterable[int], J: Iterable[int]):
-        super().__init__(hecke, I, J)
-        if not self.system.is_finite:
-            raise ValidationError("category O tables need a finite Weyl type")
-        self.w0 = self.system.longest_element()  # the cross-check's twist
-        # w0(alpha_j) = -alpha_sigma(j), with sigma the diagram involution
-        m = self.w0.matrix
-        self._flip = tuple(next(k for k, row in enumerate(m) if row[j]) for j in range(len(m)))
 
 
 class KacMoody(_NegativeLike):
@@ -356,12 +352,13 @@ class KacMoody(_NegativeLike):
     def setting_name(self) -> str:  # type: ignore[override]
         return "KM-" if self.level == "neg" else "KM+"
 
-    # positive level: index elements are x = u w_I with the same u conditions
-    def _coset_part(self, x: CoxeterElement) -> CoxeterElement:
-        return self.wJ * x if self.level == "neg" else x * self.wI
+    def _twist(self, k: CoxeterElement) -> CoxeterElement:
+        """At positive level index elements are x = u w_I, so u^-1 = w_I x^-1:
+        the twist w_I k, walked as (k^-1 w_I)^-1 along the word of w_I."""
+        return super()._twist(k) if self.level == "neg" else (k.inverse() * self.wI).inverse()
 
-    def _targets(self, x, u_x, y_word, max_len):
-        """Rows (y, u_y) of a positive-level table at x = u_x w_I, the explicit
+    def _targets(self, x, k_x, y_word, max_len):
+        """Rows (y, k_y) of a positive-level table at x = u_x w_I, the explicit
         y and the truncation: rows run up the order, so a whole table needs
         max_len, and a bound below l(x), which would leave out x's own row
         (and every z of the literal text's sum), is refused."""
@@ -371,79 +368,79 @@ class KacMoody(_NegativeLike):
                 "so the table would miss x's own row"
             )
         if y_word is not None:  # one row: nothing to truncate
-            y, u_y = self._index(y_word, "y")
-            return [(y, u_y)], y, None
+            y, k_y = self._index(y_word, "y")
+            return [(y, k_y)], y, None
         if max_len is None:
             raise ValidationError(
                 "positive-level tables over all y need max_len (support is upward)"
             )
-        reps, truncated = self.system.regular_double_coset_reps(
-            self.J, self.I, max_len=max_len - self.wI.length
+        keys, truncated = self.system.regular_double_coset_reps(
+            self.I, self.J, max_len=max_len - self.wI.length
         )
-        rows = [(self._embed(u), u) for u in reps if self.system.bruhat_leq(u_x, u)]
+        # inversion keeps the index set and the Bruhat order
+        rows = [(self._index_of(k), k) for k in keys if self.system.bruhat_leq(k_x, k)]
         return rows, None, (max_len if truncated else None)
+
+    def _n_rows(self, k_x, targets) -> dict[CoxeterElement, LaurentPoly]:
+        """n_{x,y} at every row (y, k_y): the n column of k_y w_J at k_x w_J."""
+        a = k_x * self.wJ
+        return {
+            y: self.hecke.parabolic_column("n", self.I, k_y * self.wJ).get(a, ZERO)
+            for y, k_y in targets
+        }
 
     def standard_table(self, x_word, y_word=None, max_len: int | None = None):
         if self.level == "neg":
             return super().standard_table(x_word, y_word, max_len)
-        x, u_x = self._index(x_word)
-        a = self._n_index(u_x)
-        targets, explicit, truncated = self._targets(x, u_x, y_word, max_len)
-        rows = {
-            y: self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).get(a, ZERO)
-            for y, u_y in targets
-        }
-        return self._finalize(x, rows, explicit, truncated_at=truncated)
+        x, k_x = self._index(x_word)
+        targets, explicit, truncated = self._targets(x, k_x, y_word, max_len)
+        return self._finalize(x, self._n_rows(k_x, targets), explicit, truncated_at=truncated)
 
     def simple_table(self, x_word, y_word=None, max_len: int | None = None, literal_text: bool = False):
         if self.level == "neg":
             if literal_text:
                 raise ValidationError("literal_text applies to positive level only")
             return super().simple_table(x_word, y_word, max_len)
-        x, u_x = self._index(x_word)
-        targets, explicit, truncated = self._targets(x, u_x, y_word, max_len)
+        x, k_x = self._index(x_word)
+        targets, explicit, truncated = self._targets(x, k_x, y_word, max_len)
         if literal_text:
-            return self._literal_table(x, u_x, targets, explicit, max_len)
+            return self._literal_table(x, k_x, targets, explicit, max_len)
         # every z with x <= z <= y is a row of the whole table (it lies above x
         # and is no longer than y); one explicit y keeps the z of its n column
         # above x, since m^{z,x} is zero for the others
         if explicit is None:
-            zs = [u for _, u in targets]
+            zs = [k for _, k in targets]
         else:
-            zs = [u for u in self._n_entries(targets[0][1]) if self.system.bruhat_leq(u_x, u)]
+            zs = [k for k in self._n_entries(targets[0][1]) if self.system.bruhat_leq(k_x, k)]
         # bar(m^{z,x}) by the n index of z; an inverse entry is zero unless x <= z
         bar_m = {}
-        for u in zs:
-            m = self.hecke.inverse_column("m", self.I, u.inverse()).get(u_x.inverse(), ZERO)
-            if not m.has_parity(u_x.length - u.length):  # l(x) - l(z), z = u w_I
+        for k in zs:
+            m = self.hecke.inverse_column("m", self.I, k).get(k_x, ZERO)
+            if not m.has_parity(k_x.length - k.length):  # l(x) - l(z), z = u w_I
                 raise InternalInvariantError(
-                    f"parity certificate failed in the simple-object formula at z={self._embed(u)!r}"
+                    f"parity certificate failed in the simple-object formula at z={self._index_of(k)!r}"
                 )
             if m:
-                bar_m[self._n_index(u)] = (u, m.bar().terms)
+                bar_m[k * self.wJ] = m.bar().terms
         rows = {}
-        for y, u_y in targets:
+        for y, k_y in targets:
             total: dict[int, int] = {}
-            for a, n in self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).items():
+            for a, n in self.hecke.parabolic_column("n", self.I, k_y * self.wJ).items():
                 if a in bar_m:
-                    _mac(total, n, bar_m[a][1])
+                    _mac(total, n, bar_m[a])
             rows[y] = LaurentPoly(total)
         return self._finalize(x, rows, explicit, truncated_at=truncated)
 
-    def _literal_table(self, x, u_x, targets, explicit, max_len):
+    def _literal_table(self, x, k_x, targets, explicit, max_len):
         """z-independent second factor, as printed; needs its own cutoff."""
         if max_len is None:
             raise ValidationError("literal_text needs max_len for its z-sum")
-        reps, _ = self.system.regular_double_coset_reps(self.J, self.I, max_len=max_len)
+        keys, _ = self.system.regular_double_coset_reps(self.I, self.J, max_len=max_len)
         # sum_z bar(m^{z,x}) does not depend on y: one push seeded at every z
         # (m^{z,x} is zero unless x <= z)
-        m_sum = self.hecke.inverse_combination("m", self.I, {u.inverse(): ONE for u in reps})
-        m_bar = m_sum.get(u_x.inverse(), ZERO).bar()
-        a = self._n_index(u_x)
-        rows = {
-            y: self.hecke.parabolic_column("n", self.I, self._n_index(u_y)).get(a, ZERO) * m_bar
-            for y, u_y in targets
-        }
+        m_sum = self.hecke.inverse_combination("m", self.I, dict.fromkeys(keys, ONE))
+        m_bar = m_sum.get(k_x, ZERO).bar()
+        rows = {y: p * m_bar for y, p in self._n_rows(k_x, targets).items()}
         return self._finalize(
             x, rows, explicit, flags=("literal-positive-text",), truncated_at=max_len, enforce=False
         )
@@ -455,8 +452,8 @@ class Quantum(_NegativeLike):
     Constructed from a finite type and the order l of the root of unity; the
     Coxeter system is the (possibly dual) affinization from the linkage datum.
     Queries take either an index word x or a dominant weight.  Index elements
-    are the coset parts u themselves, with J the finite generators, so the
-    negative-level formulas apply unchanged.
+    are the coset parts u themselves, so the twist is the identity, and with
+    J the finite generators the negative-level formulas apply unchanged.
     """
 
     setting_name = "quantum"
@@ -493,7 +490,7 @@ class Quantum(_NegativeLike):
         setting = cls(datum, I, store=store)
         setting.lam0 = tuple(lam0)
         try:
-            setting._require_member(x, "x")
+            setting._index(x.word, "x")
         except ValidationError as exc:
             raise ValidationError(
                 f"weight {format_weight(weight)} is not in a regular linkage "
@@ -501,8 +498,8 @@ class Quantum(_NegativeLike):
             ) from exc
         return setting, x
 
-    def _coset_part(self, x: CoxeterElement) -> CoxeterElement:
-        return x
+    def _twist(self, k: CoxeterElement) -> CoxeterElement:
+        return k
 
     def _echo(self, table: MultiplicityTable) -> MultiplicityTable:
         """Attach the weight of every row and of x, when built from a weight."""

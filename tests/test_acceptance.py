@@ -170,13 +170,18 @@ def test_criterion_4_antispherical_comparisons():
         for I in subsets:
             for J in subsets:
                 setting = CategoryO(hecke, I, J)
-                assert setting.cross_check
+                compared = []
+                twin = setting._check_antispherical_form
+                setting._check_antispherical_form = lambda *a: compared.append(a) or twin(*a)
                 for x in elements:
                     try:
                         table = setting.standard_table(x.word)
                     except ValidationError:
                         continue
-                    checked += len(table.entries)
+                    # every row of the table was compared with its twin
+                    assert len(compared) == len(table.entries)
+                    checked += len(compared)
+                    compared.clear()
         assert checked > 400
 
 

@@ -576,6 +576,19 @@ def _zero_checksum(f):
     f.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" + body)
 
 
+def _cache_dir_as_file(f):
+    """Replace the cache directory of the store file f by a regular file."""
+    for g in f.parent.iterdir():
+        g.unlink()
+    f.parent.rmdir()
+    f.parent.write_text("")
+
+
+def _store_as_dir(f):
+    f.unlink()
+    f.mkdir()
+
+
 # The stores a corpus line starting with @<name> runs on: the command that
 # fills the store, and the edit then made to its one file.
 STORES = {
@@ -599,6 +612,11 @@ STORES = {
         ["tilt", "O", "--type", "A4", "--x", "1 2 1 3 2 1 4 3 2 1"],
         lambda f: tamper(f, "m[1,2,3]", "4 3", "4", {"1": 3}),
     ),
+    # store I/O failures: the cache directory is a regular file, the store
+    # file is a directory, the store file is not UTF-8
+    "@cache-is-file": (["kl", "--type", "A1", "--y", "1"], _cache_dir_as_file),
+    "@store-is-dir": (["kl", "--type", "A1", "--y", "1"], _store_as_dir),
+    "@not-utf8": (["kl", "--type", "A1", "--y", "1"], lambda f: f.write_bytes(b"\xff" + f.read_bytes())),
 }
 CORPUS = DATA / "cli_corpus.tsv"
 

@@ -394,18 +394,23 @@ def quantum_setting(tag, ell, I=(), store=None):
 
 
 def index_words(setting, max_len=None):
-    """Index words x = w_J u of a setting, u of length at most max_len."""
-    reps, _ = setting.system.regular_double_coset_reps(setting.J, setting.I, max_len=max_len)
-    return [setting._embed(u).word for u in reps]
+    """Index words x of a setting whose keys k = u^-1 have length at most max_len."""
+    keys, _ = setting.system.regular_double_coset_reps(setting.I, setting.J, max_len=max_len)
+    return [setting._index_of(k).word for k in keys]
 
 
-def index_below(setting, u_top):
-    """Coset parts u <= u_top of the index set, by the subword enumeration."""
+def key_of(setting, word):
+    """The key k = u^-1 of the index word x = w_J u (u w_I at positive level)."""
+    return setting._index(word)[1]
+
+
+def keys_below(setting, k_top):
+    """Keys k <= k_top of the index set, by the subword enumeration."""
     W = setting.system
     return [
-        u
-        for u in W.enumerate_below(u_top)
-        if W.is_regular_double_coset_rep(u, setting.J, setting.I)
+        k
+        for k in W.enumerate_below(k_top)
+        if W.is_regular_double_coset_rep(k, setting.I, setting.J)
     ]
 
 
@@ -435,23 +440,22 @@ class TestSimpleTableChecks:
     @staticmethod
     def solve_column(twin, table, x):
         """The column, gated as itself or for I = () as the m^K column it is
-        read off, of an m column the solve reads: the one at u_y^-1 for the
+        read off, of an m column the solve reads: the one at the key k_y of the
         longest row y whose column is not x's n column (at positive level the
         inverse column of each row z starts there)."""
-        u_x = twin._coset_part(twin.system.element(x))
-        n_key = column_key(twin, "n", twin._n_index(u_x))
+        n_key = column_key(twin, "n", key_of(twin, x) * twin.wJ)
         for w, _ in reversed(table.entries):
-            u = twin._coset_part(twin.system.element(w)).inverse()
-            key, _ = source_column(twin.hecke, "m", twin.I, u)
-            if column_key(twin, "m", u) != n_key and len(twin.hecke._columns.get(key, ({},))[0]) > 1:
+            k = key_of(twin, w)
+            key, _ = source_column(twin.hecke, "m", twin.I, k)
+            if column_key(twin, "m", k) != n_key and len(twin.hecke._columns.get(key, ({},))[0]) > 1:
                 return key
 
     @staticmethod
     def seed_column(twin, table, x):
         """The gated column of a seed's n column: at negative level the n
         column of x, at positive level the n column of the last row y."""
-        top = twin._coset_part(twin.system.element(table.entries[-1][0] if twin.setting_name == "KM+" else x))
-        return source_column(twin.hecke, "n", twin.I, twin._n_index(top))[0]
+        top = key_of(twin, table.entries[-1][0] if twin.setting_name == "KM+" else x)
+        return source_column(twin.hecke, "n", twin.I, top * twin.wJ)[0]
 
     @staticmethod
     def wrong_parity(context, key):
@@ -539,10 +543,9 @@ class TestSimpleTableChecks:
         # each memoized inverse column of a row z is read once, at x
         setting, x, max_len = self.SETTINGS["KM+-affA2"]()
         table = setting.simple_table(x, max_len=max_len)
-        u_x = setting._coset_part(setting.system.element(x))
-        u = setting._coset_part(setting.system.element(table.entries[-1][0]))
-        key = column_key(setting, "m_inv", u.inverse())
-        self.plant(setting, key, u_x.inverse(), u.length - u_x.length)
+        k_x, k = key_of(setting, x), key_of(setting, table.entries[-1][0])
+        key = column_key(setting, "m_inv", k)
+        self.plant(setting, key, k_x, k.length - k_x.length)
         with pytest.raises(
             InternalInvariantError, match="parity certificate failed in the simple-object formula"
         ):
@@ -606,13 +609,13 @@ class TestSimpleTableChecks:
         # n_{z,y} != 0 and of no other z
         setting = km_pos_setting("affA2", (1,))
         W = setting.system
-        reps, _ = W.regular_double_coset_reps((), (1,), max_len=11)
-        xs = [setting._embed(u) for u in reps]
+        keys, _ = W.regular_double_coset_reps((1,), (), max_len=11)
+        xs = [setting._index_of(k) for k in keys]
         x = next(x for x in xs if x.length == 9)
         y = next(y for y in xs if y.length == 12 and W.bruhat_leq(x, y))
         row = setting.simple_table(x.word, y_word=y.word)
         inverse_keys = [k for k in setting.hecke._inverses if k[0] == "m_inv[1]"]
-        n_index = lambda z: setting._n_index(setting._coset_part(z))  # noqa: E731
+        n_index = lambda z: key_of(setting, z.word) * setting.wJ  # noqa: E731
         n_col = setting.hecke.parabolic_column("n", setting.I, n_index(y))
         between = [z for z in xs if W.bruhat_leq(x, z) and W.bruhat_leq(z, y)]
         reads = [z for z in between if n_col.get(n_index(z), ZERO)]
@@ -719,42 +722,38 @@ def per_z_rows(setting, x_word, max_len=None):
     At negative level z runs below x and the pairing is bar(n_{z,x}) m^{z,y};
     at positive level z runs between x and y and it is bar(m^{z,x}) n_{z,y}.
     The rows and the z come from the subword enumeration of each interval."""
-    W = setting.system
+    W, wJ = setting.system, setting.wJ
     x = W.element(x_word)
-    u_x = setting._coset_part(x)
+    k_x = key_of(setting, x_word)
     positive = getattr(setting, "level", None) == "pos"
     if positive:
-        reps, _ = W.regular_double_coset_reps(
-            setting.J, setting.I, max_len=max_len - setting.wI.length
+        keys, _ = W.regular_double_coset_reps(
+            setting.I, setting.J, max_len=max_len - setting.wI.length
         )
-        targets = [u for u in reps if W.bruhat_leq(u_x, u)]
+        targets = [k for k in keys if W.bruhat_leq(k_x, k)]
     else:
-        targets = index_below(setting, u_x)
-    n_col = setting.hecke.parabolic_column("n", setting.I, setting._n_index(u_x))
+        targets = keys_below(setting, k_x)
+    n_col = setting.hecke.parabolic_column("n", setting.I, k_x * wJ)
     rows = {}
-    for u_y in targets:
-        y = setting._embed(u_y)
+    for k_y in targets:
+        y = setting._index_of(k_y)
         if positive:
             zs = {
-                setting._embed(u): u for u in index_below(setting, u_y) if W.bruhat_leq(u_x, u)
+                setting._index_of(k): k for k in keys_below(setting, k_y) if W.bruhat_leq(k_x, k)
             }
-            y_col = setting.hecke.parabolic_column("n", setting.I, setting._n_index(u_y))
-            direct = {z: y_col.get(setting._n_index(u), ZERO) for z, u in zs.items()}
+            y_col = setting.hecke.parabolic_column("n", setting.I, k_y * wJ)
+            direct = {z: y_col.get(k * wJ, ZERO) for z, k in zs.items()}
             inv = {
-                z: setting.hecke.inverse_column("m", setting.I, u.inverse()).get(
-                    u_x.inverse(), ZERO
-                )
-                for z, u in zs.items()
+                z: setting.hecke.inverse_column("m", setting.I, k).get(k_x, ZERO)
+                for z, k in zs.items()
             }
             total, exact = convolution(inv, direct, {z: z.length for z in zs}, x.length, y.length)
         else:
-            zs = {setting._embed(u): u for u in index_below(setting, u_x)}
-            direct = {z: n_col.get(setting._n_index(u), ZERO) for z, u in zs.items()}
+            zs = {setting._index_of(k): k for k in keys_below(setting, k_x)}
+            direct = {z: n_col.get(k * wJ, ZERO) for z, k in zs.items()}
             inv = {
-                z: setting.hecke.inverse_column("m", setting.I, u.inverse()).get(
-                    u_y.inverse(), ZERO
-                )
-                for z, u in zs.items()
+                z: setting.hecke.inverse_column("m", setting.I, k).get(k_y, ZERO)
+                for z, k in zs.items()
             }
             total, exact = convolution(direct, inv, {z: z.length for z in zs}, x.length, y.length)
         assert exact
@@ -791,7 +790,7 @@ def test_one_solve_equals_the_per_z_pairing(make, tag, I, J, max_len):
     ],
 )
 def test_positive_table_equals_the_per_z_pairing(tag, I, J):
-    # index words x with u_x of length at most 2, rows y of length at most 6
+    # index words x with keys of length at most 2, rows y of length at most 6
     setting = km_pos_setting(tag, I, J)
     words = index_words(setting, 2)
     assert words
