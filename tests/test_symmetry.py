@@ -121,13 +121,13 @@ def test_p_is_monotone(tag):
     assert findings(tag)[2] == []
 
 
-def plant_a4(monkeypatch, fid, upper, lower, factor):
-    """Multiply the entry at lower of the A4 m^K column fid of upper by
-    factor as the column is computed; returns the system."""
+def plant_a4(monkeypatch, fid, upper, lower, clean, factor):
+    """Multiply the entry at lower of the A4 m^K column fid of upper, which
+    must hold clean, by factor as the column is computed; returns the
+    system."""
     A4 = CoxeterSystem.from_type("A4")
     K = tuple(int(s) for s in fid[2:-1].split(","))
-    clean = HeckeContext(A4).poly("m", K, A4.element(lower), A4.element(upper))
-    assert clean
+    assert HeckeContext(A4).poly("m", K, A4.element(lower), A4.element(upper)) == clean
     plant_computed(monkeypatch, fid, upper, lower, clean * LaurentPoly({0: factor - 1}))
     return A4
 
@@ -137,7 +137,7 @@ def test_a_fault_that_keeps_parity_and_sign_breaks_the_symmetry(monkeypatch):
     # raised to 3v it still passes the gate, and the h columns read off it
     # no longer match their twins (24 pairs, each counted from both sides)
     # and break monotonicity (473 triples)
-    A4 = plant_a4(monkeypatch, "m[1,2,3]", (4, 3, 2), (4, 3), 3)
+    A4 = plant_a4(monkeypatch, "m[1,2,3]", (4, 3, 2), (4, 3), LaurentPoly({1: 1}), 3)
     elements, cols = h_columns(A4)
     assert unequal_entries(cols, inverse_image(elements))
     assert non_monotone_triples(elements, cols)
@@ -149,9 +149,9 @@ def test_a_fault_that_keeps_parity_and_sign_breaks_the_symmetry(monkeypatch):
     ids=["m[3]-2 4 3", "m[2,4]-3 2 4"],
 )
 def test_diagram_symmetry_sees_a_raised_identity_entry(monkeypatch, fid, upper):
-    # tripling the identity entry of these columns breaks no inverse
-    # symmetry, but it breaks the flip i <-> 5 - i
-    A4 = plant_a4(monkeypatch, fid, upper, (), 3)
+    # these columns hold v + v^3 at the identity; tripled, that entry breaks
+    # no inverse symmetry, but it breaks the flip i <-> 5 - i
+    A4 = plant_a4(monkeypatch, fid, upper, (), LaurentPoly({1: 1, 3: 1}), 3)
     elements, cols = h_columns(A4)
     assert unequal_entries(cols, inverse_image(elements)) == []
     assert unequal_entries(cols, diagram_image(A4, elements, DIAGRAM["A4"]))

@@ -609,8 +609,9 @@ class TestSimpleTableChecks:
         # n_{z,y} != 0 and of no other z
         setting = km_pos_setting("affA2", (1,))
         W = setting.system
-        keys, _ = W.regular_double_coset_reps((1,), (), max_len=11)
-        xs = [setting._index_of(k) for k in keys]
+        # the indices in the ShortLex order of their coset parts u = k^-1
+        reps, _ = W.regular_double_coset_reps((), (1,), max_len=11)
+        xs = [setting._index_of(u.inverse()) for u in reps]
         x = next(x for x in xs if x.length == 9)
         y = next(y for y in xs if y.length == 12 and W.bruhat_leq(x, y))
         row = setting.simple_table(x.word, y_word=y.word)
