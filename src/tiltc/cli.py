@@ -14,28 +14,27 @@ Four command groups:
 Exit codes: 0 success, 1 usage error, 2 invalid input or cache failure,
 3 violated internal invariant.  Errors print one ``error: <kind>: ...``
 line to stderr.  Output bytes are deterministic for fixed inputs: entries
-are sorted by (length, word) and JSON keys are sorted.
+are sorted by (length, word) and JSON keys are sorted.  A closed stdout
+(``tiltc ... | head -1``) ends a command quietly with exit 0: every result
+is computed, and every store saved, before a command's first print.
 
-Command lines are parsed by the standard library's argparse, with options
-that are never abbreviated and values that are taken as given (see
-``_Parser``); the command tree is built on the first ``main`` call, and
-a command's options when it runs or prints its help.  Start-up imports
-only the standard library and the layers every ``kl`` and ``tilt`` query
-runs (coxeter, hecke, laurent); the tables, the root data, the oracle,
-the JSON writer and the store's file modules are imported by the commands
-that use them.
+The command tree is one table, ``_TREE``, of each command's docstring, run
+function and options.  ``main`` reads a command line once, level by level:
+``_scan`` reads a level's options (never abbreviated; a value is taken as
+given), ``_convert`` makes a command's keyword arguments of them, and
+``--help`` prints ``_print_help``.  Start-up imports only the standard
+library and the layers every ``kl`` and ``tilt`` query runs (coxeter,
+hecke, laurent); the tables, the root data, the oracle, the JSON writer
+and the store's file modules are imported by the commands that use them.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
-import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .coxeter import CoxeterSystem, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
@@ -95,7 +94,7 @@ def _column_store(system: CoxeterSystem, cache_path: str | None, no_cache: bool)
 def kl_cmd(
     type_tag: str,
     x_text: str | None,
-    y_texts: list[str],
+    y_texts: Sequence[str],
     parabolic_text: str | None,
     flavor: str | None,
     inverse: bool,
@@ -326,202 +325,202 @@ def cache_clear(path: str | None) -> None:
     print(f"removed {removed} cache file(s)")
 
 
-# -- parser and entry point ---------------------------------------------------------
+# -- command tree and entry point ---------------------------------------------------
+
+_REQUIRED = object()  # the default of an option that must be given
+
+# An option is (flag, dest, kind, default, help): kind is str, int, list (a
+# repeatable option: a list of its default and the values given), a tuple of
+# choices, or for a flag the value it stores.
+_HELP = ("--help", "help", True, False, "Show this message and exit.")
+_OUTPUT = (
+    ("--format", "fmt", FORMATS, "text", "Output format (default: text)."),
+    ("--no-cache", "no_cache", True, False, "Skip the persistent column store."),
+    ("--cache-path", "cache_path", str, None, "Cache directory (defaults to $TILTC_CACHE)."),
+)
+_TABLE = (
+    ("--y", "y_text", str, None, "Restrict to one row."),
+    ("--standard", "standard", True, True, "Complex of the standard object (default)."),
+    ("--simple", "standard", False, True, "Complex of the simple object."),
+    *_OUTPUT,
+)
+# the options of a table indexed by a double coset; --type comes first
+_COSET = (
+    ("--I", "i_text", str, "", "Left generator subset."),
+    ("--J", "j_text", str, "", "Right generator subset."),
+    ("--x", "x_text", str, _REQUIRED, "Index word; 'e' for the identity."),
+    *_TABLE,
+)
+_PATH = (("--path", "path", str, None, "Cache directory (defaults to $TILTC_CACHE)."),)
+
+# The command tree: a command is (docstring, run function, options), a group
+# of commands (docstring, {name: command or group}, ()).
+_TREE = (
+    "Kazhdan-Lusztig polynomial families and tilting multiplicity tables.",
+    {
+        "kl": (kl_cmd.__doc__, kl_cmd, (
+            ("--type", "type_tag", str, _REQUIRED, "Type tag, e.g. A3, B2, affA1."),
+            ("--x", "x_text", str, None, "Lower index (direct) / column index (inverse)."),
+            ("--y", "y_texts", list, (), "Upper index (direct) / lower index (inverse); repeatable."),
+            ("--parabolic", "parabolic_text", str, None, "Generator subset I, e.g. '1 3'."),
+            (
+                "--flavor", "flavor", ("spherical", "antispherical"), None,
+                "Parabolic module flavor; selects the m (spherical) or n (antispherical) family.",
+            ),
+            ("--inverse", "inverse", True, False, "Inverse family: columns indexed by x, entries at y <= x."),
+            *_OUTPUT,
+        )),
+        "tilt": ("Graded multiplicity tables of minimal tilting complexes.", {
+            "O": (tilt_o.__doc__, tilt_o, (
+                ("--type", "type_tag", str, _REQUIRED, "Finite Weyl type, e.g. A2."),
+                *_COSET,
+            )),
+            "km": (tilt_km.__doc__, tilt_km, (
+                ("--type", "type_tag", str, _REQUIRED, "Affine type, e.g. affA1."),
+                *_COSET,
+                ("--level", "level", ("neg", "pos"), "neg", "Level (default: neg)."),
+                (
+                    "--literal-positive-text", "literal_positive_text", True, False,
+                    "At positive level, print the z-independent variant of the simple formula, "
+                    "unchecked and flagged.",
+                ),
+                ("--max-length", "max_length", int, None, "Row length bound (positive level only)."),
+            )),
+            "quantum": (tilt_quantum.__doc__, tilt_quantum, (
+                ("--type", "type_tag", str, _REQUIRED, "Finite type of the quantum group, e.g. A1."),
+                ("--ell", "ell", int, _REQUIRED, "Order of the root of unity."),
+                ("--weight", "weight_text", str, None, "Dominant weight, e.g. '7' or '1,2'."),
+                ("--I", "i_text", str, "", "Wall subset (only with --x)."),
+                ("--x", "x_text", str, None, "Index word; alternative to --weight."),
+                *_TABLE,
+            )),
+        }, ()),
+        "oracle": ("Brute-force homological verification over exact rationals.", {
+            "verify": (oracle_verify.__doc__, oracle_verify, (
+                ("--block", "block_name", str, "sl2", "Bundled block name (default: sl2)."),
+            )),
+        }, ()),
+        "cache": ("Inspect or clear the persistent polynomial column store.", {
+            "info": (cache_info.__doc__, cache_info, _PATH),
+            "clear": (cache_clear.__doc__, cache_clear, _PATH),
+        }, ()),
+    },
+    (),
+)
 
 
-class _Help(argparse.RawDescriptionHelpFormatter):
-    def _get_default_metavar_for_optional(self, action):
-        return action.option_strings[0].lstrip("-").upper()  # --type TYPE, not its dest
+def _scan(options: tuple, tokens: list[str], group: bool) -> tuple[list, list[str]]:
+    """The options given at one level of a command line, as (option, value)
+    pairs, and the tokens left: those after "--", a command's arguments, and
+    at a group every token from the command name on.
 
-
-_declaring = threading.Lock()
-
-
-class _Parser(argparse.ArgumentParser):
-    """One command's parser: no abbreviated options, no -h, and an option
-    that takes a value takes the next token, whatever it is (``--y --x``,
-    ``--weight -3,1``).  Its options are declared by ``options`` when the
-    parser first reads a command line, so a process declares only those of
-    the command it runs."""
-
-    def __init__(self, options=None, **kw):
-        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Help, **kw)
-        self._declare = options or (lambda parser: None)
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._declare is not None:
-            with _declaring:  # main may run in two threads at once
-                if self._declare is not None:
-                    self.add_argument("--help", action="help", help="Show this message and exit.")
-                    self._declare(self)
-                    self._declare = None
-        # Read the options before argparse does: an unknown option or a
-        # missing value fails even next to --help, which wins over every
-        # later error; a value is glued on as --opt=value, which argparse
-        # never reads as an option; after "--" every token is an argument.
-        # A group's tokens end at the command name: the rest are the
-        # command's to read.
-        glued, rest, show_help = [], [], False
-        tokens = iter(sys.argv[1:] if args is None else args)
-        for token in tokens:
-            if token == "--":
-                rest = list(tokens)
+    An option is never abbreviated; one that takes a value takes the next
+    token, whatever it is (``--y --x``, ``--weight -3,1``), or the value
+    glued on as ``--opt=value``.  An unknown option, a missing value or a
+    value given to a flag fails here, so even next to ``--help``, which wins
+    over every later error.
+    """
+    known = {option[0]: option for option in (_HELP, *options)}
+    given, rest = [], []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--":
+            rest += tokens
+            break
+        if token[:1] != "-" or token == "-":
+            rest.append(token)
+            if group:
+                rest += tokens
                 break
-            if token[:1] != "-" or token == "-":
-                if self._subparsers is not None:
-                    rest = [token, *tokens]
-                    break
-                glued.append(token)
-                continue
-            option, eq, _ = token.partition("=")
-            action = self._option_string_actions.get(option)
-            if action is None:
-                raise UsageError(f"No such option '{option}'.")
-            if action.nargs is None and not eq:
-                value = next(tokens, None)
-                if value is None:
-                    raise UsageError(f"Option '{option}' requires an argument.")
-                token = f"{option}={value}"
-            elif action.nargs == 0 and eq:
-                raise UsageError(f"Option '{option}' does not take a value.")
-            show_help |= option == "--help"
-            glued.append(token)
-        if show_help:
-            self.print_help()
-            self.exit()
-        if self._subparsers is not None:
-            return super().parse_known_args(glued + rest, namespace)
-        namespace, extra = super().parse_known_args(glued, namespace)
-        return namespace, extra + rest
-
-    def error(self, message):
-        raise UsageError(message)
+            continue
+        flag, eq, value = token.partition("=")
+        option = known.get(flag)
+        if option is None:
+            raise UsageError(f"No such option '{flag}'.")
+        if isinstance(option[2], bool):
+            if eq:
+                raise UsageError(f"Option '{flag}' does not take a value.")
+            value = option[2]
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"Option '{flag}' requires an argument.")
+        given.append((option, value))
+    return given, rest
 
 
-def _commands(parser: _Parser):
-    return parser.add_subparsers(title="commands", dest="run", metavar="COMMAND", required=True)
+def _convert(options: tuple, given: list, extra: list[str]) -> dict:
+    """The keyword arguments of a command: each option's default, then its
+    given values in order, so the last one wins and a list grows."""
+    kwargs = {dest: default for _, dest, _, default, _ in options}
+    for (flag, dest, kind, _, _), value in given:
+        if kind is list:
+            value = [*kwargs[dest], value]
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"Option '{flag}': '{value}' is not an integer.") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"Option '{flag}': '{value}' is not one of {', '.join(kind)}.")
+        kwargs[dest] = value
+    missing = [flag for flag, dest, *_ in options if kwargs[dest] is _REQUIRED]
+    if missing:
+        raise UsageError(f"Missing option(s) {', '.join(missing)}.")
+    if extra:
+        raise UsageError(f"Got unexpected extra arguments ({' '.join(extra)})")
+    return kwargs
 
 
-def _command(commands, name: str, doc: str, run=None, options=None) -> _Parser:
-    """The parser of one command, or of a group of commands without run;
-    its help is doc, the group's list shows doc's first line, and options
-    declares its options."""
-    lines = [line.strip() for line in doc.strip().splitlines()]
-    parser = commands.add_parser(name, help=lines[0], description="\n".join(lines), options=options)
-    parser.set_defaults(run=run)
-    return parser
+def _print_help(path: list[str], doc: str, target, options: tuple) -> None:
+    """Usage, the docstring, then a group's commands (each with its
+    docstring's first line) or a command's options with their help lines."""
+    import textwrap
+    def shown(flag, kind):  # the flag and what its value is
+        if isinstance(kind, bool):
+            return flag
+        return f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{flag} {flag[2:].upper()}"
 
-
-def _kl_options(kl: _Parser) -> None:
-    kl.add_argument("--type", dest="type_tag", required=True, help="Type tag, e.g. A3, B2, affA1.")
-    kl.add_argument("--x", dest="x_text", help="Lower index (direct) / column index (inverse).")
-    kl.add_argument(
-        "--y", dest="y_texts", action="append", default=[],
-        help="Upper index (direct) / lower index (inverse); repeatable.",
-    )
-    kl.add_argument("--parabolic", dest="parabolic_text", help="Generator subset I, e.g. '1 3'.")
-    kl.add_argument(
-        "--flavor", choices=("spherical", "antispherical"),
-        help="Parabolic module flavor; selects the m (spherical) or n (antispherical) family.",
-    )
-    kl.add_argument(
-        "--inverse", action="store_true", help="Inverse family: columns indexed by x, entries at y <= x."
-    )
-    _output_options(kl)
-
-
-def _km_options(km: _Parser) -> None:
-    _coset_options(km, "Affine type, e.g. affA1.")
-    km.add_argument("--level", choices=("neg", "pos"), default="neg", help="Level (default: neg).")
-    km.add_argument(
-        "--literal-positive-text", action="store_true",
-        help="At positive level, print the z-independent variant of the simple formula, "
-        "unchecked and flagged.",
-    )
-    km.add_argument("--max-length", type=int, help="Row length bound (positive level only).")
-
-
-def _quantum_options(quantum: _Parser) -> None:
-    quantum.add_argument(
-        "--type", dest="type_tag", required=True, help="Finite type of the quantum group, e.g. A1."
-    )
-    quantum.add_argument("--ell", type=int, required=True, help="Order of the root of unity.")
-    quantum.add_argument("--weight", dest="weight_text", help="Dominant weight, e.g. '7' or '1,2'.")
-    quantum.add_argument("--I", dest="i_text", default="", help="Wall subset (only with --x).")
-    quantum.add_argument("--x", dest="x_text", help="Index word; alternative to --weight.")
-    _table_options(quantum)
-
-
-def _coset_options(parser: _Parser, type_help: str) -> None:
-    parser.add_argument("--type", dest="type_tag", required=True, help=type_help)
-    parser.add_argument("--I", dest="i_text", default="", help="Left generator subset.")
-    parser.add_argument("--J", dest="j_text", default="", help="Right generator subset.")
-    parser.add_argument("--x", dest="x_text", required=True, help="Index word; 'e' for the identity.")
-    _table_options(parser)
-
-
-def _table_options(parser: _Parser) -> None:
-    parser.add_argument("--y", dest="y_text", help="Restrict to one row.")
-    parser.add_argument(
-        "--standard", action="store_true", default=True, help="Complex of the standard object (default)."
-    )
-    parser.add_argument("--simple", dest="standard", action="store_false", help="Complex of the simple object.")
-    _output_options(parser)
-
-
-def _output_options(parser: _Parser) -> None:
-    parser.add_argument(
-        "--format", dest="fmt", choices=FORMATS, default="text", help="Output format (default: text)."
-    )
-    parser.add_argument("--no-cache", action="store_true", help="Skip the persistent column store.")
-    parser.add_argument("--cache-path", help="Cache directory (defaults to $TILTC_CACHE).")
-
-
-@functools.cache
-def _parser() -> _Parser:
-    """The command tree: every command's name and help line."""
-    root = _Parser(
-        prog="tiltc", description="Kazhdan-Lusztig polynomial families and tilting multiplicity tables."
-    )
-    commands = _commands(root)
-    _command(commands, "kl", kl_cmd.__doc__, kl_cmd, _kl_options)
-    tilt = _commands(
-        _command(commands, "tilt", "Graded multiplicity tables of minimal tilting complexes.")
-    )
-    _command(
-        tilt, "O", tilt_o.__doc__, tilt_o, lambda o: _coset_options(o, "Finite Weyl type, e.g. A2.")
-    )
-    _command(tilt, "km", tilt_km.__doc__, tilt_km, _km_options)
-    _command(tilt, "quantum", tilt_quantum.__doc__, tilt_quantum, _quantum_options)
-    oracle = _commands(
-        _command(commands, "oracle", "Brute-force homological verification over exact rationals.")
-    )
-    _command(
-        oracle, "verify", oracle_verify.__doc__, oracle_verify,
-        lambda verify: verify.add_argument(
-            "--block", dest="block_name", default="sl2", help="Bundled block name (default: sl2)."
-        ),
-    )
-    cache = _commands(
-        _command(commands, "cache", "Inspect or clear the persistent polynomial column store.")
-    )
-    for name, run in (("info", cache_info), ("clear", cache_clear)):
-        _command(
-            cache, name, run.__doc__, run,
-            lambda parser: parser.add_argument("--path", help="Cache directory (defaults to $TILTC_CACHE)."),
-        )
-    return root
+    sections = {"options": [(shown(flag, kind), text) for flag, _, kind, _, text in (_HELP, *options)]}
+    if isinstance(target, dict):
+        usage = ["[--help]", "COMMAND", "..."]
+        firsts = [(name, sub[0].strip().splitlines()[0]) for name, sub in target.items()]
+        sections = {"commands": firsts, **sections}
+    else:
+        required = [shown(flag, kind) for flag, _, kind, default, _ in options if default is _REQUIRED]
+        usage = [*required, "[options]"]
+    width = max(len(left) for rows in sections.values() for left, _ in rows)
+    lines = ["usage: " + " ".join(path + usage), "", *(line.strip() for line in doc.strip().splitlines())]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"]
+        for left, text in rows:  # the help line wrapped to 79 columns, beside its flag
+            indent = f"  {left:<{width}}  "
+            lines += textwrap.wrap(text, 79, initial_indent=indent, subsequent_indent=" " * len(indent))
+    print("\n".join(lines))
 
 
 def main(argv: list[str] | None = None) -> int:
+    path, (doc, target, options) = ["tiltc"], _TREE
+    tokens = sys.argv[1:] if argv is None else argv
     try:
-        args, extra = _parser().parse_known_args(argv)
-        if extra:
-            raise UsageError(f"Got unexpected extra arguments ({' '.join(extra)})")
-        kwargs = vars(args)
-        kwargs.pop("run")(**kwargs)
-    except SystemExit as exc:  # --help printed the help
-        return exc.code
+        while True:  # down the tree, one level of the command line at a time
+            given, rest = _scan(options, tokens, isinstance(target, dict))
+            if any(option is _HELP for option, _ in given):
+                _print_help(path, doc, target, options)
+                break
+            if not isinstance(target, dict):
+                target(**_convert(options, given, rest))
+                break
+            if not rest or rest[0] not in target:
+                raise UsageError(f"No such command '{rest[0]}'." if rest else "Missing command.")
+            name, *tokens = rest
+            path.append(name)
+            doc, target, options = target[name]
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone: the rest goes nowhere, the interpreter's last flush too
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), 1)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

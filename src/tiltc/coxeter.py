@@ -363,7 +363,7 @@ class CoxeterSystem:
         self._by_l: dict[tuple[int, ...], CoxeterElement] = {}
         self._by_id: list[CoxeterElement] = []
         self._bruhat: dict[tuple[CoxeterElement, CoxeterElement], bool] = {}
-        self._reps: dict[tuple[int, int, int | None], tuple[list[CoxeterElement], bool]] = {}
+        self._reps: dict[tuple[int, int, int | None], tuple[tuple[CoxeterElement, ...], bool]] = {}
         self._masks: dict[tuple[int, ...], int] = {}
         ones = (1,) * n
         self.identity = self._register((), _ident(n), ones, ones, 0)
@@ -660,13 +660,12 @@ class CoxeterSystem:
 
     def regular_double_coset_reps(
         self, J: Iterable[int], I: Iterable[int], max_len: int | None = None
-    ) -> tuple[list[CoxeterElement], bool]:
-        """Minimal representatives of W_J\\W/W_I whose I-conjugate avoids W_J.
+    ) -> tuple[tuple[CoxeterElement, ...], bool]:
+        """Minimal representatives of W_J\\W/W_I whose I-conjugate avoids W_J,
+        sorted by (length, word), memoized per (J, I, max_len).
 
         Minimal double-coset representatives are exactly the elements minimal
         on both sides; the regularity filter drops w with J meeting w I w^{-1}.
-        Memoized per (J, I, max_len): the returned list is shared, so callers
-        must not mutate it.
         """
         jmask, imask = self._valid_mask(J), self._valid_mask(I)
         key = (jmask, imask, max_len)
@@ -674,7 +673,7 @@ class CoxeterSystem:
         if cached is not None:
             return cached
         reps, truncated = self.quotient_reps(J, side="left", max_len=max_len)
-        regular = [w for w in reps if not w.rdesc & imask and self._is_regular(w, jmask, imask)]
+        regular = tuple(w for w in reps if not w.rdesc & imask and self._is_regular(w, jmask, imask))
         self._reps[key] = regular, truncated
         return regular, truncated
 

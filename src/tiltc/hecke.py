@@ -79,6 +79,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
@@ -465,7 +466,7 @@ class HeckeContext:
         self.store = store
         # direct columns, packed, with the bound of their coefficients
         self._columns: dict[tuple[str, tuple[int, ...]], tuple[Packed, int]] = {}
-        self._inverses: dict[tuple[str, tuple[int, ...]], Coords] = {}
+        self._inverses: dict[tuple[str, tuple[int, ...]], Mapping[CoxeterElement, LaurentPoly]] = {}
         self._walks: dict[int, tuple[int, list[tuple[int, int, int, int]]]] = {}
         self._tops: dict[int, int] = {}  # descent mask of K -> l(w_K)
         self._stored_ids: dict[tuple[int, ...], int] = {}  # stored word -> element id
@@ -728,14 +729,15 @@ class HeckeContext:
         I = self.system.check_names(I)
         return (fam if I else "h"), I  # either module with I = () is the Hecke algebra
 
-    def inverse_column(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Coords:
-        """Inverse-family column {y: fam^{x,y}}: the combination of {x: 1}, memoized."""
+    def inverse_column(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
+        """Inverse-family column {y: fam^{x,y}}: the combination of {x: 1},
+        memoized and handed out read-only."""
         fam, I = self._inverse_family(fam, I)
         x = self._own(x)
         key = (family_id(fam + "_inv", I), x.word)  # never stored
         inv = self._inverses.get(key)
         if inv is None:
-            inv = self._inverses[key] = self.inverse_combination(fam, I, {x: ONE})
+            inv = self._inverses[key] = MappingProxyType(self.inverse_combination(fam, I, {x: ONE}))
         return inv
 
     def inverse_combination(

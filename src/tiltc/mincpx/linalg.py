@@ -25,7 +25,6 @@ sharing them is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from operator import add as _plus, mul as _times
 from typing import Iterable, Sequence
 
@@ -64,14 +63,20 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     )
 
 
-@cache
+_ZEROS: dict[tuple[int, int], Mat] = {}
+_IDENT: dict[int, Mat] = {}
+
+
 def zeros(m: int, n: int) -> Mat:
-    return ((0,) * n,) * m
+    if (m, n) not in _ZEROS:
+        _ZEROS[m, n] = ((0,) * n,) * m
+    return _ZEROS[m, n]
 
 
-@cache
 def ident(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    if n not in _IDENT:
+        _IDENT[n] = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return _IDENT[n]
 
 
 def shape(a: Mat) -> tuple[int, int]:

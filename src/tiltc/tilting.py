@@ -227,6 +227,8 @@ class _Setting:
         truncated_at: int | None = None,
         enforce: bool = True,
     ) -> MultiplicityTable:
+        if enforce and explicit_y is None and x not in rows:
+            raise InternalInvariantError(f"the whole table at x = {x!r} has no row at x")
         for y, p in rows.items() if enforce else ():
             if y == x and p != ONE:
                 raise InternalInvariantError(f"diagonal multiplicity at x = {x!r} is {p!r}, not 1")

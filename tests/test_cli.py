@@ -5,6 +5,7 @@ import contextlib
 import fcntl
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -685,20 +686,23 @@ class TestCorpus:
 
 class TestNoCyclicGarbage:
     """Every exit-0 line of the corpus, rerun in process with the cyclic
-    collector off, leaves no ``tiltc.coxeter`` object for it to find: the
-    element tables a command builds are freed by reference counts when the
-    command returns.  With the collector off, every object a line makes
-    stays in the youngest generation, so collecting that generation alone
-    finds all of the line's cyclic garbage.  The guard does not cover the
-    other garbage such lines leave: the first line of a command in a
-    process leaves about 60-95 objects from the help formatters argparse
-    makes as it declares options.  A repeated command leaves none
-    (``test_repeated_command``)."""
+    collector off, leaves nothing for it to find: the element tables a
+    command builds are freed by reference counts when the command returns,
+    and reading the command line makes no cycles.  With the collector off,
+    every object a line makes stays in the youngest generation, so
+    collecting that generation alone finds all of the line's cyclic garbage.
+    The modules the commands import on their first call are imported first:
+    an import leaves garbage of its own."""
 
     @pytest.mark.parametrize(
         "line", [p for p in corpus_lines() if p.values[0].startswith("0\t")]
     )
     def test_line(self, tmp_path, line):
+        for name in (
+            "tiltc.tilting", "tiltc.rootdata", "tiltc.mincpx", "tiltc.jsontext",
+            "json", "hashlib", "tempfile", "fcntl", "glob",  # the store's file modules
+        ):
+            importlib.import_module(name)
         argv_text = line.split("\t")[3]
         while gc.collect(0):  # a collection can finalize old garbage into new garbage
             pass
@@ -707,7 +711,7 @@ class TestNoCyclicGarbage:
             assert run_corpus_line(argv_text, tmp_path)[0] == 0
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect(0)
-            left = [repr(o) for o in gc.garbage if type(o).__module__ == "tiltc.coxeter"]
+            left = [repr(o) for o in gc.garbage]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
@@ -728,7 +732,7 @@ class TestNoCyclicGarbage:
     )
     def test_repeated_command(self, tmp_path, argv):
         argv = [a.replace("{cache}", str(tmp_path)) for a in argv]
-        # the first run declares the command's options
+        # the first run imports the command's modules
         assert _run_quiet(argv)[0] == 0
         while gc.collect():
             pass
@@ -766,6 +770,7 @@ class TestStartup:
             "tiltc", "tiltc.cli", "tiltc.coxeter", "tiltc.errors", "tiltc.hecke", "tiltc.laurent",
         }
         assert not new & {"fractions", "decimal", "dataclasses", "hashlib", "json"}
+        assert not new & {"argparse", "gettext"}  # the command line is read by tiltc.cli itself
         assert all(
             m.partition(".")[0] in sys.stdlib_module_names or m.partition(".")[0] == "tiltc"
             for m in new
@@ -784,6 +789,43 @@ class TestStartup:
             'assert main(["tilt", "O", "--type", "A2", "--x", "1 2", "--no-cache"]) == 0'
         )
         assert "tiltc.tilting" in new and "tiltc.rootdata" not in new
+
+
+A5_W0 = "1 2 1 3 2 1 4 3 2 1 5 4 3 2 1"
+
+
+class TestClosedStdout:
+    """A reader of stdout that is gone (``| true``, ``| head -1``) ends a
+    command quietly: exit 0 and nothing on stderr."""
+
+    @staticmethod
+    def child(argv, stdout):
+        env = {k: v for k, v in os.environ.items() if k != "TILTC_CACHE"}
+        env["PYTHONPATH"] = str(SRC)
+        return subprocess.Popen(
+            [sys.executable, "-m", "tiltc.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE
+        )
+
+    def test_reader_gone_before_the_first_write(self):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self.child(["kl", "--type", "A2", "--y", "1 2 1"], w)
+        finally:
+            os.close(w)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_reader_gone_after_one_line(self, capsys):
+        argv = ["kl", "--type", "A5", *("--y", A5_W0) * 4]
+        rc, out, _ = run(capsys, *argv)
+        with self.child(argv, subprocess.PIPE) as proc:
+            # the output does not fit in the pipe: the child is still writing
+            assert rc == 0 and len(out) > 2 * fcntl.fcntl(proc.stdout, fcntl.F_GETPIPE_SZ)
+            assert proc.stdout.readline().decode() == out.splitlines(keepends=True)[0]
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (0, b"")
 
 
 class TestHelp:

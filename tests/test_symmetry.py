@@ -29,7 +29,8 @@ from tiltc.laurent import LaurentPoly
 # the length bound of the h columns of each system checked
 BOUNDS = {
     "A3": None, "B3": None, "A4": None, "B4": None, "D4": None,
-    "A5": None, "D5": None, "E6": 8, "affA2": 9, "affB2": 9,
+    "A5": None, "D5": None, "E6": 8, "affA1": 40, "affA2": 9, "affA3": 10,
+    "affB2": 9, "affG2": 16,
 }
 # a diagram automorphism of each system checked for it
 DIAGRAM = {
@@ -38,7 +39,9 @@ DIAGRAM = {
     "D4": {1: 1, 2: 2, 3: 4, 4: 3},
     "D5": {1: 1, 2: 2, 3: 3, 4: 5, 5: 4},
     "E6": {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1},
+    "affA1": {0: 1, 1: 0},
     "affA2": {0: 1, 1: 2, 2: 0},
+    "affA3": {0: 1, 1: 2, 2: 3, 3: 0},
 }
 
 
@@ -87,7 +90,7 @@ def non_monotone_triples(elements, cols):
     return bad
 
 
-INVERSE = ["A4", "B4", "D4", "A5", "D5", "E6", "affA2", "affB2"]
+INVERSE = ["A4", "B4", "D4", "A5", "D5", "E6", "affA1", "affA2", "affA3", "affB2", "affG2"]
 MONOTONE = ["A3", "B3", "A4", "D4"]
 
 

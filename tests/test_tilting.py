@@ -211,6 +211,51 @@ class TestInvariantEnforcement:
             assert p.has_parity(x.length + len(w))
 
 
+    @pytest.mark.parametrize("table", ["standard_table", "simple_table"])
+    def test_a_whole_table_without_its_own_row_raises(self, monkeypatch, table):
+        # a solve that loses x's row leaves rows that pass every entry check
+        O = CategoryO(HeckeContext(A3), (), ())
+        x = A3.element((1, 2, 1, 3))
+        rows_below = O._rows_below
+        monkeypatch.setattr(
+            O, "_rows_below", lambda *a: {z: r for z, r in rows_below(*a).items() if z != x}
+        )
+        with pytest.raises(InternalInvariantError, match="no row at x"):
+            getattr(O, table)(x.word)
+
+    def test_a_positive_table_without_its_own_row_raises(self, monkeypatch):
+        KM = KacMoody(HeckeContext(AFF2), (1,), (), "pos")
+        monkeypatch.setattr(AFF2, "regular_double_coset_reps", lambda *a, **kw: ((), False))
+        with pytest.raises(InternalInvariantError, match="no row at x"):
+            KM.standard_table((1,), max_len=8)
+
+
+class TestReadOnlyMemos:
+    """A memoized result reaches its callers read-only: an edit raises, and
+    the table computed after it is the one computed before."""
+
+    def test_an_inverse_column(self):
+        hk = HeckeContext(A3)
+        O = CategoryO(hk, (), ())
+        before = O.standard_table((1, 2, 1, 3))
+        col = hk.inverse_column("m", (), A3.element((1, 2, 1, 3)).inverse())
+        with pytest.raises(AttributeError):
+            col.clear()
+        with pytest.raises(TypeError):
+            col[A3.identity] = ONE
+        assert len(before.entries) == 12
+        assert O.standard_table((1, 2, 1, 3)) == before
+
+    def test_regular_double_coset_representatives(self):
+        KM = KacMoody(HeckeContext(AFF2), (1,), (), "pos")
+        before = KM.standard_table((1,), max_len=8)
+        reps, _ = AFF2.regular_double_coset_reps((1,), (), max_len=7)
+        with pytest.raises(AttributeError):
+            reps.clear()
+        assert len(before.entries) == 19
+        assert KM.standard_table((1,), max_len=8) == before
+
+
 class TestKacMoodyNegative:
     def test_dihedral_standard_column(self):
         KM = KacMoody(HeckeContext(AFF1), (), (), "neg")
