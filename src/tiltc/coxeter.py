@@ -14,8 +14,9 @@ sets and Bruhat order are all exact and cheap at the ranks used here.
 
 No operation multiplies full matrices: a product walks the right factor's
 word through the slots (Casselman, "Computation in Coxeter groups I"), and a
-step by s_i reflects one vector in O(rank), v_k -> v_k - C[i][k] * v_i (r for
-x*s_i, l for s_i*x), and looks it up.  Only a new element steps a matrix.
+step by s_i reflects one vector, v_k -> v_k - C[i][k] * v_i (r for x*s_i, l
+for s_i*x), and looks it up.  Only a new element steps a matrix: M*s_i
+reflects every row as r is, and s_i*M changes row i only.
 The normal form of a new y is (s,) + word(s*y) for its smallest left
 descent s.  For y = x*s_i the exchange condition (Bjorner-Brenti,
 "Combinatorics of Coxeter Groups", 1.5) gives the left descents:
@@ -23,6 +24,25 @@ those of x, with s_j toggled when x(alpha_i) = +-alpha_j (then s_j*x = y);
 s*y is then x itself or (s*x)*s_i.  For y = s_i*x the left descents are the
 signs of l(y), and left descents are peeled until a known element is
 reached.
+
+Packed form: r(w), l(w) and each row of the matrix are one int each, with
+coordinate v_k stored as the digit v_k + 2^(BITS-1) in bits [BITS*k,
+BITS*(k+1)).  So a reflection is one digit read and one multiply-subtract by
+the packed Cartan row i (the plain sum of C[i][k] << BITS*k), s_i*M adds to
+row i a sum of the rows j with C[i][j] != 0 (at most four for a finite
+type), the table is keyed by ints, and the descents are the digits whose
+sign bit, bit BITS-1, is clear, turned into a mask through a memo per
+system.  Every stored coordinate v has -BOUND <= v < BOUND, BOUND =
+2^(BITS-4); a matrix entry is a coefficient of the root w(alpha_j), so its
+size is at most that of the height r(w)_j, and checking r(w) and l(w) of
+each new element bounds the rest: adding BOUND to every digit must leave its
+top three bits 100, three int operations per vector.  A Cartan row's weight,
+1 + sum_{j != i} |C[i][j]|, must be below 8, so one step from stored vectors
+moves no coordinate past 2^(BITS-1), no digit borrows from its neighbour,
+and the check is exact; a coordinate past the bound raises
+InternalInvariantError before anything is built from it.  Every digit is
+nonzero, so ``rvec``, ``lvec`` and ``matrix`` read back as tuples with
+module constants only.
 
 Each system keeps an element table, after the numbered elements of du
 Cloux's Coxeter3: every element is built once, gets the next dense id
@@ -39,7 +59,7 @@ The system owns its table: elements refer to it through one weak reference
 that they all share, and releasing the system unlinks their step slots, so
 reference counts free the whole table at once, with no work left to the
 cyclic collector.  An element kept after its system keeps its word, length,
-vectors and descent masks; a step from it raises ``ReferenceError``.
+vectors, matrix and descent masks; a step from it raises ``ReferenceError``.
 
 Generator names are 1-based for finite types (A3 has S = {1,2,3}); affine
 types prepend the affine node as generator 0.
@@ -55,7 +75,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
@@ -75,52 +94,53 @@ _TYPE_RE = re.compile(r"^(aff)?([A-G])(\d+)(d?)$")
 
 _ASCEND_GUARD = 100_000  # iteration cap for longest-element ascent
 
+BITS = 24  # bits per packed coordinate (module docstring)
+_HALF = 1 << BITS - 1  # the bias of a digit
+_MASK = (1 << BITS) - 1
+_GUARD = 8  # the weight of a Cartan row must be below it
+BOUND = _HALF // _GUARD  # a stored coordinate v has -BOUND <= v < BOUND
 
-def _ident(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+def _pack(vec: Iterable[int]) -> int:
+    """A vector packed: coordinate k biased by 2^(BITS-1) in bits [BITS*k, BITS*(k+1))."""
+    return sum((a + _HALF) << BITS * k for k, a in enumerate(vec))
 
 
-def _col_step(m: Matrix, i: int, support: tuple[tuple[int, int], ...]) -> Matrix:
-    """m * g_i: column c becomes col_c - C[i][c] * col_i for each (c, C[i][c]) in support."""
+def _coords(p: int) -> tuple[int, ...]:
+    """The coordinates of a packed vector; no digit of one is 0 (module docstring)."""
     out = []
-    for row in m:
-        a = row[i]
-        if a:
-            new = list(row)
-            for c, cic in support:
-                new[c] -= a * cic
-            row = tuple(new)
-        out.append(row)
+    while p:
+        out.append((p & _MASK) - _HALF)
+        p >>= BITS
     return tuple(out)
 
 
-def _reflect(v: tuple[int, ...], i: int, support: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """v_k - C[i][k] * v_i for each (k, C[i][k]) in support: r(x*s_i) from r(x), l(s_i*x) from l(x)."""
-    new = list(v)
-    a = v[i]
-    for k, cik in support:
-        new[k] -= a * cik
-    return tuple(new)
+def _reflect(p: int, i: int, crow: int) -> int:
+    """v_k - C[i][k] * v_i on a packed vector, crow the packed Cartan row i:
+    r(x*s_i) from r(x), l(s_i*x) from l(x)."""
+    return p - ((p >> BITS * i & _MASK) - _HALF) * crow
 
 
-def _neg_mask(v: tuple[int, ...]) -> int:
-    """Bit k set when v[k] < 0: the descents read off r(w) or l(w)."""
-    mask, bit = 0, 1
-    for a in v:
-        if a < 0:
-            mask |= bit
-        bit <<= 1
+def _neg_mask(flags: int) -> int:
+    """Bit k set when ``flags`` has bit BITS*k + BITS-1: the descents read
+    off the cleared sign bits of a packed r(w) or l(w)."""
+    mask = 0
+    while flags:
+        low = flags & -flags
+        mask |= 1 << low.bit_length() // BITS - 1
+        flags ^= low
     return mask
 
 
 def _simple_image(x: "CoxeterElement", i: int) -> int:
     """Position j with x(alpha_i) = +-alpha_j, or -1.
 
-    A root of height +-1 is +-alpha_j, and j is the one nonzero entry of
-    column i of the matrix.
+    A root of height +-1 is +-alpha_j, and j is the one row whose digit i,
+    the entry of column i of the matrix, is not 0.
     """
-    if x.rvec[i] in (1, -1):
-        return next(k for k, row in enumerate(x.matrix) if row[i])
+    shift = BITS * i
+    if (x._r >> shift & _MASK) - _HALF in (1, -1):
+        return next(k for k, row in enumerate(x._rows) if row >> shift & _MASK != _HALF)
     return -1
 
 
@@ -234,19 +254,20 @@ class _SystemRef(weakref.ref):
 
 
 class CoxeterElement:
-    """Group element: canonical reduced word, action matrix, r/l vectors and table slots.
+    """Group element: canonical reduced word, packed vectors and matrix rows, table slots.
 
-    Built only by its system, which assigns ``id``.  ``rvec`` and ``lvec``
-    are r(x) and l(x) = r(x^-1) (see the module docstring); ``ldesc`` /
-    ``rdesc`` have bit i set when the generator at position i is a left /
-    right descent; ``_succ[i]`` and ``_succ[rank + i]`` hold x*s_i and
-    s_i*x once a step has built them.  ``_ref`` is the system's shared weak
-    reference: two elements are of one system when their ``_ref`` is one
-    object.
+    Built only by its system, which assigns ``id``.  ``_r`` and ``_l`` are
+    r(x) and l(x) = r(x^-1) packed, ``_rows`` the rows of the matrix packed
+    (see the module docstring); ``rvec``, ``lvec`` and ``matrix`` read them
+    as tuples.  ``ldesc`` / ``rdesc`` have bit i set when the generator at
+    position i is a left / right descent; ``_succ[i]`` and
+    ``_succ[rank + i]`` hold x*s_i and s_i*x once a step has built them.
+    ``_ref`` is the system's shared weak reference: two elements are of one
+    system when their ``_ref`` is one object.
     """
 
     __slots__ = (
-        "_ref", "word", "matrix", "rvec", "lvec",
+        "_ref", "word", "_rows", "_r", "_l",
         "length", "id", "ldesc", "rdesc", "_succ",
     )
 
@@ -255,22 +276,37 @@ class CoxeterElement:
         ref: _SystemRef,
         id: int,
         word: tuple[int, ...],
-        matrix: Matrix,
-        rvec: tuple[int, ...],
-        lvec: tuple[int, ...],
+        rows: tuple[int, ...],
+        r: int,
+        l: int,
         ldesc: int,
         rdesc: int,
     ):
         self._ref = ref
         self.word = word
-        self.matrix = matrix
-        self.rvec = rvec
-        self.lvec = lvec
+        self._rows = rows
+        self._r = r
+        self._l = l
         self.length = len(word)
         self.id = id
         self.ldesc = ldesc
         self.rdesc = rdesc
-        self._succ: list[CoxeterElement | None] | None = [None] * (2 * len(rvec))
+        self._succ: list[CoxeterElement | None] | None = [None] * (2 * len(rows))
+
+    @property
+    def rvec(self) -> tuple[int, ...]:
+        """r(x), the heights of the x(alpha_j)."""
+        return _coords(self._r)
+
+    @property
+    def lvec(self) -> tuple[int, ...]:
+        """l(x) = r(x^-1)."""
+        return _coords(self._l)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The matrix of x: column j is x(alpha_j)."""
+        return tuple(map(_coords, self._rows))
 
     @property
     def system(self) -> "CoxeterSystem":
@@ -293,7 +329,7 @@ class CoxeterElement:
     def inverse(self) -> "CoxeterElement":
         W = self.system
         # r(x^-1) = l(x); an inverse not built yet is walked from its reversed word
-        return W._by_r.get(self.lvec) or W._walk(W.identity, reversed(self.word))
+        return W._by_r.get(self._l) or W._walk(W.identity, reversed(self.word))
 
     def times_gen(self, s: int, side: str = "right") -> "CoxeterElement":
         return self.system._times_gen(self, s, side)
@@ -342,10 +378,22 @@ class CoxeterSystem:
         self.is_finite = finite
         self.rank = n
         self._idx = {s: i for i, s in enumerate(self.names)}
-        # nonzero (c, C[i][c]) of each Cartan row: the columns M * s_i rewrites
+        if any(sum(map(abs, row)) - 1 >= _GUARD for row in self.cartan):
+            raise ValueError(f"a Cartan row of weight {_GUARD} or more is past the packed bound")
+        # the packed Cartan rows, each a plain signed sum: one step is one multiply-subtract
+        self._crow = tuple(sum(c << BITS * k for k, c in enumerate(row)) for row in self.cartan)
+        # nonzero (j, C[i][j]) of each Cartan row, and sum_j C[i][j] times the
+        # bias of every digit: g_i * M adds to row i the sum over them of
+        # -C[i][j] * (row_j less its bias)
         self._support = tuple(
-            tuple((c, cic) for c, cic in enumerate(row) if cic) for row in self.cartan
+            tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan
         )
+        lanes = sum(1 << BITS * k for k in range(n))
+        self._bias = tuple(sum(row) * _HALF * lanes for row in self.cartan)
+        # the sign bit of every digit; the bound holds when adding BOUND to
+        # every digit leaves its top three bits 100 (module docstring)
+        self._top, self._lim, self._chk = _HALF * lanes, BOUND * lanes, 7 * (_HALF >> 2) * lanes
+        self._signs: dict[int, int] = {}  # cleared sign bits -> descent mask
 
         self.coxeter_matrix: dict[tuple[int, int], int] = {}
         for s in self.names:
@@ -365,8 +413,10 @@ class CoxeterSystem:
         self._bruhat: dict[tuple[CoxeterElement, CoxeterElement], bool] = {}
         self._reps: dict[tuple[int, int, int | None], tuple[tuple[CoxeterElement, ...], bool]] = {}
         self._masks: dict[tuple[int, ...], int] = {}
-        ones = (1,) * n
-        self.identity = self._register((), _ident(n), ones, ones, 0)
+        self._flip: tuple[CoxeterElement, tuple[int, ...]] | None = None  # w0 and sigma
+        ones = _pack((1,) * n)
+        unit = tuple(_pack(int(i == j) for j in range(n)) for i in range(n))
+        self.identity = self._register((), unit, ones, ones, 0)
         self.generators: dict[int, CoxeterElement] = {
             s: self._times_gen(self.identity, s, "right") for s in self.names
         }
@@ -398,13 +448,33 @@ class CoxeterSystem:
     # -- element plumbing ----------------------------------------------------
 
     def _register(
-        self, word: tuple[int, ...], mat: Matrix, rvec: tuple[int, ...], lvec: tuple[int, ...], ldesc: int
+        self, word: tuple[int, ...], rows: tuple[int, ...], r: int, l: int, ldesc: int
     ) -> CoxeterElement:
-        el = CoxeterElement(self._ref, len(self._by_id), word, mat, rvec, lvec, ldesc, _neg_mask(rvec))
+        lim, chk, top = self._lim, self._chk, self._top
+        if (r + lim) & chk != top or (l + lim) & chk != top:
+            raise self._past_bound(word)
+        el = CoxeterElement(self._ref, len(self._by_id), word, rows, r, l, ldesc, self._descents(r))
         self._by_id.append(el)
-        self._by_r[rvec] = el
-        self._by_l[lvec] = el
+        self._by_r[r] = el
+        self._by_l[l] = el
         return el
+
+    def _past_bound(self, word: tuple[int, ...] | None) -> InternalInvariantError:
+        """The error of a vector with a coordinate v past -BOUND <= v < BOUND,
+        found by three int operations (module docstring)."""
+        name = "a new element" if word is None else format_word(word) or "e"
+        return InternalInvariantError(
+            f"{self.tag}: a vector of {name} has a coordinate past the packed bound {BOUND}"
+        )
+
+    def _descents(self, p: int) -> int:
+        """The descent mask of a packed r(w) or l(w): the negative digits,
+        read off the sign bits through a memo."""
+        flags = ~p & self._top
+        mask = self._signs.get(flags)
+        if mask is None:
+            mask = self._signs[flags] = _neg_mask(flags)
+        return mask
 
     def mask(self, subset: Iterable[int]) -> int:
         """Bitmask of generator positions of a subset of the names."""
@@ -430,18 +500,18 @@ class CoxeterSystem:
         if el is None:
             i = slot - self.rank
             if i < 0:
-                v = _reflect(x.rvec, slot, self._support[slot])
-                el = self._by_r.get(v) or self._new_right(x, slot, v)
+                r = _reflect(x._r, slot, self._crow[slot])
+                el = self._by_r.get(r) or self._new_right(x, slot, r)
             else:
-                v = _reflect(x.lvec, i, self._support[i])
-                el = self._by_l.get(v) or self._new_left(i, v)
+                l = _reflect(x._l, i, self._crow[i])
+                el = self._by_l.get(l) or self._new_left(i, l)
             # (x s) s = x: one step fills both slots
             x._succ[slot] = el
             el._succ[slot] = x
         return el
 
-    def _new_right(self, x: CoxeterElement, i: int, rvec: tuple[int, ...]) -> CoxeterElement:
-        """Register y = x*s_i, not built yet, whose r(y) is ``rvec``.
+    def _new_right(self, x: CoxeterElement, i: int, r: int) -> CoxeterElement:
+        """Register y = x*s_i, not built yet, whose packed r(y) is ``r``.
 
         Its left descents are those of x, with s_j toggled when x(alpha_i) =
         +-alpha_j (then s_j*x = y).  With s the
@@ -449,35 +519,37 @@ class CoxeterSystem:
         (s*x)*s_i, where s*x is a left step down from x; the same test runs
         on s*x until s*y is known.  Then the peeled elements are registered
         back up, each with l(y) = l(s*(s*y)), which must have the descents
-        the exchange gave.
+        the exchange gave, and the rows of M(x)*s_i, each reflected as r is.
         """
-        rank, sup = self.rank, self._support[i]
-        peeled: list[tuple[CoxeterElement, tuple[int, ...], int, int]] = []
+        rank, crow, shift = self.rank, self._crow[i], BITS * i
+        peeled: list[tuple[CoxeterElement, int, int, int]] = []
         while True:
             j = _simple_image(x, i)
             ldesc = x.ldesc if j < 0 else x.ldesc ^ 1 << j
             s = (ldesc & -ldesc).bit_length() - 1
-            peeled.append((x, rvec, ldesc, s))
+            peeled.append((x, r, ldesc, s))
             if s == j:
                 below = x
                 break
             x = self._step(x, rank + s)
             below = x._succ[i]
             if below is None:
-                rvec = _reflect(x.rvec, i, sup)
-                below = self._by_r.get(rvec)
+                r = _reflect(x._r, i, crow)
+                below = self._by_r.get(r)
             if below is not None:
                 break
-        for x, rvec, ldesc, s in reversed(peeled):
-            lvec = _reflect(below.lvec, s, self._support[s])
-            if _neg_mask(lvec) != ldesc:
+        for x, r, ldesc, s in reversed(peeled):
+            l = _reflect(below._l, s, self._crow[s])
+            if self._descents(l) != ldesc:
                 raise InternalInvariantError(
                     f"{self.tag}: the exchange condition and l(y) disagree on the left "
                     f"descents of {format_word(x.word) or 'e'} * s_{self.names[i]}"
                 )
-            el = self._register(
-                (self.names[s],) + below.word, _col_step(x.matrix, i, sup), rvec, lvec, ldesc
-            )
+            # each row reflected as r is; a row whose entry i is 0 is shared
+            rows = tuple([
+                row - a * crow if (a := (row >> shift & _MASK) - _HALF) else row for row in x._rows
+            ])
+            el = self._register((self.names[s],) + below.word, rows, r, l, ldesc)
             el._succ[rank + s] = below
             below._succ[rank + s] = el
             el._succ[i] = x
@@ -485,36 +557,40 @@ class CoxeterSystem:
             below = el
         return below
 
-    def _new_left(self, i: int, lvec: tuple[int, ...]) -> CoxeterElement:
-        """Register y = s_i*x, not built yet, whose l(y) is ``lvec``.
+    def _new_left(self, i: int, l: int) -> CoxeterElement:
+        """Register y = s_i*x, not built yet, whose packed l(y) is ``l``.
 
         Peels the smallest left descent s (the ShortLex first letter, read off
-        the signs of l) until a known element is reached, then registers the
-        peeled elements back up, each with word (s,) + word(s*y) and matrix
-        g_s * M(s*y) (row s rewritten), linking the left s-slots of y and s*y
-        to each other.
+        the signs of l) until a known element is reached, checking each l
+        against the bound before it is reflected, then registers the peeled
+        elements back up, each with word (s,) + word(s*y) and matrix
+        g_s * M(s*y), linking the left s-slots of y and s*y to each other.
         """
-        peeled: list[tuple[tuple[int, ...], int, int]] = []
+        peeled: list[tuple[int, int, int]] = []
         while True:
+            if (l + self._lim) & self._chk != self._top:  # checked before it is stepped
+                raise self._past_bound(None)
             # names are sorted, so the lowest descent bit is the ShortLex choice
-            ldesc = _neg_mask(lvec)
+            ldesc = self._descents(l)
             s = (ldesc & -ldesc).bit_length() - 1
-            peeled.append((lvec, ldesc, s))
-            lvec = _reflect(lvec, s, self._support[s])
-            below = self._by_l.get(lvec)
+            peeled.append((l, ldesc, s))
+            l = _reflect(l, s, self._crow[s])
+            below = self._by_l.get(l)
             if below is not None:
                 break
         rank = self.rank
-        for lvec, ldesc, s in reversed(peeled):
-            # g_s * M changes row s only, by d = -sum_j C[s][j] * row_j; so does r
-            m, d = below.matrix, [0] * rank
+        for l, ldesc, s in reversed(peeled):
+            # g_s * M changes row s only, by d = -sum_j C[s][j] * row_j (a sum
+            # of packed rows, less their biases); so does r
+            rows, d = below._rows, self._bias[s]
             for j, c in self._support[s]:
-                rj = m[j]
-                for k in range(rank):
-                    d[k] -= c * rj[k]
-            mat = m[:s] + (tuple(map(add, m[s], d)),) + m[s + 1 :]
+                d -= c * rows[j]
             el = self._register(
-                (self.names[s],) + below.word, mat, tuple(map(add, below.rvec, d)), lvec, ldesc
+                (self.names[s],) + below.word,
+                rows[:s] + (rows[s] + d,) + rows[s + 1 :],
+                below._r + d,
+                l,
+                ldesc,
             )
             el._succ[rank + s] = below
             below._succ[rank + s] = el
@@ -641,6 +717,17 @@ class CoxeterSystem:
                 return w
             w = self._step(w, (up & -up).bit_length() - 1)
         raise RuntimeError("longest-element ascent did not terminate")
+
+    def times_longest(self, x: CoxeterElement) -> CoxeterElement:
+        """x*w0 of a finite system.  w0(alpha_j) = -alpha_sigma(j), sigma the
+        diagram involution, so r(x w0)_j = -r(x)_sigma(j): x*w0 is looked up
+        by that vector and walked only when it is not built yet."""
+        if self._flip is None:
+            w0 = self.longest_element()
+            self._flip = w0, tuple(_simple_image(w0, j) for j in range(self.rank))
+        w0, flip = self._flip
+        r = x.rvec
+        return self._by_r.get(_pack([-r[k] for k in flip])) or x * w0
 
     def _is_regular(self, w: CoxeterElement, jmask: int, imask: int) -> bool:
         """No t in I has w(alpha_t) = +-alpha_u with u in J (masks of positions)."""

@@ -28,7 +28,9 @@ that part of the chain (a top-length n[1] column of E6 memoizes 131
 columns).  Off the diagonal C_{ys} lies in v*Z[v], and C_s acts on a basis
 vector by 1, v, v^-1, v + v^-1 or 0, so the only part of the product outside
 v*Z[v] is a constant c = mu at some u != y, and subtracting c C_u changes no
-other constant term.
+other constant term.  For x in the index set, x*s leaves it exactly when
+x(alpha_s) = +alpha_t with t in I (Deodhar's lemma; then x*s = t*x), which
+is read off x, so the product builds x*s only when it stays.
 
 An h column is read off a spherical one.  With K = L(y), which generates a
 finite parabolic, and y = w_K y', h_{x,y} = v h_{sx,y} for s in K with
@@ -82,7 +84,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
-from .coxeter import CoxeterElement, CoxeterSystem, format_word, parse_word
+from .coxeter import CoxeterElement, CoxeterSystem, _simple_image, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
 from .laurent import ONE, ZERO, LaurentPoly, Terms
 
@@ -570,8 +572,17 @@ class HeckeContext:
         acc: defaultdict[int, int] = defaultdict(int)
         for u, n in base.items():
             x = by_id[u]
-            xs = x._succ[i] or x.times_gen(s, "right")
-            if xs.ldesc & in_I:  # C_s acts by v + v^-1 (m) or 0 (n)
+            xs = x._succ[i]
+            if xs is None:
+                # x*s leaves W^I exactly when x(alpha_s) = +alpha_t, t in I
+                # (module docstring), and is built only if it stays
+                j = _simple_image(x, i)
+                leaves = j >= 0 and in_I >> j & 1 and not x.rdesc >> i & 1
+                if not leaves:
+                    xs = x.times_gen(s, "right")
+            else:
+                leaves = xs.ldesc & in_I
+            if leaves:  # C_s acts by v + v^-1 (m) or 0 (n)
                 if spherical:
                     acc[u] += (n << 2 * B) + n
             else:
@@ -793,7 +804,7 @@ class HeckeContext:
                     continue
                 z = by_id[zid]
                 c = inv[z] = self._intern(_unpack(q, width, off))
-                solved[zid], minus = _pack(c.terms, width, off), -q
+                solved[zid], minus = q, -q
                 col, b = self._direct_column(fam, I, z)
                 bound += b * sum(abs(k) for _, k in c.terms)
                 for u, n in col.items():

@@ -291,9 +291,6 @@ class CategoryO(_NegativeLike):
         if not self.system.is_finite:
             raise ValidationError("category O tables need a finite Weyl type")
         self.w0 = self.system.longest_element()  # the cross-check's twist
-        # w0(alpha_j) = -alpha_sigma(j), with sigma the diagram involution
-        m = self.w0.matrix
-        self._flip = tuple(next(k for k, row in enumerate(m) if row[j]) for j in range(len(m)))
 
     def _check_rows(self, x, k_x, rows) -> None:
         a = self._twin(k_x)  # the twin index of x
@@ -302,11 +299,8 @@ class CategoryO(_NegativeLike):
                 self._check_antispherical_form(x, a, z, k, p)
 
     def _twin(self, k: CoxeterElement) -> CoxeterElement:
-        """w_I k w_0.  k w_0 is looked up by its vector, r(k w_0)_j =
-        -r(k)_sigma(j), and walked only when it is not built yet; w_I is
-        applied by left steps."""
-        r = k.rvec
-        z = self.system._by_r.get(tuple([-r[i] for i in self._flip])) or k * self.w0
+        """w_I k w_0: k w_0 from the system, then w_I by left steps."""
+        z = self.system.times_longest(k)
         for s in reversed(self.wI.word):
             z = z.times_gen(s, "left")
         return z

@@ -1,6 +1,7 @@
 """Coxeter engine: normal forms, Bruhat order, quotients, affinization."""
 
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,7 +253,7 @@ class TestRankOneSteps:
             assert W.element(a.inverse().word) is a.inverse()
             for b in ball[:: max(1, len(ball) // 12)]:
                 ab = a * b
-                assert W._by_r[ab.rvec] is ab is W._by_l[ab.lvec]
+                assert W._by_r[coxeter._pack(ab.rvec)] is ab is W._by_l[coxeter._pack(ab.lvec)]
                 assert W._by_id[ab.id] is ab
 
     @pytest.mark.parametrize("tag", ["B3", "G2", "affG2"])
@@ -316,7 +317,7 @@ class TestElementTable:
         assert sorted(x.id for x in W._by_id) == list(range(len(W._by_id)))
         assert len(W._by_id) == len(W._by_r) == len(W._by_l)
         for x in els:
-            assert W._by_id[x.id] is x is W._by_r[x.rvec] is W._by_l[x.lvec]
+            assert W._by_id[x.id] is x is W._by_r[coxeter._pack(x.rvec)] is W._by_l[coxeter._pack(x.lvec)]
 
     def test_ids_follow_build_order_and_nothing_else(self):
         W1, W2 = CoxeterSystem.from_type("A3"), CoxeterSystem.from_type("A3")
@@ -400,15 +401,68 @@ class TestVectorKeys:
             for j in range(W.rank):
                 assert bool(x.rdesc >> j & 1) == all(row[j] <= 0 for row in mat)
                 assert bool(x.ldesc >> j & 1) == all(row[j] <= 0 for row in inv)
-        assert W._by_r[x.rvec] is x is W._by_l[x.lvec]
+        assert W._by_r[coxeter._pack(x.rvec)] is x is W._by_l[coxeter._pack(x.lvec)]
 
     def test_exchange_disagreement_raises(self, monkeypatch):
         W = CoxeterSystem.from_type("B3")
         x = W.element([1, 2])
         neg_mask = coxeter._neg_mask
-        monkeypatch.setattr(coxeter, "_neg_mask", lambda v: neg_mask(v) ^ 1)
+        monkeypatch.setattr(coxeter, "_neg_mask", lambda flags: neg_mask(flags) ^ 1)
+        W._signs.clear()  # descent masks are memoized per sign pattern: read them again
         with pytest.raises(InternalInvariantError, match="exchange condition"):
             x.times_gen(3)
+
+
+class TestPackedVectors:
+    """r(x), l(x) and the matrix rows are packed as biased BITS-bit digits;
+    a coordinate past the bound raises and never wraps into its neighbour."""
+
+    # m(1, 2) is infinite and the root heights grow by a factor of about 2.6
+    # a step, so an alternating word passes the bound 2^20 within 20 steps
+    HYPERBOLIC = ((2, -3), (-3, 2))
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_a_coordinate_past_the_bound_raises(self, side):
+        W = CoxeterSystem("hyp", (1, 2), self.HYPERBOLIC, finite=False)
+        bound = coxeter.BOUND
+
+        def expected(word):
+            mat = _word_matrix(W, word)
+            return mat, _column_sums(mat), _column_sums(_word_matrix(W, reversed(word)))
+
+        x, word = W.identity, ()
+        while True:
+            s = 1 + len(word) % 2
+            word = word + (s,) if side == "right" else (s,) + word
+            mat, r, l = expected(word)
+            if not all(-bound <= v < bound for v in r + l):
+                break
+            x = x.times_gen(s, side)
+            assert (x.word, x.matrix, x.rvec, x.lvec) == (word, mat, r, l)
+        assert len(word) > 10 and max(map(abs, r + l)) < 2 * bound
+        for _ in range(2):  # the element past the bound is not registered
+            with pytest.raises(InternalInvariantError, match="packed bound"):
+                x.times_gen(s, side)
+        assert x._succ[W._offset(side) + W._idx[s]] is None
+        assert word not in {y.word for y in W._by_id}
+        for y in W._by_id:  # every element registered on the way is exact
+            assert (y.matrix, y.rvec, y.lvec) == expected(y.word)
+
+    def test_cartan_rows_must_fit_the_packing(self):
+        CoxeterSystem("wide", (1, 2), ((2, -6), (-6, 2)), finite=False)
+        with pytest.raises(ValueError, match="packed bound"):
+            CoxeterSystem("wider", (1, 2), ((2, -7), (-7, 2)), finite=False)
+
+    def test_vectors_and_matrix_read_after_release(self):
+        W = CoxeterSystem.from_type("B3")
+        x = W.element((3, 2, 3, 1))
+        mat = _word_matrix(W, x.word)
+        data = (mat, _column_sums(mat), _column_sums(_inv_matrix(x)))
+        assert (x.matrix, x.rvec, x.lvec) == data
+        ref = weakref.ref(W)
+        del W
+        assert ref() is None
+        assert (x.matrix, x.rvec, x.lvec) == data
 
 
 class TestBruhat:

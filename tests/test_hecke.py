@@ -400,6 +400,37 @@ class TestProductRecursion:
         c.parabolic_column("n", (1,), y)
         assert len(c._columns) <= most
 
+    @pytest.mark.parametrize("fam, built", [("n", 1051), ("m", 1123)])
+    def test_a_product_leaves_unbuilt_the_steps_out_of_the_index_set(self, fam, built):
+        # for x in W^I, x*s leaves W^I exactly when x(alpha_s) = +alpha_t with
+        # t in I, and is then t*x, read off x without building x*s: the fresh
+        # top-length D5 n[1] and m[1] columns built 1100 and 1196 elements
+        # when every x*s was built
+        W = CoxeterSystem.from_type("D5")
+        y = W.project(W.longest_element(), (1,), "left")
+        before = len(W._by_id)
+        c = HeckeContext(W)
+        c.parabolic_column(fam, (1,), y)
+        assert len(W._by_id) - before == built
+        # every column is the one computed where every element and step is built
+        full = CoxeterSystem.from_type("D5")
+        full.enumerate_below(full.longest_element())
+        for x in list(full._by_id):
+            for s in full.names:
+                x.times_gen(s, "right")
+        assert len(full._by_id) == 1920
+        c_full = HeckeContext(full)
+        c_full.parabolic_column(fam, (1,), full.element(y.word))
+
+        def by_word(ctx):
+            by_id = ctx.system._by_id
+            return {
+                key: {by_id[u].word: n for u, n in col.items()}
+                for key, (col, _) in ctx._columns.items()
+            }
+
+        assert by_word(c) == by_word(c_full)
+
 
 class TestBarInvolution:
     @pytest.mark.parametrize(
@@ -627,6 +658,20 @@ class TestRawAccumulator:
         off = max([0] + [-e for e in coeffs]) + extra
         n = _pack(p.terms, SLOT, off)
         assert _unpack(n, SLOT, off) == p.terms
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([SLOT, 2 * SLOT, 4 * SLOT]),
+        st.integers(0, 3),
+        st.integers(-(1 << 600), 1 << 600),
+    )
+    @example(SLOT, 0, -1)
+    @example(SLOT, 1, 1 << (SLOT - 1))
+    @example(2 * SLOT, 3, -(1 << (2 * SLOT - 1)) << 5 * SLOT)
+    def test_decode_then_pack_is_the_identity(self, width, off, q):
+        # every int is one signed-digit sum, so a solve keeps each value it
+        # pushes as it is, and repacking the decoded terms gives it back
+        assert _pack(_unpack(q, width, off), width, off) == q
 
 
 class TestUniformAccess:

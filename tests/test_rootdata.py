@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiltc import coxeter
 from tiltc.coxeter import CoxeterElement, CoxeterSystem
 from tiltc.errors import ValidationError
 from tiltc.rootdata import LinkageDatum, RootSystem, format_weight, parse_weight
@@ -43,7 +44,7 @@ class AffineForm:
             rows.append(tuple(row))
         mat = tuple(rows)
         # an element is keyed by the column sums of its matrix, the heights of w(alpha_j)
-        el = self.finite._by_r[tuple(map(sum, zip(*mat)))]
+        el = self.finite._by_r[coxeter._pack(map(sum, zip(*mat)))]
         assert el.matrix == mat, "reflection matrix is not a group element"
         assert (el * el).is_identity(), "reflection matrix is not an involution"
         return el
