@@ -572,20 +572,14 @@ class HeckeContext:
         acc: defaultdict[int, int] = defaultdict(int)
         for u, n in base.items():
             x = by_id[u]
-            xs = x._succ[i]
-            if xs is None:
-                # x*s leaves W^I exactly when x(alpha_s) = +alpha_t, t in I
-                # (module docstring), and is built only if it stays
-                j = _simple_image(x, i)
-                leaves = j >= 0 and in_I >> j & 1 and not x.rdesc >> i & 1
-                if not leaves:
-                    xs = x.times_gen(s, "right")
-            else:
-                leaves = xs.ldesc & in_I
-            if leaves:  # C_s acts by v + v^-1 (m) or 0 (n)
-                if spherical:
+            # x*s leaves W^I exactly when x(alpha_s) = +alpha_t, t in I
+            # (module docstring), and is built only if it stays
+            j = _simple_image(x, i)
+            if j >= 0 and in_I >> j & 1 and not x.rdesc >> i & 1:
+                if spherical:  # C_s acts by v + v^-1 (m) or 0 (n)
                     acc[u] += (n << 2 * B) + n
             else:
+                xs = x._succ[i] or x.times_gen(s, "right")
                 acc[xs.id] += n << B
                 acc[u] += n << 2 * B if xs.length > x.length else n
         if bound >= half:

@@ -290,7 +290,6 @@ class CategoryO(_NegativeLike):
         super().__init__(hecke, I, J)
         if not self.system.is_finite:
             raise ValidationError("category O tables need a finite Weyl type")
-        self.w0 = self.system.longest_element()  # the cross-check's twist
 
     def _check_rows(self, x, k_x, rows) -> None:
         a = self._twin(k_x)  # the twin index of x

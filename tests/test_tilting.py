@@ -94,8 +94,9 @@ class TestCategoryOStandard:
         x = A3.element((1, 2, 3))
         t = O.standard_table(x.word)
         y = next(A3.element(w) for w, _ in t.entries if w != x.word)
-        a = O.wI * x.inverse() * O.wJ * O.w0
-        b = O.wI * y.inverse() * O.wJ * O.w0
+        w0 = O.system.longest_element()
+        a = O.wI * x.inverse() * O.wJ * w0
+        b = O.wI * y.inverse() * O.wJ * w0
         key = (family_id("n", O.I), b.word)
         col, bound = O.hecke._columns[key]
         O.hecke._columns[key] = {**col, a.id: col.get(a.id, 0) + (1 << 2 * SLOT)}, bound  # + v^2
@@ -107,8 +108,9 @@ class TestCategoryOStandard:
         """The key of the m^{L(b)} column that the twin of (x, y) reads, with
         I = (), and the element a' there: h_{a,b} is read off m^K at
         a' = W_K a, b' = W_K b."""
-        a = O.wI * x.inverse() * O.wJ * O.w0
-        b = O.wI * y.inverse() * O.wJ * O.w0
+        w0 = O.system.longest_element()
+        a = O.wI * x.inverse() * O.wJ * w0
+        b = O.wI * y.inverse() * O.wJ * w0
         key, lower = source_column(O.hecke, "h", (), b)
         return key, lower(a)
 
@@ -982,11 +984,11 @@ class TestLifetime:
     def test_an_element_outlives_its_system(self):
         W = CoxeterSystem.from_type("A3")
         x, y = W.element((2, 1, 3, 2)), W.element((1,))
-        data = (x.word, x.length, x.rvec, x.lvec, x.ldesc, x.rdesc)
+        data = (x.word, x.length, x.rvec, x.lvec, x.matrix, x.ldesc, x.rdesc)
         ref = weakref.ref(W)
         del W
         assert ref() is None
-        assert (x.word, x.length, x.rvec, x.lvec, x.ldesc, x.rdesc) == data
+        assert (x.word, x.length, x.rvec, x.lvec, x.matrix, x.ldesc, x.rdesc) == data
         named = re.escape(repr(x))
         for step in (lambda: x.times_gen(1), lambda: x * y, x.inverse, x.left_descents):
             with pytest.raises(ReferenceError, match=named):
