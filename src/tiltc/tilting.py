@@ -137,10 +137,11 @@ class _Setting:
 
     Rows, seeds and solved vectors are keyed by k = u^-1, for u the coset
     part of an index element, since every Hecke query of a table takes k:
-    the inverse columns at k and the n column at k w_J.  A setting declares
-    one twist by an involution, _twist; the key of an index x is the twist
-    of x^-1, the index of a key is the inverse of its twist, and the keys
-    are the regular representatives of W_I\\W/W_J.
+    the inverse columns at k and the n column at k w_J (with I = () and
+    J != () the entries of those at k^-1 in the module of J: _NegativeLike).
+    A setting declares one twist by an involution, _twist; the key of an
+    index x is the twist of x^-1, the index of a key is the inverse of its
+    twist, and the keys are the regular representatives of W_I\\W/W_J.
     """
 
     setting_name = "?"
@@ -255,14 +256,44 @@ class _NegativeLike(_Setting):
     (quantum indexes by u itself).  The standard multiplicity is the inverse
     spherical entry at the keys; the simple row is one inverse spherical
     combination, seeded by the bar of the antispherical column of x.
+
+    Exactly when I = () and J != () a setting reads on the J side, the module
+    of J over the t = k^-1 in ^J W, |W_J| times smaller than W: h^{k_x,k} is
+    the n^J inverse entry at (t_x, t) (Soergel 1997: the inverse
+    antispherical family is h^{-1} on ^J W), and the n column at k_x w_J has
+    m^J_{t,t_x} at k w_J (Deodhar 1987, h_{a,y} = h_{a^-1,y^-1}).  So the
+    standard row is the n^J inverse column at t_x and the simple row the n^J
+    inverse combination seeded by bar(m^J_{.,t_x}), read back by inversion.
+    With I != () or I = J = () the I side reads the module of I as above.
     """
+
+    def __init__(self, hecke: HeckeContext, I: Iterable[int], J: Iterable[int]):
+        super().__init__(hecke, I, J)
+        self._j_side = bool(self.J) and not self.I
+
+    def _solved(self, k_x: CoxeterElement, simple: bool) -> Mapping[CoxeterElement, LaurentPoly]:
+        """The inverse vector {key: entry} of the standard or simple table at
+        the key k_x, read on the side of the setting (class docstring)."""
+        hecke = self.hecke
+        if not self._j_side:
+            if not simple:
+                return hecke.inverse_column("m", self.I, k_x)
+            seeds = {k: p.bar() for k, p in self._n_entries(k_x).items()}
+            return hecke.inverse_combination("m", self.I, seeds)
+        t = k_x.inverse()
+        if simple:
+            seeds = {a: p.bar() for a, p in hecke.parabolic_column("m", self.J, t).items()}
+            vec = hecke.inverse_combination("n", self.J, seeds)
+        else:
+            vec = hecke.inverse_column("n", self.J, t)
+        return {a.inverse(): p for a, p in vec.items()}
 
     def standard_table(
         self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
     ) -> MultiplicityTable:
         x, k_x = self._index(x_word)
         y, k_y = self._explicit(y_word, max_len)
-        rows = self._rows_below(self.hecke.inverse_column("m", self.I, k_x), y, k_y)
+        rows = self._rows_below(self._solved(k_x, False), y, k_y)
         self._check_rows(x, k_x, rows)
         return self._finalize(x, {z: p for z, (_, p) in rows.items()}, y)
 
@@ -276,8 +307,7 @@ class _NegativeLike(_Setting):
         x, k_x = self._index(x_word)
         y, k_y = self._explicit(y_word, max_len)
         # the pairing is linear in bar(n): one solve seeded at x's n column
-        seeds = {k: p.bar() for k, p in self._n_entries(k_x).items()}
-        row = self.hecke.inverse_combination("m", self.I, seeds)
+        row = self._solved(k_x, True)
         return self._finalize(x, {z: p for z, (_, p) in self._rows_below(row, y, k_y).items()}, y)
 
 

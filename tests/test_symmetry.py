@@ -11,6 +11,12 @@
   x <= z <= y (Braden-MacPherson 2001, From moment graphs to intersection
   cohomology, Math. Ann. 321), proved there for the Schubert varieties of
   flag varieties; it is checked here on finite Weyl groups only.
+* The parabolic reading of the tables with I = () and J != ().  For k
+  minimal in k W_J and t = k^-1, the inverse h column at k restricted to
+  the minimal a equals the n^J inverse column at t read back by inversion,
+  and the h column at k w_J at the b w_J with b minimal equals the m^J
+  column at t read back the same way (Deodhar 1987; Soergel 1997).  The
+  tables read the J side; the h side is read off m^K columns.
 
 A wrong entry that keeps parity and sign passes the gate of tiltc.hecke but
 may break one of them; the faults below are planted where a route sees
@@ -18,6 +24,7 @@ them, and where inverse symmetry does not.
 """
 
 import functools
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +32,7 @@ from planting import plant_computed
 from tiltc.coxeter import CoxeterSystem
 from tiltc.hecke import SLOT, HeckeContext, _unpack
 from tiltc.laurent import LaurentPoly
+from tiltc.rootdata import LinkageDatum
 
 # the length bound of the h columns of each system checked
 BOUNDS = {
@@ -159,3 +167,62 @@ def test_diagram_symmetry_sees_a_raised_identity_entry(monkeypatch, fid, upper):
     assert unequal_entries(cols, inverse_image(elements)) == []
     assert unequal_entries(cols, diagram_image(A4, elements, DIAGRAM["A4"]))
 
+
+
+def parabolic_misreadings(system, Js, max_len):
+    """The (J, k) at which the reading of the h family, keyed by the minimal
+    representatives of W/W_J, and the inverted reading of the module of J
+    differ, over every k of length at most max_len; one context for all J."""
+    hecke = HeckeContext(system)
+    bad = []
+    for J in Js:
+        wJ, jmask = system.longest_element(J), system.mask(J)
+        for t in system.quotient_reps(J, "left", max_len=max_len)[0]:
+            k = t.inverse()
+            old_inv = {a: p for a, p in hecke.inverse_column("h", (), k).items() if not a.rdesc & jmask}
+            new_inv = {a.inverse(): p for a, p in hecke.inverse_column("n", J, t).items()}
+            old_n = {
+                b: p
+                for a, p in hecke.parabolic_column("n", (), k * wJ).items()
+                if not (b := a * wJ).rdesc & jmask
+            }
+            new_n = {a.inverse(): p for a, p in hecke.parabolic_column("m", J, t).items()}
+            if old_inv != new_inv or old_n != new_n:
+                bad.append((J, k.word))
+    return bad
+
+
+# the length bound of the keys of each system checked for every J != ()
+# with W_J finite (all of them on a finite system, the proper ones on an
+# affine one); the bounds keep the whole check near a second
+PARABOLIC = {
+    "A3": None, "B3": None, "A4": None, "D4": None,
+    "affA1": 20, "affA2": 7, "affB2": 7, "affG2": 9,
+}
+
+
+@pytest.mark.parametrize("tag", sorted(PARABOLIC))
+def test_the_j_side_reads_the_h_family(tag):
+    system = CoxeterSystem.from_type(tag)
+    top = system.rank + (1 if system.is_finite else 0)
+    Js = [J for r in range(1, top) for J in combinations(system.names, r)]
+    assert parabolic_misreadings(system, Js, PARABOLIC[tag]) == []
+
+
+@pytest.mark.parametrize("tag, ell", [("A2", 5), ("A2", 7), ("B2", 5), ("B2", 7)])
+def test_the_j_side_reads_the_h_family_of_a_quantum_linkage(tag, ell):
+    # the affinization of a linkage class, J its finite generators
+    datum = LinkageDatum(tag, ell)
+    J = tuple(range(1, datum.roots.rank + 1))
+    assert parabolic_misreadings(datum.coxeter, [J], 10) == []
+
+
+def test_the_j_side_reading_sees_a_fault_in_an_n_column(monkeypatch):
+    # the n[2] column of 1 3 2 1 on A3 holds v^3 at 1 3 1; raised to 3v^3
+    # it passes the gate, and the n^J inverse columns pushed through it no
+    # longer match the h side
+    A3 = CoxeterSystem.from_type("A3")
+    lower, upper = A3.element((1, 3, 1)), A3.element((1, 3, 2, 1))
+    assert HeckeContext(A3).poly("n", (2,), lower, upper) == LaurentPoly({3: 1})
+    plant_computed(monkeypatch, "n[2]", upper.word, lower.word, LaurentPoly({3: 2}))
+    assert parabolic_misreadings(A3, [(2,)], None)

@@ -470,6 +470,12 @@ def km_pos_setting(tag, I=(), J=(), store=None):
     return KacMoody(HeckeContext(CoxeterSystem.from_type(tag), store), I, J, "pos")
 
 
+def quantum_at_weight(tag, ell, weight):
+    """(setting, x, max_len) of the quantum tables at a dominant weight."""
+    setting, x = Quantum.from_weight(tag, ell, weight)
+    return setting, x.word, None
+
+
 class TestSimpleTableChecks:
     """Every direct column a simple table reads passes the gate of hecke
     once, as it is computed or loaded; the table itself checks the parity of
@@ -479,7 +485,9 @@ class TestSimpleTableChecks:
     SETTINGS = {
         "O-A3": lambda store=None: (o_setting("A3", store=store), (1, 2, 3, 2), None),
         "O-A3-I": lambda store=None: (o_setting("A3", (2,), store=store), (1, 2, 3), None),
+        "O-A3-J": lambda store=None: (o_setting("A3", (), (2,), store=store), (1, 2, 1, 3, 2, 1), None),
         "KM-affA1": lambda store=None: (km_setting("affA1", store=store), (0, 1, 0), None),
+        "KM-affA2-J": lambda store=None: (km_setting("affA2", (), (1,), store=store), (1, 0, 2, 1, 0), None),
         "KM+-affA2": lambda store=None: (km_pos_setting("affA2", (1,), store=store), (0, 1), 6),
         "quantum-A2-l5": lambda store=None: (quantum_setting("A2", 5, store=store), (0, 1, 2, 0), None),
     }
@@ -489,18 +497,27 @@ class TestSimpleTableChecks:
         """The column, gated as itself or for I = () as the m^K column it is
         read off, of an m column the solve reads: the one at the key k_y of the
         longest row y whose column is not x's n column (at positive level the
-        inverse column of each row z starts there)."""
+        inverse column of each row z starts there).  On the J side the solve
+        reads the n^J column at k_y^-1 instead."""
         n_key = column_key(twin, "n", key_of(twin, x) * twin.wJ)
         for w, _ in reversed(table.entries):
             k = key_of(twin, w)
-            key, _ = source_column(twin.hecke, "m", twin.I, k)
-            if column_key(twin, "m", k) != n_key and len(twin.hecke._columns.get(key, ({},))[0]) > 1:
+            if twin._j_side:
+                key = (family_id("n", twin.J), k.inverse().word)
+            else:
+                key, _ = source_column(twin.hecke, "m", twin.I, k)
+                if column_key(twin, "m", k) == n_key:
+                    continue
+            if len(twin.hecke._columns.get(key, ({},))[0]) > 1:
                 return key
 
     @staticmethod
     def seed_column(twin, table, x):
         """The gated column of a seed's n column: at negative level the n
-        column of x, at positive level the n column of the last row y."""
+        column of x, at positive level the n column of the last row y; on the
+        J side the m^J column at k_x^-1 the seeds are read off."""
+        if twin._j_side:
+            return (family_id("m", twin.J), key_of(twin, x).inverse().word)
         top = key_of(twin, table.entries[-1][0] if twin.setting_name == "KM+" else x)
         return source_column(twin.hecke, "n", twin.I, top * twin.wJ)[0]
 
@@ -550,6 +567,15 @@ class TestSimpleTableChecks:
     @pytest.mark.parametrize("name", sorted(SETTINGS))
     def test_wrong_parity_in_a_stored_seed(self, name, tmp_path):
         self.assert_gate_refuses(name, self.seed_column, "stored", None, tmp_path)
+
+    @pytest.mark.parametrize("name", ["KM-affA2-J", "quantum-A2-l5"])
+    def test_the_j_side_reads_only_the_module_of_j(self, name):
+        # with I = () the tables expand no h column and push no h inverse
+        setting, x, _ = self.SETTINGS[name]()
+        setting.standard_table(x)
+        setting.simple_table(x)
+        read = {fid for fid, _ in [*setting.hecke._columns, *setting.hecke._inverses]}
+        assert read == {family_id(fam, setting.J) for fam in ("m", "n", "n_inv")}
 
     def test_each_column_passes_the_gate_once_per_context(self, monkeypatch):
         # a column is certified as it is memoized, whatever reads it: the
@@ -677,12 +703,16 @@ class TestTrustMap:
     """Which check sees a wrong direct coefficient that keeps its parity and
     sign, and so passes the gate: the trust map of the README, pinned."""
 
-    # (setting, x, max_len), with I non-empty so that m and n differ
+    # (setting, x, max_len), with I non-empty so that m and n differ, or on
+    # the J side (I = (), J non-empty), whose tables read m^J and n^J
     SETTINGS = {
         "O": lambda: (o_setting("A3", (2,)), (1, 2, 3), None),
         "KM-": lambda: (km_setting("affA2", (1,)), (1, 0, 2, 1, 0), None),
         "KM+": lambda: (km_pos_setting("affA2", (1,)), (0, 1), 6),
         "quantum": lambda: (quantum_setting("A2", 5, (1,)), (0, 1, 2, 1, 0, 2), None),
+        "O (J)": lambda: (o_setting("A3", (), (2,)), (1, 2, 1, 3, 2, 1), None),
+        "KM- (J)": lambda: (km_setting("affA2", (), (1,)), (1, 0, 2, 1, 0), None),
+        "quantum (J)": lambda: quantum_at_weight("A2", 5, (5, 15)),
     }
     # a phrase of each check's message -> its name in the map
     ROUTES = {
@@ -713,7 +743,7 @@ class TestTrustMap:
         clean_setting, x, max_len = self.SETTINGS[name]()
         clean = getattr(clean_setting, obj + "_table")(x, max_len=max_len)
         context, W = clean_setting.hecke, clean_setting.system
-        fid = family_id(fam, clean_setting.I)
+        fid = family_id(fam, clean_setting.J if clean_setting._j_side else clean_setting.I)
         by_length = lambda ids: sorted(map(W._by_id.__getitem__, ids), key=CoxeterElement.sort_key, reverse=True)  # noqa: E731
         uppers = by_length(W.element(w).id for f, w in context._columns if f == fid)
         if not uppers:
