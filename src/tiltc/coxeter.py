@@ -753,14 +753,21 @@ class CoxeterSystem:
 
         Minimal double-coset representatives are exactly the elements minimal
         on both sides; the regularity filter drops w with J meeting w I w^{-1}.
+        truncated tells whether W_J\\W has elements longer than max_len.
         """
         jmask, imask = self._valid_mask(J), self._valid_mask(I)
         key = (jmask, imask, max_len)
         cached = self._reps.get(key)
         if cached is not None:
             return cached
-        reps, truncated = self.quotient_reps(J, side="left", max_len=max_len)
-        regular = tuple(w for w in reps if not w.rdesc & imask and self._is_regular(w, jmask, imask))
+        if jmask:
+            reps, truncated = self.quotient_reps(J, side="left", max_len=max_len)
+            regular = tuple(w for w in reps if not w.rdesc & imask and self._is_regular(w, jmask, imask))
+        else:  # with J = () every element of W^I is one: grow W^I, not W
+            regular = tuple(self.quotient_reps(I, side="right", max_len=max_len)[0])
+            truncated = max_len is not None and (
+                not self.is_finite or max_len < self.longest_element().length
+            )
         self._reps[key] = regular, truncated
         return regular, truncated
 

@@ -23,6 +23,12 @@ index that every Hecke query of a table takes:
              cancel: a direct one by the certificate of every m and n column
              (hecke), an inverse one m^{z,x} by a check here.
 
+One base class, _NegativeLike, holds the index plumbing and the one table
+routine, _table, of O, KM- and quantum (KM+ builds its tables upward).  It
+reads rows in the module of J exactly when I = () and J != (), else in the
+module of I; only the I side with J != () can read an entry that is not a
+key, so only it runs the key test is_regular_double_coset_rep.
+
 All tables enforce unit diagonal, exponent parity len(x) + len(y) mod 2 and
 nonnegative coefficients; violations raise InternalInvariantError since they
 would falsify the theory, not the input.  Support bounded by the Bruhat order
@@ -132,16 +138,18 @@ def filtration_dims(entries: Mapping[tuple[int, ...], LaurentPoly]) -> tuple[int
     return nabla, delta
 
 
-class _Setting:
-    """Shared index-set plumbing and table engine for all four settings.
+class _NegativeLike:
+    """The base of every setting: index plumbing and the table routine of
+    category O, negative-level Kac-Moody and quantum.
 
-    Rows, seeds and solved vectors are keyed by k = u^-1, for u the coset
-    part of an index element, since every Hecke query of a table takes k:
-    the inverse columns at k and the n column at k w_J (with I = () and
-    J != () the entries of those at k^-1 in the module of J: _NegativeLike).
-    A setting declares one twist by an involution, _twist; the key of an
-    index x is the twist of x^-1, the index of a key is the inverse of its
-    twist, and the keys are the regular representatives of W_I\\W/W_J.
+    Index elements are x = w_J u with u minimal in W_J\\W/W_I and I-regular
+    (quantum indexes by u itself).  A setting declares one twist by an
+    involution, _twist; the key of an index x is the twist of x^-1, the
+    index of a key is the inverse of its twist, and the keys are the regular
+    representatives of W_I\\W/W_J.  The standard row is one inverse column
+    and the simple row one inverse combination, seeded by the bar of the
+    antispherical column of x, read by one row reader per side: _j_rows
+    exactly when I = () and J != (), else _i_rows.
     """
 
     setting_name = "?"
@@ -161,6 +169,7 @@ class _Setting:
             if self._parabolic_is_finite(self.I)
             else None
         )
+        self._j_side = bool(self.J) and not self.I
 
     def _parabolic_is_finite(self, subset: tuple[int, ...]) -> bool:
         return self.system.is_finite or len(subset) < self.system.rank
@@ -189,33 +198,74 @@ class _Setting:
             )
         return x, k
 
-    def _explicit(self, y_word: Sequence[int] | None, max_len: int | None) -> tuple:
-        """The validated row (y, k_y) of an explicit y_word, or (None, None); rows
-        below x are finitely many, so max_len (for positive level) is rejected."""
-        if max_len is not None:
-            raise ValidationError("max_len applies to positive level only")
-        return (None, None) if y_word is None else self._index(y_word, "y")
-
     def _is_key(self, k: CoxeterElement) -> bool:
         return self.system.is_regular_double_coset_rep(k, self.I, self.J)
 
-    def _n_entries(self, k: CoxeterElement) -> dict[CoxeterElement, LaurentPoly]:
-        """The n column of the key k, at k w_J, as {key: entry}."""
+    def _n_entries(self, k: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
+        """The n column of the key k, at k w_J, as {key: entry}; with J = ()
+        every entry of it is a key."""
         col = self.hecke.parabolic_column("n", self.I, k * self.wJ)
+        if not self.J:
+            return col
         return {b: p for a, p in col.items() if self._is_key(b := a * self.wJ)}
 
-    def _rows_below(
-        self,
-        vec: Mapping[CoxeterElement, LaurentPoly],
-        y: CoxeterElement | None,
-        k_y: CoxeterElement | None,
-    ) -> dict[CoxeterElement, tuple[CoxeterElement, LaurentPoly]]:
-        """Rows read off a solved inverse vector {key: entry}, as {row: (key,
-        entry)}: its support lies below its seeds, so it lists every nonzero
-        row of the index set."""
+    def _table(self, x_word, y_word, max_len, simple: bool) -> MultiplicityTable:
+        """The standard or simple table at x, or its row at y alone; rows
+        below x are finitely many, so max_len (for positive level) is
+        rejected.  The O twin check sees the standard rows."""
+        x, k_x = self._index(x_word)
+        if max_len is not None:
+            raise ValidationError("max_len applies to positive level only")
+        y, k_y = (None, None) if y_word is None else self._index(y_word, "y")
+        rows = (self._j_rows if self._j_side else self._i_rows)(k_x, simple, y, k_y)
+        if not simple:
+            self._check_rows(x, k_x, rows)
+        return self._finalize(x, {z: p for z, (_, p) in rows.items()}, y)
+
+    def _i_rows(self, k_x, simple, y, k_y):
+        """Rows {row: (key, entry)} in the module of I: the m^I inverse column
+        at k_x, or the m^I inverse combination seeded by bar of x's n column.
+        A push only goes down, so the solved vector lists every nonzero row.
+        Its entries lie in ^I W, so with J = () each is a key: only J != ()
+        tests them.  An explicit y reads its one entry."""
+        if simple:
+            seeds = {k: p.bar() for k, p in self._n_entries(k_x).items()}
+            vec = self.hecke.inverse_combination("m", self.I, seeds)
+        else:
+            vec = self.hecke.inverse_column("m", self.I, k_x)
         if y is not None:
             return {y: (k_y, vec.get(k_y, ZERO))}
-        return {self._index_of(k): (k, p) for k, p in vec.items() if self._is_key(k)}
+        free = not self.J
+        return {self._index_of(k): (k, p) for k, p in vec.items() if free or self._is_key(k)}
+
+    def _j_rows(self, k_x, simple, y, k_y):
+        """Rows {row: (key, entry)} read in the module of J, over the
+        t = k^-1 in ^J W, |W_J| times smaller than W.  h^{k_x,k} is the n^J
+        inverse entry at (t_x, t) (Soergel 1997: the inverse antispherical
+        family is h^-1 on ^J W), and the n column at k_x w_J has m^J_{t,t_x}
+        at k w_J (Deodhar 1987, h_{a,y} = h_{a^-1,y^-1}).  So the standard
+        row is the n^J inverse column at t_x and the simple row the n^J
+        inverse combination seeded by bar(m^J_{.,t_x}).  Each entry a is the
+        key a^-1, untested: a^-1 is right J-minimal and I is empty."""
+        t = k_x.inverse()
+        if simple:
+            seeds = {a: p.bar() for a, p in self.hecke.parabolic_column("m", self.J, t).items()}
+            vec = self.hecke.inverse_combination("n", self.J, seeds)
+        else:
+            vec = self.hecke.inverse_column("n", self.J, t)
+        if y is not None:
+            return {y: (k_y, vec.get(k_y.inverse(), ZERO))}
+        return {self._index_of(k := a.inverse()): (k, p) for a, p in vec.items()}
+
+    def standard_table(self, x_word, y_word=None, max_len: int | None = None) -> MultiplicityTable:
+        return self._table(x_word, y_word, max_len, False)
+
+    def _check_rows(self, x, k_x, rows) -> None:
+        """A second route for the rows {row: (key, entry)} of a standard
+        table at x; a setting without one checks nothing here."""
+
+    def simple_table(self, x_word, y_word=None, max_len: int | None = None) -> MultiplicityTable:
+        return self._table(x_word, y_word, max_len, True)
 
     # -- table assembly with invariant enforcement ------------------------------
 
@@ -247,68 +297,6 @@ class _Setting:
             setting=self.setting_name, system=self.system.tag, I=self.I, J=self.J,
             x=x.word, entries=entries, flags=flags, truncated_at=truncated_at,
         )
-
-
-class _NegativeLike(_Setting):
-    """Common formulas for category O, negative-level Kac-Moody and quantum.
-
-    Index elements are x = w_J u with u minimal in W_J\\W/W_I and I-regular
-    (quantum indexes by u itself).  The standard multiplicity is the inverse
-    spherical entry at the keys; the simple row is one inverse spherical
-    combination, seeded by the bar of the antispherical column of x.
-
-    Exactly when I = () and J != () a setting reads on the J side, the module
-    of J over the t = k^-1 in ^J W, |W_J| times smaller than W: h^{k_x,k} is
-    the n^J inverse entry at (t_x, t) (Soergel 1997: the inverse
-    antispherical family is h^{-1} on ^J W), and the n column at k_x w_J has
-    m^J_{t,t_x} at k w_J (Deodhar 1987, h_{a,y} = h_{a^-1,y^-1}).  So the
-    standard row is the n^J inverse column at t_x and the simple row the n^J
-    inverse combination seeded by bar(m^J_{.,t_x}), read back by inversion.
-    With I != () or I = J = () the I side reads the module of I as above.
-    """
-
-    def __init__(self, hecke: HeckeContext, I: Iterable[int], J: Iterable[int]):
-        super().__init__(hecke, I, J)
-        self._j_side = bool(self.J) and not self.I
-
-    def _solved(self, k_x: CoxeterElement, simple: bool) -> Mapping[CoxeterElement, LaurentPoly]:
-        """The inverse vector {key: entry} of the standard or simple table at
-        the key k_x, read on the side of the setting (class docstring)."""
-        hecke = self.hecke
-        if not self._j_side:
-            if not simple:
-                return hecke.inverse_column("m", self.I, k_x)
-            seeds = {k: p.bar() for k, p in self._n_entries(k_x).items()}
-            return hecke.inverse_combination("m", self.I, seeds)
-        t = k_x.inverse()
-        if simple:
-            seeds = {a: p.bar() for a, p in hecke.parabolic_column("m", self.J, t).items()}
-            vec = hecke.inverse_combination("n", self.J, seeds)
-        else:
-            vec = hecke.inverse_column("n", self.J, t)
-        return {a.inverse(): p for a, p in vec.items()}
-
-    def standard_table(
-        self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
-    ) -> MultiplicityTable:
-        x, k_x = self._index(x_word)
-        y, k_y = self._explicit(y_word, max_len)
-        rows = self._rows_below(self._solved(k_x, False), y, k_y)
-        self._check_rows(x, k_x, rows)
-        return self._finalize(x, {z: p for z, (_, p) in rows.items()}, y)
-
-    def _check_rows(self, x, k_x, rows) -> None:
-        """A second route for the rows {row: (key, entry)} of a standard
-        table at x; a setting without one checks nothing here."""
-
-    def simple_table(
-        self, x_word: Sequence[int], y_word: Sequence[int] | None = None, max_len: int | None = None
-    ) -> MultiplicityTable:
-        x, k_x = self._index(x_word)
-        y, k_y = self._explicit(y_word, max_len)
-        # the pairing is linear in bar(n): one solve seeded at x's n column
-        row = self._solved(k_x, True)
-        return self._finalize(x, {z: p for z, (_, p) in self._rows_below(row, y, k_y).items()}, y)
 
 
 class CategoryO(_NegativeLike):
@@ -416,7 +404,7 @@ class KacMoody(_NegativeLike):
 
     def standard_table(self, x_word, y_word=None, max_len: int | None = None):
         if self.level == "neg":
-            return super().standard_table(x_word, y_word, max_len)
+            return self._table(x_word, y_word, max_len, False)
         x, k_x = self._index(x_word)
         targets, explicit, truncated = self._targets(x, k_x, y_word, max_len)
         return self._finalize(x, self._n_rows(k_x, targets), explicit, truncated_at=truncated)
@@ -425,7 +413,7 @@ class KacMoody(_NegativeLike):
         if self.level == "neg":
             if literal_text:
                 raise ValidationError("literal_text applies to positive level only")
-            return super().simple_table(x_word, y_word, max_len)
+            return self._table(x_word, y_word, max_len, True)
         x, k_x = self._index(x_word)
         targets, explicit, truncated = self._targets(x, k_x, y_word, max_len)
         if literal_text:
@@ -556,7 +544,7 @@ class Quantum(_NegativeLike):
         )
 
     def standard_table(self, x_word, y_word=None, max_len: int | None = None):
-        return self._echo(super().standard_table(x_word, y_word, max_len))
+        return self._echo(self._table(x_word, y_word, max_len, False))
 
     def simple_table(self, x_word, y_word=None, max_len: int | None = None):
-        return self._echo(super().simple_table(x_word, y_word, max_len))
+        return self._echo(self._table(x_word, y_word, max_len, True))

@@ -552,6 +552,18 @@ class TestRegularCosets:
         plain, _ = A3.quotient_reps([1], side="left")
         assert reps == tuple(plain)
 
+    def test_empty_J_grows_only_the_quotient(self):
+        # with J = () the reps are W^I: 8 of them on A7 for I = (2..7), grown
+        # without building the 40,320 elements of W
+        W = CoxeterSystem.from_type("A7")
+        I = (2, 3, 4, 5, 6, 7)
+        reps, truncated = W.regular_double_coset_reps((), I)
+        assert len(W._by_id) < 100
+        assert reps == tuple(W.quotient_reps(I, side="right")[0]) and len(reps) == 8
+        assert not truncated
+        assert W.regular_double_coset_reps((), I, max_len=7)[1]  # l(w0) = 28
+        assert not W.regular_double_coset_reps((), I, max_len=28)[1]
+
     def test_affine_regular(self):
         reps, truncated = AFF1.regular_double_coset_reps([1], [1], max_len=4)
         for w in reps:

@@ -12,6 +12,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# the count line of a tilt_grid run pinned by its arguments
+BUILT = {
+    "--type A3 --max-subset 2": "388 tables (982 indices outside the grid)",
+    "--type affA2 --level neg --max-length 5 --max-subset 2": "758 tables (1875 indices outside the grid)",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -19,6 +26,12 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/kl_table.py", "--type", "B2", "--inverse"],
         ["scripts/tilt_grid.py", "--type", "A2"],
         ["scripts/tilt_grid.py", "--type", "affA1", "--level", "pos", "--max-length", "4"],
+        # every subset pair with |I|, |J| <= 2: both table sides, the I side with J != () too
+        ["scripts/tilt_grid.py", "--type", "A3", "--max-subset", "2"],
+        [
+            "scripts/tilt_grid.py", "--type", "affA2", "--level", "neg",
+            "--max-length", "5", "--max-subset", "2",
+        ],
         ["scripts/oracle_demo.py"],
         [
             "scripts/column_cost.py", "--type", "D5",
@@ -38,6 +51,8 @@ def test_script_runs(argv):
         # a grid whose every index fails still exits 0; it must build tables
         built = re.search(r"^# built (\d+) tables", proc.stdout, re.M)
         assert built is not None and int(built.group(1)) > 0, proc.stdout[-300:]
+        pinned = BUILT.get(" ".join(argv[1:]))
+        assert pinned is None or proc.stdout.endswith(f"# built {pinned}\n"), proc.stdout[-300:]
     if argv[0] == "scripts/column_cost.py":
         # the recursion walks the prefixes of y's word: 20 columns, where the
         # smallest right descent took 237

@@ -218,9 +218,9 @@ class TestInvariantEnforcement:
         # a solve that loses x's row leaves rows that pass every entry check
         O = CategoryO(HeckeContext(A3), (), ())
         x = A3.element((1, 2, 1, 3))
-        rows_below = O._rows_below
+        i_rows = O._i_rows  # the row reader of I = J = ()
         monkeypatch.setattr(
-            O, "_rows_below", lambda *a: {z: r for z, r in rows_below(*a).items() if z != x}
+            O, "_i_rows", lambda *a: {z: r for z, r in i_rows(*a).items() if z != x}
         )
         with pytest.raises(InternalInvariantError, match="no row at x"):
             getattr(O, table)(x.word)
@@ -474,6 +474,71 @@ def quantum_at_weight(tag, ell, weight):
     """(setting, x, max_len) of the quantum tables at a dominant weight."""
     setting, x = Quantum.from_weight(tag, ell, weight)
     return setting, x.word, None
+
+
+class TestKeyTest:
+    """A table tests the entries it reads with is_regular_double_coset_rep
+    only on the I side with J != (), where an entry of ^I W can fail it; with
+    J = (), or on the J side, every entry is a key."""
+
+    @staticmethod
+    def count_key_tests(monkeypatch):
+        results = []
+        real = CoxeterSystem.is_regular_double_coset_rep
+
+        def spy(self, w, J, I):
+            results.append(real(self, w, J, I))
+            return results[-1]
+
+        monkeypatch.setattr(CoxeterSystem, "is_regular_double_coset_rep", spy)
+        return results
+
+    @staticmethod
+    def whole_tables(setting, max_len=None):
+        return {
+            x: (as_dict(setting.standard_table(x)), as_dict(setting.simple_table(x)))
+            for x in index_words(setting, max_len)
+        }
+
+    # (setting, key length bound): O with I = J = (), KM- and quantum on the J side
+    UNTESTED = {
+        "O-A3": lambda: (o_setting("A3"), None),
+        "KM-affA2-J": lambda: (km_setting("affA2", (), (1,)), 5),
+        "quantum-A2-l5": lambda: (quantum_setting("A2", 5), 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNTESTED))
+    def test_only_x_is_tested_where_every_entry_is_a_key(self, name, monkeypatch):
+        setting, max_len = self.UNTESTED[name]()
+        n = len(index_words(setting, max_len))
+        results = self.count_key_tests(monkeypatch)
+        self.whole_tables(setting, max_len)
+        assert results == [True] * (2 * n)  # x validated by each table
+
+    def test_the_i_side_with_j_rejects_entries(self, monkeypatch):
+        setting = o_setting("A3", (1,), (3,))
+        results = self.count_key_tests(monkeypatch)
+        tables = self.whole_tables(setting)
+        # 10 validations of x and 53 entries, 15 of them not keys
+        assert (len(results), results.count(False)) == (63, 15)
+        v, v2 = P("v"), P("v^2")
+        bar1, bar2 = P("v^-1 + v"), P("v^-2 + 2 + v^2")
+        assert tables == {
+            (3,): ({(3,): ONE}, {(3,): ONE}),
+            (3, 2): ({(3,): v, (3, 2): ONE}, {(3,): bar1, (3, 2): ONE}),
+            (1, 3, 2): (
+                {(3, 2): v, (1, 3, 2): ONE},
+                {(3,): ONE, (3, 2): bar1, (1, 3, 2): ONE},
+            ),
+            (2, 3, 2): (
+                {(3,): v2, (3, 2): v, (2, 3, 2): ONE},
+                {(3,): P("v^-2 + 1 + v^2"), (3, 2): bar1, (2, 3, 2): ONE},
+            ),
+            (1, 2, 3, 2): (
+                {(3, 2): v2, (1, 3, 2): v, (2, 3, 2): v, (1, 2, 3, 2): ONE},
+                {(3,): bar1, (3, 2): bar2, (1, 3, 2): bar1, (2, 3, 2): bar1, (1, 2, 3, 2): ONE},
+            ),
+        }
 
 
 class TestSimpleTableChecks:
