@@ -3,8 +3,10 @@
 
 The query takes the options of ``tiltc kl`` for one column.  The line gives
 the column's size (entries), the columns the context memoized for it, the
-elements the system built and the seconds from parsing --y to the column.
-It sizes a query on a larger group without a profiler.
+elements the system built, the seconds from parsing --y to the column, and
+``print_s``: the seconds to sort and format the column's text through the
+routines ``tiltc kl`` calls (``kl_entries``, ``kl_output``).  It sizes a
+query on a larger group without a profiler.
 
 Examples:
     python3 scripts/column_cost.py --type D5 --y '2 1 3 2 1 4 3 2 1 5 3 2 1 4 3 2 5 3' \\
@@ -16,6 +18,7 @@ import argparse
 import json
 import time
 
+from tiltc.cli import kl_entries, kl_output
 from tiltc.coxeter import CoxeterSystem, parse_word
 from tiltc.hecke import HeckeContext, family_id
 
@@ -39,6 +42,9 @@ def main() -> int:
     y = system.element(() if args.y.strip().lower() == "e" else parse_word(args.y))
     column = hecke.column(fam, I, y)
     seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    kl_output([(z, y, p) for z, p in kl_entries(column)])
+    print_s = time.perf_counter() - start
     print(json.dumps({
         "system": system.tag,
         "family": family_id(fam, I),
@@ -47,6 +53,7 @@ def main() -> int:
         "columns": len(hecke._columns),
         "elements": len(system._by_id),
         "seconds": round(seconds, 4),
+        "print_s": round(print_s, 4),
     }))
     return 0
 

@@ -32,7 +32,10 @@ def main() -> int:
 
     system = CoxeterSystem.from_type(args.type)
     hecke = HeckeContext(system)
-    elements, _ = system.quotient_reps((), max_len=args.max_length)
+    try:
+        elements, _ = system.quotient_reps((), max_len=args.max_length)
+    except ValueError as exc:  # a negative bound
+        ap.error(f"--max-length: {exc}")
     subsets = [
         c
         for k in range(args.max_subset + 1)

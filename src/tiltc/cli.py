@@ -33,10 +33,11 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .coxeter import CoxeterSystem, format_word, parse_word
+from .coxeter import SHORTLEX, CoxeterElement, CoxeterSystem, format_word, format_words, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
 from .hecke import HeckeContext, PolyStore
 from .laurent import ZERO, LaurentPoly
@@ -57,10 +58,6 @@ def _parse_word_arg(text: str) -> tuple[int, ...]:
     if s.lower() == "e":
         return ()
     return parse_word(s)
-
-
-def _show_word(word: tuple[int, ...]) -> str:
-    return format_word(word) or "e"
 
 
 def _cache_dir(explicit: str | None) -> Path | None:
@@ -89,6 +86,40 @@ def _column_store(system: CoxeterSystem, cache_path: str | None, no_cache: bool)
 
 
 # -- kl ------------------------------------------------------------------------------
+
+
+def kl_entries(
+    column: Mapping[CoxeterElement, LaurentPoly], wanted: set[CoxeterElement] | None = None
+) -> list[tuple[CoxeterElement, LaurentPoly]]:
+    """The entries of a column that ``tiltc kl`` prints, in ShortLex order:
+    the nonzero ones, or with ``wanted`` those at its elements, then each
+    wanted element absent from the column with 0."""
+    if wanted is None:
+        col = {z: p for z, p in column.items() if not p.is_zero()}
+        return [(z, col[z]) for z in sorted(col, key=SHORTLEX)]
+    col = dict(column.items())
+    found = [(z, col[z]) for z in sorted(wanted.intersection(col), key=SHORTLEX)]
+    return found + [(z, ZERO) for z in sorted(wanted.difference(col), key=SHORTLEX)]
+
+
+def kl_output(
+    records: list[tuple[CoxeterElement, CoxeterElement, LaurentPoly]], head: dict | None = None
+) -> str:
+    """Records (x, y, poly) as tab-separated lines, or with ``head`` as the
+    JSON object of head and records.  The words go through format_words, and
+    each polynomial is formatted once: the equal polynomials of a context are
+    one object, so they are keyed by identity."""
+    words = format_words({*map(itemgetter(0), records), *map(itemgetter(1), records)})
+    polys = {id(p): p for _, _, p in records}
+    if head is not None:
+        from .jsontext import dumps
+
+        poly_obj = {k: p.to_json_obj() for k, p in polys.items()}
+        return dumps({**head, "records": [
+            {"x": words[x], "y": words[y], "poly": poly_obj[id(p)]} for x, y, p in records
+        ]})
+    poly_text = {k: p.to_text() for k, p in polys.items()}
+    return "\n".join(f"{words[x] or 'e'}\t{words[y] or 'e'}\t{poly_text[id(p)]}" for x, y, p in records)
 
 
 def kl_cmd(
@@ -125,59 +156,29 @@ def kl_cmd(
                 raise UsageError("a direct query needs at least one --y")
             uppers = list(y_texts)
 
-        def run_column(upper_text: str) -> list[tuple[tuple[int, ...], tuple[int, ...], LaurentPoly]]:
+        def run_column(upper_text: str) -> list[tuple[CoxeterElement, CoxeterElement, LaurentPoly]]:
             upper = system.element(_parse_word_arg(upper_text))
-            if inverse:
-                col = hecke.inverse_column(fam, I, upper)
-            else:
-                col = hecke.column(fam, I, upper)
+            col = hecke.inverse_column(fam, I, upper) if inverse else hecke.column(fam, I, upper)
             wanted = None
             if inverse and y_texts:
                 wanted = {system.element(_parse_word_arg(t)) for t in y_texts}
             elif not inverse and x_text is not None:
                 wanted = {system.element(_parse_word_arg(x_text))}
-            entries = sorted(col.items(), key=lambda e: e[0].sort_key())
-            if wanted is None:
-                found = [(z, p) for z, p in entries if not p.is_zero()]
-            else:
-                found = [(z, p) for z, p in entries if z in wanted]
-                missing = wanted.difference(z for z, _ in found)
-                found += [(z, ZERO) for z in sorted(missing, key=lambda z: z.sort_key())]
             if inverse:
-                return [(upper.word, z.word, p) for z, p in found]
-            return [(z.word, upper.word, p) for z, p in found]
+                return [(upper, z, p) for z, p in kl_entries(col, wanted)]
+            return [(z, upper, p) for z, p in kl_entries(col, wanted)]
 
         records = [r for t in uppers for r in run_column(t)]
 
-    # a column holds a handful of distinct polynomials and one upper word:
-    # format each of them once
-    polys = {p for _, _, p in records}
-    words = {w for x, y, _ in records for w in (x, y)}
     if fmt == "json":
-        from .jsontext import dumps
-
-        poly_obj = {p: p.to_json_obj() for p in polys}
-        word_text = {w: format_word(w) for w in words}
-        obj = {
-            "system": system.tag,
-            "family": fam,
-            "I": list(I),
-            "inverse": inverse,
-            "records": [
-                {"x": word_text[x], "y": word_text[y], "poly": poly_obj[p]}
-                for x, y, p in records
-            ],
-        }
-        print(dumps(obj))
+        print(kl_output(records, {"system": system.tag, "family": fam, "I": list(I), "inverse": inverse}))
         return
     single = len(records) == 1 and x_text is not None and len(y_texts) == 1
     if fmt == "text" and single:
         print(records[0][2].to_text())
         return
     if records:  # one print for the column: each call makes two stream writes
-        poly_text = {p: p.to_text() for p in polys}
-        shown = {w: _show_word(w) for w in words}
-        print("\n".join(f"{shown[x]}\t{shown[y]}\t{poly_text[p]}" for x, y, p in records))
+        print(kl_output(records))
 
 
 # -- tilt ----------------------------------------------------------------------------
@@ -191,7 +192,7 @@ def _emit_table(table: MultiplicityTable, fmt: str) -> None:
         return
     lines = []
     for w, p in table.entries:
-        cells = [_show_word(w), p.to_text()]
+        cells = [format_word(w) or "e", p.to_text()]
         if table.weights is not None and w in table.weights:
             cells.append(table.weights[w])
         lines.append("\t".join(cells))

@@ -15,15 +15,17 @@ sets and Bruhat order are all exact and cheap at the ranks used here.
 No operation multiplies full matrices: a product walks the right factor's
 word through the slots (Casselman, "Computation in Coxeter groups I"), and a
 step by s_i reflects one vector, v_k -> v_k - C[i][k] * v_i (r for x*s_i, l
-for s_i*x), and looks it up.  Only a new element steps a matrix: M*s_i
-reflects every row as r is, and s_i*M changes row i only.
+for s_i*x), and looks it up; one loop (``_step``) makes every reflection.
 The normal form of a new y is (s,) + word(s*y) for its smallest left
-descent s.  For y = x*s_i the exchange condition (Bjorner-Brenti,
-"Combinatorics of Coxeter Groups", 1.5) gives the left descents:
-those of x, with s_j toggled when x(alpha_i) = +-alpha_j (then s_j*x = y);
-s*y is then x itself or (s*x)*s_i.  For y = s_i*x the left descents are the
+descent s, and y is registered as the left step s from s*y: its matrix
+s*M(s*y) differs in row s only.  For y = s_i*x the left descents are the
 signs of l(y), and left descents are peeled until a known element is
-reached.
+reached.  For y = x*s_i the exchange condition (Bjorner-Brenti,
+"Combinatorics of Coxeter Groups", 1.5) gives the left descents: those of
+x, with s_j toggled when x(alpha_i) = +-alpha_j (then s_j*x = y); s*y is x
+itself or the step (s*x)*s_i, and l(y) must have the descents it gave.  So
+the left s-slot of every y != e holds s*y, and ``format_words`` prints many
+words, as ``tiltc kl`` does, each by one join onto the text of s*y.
 
 Packed form: r(w), l(w) and each row of the matrix are one int each, with
 coordinate v_k stored as the digit v_k + 2^(BITS-1) in bits [BITS*k,
@@ -32,17 +34,17 @@ the packed Cartan row i (the plain sum of C[i][k] << BITS*k), s_i*M adds to
 row i a sum of the rows j with C[i][j] != 0 (at most four for a finite
 type), the table is keyed by ints, and the descents are the digits whose
 sign bit, bit BITS-1, is clear, turned into a mask through a memo per
-system.  Every stored coordinate v has -BOUND <= v < BOUND, BOUND =
-2^(BITS-4); a matrix entry is a coefficient of the root w(alpha_j), so its
-size is at most that of the height r(w)_j, and checking r(w) and l(w) of
-each new element bounds the rest: adding BOUND to every digit must leave its
-top three bits 100, three int operations per vector.  A Cartan row's weight,
-1 + sum_{j != i} |C[i][j]|, must be below 8, so one step from stored vectors
-moves no coordinate past 2^(BITS-1), no digit borrows from its neighbour,
-and the check is exact; a coordinate past the bound raises
-InternalInvariantError before anything is built from it.  Every digit is
-nonzero, so ``rvec``, ``lvec`` and ``matrix`` read back as tuples with
-module constants only.
+system, a dict that computes each mask it misses.  Every stored coordinate v
+has -BOUND <= v < BOUND, BOUND = 2^(BITS-4); a matrix entry is a coefficient
+of the root w(alpha_j), so its size is at most that of the height r(w)_j,
+and checking r(w) and l(w) of each new element bounds the rest: adding BOUND
+to every digit must leave its top three bits 100, three int operations per
+vector.  A Cartan row's weight, 1 + sum_{j != i} |C[i][j]|, must be below 8,
+so one step from stored vectors moves no coordinate past 2^(BITS-1), no
+digit borrows from its neighbour, and the check is exact; a coordinate past
+the bound raises InternalInvariantError before anything is built from it.
+Every digit is nonzero, so ``rvec``, ``lvec`` and ``matrix`` read back as
+tuples with module constants only.
 
 Each system keeps an element table, after the numbered elements of du
 Cloux's Coxeter3: every element is built once, gets the next dense id
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
@@ -86,11 +89,15 @@ __all__ = [
     "roots_and_coroots",
     "parse_word",
     "format_word",
+    "format_words",
+    "SHORTLEX",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
 
 _TYPE_RE = re.compile(r"^(aff)?([A-G])(\d+)(d?)$")
+
+SHORTLEX = attrgetter("length", "word")  # the sort key of ShortLex order on elements
 
 _ASCEND_GUARD = 100_000  # iteration cap for longest-element ascent
 
@@ -115,21 +122,21 @@ def _coords(p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reflect(p: int, i: int, crow: int) -> int:
-    """v_k - C[i][k] * v_i on a packed vector, crow the packed Cartan row i:
-    r(x*s_i) from r(x), l(s_i*x) from l(x)."""
-    return p - ((p >> BITS * i & _MASK) - _HALF) * crow
+class _Sides(dict):
+    """The slot offset of a step on a side: 0 for 'right', rank for 'left'."""
+
+    def __missing__(self, side: str) -> int:
+        raise ValueError("side must be 'left' or 'right'")
 
 
-def _neg_mask(flags: int) -> int:
-    """Bit k set when ``flags`` has bit BITS*k + BITS-1: the descents read
-    off the cleared sign bits of a packed r(w) or l(w)."""
-    mask = 0
-    while flags:
-        low = flags & -flags
-        mask |= 1 << low.bit_length() // BITS - 1
-        flags ^= low
-    return mask
+class _Signs(dict):
+    """The descent masks of packed vectors, keyed by their cleared sign bits
+    (bit BITS*k + BITS-1 set when digit k is negative), each found once."""
+
+    def __missing__(self, flags: int) -> int:
+        digits = range(flags.bit_length() // BITS)
+        mask = self[flags] = sum(1 << k for k in digits if flags >> BITS * k + BITS - 1 & 1)
+        return mask
 
 
 def _simple_image(x: "CoxeterElement", i: int) -> int:
@@ -140,7 +147,9 @@ def _simple_image(x: "CoxeterElement", i: int) -> int:
     """
     shift = BITS * i
     if (x._r >> shift & _MASK) - _HALF in (1, -1):
-        return next(k for k, row in enumerate(x._rows) if row >> shift & _MASK != _HALF)
+        for j, row in enumerate(x._rows):
+            if row >> shift & _MASK != _HALF:
+                return j
     return -1
 
 
@@ -332,7 +341,9 @@ class CoxeterElement:
         return W._by_r.get(self._l) or W._walk(W.identity, reversed(self.word))
 
     def times_gen(self, s: int, side: str = "right") -> "CoxeterElement":
-        return self.system._times_gen(self, s, side)
+        W = self._ref() or self.system  # the property raises for a released system
+        slot = W._sides[side] + W._idx[s]
+        return self._succ[slot] or W._step(self, slot)
 
     def right_descents(self) -> frozenset[int]:
         return self.system._names_of(self.rdesc)
@@ -393,7 +404,8 @@ class CoxeterSystem:
         # the sign bit of every digit; the bound holds when adding BOUND to
         # every digit leaves its top three bits 100 (module docstring)
         self._top, self._lim, self._chk = _HALF * lanes, BOUND * lanes, 7 * (_HALF >> 2) * lanes
-        self._signs: dict[int, int] = {}  # cleared sign bits -> descent mask
+        self._signs = _Signs()
+        self._sides = _Sides(right=0, left=n)  # side -> slot offset
 
         self.coxeter_matrix: dict[tuple[int, int], int] = {}
         for s in self.names:
@@ -418,7 +430,7 @@ class CoxeterSystem:
         unit = tuple(_pack(int(i == j) for j in range(n)) for i in range(n))
         self.identity = self._register((), unit, ones, ones, 0)
         self.generators: dict[int, CoxeterElement] = {
-            s: self._times_gen(self.identity, s, "right") for s in self.names
+            s: self._step(self.identity, i) for i, s in enumerate(self.names)
         }
 
     def __del__(self):
@@ -450,10 +462,10 @@ class CoxeterSystem:
     def _register(
         self, word: tuple[int, ...], rows: tuple[int, ...], r: int, l: int, ldesc: int
     ) -> CoxeterElement:
-        lim, chk, top = self._lim, self._chk, self._top
-        if (r + lim) & chk != top or (l + lim) & chk != top:
+        top = self._top
+        if (r + self._lim) & self._chk != top or (l + self._lim) & self._chk != top:
             raise self._past_bound(word)
-        el = CoxeterElement(self._ref, len(self._by_id), word, rows, r, l, ldesc, self._descents(r))
+        el = CoxeterElement(self._ref, len(self._by_id), word, rows, r, l, ldesc, self._signs[~r & top])
         self._by_id.append(el)
         self._by_r[r] = el
         self._by_l[l] = el
@@ -467,15 +479,6 @@ class CoxeterSystem:
             f"{self.tag}: a vector of {name} has a coordinate past the packed bound {BOUND}"
         )
 
-    def _descents(self, p: int) -> int:
-        """The descent mask of a packed r(w) or l(w): the negative digits,
-        read off the sign bits through a memo."""
-        flags = ~p & self._top
-        mask = self._signs.get(flags)
-        if mask is None:
-            mask = self._signs[flags] = _neg_mask(flags)
-        return mask
-
     def mask(self, subset: Iterable[int]) -> int:
         """Bitmask of generator positions of a subset of the names."""
         return sum(1 << self._idx[s] for s in set(subset))
@@ -483,119 +486,80 @@ class CoxeterSystem:
     def _names_of(self, mask: int) -> frozenset[int]:
         return frozenset(s for i, s in enumerate(self.names) if mask >> i & 1)
 
-    def _offset(self, side: str) -> int:
-        """Slot offset of a step on ``side``: 0 for 'right', rank for 'left'."""
-        if side == "right":
-            return 0
-        if side == "left":
-            return self.rank
-        raise ValueError("side must be 'left' or 'right'")
+    def _step(self, x: CoxeterElement, slot: int, ldesc: int = -1) -> CoxeterElement:
+        """x*s_i for slot i, s_i*x for slot rank + i; a list read once filled.
 
-    def _times_gen(self, x: CoxeterElement, s: int, side: str) -> CoxeterElement:
-        return self._step(x, self._offset(side) + self._idx[s])
-
-    def _step(self, x: CoxeterElement, slot: int) -> CoxeterElement:
-        """x*s_i for slot i, s_i*x for slot rank + i; a list read once filled."""
+        Otherwise the step's vector, r for x*s_i and l for s_i*x, is reflected
+        and looked up.  A new x*s_i is ``_new_right``'s.  A new s_i*x is built
+        here: its first letter s, the smallest left descent, is read off the
+        signs of l and peeled, each l checked against the bound before it is
+        reflected, until a known element is reached; then the peeled elements
+        are registered back up, each as the left step s from the one below.
+        ``ldesc``, when given, is the left descent mask of s_i*x that the
+        exchange condition gave.
+        """
         el = x._succ[slot]
-        if el is None:
-            i = slot - self.rank
-            if i < 0:
-                r = _reflect(x._r, slot, self._crow[slot])
-                el = self._by_r.get(r) or self._new_right(x, slot, r)
-            else:
-                l = _reflect(x._l, i, self._crow[i])
-                el = self._by_l.get(l) or self._new_left(i, l)
-            # (x s) s = x: one step fills both slots
-            x._succ[slot] = el
-            el._succ[slot] = x
-        return el
-
-    def _new_right(self, x: CoxeterElement, i: int, r: int) -> CoxeterElement:
-        """Register y = x*s_i, not built yet, whose packed r(y) is ``r``.
-
-        Its left descents are those of x, with s_j toggled when x(alpha_i) =
-        +-alpha_j (then s_j*x = y).  With s the
-        smallest of them, s*y is x itself when s = s_j, and otherwise
-        (s*x)*s_i, where s*x is a left step down from x; the same test runs
-        on s*x until s*y is known.  Then the peeled elements are registered
-        back up, each with l(y) = l(s*(s*y)), which must have the descents
-        the exchange gave, and the rows of M(x)*s_i, each reflected as r is.
-        """
-        rank, crow, shift = self.rank, self._crow[i], BITS * i
-        peeled: list[tuple[CoxeterElement, int, int, int]] = []
-        while True:
-            j = _simple_image(x, i)
-            ldesc = x.ldesc if j < 0 else x.ldesc ^ 1 << j
-            s = (ldesc & -ldesc).bit_length() - 1
-            peeled.append((x, r, ldesc, s))
-            if s == j:
-                below = x
-                break
-            x = self._step(x, rank + s)
-            below = x._succ[i]
-            if below is None:
-                r = _reflect(x._r, i, crow)
-                below = self._by_r.get(r)
-            if below is not None:
-                break
-        for x, r, ldesc, s in reversed(peeled):
-            l = _reflect(below._l, s, self._crow[s])
-            if self._descents(l) != ldesc:
-                raise InternalInvariantError(
-                    f"{self.tag}: the exchange condition and l(y) disagree on the left "
-                    f"descents of {format_word(x.word) or 'e'} * s_{self.names[i]}"
-                )
-            # each row reflected as r is; a row whose entry i is 0 is shared
-            rows = tuple([
-                row - a * crow if (a := (row >> shift & _MASK) - _HALF) else row for row in x._rows
-            ])
-            el = self._register((self.names[s],) + below.word, rows, r, l, ldesc)
-            el._succ[rank + s] = below
-            below._succ[rank + s] = el
-            el._succ[i] = x
-            x._succ[i] = el
-            below = el
-        return below
-
-    def _new_left(self, i: int, l: int) -> CoxeterElement:
-        """Register y = s_i*x, not built yet, whose packed l(y) is ``l``.
-
-        Peels the smallest left descent s (the ShortLex first letter, read off
-        the signs of l) until a known element is reached, checking each l
-        against the bound before it is reflected, then registers the peeled
-        elements back up, each with word (s,) + word(s*y) and matrix
-        g_s * M(s*y), linking the left s-slots of y and s*y to each other.
-        """
+        if el is not None:
+            return el
+        i = slot - self.rank
+        if i < 0:
+            i, p, table = slot, x._r, self._by_r
+        else:
+            p, table = x._l, self._by_l
         peeled: list[tuple[int, int, int]] = []
         while True:
-            if (l + self._lim) & self._chk != self._top:  # checked before it is stepped
-                raise self._past_bound(None)
-            # names are sorted, so the lowest descent bit is the ShortLex choice
-            ldesc = self._descents(l)
-            s = (ldesc & -ldesc).bit_length() - 1
-            peeled.append((l, ldesc, s))
-            l = _reflect(l, s, self._crow[s])
-            below = self._by_l.get(l)
-            if below is not None:
+            # v_k - C[i][k] * v_i, one multiply-subtract by the packed Cartan row
+            p -= ((p >> BITS * i & _MASK) - _HALF) * self._crow[i]
+            el = table.get(p)
+            if el is not None:
                 break
-        rank = self.rank
-        for l, ldesc, s in reversed(peeled):
+            if slot < self.rank:
+                el = self._new_right(x, i)
+                break
+            top = self._top
+            if (p + self._lim) & self._chk != top:  # checked before it is reflected
+                raise self._past_bound(None)
+            mask = self._signs[~p & top]
+            if ldesc >= 0 and mask != ldesc:
+                raise InternalInvariantError(
+                    f"{self.tag}: the exchange condition and l(y) disagree on the left "
+                    f"descents of y = s_{self.names[i]} * {format_word(x.word) or 'e'}"
+                )
+            ldesc = -1
+            # names are sorted, so the lowest descent bit is the ShortLex choice
+            s = (mask & -mask).bit_length() - 1
+            peeled.append((p, mask, s))
+            if s == i and len(peeled) == 1:  # s_i * (s_i * x) = x
+                el = x
+                break
+            i = s
+        while peeled:  # registered back up
+            l, mask, s = peeled.pop()
             # g_s * M changes row s only, by d = -sum_j C[s][j] * row_j (a sum
             # of packed rows, less their biases); so does r
-            rows, d = below._rows, self._bias[s]
+            rows, d = list(el._rows), self._bias[s]
             for j, c in self._support[s]:
                 d -= c * rows[j]
-            el = self._register(
-                (self.names[s],) + below.word,
-                rows[:s] + (rows[s] + d,) + rows[s + 1 :],
-                below._r + d,
-                l,
-                ldesc,
-            )
-            el._succ[rank + s] = below
-            below._succ[rank + s] = el
-            below = el
-        return below
+            rows[s] += d
+            below, el = el, self._register((self.names[s],) + el.word, tuple(rows), el._r + d, l, mask)
+            el._succ[self.rank + s] = below
+            below._succ[self.rank + s] = el
+        # (x s) s = x: one step fills both slots
+        x._succ[slot] = el
+        el._succ[slot] = x
+        return el
+
+    def _new_right(self, x: CoxeterElement, i: int) -> CoxeterElement:
+        """y = x*s_i, not built yet: the left step s from s*y, s its smallest
+        left descent by the exchange condition (module docstring)."""
+        j = _simple_image(x, i)
+        ldesc = x.ldesc if j < 0 else x.ldesc ^ 1 << j
+        s = (ldesc & -ldesc).bit_length() - 1
+        slot = self.rank + s
+        if s != j:
+            x = x._succ[slot] or self._step(x, slot)
+            x = x._succ[i] or self._step(x, i)
+        return self._step(x, slot, ldesc)
 
     def element(self, word: Iterable[int]) -> CoxeterElement:
         """Element of the group from any word in the generators."""
@@ -653,22 +617,22 @@ class CoxeterSystem:
         """All z <= y, via the subword property of any reduced word of y."""
         below = {self.identity}
         for s in y.word:
-            below |= {self._times_gen(z, s, "right") for z in below}
-        return sorted(below, key=CoxeterElement.sort_key)
+            below |= {z.times_gen(s) for z in below}
+        return sorted(below, key=SHORTLEX)
 
     # -- quotients and cosets --------------------------------------------------
 
     def project(self, x: CoxeterElement, I: Iterable[int], side: str) -> CoxeterElement:
         """Minimal-length representative of W_I x (side='left') or x W_I (side='right')."""
         mask = self._valid_mask(I)
-        off = self._offset(side)
+        off = self._sides[side]
         while d := (x.ldesc if off else x.rdesc) & mask:
             x = self._step(x, off + (d & -d).bit_length() - 1)
         return x
 
     def is_minimal(self, x: CoxeterElement, I: Iterable[int], side: str) -> bool:
         mask = self._valid_mask(I)
-        return not (x.ldesc if self._offset(side) else x.rdesc) & mask
+        return not (x.ldesc if self._sides[side] else x.rdesc) & mask
 
     def quotient_reps(
         self, I: Iterable[int], side: str = "left", max_len: int | None = None
@@ -679,11 +643,13 @@ class CoxeterSystem:
         max_len bounds the search; it is required for infinite systems.
         """
         mask = self._valid_mask(I)
+        if max_len is not None and max_len < 0:
+            raise ValueError(f"the length bound {max_len} is negative")
         if max_len is None:
             if not self.is_finite:
                 raise ValueError("max_len is required for an infinite system")
             max_len = 1 << 30
-        left = bool(self._offset(side))
+        left = bool(self._sides[side])
         # grow on the side away from I: a prefix of a minimal rep is minimal
         grow = 0 if left else self.rank
         found: list[CoxeterElement] = []
@@ -700,7 +666,7 @@ class CoxeterSystem:
                             nxt.add(y)
             if length >= max_len:
                 return found, bool(nxt)
-            layer = sorted(nxt, key=CoxeterElement.sort_key)
+            layer = sorted(nxt, key=SHORTLEX)
             length += 1
         return found, False
 
@@ -803,3 +769,32 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 def format_word(word: Sequence[int]) -> str:
     return " ".join(map(str, word))
+
+
+def format_words(elements: Iterable[CoxeterElement]) -> dict[CoxeterElement, str]:
+    """format_word of the words of many elements of one live system, as
+    {element: text}, the identity's text "".  The word of x != e is its first
+    letter s followed by the word of s*x, which x's left s-slot holds (module
+    docstring); so each text is one join onto the text of s*x, made once."""
+    texts: dict[CoxeterElement, str] = {}
+    letters: tuple[str, ...] = ()
+    for x in elements:
+        if x in texts:
+            continue
+        if not letters:
+            letters = tuple(map(str, x._ref().names))
+        chain = []  # (element, its first letter), down to a known text
+        while True:
+            d = x.ldesc
+            if not d:  # the identity
+                text = texts[x] = ""
+                break
+            i = (d & -d).bit_length() - 1
+            chain.append((x, letters[i]))
+            x = x._succ[len(letters) + i]
+            text = texts.get(x)
+            if text is not None:
+                break
+        for x, a in reversed(chain):
+            text = texts[x] = f"{a} {text}" if text else a
+    return texts

@@ -29,8 +29,8 @@ columns).  Off the diagonal C_{ys} lies in v*Z[v], and C_s acts on a basis
 vector by 1, v, v^-1, v + v^-1 or 0, so the only part of the product outside
 v*Z[v] is a constant c = mu at some u != y, and subtracting c C_u changes no
 other constant term.  For x in the index set, x*s leaves it exactly when
-x(alpha_s) = +alpha_t with t in I (Deodhar's lemma; then x*s = t*x), which
-is read off x, so the product builds x*s only when it stays.
+x(alpha_s) = +alpha_t with t in I (Deodhar's lemma; then x*s = t*x), read
+off x when x*s > x (x*s < x, a prefix, stays); x*s is built if it stays.
 
 An h column is read off a spherical one.  With K = L(y), which generates a
 finite parabolic, and y = w_K y', h_{x,y} = v h_{sx,y} for s in K with
@@ -468,6 +468,7 @@ class HeckeContext:
         self.store = store
         # direct columns, packed, with the bound of their coefficients
         self._columns: dict[tuple[str, tuple[int, ...]], tuple[Packed, int]] = {}
+        self._fids: dict[tuple[str, tuple[int, ...]], str] = {}  # (fam, I) -> family_id
         self._inverses: dict[tuple[str, tuple[int, ...]], Mapping[CoxeterElement, LaurentPoly]] = {}
         self._walks: dict[int, tuple[int, list[tuple[int, int, int, int]]]] = {}
         self._tops: dict[int, int] = {}  # descent mask of K -> l(w_K)
@@ -533,7 +534,10 @@ class HeckeContext:
         its coefficients, memoized: for m and n C_{ys} C_s less mu C_u, read
         from and written to the store when there is one, and gated; for h the
         expansion of m^{L(y)} (module docstring)."""
-        key = (family_id(fam, I), y.word)
+        fid = self._fids.get((fam, I))
+        if fid is None:
+            fid = self._fids[fam, I] = family_id(fam, I)
+        key = (fid, y.word)
         memo = self._columns.get(key)
         if memo is not None:
             return memo
@@ -573,9 +577,9 @@ class HeckeContext:
         for u, n in base.items():
             x = by_id[u]
             # x*s leaves W^I exactly when x(alpha_s) = +alpha_t, t in I
-            # (module docstring), and is built only if it stays
-            j = _simple_image(x, i)
-            if j >= 0 and in_I >> j & 1 and not x.rdesc >> i & 1:
+            # (module docstring), and is built only if it stays; x*s < x
+            # stays (a prefix of a minimal representative is one)
+            if not x.rdesc >> i & 1 and (j := _simple_image(x, i)) >= 0 and in_I >> j & 1:
                 if spherical:  # C_s acts by v + v^-1 (m) or 0 (n)
                     acc[u] += (n << 2 * B) + n
             else:

@@ -45,7 +45,7 @@ def all_reduced_words(x):
         return {()}
     out = set()
     for s in x.left_descents():
-        rest = all_reduced_words(sys._times_gen(x, s, "left"))
+        rest = all_reduced_words(x.times_gen(s, "left"))
         out |= {(s,) + w for w in rest}
     return out
 
@@ -402,11 +402,28 @@ class TestVectorKeys:
                 assert bool(x.ldesc >> j & 1) == all(row[j] <= 0 for row in inv)
         assert W._by_r[coxeter._pack(x.rvec)] is x is W._by_l[coxeter._pack(x.lvec)]
 
+    def test_left_and_right_walks_build_one_table(self):
+        # a new x*s_i is registered as the left step s from s*y, found by the
+        # exchange condition; a new s_i*x by peeling: the two walks of D5 must
+        # build the same 1920 elements
+        tables = []
+        for side in ("left", "right"):
+            W = CoxeterSystem.from_type("D5")
+            W.quotient_reps((), side)  # by right steps for 'left', left steps for 'right'
+            tables.append({
+                x.word: (x.rvec, x.lvec, x.matrix, x.ldesc, x.rdesc, x.length) for x in W._by_id
+            })
+        assert len(tables[0]) == 1920 and tables[0] == tables[1]
+
     def test_exchange_disagreement_raises(self, monkeypatch):
         W = CoxeterSystem.from_type("B3")
         x = W.element([1, 2])
-        descents = W._descents
-        monkeypatch.setattr(W, "_descents", lambda p: descents(p) ^ 1)
+
+        class Flipped(coxeter._Signs):  # every read of the descent memo, off by s_1
+            def __getitem__(self, flags):
+                return super().__getitem__(flags) ^ 1
+
+        monkeypatch.setattr(W, "_signs", Flipped(W._signs))
         with pytest.raises(InternalInvariantError, match="exchange condition"):
             x.times_gen(3)
 
@@ -441,7 +458,7 @@ class TestPackedVectors:
         for _ in range(2):  # the element past the bound is not registered
             with pytest.raises(InternalInvariantError, match="packed bound"):
                 x.times_gen(s, side)
-        assert x._succ[W._offset(side) + W._idx[s]] is None
+        assert x._succ[W._sides[side] + W._idx[s]] is None
         assert word not in {y.word for y in W._by_id}
         for y in W._by_id:  # every element registered on the way is exact
             assert (y.matrix, y.rvec, y.lvec) == expected(y.word)
@@ -504,6 +521,18 @@ class TestQuotients:
             order = len(sys.enumerate_below(sys.longest_element()))
             sub = len(sys.enumerate_below(sys.longest_element(I)))
             assert len(reps) == order // sub
+
+    def test_a_negative_bound_is_refused(self):
+        W = CoxeterSystem.from_type("A2")
+        # the bound 0 keeps the identity alone, and W has longer elements
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="length bound -1"):
+                W.quotient_reps((), side, max_len=-1)
+            assert W.quotient_reps((), side, max_len=0) == ([W.identity], True)
+        for J, I in [((), (1,)), ((1,), ()), ((1,), (2,))]:
+            with pytest.raises(ValueError, match="length bound -1"):
+                W.regular_double_coset_reps(J, I, max_len=-1)
+            assert W.regular_double_coset_reps(J, I, max_len=0) == ((W.identity,), True)
 
     def test_affine_truncation_flag(self):
         reps, truncated = AFF1.quotient_reps([1], side="left", max_len=3)
@@ -696,6 +725,21 @@ class TestRoots:
         assert len(roots_and_coroots(finite_cartan("G", 2))) == 6
         assert len(roots_and_coroots(finite_cartan("D", 4))) == 12
         assert len(roots_and_coroots(finite_cartan("F", 4))) == 24
+
+
+class TestWordTexts:
+    """format_words, the bulk form of format_word, read off the left slots."""
+
+    @pytest.mark.parametrize(
+        "tag, max_len", [("A4", None), ("B3", None), ("D4", None), ("affA2", 8), ("E6", 6)]
+    )
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_left_slot_texts_are_format_word(self, tag, max_len, side):
+        W = CoxeterSystem.from_type(tag)
+        els, _ = W.quotient_reps((), side, max_len=max_len)  # grown by steps away from side
+        want = {x: format_word(x.word) for x in els}
+        # short words first, and long words first (each text made down a chain to e)
+        assert coxeter.format_words(els) == want == coxeter.format_words(els[::-1])
 
 
 class TestWordParsing:

@@ -431,6 +431,23 @@ class TestProductRecursion:
 
         assert by_word(c) == by_word(c_full)
 
+    @pytest.mark.parametrize("fam", ["n", "m"])
+    def test_the_leaving_test_runs_only_where_x_s_is_longer(self, fam, monkeypatch):
+        # x*s < x is a prefix of x in W^I, so it stays in W^I and needs no
+        # Deodhar test: _simple_image is read only for x*s > x
+        simple_image, calls = hecke._simple_image, []
+
+        def spy(x, i):
+            assert not x.rdesc >> i & 1, (x, i)
+            calls.append(x)
+            return simple_image(x, i)
+
+        W = CoxeterSystem.from_type("D5")
+        y = W.project(W.longest_element(), (1,), "left")
+        monkeypatch.setattr(hecke, "_simple_image", spy)
+        HeckeContext(W).parabolic_column(fam, (1,), y)
+        assert calls
+
 
 class TestBarInvolution:
     @pytest.mark.parametrize(

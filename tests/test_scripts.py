@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILT = {
     "--type A3 --max-subset 2": "388 tables (982 indices outside the grid)",
     "--type affA2 --level neg --max-length 5 --max-subset 2": "758 tables (1875 indices outside the grid)",
+    "--type A2 --max-length 0": "6 tables (6 indices outside the grid)",
 }
 
 
@@ -25,6 +26,7 @@ BUILT = {
         ["scripts/kl_table.py", "--type", "A2"],
         ["scripts/kl_table.py", "--type", "B2", "--inverse"],
         ["scripts/tilt_grid.py", "--type", "A2"],
+        ["scripts/tilt_grid.py", "--type", "A2", "--max-length", "0"],  # the identity alone
         ["scripts/tilt_grid.py", "--type", "affA1", "--level", "pos", "--max-length", "4"],
         # every subset pair with |I|, |J| <= 2: both table sides, the I side with J != () too
         ["scripts/tilt_grid.py", "--type", "A3", "--max-subset", "2"],
@@ -58,3 +60,12 @@ def test_script_runs(argv):
         # smallest right descent took 237
         cost = json.loads(proc.stdout)
         assert cost["size"] == 480 and cost["columns"] <= 21, cost
+        assert isinstance(cost["print_s"], float) and cost["print_s"] > 0, cost
+
+
+def test_tilt_grid_refuses_a_negative_length_bound():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["scripts/tilt_grid.py", "--type", "A2", "--max-length", "-1"]
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout[-300:]  # a usage error, no grid
+    assert "length bound -1" in proc.stderr, proc.stderr
