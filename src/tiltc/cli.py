@@ -95,11 +95,9 @@ def kl_entries(
     the nonzero ones, or with ``wanted`` those at its elements, then each
     wanted element absent from the column with 0."""
     if wanted is None:
-        col = {z: p for z, p in column.items() if not p.is_zero()}
-        return [(z, col[z]) for z in sorted(col, key=SHORTLEX)]
-    col = dict(column.items())
-    found = [(z, col[z]) for z in sorted(wanted.intersection(col), key=SHORTLEX)]
-    return found + [(z, ZERO) for z in sorted(wanted.difference(col), key=SHORTLEX)]
+        return [(z, p) for z in sorted(column, key=SHORTLEX) if not (p := column[z]).is_zero()]
+    found = [(z, column[z]) for z in sorted(wanted.intersection(column), key=SHORTLEX)]
+    return found + [(z, ZERO) for z in sorted(wanted.difference(column), key=SHORTLEX)]
 
 
 def kl_output(

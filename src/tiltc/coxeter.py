@@ -422,7 +422,6 @@ class CoxeterSystem:
         self._by_r: dict[tuple[int, ...], CoxeterElement] = {}
         self._by_l: dict[tuple[int, ...], CoxeterElement] = {}
         self._by_id: list[CoxeterElement] = []
-        self._bruhat: dict[tuple[CoxeterElement, CoxeterElement], bool] = {}
         self._reps: dict[tuple[int, int, int | None], tuple[tuple[CoxeterElement, ...], bool]] = {}
         self._masks: dict[tuple[int, ...], int] = {}
         self._flip: tuple[CoxeterElement, tuple[int, ...]] | None = None  # w0 and sigma
@@ -593,25 +592,16 @@ class CoxeterSystem:
     # -- Bruhat order ---------------------------------------------------------
 
     def bruhat_leq(self, x: CoxeterElement, y: CoxeterElement) -> bool:
-        """Bruhat order via the lifting property, memoized."""
+        """Bruhat order by the lifting property: for a right descent s of y,
+        x <= y exactly when x' <= ys, x' = xs if s is a descent of x, else x."""
         if x._ref is not self._ref or y._ref is not self._ref:
             raise ValueError("elements of a different system")
-        key = (x, y)
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        if x.is_identity():
-            res = True
-        elif x.length > y.length:
-            res = False
-        elif x.length == y.length:
-            res = x is y
-        else:
+        while 0 < x.length < y.length:
             i = (y.rdesc & -y.rdesc).bit_length() - 1  # the smallest right descent
-            ys = self._step(y, i)
-            res = self.bruhat_leq(self._step(x, i) if x.rdesc >> i & 1 else x, ys)
-        self._bruhat[key] = res
-        return res
+            if x.rdesc >> i & 1:
+                x = x._succ[i] or self._step(x, i)
+            y = y._succ[i] or self._step(y, i)
+        return x is y or not x.length
 
     def enumerate_below(self, y: CoxeterElement) -> list[CoxeterElement]:
         """All z <= y, via the subword property of any reduced word of y."""

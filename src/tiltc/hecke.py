@@ -43,8 +43,9 @@ The column is unitriangular over v*Z[v], each exponent at x has the parity
 of l(y) - l(x), and an m column, whose entries are h values (Deodhar 1987),
 has no negative coefficient.  An h column or entry is v^d times a gated m^K
 entry, d = l(w_K) - l(u) >= 0 and 0 only on the diagonal, so it inherits all
-three.  A single h entry (poly, mu) is read off m^K: no h column is built
-and W_K is not enumerated (l(w_K) is read off w_K, once per K).
+three.  A single h entry (poly, mu) is read off y's h column when that is
+memoized, else off m^K: no h column is built and W_K is not enumerated (y is
+longest in W_K y', so l(w_K) = l(y) - l(y')).
 
 The inverse families come by signed unitriangular inversion of the direct
 ones: inverse_combination pushes sum_a c_a fam^{a,.} down the lengths from
@@ -64,9 +65,12 @@ solve bounds its values by its largest seed coefficient plus sum_z
 |c_z|_1 bound(z) over what it pushed, and past 2^(width-1) starts again at
 twice the width, so nothing is decoded or tested for zero past its bound;
 its residue holds when every value is the integer 0.  Equal entries are one
-int per HeckeContext, each decoded to a LaurentPoly once: public columns are
-read-only views keyed by elements of the context's own system (an element
-of any other system is a ValidationError, and an absent key of a column).
+int per HeckeContext, each decoded to a LaurentPoly once.  Every public
+column, direct or inverse, is a read-only mapping (MappingProxyType) of
+{element: LaurentPoly}, decoded at the boundary and keyed by elements of the
+context's own system (an element of any other system is a ValidationError,
+and an absent key of a column); a single entry (poly) is read off the packed
+column.
 Loops step elements through their step slots (see coxeter).
 
 Family keys: ("h", ()), ("m", I), ("n", I) and the inverse families
@@ -90,7 +94,6 @@ from .laurent import ONE, ZERO, LaurentPoly, Terms
 
 __all__ = ["HeckeContext", "PolyStore", "family_id", "DIRECT_FAMILIES", "INVERSE_FAMILIES"]
 
-Coords = dict[CoxeterElement, LaurentPoly]
 Packed = dict[int, int]  # a column: {element id: value at v = 2^SLOT}
 
 SLOT = 24  # bits per exponent slot of a packed polynomial
@@ -423,31 +426,6 @@ class PolyStore:
         return fam_id[:2] in ("m[", "n[") and fam_id[2:] != "]"
 
 
-class _Column(Mapping):
-    """A packed direct column as a read-only {element: LaurentPoly}."""
-
-    __slots__ = ("_ctx", "_col")
-
-    def __init__(self, ctx: "HeckeContext", col: Packed):
-        self._ctx, self._col = ctx, col
-
-    def __getitem__(self, x: CoxeterElement) -> LaurentPoly:
-        try:  # an element of another system is an absent key
-            return self._ctx._poly(self._col[self._ctx._own(x).id])
-        except (AttributeError, ValidationError):
-            raise KeyError(x) from None
-
-    def __iter__(self) -> Iterator[CoxeterElement]:
-        return map(self._ctx.system._by_id.__getitem__, self._col)
-
-    def __len__(self) -> int:
-        return len(self._col)
-
-    def items(self) -> Iterator[tuple[CoxeterElement, LaurentPoly]]:  # type: ignore[override]
-        by_id, poly = self._ctx.system._by_id, self._ctx._poly
-        return ((by_id[u], poly(n)) for u, n in self._col.items())
-
-
 class HeckeContext:
     """All polynomial families attached to one Coxeter system, memoized.
 
@@ -470,8 +448,7 @@ class HeckeContext:
         self._columns: dict[tuple[str, tuple[int, ...]], tuple[Packed, int]] = {}
         self._fids: dict[tuple[str, tuple[int, ...]], str] = {}  # (fam, I) -> family_id
         self._inverses: dict[tuple[str, tuple[int, ...]], Mapping[CoxeterElement, LaurentPoly]] = {}
-        self._walks: dict[int, tuple[int, list[tuple[int, int, int, int]]]] = {}
-        self._tops: dict[int, int] = {}  # descent mask of K -> l(w_K)
+        self._walks: dict[int, list[tuple[int, int, int, int]]] = {}
         self._stored_ids: dict[tuple[int, ...], int] = {}  # stored word -> element id
         # l(w_K) -> {m^K entry: its shifts by v^0 .. v^l(w_K)}, each interned
         self._shifts: dict[int, dict[int, list[int]]] = {}
@@ -508,26 +485,41 @@ class HeckeContext:
             raise ValidationError(f"element {x!r} is not of system {self.system.tag}")
         return x
 
+    def _family(self, fam: str, I: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+        """A direct family and its generators, checked; with I = () either
+        module is the Hecke algebra, so the family is h."""
+        if fam not in DIRECT_FAMILIES:
+            raise ValidationError(f"unknown family {fam!r}")
+        I = self.system.check_names(I)
+        return (fam if I else "h"), I
+
+    def _upper(self, I: tuple[int, ...], y: CoxeterElement) -> CoxeterElement:
+        """y, checked to be an element of this system minimal in W_I y."""
+        if self._own(y).ldesc & self.system.mask(I):
+            raise ValidationError(
+                f"{format_word(y.word) or 'e'} is not a minimal coset representative for I={list(I)}"
+            )
+        return y
+
+    def _public(self, col: Packed) -> Mapping[CoxeterElement, LaurentPoly]:
+        """A packed column as a read-only {element: LaurentPoly}, decoded by _poly."""
+        by_id, poly = self.system._by_id, self._poly
+        return MappingProxyType({by_id[u]: poly(n) for u, n in col.items()})
+
     # -- self-dual basis columns -----------------------------------------------
 
     def kl_column(self, y: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
         """Coordinates {x: h_{x,y}} of the self-dual basis element C_y."""
-        return _Column(self, self._direct_column("h", (), self._own(y))[0])
+        return self._public(self._direct_column("h", (), self._own(y))[0])
 
     def parabolic_column(
         self, fam: str, I: tuple[int, ...], y: CoxeterElement
     ) -> Mapping[CoxeterElement, LaurentPoly]:
         """Self-dual basis column of the parabolic module ('m' or 'n')."""
-        y = self._own(y)
-        I = self.system.check_names(I)
         if fam not in ("m", "n"):
             raise ValidationError(f"unknown parabolic family {fam!r}")
-        if y.ldesc & self.system.mask(I):
-            raise ValidationError(
-                f"{format_word(y.word) or 'e'} is not a minimal coset representative for I={list(I)}"
-            )
-        # with I = () either module is the Hecke algebra: its column is h
-        return _Column(self, self._direct_column(fam if I else "h", I, y)[0])
+        fam, I = self._family(fam, I)
+        return self._public(self._direct_column(fam, I, self._upper(I, y))[0])
 
     def _direct_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> tuple[Packed, int]:
         """The packed column of C_y in the module of (fam, I) and the bound of
@@ -603,14 +595,21 @@ class HeckeContext:
                 acc[z] -= c * n
         return self._finish(acc)
 
+    def _spherical(self, y: CoxeterElement) -> tuple[tuple[int, ...], int, tuple[Packed, int]]:
+        """K = L(y) for y != e, l(w_K) = l(y) - l(y') (y = w_K y', longest in
+        W_K y'), and the m^K column at y' = project(y, K) with its bound."""
+        W = self.system
+        K = W.check_names(y.left_descents())
+        y0 = W.project(y, K, "left")
+        return K, y.length - y0.length, self._direct_column("m", K, y0)
+
     def _expand_spherical(self, y: CoxeterElement) -> tuple[Packed, int]:
         """h column of y != e: v^(l(w_K) - l(u)) m^K_{x',y'} at u x', K = L(y);
         it has the bound of m^K.  The shifts of each distinct m^K entry are
         interned once per context and l(w_K)."""
         W, ints = self.system, self._ints
-        K = W.check_names(y.left_descents())
-        top, walk = self._walks.get(y.ldesc) or self._walk(y.ldesc)
-        m, bound = self._direct_column("m", K, W.project(y, K, "left"))
+        _, top, (m, bound) = self._spherical(y)
+        walk = self._walks.get(y.ldesc) or self._walk(y.ldesc, top)
         shifts = self._shifts.setdefault(top, {})
         col: Packed = {}
         for u0, n in m.items():
@@ -625,10 +624,10 @@ class HeckeContext:
                 col[x.id] = shifted[d]
         return col, bound
 
-    def _walk(self, mask: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-        """l(w_K) and W_K by length, K the generators in mask, memoized: row k
-        is (j, slot, s, d) for u_k = s u_j, slot the left s-slot of u_j and
-        d = l(w_K) - l(u_k); u_0 = e has no row."""
+    def _walk(self, mask: int, top: int) -> list[tuple[int, int, int, int]]:
+        """W_K by length, K the generators in mask and top = l(w_K), memoized:
+        row k is (j, slot, s, d) for u_k = s u_j, slot the left s-slot of u_j
+        and d = top - l(u_k); u_0 = e has no row."""
         W = self.system
         elts, rows = [W.identity], []
         for j, u in enumerate(elts):  # grows while read: breadth first
@@ -637,10 +636,9 @@ class HeckeContext:
                     su = u._succ[W.rank + i] or u.times_gen(s, "left")
                     if su.ldesc & -su.ldesc == 1 << i:  # s is its first letter: met once
                         elts.append(su)
-                        rows.append((j, W.rank + i, s, su.length))
-        top = elts[-1].length
-        walk = self._walks[mask] = (top, [(j, slot, s, top - n) for j, slot, s, n in rows])
-        return walk
+                        rows.append((j, W.rank + i, s, top - su.length))
+        self._walks[mask] = rows
+        return rows
 
     def _check_column(self, col: Packed, y: CoxeterElement, fid: str, loaded: bool) -> int:
         """The bound of the coefficients of an m or n column that passes the
@@ -682,28 +680,29 @@ class HeckeContext:
         raise ValidationError(f"unknown family {fam!r}")
 
     def poly(self, fam: str, I: tuple[int, ...], lower: CoxeterElement, upper: CoxeterElement) -> LaurentPoly:
-        """Single polynomial; absent column entries are zero.  An h entry
-        ('h', or 'm' or 'n' with I = ()) is read off m^{L(upper)}."""
-        if fam == "h" or (fam in ("m", "n") and not I):
-            return self._h_entry(self._own(lower), self._own(upper))
-        return self.column(fam, I, upper).get(self._own(lower), ZERO)
+        """Single polynomial; absent column entries are zero.  A direct entry
+        is read off its packed column, and an h entry ('h', or 'm' or 'n'
+        with I = ()) by _h_entry."""
+        if fam not in DIRECT_FAMILIES:
+            return self.column(fam, I, upper).get(self._own(lower), ZERO)
+        fam, I = self._family(fam, I)
+        x = self._own(lower)
+        if fam == "h":
+            return self._h_entry(x, self._own(upper))
+        return self._poly(self._direct_column(fam, I, self._upper(I, upper))[0].get(x.id, 0))
 
     def _h_entry(self, x: CoxeterElement, y: CoxeterElement) -> LaurentPoly:
-        """h_{x,y} = v^(l(w_K) - l(u)) m^K_{x',y'} at x = u x', K = L(y), with no
-        h column built and l(w_K) memoized per K; certified by the gate of
-        m^K (module docstring)."""
+        """h_{x,y}, read off y's h column when it is memoized, else as
+        v^(l(w_K) - l(u)) m^K_{x',y'} at x = u x', K = L(y), with no h column
+        built; certified by the gate of m^K (module docstring)."""
+        memo = self._columns.get(("h", y.word))
+        if memo is not None:
+            return self._poly(memo[0].get(x.id, 0))
         if y.is_identity():
             return self._poly(int(x is y))
-        W = self.system
-        K = W.check_names(y.left_descents())
-        x0 = W.project(x, K, "left")
-        n = self._direct_column("m", K, W.project(y, K, "left"))[0].get(x0.id, 0)
-        if n:
-            top = self._tops.get(y.ldesc)
-            if top is None:
-                top = self._tops[y.ldesc] = W.longest_element(K).length
-            n <<= SLOT * (top - x.length + x0.length)
-        return self._poly(n)
+        K, top, (m, _) = self._spherical(y)
+        x0 = self.system.project(x, K, "left")
+        return self._poly(m.get(x0.id, 0) << SLOT * (top - x.length + x0.length))
 
     def mu(self, x: CoxeterElement, y: CoxeterElement) -> int:
         """Coefficient of v in h_{x,y}."""
@@ -732,26 +731,19 @@ class HeckeContext:
                 out[u] += (minus if (by_id[u].length + lz) & 1 else q) * n
         return {u: n for u, n in out.items() if n}
 
-    def _inverse_family(self, fam: str, I: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-        if fam not in DIRECT_FAMILIES:
-            raise ValidationError(f"unknown family {fam!r}")
-        I = self.system.check_names(I)
-        return (fam if I else "h"), I  # either module with I = () is the Hecke algebra
-
     def inverse_column(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
         """Inverse-family column {y: fam^{x,y}}: the combination of {x: 1},
-        memoized and handed out read-only."""
-        fam, I = self._inverse_family(fam, I)
-        x = self._own(x)
-        key = (family_id(fam + "_inv", I), x.word)  # never stored
+        memoized."""
+        fam, I = self._family(fam, I)
+        key = (family_id(fam + "_inv", I), self._own(x).word)  # never stored
         inv = self._inverses.get(key)
         if inv is None:
-            inv = self._inverses[key] = MappingProxyType(self.inverse_combination(fam, I, {x: ONE}))
+            inv = self._inverses[key] = self.inverse_combination(fam, I, {x: ONE})
         return inv
 
     def inverse_combination(
         self, fam: str, I: tuple[int, ...], seeds: Mapping[CoxeterElement, LaurentPoly]
-    ) -> Coords:
+    ) -> Mapping[CoxeterElement, LaurentPoly]:
         """{y: sum_a seeds[a] fam^{a,y}}, by signed unitriangular inversion.
 
         It solves sum_z (-1)^(l(u)+l(z)) fam_{u,z} r_z = seeds[u] by one push
@@ -763,22 +755,21 @@ class HeckeContext:
         SLOT bits, or at a multiple of it when the bound needs (module
         docstring).
         """
-        fam, I = self._inverse_family(fam, I)
+        fam, I = self._family(fam, I)
         fid = family_id(fam + "_inv", I)
-        seeds = {self._own(a): p for a, p in seeds.items()}
         for a in seeds:
-            if a.ldesc & self.system.mask(I):
+            if self._own(a).ldesc & self.system.mask(I):
                 raise ValidationError(
                     f"{format_word(a.word) or 'e'} is not in the index set of {family_id(fam, I)}"
                 )
         width = SLOT
         while (inv := self._solve(fam, I, fid, seeds, width)) is None:
             width *= 2
-        return inv
+        return MappingProxyType(inv)
 
     def _solve(
-        self, fam: str, I: tuple[int, ...], fid: str, seeds: Coords, width: int
-    ) -> Coords | None:
+        self, fam: str, I: tuple[int, ...], fid: str, seeds: Mapping[CoxeterElement, LaurentPoly], width: int
+    ) -> dict[CoxeterElement, LaurentPoly] | None:
         """The push and residue of inverse_combination with values packed at
         width, or None once the bound reaches 2^(width-1)."""
         half, by_id = 1 << (width - 1), self.system._by_id
@@ -791,7 +782,7 @@ class HeckeContext:
         for a in seeds:
             pending[a.length][a.id] = packed[a.id]
         bound = max([0] + [abs(c) for p in seeds.values() for _, c in p.terms])
-        inv: Coords = {}
+        inv: dict[CoxeterElement, LaurentPoly] = {}
         solved: Packed = {}  # inv packed again, for the residue
         for length in range(top, -1, -1):
             if bound >= half:  # a value of this length may have wrapped

@@ -179,7 +179,6 @@ class LinkageDatum:
             affinize_cartan(R.cartan, (self.wall_root.coords, self.wall_root.coroot)),
             finite=False,
         )
-        self.rho: Vec = (1,) * R.rank
         self.wall_fund = R.fund_coords(self.wall_root)
 
     # -- dilated dot action ------------------------------------------------------

@@ -395,12 +395,9 @@ class KacMoody(_NegativeLike):
         return rows, None, (max_len if truncated else None)
 
     def _n_rows(self, k_x, targets) -> dict[CoxeterElement, LaurentPoly]:
-        """n_{x,y} at every row (y, k_y): the n column of k_y w_J at k_x w_J."""
+        """n_{x,y} at every row (y, k_y): the n entry at (k_x w_J, k_y w_J)."""
         a = k_x * self.wJ
-        return {
-            y: self.hecke.parabolic_column("n", self.I, k_y * self.wJ).get(a, ZERO)
-            for y, k_y in targets
-        }
+        return {y: self.hecke.poly("n", self.I, a, k_y * self.wJ) for y, k_y in targets}
 
     def standard_table(self, x_word, y_word=None, max_len: int | None = None):
         if self.level == "neg":

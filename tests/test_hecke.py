@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 from collections import defaultdict
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -316,13 +317,16 @@ class TestParabolicColumns:
     def test_empty_I_columns_are_held_once(self, system):
         # either module with I = () is the Hecke algebra: one context computes
         # and memoizes its direct and inverse columns once, as h, next to the
-        # m[L(y)] columns its h columns are read off; public direct columns
-        # are views of the one packed column
+        # m[L(y)] columns its h columns are read off; the m and n columns with
+        # I = () read the one packed h column and memoize none of their own
         c = ctx(system)
         for y in system.quotient_reps((), max_len=6)[0]:
+            h = c.kl_column(y)
+            held = dict(c._columns)
             for fam in ("m", "n"):
-                assert c.parabolic_column(fam, (), y)._col is c.kl_column(y)._col
+                assert c.parabolic_column(fam, (), y) == h
                 assert c.inverse_column(fam, (), y) is c.inverse_column("h", (), y)
+            assert c._columns == held and ("h", y.word) in held
         assert {fid for fid, _ in c._inverses} == {"h_inv"}
         fids = {fid for fid, _ in c._columns}
         assert "h" in fids
@@ -699,6 +703,21 @@ class TestUniformAccess:
         assert c.column("m_inv", (), y) == c.inverse_column("m", (), y)
         with pytest.raises(ValidationError):
             c.column("zz", (), y)
+
+    def test_every_public_column_is_a_read_only_mapping(self):
+        c, y = ctx(A3), A3.element([2, 1, 3, 2])
+        columns = [
+            c.kl_column(y),
+            c.parabolic_column("n", (1,), A3.element([2, 1])),
+            c.column("m", (), y),
+            c.column("n_inv", (1,), A3.element([2, 3])),
+            c.inverse_column("h", (), y),
+            c.inverse_combination("m", (2,), {A3.element([1, 2]): ONE, A3.element([3, 2]): ONE}),
+        ]
+        for col in columns:
+            assert type(col) is MappingProxyType and col
+            with pytest.raises(TypeError):
+                col[A3.identity] = ONE
 
     def test_poly_absent_is_zero(self):
         c = ctx(A2)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planting import plant_computed, plant_stored, source_column
-from tiltc import hecke
+from tiltc import hecke, tilting
 from tiltc.coxeter import CoxeterElement, CoxeterSystem
 from tiltc.errors import CacheError, InternalInvariantError, ValidationError
 from tiltc.hecke import SLOT, HeckeContext, PolyStore, family_id
@@ -939,6 +939,77 @@ def test_positive_table_equals_the_per_z_pairing(tag, I, J):
     assert words
     for x in words:
         assert as_dict(setting.simple_table(x, max_len=6)) == per_z_rows(setting, x, 6)
+
+
+def positive_simple_mismatches(setting, max_len):
+    """The KM+ simple tables of a setting that differ from a second route,
+    and how many were compared: every whole table with max_len, and each
+    table at an explicit y that is a nonzero row or a key as long as x's.
+
+    The route is the negative-level simple solve seeded at y and read at x.
+    Bar is a ring involution, so the row S_{x,y} = sum_z bar(m^{z,x}) n_{z,y}
+    is bar(sum_z bar(n_{z,y}) m^{z,x}), the m^I inverse combination seeded
+    by bar of y's n column, read at k_x and barred.  It shares no code with
+    the table's pairing (laurent._mac), its z filter or its row filter."""
+    keys, _ = setting.system.regular_double_coset_reps(
+        setting.I, setting.J, max_len=max_len - setting.wI.length
+    )
+    solved = {
+        k_y: setting.hecke.inverse_combination(
+            "m", setting.I, {k: p.bar() for k, p in setting._n_entries(k_y).items()}
+        )
+        for k_y in keys
+    }
+    bad, compared = [], 0
+    for k_x in keys:
+        x = setting._index_of(k_x).word
+        row = {setting._index_of(k_y).word: vec.get(k_x, ZERO).bar() for k_y, vec in solved.items()}
+        tables = [(setting.simple_table(x, max_len=max_len), {y: p for y, p in row.items() if p})]
+        for k_y in keys:
+            y = setting._index_of(k_y).word
+            if k_y.length == k_x.length or row[y]:
+                tables.append((setting.simple_table(x, y, max_len=max_len), {y: row[y]}))
+        for table, want in tables:
+            compared += 1
+            if as_dict(table) != want:
+                bad.append(table)
+    return bad, compared
+
+
+@pytest.mark.parametrize("tag, max_len", [("affA1", 7), ("affA2", 6), ("affB2", 5)])
+def test_positive_simple_tables_equal_the_negative_level_solve(tag, max_len):
+    hk = HeckeContext(CoxeterSystem.from_type(tag))
+    subsets = [c for k in range(3) for c in itertools.combinations(hk.system.names, k)]
+    compared = 0
+    for I, J in itertools.product(subsets, repeat=2):
+        try:
+            setting = KacMoody(hk, I, J, "pos")
+        except ValidationError:  # J or I generates an infinite parabolic
+            continue
+        if setting.wI.length <= max_len:
+            bad, n = positive_simple_mismatches(setting, max_len)
+            assert not bad, (I, J, bad[0])
+            compared += n
+    assert compared > 300  # whole tables and explicit rows
+
+
+def test_the_negative_level_solve_sees_a_fault_in_the_pairing(monkeypatch):
+    # each term n_{z,y} bar(m^{z,x}) with z != y gains 2 v^e at its top
+    # exponent e: parity, sign and the diagonal hold, so the table's own
+    # checks pass and only the second route can see it
+    real = tilting._mac
+
+    def planted(acc, p, q):
+        real(acc, p, q)
+        if p != ONE:  # n_{z,y} is 1 only at z = y
+            e = p.max_degree() + max(e for e, _ in q)
+            acc[e] = acc.get(e, 0) + 2
+
+    setting = km_pos_setting("affA2", (1,), ())
+    assert not positive_simple_mismatches(setting, 6)[0]
+    monkeypatch.setattr(tilting, "_mac", planted)
+    bad, _ = positive_simple_mismatches(km_pos_setting("affA2", (1,), ()), 6)
+    assert bad
 
 
 @pytest.mark.parametrize("slot", [2, 3, 4])
