@@ -40,10 +40,10 @@ def main() -> int:
     I = parse_word(args.parabolic) if args.parabolic else ()
     start = time.perf_counter()
     y = system.element(() if args.y.strip().lower() == "e" else parse_word(args.y))
-    column = hecke.column(fam, I, y)
+    column = hecke.entries(fam, I, y)
     seconds = time.perf_counter() - start
     start = time.perf_counter()
-    kl_output([(z, y, p) for z, p in kl_entries(column)])
+    kl_output(system, [(z, y.id, p) for z, p in kl_entries(system, column)])
     print_s = time.perf_counter() - start
     print(json.dumps({
         "system": system.tag,
@@ -51,7 +51,7 @@ def main() -> int:
         "y": args.y,
         "size": len(column),
         "columns": len(hecke._columns),
-        "elements": len(system._by_id),
+        "elements": len(system._len),
         "seconds": round(seconds, 4),
         "print_s": round(print_s, 4),
     }))

@@ -37,7 +37,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .coxeter import SHORTLEX, CoxeterElement, CoxeterSystem, format_word, format_words, parse_word
+from .coxeter import CoxeterSystem, format_word, format_words, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
 from .hecke import HeckeContext, PolyStore
 from .laurent import ZERO, LaurentPoly
@@ -89,25 +89,29 @@ def _column_store(system: CoxeterSystem, cache_path: str | None, no_cache: bool)
 
 
 def kl_entries(
-    column: Mapping[CoxeterElement, LaurentPoly], wanted: set[CoxeterElement] | None = None
-) -> list[tuple[CoxeterElement, LaurentPoly]]:
-    """The entries of a column that ``tiltc kl`` prints, in ShortLex order:
-    the nonzero ones, or with ``wanted`` those at its elements, then each
-    wanted element absent from the column with 0."""
+    system: CoxeterSystem, column: Mapping[int, LaurentPoly], wanted: set[int] | None = None,
+    spelled: dict | None = None,
+) -> list[tuple[int, LaurentPoly]]:
+    """The entries of a column by element id that ``tiltc kl`` prints, in
+    ShortLex order: the nonzero ones, or with ``wanted`` those at its ids,
+    then each wanted id absent from the column with 0.  spelled, the memo
+    of keys and word texts the sort reads, can be shared with kl_output."""
     if wanted is None:
-        return [(z, p) for z in sorted(column, key=SHORTLEX) if not (p := column[z]).is_zero()]
-    found = [(z, column[z]) for z in sorted(wanted.intersection(column), key=SHORTLEX)]
-    return found + [(z, ZERO) for z in sorted(wanted.difference(column), key=SHORTLEX)]
+        return [(z, p) for z in system._sorted(column, spelled) if not (p := column[z]).is_zero()]
+    found = [(z, column[z]) for z in system._sorted(wanted.intersection(column), spelled)]
+    return found + [(z, ZERO) for z in system._sorted(wanted.difference(column), spelled)]
 
 
 def kl_output(
-    records: list[tuple[CoxeterElement, CoxeterElement, LaurentPoly]], head: dict | None = None
+    system: CoxeterSystem, records: list[tuple[int, int, LaurentPoly]], head: dict | None = None,
+    spelled: dict | None = None,
 ) -> str:
-    """Records (x, y, poly) as tab-separated lines, or with ``head`` as the
-    JSON object of head and records.  The words go through format_words, and
-    each polynomial is formatted once: the equal polynomials of a context are
-    one object, so they are keyed by identity."""
-    words = format_words({*map(itemgetter(0), records), *map(itemgetter(1), records)})
+    """Records (x, y, poly), x and y element ids, as tab-separated lines, or
+    with ``head`` as the JSON object of head and records.  The words go
+    through format_words (with the memo kl_entries filled, when given), and
+    each polynomial is formatted once: the equal polynomials of a context
+    are one object, so they are keyed by identity."""
+    words = format_words(system, {*map(itemgetter(0), records), *map(itemgetter(1), records)}, spelled)
     polys = {id(p): p for _, _, p in records}
     if head is not None:
         from .jsontext import dumps
@@ -154,29 +158,35 @@ def kl_cmd(
                 raise UsageError("a direct query needs at least one --y")
             uppers = list(y_texts)
 
-        def run_column(upper_text: str) -> list[tuple[CoxeterElement, CoxeterElement, LaurentPoly]]:
+        spelled: dict = {0: (0, "")}  # keys and word texts, read once for sort and print
+
+        def run_column(upper_text: str) -> list[tuple[int, int, LaurentPoly]]:
             upper = system.element(_parse_word_arg(upper_text))
-            col = hecke.inverse_column(fam, I, upper) if inverse else hecke.column(fam, I, upper)
+            if inverse:
+                col = {z.id: p for z, p in hecke.inverse_column(fam, I, upper).items()}
+            else:
+                col = hecke.entries(fam, I, upper)
             wanted = None
             if inverse and y_texts:
-                wanted = {system.element(_parse_word_arg(t)) for t in y_texts}
+                wanted = {system.element(_parse_word_arg(t)).id for t in y_texts}
             elif not inverse and x_text is not None:
-                wanted = {system.element(_parse_word_arg(x_text))}
+                wanted = {system.element(_parse_word_arg(x_text)).id}
             if inverse:
-                return [(upper, z, p) for z, p in kl_entries(col, wanted)]
-            return [(z, upper, p) for z, p in kl_entries(col, wanted)]
+                return [(upper.id, z, p) for z, p in kl_entries(system, col, wanted, spelled)]
+            return [(z, upper.id, p) for z, p in kl_entries(system, col, wanted, spelled)]
 
         records = [r for t in uppers for r in run_column(t)]
 
     if fmt == "json":
-        print(kl_output(records, {"system": system.tag, "family": fam, "I": list(I), "inverse": inverse}))
+        head = {"system": system.tag, "family": fam, "I": list(I), "inverse": inverse}
+        print(kl_output(system, records, head, spelled))
         return
     single = len(records) == 1 and x_text is not None and len(y_texts) == 1
     if fmt == "text" and single:
         print(records[0][2].to_text())
         return
     if records:  # one print for the column: each call makes two stream writes
-        print(kl_output(records))
+        print(kl_output(system, records, spelled=spelled))
 
 
 # -- tilt ----------------------------------------------------------------------------

@@ -70,8 +70,9 @@ column, direct or inverse, is a read-only mapping (MappingProxyType) of
 {element: LaurentPoly}, decoded at the boundary and keyed by elements of the
 context's own system (an element of any other system is a ValidationError,
 and an absent key of a column); a single entry (poly) is read off the packed
-column.
-Loops step elements through their step slots (see coxeter).
+column, and ``entries`` decodes a direct column, or its entries at given
+ids, keyed by element id.  Inside, columns, memos and loops run on element
+ids and the system's step slots (see coxeter): no element is made.
 
 Family keys: ("h", ()), ("m", I), ("n", I) and the inverse families
 ("h_inv", ()), ("m_inv", I), ("n_inv", I).
@@ -81,14 +82,16 @@ from __future__ import annotations
 
 import os
 import re
+from array import array
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
-from .coxeter import CoxeterElement, CoxeterSystem, _simple_image, format_word, parse_word
+# the packing constants too: _product_column reads a height off r before it calls _simple_image
+from .coxeter import _HALF, _MASK, BITS, CoxeterElement, CoxeterSystem, _simple_image, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
 from .laurent import ONE, ZERO, LaurentPoly, Terms
 
@@ -432,7 +435,7 @@ class HeckeContext:
     An optional PolyStore persists the m and n columns (serialize with
     store.save).  A column is read from it, and its record decoded, only when
     a query needs that column; each stored lower word is walked to its
-    element once per context, and the column passes the gate of
+    element id once per context, and the column passes the gate of
     _check_column or raises CacheError.  h columns are read off m columns
     and inverse columns are pushed; neither is stored.  All public results
     are columns: maps {lower element -> polynomial} attached to an upper
@@ -445,11 +448,14 @@ class HeckeContext:
             raise CacheError("store does not match the system")
         self.store = store
         # direct columns, packed, with the bound of their coefficients
-        self._columns: dict[tuple[str, tuple[int, ...]], tuple[Packed, int]] = {}
+        # keyed by (family id, element id)
+        self._columns: dict[tuple[str, int], tuple[Packed, int]] = {}
         self._fids: dict[tuple[str, tuple[int, ...]], str] = {}  # (fam, I) -> family_id
-        self._inverses: dict[tuple[str, tuple[int, ...]], Mapping[CoxeterElement, LaurentPoly]] = {}
-        self._walks: dict[int, list[tuple[int, int, int, int]]] = {}
+        self._inverses: dict[tuple[str, int], Mapping[CoxeterElement, LaurentPoly]] = {}
+        self._walks: dict[int, array] = {}  # descent mask -> its W_K walk
+        self._subsets: dict[int, tuple[int, ...]] = {}  # descent mask -> its generators
         self._stored_ids: dict[tuple[int, ...], int] = {}  # stored word -> element id
+        self._words: dict[int, tuple[int, ...]] = {0: ()}  # id -> word, for the store
         # l(w_K) -> {m^K entry: its shifts by v^0 .. v^l(w_K)}, each interned
         self._shifts: dict[int, dict[int, list[int]]] = {}
         self._ints: dict[int, int] = {}  # every packed entry, so equal ones are one object
@@ -493,24 +499,29 @@ class HeckeContext:
         I = self.system.check_names(I)
         return (fam if I else "h"), I
 
-    def _upper(self, I: tuple[int, ...], y: CoxeterElement) -> CoxeterElement:
-        """y, checked to be an element of this system minimal in W_I y."""
+    def _upper(self, I: tuple[int, ...], y: CoxeterElement) -> int:
+        """The id of y, checked to be an element of this system minimal in W_I y."""
         if self._own(y).ldesc & self.system.mask(I):
             raise ValidationError(
                 f"{format_word(y.word) or 'e'} is not a minimal coset representative for I={list(I)}"
             )
-        return y
+        return y.id
+
+    def _packed_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> Packed:
+        """The packed direct column of (fam, I) at y, all checked."""
+        fam, I = self._family(fam, I)
+        return self._direct_column(fam, I, self._upper(I, y))[0]
 
     def _public(self, col: Packed) -> Mapping[CoxeterElement, LaurentPoly]:
         """A packed column as a read-only {element: LaurentPoly}, decoded by _poly."""
-        by_id, poly = self.system._by_id, self._poly
-        return MappingProxyType({by_id[u]: poly(n) for u, n in col.items()})
+        handles, handle, decoded, poly = self.system._handles, self.system._handle, self._decoded, self._poly
+        return MappingProxyType({handles.get(u) or handle(u): decoded.get(n) or poly(n) for u, n in col.items()})
 
     # -- self-dual basis columns -----------------------------------------------
 
     def kl_column(self, y: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
         """Coordinates {x: h_{x,y}} of the self-dual basis element C_y."""
-        return self._public(self._direct_column("h", (), self._own(y))[0])
+        return self._public(self._packed_column("h", (), y))
 
     def parabolic_column(
         self, fam: str, I: tuple[int, ...], y: CoxeterElement
@@ -518,134 +529,178 @@ class HeckeContext:
         """Self-dual basis column of the parabolic module ('m' or 'n')."""
         if fam not in ("m", "n"):
             raise ValidationError(f"unknown parabolic family {fam!r}")
-        fam, I = self._family(fam, I)
-        return self._public(self._direct_column(fam, I, self._upper(I, y))[0])
+        return self._public(self._packed_column(fam, I, y))
 
-    def _direct_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement) -> tuple[Packed, int]:
-        """The packed column of C_y in the module of (fam, I) and the bound of
-        its coefficients, memoized: for m and n C_{ys} C_s less mu C_u, read
-        from and written to the store when there is one, and gated; for h the
-        expansion of m^{L(y)} (module docstring)."""
+    def entries(
+        self, fam: str, I: tuple[int, ...], upper: CoxeterElement, at: Collection[int] | None = None
+    ) -> dict[int, LaurentPoly]:
+        """A direct column (h, m or n) by element id, {id: polynomial}, with
+        no element made: every entry, or with ``at`` the nonzero ones at its
+        ids, read off the packed column."""
+        col, decoded, poly = self._packed_column(fam, I, upper), self._decoded, self._poly
+        if at is None:
+            return {u: decoded.get(n) or poly(n) for u, n in col.items()}
+        if len(col) < len(at):  # the shorter of the two is read through
+            return {u: poly(n) for u, n in col.items() if u in at}
+        return {u: poly(n) for u in at if (n := col.get(u))}
+
+    def _direct_column(self, fam: str, I: tuple[int, ...], y: int) -> tuple[Packed, int]:
+        """The packed column of C_y (y an id) in the module of (fam, I) and the
+        bound of its coefficients, memoized: for m and n C_{ys} C_s less mu
+        C_u, read from and written to the store when there is one, and gated;
+        for h the expansion of m^{L(y)} (module docstring)."""
         fid = self._fids.get((fam, I))
         if fid is None:
             fid = self._fids[fam, I] = family_id(fam, I)
-        key = (fid, y.word)
+        key = (fid, y)
         memo = self._columns.get(key)
         if memo is not None:
             return memo
         if fam == "h":
-            col, bound = self._expand_spherical(y) if not y.is_identity() else ({y.id: 1}, 1)
+            col, bound = self._expand_spherical(y) if y else ({0: 1}, 1)
         else:
-            raw = self.store.get_column(*key) if self.store is not None else None
+            store, W = self.store, self.system
+            raw = store.get_column(fid, W._words((y,), self._words)[y]) if store is not None else None
             if raw is not None:
                 ids = self._stored_ids
                 for w in raw.keys() - ids.keys():
-                    ids[w] = self.system.element(w).id
+                    ids[w] = W._walk(0, w)
                 col = self._finish({ids[w]: n for w, n in raw.items()})
-            elif y.is_identity():
-                col = {y.id: 1}
+            elif not y:  # the identity
+                col = {0: 1}
             else:
-                col = self._product_column(fam, I, y, key[0])
-            bound = self._check_column(col, y, key[0], loaded=raw is not None)
-            if self.store is not None and raw is None:
-                by_id = self.system._by_id
-                self.store.put_column(*key, {by_id[u].word: n for u, n in col.items()})
+                col = self._product_column(fam, I, y, fid)
+            bound = self._check_column(col, y, fid, loaded=raw is not None)
+            if store is not None and raw is None:
+                words = W._words(col, self._words)
+                store.put_column(fid, words[y], {words[u]: n for u, n in col.items()})
         memo = self._columns[key] = col, bound
         return memo
 
-    def _product_column(self, fam: str, I: tuple[int, ...], y: CoxeterElement, fid: str) -> Packed:
+    def _product_column(self, fam: str, I: tuple[int, ...], y: int, fid: str) -> Packed:
         """C_{ys} C_s less mu C_u, summed packed, each digit read under the bound;
         s is the last letter of y's normal form, so ys is its prefix (module
         docstring)."""
         W, B = self.system, SLOT
         mask, half = (1 << B) - 1, 1 << (B - 1)
-        s = y.word[-1]
-        i, in_I = W._idx[s], W.mask(I)
-        base, bound = self._direct_column(fam, I, y.times_gen(s, "right"))
+        n, succ, ld, ln, rd, r = W.rank, W._succ, W._ld, W._len, W._rd, W._r
+        m, u = 2 * n, y
+        while True:  # down the left slots to the last letter s_i
+            d = ld[u]
+            i = (d & -d).bit_length() - 1
+            if ln[u] == 1:
+                break
+            u = succ[m * u + n + i]
+        in_I, shift, simple = W.mask(I), BITS * i, _HALF + 1
+        base, bound = self._direct_column(fam, I, W._step(y, i))
+        fault = lambda what: InternalInvariantError(f"{fid} column {W._handle(y)!r} {what}")  # noqa: E731
         bound *= 2  # a digit of the product sums at most two digits of the base
-        spherical, by_id = fam == "m", W._by_id
+        spherical, B2 = fam == "m", 2 * B
         # each sum holds v times its value, so v^-1 p is p itself
         acc: defaultdict[int, int] = defaultdict(int)
-        for u, n in base.items():
-            x = by_id[u]
-            # x*s leaves W^I exactly when x(alpha_s) = +alpha_t, t in I
-            # (module docstring), and is built only if it stays; x*s < x
-            # stays (a prefix of a minimal representative is one)
-            if not x.rdesc >> i & 1 and (j := _simple_image(x, i)) >= 0 and in_I >> j & 1:
+        for u, c in base.items():
+            if rd[u] >> i & 1:  # x*s < x stays in W^I: a prefix of a minimal representative
+                at_u = c
+            # x*s > x leaves W^I exactly when x(alpha_s) = +alpha_t, t in I
+            # (module docstring), and is built only if it stays; a simple
+            # root has height 1
+            elif r[u] >> shift & _MASK == simple and in_I >> _simple_image(W, u, i) & 1:
                 if spherical:  # C_s acts by v + v^-1 (m) or 0 (n)
-                    acc[u] += (n << 2 * B) + n
+                    acc[u] += (c << B2) + c
+                continue
             else:
-                xs = x._succ[i] or x.times_gen(s, "right")
-                acc[xs.id] += n << B
-                acc[u] += n << 2 * B if xs.length > x.length else n
+                at_u = c << B2
+            xs = succ[m * u + i]
+            acc[xs if xs >= 0 else W._step(u, i)] += c << B
+            acc[u] += at_u
         if bound >= half:
-            raise InternalInvariantError(f"{fid} column {y!r} needs the bound {bound} of a {B}-bit slot")
+            raise fault(f"needs the bound {bound} of a {B}-bit slot")
         mus = []
-        for u, n in acc.items():
-            if n & mask:
-                raise InternalInvariantError(f"{fid} column {y!r} has a v^-1 term at {by_id[u]!r}")
-            n = acc[u] = n >> B
-            if u != y.id and (c := n & mask):
-                mus.append((c - mask - 1 if c >= half else c, self._direct_column(fam, I, by_id[u])))
-        bound += sum(abs(c) * b for c, (_, b) in mus)
+        for u, c in acc.items():
+            if c & mask:
+                raise fault(f"has a v^-1 term at {W._handle(u)!r}")
+            c = acc[u] = c >> B
+            if u != y and (k := c & mask):
+                mus.append((k - mask - 1 if k >= half else k, self._direct_column(fam, I, u)))
+        bound += sum(abs(k) * b for k, (_, b) in mus)
         if bound >= half:
-            raise InternalInvariantError(f"{fid} column {y!r} needs the bound {bound} of a {B}-bit slot")
-        for c, (col, _) in mus:
-            for z, n in col.items():
-                acc[z] -= c * n
+            raise fault(f"needs the bound {bound} of a {B}-bit slot")
+        for k, (col, _) in mus:
+            for z, c in col.items():
+                acc[z] -= k * c
         return self._finish(acc)
 
-    def _spherical(self, y: CoxeterElement) -> tuple[tuple[int, ...], int, tuple[Packed, int]]:
-        """K = L(y) for y != e, l(w_K) = l(y) - l(y') (y = w_K y', longest in
-        W_K y'), and the m^K column at y' = project(y, K) with its bound."""
+    def _spherical(self, y: int) -> tuple[int, int, tuple[Packed, int]]:
+        """The mask of K = L(y) for y != e, l(w_K) = l(y) - l(y') (y = w_K y',
+        longest in W_K y'), and the m^K column at y' = project(y, K) with its
+        bound.  K is read off the mask through a memo per context."""
         W = self.system
-        K = W.check_names(y.left_descents())
-        y0 = W.project(y, K, "left")
-        return K, y.length - y0.length, self._direct_column("m", K, y0)
+        mask = W._ld[y]
+        K = self._subsets.get(mask)
+        if K is None:
+            K = self._subsets[mask] = tuple(s for i, s in enumerate(W.names) if mask >> i & 1)
+        y0 = W._project(y, mask, W.rank)
+        return mask, W._len[y] - W._len[y0], self._direct_column("m", K, y0)
 
-    def _expand_spherical(self, y: CoxeterElement) -> tuple[Packed, int]:
+    def _expand_spherical(self, y: int) -> tuple[Packed, int]:
         """h column of y != e: v^(l(w_K) - l(u)) m^K_{x',y'} at u x', K = L(y);
         it has the bound of m^K.  The shifts of each distinct m^K entry are
         interned once per context and l(w_K)."""
         W, ints = self.system, self._ints
-        _, top, (m, bound) = self._spherical(y)
-        walk = self._walks.get(y.ldesc) or self._walk(y.ldesc, top)
+        succ, m = W._succ, 2 * W.rank
+        mask, top, (col_k, bound) = self._spherical(y)
+        walk = self._walks.get(mask) or self._walk(mask, top)
         shifts = self._shifts.setdefault(top, {})
         col: Packed = {}
-        for u0, n in m.items():
+        for u0, n in col_k.items():
             shifted = shifts.get(n)
             if shifted is None:
                 shifted = shifts[n] = [ints.setdefault(k, k) for k in (n << SLOT * d for d in range(top + 1))]
             col[u0] = shifted[top]
-            coset = [W._by_id[u0]]
-            for j, slot, s, d in walk:
-                x = coset[j]._succ[slot] or coset[j].times_gen(s, "left")
-                coset.append(x)
-                col[x.id] = shifted[d]
+            coset = [u0]
+            rows = iter(walk)
+            for j, slot, d in zip(rows, rows, rows):
+                x = coset[j]
+                z = succ[m * x + slot]
+                if z < 0:
+                    z = W._step(x, slot)
+                coset.append(z)
+                col[z] = shifted[d]
         return col, bound
 
-    def _walk(self, mask: int, top: int) -> list[tuple[int, int, int, int]]:
-        """W_K by length, K the generators in mask and top = l(w_K), memoized:
-        row k is (j, slot, s, d) for u_k = s u_j, slot the left s-slot of u_j
-        and d = top - l(u_k); u_0 = e has no row."""
+    def _walk(self, mask: int, top: int) -> array:
+        """W_K by length, K the generators in mask and top = l(w_K), memoized
+        as one flat int array: row k is j, slot, d for u_k = s u_j with s the
+        first letter of u_k, slot the left s-slot of u_j and d = top - l(u_k);
+        u_0 = e has no row.  A left descent t < s of u_j that commutes with s
+        is one of s u_j, so s is not its first letter: that step is skipped."""
         W = self.system
-        elts, rows = [W.identity], []
+        n, succ, ld, ln = W.rank, W._succ, W._ld, W._len
+        gens = [(n + i, 1 << i, 1 << i | low) for i, low in enumerate(W._low) if mask >> i & 1]
+        steps: dict[int, list[tuple[int, int]]] = {}  # left descents -> the steps they leave
+        elts, rows = [0], array("i")  # no int object per row
         for j, u in enumerate(elts):  # grows while read: breadth first
-            for i, s in enumerate(W.names):
-                if mask >> i & 1 and not u.ldesc >> i & 1:
-                    su = u._succ[W.rank + i] or u.times_gen(s, "left")
-                    if su.ldesc & -su.ldesc == 1 << i:  # s is its first letter: met once
-                        elts.append(su)
-                        rows.append((j, W.rank + i, s, top - su.length))
+            du, base = ld[u], 2 * n * u
+            if (todo := steps.get(du)) is None:
+                todo = steps[du] = [(slot, bit) for slot, bit, off in gens if not du & off]
+            for slot, bit in todo:
+                su = succ[base + slot]
+                if su < 0:
+                    su = W._step(u, slot)
+                d = ld[su]
+                if d & -d == bit:  # s is its first letter: met once
+                    elts.append(su)
+                    rows.extend((j, slot, top - ln[su]))
         self._walks[mask] = rows
         return rows
 
-    def _check_column(self, col: Packed, y: CoxeterElement, fid: str, loaded: bool) -> int:
-        """The bound of the coefficients of an m or n column that passes the
-        gate (module docstring): 1 on the diagonal, otherwise shorter, no
-        constant digit and parity; for m no negative coefficient.  A failure
-        is a CacheError for a column loaded from the store."""
-        facts, by_id, ly = self._facts, self.system._by_id, y.length
+    def _check_column(self, col: Packed, y: int, fid: str, loaded: bool) -> int:
+        """The bound of the coefficients of an m or n column at the id y that
+        passes the gate (module docstring): 1 on the diagonal, otherwise
+        shorter, no constant digit and parity; for m no negative coefficient.
+        A failure is a CacheError for a column loaded from the store."""
+        facts, ln = self._facts, self.system._len
+        ly = ln[y]
         mask, signs = (1 << SLOT) - 1, 4 if fid.startswith("m[") else 0
         top = 0
         for u, n in col.items():
@@ -659,12 +714,12 @@ class HeckeContext:
                 )
             if f > top:
                 top = f
-            x = by_id[u]
-            d = ly - x.length
-            if (n != 1) if x is y else d <= 0 or n & mask or f & (signs | 2 >> (d & 1)):
+            d = ly - ln[u]
+            if (n != 1) if u == y else d <= 0 or n & mask or f & (signs | 2 >> (d & 1)):
+                handle = self.system._handle
                 raise (CacheError if loaded else InternalInvariantError)(
-                    f"{'stored' if loaded else 'computed'} column {y!r} of {fid} has "
-                    f"{self._poly(n)!r} at {x!r}, violating unitriangularity over v*Z[v], "
+                    f"{'stored' if loaded else 'computed'} column {handle(y)!r} of {fid} has "
+                    f"{self._poly(n)!r} at {handle(u)!r}, violating unitriangularity over v*Z[v], "
                     + ("parity or positivity" if signs else "parity")
                 )
         return top >> 3
@@ -686,23 +741,24 @@ class HeckeContext:
         if fam not in DIRECT_FAMILIES:
             return self.column(fam, I, upper).get(self._own(lower), ZERO)
         fam, I = self._family(fam, I)
-        x = self._own(lower)
+        x = self._own(lower).id
         if fam == "h":
-            return self._h_entry(x, self._own(upper))
-        return self._poly(self._direct_column(fam, I, self._upper(I, upper))[0].get(x.id, 0))
+            return self._h_entry(x, self._own(upper).id)
+        return self._poly(self._direct_column(fam, I, self._upper(I, upper))[0].get(x, 0))
 
-    def _h_entry(self, x: CoxeterElement, y: CoxeterElement) -> LaurentPoly:
-        """h_{x,y}, read off y's h column when it is memoized, else as
+    def _h_entry(self, x: int, y: int) -> LaurentPoly:
+        """h_{x,y} at ids, read off y's h column when it is memoized, else as
         v^(l(w_K) - l(u)) m^K_{x',y'} at x = u x', K = L(y), with no h column
         built; certified by the gate of m^K (module docstring)."""
-        memo = self._columns.get(("h", y.word))
+        memo = self._columns.get(("h", y))
         if memo is not None:
-            return self._poly(memo[0].get(x.id, 0))
-        if y.is_identity():
-            return self._poly(int(x is y))
-        K, top, (m, _) = self._spherical(y)
-        x0 = self.system.project(x, K, "left")
-        return self._poly(m.get(x0.id, 0) << SLOT * (top - x.length + x0.length))
+            return self._poly(memo[0].get(x, 0))
+        if not y:  # the identity
+            return self._poly(int(x == y))
+        W = self.system
+        mask, top, (m, _) = self._spherical(y)
+        x0 = W._project(x, mask, W.rank)
+        return self._poly(m.get(x0, 0) << SLOT * (top - W._len[x] + W._len[x0]))
 
     def mu(self, x: CoxeterElement, y: CoxeterElement) -> int:
         """Coefficient of v in h_{x,y}."""
@@ -719,23 +775,23 @@ class HeckeContext:
     ) -> Packed:
         """Nonzero values of sum_z inv[z] (signed direct column of z) - seeds,
         all packed at width with one offset."""
-        by_id = self.system._by_id
+        ln = self.system._len
         out: defaultdict[int, int] = defaultdict(int)
         for a, n in seeds.items():
             out[a] -= n
         for z, q in inv.items():
-            lz, minus = by_id[z].length, -q
-            for u, n in self._direct_column(fam, I, by_id[z])[0].items():
+            lz, minus = ln[z], -q
+            for u, n in self._direct_column(fam, I, z)[0].items():
                 if width != SLOT:
                     n = self._widen(n, width)
-                out[u] += (minus if (by_id[u].length + lz) & 1 else q) * n
+                out[u] += (minus if (ln[u] + lz) & 1 else q) * n
         return {u: n for u, n in out.items() if n}
 
     def inverse_column(self, fam: str, I: tuple[int, ...], x: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
         """Inverse-family column {y: fam^{x,y}}: the combination of {x: 1},
         memoized."""
         fam, I = self._family(fam, I)
-        key = (family_id(fam + "_inv", I), self._own(x).word)  # never stored
+        key = (family_id(fam + "_inv", I), self._own(x).id)  # never stored
         inv = self._inverses.get(key)
         if inv is None:
             inv = self._inverses[key] = self.inverse_combination(fam, I, {x: ONE})
@@ -762,42 +818,44 @@ class HeckeContext:
                 raise ValidationError(
                     f"{format_word(a.word) or 'e'} is not in the index set of {family_id(fam, I)}"
                 )
+        by_id = {a.id: p for a, p in seeds.items()}
         width = SLOT
-        while (inv := self._solve(fam, I, fid, seeds, width)) is None:
+        while (inv := self._solve(fam, I, fid, by_id, width)) is None:
             width *= 2
-        return MappingProxyType(inv)
+        handles, handle = self.system._handles, self.system._handle
+        return MappingProxyType({handles.get(u) or handle(u): p for u, p in inv.items()})
 
     def _solve(
-        self, fam: str, I: tuple[int, ...], fid: str, seeds: Mapping[CoxeterElement, LaurentPoly], width: int
-    ) -> dict[CoxeterElement, LaurentPoly] | None:
-        """The push and residue of inverse_combination with values packed at
-        width, or None once the bound reaches 2^(width-1)."""
-        half, by_id = 1 << (width - 1), self.system._by_id
+        self, fam: str, I: tuple[int, ...], fid: str, seeds: dict[int, LaurentPoly], width: int
+    ) -> dict[int, LaurentPoly] | None:
+        """The push and residue of inverse_combination on ids, with values
+        packed at width, or None once the bound reaches 2^(width-1)."""
+        W = self.system
+        half, ln = 1 << (width - 1), W._len
         narrow = width == SLOT
         # v^off times every value: a push adds no exponent below the seeds'
         off = max([0] + [-p.min_degree() for p in seeds.values() if p])
-        top = max((a.length for a in seeds), default=-1)
+        top = max((ln[a] for a in seeds), default=-1)
         pending: list[Packed] = [{} for _ in range(top + 1)]
-        packed = {a.id: _pack(p.terms, width, off) for a, p in seeds.items()}
+        packed = {a: _pack(p.terms, width, off) for a, p in seeds.items()}
         for a in seeds:
-            pending[a.length][a.id] = packed[a.id]
+            pending[ln[a]][a] = packed[a]
         bound = max([0] + [abs(c) for p in seeds.values() for _, c in p.terms])
-        inv: dict[CoxeterElement, LaurentPoly] = {}
+        inv: dict[int, LaurentPoly] = {}
         solved: Packed = {}  # inv packed again, for the residue
         for length in range(top, -1, -1):
             if bound >= half:  # a value of this length may have wrapped
                 return None
             layer = pending[length]
-            for zid, q in layer.items():
+            for z, q in layer.items():
                 if not q:
                     continue
-                z = by_id[zid]
                 c = inv[z] = self._intern(_unpack(q, width, off))
-                solved[zid], minus = q, -q
+                solved[z], minus = q, -q
                 col, b = self._direct_column(fam, I, z)
                 bound += b * sum(abs(k) for _, k in c.terms)
                 for u, n in col.items():
-                    lu = by_id[u].length
+                    lu = ln[u]
                     if lu < length:  # every entry but the diagonal one
                         if not narrow:
                             n = self._widen(n, width)
@@ -807,7 +865,8 @@ class HeckeContext:
             return None
         residue = self._inversion_residue(fam, I, packed, solved, width)
         if residue:
-            u = min(map(by_id.__getitem__, residue), key=CoxeterElement.sort_key)
-            x = max(seeds, key=CoxeterElement.sort_key)
-            raise InternalInvariantError(f"{fid}: inversion identity fails at {u!r} below {x!r}")
+            u, x = W._sorted(residue)[0], W._sorted(seeds)[-1]
+            raise InternalInvariantError(
+                f"{fid}: inversion identity fails at {W._handle(u)!r} below {W._handle(x)!r}"
+            )
         return inv

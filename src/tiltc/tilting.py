@@ -287,6 +287,7 @@ class _NegativeLike:
                 raise InternalInvariantError(f"multiplicity at y = {y!r} violates exponent parity")
             if not p.is_nonneg():
                 raise InternalInvariantError(f"multiplicity at y = {y!r} has a negative coefficient")
+        self.system._spell(rows)  # the row words, read with one memo
         items = {
             y.word: p
             for y, p in rows.items()
@@ -422,7 +423,8 @@ class KacMoody(_NegativeLike):
             zs = [k for _, k in targets]
         else:
             zs = [k for k in self._n_entries(targets[0][1]) if self.system.bruhat_leq(k_x, k)]
-        # bar(m^{z,x}) by the n index of z; an inverse entry is zero unless x <= z
+        # bar(m^{z,x}) by the id of the n index of z; an inverse entry is zero
+        # unless x <= z
         bar_m = {}
         for k in zs:
             m = self.hecke.inverse_column("m", self.I, k).get(k_x, ZERO)
@@ -431,13 +433,13 @@ class KacMoody(_NegativeLike):
                     f"parity certificate failed in the simple-object formula at z={self._index_of(k)!r}"
                 )
             if m:
-                bar_m[k * self.wJ] = m.bar().terms
+                bar_m[(k * self.wJ).id] = m.bar().terms
         rows = {}
         for y, k_y in targets:
+            # each row reads its n column only at the ids of bar_m
             total: dict[int, int] = {}
-            for a, n in self.hecke.parabolic_column("n", self.I, k_y * self.wJ).items():
-                if a in bar_m:
-                    _mac(total, n, bar_m[a])
+            for a, n in self.hecke.entries("n", self.I, k_y * self.wJ, bar_m).items():
+                _mac(total, n, bar_m[a])
             rows[y] = LaurentPoly(total)
         return self._finalize(x, rows, explicit, truncated_at=truncated)
 

@@ -20,9 +20,9 @@ def plant_computed(monkeypatch, fid, upper, lower, delta):
     real = HeckeContext._product_column
     n = _pack(delta.terms, SLOT)
 
-    def planted(self, fam, I, y, col_fid):
+    def planted(self, fam, I, y, col_fid):  # y is an element id
         col = real(self, fam, I, y, col_fid)
-        if (col_fid, y.word) == (fid, tuple(upper)):
+        if (col_fid, self.system._words((y,))[y]) == (fid, tuple(upper)):
             x = self.system.element(lower).id
             col = {**col, x: col.get(x, 0) + n}
         return col
@@ -95,3 +95,10 @@ def source_column(context, fam, I, y):
         return (family_id(fam, I), y.word), lambda x: x
     K = W.check_names(y.left_descents())
     return (family_id("m", K), W.project(y, K, "left").word), lambda x: W.project(x, K, "left")
+
+
+def memo_key(context, key):
+    """The key of a column in a context's memo, (family id, element id), of
+    the column addressed as (family id, upper word)."""
+    fid, upper = key
+    return fid, context.system.element(upper).id

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tiltc import coxeter
 from tiltc.coxeter import (
+    CoxeterElement,
     CoxeterSystem,
     finite_cartan,
     format_word,
@@ -252,8 +253,8 @@ class TestRankOneSteps:
             assert W.element(a.inverse().word) is a.inverse()
             for b in ball[:: max(1, len(ball) // 12)]:
                 ab = a * b
-                assert W._by_r[coxeter._pack(ab.rvec)] is ab is W._by_l[coxeter._pack(ab.lvec)]
-                assert W._by_id[ab.id] is ab
+                assert W._by_r[coxeter._pack(ab.rvec)] == ab.id == W._by_l[coxeter._pack(ab.lvec)]
+                assert W._handle(ab.id) is ab
 
     @pytest.mark.parametrize("tag", ["B3", "G2", "affG2"])
     def test_products_match_full_products(self, tag):
@@ -278,6 +279,11 @@ def _table_elements(tag):
     if W.is_finite:
         return W, W.enumerate_below(W.longest_element())
     return W, _ball(W, 6)
+
+
+def _table(W):
+    """Every element the table of W holds, as elements, by id."""
+    return [W._handle(u) for u in range(len(W._len))]
 
 
 class TestElementTable:
@@ -313,10 +319,13 @@ class TestElementTable:
     @pytest.mark.parametrize("tag", TAGS)
     def test_ids_are_dense(self, tag):
         W, els = _table_elements(tag)
-        assert sorted(x.id for x in W._by_id) == list(range(len(W._by_id)))
-        assert len(W._by_id) == len(W._by_r) == len(W._by_l)
+        size = len(W._len)
+        assert sorted(W._by_r.values()) == sorted(W._by_l.values()) == list(range(size))
+        assert len(W._r) == len(W._l) == len(W._ld) == len(W._rd) == size
+        assert len(W._rows) == W.rank * size and len(W._succ) == 2 * W.rank * size
         for x in els:
-            assert W._by_id[x.id] is x is W._by_r[coxeter._pack(x.rvec)] is W._by_l[coxeter._pack(x.lvec)]
+            assert W._handle(x.id) is x
+            assert W._by_r[coxeter._pack(x.rvec)] == x.id == W._by_l[coxeter._pack(x.lvec)]
 
     def test_ids_follow_build_order_and_nothing_else(self):
         W1, W2 = CoxeterSystem.from_type("A3"), CoxeterSystem.from_type("A3")
@@ -325,7 +334,7 @@ class TestElementTable:
         xs2 = [W2.element(w) for w in reversed(ws)][::-1]
         assert [x.id for x in xs1] != [x.id for x in xs2]
         assert [x.word for x in xs1] == [x.word for x in xs2] == ws
-        assert [x.word for x in sorted(W1._by_id)] == [x.word for x in sorted(W2._by_id)] == ws
+        assert [x.word for x in sorted(_table(W1))] == [x.word for x in sorted(_table(W2))] == ws
         # an element is its own identity: the same word in another system is another element
         assert not any(x1 == x2 for x1, x2 in zip(xs1, xs2))
 
@@ -378,7 +387,7 @@ class TestVectorKeys:
                 x = W.element(word)
             assert (x.word, x.matrix) == (word, m)
         if W.is_finite:
-            assert len(first) == len(W._by_id)
+            assert len(first) == len(W._len)
 
     @given(
         st.sampled_from(["G2", "B3", "affA2", "affG2"]),
@@ -400,7 +409,7 @@ class TestVectorKeys:
             for j in range(W.rank):
                 assert bool(x.rdesc >> j & 1) == all(row[j] <= 0 for row in mat)
                 assert bool(x.ldesc >> j & 1) == all(row[j] <= 0 for row in inv)
-        assert W._by_r[coxeter._pack(x.rvec)] is x is W._by_l[coxeter._pack(x.lvec)]
+        assert W._by_r[coxeter._pack(x.rvec)] == x.id == W._by_l[coxeter._pack(x.lvec)]
 
     def test_left_and_right_walks_build_one_table(self):
         # a new x*s_i is registered as the left step s from s*y, found by the
@@ -411,7 +420,7 @@ class TestVectorKeys:
             W = CoxeterSystem.from_type("D5")
             W.quotient_reps((), side)  # by right steps for 'left', left steps for 'right'
             tables.append({
-                x.word: (x.rvec, x.lvec, x.matrix, x.ldesc, x.rdesc, x.length) for x in W._by_id
+                x.word: (x.rvec, x.lvec, x.matrix, x.ldesc, x.rdesc, x.length) for x in _table(W)
             })
         assert len(tables[0]) == 1920 and tables[0] == tables[1]
 
@@ -458,9 +467,9 @@ class TestPackedVectors:
         for _ in range(2):  # the element past the bound is not registered
             with pytest.raises(InternalInvariantError, match="packed bound"):
                 x.times_gen(s, side)
-        assert x._succ[W._sides[side] + W._idx[s]] is None
-        assert word not in {y.word for y in W._by_id}
-        for y in W._by_id:  # every element registered on the way is exact
+        assert W._succ[2 * W.rank * x.id + W._sides[side] + W._idx[s]] == -1
+        assert word not in {y.word for y in _table(W)}
+        for y in _table(W):  # every element registered on the way is exact
             assert (y.matrix, y.rvec, y.lvec) == expected(y.word)
 
     def test_cartan_rows_must_fit_the_packing(self):
@@ -587,7 +596,7 @@ class TestRegularCosets:
         W = CoxeterSystem.from_type("A7")
         I = (2, 3, 4, 5, 6, 7)
         reps, truncated = W.regular_double_coset_reps((), I)
-        assert len(W._by_id) < 100
+        assert len(W._len) < 100
         assert reps == tuple(W.quotient_reps(I, side="right")[0]) and len(reps) == 8
         assert not truncated
         assert W.regular_double_coset_reps((), I, max_len=7)[1]  # l(w0) = 28
@@ -737,9 +746,24 @@ class TestWordTexts:
     def test_left_slot_texts_are_format_word(self, tag, max_len, side):
         W = CoxeterSystem.from_type(tag)
         els, _ = W.quotient_reps((), side, max_len=max_len)  # grown by steps away from side
-        want = {x: format_word(x.word) for x in els}
-        # short words first, and long words first (each text made down a chain to e)
-        assert coxeter.format_words(els) == want == coxeter.format_words(els[::-1])
+        ids = [x.id for x in els]
+        want = {x.id: format_word(x.word) for x in els}
+        # short words first, and long words first
+        assert coxeter.format_words(W, ids) == want == coxeter.format_words(W, ids[::-1])
+        # the longest alone: each text made down a chain to e
+        assert coxeter.format_words(W, ids[-1:]) == {ids[-1]: want[ids[-1]]}
+
+    @pytest.mark.parametrize("tag, max_len", [("A4", None), ("B3", None), ("affA2", 8), ("E6", 6)])
+    def test_shortlex_keys_order_as_length_and_word(self, tag, max_len):
+        W = CoxeterSystem.from_type(tag)
+        els, _ = W.quotient_reps((), "right", max_len=max_len)
+        ids = [x.id for x in els][::-1]
+        want = [x.id for x in sorted(els, key=CoxeterElement.sort_key)]
+        assert W._sorted(ids) == want == W._sorted(ids[::2] + ids[1::2])
+        # the longest alone and then the rest: each key made down a chain to e
+        spelled = {0: (0, "")}
+        assert W._sorted(ids[:1], spelled) == ids[:1] and W._sorted(ids, spelled) == want
+        assert {u: spelled[u][1] for u in ids} == coxeter.format_words(W, ids)
 
 
 class TestWordParsing:

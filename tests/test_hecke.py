@@ -138,9 +138,9 @@ class TestSphericalReduction:
         # diagonal of the m^K column it expands must be caught when m^K is built
         product = HeckeContext._product_column
 
-        def bad_product(self, fam, I, y, fid):
+        def bad_product(self, fam, I, y, fid):  # y is an element id
             col = product(self, fam, I, y, fid)
-            return {u: n + (u != y.id) for u, n in col.items()}
+            return {u: n + (u != y) for u, n in col.items()}
 
         monkeypatch.setattr(HeckeContext, "_product_column", bad_product)
         y = A3.element((1, 2))  # L(y) = {1}: read off the m[1] column of 2
@@ -231,7 +231,7 @@ class TestSingleEntries:
             InternalInvariantError, match=rf"computed column {y0!r} of {re.escape(key[0])} .*violating unitriangularity"
         ):
             c.poly("h", (), x, y)
-        assert key not in c._columns  # never memoized, so never read
+        assert (key[0], y0.id) not in c._columns  # never memoized, so never read
 
 
 class TestGate:
@@ -252,7 +252,7 @@ class TestGate:
             match=rf"computed column {y!r} of m\[1\] has .* at {x!r}, .*parity or positivity",
         ):
             c.parabolic_column("m", I, y)
-        assert ("m[1]", y.word) not in c._columns
+        assert ("m[1]", y.id) not in c._columns
 
     def test_negative_coefficient_in_an_n_column_passes(self, monkeypatch):
         # n entries are not h values: the gate checks their parity only
@@ -281,9 +281,9 @@ class TestGate:
         gated = []
         real = HeckeContext._check_column
 
-        def spy(self, col, y, fid, loaded):
+        def spy(self, col, y, fid, loaded):  # y is an element id
             bound = real(self, col, y, fid, loaded)
-            gated.append((fid, y.word))
+            gated.append((fid, y))
             assert bound == max(abs(k) for n in col.values() for _, k in self._poly(n))
             return bound
 
@@ -326,7 +326,7 @@ class TestParabolicColumns:
             for fam in ("m", "n"):
                 assert c.parabolic_column(fam, (), y) == h
                 assert c.inverse_column(fam, (), y) is c.inverse_column("h", (), y)
-            assert c._columns == held and ("h", y.word) in held
+            assert c._columns == held and ("h", y.id) in held
         assert {fid for fid, _ in c._inverses} == {"h_inv"}
         fids = {fid for fid, _ in c._columns}
         assert "h" in fids
@@ -346,7 +346,7 @@ class TestParabolicColumns:
         y = A3.project(A3.longest_element(), I, "left")
         ys = y.times_gen(min(y.right_descents()), "right")
         c.parabolic_column(fam, I, ys)
-        key = (family_id(fam, I), ys.word)
+        key = (family_id(fam, I), ys.id)
         col, bound = c._columns[key]
         c._columns[key] = {u: n + (u != ys.id) for u, n in col.items()}, bound
         with pytest.raises(InternalInvariantError, match="has a v\\^-1 term"):
@@ -412,25 +412,25 @@ class TestProductRecursion:
         # when every x*s was built
         W = CoxeterSystem.from_type("D5")
         y = W.project(W.longest_element(), (1,), "left")
-        before = len(W._by_id)
+        before = len(W._len)
         c = HeckeContext(W)
         c.parabolic_column(fam, (1,), y)
-        assert len(W._by_id) - before == built
+        assert len(W._len) - before == built
         # every column is the one computed where every element and step is built
         full = CoxeterSystem.from_type("D5")
         full.enumerate_below(full.longest_element())
-        for x in list(full._by_id):
-            for s in full.names:
-                x.times_gen(s, "right")
-        assert len(full._by_id) == 1920
+        for u in range(len(full._len)):
+            for i in range(full.rank):
+                full._step(u, i)
+        assert len(full._len) == 1920
         c_full = HeckeContext(full)
         c_full.parabolic_column(fam, (1,), full.element(y.word))
 
         def by_word(ctx):
-            by_id = ctx.system._by_id
+            word = ctx.system._words(range(len(ctx.system._len)))
             return {
-                key: {by_id[u].word: n for u, n in col.items()}
-                for key, (col, _) in ctx._columns.items()
+                (fid, word[y]): {word[u]: n for u, n in col.items()}
+                for (fid, y), (col, _) in ctx._columns.items()
             }
 
         assert by_word(c) == by_word(c_full)
@@ -441,10 +441,10 @@ class TestProductRecursion:
         # Deodhar test: _simple_image is read only for x*s > x
         simple_image, calls = hecke._simple_image, []
 
-        def spy(x, i):
-            assert not x.rdesc >> i & 1, (x, i)
-            calls.append(x)
-            return simple_image(x, i)
+        def spy(W, u, i):  # u is an element id
+            assert not W._rd[u] >> i & 1, (u, i)
+            calls.append(u)
+            return simple_image(W, u, i)
 
         W = CoxeterSystem.from_type("D5")
         y = W.project(W.longest_element(), (1,), "left")
@@ -643,7 +643,7 @@ class TestRawAccumulator:
             acc[keys[5].id] += at(p) * at(q) + at(q) * at(-p)
         col = c._finish(acc)
         # each product of two values at offset OFF sits at offset 2 OFF
-        decoded = {A2._by_id[u]: LaurentPoly._from_terms(_unpack(n, SLOT, 2 * OFF)) for u, n in col.items()}
+        decoded = {A2._handle(u): LaurentPoly._from_terms(_unpack(n, SLOT, 2 * OFF)) for u, n in col.items()}
         assert decoded == {u: p for u, p in expected.items() if p}
         assert keys[5].id not in col
         for u in col:
@@ -1148,8 +1148,8 @@ class TestPolyStore:
         path = tmp_path / "A3.jsonl"
         cold.store.save(path)
         walked = []
-        element = W.element
-        monkeypatch.setattr(W, "element", lambda word: walked.append(word) or element(word))
+        walk = W._walk  # each stored word is walked from the identity, id 0
+        monkeypatch.setattr(W, "_walk", lambda u, word: walked.append(word) or walk(u, word))
         for _ in range(2):  # a context for each store: the walks are per context
             store = PolyStore.load(path, "A3", 3)
             warm = HeckeContext(W, store)

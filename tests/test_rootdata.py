@@ -44,7 +44,7 @@ class AffineForm:
             rows.append(tuple(row))
         mat = tuple(rows)
         # an element is keyed by the column sums of its matrix, the heights of w(alpha_j)
-        el = self.finite._by_r[coxeter._pack(map(sum, zip(*mat)))]
+        el = self.finite._handle(self.finite._by_r[coxeter._pack(map(sum, zip(*mat)))])
         assert el.matrix == mat, "reflection matrix is not a group element"
         assert (el * el).is_identity(), "reflection matrix is not an involution"
         return el

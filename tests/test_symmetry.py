@@ -58,7 +58,7 @@ def h_columns(system, max_len=None):
     columns, {y id: {x id: packed}}."""
     hecke = HeckeContext(system)
     elements, _ = system.quotient_reps((), max_len=max_len)
-    return elements, {y.id: hecke._direct_column("h", (), y)[0] for y in elements}
+    return elements, {y.id: hecke._direct_column("h", (), y.id)[0] for y in elements}
 
 
 def unequal_entries(cols, image):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planting import plant_computed, plant_stored, source_column
+from planting import memo_key, plant_computed, plant_stored, source_column
 from tiltc import hecke, tilting
 from tiltc.coxeter import CoxeterElement, CoxeterSystem
 from tiltc.errors import CacheError, InternalInvariantError, ValidationError
@@ -97,7 +97,7 @@ class TestCategoryOStandard:
         w0 = O.system.longest_element()
         a = O.wI * x.inverse() * O.wJ * w0
         b = O.wI * y.inverse() * O.wJ * w0
-        key = (family_id("n", O.I), b.word)
+        key = (family_id("n", O.I), b.id)
         col, bound = O.hecke._columns[key]
         O.hecke._columns[key] = {**col, a.id: col.get(a.id, 0) + (1 << 2 * SLOT)}, bound  # + v^2
         with pytest.raises(InternalInvariantError, match="disagrees with its antispherical twin"):
@@ -118,6 +118,7 @@ class TestCategoryOStandard:
         """Add the packed bad to the memoized m^{L(b)} entry that the twin of
         (x, y) reads."""
         key, a0 = self.twin_source(O, x, y)
+        key = memo_key(O.hecke, key)
         col, bound = O.hecke._columns[key]
         O.hecke._columns[key] = {**col, a0.id: col.get(a0.id, 0) + bad}, bound
 
@@ -149,7 +150,7 @@ class TestCategoryOStandard:
             CacheError, match=rf"stored column <A3:e> of {re.escape(key[0])} .*violating unitriangularity over v\*Z\[v\]"
         ):
             O.standard_table(x.word)
-        assert key not in O.hecke._columns
+        assert memo_key(O.hecke, key) not in O.hecke._columns
 
 
 class TestCategoryOSimple:
@@ -463,7 +464,7 @@ def keys_below(setting, k_top):
 
 def column_key(setting, fam, u):
     """Memo key of the fam column at u in the context of a setting."""
-    return (family_id(fam, setting.I) if setting.I else "h", u.word)
+    return (family_id(fam, setting.I) if setting.I else "h", u.id)
 
 
 def km_pos_setting(tag, I=(), J=(), store=None):
@@ -573,7 +574,7 @@ class TestSimpleTableChecks:
                 key, _ = source_column(twin.hecke, "m", twin.I, k)
                 if column_key(twin, "m", k) == n_key:
                     continue
-            if len(twin.hecke._columns.get(key, ({},))[0]) > 1:
+            if len(twin.hecke._columns.get(memo_key(twin.hecke, key), ({},))[0]) > 1:
                 return key
 
     @staticmethod
@@ -592,7 +593,7 @@ class TestSimpleTableChecks:
         and v^(d + 1) for d the difference of lengths: the wrong parity."""
         W = context.system
         y = W.element(key[1])
-        low = next(W._by_id[z] for z in context._columns[key][0] if z != y.id)
+        low = next(W._handle(z) for z in context._columns[key[0], y.id][0] if z != y.id)
         return low.word, LaurentPoly.v(y.length - low.length + 1)
 
     def assert_gate_refuses(self, name, pick, source, monkeypatch, tmp_path):
@@ -615,7 +616,7 @@ class TestSimpleTableChecks:
         setting = self.SETTINGS[name](store)[0]
         with pytest.raises(error, match=rf"{where} column .* of {re.escape(key[0])} .*, parity"):
             setting.simple_table(x, max_len=max_len)
-        assert key not in setting.hecke._columns  # never memoized, so never read
+        assert memo_key(setting.hecke, key) not in setting.hecke._columns  # never memoized, so never read
 
     @pytest.mark.parametrize("name", sorted(SETTINGS))
     def test_wrong_parity_in_a_direct_column_read_by_the_solve(self, name, monkeypatch):
@@ -650,8 +651,8 @@ class TestSimpleTableChecks:
         gated = []
         real = HeckeContext._check_column
 
-        def spy(self, col, y, fid, loaded):
-            gated.append((id(self), fid, y.word))
+        def spy(self, col, y, fid, loaded):  # y is an element id
+            gated.append((id(self), fid, y))
             return real(self, col, y, fid, loaded)
 
         monkeypatch.setattr(HeckeContext, "_check_column", spy)
@@ -667,7 +668,7 @@ class TestSimpleTableChecks:
         O.simple_table(x)
         assert len(set(gated)) == len(gated)
         for context in (km.hecke, O.hecke):
-            got = {(fid, w) for c, fid, w in gated if c == id(context)}
+            got = {(fid, u) for c, fid, u in gated if c == id(context)}
             assert got and got == {key for key in context._columns if key[0] != "h"}
 
     @staticmethod
@@ -697,9 +698,9 @@ class TestSimpleTableChecks:
         # literal z-sum is one push
         setting, x, max_len = self.SETTINGS[name]()
         calls = []
-        real = setting.system.quotient_reps
+        real = setting.system._quotient  # the walk behind quotient_reps
         monkeypatch.setattr(
-            setting.system, "quotient_reps", lambda *a, **k: calls.append(a) or real(*a, **k)
+            setting.system, "_quotient", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         want = setting.simple_table(x, max_len=max_len)
         setting.standard_table(x, max_len=max_len)
@@ -809,12 +810,12 @@ class TestTrustMap:
         clean = getattr(clean_setting, obj + "_table")(x, max_len=max_len)
         context, W = clean_setting.hecke, clean_setting.system
         fid = family_id(fam, clean_setting.J if clean_setting._j_side else clean_setting.I)
-        by_length = lambda ids: sorted(map(W._by_id.__getitem__, ids), key=CoxeterElement.sort_key, reverse=True)  # noqa: E731
-        uppers = by_length(W.element(w).id for f, w in context._columns if f == fid)
+        by_length = lambda ids: sorted(map(W._handle, ids), key=CoxeterElement.sort_key, reverse=True)  # noqa: E731
+        uppers = by_length(u for f, u in context._columns if f == fid)
         if not uppers:
             return "—"
         for y in uppers:
-            col = context._columns[fid, y.word][0]
+            col = context._columns[fid, y.id][0]
             for low in by_length(u for u in col if u != y.id):
                 e, c = context._poly(col[low.id]).terms[0]
                 with monkeypatch.context() as patch:
@@ -1150,17 +1151,43 @@ class TestLifetime:
     def test_an_element_outlives_its_system(self):
         W = CoxeterSystem.from_type("A3")
         x, y = W.element((2, 1, 3, 2)), W.element((1,))
+        z = W.element((3, 2, 1))  # an element whose word is not read while W lives
         data = (x.word, x.length, x.rvec, x.lvec, x.matrix, x.ldesc, x.rdesc)
+        twin = CoxeterSystem.from_type("A3").element((3, 2, 1))
+        twin_data = (twin.word, twin.length, twin.rvec, twin.lvec, twin.matrix, twin.ldesc, twin.rdesc)
         ref = weakref.ref(W)
         del W
         assert ref() is None
         assert (x.word, x.length, x.rvec, x.lvec, x.matrix, x.ldesc, x.rdesc) == data
-        named = re.escape(repr(x))
-        for step in (lambda: x.times_gen(1), lambda: x * y, x.inverse, x.left_descents):
-            with pytest.raises(ReferenceError, match=named):
-                step()
-        with pytest.raises(ValidationError, match=f"element {named} is not of system A3"):
-            HeckeContext(CoxeterSystem.from_type("A3")).kl_column(x)
+        assert (z.word, z.length, z.rvec, z.lvec, z.matrix, z.ldesc, z.rdesc) == twin_data
+        for el in (x, z):
+            named = re.escape(repr(el))
+            for step in (lambda: el.times_gen(1), lambda: el * y, el.inverse, el.left_descents):
+                with pytest.raises(ReferenceError, match=named):
+                    step()
+            with pytest.raises(ValidationError, match=f"element {named} is not of system A3"):
+                HeckeContext(CoxeterSystem.from_type("A3")).kl_column(el)
+
+    @pytest.mark.parametrize("tag, fam, I", [("D5", "h", ()), ("A5", "n", (1,))])
+    def test_building_adds_no_tracked_object_per_element(self, tag, fam, I):
+        # the element table is lists of ints: building the top h column of D5
+        # (every element, by left steps) or the top n[1] column of A5 (W^I, by
+        # right steps), read packed so no element leaves the engine, adds
+        # fewer than |W| / 10 objects that the cyclic collector tracks
+        W = CoxeterSystem.from_type(tag)
+        y = W.project(W.longest_element(), I, "left")
+        context = HeckeContext(W)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            context._direct_column(fam, I, y.id)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        order = len(W.quotient_reps(())[0])
+        assert len(W._len) >= order // (2 if I else 1)  # all of W, or of W^I, |W_I| = 2
+        assert grown < order / 10, grown
 
 
 class TestTableShape:
