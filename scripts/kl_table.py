@@ -27,11 +27,12 @@ def main() -> int:
     system = CoxeterSystem.from_type(args.type)
     hecke = HeckeContext(system)
     I = parse_word(args.parabolic) if args.parabolic else ()
+    if I and args.family == "h":
+        ap.error("--parabolic applies to the m and n families only")
     if args.max_length is None and not system.is_finite:
         ap.error("--max-length is required for affine types")
     # the m and n modules are indexed by the minimal representatives of W_I\W
-    quotient_by = I if args.family in ("m", "n") else ()
-    elements, _ = system.quotient_reps(quotient_by, max_len=args.max_length)
+    elements, _ = system.quotient_reps(I, max_len=args.max_length)
 
     name = args.family + ("^" if args.inverse else "")
     print(f"# {name} family over {system.tag}, I = {format_word(I) or '()'}")

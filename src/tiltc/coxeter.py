@@ -260,9 +260,6 @@ class CoxeterElement:
             raise ReferenceError(f"the system of {self!r} has been released")
         return W
 
-    def is_identity(self) -> bool:
-        return not self.length
-
     def __mul__(self, other: "CoxeterElement") -> "CoxeterElement":
         if not isinstance(other, CoxeterElement):
             return NotImplemented
@@ -643,10 +640,6 @@ class CoxeterSystem:
         while d := desc[u] & mask:
             u = self._step(u, off + (d & -d).bit_length() - 1)
         return u
-
-    def is_minimal(self, x: CoxeterElement, I: Iterable[int], side: str) -> bool:
-        mask = self._valid_mask(I)  # checked before the side
-        return not (x.ldesc if self._sides[side] else x.rdesc) & mask
 
     def quotient_reps(
         self, I: Iterable[int], side: str = "left", max_len: int | None = None

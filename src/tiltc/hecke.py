@@ -43,7 +43,7 @@ The column is unitriangular over v*Z[v], each exponent at x has the parity
 of l(y) - l(x), and an m column, whose entries are h values (Deodhar 1987),
 has no negative coefficient.  An h column or entry is v^d times a gated m^K
 entry, d = l(w_K) - l(u) >= 0 and 0 only on the diagonal, so it inherits all
-three.  A single h entry (poly, mu) is read off y's h column when that is
+three.  A single h entry (poly) is read off y's h column when that is
 memoized, else off m^K: no h column is built and W_K is not enumerated (y is
 longest in W_K y', so l(w_K) = l(y) - l(y')).
 
@@ -75,7 +75,8 @@ ids, keyed by element id.  Inside, columns, memos and loops run on element
 ids and the system's step slots (see coxeter): no element is made.
 
 Family keys: ("h", ()), ("m", I), ("n", I) and the inverse families
-("h_inv", ()), ("m_inv", I), ("n_inv", I).
+("h_inv", ()), ("m_inv", I), ("n_inv", I); h takes no subset I, and every
+reader refuses one with a ValidationError.
 """
 
 from __future__ import annotations
@@ -493,9 +494,11 @@ class HeckeContext:
 
     def _family(self, fam: str, I: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
         """A direct family and its generators, checked; with I = () either
-        module is the Hecke algebra, so the family is h."""
+        module is the Hecke algebra, so the family is h, which takes no I."""
         if fam not in DIRECT_FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
+        if fam == "h" and I:
+            raise ValidationError(f"the family h takes no subset I, not I={list(I)}")
         I = self.system.check_names(I)
         return (fam if I else "h"), I
 
@@ -726,13 +729,9 @@ class HeckeContext:
 
     def column(self, fam: str, I: tuple[int, ...], upper: CoxeterElement) -> Mapping[CoxeterElement, LaurentPoly]:
         """Uniform access to any direct or inverse family column."""
-        if fam == "h":
-            return self.kl_column(upper)
-        if fam in ("m", "n"):
-            return self.parabolic_column(fam, I, upper)
         if fam in INVERSE_FAMILIES:
             return self.inverse_column(fam[: -len("_inv")], I, upper)
-        raise ValidationError(f"unknown family {fam!r}")
+        return self._public(self._packed_column(fam, I, upper))
 
     def poly(self, fam: str, I: tuple[int, ...], lower: CoxeterElement, upper: CoxeterElement) -> LaurentPoly:
         """Single polynomial; absent column entries are zero.  A direct entry
@@ -759,10 +758,6 @@ class HeckeContext:
         mask, top, (m, _) = self._spherical(y)
         x0 = W._project(x, mask, W.rank)
         return self._poly(m.get(x0, 0) << SLOT * (top - W._len[x] + W._len[x0]))
-
-    def mu(self, x: CoxeterElement, y: CoxeterElement) -> int:
-        """Coefficient of v in h_{x,y}."""
-        return self.poly("h", (), x, y).coeff(1)
 
     # -- inverse families --------------------------------------------------------
 

@@ -95,10 +95,6 @@ class LaurentPoly:
         """The monomial v^k."""
         return LaurentPoly({k: 1})
 
-    @staticmethod
-    def const(c: int) -> "LaurentPoly":
-        return LaurentPoly({0: c})
-
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -175,11 +171,6 @@ class LaurentPoly:
                 acc[k] = acc.get(k, 0) + c1 * c2
         return LaurentPoly._from_dict(acc)
 
-    def __rmul__(self, other: int) -> "LaurentPoly":
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
     def bar(self) -> "LaurentPoly":
         """The involution v |-> v^(-1)."""
         return LaurentPoly._from_dict({-e: c for e, c in self._terms})
@@ -190,7 +181,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self._terms == other._terms
         if isinstance(other, int):
-            return self._terms == LaurentPoly.const(other)._terms
+            return self._terms == (((0, other),) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -41,19 +41,12 @@ def exact(x) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
-def _ints(row: Iterable[Scalar]) -> list[Scalar]:
-    """Integral Fractions of a computed row turned back into ints."""
-    return [
-        x.numerator if type(x) is Fraction and x.denominator == 1 else x
-        for x in row
-    ]
-
-
 def _exact_row(row: Vec) -> Vec:
-    """A computed row, through ``_ints`` only if it met a Fraction."""
+    """A computed row with its integral Fractions turned back into ints;
+    the row itself when it met none."""
     for x in row:
         if type(x) is not int:
-            return tuple(_ints(row))
+            return tuple(x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in row)
     return row
 
 
@@ -176,14 +169,14 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
             rows[r] = [-x for x in rows[r]]
         elif p != 1:
             inv = Fraction(1, p) if type(p) is int else 1 / p
-            rows[r] = _ints([x * inv for x in rows[r]])
+            rows[r] = _exact_row([x * inv for x in rows[r]])
         prow = rows[r]
         integral = all(type(x) is int for x in prow)
         for i in range(m):
             f = rows[i][c]
             if i != r and f != 0:
                 new = [x - f * y for x, y in zip(rows[i], prow)]
-                rows[i] = new if integral and type(f) is int else _ints(new)
+                rows[i] = new if integral and type(f) is int else _exact_row(new)
         pivots.append(c)
         r += 1
         if r == m:

@@ -285,10 +285,6 @@ class AlgebraPresentation:
         self._projectives[v] = (rep, tuple(basis))
         return self._projectives[v]
 
-    def simple(self, v: str) -> "ModuleRep":
-        dims = {u: (1 if u == v else 0) for u in self.vertices}
-        return ModuleRep(self, dims, {})
-
 
 class ModuleRep:
     """A representation: spaces over vertices, matrices over arrows.

@@ -144,13 +144,6 @@ class RootSystem:
             w - c * self.cartan[k][i - 1] for k, w in enumerate(weight)
         )
 
-    def act(self, w: CoxeterElement, weight: Sequence) -> tuple:
-        """Linear action of a finite Weyl element (letters applied right to left)."""
-        out = tuple(weight)
-        for s in reversed(w.word):
-            out = self.reflect(out, s)
-        return out
-
 
 class LinkageDatum:
     """Everything needed to act on weights at a root of unity."""

@@ -83,12 +83,6 @@ class MultiplicityTable:
     truncated_at: int | None = None
     extra: Mapping[str, object] = field(default_factory=dict)
 
-    def entry(self, y_word: tuple[int, ...]) -> LaurentPoly:
-        for w, p in self.entries:
-            if w == y_word:
-                return p
-        return ZERO
-
     def dims(self) -> tuple[int, int]:
         return filtration_dims(dict(self.entries))
 

@@ -38,7 +38,7 @@ def bar_par_basis(hecke, fam, I, x):
     key = (fam, I, x.id)
     if key in cache:
         return cache[key]
-    if x.is_identity():
+    if x.length == 0:
         out = {hecke.system.identity: ONE}
     else:
         s = x.word[-1]

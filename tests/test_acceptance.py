@@ -218,7 +218,7 @@ def test_criterion_5_positivity_and_parity_grid():
                                 table = maker(x.word)
                             except ValidationError:
                                 continue
-                            assert table.entry(x.word) == ONE
+                            assert dict(table.entries)[x.word] == ONE
                             for y_word, p in table.entries:
                                 assert p.is_nonneg()
                                 assert p.has_parity(len(x.word) + len(y_word))

@@ -70,9 +70,10 @@ class TestOrdinaryColumns:
     def test_mu(self):
         c = ctx(A3)
         y = A3.element([2, 1, 3, 2])
-        assert c.mu(A3.element([2]), y) == 1
-        assert c.mu(A3.element([2, 1]), y) == 0
-        assert c.mu(A3.element([2, 1, 3]), y) == 1
+        # mu(x, y) is the coefficient of v in h_{x,y}
+        assert c.poly("h", (), A3.element([2]), y).coeff(1) == 1
+        assert c.poly("h", (), A3.element([2, 1]), y).coeff(1) == 0
+        assert c.poly("h", (), A3.element([2, 1, 3]), y).coeff(1) == 1
 
     def test_kl_basis_vector(self):
         c = ctx(A2)
@@ -156,7 +157,7 @@ def test_narrow_slots_give_the_column_or_raise(monkeypatch, slot):
     W = CoxeterSystem.from_type("B4")
     wide = ctx(W)
     want = {y: dict(wide.kl_column(y).items()) for y in W.enumerate_below(W.longest_element())}
-    assert max(abs(c) for col in want.values() for p in col.values() for _, c in p) == 5
+    assert max(abs(c) for col in want.values() for p in col.values() for _, c in p.terms) == 5
     monkeypatch.setattr(hecke, "SLOT", slot)
     narrow, raised = ctx(W), 0
     for y, col in want.items():
@@ -189,8 +190,7 @@ class TestSingleEntries:
                 zeros += not want
                 assert entries.poly("h", (), x, y) == want, (x, y)
                 assert entries.poly("m", (), x, y) == entries.poly("n", (), x, y) == want
-                assert entries.mu(x, y) == want.coeff(1), (x, y)
-        assert zeros and elements[0].is_identity()
+        assert zeros and elements[0].length == 0
         assert not {fid for fid, _ in entries._columns} & {"h", "m[]", "n[]"}
 
     @pytest.mark.parametrize("tag", ["A4", "B3"])
@@ -284,7 +284,7 @@ class TestGate:
         def spy(self, col, y, fid, loaded):  # y is an element id
             bound = real(self, col, y, fid, loaded)
             gated.append((fid, y))
-            assert bound == max(abs(k) for n in col.values() for _, k in self._poly(n))
+            assert bound == max(abs(k) for n in col.values() for _, k in self._poly(n).terms)
             return bound
 
         monkeypatch.setattr(HeckeContext, "_check_column", spy)
@@ -379,7 +379,7 @@ class TestParabolicColumns:
         y = A3.project(A3.longest_element(), I, "left")
         for fam in ("m", "n"):
             for x in c.parabolic_column(fam, I, y):
-                assert A3.is_minimal(x, I, "left")
+                assert A3.project(x, I, "left") == x
                 assert A3.bruhat_leq(x, y)
 
 
@@ -723,6 +723,29 @@ class TestUniformAccess:
         c = ctx(A2)
         assert c.poly("h", (), A2.element([1]), A2.element([2])) == ZERO
 
+    @pytest.mark.parametrize("I", [(1,), (2,)])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda c, I, x, y: c.column("h", I, y),
+            lambda c, I, x, y: c.column("h_inv", I, y),
+            lambda c, I, x, y: c.poly("h", I, x, y),
+            lambda c, I, x, y: c.poly("h_inv", I, y, x),
+            lambda c, I, x, y: c.entries("h", I, y),
+            lambda c, I, x, y: c.inverse_column("h", I, y),
+            lambda c, I, x, y: c.inverse_combination("h", I, {y: ONE}),
+        ],
+        ids=["column", "column-inverse", "poly", "poly-inverse", "entries", "inverse_column",
+             "inverse_combination"],
+    )
+    def test_h_takes_no_subset(self, read, I):
+        # h has no subset I: every reader refuses one, whether or not s1 lies
+        # in the index set of the module of I
+        c = ctx(A2)
+        with pytest.raises(ValidationError, match=r"the family h takes no subset I, not I=\[\d\]"):
+            read(c, I, A2.identity, A2.element([1]))
+        assert not c._columns and not c._inverses
+
     def test_element_of_another_system_with_the_same_type(self):
         W1, W2 = CoxeterSystem.from_type("A3"), CoxeterSystem.from_type("A3")
         c = HeckeContext(W1)
@@ -734,7 +757,6 @@ class TestUniformAccess:
             lambda: c.column("m_inv", (1,), y2),
             lambda: c.poly("h", (), x2, y1),
             lambda: c.poly("h", (), x1, y2),
-            lambda: c.mu(x2, y1),
             lambda: c.inverse_column("h", (), y2),
             lambda: c.inverse_combination("m", (1,), {y2: ONE}),
         ):
@@ -754,7 +776,6 @@ class TestUniformAccess:
             lambda: c.inverse_column("h", (), y),
             lambda: c.column("h", (), y),
             lambda: c.poly("h", (), y, A3.element([1, 2])),
-            lambda: c.mu(y, A3.element([1, 2])),
         ):
             with pytest.raises(ValidationError, match="not of system A3"):
                 call()
@@ -763,6 +784,42 @@ class TestUniformAccess:
         assert family_id("h", ()) == "h"
         assert family_id("n", (1, 2)) == "n[1,2]"
         assert family_id("m_inv", (2,)) == "m_inv[2]"
+
+
+class TestEntries:
+    """entries(fam, I, y, at) reads a direct column by element id."""
+
+    CASES = [
+        ("h", (), [[2, 1, 3, 2], [1, 2, 1], [1, 2, 3, 2, 1]]),
+        ("m", (1,), [[2, 1, 3, 2], [2, 3, 2, 1], [2, 1]]),
+        ("n", (2,), [[1, 3, 2], [1, 3, 2, 1, 3], [3, 2, 1]]),
+    ]
+
+    @pytest.mark.parametrize("fam,I,ys", CASES, ids=["h", "m[1]", "n[2]"])
+    def test_entries_are_the_public_column_by_id(self, fam, I, ys):
+        c = ctx(A3)
+        group = {x.id for x in A3.enumerate_below(A3.longest_element())}
+        for word in ys:
+            y = A3.project(A3.element(word), I, "left")
+            full = c.entries(fam, I, y)
+            assert full == {x.id: p for x, p in c.column(fam, I, y).items()}
+            assert all(full.values()) and y.id in full
+            outside = group - full.keys()
+            assert outside  # some id of the group lies outside the column
+            # at smaller than the column: read through at
+            small = set(sorted(full)[: len(full) // 2]) | {min(outside)}
+            assert len(small) < len(full)
+            got = c.entries(fam, I, y, at=small)
+            assert got == {u: p for u, p in full.items() if u in small}
+            assert min(outside) not in got
+            # at larger than the column: read through the column
+            assert len(group) > len(full)
+            assert c.entries(fam, I, y, at=group) == full
+            assert c.entries(fam, I, y, at=outside) == {}
+
+    @pytest.mark.parametrize("fam,I", [("h", ()), ("m", (1,)), ("n", (2,))], ids=["h", "m[1]", "n[2]"])
+    def test_identity_column(self, fam, I):
+        assert ctx(A3).entries(fam, I, A3.identity) == {0: ONE}
 
 
 class TestPolyStore:
@@ -895,9 +952,9 @@ class TestPolyStore:
         entries = {format_word(x.word): p.to_json_obj() for x, p in good.items()}
         entries[format_word(lower)] = LaurentPoly(poly).to_json_obj()
         path = self.write_records(tmp_path, [{"family": fid, "upper": format_word(upper), "entries": entries}])
-        qfam = "h" if fam == "m" else fam
+        qfam, qI = ("h", ()) if fam == "m" else (fam, I)  # h takes no subset I
         with pytest.raises(CacheError, match="stored column"):
-            HeckeContext(A3, PolyStore.load(path, "A3", 3)).column(qfam, I, A3.element(query))
+            HeckeContext(A3, PolyStore.load(path, "A3", 3)).column(qfam, qI, A3.element(query))
 
     def test_loaded_coefficient_past_the_slot(self, tmp_path):
         # a coefficient that does not fit one signed slot would wrap into its

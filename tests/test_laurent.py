@@ -29,6 +29,11 @@ class TestCanonicalForm:
     def test_terms_sorted(self):
         assert P({5: 1, -2: 3, 0: 7}).terms == ((-2, 3), (0, 7), (5, 1))
 
+    def test_iterates_its_terms(self):
+        # perfbench/make_refs.py reads table entries as `for e, c in poly`
+        assert list(P({5: 1, -2: 3})) == [(-2, 3), (5, 1)]
+        assert list(ZERO) == []
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             V._terms = ()
@@ -51,7 +56,9 @@ class TestArithmetic:
         assert (V + ONE) * (V - ONE) == P({2: 1, 0: -1})
 
     def test_scalar_mul(self):
-        assert 3 * V == P({1: 3}) == V * 3
+        assert V * 3 == P({1: 3})
+        with pytest.raises(TypeError):  # an int scales on the right only
+            3 * V
 
     def test_shift(self):
         assert LaurentPoly.v(-1) * (ONE + V) == P({-1: 1, 0: 1})
@@ -195,7 +202,6 @@ class TestCheckedOnce:
             (p - q, [*p.terms, *((e, -d) for e, d in q.terms)]),
             (p * q, [(e1 + e2, d1 * d2) for e1, d1 in p.terms for e2, d2 in q.terms]),
             (p * c, [(e, d * c) for e, d in p.terms]),
-            (c * p, [(e, c * d) for e, d in p.terms]),
             (-p, [(e, -d) for e, d in p.terms]),
             (LaurentPoly.v(k) * p, [(e + k, d) for e, d in p.terms]),
             (p.bar(), [(-e, d) for e, d in p.terms]),

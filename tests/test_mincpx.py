@@ -354,8 +354,8 @@ def sl2_modules(sl2_algebra):
     A = sl2_algebra
     one = _mat([[1]])
     return {
-        "L_e": A.simple("e"),
-        "L_s": A.simple("s"),
+        "L_e": ModuleRep(A, {"e": 1}, {}),
+        "L_s": ModuleRep(A, {"s": 1}, {}),
         "std_s": ModuleRep(A, {"e": 1, "s": 1}, {"beta": one}),
         "costd_s": ModuleRep(A, {"e": 1, "s": 1}, {"alpha": one}),
         "tilt_s": ModuleRep(
@@ -542,7 +542,7 @@ class TestQuiver:
 
         monkeypatch.setattr(quiver, "hom_basis", counted)
         A = _sl2_algebra()
-        L_e, L_s = A.simple("e"), A.simple("s")
+        L_e, L_s = ModuleRep(A, {"e": 1}, {}), ModuleRep(A, {"s": 1}, {})
         assert ext_dims(L_s, L_e, 0) == [0]
         P_s, P_e = A.projective("s")[0], A.projective("e")[0]
         assert solves == [(P_s, L_e), (P_e, L_e)]  # P_0 and P_1
@@ -563,7 +563,7 @@ class TestQuiver:
         # on a fresh algebra a deep first call solves each distinct term once
         solves.clear()
         B = _sl2_algebra()
-        assert ext_dims(B.simple("s"), B.simple("e"), 4) == [0, 1, 0, 0, 0]
+        assert ext_dims(ModuleRep(B, {"s": 1}, {}), ModuleRep(B, {"e": 1}, {}), 4) == [0, 1, 0, 0, 0]
         assert [M for M, _ in solves] == [B.projective("s")[0], B.projective("e")[0]]
 
     def test_ext_dims_stops_at_the_needed_term(self, monkeypatch):
@@ -576,12 +576,12 @@ class TestQuiver:
             quiver, "projective_cover", lambda M: calls.append(M) or real(M)
         )
         A = _sl2_algebra()
-        L_e, L_s = A.simple("e"), A.simple("s")
+        L_e, L_s = ModuleRep(A, {"e": 1}, {}), ModuleRep(A, {"s": 1}, {})
         assert ext_dims(L_s, L_e, 0) == [0]
         assert len(calls) == 2
         calls.clear()
         B = _sl2_algebra()
-        assert ext_dims(B.simple("s"), B.simple("e"), 4) == [0, 1, 0, 0, 0]
+        assert ext_dims(ModuleRep(B, {"s": 1}, {}), ModuleRep(B, {"e": 1}, {}), 4) == [0, 1, 0, 0, 0]
         assert len(calls) == 3
         # a deeper call pays only the missing cover, a repeated one none
         calls.clear()
@@ -1205,7 +1205,7 @@ class TestInterning:
         # normalize away
         assert ModuleRep(A, {"e": 1, "s": 1}, {"beta": [[F(2, 2)]], "alpha": ((0,),)}) is M
         assert direct_sum([M]) is M
-        assert A.simple("e") is ModuleRep(A, {"e": 1, "s": 0}, {})
+        assert ModuleRep(A, {"e": 1}, {}) is ModuleRep(A, {"e": 1, "s": 0}, {})
 
     def test_other_content_is_another_object(self, sl2_algebra):
         A = sl2_algebra
@@ -1436,12 +1436,12 @@ class TestVerifyBlock:
         setting = CategoryO(
             HeckeContext(CoxeterSystem.from_type("A1")), I=(), J=()
         )
-        table = setting.simple_table((1,))
+        entries = dict(setting.simple_table((1,)).entries)
         cpx, _ = cmin_module(sl2_tcat, sl2_block.module("simple", "s"))
         counts = cpx.label_counts()
-        assert table.entry(()).coeff(-1) == counts[-1]["e"]
-        assert table.entry(()).coeff(1) == counts[1]["e"]
-        assert table.entry((1,)).coeff(0) == counts[0]["s"]
+        assert entries[()].coeff(-1) == counts[-1]["e"]
+        assert entries[()].coeff(1) == counts[1]["e"]
+        assert entries[(1,)].coeff(0) == counts[0]["s"]
 
 
 # -- pins taken before the full-shape refactor of the oracle ---------------------------

@@ -1,5 +1,6 @@
 """Smoke test of the example scripts, which call the table API directly."""
 
+import importlib.util
 import json
 import os
 import re
@@ -20,29 +21,38 @@ BUILT = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
+# every script command line that exits 0 (scripts/reach.py runs these too)
+COMMANDS = [
+    ["scripts/kl_table.py", "--type", "A2"],
+    ["scripts/kl_table.py", "--type", "B2", "--inverse"],
+    ["scripts/tilt_grid.py", "--type", "A2"],
+    ["scripts/tilt_grid.py", "--type", "A2", "--max-length", "0"],  # the identity alone
+    ["scripts/tilt_grid.py", "--type", "affA1", "--level", "pos", "--max-length", "4"],
+    # every subset pair with |I|, |J| <= 2: both table sides, the I side with J != () too
+    ["scripts/tilt_grid.py", "--type", "A3", "--max-subset", "2"],
     [
-        ["scripts/kl_table.py", "--type", "A2"],
-        ["scripts/kl_table.py", "--type", "B2", "--inverse"],
-        ["scripts/tilt_grid.py", "--type", "A2"],
-        ["scripts/tilt_grid.py", "--type", "A2", "--max-length", "0"],  # the identity alone
-        ["scripts/tilt_grid.py", "--type", "affA1", "--level", "pos", "--max-length", "4"],
-        # every subset pair with |I|, |J| <= 2: both table sides, the I side with J != () too
-        ["scripts/tilt_grid.py", "--type", "A3", "--max-subset", "2"],
-        [
-            "scripts/tilt_grid.py", "--type", "affA2", "--level", "neg",
-            "--max-length", "5", "--max-subset", "2",
-        ],
-        ["scripts/oracle_demo.py"],
-        [
-            "scripts/column_cost.py", "--type", "D5",
-            "--y", "2 1 3 2 1 4 3 2 1 5 3 2 1 4 3 2 5 3",
-            "--parabolic", "1", "--flavor", "antispherical",
-        ],
+        "scripts/tilt_grid.py", "--type", "affA2", "--level", "neg",
+        "--max-length", "5", "--max-subset", "2",
     ],
-    ids=lambda argv: " ".join(argv),
-)
+    ["scripts/oracle_demo.py"],
+    [
+        "scripts/column_cost.py", "--type", "D5",
+        "--y", "2 1 3 2 1 4 3 2 1 5 3 2 1 4 3 2 5 3",
+        "--parabolic", "1", "--flavor", "antispherical",
+    ],
+]
+# usage errors, each keyed by the reason it prints on stderr
+REFUSED = {
+    # a negative length bound
+    "length bound -1": ["scripts/tilt_grid.py", "--type", "A2", "--max-length", "-1"],
+    # the family h has no subset I
+    "--parabolic applies to the m and n families only": [
+        "scripts/kl_table.py", "--type", "A2", "--family", "h", "--parabolic", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -63,9 +73,31 @@ def test_script_runs(argv):
         assert isinstance(cost["print_s"], float) and cost["print_s"] > 0, cost
 
 
-def test_tilt_grid_refuses_a_negative_length_bound():
+def _assert_refused(reason):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = ["scripts/tilt_grid.py", "--type", "A2", "--max-length", "-1"]
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
-    assert proc.returncode == 2 and proc.stdout == "", proc.stdout[-300:]  # a usage error, no grid
-    assert "length bound -1" in proc.stderr, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, *REFUSED[reason]], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout[-300:]  # a usage error, no output
+    assert reason in proc.stderr, proc.stderr
+
+
+def test_tilt_grid_refuses_a_negative_length_bound():
+    _assert_refused("length bound -1")
+
+
+def test_kl_table_refuses_a_subset_for_h():
+    _assert_refused("--parabolic applies to the m and n families only")
+
+
+def test_reach_census_sees_the_help_printer():
+    # the census, run in process on two corpus rows: no corpus row asks for
+    # --help, so the help printer is never entered until a row does
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    without = reach.census(reach.corpus_runs(["kl --type A2 --y '1 2 1'", "tilt O --type A1 --x 1 --simple"]))
+    with_help = reach.census(reach.corpus_runs(["kl --type A2 --y '1 2 1'", "kl --help"]))
+    assert "_print_help" in without["tiltc.cli"].never
+    assert "_print_help" not in with_help["tiltc.cli"].never
+    assert without["tiltc.cli"].lines == with_help["tiltc.cli"].lines > 0
