@@ -3,7 +3,7 @@
 
 The query takes the options of ``tiltc kl`` for one column.  The line gives
 the column's size (entries), the columns the context memoized for it, the
-elements the system built, the seconds from parsing --y to the column, and
+elements the system built, the seconds from building y to the column, and
 ``print_s``: the seconds to sort and format the column's text through the
 routines ``tiltc kl`` calls (``kl_entries``, ``kl_output``).  It sizes a
 query on a larger group without a profiler.
@@ -34,12 +34,17 @@ def main() -> int:
     if args.parabolic and args.flavor is None:
         ap.error("--parabolic needs --flavor")
 
-    system = CoxeterSystem.from_type(args.type)
+    try:
+        system = CoxeterSystem.from_type(args.type)
+        word = () if args.y.strip().lower() == "e" else parse_word(args.y)
+        I = parse_word(args.parabolic)
+        system.check_names(word + I)
+    except ValueError as exc:
+        ap.error(str(exc))
     hecke = HeckeContext(system)
     fam = {None: "h", "spherical": "m", "antispherical": "n"}[args.flavor]
-    I = parse_word(args.parabolic) if args.parabolic else ()
     start = time.perf_counter()
-    y = system.element(() if args.y.strip().lower() == "e" else parse_word(args.y))
+    y = system.element(word)
     column = hecke.entries(fam, I, y)
     seconds = time.perf_counter() - start
     start = time.perf_counter()

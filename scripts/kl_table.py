@@ -24,15 +24,22 @@ def main() -> int:
                     help="tabulate the inverse family instead")
     args = ap.parse_args()
 
-    system = CoxeterSystem.from_type(args.type)
+    try:
+        system = CoxeterSystem.from_type(args.type)
+        I = parse_word(args.parabolic)
+        system.check_names(I)
+    except ValueError as exc:
+        ap.error(str(exc))
     hecke = HeckeContext(system)
-    I = parse_word(args.parabolic) if args.parabolic else ()
     if I and args.family == "h":
         ap.error("--parabolic applies to the m and n families only")
     if args.max_length is None and not system.is_finite:
         ap.error("--max-length is required for affine types")
     # the m and n modules are indexed by the minimal representatives of W_I\W
-    elements, _ = system.quotient_reps(I, max_len=args.max_length)
+    try:
+        elements, _ = system.quotient_reps(I, max_len=args.max_length)
+    except ValueError as exc:  # a negative bound
+        ap.error(f"--max-length: {exc}")
 
     name = args.family + ("^" if args.inverse else "")
     print(f"# {name} family over {system.tag}, I = {format_word(I) or '()'}")

@@ -12,9 +12,14 @@ The traffic, run in this process under ``sys.settrace``:
 
 Only lines inside functions count, since module and class bodies run at
 import.  For each module the report gives the executable lines not reached
-and the functions never entered, then one total line.  A line reached only
-through a library call that none of the traffic makes is reported as not
-reached.  Takes no options:
+and the functions never entered, then one total line.  A function never
+entered that the benchmark keeps by name is marked with why: wrapped by
+``perfbench/layers.py``'s tracer (installed and closed again, as
+``tests/test_benchmark_tracer.py`` does) or named in
+``perfbench/make_refs.py`` (as an attribute or a global; a dunder that its
+syntax calls, such as ``__iter__`` in a for loop, is not seen).  A line
+reached only through a library call that none of the traffic makes is
+reported as not reached.  Takes no options:
 
     python3 scripts/reach.py
 
@@ -25,7 +30,10 @@ callables (``corpus_runs``, ``readme_runs``, ``script_runs`` and
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import importlib
+import importlib.util
 import io
 import os
 import runpy
@@ -56,6 +64,7 @@ class Reach(NamedTuple):
     lines: int  # executable lines inside its functions
     missed: list[int]  # those never reached
     never: list[str]  # qualified names of the functions never entered
+    pinned: dict[str, str]  # those of never that the benchmark keeps by name -> why
 
 
 def corpus_runs(rows: Iterable[str] | None = None) -> list[Run]:
@@ -141,6 +150,58 @@ def _functions(code: types.CodeType) -> Iterable[types.CodeType]:
             yield from _functions(const)
 
 
+def benchmark_pins() -> tuple[set[tuple[str, str]], set[str]]:
+    """What keeps a src function by name in the benchmark: the (module,
+    qualified name) of each function the tracer of ``perfbench/layers.py``
+    replaces, and every name ``perfbench/make_refs.py`` reads."""
+    _importable()
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = layers  # its dataclass looks itself up there
+    try:
+        spec.loader.exec_module(layers)
+        for name, _ in _modules():  # every name bound before the snapshot
+            importlib.import_module(name)
+        tracer = layers.Tracer()
+        before = _bindings()
+        try:
+            layers.install(tracer)
+            after = _bindings()
+        finally:
+            tracer.close()
+    finally:
+        del sys.modules[spec.name]
+    wrapped = set()
+    for key, value in before.items():
+        if after[key] is not value:
+            fn = getattr(value, "__func__", value)  # a classmethod's function
+            wrapped.add((fn.__module__, fn.__qualname__))
+    tree = ast.parse((ROOT / "perfbench" / "make_refs.py").read_text())
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return wrapped, named
+
+
+def _bindings() -> dict[tuple, object]:
+    """Every global of the loaded tiltc modules and every attribute of the
+    classes they define."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "tiltc" or name.startswith("tiltc.")):
+            continue
+        for attr, value in vars(mod).items():
+            out[name, attr] = value
+            if isinstance(value, type) and value.__module__ == name:
+                out.update(((name, attr, a), v) for a, v in vars(value).items())
+    return out
+
+
+def _modules() -> Iterable[tuple[str, Path]]:
+    """Every module in ``src/tiltc``, by dotted name, and its file."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield ".".join(path.relative_to(SRC).with_suffix("").parts), path
+
+
 def census(runs: Iterable[Run]) -> dict[str, Reach]:
     """Run every run traced; the reach of every module in ``src/tiltc``,
     by dotted module name."""
@@ -172,9 +233,9 @@ def census(runs: Iterable[Run]) -> dict[str, Reach]:
         if saved is not None:
             os.environ["TILTC_CACHE"] = saved
 
+    wrapped, named = benchmark_pins()
     report = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        name = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    for name, path in _modules():
         filename = str(path)
         hit = reached.get(filename, set())
         total, missed, never = set(), set(), []
@@ -186,7 +247,13 @@ def census(runs: Iterable[Run]) -> dict[str, Reach]:
                     never.append(code.co_qualname)
             total |= lines
             missed |= lines - hit
-        report[name] = Reach(len(total), sorted(missed), never)
+        pinned = {}
+        for f in never:
+            if (name, f) in wrapped:
+                pinned[f] = "wrapped by perfbench/layers.py"
+            elif f.rpartition(".")[2] in named:
+                pinned[f] = "named by perfbench/make_refs.py"
+        report[name] = Reach(len(total), sorted(missed), never, pinned)
     return report
 
 
@@ -210,12 +277,14 @@ def main() -> int:
             if reach.missed:
                 print(f"  lines not reached: {spans(reach.missed)}")
             for function in reach.never:
-                print(f"  never entered: {function}")
+                why = reach.pinned.get(function)
+                print(f"  never entered: {function}" + (f" ({why})" if why else ""))
     total = sum(reach.lines for reach in report.values())
     missed = sum(len(reach.missed) for reach in report.values())
     never = sum(len(reach.never) for reach in report.values())
+    pinned = sum(len(reach.pinned) for reach in report.values())
     print(f"# reached {total - missed} of {total} lines inside src functions; "
-          f"{never} functions never entered")
+          f"{never} functions never entered, {pinned} of them kept by the benchmark's names")
     return 0
 
 

@@ -30,7 +30,10 @@ def main() -> int:
                     help="largest |I| and |J| to sweep")
     args = ap.parse_args()
 
-    system = CoxeterSystem.from_type(args.type)
+    try:
+        system = CoxeterSystem.from_type(args.type)
+    except ValueError as exc:
+        ap.error(str(exc))
     hecke = HeckeContext(system)
     try:
         elements, _ = system.quotient_reps((), max_len=args.max_length)

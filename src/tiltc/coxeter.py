@@ -527,7 +527,7 @@ class CoxeterSystem:
         """y = x*s_i, new: the left step s from s*y, s its smallest left
         descent by the exchange condition, which l(y) must confirm."""
         n, succ, x0 = self.rank, self._succ, x
-        j = _simple_image(self, x, i) if (self._r[x] >> BITS * i & _MASK) - _HALF in (1, -1) else -1
+        j = _simple_image(self, x, i)
         ldesc = self._ld[x] if j < 0 else self._ld[x] ^ 1 << j
         s = (ldesc & -ldesc).bit_length() - 1
         if s != j:  # s*y = (s*x)*s_i

@@ -177,15 +177,14 @@ class PolyStore:
     compact separators, so the entries object comes first) without decoding
     the line.  ``get_column`` decodes a record's line the first time a query
     reads it, checks that its family and upper are the indexed ones, and
-    packs its entries (module docstring), each distinct word text parsed and
-    each distinct entry packed once per store (columns share most of their
-    lower words and values).  A line not in that form, or whose upper is not
-    a word, is a CacheError at load; an entry that does not parse, an
-    exponent below 0 or a coefficient that is not a JSON integer or does not
-    fit a slot is a CacheError when its record is read, so a broken record
-    fails only the queries that read it.  ``save`` writes every loaded
-    record, read or not, as its line, and encodes only the columns this
-    store computed.
+    packs its entries (module docstring), each distinct word text parsed once
+    per store (columns share most of their lower words).  A line not in that
+    form, or whose upper is not a word, is a CacheError at load; an entry
+    that does not parse, an exponent below 0 or a coefficient that is not a
+    JSON integer or does not fit a slot is a CacheError when its record is
+    read, so a broken record fails only the queries that read it.  ``save``
+    writes every loaded record, read or not, as its line, and encodes only
+    the columns this store computed.
 
     The file modules (json, hashlib, tempfile, fcntl, glob) are imported by
     the methods that use them, so a query without a store loads none of them.
@@ -220,7 +219,6 @@ class PolyStore:
         self.dirty = False
         self._words: dict[str, tuple[int, ...]] = {}
         self._lines: dict[tuple[str, tuple[int, ...]], str] = {}  # of the records read, for save
-        self._packs: dict[tuple[tuple[str, int], ...], int | None] = {}  # entry items -> packed
         self._head: str | None = None  # the header line as loaded
 
     def _word(self, text: str) -> tuple[int, ...]:
@@ -240,7 +238,7 @@ class PolyStore:
                 rec = json.loads(line)
                 if rec["family"] != fam_id or self._word(rec["upper"]) != upper:
                     raise ValueError(f"record keys differ from its tail: {line[:60]!r}")
-                col = self._packed_entries(rec["entries"])
+                col = {self._word(k): self._packed(obj) for k, obj in rec["entries"].items()}
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CacheError(f"cache key parse failure: {exc}") from exc
             if None in col.values():
@@ -252,30 +250,15 @@ class PolyStore:
             self.columns[fam_id][upper] = col
         return col
 
-    def _packed_entries(self, entries: dict) -> dict[tuple[int, ...], int | None]:
-        """A record's entries {lower word text: {exponent text: coefficient}},
-        packed; each distinct entry is packed once per store, by its items.
-        Every coefficient's type is checked, as 1.0 and True equal 1."""
-        packs, col = self._packs, {}
-        for k, obj in entries.items():
-            for e, c in obj.items():
-                if type(c) is not int:
-                    raise ValueError(f"bad coefficient {c!r} at exponent {e}")
-            items = tuple(obj.items())
-            n = packs.get(items)
-            if n is None:
-                n = packs[items] = self._packed(obj)
-            col[self._word(k)] = n
-        return col
-
     @staticmethod
     def _packed(obj) -> int | None:
         """A record entry {exponent text: int coefficient}, packed; None when
-        an exponent is below 0."""
+        an exponent is below 0.  Every coefficient's type is checked, as 1.0
+        and True equal 1."""
         n, limit = 0, 1 << (SLOT - 1)
         for k, c in obj.items():
             e = int(k)
-            if not -limit < c < limit:
+            if type(c) is not int or not -limit < c < limit:
                 raise ValueError(f"bad coefficient {c!r} at exponent {k}")
             if e < 0:
                 return None
@@ -517,8 +500,8 @@ class HeckeContext:
 
     def _public(self, col: Packed) -> Mapping[CoxeterElement, LaurentPoly]:
         """A packed column as a read-only {element: LaurentPoly}, decoded by _poly."""
-        handles, handle, decoded, poly = self.system._handles, self.system._handle, self._decoded, self._poly
-        return MappingProxyType({handles.get(u) or handle(u): decoded.get(n) or poly(n) for u, n in col.items()})
+        handle, poly = self.system._handle, self._poly
+        return MappingProxyType({handle(u): poly(n) for u, n in col.items()})
 
     # -- self-dual basis columns -----------------------------------------------
 
@@ -540,11 +523,9 @@ class HeckeContext:
         """A direct column (h, m or n) by element id, {id: polynomial}, with
         no element made: every entry, or with ``at`` the nonzero ones at its
         ids, read off the packed column."""
-        col, decoded, poly = self._packed_column(fam, I, upper), self._decoded, self._poly
+        col, poly = self._packed_column(fam, I, upper), self._poly
         if at is None:
-            return {u: decoded.get(n) or poly(n) for u, n in col.items()}
-        if len(col) < len(at):  # the shorter of the two is read through
-            return {u: poly(n) for u, n in col.items() if u in at}
+            return {u: poly(n) for u, n in col.items()}
         return {u: poly(n) for u in at if (n := col.get(u))}
 
     def _direct_column(self, fam: str, I: tuple[int, ...], y: int) -> tuple[Packed, int]:
@@ -680,13 +661,12 @@ class HeckeContext:
         W = self.system
         n, succ, ld, ln = W.rank, W._succ, W._ld, W._len
         gens = [(n + i, 1 << i, 1 << i | low) for i, low in enumerate(W._low) if mask >> i & 1]
-        steps: dict[int, list[tuple[int, int]]] = {}  # left descents -> the steps they leave
         elts, rows = [0], array("i")  # no int object per row
         for j, u in enumerate(elts):  # grows while read: breadth first
             du, base = ld[u], 2 * n * u
-            if (todo := steps.get(du)) is None:
-                todo = steps[du] = [(slot, bit) for slot, bit, off in gens if not du & off]
-            for slot, bit in todo:
+            for slot, bit, off in gens:
+                if du & off:
+                    continue
                 su = succ[base + slot]
                 if su < 0:
                     su = W._step(u, slot)
@@ -817,8 +797,8 @@ class HeckeContext:
         width = SLOT
         while (inv := self._solve(fam, I, fid, by_id, width)) is None:
             width *= 2
-        handles, handle = self.system._handles, self.system._handle
-        return MappingProxyType({handles.get(u) or handle(u): p for u, p in inv.items()})
+        handle = self.system._handle
+        return MappingProxyType({handle(u): p for u, p in inv.items()})
 
     def _solve(
         self, fam: str, I: tuple[int, ...], fid: str, seeds: dict[int, LaurentPoly], width: int

@@ -49,6 +49,18 @@ REFUSED = {
     "--parabolic applies to the m and n families only": [
         "scripts/kl_table.py", "--type", "A2", "--family", "h", "--parabolic", "1",
     ],
+    # an unknown type tag, generator or length bound, each named by its script
+    "kl_table.py: error: unrecognized type tag 'X9'": ["scripts/kl_table.py", "--type", "X9"],
+    "kl_table.py: error: unknown generator 7 for system A2": [
+        "scripts/kl_table.py", "--type", "A2", "--family", "m", "--parabolic", "7",
+    ],
+    "kl_table.py: error: --max-length: the length bound -1 is negative": [
+        "scripts/kl_table.py", "--type", "A2", "--max-length", "-1",
+    ],
+    "tilt_grid.py: error: unrecognized type tag 'X9'": ["scripts/tilt_grid.py", "--type", "X9"],
+    "column_cost.py: error: unknown generator 5 for system A2": [
+        "scripts/column_cost.py", "--type", "A2", "--y", "1 5",
+    ],
 }
 
 
@@ -90,6 +102,11 @@ def test_kl_table_refuses_a_subset_for_h():
     _assert_refused("--parabolic applies to the m and n families only")
 
 
+@pytest.mark.parametrize("reason", REFUSED)
+def test_script_refuses_bad_input(reason):
+    _assert_refused(reason)
+
+
 def test_reach_census_sees_the_help_printer():
     # the census, run in process on two corpus rows: no corpus row asks for
     # --help, so the help printer is never entered until a row does
@@ -101,3 +118,14 @@ def test_reach_census_sees_the_help_printer():
     assert "_print_help" in without["tiltc.cli"].never
     assert "_print_help" not in with_help["tiltc.cli"].never
     assert without["tiltc.cli"].lines == with_help["tiltc.cli"].lines > 0
+
+
+def test_reach_census_marks_the_names_the_benchmark_keeps():
+    # no traffic enters kl_column or from_text: the tracer wraps the one and
+    # make_refs.py reads the other, so the census says why each stays
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    report = reach.census(reach.corpus_runs(["kl --type A2 --y '1 2 1'"]))
+    assert report["tiltc.hecke"].pinned["HeckeContext.kl_column"] == "wrapped by perfbench/layers.py"
+    assert report["tiltc.laurent"].pinned["LaurentPoly.from_text"] == "named by perfbench/make_refs.py"
