@@ -35,7 +35,10 @@ def main() -> int:
     ap.add_argument("--block", default="sl2")
     args = ap.parse_args()
 
-    block = load_block(args.block)
+    try:
+        block = load_block(args.block)
+    except ValueError as exc:  # not a bundled block
+        ap.error(str(exc))
     print(f"block {block.name}: ambient type {block.system}")
     print(f"  labels: {', '.join(block.labels)}")
     print(f"  algebra dimension: {block.algebra.dimension}")

@@ -259,13 +259,14 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
 
 
 def load_block(name: str) -> BlockData:
-    """Load a bundled block presentation by name (e.g. ``"sl2"``)."""
-    try:
-        path = resources.files("tiltc.blocks").joinpath(f"{name}.block")
-        text = path.read_text()
-    except (FileNotFoundError, ModuleNotFoundError) as exc:
-        raise ValidationError(f"no bundled block named {name!r}") from exc
-    return parse_block_text(text, name=name)
+    """Load a bundled block presentation by name (e.g. ``"sl2"``): the stem
+    of a ``.block`` file in :mod:`tiltc.blocks`.  Any other name, a path
+    among them, raises ValidationError."""
+    bundled = resources.files("tiltc.blocks")
+    file = f"{name}.block"
+    if file not in {entry.name for entry in bundled.iterdir()}:
+        raise ValidationError(f"no bundled block named {name!r}")
+    return parse_block_text(bundled.joinpath(file).read_text(), name=name)
 
 
 # -- the tilting modules ------------------------------------------------------------
@@ -684,7 +685,15 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
 
     Returns ``(suite name, detail)`` pairs in order; raises
     InternalInvariantError (or ValidationError) at the first violation.
+    Each distinct elimination and product of ``linalg`` runs once per call:
+    the call keeps their results (see :mod:`tiltc.mincpx.linalg`) and drops
+    them when it returns or raises, so two verifications share none.
     """
+    with linalg._memo():
+        return _run_suites(block)
+
+
+def _run_suites(block: BlockData) -> list[tuple[str, str]]:
     results: list[tuple[str, str]] = []
     labels = block.labels
     alg = block.algebra

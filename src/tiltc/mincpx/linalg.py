@@ -20,10 +20,23 @@ matrices under this rule, and ``mul_shaped`` takes the result shape from
 its caller for products through zero-dimensional spaces.  ``zeros`` and
 ``ident`` hand out one cached tuple per shape; tuples are immutable, so
 sharing them is safe.
+
+While a ``_memo()`` block is open in a thread, ``rref`` (and with it
+``rank``, ``nullspace`` and ``solve_matrix``), ``mul_shaped`` and
+``blocks`` keep each result there by the content of their arguments, so
+each distinct elimination, product or block matrix is built once; the
+results go when the block exits.  ``verify_block`` opens one per
+verification, so nothing is shared between two verifications.  A kept
+result is what a fresh call returns: the three return their entries int
+when integral, Fraction otherwise, whatever the types of their arguments,
+so arguments that compare equal (``2`` and ``Fraction(2, 1)`` alike) give
+equal results of the same types.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import add as _plus, mul as _times
 from typing import Iterable, Sequence
@@ -91,6 +104,29 @@ def scal(c, a: Mat) -> Mat:
     return tuple(_exact_row(tuple([c * x for x in row])) for row in a)
 
 
+class _Kept(threading.local):
+    """The results of rref, mul_shaped and blocks kept while a _memo() block
+    is open in this thread, one dict each, keyed by argument content; None
+    outside one.  Thread-local, so that a thread sees only its own."""
+
+    memo: tuple[dict, dict, dict] | None = None
+
+
+_kept = _Kept()
+
+
+@contextmanager
+def _memo():
+    """Keep every ``rref``, ``mul_shaped`` and ``blocks`` result until the
+    block exits."""
+    memo: tuple[dict, dict, dict] = ({}, {}, {})
+    saved, _kept.memo = _kept.memo, memo
+    try:
+        yield memo
+    finally:
+        _kept.memo = saved
+
+
 def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
     """Product a @ b of shape (rows, cols), supplied by the caller.
 
@@ -100,6 +136,17 @@ def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
     read its shape off its factors.  Factors whose shapes are not (rows, k)
     and (k, cols) raise ValueError.
     """
+    memo = _kept.memo
+    if memo is None:
+        return _mul_shaped(a, b, rows, cols)
+    key = (a, b, rows, cols)
+    out = memo[1].get(key)
+    if out is None:
+        out = memo[1][key] = _mul_shaped(a, b, rows, cols)
+    return out
+
+
+def _mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
     inner = len(b)
     if len(a) != rows or (a and len(a[0]) != inner) or (b and len(b[0]) != cols):
         raise ValueError(f"cannot multiply {shape(a)} @ {shape(b)} to {(rows, cols)}")
@@ -117,8 +164,22 @@ def blocks(
     """Block matrix whose block (i, j) is grid[i][j], of shape (rows[i], cols[j]).
 
     ``None`` stands for a zero block.  A block of any other shape raises
-    ValueError; the zero-row block ``()`` fits every column count.
+    ValueError; the zero-row block ``()`` fits every column count.  An
+    integral Fraction in a block comes back as an int.
     """
+    memo = _kept.memo
+    if memo is None:
+        return _blocks(grid, rows, cols)
+    key = (tuple(map(tuple, grid)), tuple(rows), tuple(cols))
+    out = memo[2].get(key)
+    if out is None:
+        out = memo[2][key] = _blocks(grid, rows, cols)
+    return out
+
+
+def _blocks(
+    grid: Sequence[Sequence[Mat | None]], rows: Sequence[int], cols: Sequence[int]
+) -> Mat:
     if len(grid) != len(rows) or any(len(line) != len(cols) for line in grid):
         raise ValueError(f"block grid does not have {len(rows)}x{len(cols)} blocks")
     out: list[Vec] = []
@@ -133,7 +194,7 @@ def blocks(
                 )
             parts.append(blk)
         if parts:
-            out.extend(sum(pieces, ()) for pieces in zip(*parts))
+            out.extend(_exact_row(sum(pieces, ())) for pieces in zip(*parts))
         else:
             out.extend(((),) * m)
     return tuple(out)
@@ -153,6 +214,16 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     A pivot of 1 or -1 needs no division, so integer rows stay integer; rows
     that did meet a Fraction are normalized back to ints where they can be.
     """
+    memo = _kept.memo
+    if memo is None:
+        return _rref(a)
+    out = memo[0].get(a)
+    if out is None:
+        out = memo[0][a] = _rref(a)
+    return out
+
+
+def _rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     m, n = shape(a)
     rows = [[x if type(x) is int else exact(x) for x in row] for row in a]
     pivots: list[int] = []

@@ -334,6 +334,109 @@ class TestLinalg:
         )
 
 
+def _typed(a):
+    """A matrix, or nested tuples of them, with every scalar paired with its
+    type, so that == also compares types."""
+    if isinstance(a, tuple):
+        return tuple(map(_typed, a))
+    return (type(a), a)
+
+
+def _retyped(a, draw):
+    """a with some integral entries given as integral Fractions or back."""
+
+    def other(x):
+        if F(x).denominator != 1 or not draw(st.booleans()):
+            return x
+        return int(x) if type(x) is F else F(x)
+
+    return tuple(tuple(map(other, row)) for row in a)
+
+
+class TestLinalgMemo:
+    """Inside ``linalg._memo()``, a result kept for equal arguments is what a
+    fresh call returns, type for type."""
+
+    # ints, integral Fractions and Fractions that are not integral
+    entry = small_entry | rational_entry | small_entry.map(F)
+
+    def _matrix(self, data, m, n):
+        return tuple(tuple(data.draw(self.entry) for _ in range(n)) for _ in range(m))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_rref_hits_equal_fresh_results(self, data):
+        a = self._matrix(data, data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+        twin = _retyped(a, data.draw)
+        with linalg._memo() as (rrefs, _, _):
+            assert _typed(linalg.rref(a)) == _typed(linalg.rref(a))
+            kept = linalg.rref(twin)  # a hit: twin == a
+            assert len(rrefs) == 1
+        assert _typed(kept) == _typed(linalg.rref(twin)) == _typed(linalg.rref(a))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_product_hits_equal_fresh_results(self, data):
+        m, k, n = (data.draw(st.integers(0, 3)) for _ in range(3))
+        a, b = self._matrix(data, m, k), self._matrix(data, k, n)
+        twins = _retyped(a, data.draw), _retyped(b, data.draw)
+        with linalg._memo() as (_, products, _):
+            first = linalg.mul_shaped(a, b, m, n)
+            kept = linalg.mul_shaped(*twins, m, n)
+            assert len(products) == 1
+        assert _typed(first) == _typed(kept) == _typed(linalg.mul_shaped(*twins, m, n))
+        _assert_int_first([x for row in kept for x in row])
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_block_hits_equal_fresh_results(self, data):
+        sizes = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=2)
+        rows, cols = data.draw(sizes), data.draw(sizes)
+        grid = [
+            [data.draw(st.none() | st.just(self._matrix(data, m, n))) for n in cols]
+            for m in rows
+        ]
+        twin = [[None if g is None else _retyped(g, data.draw) for g in line] for line in grid]
+        with linalg._memo() as (_, _, grids):
+            first = linalg.blocks(grid, rows, cols)
+            kept = linalg.blocks(twin, rows, cols)
+            assert len(grids) == 1
+        assert _typed(first) == _typed(kept) == _typed(linalg.blocks(twin, rows, cols))
+        _assert_int_first([x for row in kept for x in row])
+
+    def test_equal_contents_of_other_types_share_one_result(self):
+        two, frac_two = ((2, 4),), ((F(2, 1), F(4)),)
+        with linalg._memo() as (rrefs, products, grids):
+            assert _typed(linalg.rref(frac_two)) == _typed(linalg.rref(two))
+            assert _typed(linalg.mul_shaped(frac_two, ((1,), (1,)), 1, 1)) == _typed(((6,),))
+            assert _typed(linalg.mul_shaped(two, ((1,), (1,)), 1, 1)) == _typed(((6,),))
+            assert _typed(linalg.blocks([[frac_two]], [1], [2])) == _typed(two)
+            assert _typed(linalg.blocks([[two]], [1], [2])) == _typed(two)
+            assert (len(rrefs), len(products), len(grids)) == (1, 1, 1)
+
+    def test_the_block_restores_what_it_found(self):
+        assert linalg._kept.memo is None
+        with linalg._memo() as outer:
+            with linalg._memo() as inner:
+                assert inner is not outer and linalg._kept.memo is inner
+            assert linalg._kept.memo is outer
+        assert linalg._kept.memo is None
+
+    def test_another_thread_sees_no_memo(self):
+        import threading
+
+        seen = []
+        with linalg._memo() as (rrefs, _, _):
+            worker = threading.Thread(
+                target=lambda: seen.append((linalg._kept.memo, linalg.rank(((1, 2),))))
+            )
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert not rrefs
+        assert seen == [(None, 1)]
+
+
 # -- quiver representations -----------------------------------------------------------
 
 
@@ -910,6 +1013,18 @@ class TestBlockParsing:
         with pytest.raises(ValidationError, match="no bundled block"):
             load_block("nope")
 
+    def test_only_bundled_names_load(self, tmp_path):
+        # a path, relative or absolute, a file name and the empty name are
+        # not the stem of a bundled .block file, even where a file is there
+        from importlib import resources
+
+        text = resources.files("tiltc.blocks").joinpath("sl2.block").read_text()
+        (tmp_path / "x.block").write_text(text)
+        for name in ("../blocks/sl2", str(tmp_path / "x"), "sl2.block", ""):
+            with pytest.raises(ValidationError, match="no bundled block named"):
+                load_block(name)
+        assert load_block("sl2").name == "sl2"
+
     def test_unknown_section(self):
         with pytest.raises(ValidationError, match="unknown section"):
             parse_block_text("[what]\n")
@@ -1292,6 +1407,80 @@ class TestInterning:
             counts.append(sum(solves))
         assert counts[0] == counts[1] > 0
         assert len(solves) > counts[1]  # and some requests were memo hits
+
+
+def _no_memo():
+    return linalg._kept.memo is None
+
+
+class TestVerificationMemo:
+    """verify_block keeps each distinct elimination and product of linalg for
+    the length of one call, and no longer."""
+
+    def test_no_memo_outlives_a_verification(self):
+        assert _no_memo()
+        verify_block(load_block("sl2"))
+        assert _no_memo()
+        # nor one that raises
+        block = _sl2_variant("dim e = 1\ndim s = 1\n\n")
+        with pytest.raises(ValidationError, match="not local"):
+            verify_block(block)
+        assert _no_memo()
+
+    def _count_eliminations(self, monkeypatch):
+        """The inputs of every rref call and of every elimination behind
+        them, from here on."""
+        calls, eliminations = [], []
+        real_rref, real_eliminate = linalg.rref, linalg._rref
+        monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or real_rref(a))
+        monkeypatch.setattr(
+            linalg, "_rref", lambda a: eliminations.append(a) or real_eliminate(a)
+        )
+        return calls, eliminations
+
+    def test_one_elimination_per_distinct_input(self, monkeypatch):
+        block = load_block("sl2")  # the parse's own eliminations come before
+        calls, eliminations = self._count_eliminations(monkeypatch)
+        verify_block(block)
+        assert len(set(eliminations)) == len(eliminations) == len(set(calls))
+        assert len(calls) > len(eliminations) > 0
+
+    def test_a_fresh_parse_eliminates_again(self, monkeypatch):
+        # as many eliminations on a second verification as on the first
+        counts = []
+        for _ in range(2):
+            block = load_block("sl2")
+            calls, eliminations = self._count_eliminations(monkeypatch)
+            verify_block(block)
+            counts.append(len(eliminations))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] > 0
+
+    def test_kept_results_equal_fresh_calls(self, monkeypatch):
+        # every result a verification of sl2 kept, against a call with no
+        # memo open, type for type
+        import contextlib
+
+        held = []
+        real = linalg._memo
+
+        @contextlib.contextmanager
+        def keeping():
+            with real() as memo:
+                held.append(memo)
+                yield memo
+
+        monkeypatch.setattr(linalg, "_memo", keeping)
+        verify_block(load_block("sl2"))
+        assert _no_memo()
+        [(rrefs, products, grids)] = held
+        assert rrefs and products and grids
+        for a, kept in rrefs.items():
+            assert _typed(linalg.rref(a)) == _typed(kept), a
+        for args, kept in products.items():
+            assert _typed(linalg.mul_shaped(*args)) == _typed(kept), args
+        for args, kept in grids.items():
+            assert _typed(linalg.blocks(*args)) == _typed(kept), args
 
 
 class TestLifetime:

@@ -61,6 +61,10 @@ REFUSED = {
     "column_cost.py: error: unknown generator 5 for system A2": [
         "scripts/column_cost.py", "--type", "A2", "--y", "1 5",
     ],
+    # an unknown block name
+    "oracle_demo.py: error: no bundled block named 'nosuch'": [
+        "scripts/oracle_demo.py", "--block", "nosuch",
+    ],
 }
 
 
