@@ -301,6 +301,8 @@ def cache_info(path: str | None) -> None:
     if d is None:
         print("cache: disabled (set TILTC_CACHE or pass --path)")
         return
+    if d.exists() and not d.is_dir():
+        raise CacheError(f"{d} is not a directory")
     print(f"cache: {d}")
     if not d.exists():
         print("(directory does not exist yet)")
@@ -324,6 +326,8 @@ def cache_clear(path: str | None) -> None:
     d = _cache_dir(path)
     if d is None:
         raise UsageError("no cache directory: set TILTC_CACHE or pass --path")
+    if d.exists() and not d.is_dir():
+        raise CacheError(f"{d} is not a directory")
     removed = 0
     if d.exists():
         names = {f.name for f in d.glob("*.jsonl")}
