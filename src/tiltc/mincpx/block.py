@@ -22,20 +22,18 @@ identities and its cone is acyclic by vertexwise rank counting), so the
 resulting graded multiplicities are independent of, and a check on, the
 closed formulas in :mod:`tiltc.tilting`.
 
-Work is done once per module content (the dimension vector and the arrow
-matrices).  ``ModuleRep`` is interned per algebra, so equal contents are one
-object: equal declared roles (``std_e``, ``simple_e``, ``costd_e`` and
-``tilt_e`` of sl2), kernels, cokernels, pushouts and resolution terms alike.
-Each module keeps its validation, projective cover, resolution, hom bases
-per target and Ext ranks per target.  A ``TiltingCategory`` keeps, per
-module, the checked approximation, so a projective is approximated once
-however many resolutions end in it, and the sweep, which both scan orders of
-the elimination share.  ``TiltingCategory.minimal_complex`` keeps the
-``cmin_module`` result per module and scan order, each built and checked on
-its first request.  Every memo lives on the parsed block's algebra or on a
-``TiltingCategory`` of it, so nothing is shared between two parses, and
-everything goes by reference counts when the block is dropped (see
-:mod:`tiltc.mincpx.quiver`).
+``ModuleRep`` is interned per algebra, so equal contents (the dimension
+vector and the arrow matrices) are one object: equal declared roles
+(``std_e``, ``simple_e``, ``costd_e`` and ``tilt_e`` of sl2), kernels,
+cokernels, pushouts and resolution terms alike.  Within one
+``verify_block`` call, work is done once per content, through the one memo
+of :mod:`tiltc.mincpx.linalg`: a ``TiltingCategory`` keeps its direct sums
+of tilting modules, the checked approximation of each module (so a
+projective is approximated once however many resolutions end in it), the
+sweep, which both scan orders of the elimination share, and the minimal
+complex per module and scan order.  The results go when the call returns
+or raises, so two verifications share none, and a library call outside one
+keeps nothing.
 
 ``verify_block`` runs nine invariant suites over a named block and raises
 on the first violated invariant.
@@ -325,13 +323,6 @@ class TiltingCategory:
         self._std_dims = [
             tuple(block.module("std", lab).dims[v] for v in order) for lab in self.labels
         ]
-        self._sum_cache: dict[tuple[str, ...], ModuleRep] = {}
-        # keyed by the interned module, so by module content
-        self._approximations: dict[ModuleRep, _Approximation] = {}
-        self._sweeps: dict[ModuleRep, _Sweep] = {}
-        self._complexes: dict[
-            tuple[ModuleRep, str], tuple[FormalComplex, dict[int, VMap]]
-        ] = {}
 
     def validate(self) -> None:
         """Each End(tilt_a) is local, and distinct labels have non-isomorphic
@@ -367,26 +358,18 @@ class TiltingCategory:
     def minimal_complex(
         self, M: ModuleRep, scan: str = "forward"
     ) -> tuple[FormalComplex, dict[int, VMap]]:
-        """``cmin_module`` of M, computed once per module and scan.
+        """``cmin_module`` of M, with its witnesses.
 
-        Each complex is built, with its witnesses, on the first request.
-        Callers must not mutate the shared result.
+        Callers must not mutate the result.
         """
-        key = (M, scan)
-        if key not in self._complexes:
-            self._complexes[key] = cmin_module(self, M, scan)
-        return self._complexes[key]
+        return _complex(self, M, scan)
 
-    def sum_rep(self, labels: Sequence[str]) -> ModuleRep:
+    @linalg._keep
+    def sum_rep(self, labels: tuple[str, ...]) -> ModuleRep:
         """Direct sum of tilting modules."""
-        key = tuple(labels)
-        if key not in self._sum_cache:
-            self._sum_cache[key] = (
-                direct_sum([self.tilts[lab] for lab in key])
-                if key
-                else ModuleRep(self.algebra, {})
-            )
-        return self._sum_cache[key]
+        if not labels:
+            return ModuleRep(self.algebra, {})
+        return direct_sum([self.tilts[lab] for lab in labels])
 
     def coordinatize(self, a: str, b: str, f: VMap) -> linalg.Vec:
         """Coordinates of f: tilt_a -> tilt_b in the basis of Hom(tilt_a, tilt_b)."""
@@ -443,9 +426,10 @@ def _approximation(
     return tuple(labels), {v: tuple(rows[v]) for v in order}
 
 
+@linalg._keep
 def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximation:
     """The approximation f: X -> T of a standard-filtered X, checked, with its
-    cokernel; computed once per module.
+    cokernel.
 
     f must be injective with a standard-filtered cokernel (Ext^1 against the
     sum of the costandards vanishes).  A size bound: the minimal
@@ -454,8 +438,6 @@ def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximatio
     read off its dimension vector.  A non-minimal approximation fails here,
     at its first step, instead of growing at every later one.
     """
-    if X in tcat._approximations:
-        return tcat._approximations[X]
     order = tcat.algebra.vertices
     labels, f = _approximation(tcat, X)
     factors = linalg.solve_matrix(
@@ -479,14 +461,14 @@ def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximatio
         raise InternalInvariantError(
             "the add(T)-approximation has a cokernel that is not standard-filtered"
         )
-    tcat._approximations[X] = (labels, f, C, proj)
-    return tcat._approximations[X]
+    return labels, f, C, proj
 
 
+@linalg._keep
 def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
     """A tilting complex of M, not yet minimal, with its comparison map from
-    the minimal projective resolution P_m -> ... -> P_0 of M; computed once
-    per module.  Callers must not mutate the shared result.
+    the minimal projective resolution P_m -> ... -> P_0 of M.  Callers must
+    not mutate the result.
 
     X starts as P_m in degree k = -m.  At each k, f: X -> T^k is the checked
     approximation, the differential T^(k-1) -> T^k is f after T^(k-1) -> X,
@@ -498,8 +480,6 @@ def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
     tilting coresolution; the sweep stops when X is zero.  Each pushout
     square is exact, so the complex is quasi-isomorphic to M.
     """
-    if M in tcat._sweeps:
-        return tcat._sweeps[M]
     res_terms, res_diffs, _ = minimal_projective_resolution(M)
     projs = [P for P, _ in res_terms]
     order = tcat.algebra.vertices
@@ -541,8 +521,7 @@ def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
         k += 1
     cpx = FormalComplex(tcat.tilts, terms, diffs)
     cpx.validate()
-    tcat._sweeps[M] = (cpx, kappa, projs, res_diffs)
-    return tcat._sweeps[M]
+    return cpx, kappa, projs, res_diffs
 
 
 def cmin_module(
@@ -560,6 +539,14 @@ def cmin_module(
     Y, kappa = _minimize_carrying(tcat, cpx, kappa, projs, scan)
     _verify_cmin(tcat, projs, res_diffs, Y, kappa)
     return Y, kappa
+
+
+@linalg._keep
+def _complex(
+    tcat: TiltingCategory, M: ModuleRep, scan: str
+) -> tuple[FormalComplex, dict[int, VMap]]:
+    """``cmin_module``, kept per module and scan order."""
+    return cmin_module(tcat, M, scan)
 
 
 def _minimize_carrying(
@@ -685,9 +672,9 @@ def verify_block(block: BlockData) -> list[tuple[str, str]]:
 
     Returns ``(suite name, detail)`` pairs in order; raises
     InternalInvariantError (or ValidationError) at the first violation.
-    Each distinct elimination and product of ``linalg`` runs once per call:
-    the call keeps their results (see :mod:`tiltc.mincpx.linalg`) and drops
-    them when it returns or raises, so two verifications share none.
+    The call keeps each result of the oracle by content (see
+    :mod:`tiltc.mincpx.linalg`) and drops them when it returns or raises,
+    so two verifications share none.
     """
     with linalg._memo():
         return _run_suites(block)

@@ -21,16 +21,17 @@ its caller for products through zero-dimensional spaces.  ``zeros`` and
 ``ident`` hand out one cached tuple per shape; tuples are immutable, so
 sharing them is safe.
 
-While a ``_memo()`` block is open in a thread, ``rref`` (and with it
-``rank``, ``nullspace`` and ``solve_matrix``), ``mul_shaped`` and
-``blocks`` keep each result there by the content of their arguments, so
-each distinct elimination, product or block matrix is built once; the
-results go when the block exits.  ``verify_block`` opens one per
-verification, so nothing is shared between two verifications.  A kept
-result is what a fresh call returns: the three return their entries int
-when integral, Fraction otherwise, whatever the types of their arguments,
-so arguments that compare equal (``2`` and ``Fraction(2, 1)`` alike) give
-equal results of the same types.
+The oracle has one memo, here: while a ``_memo()`` block is open in a
+thread, every function made by ``_keep`` keeps each result by the content
+of its arguments, so each is built once; the results go when the block
+exits.  ``verify_block`` opens one per call, so its results are kept for
+that verification alone, and a library call outside one keeps nothing.
+Here ``rref`` (and with it ``rank``, ``nullspace`` and ``solve_matrix``),
+``mul_shaped`` and ``blocks`` are kept.  A kept result is what a fresh call
+returns: the three return their entries int when integral, Fraction
+otherwise, whatever the types of their arguments, so arguments that
+compare equal (``2`` and ``Fraction(2, 1)`` alike) give equal results of
+the same types.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import wraps
 from operator import add as _plus, mul as _times
 from typing import Iterable, Sequence
 
@@ -105,11 +107,11 @@ def scal(c, a: Mat) -> Mat:
 
 
 class _Kept(threading.local):
-    """The results of rref, mul_shaped and blocks kept while a _memo() block
-    is open in this thread, one dict each, keyed by argument content; None
-    outside one.  Thread-local, so that a thread sees only its own."""
+    """The results kept while a _memo() block is open in this thread, in one
+    dict keyed by (function, positional arguments); None outside one.
+    Thread-local, so that a thread sees only its own."""
 
-    memo: tuple[dict, dict, dict] | None = None
+    memo: dict | None = None
 
 
 _kept = _Kept()
@@ -117,9 +119,8 @@ _kept = _Kept()
 
 @contextmanager
 def _memo():
-    """Keep every ``rref``, ``mul_shaped`` and ``blocks`` result until the
-    block exits."""
-    memo: tuple[dict, dict, dict] = ({}, {}, {})
+    """Keep the result of every ``_keep`` function until the block exits."""
+    memo: dict = {}
     saved, _kept.memo = _kept.memo, memo
     try:
         yield memo
@@ -127,6 +128,30 @@ def _memo():
         _kept.memo = saved
 
 
+def _keep(fn):
+    """fn, keeping each result by its positional arguments while a _memo()
+    block is open in this thread, and keeping nothing outside one.
+
+    The arguments must be hashable and equal only where fn gives equal
+    results: matrices of canonical scalars, interned modules (one object per
+    content), labels and ints.  A result of None is not kept.
+    """
+
+    @wraps(fn)
+    def kept(*args):
+        memo = _kept.memo
+        if memo is None:
+            return fn(*args)
+        key = (fn, args)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = fn(*args)
+        return out
+
+    return kept
+
+
+@_keep
 def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
     """Product a @ b of shape (rows, cols), supplied by the caller.
 
@@ -136,17 +161,6 @@ def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
     read its shape off its factors.  Factors whose shapes are not (rows, k)
     and (k, cols) raise ValueError.
     """
-    memo = _kept.memo
-    if memo is None:
-        return _mul_shaped(a, b, rows, cols)
-    key = (a, b, rows, cols)
-    out = memo[1].get(key)
-    if out is None:
-        out = memo[1][key] = _mul_shaped(a, b, rows, cols)
-    return out
-
-
-def _mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
     inner = len(b)
     if len(a) != rows or (a and len(a[0]) != inner) or (b and len(b[0]) != cols):
         raise ValueError(f"cannot multiply {shape(a)} @ {shape(b)} to {(rows, cols)}")
@@ -167,19 +181,11 @@ def blocks(
     ValueError; the zero-row block ``()`` fits every column count.  An
     integral Fraction in a block comes back as an int.
     """
-    memo = _kept.memo
-    if memo is None:
-        return _blocks(grid, rows, cols)
-    key = (tuple(map(tuple, grid)), tuple(rows), tuple(cols))
-    out = memo[2].get(key)
-    if out is None:
-        out = memo[2][key] = _blocks(grid, rows, cols)
-    return out
+    return _blocks(tuple(map(tuple, grid)), tuple(rows), tuple(cols))
 
 
-def _blocks(
-    grid: Sequence[Sequence[Mat | None]], rows: Sequence[int], cols: Sequence[int]
-) -> Mat:
+@_keep
+def _blocks(grid: tuple, rows: tuple[int, ...], cols: tuple[int, ...]) -> Mat:
     if len(grid) != len(rows) or any(len(line) != len(cols) for line in grid):
         raise ValueError(f"block grid does not have {len(rows)}x{len(cols)} blocks")
     out: list[Vec] = []
@@ -208,22 +214,13 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
+@_keep
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
     A pivot of 1 or -1 needs no division, so integer rows stay integer; rows
     that did meet a Fraction are normalized back to ints where they can be.
     """
-    memo = _kept.memo
-    if memo is None:
-        return _rref(a)
-    out = memo[0].get(a)
-    if out is None:
-        out = memo[0][a] = _rref(a)
-    return out
-
-
-def _rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     m, n = shape(a)
     rows = [[x if type(x) is int else exact(x) for x in row] for row in a]
     pivots: list[int] = []

@@ -14,19 +14,20 @@ compare with ``==`` and block matrices of them are assembled by
 ``linalg.blocks``, which rejects a block of the wrong shape.
 
 The algebra owns its modules: it interns them, and each refers back to it
-through one weak reference that they all share.  Releasing the algebra
-drops what every module kept (path matrices, covers, hom bases and
-resolutions, which link modules to each other and to themselves), so
-reference counts free the whole intern table at once, with no work left to
-the cyclic collector.  A module kept after its algebra keeps its
-``dims`` and ``mats``; anything that needs the algebra raises
+through one weak reference that they all share, so reference counts free
+the whole intern table with the algebra.  A module kept after its algebra
+keeps its ``dims`` and ``mats``; anything that needs the algebra raises
 ``ReferenceError``.
+
+Projectives, hom bases, projective covers, minimal projective resolutions
+and Ext dimensions are kept by content, on interned modules, for one
+``verify_block`` call, through the memo of :mod:`tiltc.mincpx.linalg`; a
+library call outside one keeps nothing.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..errors import InternalInvariantError, ValidationError
@@ -70,18 +71,9 @@ class AlgebraPresentation:
         for rel in self.relations:
             self._check_relation(rel)
         self._build_path_classes()
-        self._projectives: dict[str, tuple[ModuleRep, tuple]] = {}
         # the intern table of ModuleRep: normalized content -> its one object
         self._modules: dict[tuple, ModuleRep] = {}
         self._ref = weakref.ref(self)  # shared by every module of the table
-
-    def __del__(self):
-        # the kept results link the modules in cycles: drop them, and the
-        # table goes with the algebra by reference counts
-        for M in getattr(self, "_modules", {}).values():
-            M._paths.clear()
-            M._homs.clear()
-            M._cover = M._resolution = None
 
     # -- paths -------------------------------------------------------------------
 
@@ -246,18 +238,15 @@ class AlgebraPresentation:
 
     # -- distinguished modules ----------------------------------------------------
 
+    @linalg._keep
     def projective(
         self, v: str
     ) -> tuple["ModuleRep", tuple[tuple[str, int, Path], ...]]:
         """Projective cover of the simple at v, with its path-class basis.
 
         The basis at vertex u consists of classes of paths v -> u (the trivial
-        path when u == v); arrows act by appending and reducing.  Each vertex
-        is built and validated once per algebra; later calls return the same
-        objects, which nothing mutates.
+        path when u == v); arrows act by appending and reducing.
         """
-        if v in self._projectives:
-            return self._projectives[v]
         if v not in self.vertices:
             raise ValidationError(f"unknown vertex {v!r}")
         basis: list[tuple[str, int, Path]] = [(v, 0, ())]
@@ -282,8 +271,7 @@ class AlgebraPresentation:
             mats[a] = tuple(tuple(r) for r in rows)
         rep = ModuleRep(self, dims, mats)
         rep.validate()
-        self._projectives[v] = (rep, tuple(basis))
-        return self._projectives[v]
+        return rep, tuple(basis)
 
 
 class ModuleRep:
@@ -296,17 +284,11 @@ class ModuleRep:
     object.  ``dims`` lists every vertex in the algebra's order, so it also
     gives the vertex order; ``algebra`` is read through the algebra's shared
     weak reference and raises ``ReferenceError`` once the algebra is
-    released.  The content never changes; a module keeps the results of the
-    pure work on it, each done on first request:
-    ``validate``, ``path_matrix``, ``projective_cover`` (with its surjectivity
-    check), ``hom_basis`` per target and the minimal projective resolution
-    with the ranks ``ext_dims`` reads off it, per target.  Callers must not
-    mutate what it hands out.
+    released.  The content never changes; a module that passed ``validate``
+    is not checked again.
     """
 
-    __slots__ = (
-        "_ref", "dims", "mats", "_valid", "_paths", "_cover", "_homs", "_resolution",
-    )
+    __slots__ = ("_ref", "dims", "mats", "_valid")
 
     def __new__(
         cls,
@@ -326,10 +308,6 @@ class ModuleRep:
             self = algebra._modules[key] = super().__new__(cls)
             self._ref, self.dims, self.mats = algebra._ref, dims, full
             self._valid = False
-            self._paths: dict[Path, Mat] = {}
-            self._cover: tuple[ModuleRep, tuple[str, ...], VMap] | None = None
-            self._homs: dict[ModuleRep, list[VMap]] = {}  # target N -> Hom(self, N)
-            self._resolution: _Resolution | None = None  # grown by _resolve
         return self
 
     @property
@@ -363,9 +341,6 @@ class ModuleRep:
         self._valid = True
 
     def path_matrix(self, path: Path) -> Mat:
-        acc = self._paths.get(path)
-        if acc is not None:
-            return acc
         alg = self.algebra
         src, _ = alg.path_endpoints(path)
         acc = linalg.ident(self.dims[src])
@@ -374,7 +349,6 @@ class ModuleRep:
             acc = linalg.mul_shaped(
                 self.mats[a], acc, self.dims[t], self.dims[src]
             )
-        self._paths[path] = acc
         return acc
 
     @property
@@ -437,14 +411,12 @@ def flat_columns(maps: Sequence[VMap], order: Sequence[str], rows: int) -> Mat:
     return linalg.transpose(vecs) if vecs else linalg.zeros(rows, 0)
 
 
+@linalg._keep
 def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
     """Basis of intertwiners M -> N, by solving the commutation equations.
 
-    Solved once per pair and kept on M; callers must not mutate the list.
+    Callers must not mutate the list.
     """
-    basis = M._homs.get(N)
-    if basis is not None:
-        return basis
     alg = M.algebra
     offsets = {}
     pos = 0
@@ -474,7 +446,6 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
                 for i in range(N.dims[v])
             )
         basis.append(f)
-    M._homs[N] = basis
     return basis
 
 
@@ -498,15 +469,13 @@ def top_generators(M: ModuleRep) -> list[tuple[str, Vec]]:
 def projective_cover(M: ModuleRep) -> tuple[ModuleRep, list[str], VMap]:
     """(P, vertex labels of its summands, surjection P -> M).
 
-    Built and checked once per module and kept on M; callers get a fresh
-    label list and must not mutate the surjection.
+    Callers get a fresh label list and must not mutate the surjection.
     """
-    if M._cover is None:
-        M._cover = _cover(M)
-    P, labels, cover = M._cover
+    P, labels, cover = _cover(M)
     return P, list(labels), cover
 
 
+@linalg._keep
 def _cover(M: ModuleRep) -> tuple[ModuleRep, tuple[str, ...], VMap]:
     alg = M.algebra
     gens = top_generators(M)
@@ -607,84 +576,69 @@ def minimal_projective_resolution(
 ) -> tuple[list[tuple[ModuleRep, list[str]]], list[VMap], VMap]:
     """([(P_i, labels_i)], [d_i: P_i -> P_{i-1} for i >= 1], P_0 -> M).
 
-    Callers get fresh lists and dicts of the resolution kept on M.
+    Callers get fresh lists and dicts.
     """
-    res = _resolve(M, None)
+    terms, diffs, aug = _resolve(M)
     return (
-        [(P, list(labels)) for P, labels in res.terms],
-        [dict(d) for d in res.diffs],
-        dict(res.aug),
+        [(P, list(labels)) for P, labels in terms],
+        [dict(d) for d in diffs],
+        dict(aug),
     )
 
 
-@dataclass
-class _Resolution:
-    """The terms of a minimal projective resolution built so far."""
-
-    terms: list[tuple[ModuleRep, tuple[str, ...]]]
-    diffs: list[VMap]
-    aug: VMap
-    cov: VMap  # the newest cover, P_last -> (kernel, or M itself if None)
-    kernel: ModuleRep | None = None  # None while the last term covers M
-    complete: bool = False
-    # target module N -> [rank d_i^*] for the first differentials, with
-    # d_0^* = 0 in front, read by ext_dims
-    ranks: dict[ModuleRep, list[int]] = field(default_factory=dict)
+# ([(P_i, labels_i)], [d_i for i >= 1], P_0 -> M)
+_Resolution = tuple[list[tuple[ModuleRep, tuple[str, ...]]], list[VMap], VMap]
 
 
-def _resolve(M: ModuleRep, last: int | None) -> _Resolution:
-    """The minimal projective resolution kept on M, grown until it is
-    complete or has the term P_last.
-
-    A later call extends the kept terms and never rebuilds one; only terms
-    whose cover and kernel passed their checks are kept.
-    """
-    res = M._resolution
-    if res is None:
-        P0, labels0, aug = projective_cover(M)
-        res = M._resolution = _Resolution([(P0, tuple(labels0))], [], aug, aug)
-    terms = res.terms
-    while not res.complete and (last is None or len(terms) <= last):
-        covered = M if res.kernel is None else res.kernel
-        K, incl = kernel_rep(res.cov, terms[-1][0], covered)
+@linalg._keep
+def _resolve(M: ModuleRep) -> _Resolution:
+    """The minimal projective resolution of M, built whole; callers must not
+    mutate it.  Only terms whose cover and kernel passed their checks are
+    built on."""
+    P, labels, aug = _cover(M)
+    terms = [(P, labels)]
+    diffs: list[VMap] = []
+    cov, covered = aug, M  # the newest cover, P -> covered
+    while True:
+        K, incl = kernel_rep(cov, P, covered)
         if K.is_zero():
-            res.complete = True
-            break
+            return terms, diffs, aug
         if len(terms) > _RESOLUTION_GUARD:
             raise InternalInvariantError("projective resolution exceeds guard")
-        P, labels, cov = projective_cover(K)
-        res.diffs.append(vmap_compose(incl, cov, P, terms[-1][0]))
-        terms.append((P, tuple(labels)))
-        res.cov, res.kernel = cov, K
-    return res
+        Q, labels, cov = _cover(K)
+        diffs.append(vmap_compose(incl, cov, Q, P))
+        terms.append((Q, labels))
+        P, covered = Q, K
 
 
 def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:
-    """[dim Ext^i(M, N) for i in 0..up_to], by the minimal resolution.
+    """[dim Ext^i(M, N) for i in 0..up_to], by the minimal resolution."""
+    dims = _ext(M, N)
+    return list(dims[: up_to + 1]) + [0] * (up_to + 1 - len(dims))
 
-    Ext^i needs the resolution only up to the term P_{i+1}, so it stops there.
+
+@linalg._keep
+def _ext(M: ModuleRep, N: ModuleRep) -> tuple[int, ...]:
+    """dim Ext^i(M, N) for each term P_i of the minimal resolution of M.
+
     Each dimension comes from ranks alone: dim Ext^i = dim Hom(P_i, N)
     - rank(d_{i+1}^*) - rank(d_i^*), where d_i^* : Hom(P_{i-1}, N) ->
-    Hom(P_i, N) is precomposition with d_i.  The ranks are kept next to the
-    resolution on M, per N, and the bases on each P_i, so each is computed
-    once.
+    Hom(P_i, N) is precomposition with d_i, and d_0^* and the map past the
+    last term are zero.
     """
-    res = _resolve(M, up_to + 1)
-    homs = [hom_basis(P, N) for P, _ in res.terms[: up_to + 2]]
-    ranks = res.ranks.setdefault(N, [0])
+    terms, diffs, _ = _resolve(M)
+    homs = [hom_basis(P, N) for P, _ in terms]
     order = M.dims  # the vertices in order
-    for i in range(len(ranks), len(homs)):
-        P = res.terms[i][0]
+    rank = [0]
+    for i in range(1, len(terms)):
+        P = terms[i][0]
         rows = sum(P.dims[v] * N.dims[v] for v in order)
-        composites = [vmap_compose(f, res.diffs[i - 1], P, N) for f in homs[i - 1]]
+        composites = [vmap_compose(f, diffs[i - 1], P, N) for f in homs[i - 1]]
         coords = linalg.solve_matrix(
             flat_columns(homs[i], order, rows), flat_columns(composites, order, rows)
         )
         if coords is None:
             raise InternalInvariantError("composite leaves the hom space")
-        ranks.append(linalg.rank(coords))
-    rank = ranks + [0]  # past the last term d^* is zero
-    return [
-        len(homs[i]) - rank[i + 1] - rank[i] if i < len(homs) else 0
-        for i in range(up_to + 1)
-    ]
+        rank.append(linalg.rank(coords))
+    rank.append(0)
+    return tuple(len(homs[i]) - rank[i + 1] - rank[i] for i in range(len(terms)))

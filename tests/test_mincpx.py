@@ -1,6 +1,7 @@
 """Tests for the exact homological oracle: linear algebra over the rationals,
 quiver representations, formal complexes, and the sl2 block realization."""
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -335,11 +336,66 @@ class TestLinalg:
 
 
 def _typed(a):
-    """A matrix, or nested tuples of them, with every scalar paired with its
-    type, so that == also compares types."""
+    """A result of the oracle with every scalar paired with its type, so that
+    == also compares types: tuples, lists and dict values are mapped through,
+    and a FormalComplex is read as its terms and differentials."""
     if isinstance(a, tuple):
         return tuple(map(_typed, a))
+    if isinstance(a, list):
+        return [_typed(x) for x in a]
+    if isinstance(a, dict):
+        return {k: _typed(v) for k, v in a.items()}
+    if isinstance(a, FormalComplex):
+        return (FormalComplex, _typed(a.terms), _typed(a.diffs))
     return (type(a), a)
+
+
+class _Builds(dict):
+    """A memo that records the key of every result it is given, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+    def __setitem__(self, key, value):
+        self.built.append(key)
+        super().__setitem__(key, value)
+
+
+_open_memo = linalg._memo
+
+
+@contextlib.contextmanager
+def _recording_memo():
+    """``linalg._memo()`` with a ``_Builds`` as its memo."""
+    with _open_memo():
+        linalg._kept.memo = memo = _Builds()
+        yield memo
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """Every memo opened from here on, each a ``_Builds``."""
+    memos = []
+
+    @contextlib.contextmanager
+    def holding():
+        with _recording_memo() as memo:
+            memos.append(memo)
+            yield memo
+
+    monkeypatch.setattr(linalg, "_memo", holding)
+    return memos
+
+
+def _kept_by(memo, fn):
+    """{arguments: result} of what the kept function fn holds in memo."""
+    return {args: out for (f, args), out in memo.items() if f is fn.__wrapped__}
+
+
+def _builds(memo, fn):
+    """The arguments of each result the kept function fn built into memo."""
+    return [args for f, args in memo.built if f is fn.__wrapped__]
 
 
 def _retyped(a, draw):
@@ -368,10 +424,10 @@ class TestLinalgMemo:
     def test_rref_hits_equal_fresh_results(self, data):
         a = self._matrix(data, data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
         twin = _retyped(a, data.draw)
-        with linalg._memo() as (rrefs, _, _):
+        with linalg._memo() as memo:
             assert _typed(linalg.rref(a)) == _typed(linalg.rref(a))
             kept = linalg.rref(twin)  # a hit: twin == a
-            assert len(rrefs) == 1
+            assert len(memo) == 1
         assert _typed(kept) == _typed(linalg.rref(twin)) == _typed(linalg.rref(a))
 
     @settings(max_examples=120, deadline=None)
@@ -380,10 +436,10 @@ class TestLinalgMemo:
         m, k, n = (data.draw(st.integers(0, 3)) for _ in range(3))
         a, b = self._matrix(data, m, k), self._matrix(data, k, n)
         twins = _retyped(a, data.draw), _retyped(b, data.draw)
-        with linalg._memo() as (_, products, _):
+        with linalg._memo() as memo:
             first = linalg.mul_shaped(a, b, m, n)
             kept = linalg.mul_shaped(*twins, m, n)
-            assert len(products) == 1
+            assert len(memo) == 1
         assert _typed(first) == _typed(kept) == _typed(linalg.mul_shaped(*twins, m, n))
         _assert_int_first([x for row in kept for x in row])
 
@@ -397,22 +453,25 @@ class TestLinalgMemo:
             for m in rows
         ]
         twin = [[None if g is None else _retyped(g, data.draw) for g in line] for line in grid]
-        with linalg._memo() as (_, _, grids):
+        with linalg._memo() as memo:
             first = linalg.blocks(grid, rows, cols)
             kept = linalg.blocks(twin, rows, cols)
-            assert len(grids) == 1
+            assert len(memo) == 1
         assert _typed(first) == _typed(kept) == _typed(linalg.blocks(twin, rows, cols))
         _assert_int_first([x for row in kept for x in row])
 
     def test_equal_contents_of_other_types_share_one_result(self):
         two, frac_two = ((2, 4),), ((F(2, 1), F(4)),)
-        with linalg._memo() as (rrefs, products, grids):
+        with _recording_memo() as memo:
             assert _typed(linalg.rref(frac_two)) == _typed(linalg.rref(two))
             assert _typed(linalg.mul_shaped(frac_two, ((1,), (1,)), 1, 1)) == _typed(((6,),))
             assert _typed(linalg.mul_shaped(two, ((1,), (1,)), 1, 1)) == _typed(((6,),))
             assert _typed(linalg.blocks([[frac_two]], [1], [2])) == _typed(two)
             assert _typed(linalg.blocks([[two]], [1], [2])) == _typed(two)
-            assert (len(rrefs), len(products), len(grids)) == (1, 1, 1)
+            assert [
+                len(_builds(memo, fn)) for fn in (linalg.rref, linalg.mul_shaped, linalg._blocks)
+            ] == [1, 1, 1]
+            assert len(memo) == 3
 
     def test_the_block_restores_what_it_found(self):
         assert linalg._kept.memo is None
@@ -422,19 +481,35 @@ class TestLinalgMemo:
             assert linalg._kept.memo is outer
         assert linalg._kept.memo is None
 
-    def test_another_thread_sees_no_memo(self):
+    def test_another_thread_sees_no_memo(self, sl2_modules):
         import threading
 
+        M, N = sl2_modules["tilt_s"], sl2_modules["tilt_s"]
         seen = []
-        with linalg._memo() as (rrefs, _, _):
-            worker = threading.Thread(
-                target=lambda: seen.append((linalg._kept.memo, linalg.rank(((1, 2),))))
-            )
+
+        def work():
+            seen.append((linalg._kept.memo, linalg.rank(((1, 2),))))
+            seen.append(hom_basis(M, N) is hom_basis(M, N))
+
+        with linalg._memo() as memo:
+            worker = threading.Thread(target=work)
             worker.start()
             worker.join(timeout=10)
             assert not worker.is_alive()
-            assert not rrefs
-        assert seen == [(None, 1)]
+            assert not memo
+        assert seen == [(None, 1), False]
+
+    def test_nothing_is_kept_outside_a_memo(self, sl2_modules):
+        M, N = sl2_modules["std_s"], sl2_modules["tilt_s"]
+        a = ((1, 2), (2, 4))
+        assert linalg._kept.memo is None
+        assert hom_basis(M, N) == hom_basis(M, N)
+        assert hom_basis(M, N) is not hom_basis(M, N)
+        assert linalg.rref(a) is not linalg.rref(a)
+        with linalg._memo():
+            assert hom_basis(M, N) is hom_basis(M, N)
+            assert linalg.rref(a) is linalg.rref(a)
+        assert hom_basis(M, N) is not hom_basis(M, N)
 
 
 # -- quiver representations -----------------------------------------------------------
@@ -631,108 +706,108 @@ class TestQuiver:
         assert ext_dims(m["std_s"], m["L_e"], 3) == [0, 0, 0, 0]
         assert ext_dims(m["L_e"], m["costd_s"], 3) == [0, 0, 0, 0]
 
-    def test_ext_dims_keeps_hom_bases(self, monkeypatch):
-        # each basis Hom(P_i, N) is solved once and kept on P_i, per target N,
-        # and the ranks of an Ext query are kept next to the resolution; each
-        # count starts on a freshly built algebra
-        solves = []
-        real = quiver.hom_basis
-
-        def counted(M, N):
-            if N not in M._homs:
-                solves.append((M, N))
-            return real(M, N)
-
-        monkeypatch.setattr(quiver, "hom_basis", counted)
+    def test_ext_dims_keeps_hom_bases(self):
+        # inside one memo each basis Hom(P_i, N) is solved once per pair, and
+        # the Ext dimensions of a pair once
         A = _sl2_algebra()
         L_e, L_s = ModuleRep(A, {"e": 1}, {}), ModuleRep(A, {"s": 1}, {})
-        assert ext_dims(L_s, L_e, 0) == [0]
         P_s, P_e = A.projective("s")[0], A.projective("e")[0]
-        assert solves == [(P_s, L_e), (P_e, L_e)]  # P_0 and P_1
-        solves.clear()
-        assert ext_dims(L_s, L_e, 0) == [0]
-        assert solves == []  # a repeated call solves none
-        # the new term P_2 is P_s again, whose basis is kept
-        assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
-        assert L_s._resolution.terms[2][0] is P_s
-        assert solves == []
-        assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
-        assert ext_dims(L_s, L_e, 1) == [0, 1]
-        assert solves == []
-        assert hom_basis(P_s, L_e) is hom_basis(P_s, L_e)
-        # another target gets bases of its own, one per distinct term
-        assert ext_dims(L_s, L_s, 4) == [1, 0, 1, 0, 0]
-        assert solves == [(P_s, L_s), (P_e, L_s)]
-        # on a fresh algebra a deep first call solves each distinct term once
-        solves.clear()
-        B = _sl2_algebra()
-        assert ext_dims(ModuleRep(B, {"s": 1}, {}), ModuleRep(B, {"e": 1}, {}), 4) == [0, 1, 0, 0, 0]
-        assert [M for M, _ in solves] == [B.projective("s")[0], B.projective("e")[0]]
+        with _recording_memo() as memo:
 
-    def test_ext_dims_stops_at_the_needed_term(self, monkeypatch):
-        # L_s has the three-term resolution P_s <- P_e <- P_s; Ext^0 needs two.
-        # The resolution is kept on the module, and L_s is one object per
-        # algebra, so each count starts on a freshly built algebra.
-        calls = []
-        real = quiver.projective_cover
-        monkeypatch.setattr(
-            quiver, "projective_cover", lambda M: calls.append(M) or real(M)
-        )
+            def solves():
+                return _builds(memo, hom_basis)
+
+            assert ext_dims(L_s, L_e, 0) == [0]
+            assert solves() == [(P_s, L_e), (P_e, L_e)]  # P_0 and P_1
+            assert ext_dims(L_s, L_e, 0) == [0]
+            assert len(solves()) == 2  # a repeated call solves none
+            # the term P_2 is P_s again, whose basis is kept
+            assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
+            assert quiver._resolve(L_s)[0][2][0] is P_s
+            assert ext_dims(L_s, L_e, 1) == [0, 1]
+            assert len(solves()) == 2
+            assert _builds(memo, quiver._ext) == [(L_s, L_e)]
+            assert hom_basis(P_s, L_e) is hom_basis(P_s, L_e)
+            # another target gets bases of its own, one per distinct term
+            assert ext_dims(L_s, L_s, 4) == [1, 0, 1, 0, 0]
+            assert solves()[2:] == [(P_s, L_s), (P_e, L_s)]
+            assert len(memo.built) == len(set(memo.built))
+        # a fresh memo solves each distinct term once again
+        with _recording_memo() as memo:
+            assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
+            assert [M for M, _ in _builds(memo, hom_basis)] == [P_s, P_e]
+
+    def test_a_resolution_is_built_whole_once(self):
+        # L_s has the three-term resolution P_s <- P_e <- P_s: inside one
+        # memo, an Ext^0 query builds all three covers, and deeper or repeated
+        # queries build none
         A = _sl2_algebra()
         L_e, L_s = ModuleRep(A, {"e": 1}, {}), ModuleRep(A, {"s": 1}, {})
-        assert ext_dims(L_s, L_e, 0) == [0]
-        assert len(calls) == 2
-        calls.clear()
-        B = _sl2_algebra()
-        assert ext_dims(ModuleRep(B, {"s": 1}, {}), ModuleRep(B, {"e": 1}, {}), 4) == [0, 1, 0, 0, 0]
-        assert len(calls) == 3
-        # a deeper call pays only the missing cover, a repeated one none
-        calls.clear()
-        assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
-        assert len(calls) == 1
-        calls.clear()
-        assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
-        assert ext_dims(L_s, L_e, 1) == [0, 1]
-        assert calls == []
+        with _recording_memo() as memo:
+            assert ext_dims(L_s, L_e, 0) == [0]
+            assert _builds(memo, quiver._resolve) == [(L_s,)]
+            assert len(_builds(memo, quiver._cover)) == 3
+            assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
+            assert ext_dims(L_s, L_e, 1) == [0, 1]
+            terms, _, _ = minimal_projective_resolution(L_s)
+            assert [labels for _, labels in terms] == [["s"], ["e"], ["s"]]
+            assert _builds(memo, quiver._resolve) == [(L_s,)]
+            assert len(_builds(memo, quiver._cover)) == 3
 
     def test_projectives_are_built_once(self, sl2_algebra):
         fresh = AlgebraPresentation(
             ("e", "s"), [("alpha", "e", "s"), ("beta", "s", "e")], ("beta alpha",)
         )
-        for v in sl2_algebra.vertices:
-            P, basis = sl2_algebra.projective(v)
-            assert sl2_algebra.projective(v) is sl2_algebra.projective(v)
-            Q, fresh_basis = fresh.projective(v)
-            assert (P.dims, P.mats, basis) == (Q.dims, Q.mats, fresh_basis)
+        with _recording_memo() as memo:
+            for v in sl2_algebra.vertices:
+                P, basis = sl2_algebra.projective(v)
+                assert sl2_algebra.projective(v) is sl2_algebra.projective(v)
+                Q, fresh_basis = fresh.projective(v)
+                assert (P.dims, P.mats, basis) == (Q.dims, Q.mats, fresh_basis)
+            built = _builds(memo, AlgebraPresentation.projective)
+            assert len(built) == len(set(built)) == 4
+        # outside a memo each call builds again; the module is interned
+        kept = sl2_algebra.projective("e")
+        assert sl2_algebra.projective("e") == kept
+        assert sl2_algebra.projective("e") is not kept
+        assert sl2_algebra.projective("e")[0] is kept[0]
 
     def test_kept_resolutions_match_fresh_builds(self):
         block, fresh_block = load_block("sl2"), load_block("sl2")
         mods, fresh = block.modules, fresh_block.modules
-        for name, M in mods.items():
-            for other in ("costd_e", "simple_s"):
-                full = ext_dims(fresh[name], fresh[other], 4)
+        # built with no memo open, so from no kept work at all
+        full = {
+            (name, other): ext_dims(fresh[name], fresh[other], 4)
+            for name in mods
+            for other in ("costd_e", "simple_s")
+        }
+        resolutions = {name: minimal_projective_resolution(fresh[name]) for name in mods}
+        with _recording_memo() as memo:
+            for (name, other), dims in full.items():
                 for up_to in (0, 4, 1):
-                    assert ext_dims(M, mods[other], up_to) == full[: up_to + 1]
-        for name, M in mods.items():
-            terms, diffs, aug = minimal_projective_resolution(fresh[name])
-            kept = M._resolution
-            assert kept.complete
-            assert [list(labels) for _, labels in kept.terms] == [
-                labels for _, labels in terms
-            ]
-            assert [(P.dims, P.mats) for P, _ in kept.terms] == [
-                (P.dims, P.mats) for P, _ in terms
-            ]
-            assert kept.diffs == diffs and kept.aug == aug
-            # callers get copies: changing them leaves the kept terms alone
-            got_terms, got_diffs, _ = minimal_projective_resolution(M)
-            got_terms[0][1].append("x")
-            got_terms.clear()
-            got_diffs.append({})
-            assert minimal_projective_resolution(M)[0] == [
-                (P, list(labels)) for P, labels in kept.terms
-            ]
-            assert len(kept.diffs) == len(diffs)
+                    assert ext_dims(mods[name], mods[other], up_to) == dims[: up_to + 1]
+            kept = _kept_by(memo, quiver._resolve)
+            for name, M in mods.items():
+                terms, diffs, aug = resolutions[name]
+                kept_terms, kept_diffs, kept_aug = kept[(M,)]
+                assert [list(labels) for _, labels in kept_terms] == [
+                    labels for _, labels in terms
+                ]
+                assert [(P.dims, P.mats) for P, _ in kept_terms] == [
+                    (P.dims, P.mats) for P, _ in terms
+                ]
+                assert kept_diffs == diffs and kept_aug == aug
+                # callers get copies: changing them leaves the kept terms alone
+                got_terms, got_diffs, _ = minimal_projective_resolution(M)
+                got_terms[0][1].append("x")
+                got_terms.clear()
+                got_diffs.append({})
+                assert minimal_projective_resolution(M)[0] == [
+                    (P, list(labels)) for P, labels in kept_terms
+                ]
+                assert len(kept_diffs) == len(diffs)
+            # one resolution per module content: the 12 roles hold 5
+            assert len(kept) == len(_builds(memo, quiver._resolve)) == 5
 
     def test_projective_cover_of_tilting(self, sl2_modules):
         P, labels, cov = projective_cover(sl2_modules["tilt_s"])
@@ -1207,24 +1282,38 @@ class TestMinimalTiltingComplexes:
 
 
 class TestCoresolutionMemo:
-    # a coresolution is the tail of a sweep; a TiltingCategory keeps the
-    # checked approximation and the unminimized sweep of each module content
+    # a coresolution is the tail of a sweep; inside one memo a TiltingCategory
+    # keeps the checked approximation and the unminimized sweep of each
+    # module content
     MODULES = [(role, lab) for role in ("std", "simple", "proj", "tilt") for lab in "es"]
 
     @pytest.mark.parametrize("scan", ["forward", "backward"])
     def test_memo_hit_equals_fresh_build(self, sl2_block, scan):
         from tiltc.mincpx import block as block_mod
 
+        def counts(memo):
+            return [
+                len(_builds(memo, fn))
+                for fn in (block_mod._sweep, block_mod._checked_approximation)
+            ]
+
         shared = TiltingCategory(sl2_block)
-        for role, lab in self.MODULES:  # fill the memos
-            cmin_module(shared, sl2_block.module(role, lab), scan=scan)
-        # std_e = simple_e = tilt_e, proj_e = tilt_s, proj_s, simple_s; the
-        # approximated modules are proj_e, proj_s, std_e and one pushout
-        assert (len(shared._sweeps), len(shared._approximations)) == (4, 4)
-        for role, lab in self.MODULES:
-            M = sl2_block.module(role, lab)
-            hit, hit_kappa = cmin_module(shared, M, scan=scan)
-            # fresh builds on fresh parses share no kept work with the hits
+        with _recording_memo() as memo:
+            for role, lab in self.MODULES:  # fill the memo
+                cmin_module(shared, sl2_block.module(role, lab), scan=scan)
+            # std_e = simple_e = tilt_e, proj_e = tilt_s, proj_s, simple_s; the
+            # approximated modules are proj_e, proj_s, std_e and one pushout
+            assert counts(memo) == [4, 4]
+            hits = {
+                (role, lab): (
+                    cmin_module(shared, sl2_block.module(role, lab), scan=scan),
+                    block_mod._sweep(shared, sl2_block.module(role, lab)),
+                )
+                for role, lab in self.MODULES
+            }
+            assert counts(memo) == [4, 4]
+        for (role, lab), ((hit, hit_kappa), sweep) in hits.items():
+            # fresh builds on fresh parses, with no memo open
             other = load_block("sl2")
             new, new_kappa = cmin_module(
                 TiltingCategory(other), other.module(role, lab), scan=scan
@@ -1233,7 +1322,6 @@ class TestCoresolutionMemo:
             assert hit.label_counts() == new.label_counts(), (role, lab)
             assert hit.diffs == new.diffs, (role, lab)
             assert hit_kappa == new_kappa, (role, lab)
-            sweep = block_mod._sweep(shared, M)
             other = load_block("sl2")
             fresh = block_mod._sweep(TiltingCategory(other), other.module(role, lab))
             assert (sweep[0].terms, sweep[0].diffs) == (fresh[0].terms, fresh[0].diffs)
@@ -1241,31 +1329,38 @@ class TestCoresolutionMemo:
             assert [(P.dims, P.mats) for P in sweep[2]] == [
                 (P.dims, P.mats) for P in fresh[2]
             ], (role, lab)
-        assert (len(shared._sweeps), len(shared._approximations)) == (4, 4)
 
     def test_key_is_module_content(self, sl2_block):
-        # the memos are keyed by the interned module: a rebuilt module of
-        # equal content is the same key, other matrices another one
+        # the memo is keyed by the interned module: a rebuilt module of equal
+        # content is the same key, other matrices another one
         from tiltc.mincpx import block as block_mod
 
         tcat = TiltingCategory(sl2_block)
         proj_s = sl2_block.module("proj", "s")
         copy = ModuleRep(sl2_block.algebra, dict(proj_s.dims), dict(proj_s.mats))
         assert copy is proj_s and direct_sum([proj_s]) is proj_s
-        assert block_mod._sweep(tcat, copy) is block_mod._sweep(tcat, proj_s)
-        approx = block_mod._checked_approximation(tcat, proj_s)
-        assert block_mod._checked_approximation(tcat, copy) is approx
-        assert (len(tcat._sweeps), len(tcat._approximations)) == (1, 2)
-        # the same dimension vector with other matrices is another module
-        scaled = ModuleRep(
-            sl2_block.algebra, proj_s.dims, {**proj_s.mats, "beta": ((2,),)}
-        )
-        assert scaled is not proj_s
-        scaled.validate()
-        R, kappa, _, _ = block_mod._sweep(tcat, scaled)
-        assert len(tcat._sweeps) == 2
-        assert block_mod._checked_approximation(tcat, scaled)[1] != approx[1]
-        # built again on a fresh parse, so from no kept work at all
+        with _recording_memo() as memo:
+
+            def counts():
+                return [
+                    len(_builds(memo, fn))
+                    for fn in (block_mod._sweep, block_mod._checked_approximation)
+                ]
+
+            assert block_mod._sweep(tcat, copy) is block_mod._sweep(tcat, proj_s)
+            approx = block_mod._checked_approximation(tcat, proj_s)
+            assert block_mod._checked_approximation(tcat, copy) is approx
+            assert counts() == [1, 2]
+            # the same dimension vector with other matrices is another module
+            scaled = ModuleRep(
+                sl2_block.algebra, proj_s.dims, {**proj_s.mats, "beta": ((2,),)}
+            )
+            assert scaled is not proj_s
+            scaled.validate()
+            R, kappa, _, _ = block_mod._sweep(tcat, scaled)
+            assert counts()[0] == 2
+            assert block_mod._checked_approximation(tcat, scaled)[1] != approx[1]
+        # built again on a fresh parse with no memo open, so from no kept work
         other = load_block("sl2")
         fresh = ModuleRep(other.algebra, scaled.dims, scaled.mats)
         R_new, kappa_new, _, _ = block_mod._sweep(TiltingCategory(other), fresh)
@@ -1277,14 +1372,20 @@ class TestComplexMemo:
 
     @pytest.mark.parametrize("scan", ["forward", "backward"])
     def test_memo_hit_equals_fresh_build(self, sl2_block, scan):
+        from tiltc.mincpx import block as block_mod
+
         shared = TiltingCategory(sl2_block)
-        for role, lab in self.MODULES:  # fill the memo
-            shared.minimal_complex(sl2_block.module(role, lab), scan=scan)
-        # std_e = simple_e = tilt_e = costd_e; std_s, simple_s, tilt_s, costd_s
-        assert len(shared._complexes) == 5
-        for role, lab in self.MODULES:
-            M = sl2_block.module(role, lab)
-            hit, hit_kappa = shared.minimal_complex(M, scan=scan)
+        with _recording_memo() as memo:
+            for role, lab in self.MODULES:  # fill the memo
+                shared.minimal_complex(sl2_block.module(role, lab), scan=scan)
+            # std_e = simple_e = tilt_e = costd_e; std_s, simple_s, tilt_s, costd_s
+            assert len(_builds(memo, block_mod._complex)) == 5
+            hits = {
+                (role, lab): shared.minimal_complex(sl2_block.module(role, lab), scan=scan)
+                for role, lab in self.MODULES
+            }
+            assert len(_builds(memo, block_mod._complex)) == 5
+        for (role, lab), (hit, hit_kappa) in hits.items():
             other = load_block("sl2")
             new, new_kappa = cmin_module(
                 TiltingCategory(other), other.module(role, lab), scan=scan
@@ -1292,22 +1393,26 @@ class TestComplexMemo:
             assert hit.terms == new.terms, (role, lab)
             assert hit.diffs == new.diffs, (role, lab)
             assert hit_kappa == new_kappa, (role, lab)
-        assert len(shared._complexes) == 5
 
     def test_key_is_module_content_and_scan(self, sl2_block):
+        from tiltc.mincpx import block as block_mod
+
         tcat = TiltingCategory(sl2_block)
         std_s = sl2_block.module("std", "s")
         copy = ModuleRep(sl2_block.algebra, dict(std_s.dims), dict(std_s.mats))
         assert copy is std_s and direct_sum([std_s]) is std_s
-        assert tcat.minimal_complex(copy) is tcat.minimal_complex(std_s)
-        backward = tcat.minimal_complex(std_s, scan="backward")
-        assert backward is not tcat.minimal_complex(std_s)
-        assert len(tcat._complexes) == 2
-        # other matrices on the same dimension vector: another key
-        scaled = ModuleRep(sl2_block.algebra, std_s.dims, {"beta": ((2,),)})
-        assert scaled is not std_s
-        tcat.minimal_complex(scaled)
-        assert len(tcat._complexes) == 3
+        with _recording_memo() as memo:
+            assert tcat.minimal_complex(copy) is tcat.minimal_complex(std_s)
+            backward = tcat.minimal_complex(std_s, scan="backward")
+            assert backward is not tcat.minimal_complex(std_s)
+            assert len(_builds(memo, block_mod._complex)) == 2
+            # other matrices on the same dimension vector: another key
+            scaled = ModuleRep(sl2_block.algebra, std_s.dims, {"beta": ((2,),)})
+            assert scaled is not std_s
+            tcat.minimal_complex(scaled)
+            assert len(_builds(memo, block_mod._complex)) == 3
+        # outside a memo each request builds again
+        assert tcat.minimal_complex(std_s) is not tcat.minimal_complex(std_s)
 
 
 class TestInterning:
@@ -1353,60 +1458,60 @@ class TestInterning:
         # the two verifications built the same contents
         assert set(a.algebra._modules) == set(b.algebra._modules)
 
-    def test_memo_hits_equal_fresh_builds(self):
-        # every module verify_block builds, with every result kept on it,
-        # against the same content built on a fresh parse
+    def test_memo_hits_equal_fresh_builds(self, held):
+        # every result of the quiver layer a verification of sl2 kept,
+        # against the same content built on a fresh parse with no memo open
         block = load_block("sl2")
         verify_block(block)
-        for M in list(block.algebra._modules.values()):
-            A = load_block("sl2").algebra
+        [memo] = held
+        A = load_block("sl2").algebra
 
-            def fresh(N):
-                return ModuleRep(A, N.dims, N.mats)
+        def fresh(x):
+            if isinstance(x, ModuleRep):
+                x.validate()  # direct sums are not validated by their builder
+                return ModuleRep(A, x.dims, x.mats)
+            return A if x is block.algebra else x
 
-            M2 = fresh(M)
-            M.validate()  # direct sums are not validated by their builder
-            M2.validate()
-            if M._cover is not None:
-                P, labels, cov = projective_cover(M)
-                P2, labels2, cov2 = projective_cover(M2)
-                assert (P.dims, P.mats, labels, cov) == (P2.dims, P2.mats, labels2, cov2)
-            for N, basis in list(M._homs.items()):
-                assert hom_basis(M2, fresh(N)) == basis, (M, N)
-            res = M._resolution
-            if res is None:
-                continue
-            res2 = quiver._resolve(M2, None if res.complete else len(res.terms) - 1)
-            assert [(P.dims, P.mats, labels) for P, labels in res.terms] == [
-                (P.dims, P.mats, labels) for P, labels in res2.terms
-            ]
-            assert (res.diffs, res.aug, res.complete) == (res2.diffs, res2.aug, res2.complete)
-            for N, ranks in list(res.ranks.items()):
-                up_to = max(0, len(ranks) - 2)  # reads len(ranks) terms
-                assert ext_dims(M2, fresh(N), up_to) == ext_dims(M, N, up_to)
-                assert res2.ranks[fresh(N)] == ranks
+        def content(x):
+            if isinstance(x, ModuleRep):
+                return (x.dims, x.mats)
+            if isinstance(x, (tuple, list)):
+                return [content(y) for y in x]
+            if isinstance(x, dict):
+                return {k: content(v) for k, v in x.items()}
+            return x
 
-    def test_a_fresh_parse_solves_again(self, monkeypatch):
-        # no memo outlives its parsed block: a second verification does as
-        # many hom-basis solves as the first
+        for fn in (
+            AlgebraPresentation.projective,
+            quiver.hom_basis,
+            quiver._cover,
+            quiver._resolve,
+            quiver._ext,
+        ):
+            kept = _kept_by(memo, fn)
+            assert kept, fn
+            for args, out in kept.items():
+                assert content(fn(*map(fresh, args))) == content(out), (fn, args)
+
+    def test_a_fresh_parse_solves_again(self, held, monkeypatch):
+        # no kept result outlives its verification: a second one does as many
+        # hom-basis solves as the first
         from tiltc.mincpx import block as block_mod
 
-        solves = []
+        calls = []
         real = quiver.hom_basis
 
         def counted(M, N):
-            solves.append(N not in M._homs)
+            calls.append((M, N))
             return real(M, N)
 
         for mod in (quiver, block_mod):
             monkeypatch.setattr(mod, "hom_basis", counted)
-        counts = []
         for _ in range(2):
-            solves.clear()
             verify_block(load_block("sl2"))
-            counts.append(sum(solves))
-        assert counts[0] == counts[1] > 0
-        assert len(solves) > counts[1]  # and some requests were memo hits
+        first, second = (len(_builds(memo, real)) for memo in held)
+        assert first == second > 0
+        assert len(calls) > first + second  # and some requests were memo hits
 
 
 def _no_memo():
@@ -1414,8 +1519,8 @@ def _no_memo():
 
 
 class TestVerificationMemo:
-    """verify_block keeps each distinct elimination and product of linalg for
-    the length of one call, and no longer."""
+    """verify_block keeps each distinct result of the oracle for the length
+    of one call, and no longer."""
 
     def test_no_memo_outlives_a_verification(self):
         assert _no_memo()
@@ -1427,60 +1532,58 @@ class TestVerificationMemo:
             verify_block(block)
         assert _no_memo()
 
-    def _count_eliminations(self, monkeypatch):
-        """The inputs of every rref call and of every elimination behind
-        them, from here on."""
-        calls, eliminations = [], []
-        real_rref, real_eliminate = linalg.rref, linalg._rref
-        monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or real_rref(a))
-        monkeypatch.setattr(
-            linalg, "_rref", lambda a: eliminations.append(a) or real_eliminate(a)
-        )
-        return calls, eliminations
-
-    def test_one_elimination_per_distinct_input(self, monkeypatch):
+    def test_one_elimination_per_distinct_input(self, held, monkeypatch):
         block = load_block("sl2")  # the parse's own eliminations come before
-        calls, eliminations = self._count_eliminations(monkeypatch)
+        calls = []
+        real = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or real(a))
         verify_block(block)
+        [memo] = held
+        eliminations = _builds(memo, real)
         assert len(set(eliminations)) == len(eliminations) == len(set(calls))
         assert len(calls) > len(eliminations) > 0
 
-    def test_a_fresh_parse_eliminates_again(self, monkeypatch):
-        # as many eliminations on a second verification as on the first
-        counts = []
+    def test_a_fresh_parse_eliminates_again(self, held):
+        # as many builds of each kept function on a second verification as on
+        # the first
+        from collections import Counter
+
         for _ in range(2):
-            block = load_block("sl2")
-            calls, eliminations = self._count_eliminations(monkeypatch)
-            verify_block(block)
-            counts.append(len(eliminations))
-            monkeypatch.undo()
-        assert counts[0] == counts[1] > 0
+            verify_block(load_block("sl2"))
+        first, second = (Counter(f for f, _ in memo.built) for memo in held)
+        assert first == second
+        assert first[linalg.rref.__wrapped__] > 0
 
-    def test_kept_results_equal_fresh_calls(self, monkeypatch):
+    def test_kept_results_equal_fresh_calls(self, held):
         # every result a verification of sl2 kept, against a call with no
-        # memo open, type for type
-        import contextlib
+        # memo open, type for type; each key was built once
+        from tiltc.mincpx import block as block_mod
 
-        held = []
-        real = linalg._memo
-
-        @contextlib.contextmanager
-        def keeping():
-            with real() as memo:
-                held.append(memo)
-                yield memo
-
-        monkeypatch.setattr(linalg, "_memo", keeping)
-        verify_block(load_block("sl2"))
+        block = load_block("sl2")
+        verify_block(block)
         assert _no_memo()
-        [(rrefs, products, grids)] = held
-        assert rrefs and products and grids
-        for a, kept in rrefs.items():
-            assert _typed(linalg.rref(a)) == _typed(kept), a
-        for args, kept in products.items():
-            assert _typed(linalg.mul_shaped(*args)) == _typed(kept), args
-        for args, kept in grids.items():
-            assert _typed(linalg.blocks(*args)) == _typed(kept), args
+        [memo] = held
+        assert len(memo.built) == len(set(memo.built)) == len(memo)
+        kept = {f for f, _ in memo}
+        assert kept == {
+            fn.__wrapped__
+            for fn in (
+                linalg.rref,
+                linalg.mul_shaped,
+                linalg._blocks,
+                AlgebraPresentation.projective,
+                quiver.hom_basis,
+                quiver._cover,
+                quiver._resolve,
+                quiver._ext,
+                TiltingCategory.sum_rep,
+                block_mod._checked_approximation,
+                block_mod._sweep,
+                block_mod._complex,
+            )
+        }
+        for (fn, args), out in memo.items():
+            assert _typed(fn(*args)) == _typed(out), (fn, args)
 
 
 class TestLifetime:
