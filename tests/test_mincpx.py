@@ -1618,7 +1618,7 @@ class TestLifetime:
     def test_a_module_used_after_its_block_raises(self):
         block = load_block("sl2")
         M, N = block.module("std", "s"), block.module("costd", "e")
-        ext_dims(M, N, 1)  # keeps a resolution and hom bases on the modules
+        ext_dims(M, N, 1)
         content = (M.dims, M.mats)
         del block
         # the content stays; everything that needs the algebra raises
