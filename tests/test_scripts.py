@@ -112,8 +112,8 @@ def test_script_refuses_bad_input(reason):
 
 
 def test_reach_census_sees_the_help_printer():
-    # the census, run in process on two corpus rows: no corpus row asks for
-    # --help, so the help printer is never entered until a row does
+    # the census, run in process on two corpus rows: the help printer is
+    # entered only by a row that asks for --help
     spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
     reach = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reach)
@@ -133,6 +133,22 @@ def test_reach_census_marks_the_names_the_benchmark_keeps():
     report = reach.census(reach.corpus_runs(["kl --type A2 --y '1 2 1'"]))
     assert report["tiltc.hecke"].pinned["HeckeContext.kl_column"] == "wrapped by perfbench/layers.py"
     assert report["tiltc.laurent"].pinned["LaurentPoly.from_text"] == "named by perfbench/make_refs.py"
+
+
+def test_paired_compares_a_checkout_with_itself():
+    proc = subprocess.run(
+        [sys.executable, "scripts/paired.py", ".", ".", "kl-columns", "--pairs", "1", "--replays", "1"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [line] = proc.stdout.splitlines()
+    out = json.loads(line)
+    assert (out["workload"], out["pairs"], out["replays"]) == ("kl-columns", 1, 1)
+    [(name, metric)] = out["metrics"].items()
+    [[parent, change]] = metric["pairs"]
+    assert name == "min_s" and parent > 0 and change > 0
+    assert metric["ratio"] == pytest.approx(change / parent, abs=1e-3)
+    assert metric["parent_quartile_distance"] == 0
 
 
 # the whole stdout of oracle_demo.py on sl2, byte for byte: the one script
