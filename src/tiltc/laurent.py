@@ -60,7 +60,7 @@ class LaurentPoly:
             items = list(coeffs)
         acc: dict[int, int] = {}
         for k, c in items:
-            if not isinstance(k, int) or not isinstance(c, int):
+            if type(k) is not int or type(c) is not int:  # bool is an int subclass
                 raise TypeError("exponents and coefficients must be int")
             acc[k] = acc.get(k, 0) + c
         _set_terms(self, acc)
@@ -248,7 +248,7 @@ class LaurentPoly:
                 e = int(k)
             except ValueError as exc:
                 raise ValueError(f"bad exponent key {k!r}") from exc
-            if not isinstance(c, int):
+            if type(c) is not int:  # JSON true and false are not coefficients
                 raise ValueError(f"bad coefficient {c!r} at exponent {k}")
             acc[e] = acc.get(e, 0) + c
         return LaurentPoly._from_dict(acc)

@@ -220,3 +220,13 @@ class TestCheckedOnce:
             LaurentPoly.from_json_obj({"1": "x"})
         with pytest.raises(ValueError):
             LaurentPoly.from_text("2*v^x")
+
+    def test_a_bool_is_not_an_int(self):
+        # True == 1, but an exponent True would be written as the JSON key
+        # "True", which from_json_obj refuses, and JSON true is not a coefficient
+        for coeffs in ({True: 1}, {1: True}, [(False, 2)]):
+            with pytest.raises(TypeError):
+                LaurentPoly(coeffs)
+        for obj in ({"0": True}, {"1": False}):
+            with pytest.raises(ValueError):
+                LaurentPoly.from_json_obj(obj)
