@@ -1735,6 +1735,25 @@ class TestVerifyBlock:
         assert entries[()].coeff(1) == counts[1]["e"]
         assert entries[(1,)].coeff(0) == counts[0]["s"]
 
+    def test_formula_agreement_refuses_a_negative_coefficient(self, monkeypatch):
+        # the first row of every standard table planted as its negative
+        from dataclasses import replace
+
+        from tiltc.tilting import CategoryO
+
+        real = CategoryO.standard_table
+
+        def planted(self, x_word, *args):
+            table = real(self, x_word, *args)
+            (y, p), *rest = table.entries
+            return replace(table, entries=((y, -p), *rest))
+
+        monkeypatch.setattr(CategoryO, "standard_table", planted)
+        with pytest.raises(
+            InternalInvariantError, match="formula coefficient at std_e is not a nonnegative integer"
+        ):
+            verify_block(load_block("sl2"))
+
 
 # -- pins taken before the full-shape refactor of the oracle ---------------------------
 
