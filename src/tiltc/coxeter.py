@@ -269,7 +269,7 @@ class CoxeterElement:
         while d := W._ld[v]:  # right steps by the letters of other, read down its left slots
             i = (d & -d).bit_length() - 1
             u, v = W._step(u, i), W._succ[2 * W.rank * v + W.rank + i]
-        return self if u == self.id else W._handles.get(u) or W._handle(u)
+        return self if u == self.id else W._handle(u)
 
     def inverse(self) -> "CoxeterElement":
         W = self.system
@@ -277,12 +277,12 @@ class CoxeterElement:
         u = W._by_r.get(W._l[self.id])
         if u is None:
             u = W._walk(0, reversed(self.word))
-        return W._handles.get(u) or W._handle(u)
+        return W._handle(u)
 
     def times_gen(self, s: int, side: str = "right") -> "CoxeterElement":
         W = self._ref() or self.system  # the property raises for a released system
         u = W._step(self.id, W._sides[side] + W._idx[s])
-        return W._handles.get(u) or W._handle(u)
+        return W._handle(u)
 
     def right_descents(self) -> frozenset[int]:
         return self.system._names_of(self.rdesc)
@@ -490,16 +490,15 @@ class CoxeterSystem:
         y = table.get(p)
         if y is None:
             y = self._new_right(x, i) if i == slot else self._new_left(x, i, p)
-        else:
-            succ[2 * n * x + slot] = y
-            succ[2 * n * y + slot] = x
+        succ[2 * n * x + slot] = y
+        succ[2 * n * y + slot] = x
         return y
 
     def _new_left(self, x: int, i: int, p: int) -> int:
         """y = s_i*x, new, l(y) = p: first letters (smallest left descents) are
         read off the signs of l and peeled, each l checked against the bound,
         down to a known element, and the peeled ones added back up."""
-        top, lim, chk, signs, i0 = self._top, self._lim, self._chk, self._signs, i
+        top, lim, chk, signs = self._top, self._lim, self._chk, self._signs
         peeled: list[tuple[int, int, int]] = []
         while True:
             if (p + lim) & chk != top:  # checked before it is reflected
@@ -518,15 +517,12 @@ class CoxeterSystem:
         while peeled:  # added back up
             l, mask, s = peeled.pop()
             y = self._add(y, s, l, mask)
-        n, slot = self.rank, self.rank + i0
-        self._succ[2 * n * x + slot] = y
-        self._succ[2 * n * y + slot] = x
         return y
 
     def _new_right(self, x: int, i: int) -> int:
         """y = x*s_i, new: the left step s from s*y, s its smallest left
         descent by the exchange condition, which l(y) must confirm."""
-        n, succ, x0 = self.rank, self._succ, x
+        n, succ = self.rank, self._succ
         j = _simple_image(self, x, i)
         ldesc = self._ld[x] if j < 0 else self._ld[x] ^ 1 << j
         s = (ldesc & -ldesc).bit_length() - 1
@@ -544,10 +540,7 @@ class CoxeterSystem:
                 f"{self.tag}: the exchange condition and l(y) disagree on the left "
                 f"descents of y = s_{self.names[s]} * {format_word(self._words((x,))[x]) or 'e'}"
             )
-        y = self._add(x, s, p, ldesc)
-        succ[2 * n * x0 + i] = y
-        succ[2 * n * y + i] = x0
-        return y
+        return self._add(x, s, p, ldesc)
 
     def _add(self, y: int, s: int, l: int, mask: int) -> int:
         """s*y under the next id, linked to y: l = l(s*y), mask its left

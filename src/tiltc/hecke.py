@@ -443,25 +443,16 @@ class HeckeContext:
         # l(w_K) -> {m^K entry: its shifts by v^0 .. v^l(w_K)}, each interned
         self._shifts: dict[int, dict[int, list[int]]] = {}
         self._ints: dict[int, int] = {}  # every packed entry, so equal ones are one object
-        self._decoded: dict[int, LaurentPoly] = {}  # packed entry -> its polynomial
+        self._decoded: dict[int, LaurentPoly] = {0: ZERO, 1: ONE}  # packed entry -> its polynomial
         # packed entry -> its facts for the gate: largest |coefficient| << 3,
         # 4 if a coefficient is negative, bit k set if an exponent is k mod 2
         self._facts: dict[int, int] = {}
-        # every polynomial this context finishes, by its terms: one object each
-        self._polys: dict[Terms, LaurentPoly] = {ZERO.terms: ZERO, ONE.terms: ONE}
-
-    def _intern(self, terms: Terms) -> LaurentPoly:
-        """The polynomial of canonical terms, shared within this context."""
-        p = self._polys.get(terms)
-        if p is None:
-            p = self._polys[terms] = LaurentPoly._from_terms(terms)
-        return p
 
     def _poly(self, n: int) -> LaurentPoly:
         """The polynomial of a packed entry, decoded once per context."""
         p = self._decoded.get(n)
         if p is None:
-            p = self._decoded[n] = self._intern(_unpack(n, SLOT))
+            p = self._decoded[n] = LaurentPoly._from_terms(_unpack(n, SLOT))
         return p
 
     def _finish(self, acc: Packed) -> Packed:
@@ -825,7 +816,10 @@ class HeckeContext:
             for z, q in layer.items():
                 if not q:
                     continue
-                c = inv[z] = self._intern(_unpack(q, width, off))
+                # a value at SLOT bits with no offset is a packed entry
+                c = inv[z] = (
+                    self._poly(q) if narrow and not off else LaurentPoly._from_terms(_unpack(q, width, off))
+                )
                 solved[z], minus = q, -q
                 col, b = self._direct_column(fam, I, z)
                 bound += b * sum(abs(k) for _, k in c.terms)
