@@ -43,9 +43,11 @@ The column is unitriangular over v*Z[v], each exponent at x has the parity
 of l(y) - l(x), and an m column, whose entries are h values (Deodhar 1987),
 has no negative coefficient.  An h column or entry is v^d times a gated m^K
 entry, d = l(w_K) - l(u) >= 0 and 0 only on the diagonal, so it inherits all
-three.  A single h entry (poly) is read off y's h column when that is
-memoized, else off m^K: no h column is built and W_K is not enumerated (y is
-longest in W_K y', so l(w_K) = l(y) - l(y')).
+three.  Before that, PolyStore refuses a stored entry at x of degree above
+l(y) - l(x), so no stored exponent is packed past it.  A single h entry
+(poly) is read off y's h column when that is memoized, else off m^K: no h
+column is built and W_K is not enumerated (y is longest in W_K y', so
+l(w_K) = l(y) - l(y')).
 
 The inverse families come by signed unitriangular inversion of the direct
 ones: inverse_combination pushes sum_a c_a fam^{a,.} down the lengths from
@@ -94,7 +96,7 @@ from typing import Iterable, Iterator
 # the packing constants too: _product_column reads a height off r before it calls _simple_image
 from .coxeter import _HALF, _MASK, BITS, CoxeterElement, CoxeterSystem, _simple_image, format_word, parse_word
 from .errors import CacheError, InternalInvariantError, ValidationError
-from .laurent import ONE, ZERO, LaurentPoly, Terms
+from .laurent import ONE, ZERO, LaurentPoly, Terms, _exponent
 
 __all__ = ["HeckeContext", "PolyStore", "family_id", "DIRECT_FAMILIES", "INVERSE_FAMILIES"]
 
@@ -138,7 +140,7 @@ def _unpack(n: int, width: int, off: int = 0) -> Terms:
 # a record line as json.dumps writes it with sorted keys and compact
 # separators: the entries object, then the family and the upper word texts
 # (compiled by PolyStore.load, so a query without a store compiles nothing)
-_RECORD = r'\{"entries":\{.*\},"family":"([^"\\]*)","upper":"([^"\\]*)"\}'
+_RECORD = r'\{"entries":\{.*\},"family":"([^"\\]*)","upper":"((?:[0-9]+(?: [0-9]+)*)?)"\}'
 
 
 @contextmanager
@@ -171,20 +173,19 @@ class PolyStore:
     polynomials (the module docstring); a file with another version of either
     is refused.
 
-    Records are decoded lazily: ``load`` checks the header and the checksum
-    and indexes each record line by its family and upper word, read off the
-    line's canonical tail ``,"family":"...","upper":"..."}`` (sorted keys,
-    compact separators, so the entries object comes first) without decoding
-    the line.  ``get_column`` decodes a record's line the first time a query
-    reads it, checks that its family and upper are the indexed ones, and
-    packs its entries (module docstring), each distinct word text parsed once
-    per store (columns share most of their lower words).  A line not in that
-    form, or whose upper is not a word, is a CacheError at load; an entry
-    that does not parse, an exponent below 0 or a coefficient that is not a
-    JSON integer or does not fit a slot is a CacheError when its record is
-    read, so a broken record fails only the queries that read it.  ``save``
-    writes every loaded record, read or not, as its line, and encodes only
-    the columns this store computed.
+    A record has one form, its line, in ``lines`` by (family id, upper word
+    text): ``load`` keys a line by its canonical tail ``,"family":"...",
+    "upper":"..."}`` (sorted keys, compact separators) without decoding it,
+    and ``put_column`` encodes a column once.  Words stay texts, so the store
+    parses and formats no word.  ``get_column`` decodes a line on every call
+    (HeckeContext memoizes what it reads), checks its family and upper, and
+    packs its entries (module docstring).  The reader takes only what
+    ``put_column`` writes.  A line not in that form, or whose upper is not
+    numbers joined by single spaces, is a CacheError at load; an exponent key
+    that is not the text str(e) writes, an exponent outside 0 .. the letters
+    of upper less those of lower, or a coefficient that is not a JSON integer
+    or does not fit a slot is a CacheError when its record is read, so a
+    broken record fails only the queries that read it.
 
     The file modules (json, hashlib, tempfile, fcntl, glob) are imported by
     the methods that use them, so a query without a store loads none of them.
@@ -213,80 +214,54 @@ class PolyStore:
     def __init__(self, system_tag: str, generators: int):
         self.system_tag = system_tag
         self.generators = generators
-        # family id -> upper word -> the record line as read, or the packed
-        # column {lower word -> int}
-        self.columns: dict[str, dict[tuple[int, ...], str | dict[tuple[int, ...], int]]] = {}
+        self.lines: dict[tuple[str, str], str] = {}  # (family id, upper word text) -> record line
         self.dirty = False
-        self._words: dict[str, tuple[int, ...]] = {}
-        self._lines: dict[tuple[str, tuple[int, ...]], str] = {}  # of the records read, for save
         self._head: str | None = None  # the header line as loaded
 
-    def _word(self, text: str) -> tuple[int, ...]:
-        """parse_word, once per distinct text."""
-        word = self._words.get(text)
-        if word is None:
-            word = self._words[text] = parse_word(text)
-        return word
-
-    def get_column(self, fam_id: str, upper: tuple[int, ...]):
-        col = self.columns.get(fam_id, {}).get(upper)
-        if isinstance(col, str):
-            import json
-
-            line = col
-            try:
-                rec = json.loads(line)
-                if rec["family"] != fam_id or self._word(rec["upper"]) != upper:
-                    raise ValueError(f"record keys differ from its tail: {line[:60]!r}")
-                col = {self._word(k): self._packed(obj) for k, obj in rec["entries"].items()}
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise CacheError(f"cache key parse failure: {exc}") from exc
-            if None in col.values():
-                raise CacheError(
-                    f"stored column {format_word(upper) or 'e'} of {fam_id} has an "
-                    "exponent below 0, violating unitriangularity over v*Z[v]"
-                )
-            self._lines[fam_id, upper] = line
-            self.columns[fam_id][upper] = col
-        return col
-
-    @staticmethod
-    def _packed(obj) -> int | None:
-        """A record entry {exponent text: int coefficient}, packed; None when
-        an exponent is below 0.  Every coefficient's type is checked, as 1.0
-        and True equal 1."""
-        n, limit = 0, 1 << (SLOT - 1)
-        for k, c in obj.items():
-            e = int(k)
-            if type(c) is not int or not -limit < c < limit:
-                raise ValueError(f"bad coefficient {c!r} at exponent {k}")
-            if e < 0:
-                return None
-            n += c << SLOT * e
-        return n
-
-    def put_column(self, fam_id: str, upper: tuple[int, ...], col: dict[tuple[int, ...], int]) -> None:
-        fam = self.columns.setdefault(fam_id, {})
-        if upper not in fam:
-            fam[upper] = dict(col)
-            self.dirty = True
-
-    @staticmethod
-    def _line(fam_id: str, upper: tuple[int, ...], col) -> str:
-        """The record line of a column; an unread record keeps its line."""
-        if isinstance(col, str):
-            return col
+    def get_column(self, fam_id: str, upper: str) -> dict[str, int] | None:
+        """The stored column of a family at an upper word text, {lower word
+        text: packed entry}, decoded from its line on every call; None when
+        no record holds it.  An entry's exponents run from 0 to the letters
+        of upper less those of lower, each read by _exponent."""
+        line = self.lines.get((fam_id, upper))
+        if line is None:
+            return None
         import json
 
-        rec = {
-            "family": fam_id,
-            "upper": format_word(upper),
-            "entries": {
-                format_word(low): {str(e): c for e, c in _unpack(col[low], SLOT)}
-                for low in sorted(col, key=lambda w: (len(w), w))
-            },
-        }
-        return json.dumps(rec, separators=(",", ":"), sort_keys=True)
+        top, limit, col = upper.count(" ") + bool(upper), 1 << (SLOT - 1), {}
+        try:
+            rec = json.loads(line)
+            if rec["family"] != fam_id or rec["upper"] != upper:
+                raise ValueError(f"record keys differ from its tail: {line[:60]!r}")
+            for low, obj in rec["entries"].items():
+                n, d = 0, top - low.count(" ") - bool(low)
+                for k, c in obj.items():
+                    e = _exponent(k)
+                    if type(c) is not int or not -limit < c < limit:
+                        raise ValueError(f"bad coefficient {c!r} at exponent {k}")
+                    if not 0 <= e <= d:
+                        raise CacheError(
+                            f"stored column {upper or 'e'} of {fam_id} has v^{e} at {low or 'e'}, "
+                            f"outside v^0 .. v^{d}"
+                        )
+                    n += c << SLOT * e
+                col[low] = n
+        except CacheError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CacheError(f"cache key parse failure: {exc}") from exc
+        return col
+
+    def put_column(self, fam_id: str, upper: str, col: Mapping[str, int]) -> None:
+        """Hold a column, {lower word text: packed entry}, as its record line,
+        unless a record of its family and upper is held already."""
+        if (fam_id, upper) not in self.lines:
+            import json
+
+            entries = {low: {str(e): c for e, c in _unpack(n, SLOT)} for low, n in col.items()}
+            rec = {"family": fam_id, "upper": upper, "entries": entries}
+            self.lines[fam_id, upper] = json.dumps(rec, separators=(",", ":"), sort_keys=True)
+            self.dirty = True
 
     def save(self, path: str | Path) -> None:
         import hashlib
@@ -297,23 +272,16 @@ class PolyStore:
         with _file_errors("write", path):
             path.parent.mkdir(parents=True, exist_ok=True)
         with _file_errors("write", path), _store_lock(path):
-            records = {
-                (fam_id, upper): self._lines.get((fam_id, upper)) or self._line(fam_id, upper, col)
-                for fam_id, fam in self.columns.items()
-                for upper, col in fam.items()
-            }
+            records = dict(self.lines)
             if path.exists() and self._head_on_disk(path) != self._head:
                 on_disk = self.load(path, self.system_tag, self.generators)
-                for fam_id, fam in on_disk.columns.items():
-                    for upper, line in fam.items():
-                        if records.setdefault((fam_id, upper), line) != line:
-                            raise CacheError(
-                                f"cache file holds a different {fam_id} column "
-                                f"at {format_word(upper) or 'e'}"
-                            )
-            body = "\n".join(
-                records[k] for k in sorted(records, key=lambda k: (k[0], len(k[1]), k[1]))
-            )
+                for (fam_id, upper), line in on_disk.lines.items():
+                    if records.setdefault((fam_id, upper), line) != line:
+                        raise CacheError(f"cache file holds a different {fam_id} column at {upper or 'e'}")
+            # by family, then upper word in ShortLex order: a letter's digits
+            # compare as its number, shorter first (str(int) writes no leading 0)
+            order = lambda k: (k[0], k[1].count(" ") + bool(k[1]), [(len(t), t) for t in k[1].split()])  # noqa: E731
+            body = "\n".join(records[k] for k in sorted(records, key=order))
             header = json.dumps(
                 {
                     "format": self.FORMAT,
@@ -396,15 +364,11 @@ class PolyStore:
         store._head = head
         record = re.compile(_RECORD).fullmatch
         for line in body.split("\n") if body else ():
-            try:
-                key = record(line)
-                if key is None:
-                    raise ValueError(f"malformed record {line[:60]!r}")
-                fam_id, upper = key[1], store._word(key[2])
-            except ValueError as exc:
-                raise CacheError(f"cache key parse failure: {exc}") from exc
-            if cls._is_read(fam_id):
-                store.columns.setdefault(fam_id, {})[upper] = line
+            key = record(line)
+            if key is None:
+                raise CacheError(f"cache key parse failure: malformed record {line[:60]!r}")
+            if cls._is_read(key[1]):
+                store.lines[key[1], key[2]] = line
         return store
 
     @staticmethod
@@ -418,12 +382,14 @@ class HeckeContext:
 
     An optional PolyStore persists the m and n columns (serialize with
     store.save).  A column is read from it, and its record decoded, only when
-    a query needs that column; each stored lower word is walked to its
-    element id once per context, and the column passes the gate of
-    _check_column or raises CacheError.  h columns are read off m columns
-    and inverse columns are pushed; neither is stored.  All public results
-    are columns: maps {lower element -> polynomial} attached to an upper
-    element.
+    a query needs that column.  Records are keyed by word texts: the context
+    spells an upper word with CoxeterSystem._spelled, and parses and walks
+    each stored lower word text to its element id once per context, refusing
+    one that is not its element's ShortLex normal form, the only text a save
+    writes, or not a word of the system.  The column passes the gate of
+    _check_column or raises CacheError.  h columns are read off m columns and
+    inverse columns are pushed; neither is stored.  All public results are
+    columns: maps {lower element -> polynomial} attached to an upper element.
     """
 
     def __init__(self, system: CoxeterSystem, store: PolyStore | None = None):
@@ -438,8 +404,8 @@ class HeckeContext:
         self._inverses: dict[tuple[str, int], Mapping[CoxeterElement, LaurentPoly]] = {}
         self._walks: dict[int, array] = {}  # descent mask -> its W_K walk
         self._subsets: dict[int, tuple[int, ...]] = {}  # descent mask -> its generators
-        self._stored_ids: dict[tuple[int, ...], int] = {}  # stored word -> element id
-        self._words: dict[int, tuple[int, ...]] = {0: ()}  # id -> word, for the store
+        self._stored_ids: dict[str, int] = {}  # stored word text -> element id
+        self._spelled: dict[int, tuple[int, str]] = {0: (0, "")}  # W._spelled memo, for the store
         # l(w_K) -> {m^K entry: its shifts by v^0 .. v^l(w_K)}, each interned
         self._shifts: dict[int, dict[int, list[int]]] = {}
         self._ints: dict[int, int] = {}  # every packed entry, so equal ones are one object
@@ -535,11 +501,11 @@ class HeckeContext:
             col, bound = self._expand_spherical(y) if y else ({0: 1}, 1)
         else:
             store, W = self.store, self.system
-            raw = store.get_column(fid, W._words((y,), self._words)[y]) if store is not None else None
+            raw = store.get_column(fid, W._spelled((y,), self._spelled)[y][1]) if store is not None else None
             if raw is not None:
                 ids = self._stored_ids
-                for w in raw.keys() - ids.keys():
-                    ids[w] = W._walk(0, w)
+                if new := raw.keys() - ids.keys():
+                    self._read_stored(new)
                 col = self._finish({ids[w]: n for w, n in raw.items()})
             elif not y:  # the identity
                 col = {0: 1}
@@ -547,10 +513,25 @@ class HeckeContext:
                 col = self._product_column(fam, I, y, fid)
             bound = self._check_column(col, y, fid, loaded=raw is not None)
             if store is not None and raw is None:
-                words = W._words(col, self._words)
-                store.put_column(fid, words[y], {words[u]: n for u, n in col.items()})
+                texts = W._spelled(col, self._spelled)
+                store.put_column(fid, texts[y][1], {texts[u][1]: n for u, n in col.items()})
         memo = self._columns[key] = col, bound
         return memo
+
+    def _read_stored(self, texts: Iterable[str]) -> None:
+        """Add stored lower word texts to _stored_ids, each walked to its
+        element id; a text that is not a word of the system, or not its
+        element's normal form, is a CacheError."""
+        W = self.system
+        try:
+            ids = {w: W._walk(0, parse_word(w)) for w in texts}
+        except ValueError as exc:
+            raise CacheError(f"cache key parse failure: {exc}") from exc
+        spelled = W._spelled(ids.values(), self._spelled)
+        for w, u in ids.items():
+            if spelled[u][1] != w:
+                raise CacheError(f"stored word {w!r} is not the normal form {spelled[u][1]!r} of its element")
+        self._stored_ids.update(ids)
 
     def _product_column(self, fam: str, I: tuple[int, ...], y: int, fid: str) -> Packed:
         """C_{ys} C_s less mu C_u, summed packed, each digit read under the bound;

@@ -19,6 +19,7 @@ self-dual bases.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 __all__ = ["LaurentPoly", "EmptySupportError", "ZERO", "ONE", "V"]
@@ -242,12 +243,11 @@ class LaurentPoly:
 
     @staticmethod
     def from_json_obj(obj: Mapping[str, int]) -> "LaurentPoly":
+        """The inverse of to_json_obj: a key is read by _exponent, and a
+        coefficient must be an int."""
         acc: dict[int, int] = {}
         for k, c in obj.items():
-            try:
-                e = int(k)
-            except ValueError as exc:
-                raise ValueError(f"bad exponent key {k!r}") from exc
+            e = _exponent(k)
             if type(c) is not int:  # JSON true and false are not coefficients
                 raise ValueError(f"bad coefficient {c!r} at exponent {k}")
             acc[e] = acc.get(e, 0) + c
@@ -255,6 +255,20 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
+
+
+@lru_cache(maxsize=4096)
+def _exponent(key: str) -> int:
+    """The exponent of a JSON polynomial's key, which must be the text str(e)
+    writes, so each exponent has one key ("01", "+2", "-0", " 1" and "1_0"
+    are refused with a ValueError); memoized per key."""
+    try:
+        e = int(key)
+    except ValueError:
+        e = None
+    if e is None or str(e) != key:
+        raise ValueError(f"bad exponent key {key!r}")
+    return e
 
 
 # slot setters: they bypass the __setattr__ that keeps instances immutable

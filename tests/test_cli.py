@@ -19,7 +19,7 @@ import pytest
 
 from planting import garble, tamper
 from tiltc.cli import main
-from tiltc.coxeter import CoxeterSystem
+from tiltc.coxeter import CoxeterSystem, format_word
 from tiltc.hecke import SLOT, HeckeContext, PolyStore, _pack
 from tiltc.laurent import LaurentPoly
 
@@ -473,6 +473,37 @@ class TestCache:
         return f.read_text().rstrip("\n").split("\n")[1:]
 
     @pytest.mark.parametrize(
+        "lower,poly,why",
+        [
+            # v^1000 at 2 3 keeps the parity of l(y) - l(x) = 2
+            pytest.param("2 3", {"1000": 1}, "has v^1000 at 2 3, outside v^0 .. v^2", id="past-the-degree"),
+            # a word that is not reduced, and another reduced word of 2 1 3
+            # (v at 2 1 3): each names an element a stored word already names
+            pytest.param("3 3 2", {"3": 1}, "has v^3 at 3 3 2, outside v^0 .. v^1", id="not-reduced-v3"),
+            pytest.param("3 3 2", {"1": 2}, "stored word '3 3 2' is not the normal form '2'", id="not-reduced"),
+            pytest.param("2 3 1", {"1": 2}, "'2 3 1' is not the normal form '2 1 3'", id="not-normal"),
+            pytest.param("7", {"1": 1}, "unknown generator 7 for system A3", id="unknown-generator"),
+            # keys int() reads as the exponents of the stored entries
+            pytest.param("2", {"01": 1}, "bad exponent key '01'", id="leading-zero"),
+            pytest.param("2 1 3 2", {"-0": 1}, "bad exponent key '-0'", id="minus-zero"),
+            pytest.param("2 3", {"+2": 1}, "bad exponent key '+2'", id="plus"),
+            pytest.param("2 3", {" 2": 1}, "bad exponent key ' 2'", id="space"),
+            pytest.param("2 3", {"1_0": 1}, "bad exponent key '1_0'", id="underscore"),
+        ],
+    )
+    def test_an_entry_a_save_never_writes_is_refused(self, capsys, tmp_path, lower, poly, why):
+        # the n[1] record at 2 1 3 2 holds 2 3 -> v^2, 2 1 3 -> v, 2 -> v
+        # and 2 1 3 2 -> 1; each edit is otherwise read as a value or an
+        # element
+        args = ("kl", "--type", "A3", "--y", "2 1 3 2", "--parabolic", "1",
+                "--flavor", "antispherical", "--cache-path", str(tmp_path))
+        rc, clean, _ = run(capsys, *args)
+        assert rc == 0 and "2 3\t2 1 3 2\tv^2\n" in clean
+        tamper(tmp_path / "A3.jsonl", "n[1]", "2 1 3 2", lower, poly)
+        rc, out, err = run(capsys, *args)
+        assert (rc, out) == (2, "") and err.startswith("error: cache: ") and why in err
+
+    @pytest.mark.parametrize(
         "lower,poly",
         [
             # the entry keeps its shape; the true value is v^2
@@ -495,9 +526,9 @@ class TestCache:
         x = A3.element([2, 1, 3, 2])
         col = {z.word: p for z, p in HeckeContext(A3).inverse_column("n", (1,), x).items()}
         col[lower] = LaurentPoly(poly)
-        col = {z: _pack(p.terms, SLOT) for z, p in col.items()}  # as a store holds it
+        col = {format_word(z): _pack(p.terms, SLOT) for z, p in col.items()}  # as a store takes it
         old = PolyStore("A3", 3)
-        old.put_column("n_inv[1]", x.word, col)
+        old.put_column("n_inv[1]", format_word(x.word), col)
         old.save(tmp_path / "A3.jsonl")
         [forged] = self.records(tmp_path / "A3.jsonl")
         rc, out, err = run(capsys, *args, "--cache-path", str(tmp_path))

@@ -1,11 +1,14 @@
 """Self-dual bases, parabolic modules, inverse families, persistence."""
 
+import contextlib
 import hashlib
+import io
 import json
 import multiprocessing
 import os
 import re
 from collections import defaultdict
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -834,10 +837,26 @@ class TestPolyStore:
 
     @staticmethod
     def assert_same_columns(a, b):
-        keys = {(f, u) for f, fam in a.columns.items() for u in fam}
-        assert keys == {(f, u) for f, fam in b.columns.items() for u in fam}
-        for f, u in keys:
+        assert a.lines.keys() == b.lines.keys()
+        for f, u in a.lines:
             assert a.get_column(f, u) == b.get_column(f, u)
+
+    @staticmethod
+    def line(fid, upper, col):
+        """The record line a store holds for the column {lower word: packed
+        entry} of family fid at the word upper."""
+        store = PolyStore("A3", 3)
+        store.put_column(fid, format_word(upper), {format_word(w): n for w, n in col.items()})
+        [line] = store.lines.values()
+        return line
+
+    @staticmethod
+    def read_record(context, fid, upper):
+        """The column of the family fid at the word text upper, read through
+        a context: h for an m record, whose I must not be empty."""
+        fam, _, rest = fid.partition("[")
+        I = tuple(int(t) for t in rest.rstrip("]").split(","))
+        return context.column(fam, I, A3.element(parse_word(upper)))
 
     def test_round_trip(self, tmp_path):
         c, path = self.make_store(tmp_path)
@@ -939,9 +958,12 @@ class TestPolyStore:
             pytest.param((2, 1, 3), "m[2]", (1, 3), (1, 3), {0: 2}, id="h-diagonal"),
             pytest.param((2, 1, 3), "m[2]", (1, 3), (), {2: -7}, id="h-positivity"),
             pytest.param((2, 1, 3), "m[2]", (1, 3), (1,), {2: 1}, id="h-parity"),
+            # the wrong parity in the degrees an entry may have, 0 .. l(y) - l(x)
+            pytest.param((2, 1, 3), "m[2]", (1, 3), (), {1: 1}, id="h-parity-in-degree"),
             pytest.param((2, 1), "n[1]", (2, 1), (2,), {0: 1}, id="n-triangularity"),
             # n entries are not h values: parity is checked, positivity is not
             pytest.param((2, 1), "n[1]", (2, 1), (2,), {2: 1}, id="n-parity"),
+            pytest.param((2, 1), "n[1]", (2, 1), (), {1: 1}, id="n-parity-in-degree"),
         ],
     )
     def test_loaded_direct_columns_are_checked(self, tmp_path, query, fid, upper, lower, poly):
@@ -967,6 +989,23 @@ class TestPolyStore:
         with pytest.raises(CacheError, match="cache key parse failure: bad coefficient"):
             HeckeContext(A3, PolyStore.load(path, "A3", 3)).kl_column(A3.element((2, 1, 3)))
 
+    def test_the_stores_of_the_benchmark_queries_keep_their_bytes(self, tmp_path):
+        # every store-warm query of perfbench/refs.json, on one store: the
+        # sha256 of the file as the store wrote it before its records were
+        # held as lines keyed by word texts
+        from tiltc.cli import main
+
+        refs = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())
+        strata = refs["workloads"]["store-warm"]["strata"]
+        for name in sorted(strata):
+            for op in strata[name]:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([*op["argv"], "--cache-path", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.glob("*.jsonl")] == ["A4.jsonl"]
+        assert hashlib.sha256((tmp_path / "A4.jsonl").read_bytes()).hexdigest() == (
+            "805a796baf1460a9e828b332f14890c1d6abd0ca27fa14e131f570d0aaba2046"
+        )
+
     @staticmethod
     def write_records(tmp_path, records):
         """A store file of A3 holding the given records, with a good checksum."""
@@ -981,7 +1020,7 @@ class TestPolyStore:
         s = PolyStore("A2", 2)
         p = tmp_path / "e.jsonl"
         s.save(p)
-        assert PolyStore.load(p, "A2", 2).columns == {}
+        assert PolyStore.load(p, "A2", 2).lines == {}
 
     def test_records_no_query_reads_are_dropped_on_load(self, tmp_path):
         # an h record, as older versions wrote, next to an m[1] record
@@ -989,14 +1028,14 @@ class TestPolyStore:
         y = A3.element([2, 1])
         m_col = {x.word: _pack(p.terms, SLOT) for x, p in c.parabolic_column("m", (1,), y).items()}
         h_col = {x.word: _pack(p.terms, SLOT) for x, p in c.kl_column(y).items()}
-        m_line = PolyStore._line("m[1]", y.word, m_col)
+        m_line = self.line("m[1]", y.word, m_col)
         path = tmp_path / "A3.jsonl"
         write_store(
             path, A3_STORE_HEAD | {"records": 2},
-            sorted([PolyStore._line("h", y.word, h_col), m_line]),
+            sorted([self.line("h", y.word, h_col), m_line]),
         )
         store = PolyStore.load(path, "A3", 3)
-        assert store.columns == {"m[1]": {y.word: m_line}}
+        assert store.lines == {("m[1]", "2 1"): m_line}
         assert HeckeContext(A3, store).parabolic_column("m", (1,), y) == c.parabolic_column(
             "m", (1,), y
         )
@@ -1021,14 +1060,11 @@ class TestPolyStore:
         c.inverse_column("n", (1,), A3.project(y, (1,), "left"))
         c.kl_column(A3.element([1, 2, 3]))  # a new column
         assert lazy.dirty
-        eager = PolyStore.load(path, "A3", 3)
-        for fam_id, fam in eager.columns.items():
-            for upper in list(fam):
-                eager.get_column(fam_id, upper)  # every record parsed
-        for fam_id, fam in lazy.columns.items():
-            for upper in fam:
-                eager.put_column(fam_id, upper, lazy.get_column(fam_id, upper))
-        assert all(isinstance(col, dict) for fam in eager.columns.values() for col in fam.values())
+        # every record decoded and encoded again, the loaded ones too
+        eager = PolyStore("A3", 3)
+        for fam_id, upper in lazy.lines:
+            eager.put_column(fam_id, upper, lazy.get_column(fam_id, upper))
+        assert eager.lines == lazy.lines
         lazy.save(tmp_path / "lazy" / "A3.jsonl")
         eager.save(tmp_path / "eager" / "A3.jsonl")
         assert (tmp_path / "lazy" / "A3.jsonl").read_bytes() == (
@@ -1047,17 +1083,16 @@ class TestPolyStore:
         return decoded
 
     def test_read_records_are_not_encoded_again(self, tmp_path, monkeypatch):
-        # a record a query read keeps its line, so a save encodes only the
-        # columns this store computed: one json.dumps each, and the header
+        # a record a query read keeps its line, so only the columns this
+        # store computed are encoded: one json.dumps each, and the header
         _, path = self.make_store(tmp_path)
         before = self.records(path)
         store = PolyStore.load(path, "A3", 3)
-        for fam_id, fam in store.columns.items():
-            for upper in list(fam):
-                store.get_column(fam_id, upper)  # every record read
-        HeckeContext(A3, store).kl_column(A3.element([1, 2, 3]))  # new columns
+        for fam_id, upper in store.lines:
+            store.get_column(fam_id, upper)  # every record read
         dumps, dumped = json.dumps, []
         monkeypatch.setattr(json, "dumps", lambda *a, **k: dumped.append(a) or dumps(*a, **k))
+        HeckeContext(A3, store).kl_column(A3.element([1, 2, 3]))  # new columns
         store.save(path)
         after = self.records(path)
         assert set(before) < set(after)
@@ -1122,9 +1157,9 @@ class TestPolyStore:
             {"family": "m[2]", "upper": "3", "entries": {"": {"1": bad}, "3": {"0": 1}}},
         ])
         store = PolyStore.load(path, "A3", 3)
-        assert store.get_column("m[2]", (1,)) == {(): 1 << SLOT, (1,): 1}
+        assert store.get_column("m[2]", "1") == {"": 1 << SLOT, "1": 1}
         with pytest.raises(CacheError, match=f"bad coefficient {bad!r} at exponent 1"):
-            store.get_column("m[2]", (3,))
+            store.get_column("m[2]", "3")
 
     @staticmethod
     def rewrite_records(path, edit):
@@ -1136,16 +1171,20 @@ class TestPolyStore:
         _, path = self.make_store(tmp_path)
 
         def add_bad_key(lines):
-            lines[0] = lines[0].replace('"entries":{', '"entries":{"x":{"0":1},', 1)
+            # in the last record, whose upper word is long enough to have
+            # an entry of one letter at v^0
+            lines[-1] = lines[-1].replace('"entries":{', '"entries":{"x":{"0":1},', 1)
             return lines
 
         self.rewrite_records(path, add_bad_key)
         store = PolyStore.load(path, "A3", 3)  # the bad key is not read yet
-        rec = json.loads(path.read_text().split("\n")[1])
+        rec = json.loads(self.records(path)[-1])
         with pytest.raises(CacheError, match="cache key parse failure"):
-            store.get_column(rec["family"], tuple(int(t) for t in rec["upper"].split()))
+            self.read_record(HeckeContext(A3, store), rec["family"], rec["upper"])
 
     def test_each_word_text_is_parsed_once(self, tmp_path, monkeypatch):
+        # the store parses no word; a context parses each stored lower word
+        # text once, and spells its upper words itself
         _, path = self.make_store(tmp_path)
         parsed = []
 
@@ -1155,25 +1194,28 @@ class TestPolyStore:
 
         monkeypatch.setattr(hecke, "parse_word", counting_parse_word)
         store = PolyStore.load(path, "A3", 3)
+        c = HeckeContext(A3, store)
         texts = set()
         for line in path.read_text().split("\n")[1:]:
             if line:
                 rec = json.loads(line)
-                texts |= {rec["upper"], *rec["entries"]}
-                col = store.get_column(rec["family"], parse_word(rec["upper"]))
+                texts |= set(rec["entries"])
+                col = store.get_column(rec["family"], rec["upper"])
                 assert col == {
-                    parse_word(k): _pack(LaurentPoly.from_json_obj(v).terms, SLOT)
-                    for k, v in rec["entries"].items()
+                    k: _pack(LaurentPoly.from_json_obj(v).terms, SLOT) for k, v in rec["entries"].items()
                 }
+                self.read_record(c, rec["family"], rec["upper"])
         assert sorted(parsed) == sorted(texts)
 
     def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
+        # per context: the context memoizes every column it reads
         _, path = self.make_store(tmp_path)
         decoded = self.counting_loads(monkeypatch)
         store = PolyStore.load(path, "A3", 3)
-        for fam_id, fam in store.columns.items():
-            for upper in list(fam):
-                store.get_column(fam_id, upper)  # every record read
+        c = HeckeContext(A3, store)
+        for _ in range(2):
+            for fam_id, upper in store.lines:
+                self.read_record(c, fam_id, upper)  # every record read
         assert sorted(decoded) == sorted(path.read_text().rstrip("\n").split("\n"))
 
     def test_a_query_decodes_only_the_records_it_reads(self, tmp_path, monkeypatch):
@@ -1182,16 +1224,16 @@ class TestPolyStore:
         c = HeckeContext(A3)
         y = A3.element((1, 3))
         col = {x.word: _pack(p.terms, SLOT) for x, p in c.parabolic_column("m", (2,), y).items()}
-        line = PolyStore._line("m[2]", y.word, col)
+        line = self.line("m[2]", y.word, col)
         pad = [
-            PolyStore._line(fid, (k,), {(): 1})
+            self.line(fid, (k,), {(): 1})
             for fid in ("h", "m[1]", "n[2]") for k in range(10, 210)
         ]
         path = tmp_path / "A3.jsonl"
         write_store(path, A3_STORE_HEAD | {"records": 601}, sorted(pad + [line]))
         decoded = self.counting_loads(monkeypatch)
         store = PolyStore.load(path, "A3", 3)
-        assert len(store.columns["m[1]"]) == len(store.columns["n[2]"]) == 200
+        assert sum(f == "m[1]" for f, _ in store.lines) == sum(f == "n[2]" for f, _ in store.lines) == 200
         got = HeckeContext(A3, store).kl_column(A3.element((2, 1, 3)))
         assert decoded == [path.read_text().split("\n")[0], line]
         assert got == c.kl_column(A3.element((2, 1, 3)))
@@ -1212,30 +1254,29 @@ class TestPolyStore:
             warm = HeckeContext(W, store)
             for y in elements:
                 assert warm.kl_column(y) == cold.kl_column(y)
-            stored = [low for f, u in store._lines for low in store.get_column(f, u)]
+            stored = [low for f, u in store.lines for low in store.get_column(f, u)]
             assert len(set(stored)) < len(stored)  # columns share lower words
-            assert sorted(walked) == sorted(set(stored))
+            assert sorted(walked) == sorted(map(parse_word, set(stored)))
             walked.clear()
 
     def test_a_record_broken_inside_fails_only_when_read(self, tmp_path):
         _, path = self.make_store(tmp_path)
         garble(path, "m[2]", "1 3 2")
         store = PolyStore.load(path, "A3", 3)
-        keys = [(f, u) for f, fam in store.columns.items() for u in fam]
-        others = [key for key in keys if key != ("m[2]", (1, 3, 2))]
+        keys = list(store.lines)
+        others = [key for key in keys if key != ("m[2]", "1 3 2")]
         assert len(others) == len(keys) - 1 == len(self.records(path)) - 1
         for f, u in others:
             assert isinstance(store.get_column(f, u), dict)
         with pytest.raises(CacheError, match="cache key parse failure: Expecting property name"):
-            store.get_column("m[2]", (1, 3, 2))
+            store.get_column("m[2]", "1 3 2")
 
     def test_a_record_read_under_another_key_is_refused(self, tmp_path):
         _, path = self.make_store(tmp_path)
         store = PolyStore.load(path, "A3", 3)
-        fam = store.columns["m[2]"]
-        fam[(1,)] = fam[1, 3, 2]
+        store.lines["m[2]", "1"] = store.lines["m[2]", "1 3 2"]
         with pytest.raises(CacheError, match="record keys differ from its tail"):
-            store.get_column("m[2]", (1,))
+            store.get_column("m[2]", "1")
 
     @pytest.mark.parametrize(
         "line",
@@ -1256,9 +1297,9 @@ class TestPolyStore:
         c, path = self.make_store(tmp_path)
         other = PolyStore("A3", 3)
         # the m[2] column at 1 3 2 that the h column of 2 1 3 2 is read off
-        y = (1, 3, 2)
+        y = "1 3 2"
         col = dict(c.store.get_column("m[2]", y))
-        col[()] = 5 << SLOT  # 5v
+        col[""] = 5 << SLOT  # 5v
         other.put_column("m[2]", y, col)
         before = path.read_bytes()
         with pytest.raises(CacheError, match=r"different m\[2\] column at 1 3 2"):

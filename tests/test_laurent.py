@@ -165,6 +165,16 @@ class TestJson:
         obj = P({3: 1, -1: 2}).to_json_obj()
         assert list(obj.keys()) == ["-1", "3"]
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"1_0": 1}, {" 1": 1, "01": 2}, {"+2": 1}, {"-0": 1}, {"1 ": 1}, {"\u0661": 1}],
+        ids=["underscore", "space-and-zero", "plus", "minus-zero", "trailing-space", "arabic-digit"],
+    )
+    def test_only_keys_to_json_obj_writes_are_read(self, obj):
+        # int() reads each of these keys: as v^10, 3v, v^2, 1, v and v
+        with pytest.raises(ValueError, match="bad exponent key"):
+            LaurentPoly.from_json_obj(obj)
+
     def test_reject_bad_keys(self):
         with pytest.raises(ValueError):
             LaurentPoly.from_json_obj({"x": 1})

@@ -136,8 +136,9 @@ class TestCategoryOStandard:
     def test_antispherical_twin_entry_is_checked_for_empty_I(self, tmp_path):
         # on the diagonal row the twin reads h_{b,b} = m^K_{b',b'} unshifted,
         # which must be 1.  Here b = w_K, so m^K is the column of e, which no
-        # recursion builds: a v^2 planted in its record is refused by the
-        # gate as the column is loaded, before the solve or the twin reads it
+        # recursion builds: a v^2 planted in its record, past the degree
+        # l(e) - l(e) = 0, is refused as the column is loaded, before the
+        # solve or the twin reads it
         x = A3.element((1, 2, 3))
         O = CategoryO(HeckeContext(A3, PolyStore("A3", 3)), (), ())
         O.standard_table(x.word)
@@ -147,7 +148,7 @@ class TestCategoryOStandard:
         plant_stored(tmp_path / "A3.jsonl", *key, a0.word, LaurentPoly.v(2))
         O = CategoryO(HeckeContext(A3, PolyStore.load(tmp_path / "A3.jsonl", "A3", 3)), (), ())
         with pytest.raises(
-            CacheError, match=rf"stored column <A3:e> of {re.escape(key[0])} .*violating unitriangularity over v\*Z\[v\]"
+            CacheError, match=rf"stored column e of {re.escape(key[0])} has v\^2 at e, outside v\^0 \.\. v\^0"
         ):
             O.standard_table(x.word)
         assert memo_key(O.hecke, key) not in O.hecke._columns
@@ -598,8 +599,10 @@ class TestSimpleTableChecks:
 
     def assert_gate_refuses(self, name, pick, source, monkeypatch, tmp_path):
         """Plant the wrong parity in the column pick reads off a clean simple
-        table, computed or stored, and assert that the gate refuses it on
-        the next setting before any table reads it."""
+        table, computed or stored, and assert that it is refused on the next
+        setting before any table reads it: by the gate, or in a stored
+        column, whose entry at x has no degree above l(y) - l(x), by the
+        store's degree bound."""
         W = self.SETTINGS[name]()[0].system
         store = PolyStore(W.tag, W.rank) if source == "stored" else None
         twin, x, max_len = self.SETTINGS[name](store)
@@ -614,7 +617,8 @@ class TestSimpleTableChecks:
             store = PolyStore.load(tmp_path / "store.jsonl", W.tag, W.rank)
             error, where = CacheError, "stored"
         setting = self.SETTINGS[name](store)[0]
-        with pytest.raises(error, match=rf"{where} column .* of {re.escape(key[0])} .*, parity"):
+        why = ".*, parity" if store is None else rf" has v\^{bad.max_degree()} at .*, outside v\^0 \.\. "
+        with pytest.raises(error, match=rf"{where} column .* of {re.escape(key[0])}{why}"):
             setting.simple_table(x, max_len=max_len)
         assert memo_key(setting.hecke, key) not in setting.hecke._columns  # never memoized, so never read
 
