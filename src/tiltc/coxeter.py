@@ -95,7 +95,7 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 
-_TYPE_RE = re.compile(r"^(aff)?([A-G])(\d+)(d?)$")
+_TYPE_RE = re.compile(r"(aff)?([A-G])([1-9][0-9]*)(d?)")  # read with fullmatch
 
 _ASCEND_GUARD = 100_000  # iteration cap for longest-element ascent
 
@@ -384,7 +384,7 @@ class CoxeterSystem:
 
     @classmethod
     def from_type(cls, tag: str) -> "CoxeterSystem":
-        m = _TYPE_RE.match(tag)
+        m = _TYPE_RE.fullmatch(tag)
         if m is None or m.group(4):
             raise ValueError(f"unrecognized type tag {tag!r}")
         aff, rank = m.group(1), int(m.group(3))

@@ -42,6 +42,7 @@ on the first violated invariant.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -71,6 +72,8 @@ from .quiver import (
 
 ROLES = ("simple", "std", "costd", "tilt", "proj", "inj")
 
+# a dim line's value, as JSON writes an int: no sign, leading zero or separator
+_DIM = re.compile(r"0|[1-9][0-9]*")
 _SWEEP_GUARD = 20  # most steps of the sweep past degree 0
 _EXT_BOUND = 4  # highest Ext degree checked against costandards in suite 2
 
@@ -137,15 +140,19 @@ def _poset_closure(
 
 
 def parse_block_text(text: str, name: str = "block") -> BlockData:
+    """Parse the text of a ``.block`` file; raises ValidationError on any
+    line the format does not define, naming the line."""
     section = None
     system: str | None = None
     words: dict[str, str] = {}
-    vertices: list[str] = []
+    vertices: list[str] | None = None
     arrows: list[tuple[str, str, str]] = []
     relations: list[str] = []
     covers: list[tuple[str, str]] = []
-    module_specs: dict[str, dict] = {}
-    cur: dict | None = None
+    # module name -> {"dim": {vertex: int}, "map": {arrow: Mat}}
+    module_specs: dict[str, dict[str, dict]] = {}
+    cur: dict[str, dict] | None = None
+    module_lines: list[tuple[str, str, str]] = []  # ("dim" or "map", target, line)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,15 +171,22 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
             if not eq:
                 raise ValidationError(f"{name}: bad meta line {line!r}")
             if key == "system":
+                if system is not None:
+                    raise ValidationError(f"{name}: repeated line {line!r}")
                 system = val
             elif key.startswith("label "):
-                words[key[6:].strip()] = val
+                lab = key[6:].strip()
+                if lab in words:
+                    raise ValidationError(f"{name}: repeated line {line!r}")
+                words[lab] = val
             else:
                 raise ValidationError(f"{name}: unknown meta key {key!r}")
         elif section == "quiver":
             key, eq, val = line.partition("=")
             key, val = key.strip(), val.strip()
             if key == "vertices":
+                if vertices is not None:
+                    raise ValidationError(f"{name}: repeated line {line!r}")
                 vertices = val.split()
             elif key.startswith("arrow "):
                 src, sep, tgt = val.partition("->")
@@ -193,27 +207,34 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
                 mod_name = line[7:].strip()
                 if mod_name in module_specs:
                     raise ValidationError(f"{name}: duplicate module {mod_name!r}")
-                cur = {"dims": {}, "mats": {}}
+                cur = {"dim": {}, "map": {}}
                 module_specs[mod_name] = cur
             else:
                 if cur is None:
                     raise ValidationError(f"{name}: module data before a module line")
                 key, eq, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if not key.startswith(("dim ", "map ")):
+                kind, _, target = key.strip().partition(" ")
+                target, val = target.strip(), val.strip()
+                if kind not in cur or not target:
                     raise ValidationError(f"{name}: bad module line {line!r}")
+                if target in cur[kind]:
+                    raise ValidationError(f"{name}: repeated line {line!r}")
                 try:
-                    if key.startswith("dim "):
-                        cur["dims"][key[4:].strip()] = int(val)
+                    if kind == "dim":
+                        if not _DIM.fullmatch(val):
+                            raise ValueError("a dimension is a nonnegative integer")
+                        value = int(val)
                     else:
                         # bracketed integer rows; json.loads, unlike
                         # ast.literal_eval, leaves no cyclic garbage
                         rows = json.loads(val)
                         if not all(type(x) is int for row in rows for x in row):
                             raise ValueError("matrix entries must be integers")
-                        cur["mats"][key[4:].strip()] = linalg.mat(rows)
+                        value = linalg.mat(rows)
                 except (ValueError, TypeError, RecursionError) as exc:
                     raise ValidationError(f"{name}: bad module line {line!r}") from exc
+                cur[kind][target] = value
+                module_lines.append((kind, target, line))
     if not vertices:
         raise ValidationError(f"{name}: no vertices declared")
     algebra = AlgebraPresentation(vertices, arrows, relations)
@@ -235,11 +256,15 @@ def parse_block_text(text: str, name: str = "block") -> BlockData:
         if a not in labels or b not in labels:
             raise ValidationError(f"{name}: poset uses unknown label")
     leq = _poset_closure(labels, covers)
+    for kind, target, line in module_lines:
+        if target not in (algebra.vertices if kind == "dim" else algebra.arrows):
+            noun = "vertex" if kind == "dim" else "arrow"
+            raise ValidationError(f"{name}: no {noun} {target!r} in line {line!r}")
     # equal declared modules (std_e and simple_e of sl2, say) are one
     # interned object, validated once
     modules: dict[str, ModuleRep] = {}
     for mod_name, spec in module_specs.items():
-        modules[mod_name] = ModuleRep(algebra, spec["dims"], spec["mats"])
+        modules[mod_name] = ModuleRep(algebra, spec["dim"], spec["map"])
         modules[mod_name].validate()
     for role in ROLES:
         for lab in labels:
@@ -355,17 +380,8 @@ class TiltingCategory:
                 ):
                     raise ValidationError(f"found an isomorphism between {a} and {b}")
 
-    def minimal_complex(
-        self, M: ModuleRep, scan: str = "forward"
-    ) -> tuple[FormalComplex, dict[int, VMap]]:
-        """``cmin_module`` of M, with its witnesses.
-
-        Callers must not mutate the result.
-        """
-        return _complex(self, M, scan)
-
     @linalg._keep
-    def sum_rep(self, labels: tuple[str, ...]) -> ModuleRep:
+    def sum_rep(self, labels: tuple[str, ...], /) -> ModuleRep:
         """Direct sum of tilting modules."""
         if not labels:
             return ModuleRep(self.algebra, {})
@@ -390,7 +406,7 @@ class TiltingCategory:
 # (labels of T, f: X -> T, coker f, projection T -> coker f)
 _Approximation = tuple[tuple[str, ...], VMap, ModuleRep, VMap]
 # (complex, kappa[n]: P_(-n) -> T^n, resolution terms, resolution differentials)
-_Sweep = tuple[FormalComplex, dict[int, VMap], list[ModuleRep], list[VMap]]
+_Sweep = tuple[FormalComplex, dict[int, VMap], list[ModuleRep], tuple[VMap, ...]]
 
 
 def _approximation(
@@ -427,7 +443,7 @@ def _approximation(
 
 
 @linalg._keep
-def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximation:
+def _checked_approximation(tcat: TiltingCategory, X: ModuleRep, /) -> _Approximation:
     """The approximation f: X -> T of a standard-filtered X, checked, with its
     cokernel.
 
@@ -465,7 +481,7 @@ def _checked_approximation(tcat: TiltingCategory, X: ModuleRep) -> _Approximatio
 
 
 @linalg._keep
-def _sweep(tcat: TiltingCategory, M: ModuleRep) -> _Sweep:
+def _sweep(tcat: TiltingCategory, M: ModuleRep, /) -> _Sweep:
     """A tilting complex of M, not yet minimal, with its comparison map from
     the minimal projective resolution P_m -> ... -> P_0 of M.  Callers must
     not mutate the result.
@@ -535,35 +551,25 @@ def cmin_module(
     map from the minimal projective resolution of M (one exact module map
     per degree).
     """
-    cpx, kappa, projs, res_diffs = _sweep(tcat, M)
-    Y, kappa = _minimize_carrying(tcat, cpx, kappa, projs, scan)
+    cpx, sweep_kappa, projs, res_diffs = _sweep(tcat, M)
+    # the comparison maps, carried through the projection onto Y
+    Y, pi = minimize(cpx, scan=scan)
+    kappa = {
+        n: vmap_compose(pi[n], kap, projs[-n], tcat.sum_rep(Y.term(n)))
+        for n, kap in sweep_kappa.items()
+        if n in pi
+    }
     _verify_cmin(tcat, projs, res_diffs, Y, kappa)
     return Y, kappa
 
 
 @linalg._keep
 def _complex(
-    tcat: TiltingCategory, M: ModuleRep, scan: str
+    tcat: TiltingCategory, M: ModuleRep, scan: str, /
 ) -> tuple[FormalComplex, dict[int, VMap]]:
-    """``cmin_module``, kept per module and scan order."""
+    """``cmin_module``, kept per module and scan order; callers must not
+    mutate the result."""
     return cmin_module(tcat, M, scan)
-
-
-def _minimize_carrying(
-    tcat: TiltingCategory,
-    C: FormalComplex,
-    kappa: Mapping[int, VMap],
-    projs: Sequence[ModuleRep],
-    scan: str,
-) -> tuple[FormalComplex, dict[int, VMap]]:
-    """Minimize C and carry the maps kappa[n]: projs[-n] -> C^n through the
-    projection onto the minimal complex."""
-    C_min, pi = minimize(C, scan=scan)
-    out: dict[int, VMap] = {}
-    for n, kap in kappa.items():
-        if n in pi:
-            out[n] = vmap_compose(pi[n], kap, projs[-n], tcat.sum_rep(C_min.term(n)))
-    return C_min, out
 
 
 def _verify_cmin(
@@ -760,7 +766,7 @@ def _run_suites(block: BlockData) -> list[tuple[str, str]]:
                 ext_witness += 1
     for a in labels:
         P, cover_labels, _ = projective_cover(block.module("simple", a))
-        if cover_labels != [a]:
+        if cover_labels != (a,):
             raise InternalInvariantError(
                 f"projective cover of simple_{a} has top {cover_labels}"
             )
@@ -787,7 +793,7 @@ def _run_suites(block: BlockData) -> list[tuple[str, str]]:
     for role in ("std", "simple"):
         for a in labels:
             mod = block.module(role, a)
-            complexes[f"{role}_{a}"] = (mod, tcat.minimal_complex(mod)[0])
+            complexes[f"{role}_{a}"] = (mod, _complex(tcat, mod, "forward")[0])
     results.append(
         (
             SUITE_NAMES[2],
@@ -800,7 +806,7 @@ def _run_suites(block: BlockData) -> list[tuple[str, str]]:
     # 4: elimination order does not change the answer
     for role in ("std", "simple"):
         for a in labels:
-            cpx_b, _ = tcat.minimal_complex(block.module(role, a), scan="backward")
+            cpx_b, _ = _complex(tcat, block.module(role, a), "backward")
             if cpx_b.label_counts() != complexes[f"{role}_{a}"][1].label_counts():
                 raise InternalInvariantError(
                     f"scan orders disagree on {role}_{a}"
@@ -830,7 +836,7 @@ def _run_suites(block: BlockData) -> list[tuple[str, str]]:
         if not nonzero:
             continue
         rad_checked += 1
-        c_rad, _ = tcat.minimal_complex(rad)
+        c_rad, _ = _complex(tcat, rad, "forward")
         complexes[f"rad_std_{a}"] = (rad, c_rad)
         c_std = complexes[f"std_{a}"][1].label_counts()
         c_simple = complexes[f"simple_{a}"][1].label_counts()

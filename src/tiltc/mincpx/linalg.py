@@ -17,9 +17,7 @@ An (m, n) matrix has m rows of n entries each, with one exception: a
 matrix with no rows is the empty tuple ``()`` whatever n is, since that is
 the one shape a tuple of rows cannot record.  ``blocks`` assembles block
 matrices under this rule, and ``mul_shaped`` takes the result shape from
-its caller for products through zero-dimensional spaces.  ``zeros`` and
-``ident`` hand out one cached tuple per shape; tuples are immutable, so
-sharing them is safe.
+its caller for products through zero-dimensional spaces.
 
 The oracle has one memo, here: while a ``_memo()`` block is open in a
 thread, every function made by ``_keep`` keeps each result by the content
@@ -27,11 +25,12 @@ of its arguments, so each is built once; the results go when the block
 exits.  ``verify_block`` opens one per call, so its results are kept for
 that verification alone, and a library call outside one keeps nothing.
 Here ``rref`` (and with it ``rank``, ``nullspace`` and ``solve_matrix``),
-``mul_shaped`` and ``blocks`` are kept.  A kept result is what a fresh call
-returns: the three return their entries int when integral, Fraction
-otherwise, whatever the types of their arguments, so arguments that
-compare equal (``2`` and ``Fraction(2, 1)`` alike) give equal results of
-the same types.
+``mul_shaped``, ``blocks`` and ``ident`` are kept; ``zeros``, whose build
+costs less than a memo lookup, builds its tuple on each call.  A kept
+result is what a fresh call returns: each returns its entries int when
+integral, Fraction otherwise, whatever the types of its arguments, so
+arguments that compare equal (``2`` and ``Fraction(2, 1)`` alike) give
+equal results of the same types.
 """
 
 from __future__ import annotations
@@ -71,20 +70,8 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     )
 
 
-_ZEROS: dict[tuple[int, int], Mat] = {}
-_IDENT: dict[int, Mat] = {}
-
-
 def zeros(m: int, n: int) -> Mat:
-    if (m, n) not in _ZEROS:
-        _ZEROS[m, n] = ((0,) * n,) * m
-    return _ZEROS[m, n]
-
-
-def ident(n: int) -> Mat:
-    if n not in _IDENT:
-        _IDENT[n] = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return _IDENT[n]
+    return ((0,) * n,) * m
 
 
 def shape(a: Mat) -> tuple[int, int]:
@@ -134,7 +121,9 @@ def _keep(fn):
 
     The arguments must be hashable and equal only where fn gives equal
     results: matrices of canonical scalars, interned modules (one object per
-    content), labels and ints.  A result of None is not kept.
+    content), labels and ints.  A result of None is not kept.  fn declares
+    its parameters positional-only (``/``), so the signature ``wraps`` copies
+    says what the wrapper takes.
     """
 
     @wraps(fn)
@@ -152,7 +141,12 @@ def _keep(fn):
 
 
 @_keep
-def mul_shaped(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
+def ident(n: int, /) -> Mat:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+@_keep
+def mul_shaped(a: Mat, b: Mat, rows: int, cols: int, /) -> Mat:
     """Product a @ b of shape (rows, cols), supplied by the caller.
 
     a @ b is the composite 'b first, then a'.  A zero-row matrix is ``()``
@@ -185,7 +179,7 @@ def blocks(
 
 
 @_keep
-def _blocks(grid: tuple, rows: tuple[int, ...], cols: tuple[int, ...]) -> Mat:
+def _blocks(grid: tuple, rows: tuple[int, ...], cols: tuple[int, ...], /) -> Mat:
     if len(grid) != len(rows) or any(len(line) != len(cols) for line in grid):
         raise ValueError(f"block grid does not have {len(rows)}x{len(cols)} blocks")
     out: list[Vec] = []
@@ -215,7 +209,7 @@ def transpose(a: Mat) -> Mat:
 
 
 @_keep
-def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
+def rref(a: Mat, /) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
     A pivot of 1 or -1 needs no division, so integer rows stay integer; rows

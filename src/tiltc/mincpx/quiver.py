@@ -111,7 +111,7 @@ class AlgebraPresentation:
         for sgn, piece in pieces:
             words = piece.split()
             coeff = sgn
-            if words and words[0].lstrip("-").isdigit():
+            if words and words[0].isascii() and words[0].isdigit():
                 coeff *= linalg.exact(words[0])
                 words = words[1:]
             if not words:
@@ -240,7 +240,7 @@ class AlgebraPresentation:
 
     @linalg._keep
     def projective(
-        self, v: str
+        self, v: str, /
     ) -> tuple["ModuleRep", tuple[tuple[str, int, Path], ...]]:
         """Projective cover of the simple at v, with its path-class basis.
 
@@ -412,7 +412,7 @@ def flat_columns(maps: Sequence[VMap], order: Sequence[str], rows: int) -> Mat:
 
 
 @linalg._keep
-def hom_basis(M: ModuleRep, N: ModuleRep) -> list[VMap]:
+def hom_basis(M: ModuleRep, N: ModuleRep, /) -> list[VMap]:
     """Basis of intertwiners M -> N, by solving the commutation equations.
 
     Callers must not mutate the list.
@@ -466,17 +466,12 @@ def top_generators(M: ModuleRep) -> list[tuple[str, Vec]]:
     return out
 
 
-def projective_cover(M: ModuleRep) -> tuple[ModuleRep, list[str], VMap]:
+@linalg._keep
+def projective_cover(M: ModuleRep, /) -> tuple[ModuleRep, tuple[str, ...], VMap]:
     """(P, vertex labels of its summands, surjection P -> M).
 
-    Callers get a fresh label list and must not mutate the surjection.
+    Callers must not mutate the surjection.
     """
-    P, labels, cover = _cover(M)
-    return P, list(labels), cover
-
-
-@linalg._keep
-def _cover(M: ModuleRep) -> tuple[ModuleRep, tuple[str, ...], VMap]:
     alg = M.algebra
     gens = top_generators(M)
     if not gens:
@@ -571,41 +566,26 @@ def cokernel_rep(
     return C, proj, sections
 
 
-def minimal_projective_resolution(
-    M: ModuleRep,
-) -> tuple[list[tuple[ModuleRep, list[str]]], list[VMap], VMap]:
-    """([(P_i, labels_i)], [d_i: P_i -> P_{i-1} for i >= 1], P_0 -> M).
-
-    Callers get fresh lists and dicts.
-    """
-    terms, diffs, aug = _resolve(M)
-    return (
-        [(P, list(labels)) for P, labels in terms],
-        [dict(d) for d in diffs],
-        dict(aug),
-    )
-
-
-# ([(P_i, labels_i)], [d_i for i >= 1], P_0 -> M)
-_Resolution = tuple[list[tuple[ModuleRep, tuple[str, ...]]], list[VMap], VMap]
-
-
 @linalg._keep
-def _resolve(M: ModuleRep) -> _Resolution:
-    """The minimal projective resolution of M, built whole; callers must not
-    mutate it.  Only terms whose cover and kernel passed their checks are
-    built on."""
-    P, labels, aug = _cover(M)
+def minimal_projective_resolution(
+    M: ModuleRep, /
+) -> tuple[tuple[tuple[ModuleRep, tuple[str, ...]], ...], tuple[VMap, ...], VMap]:
+    """((P_i, labels_i), ..., (d_i: P_i -> P_{i-1} for i >= 1), P_0 -> M).
+
+    Built whole; callers must not mutate the maps.  Only terms whose cover
+    and kernel passed their checks are built on.
+    """
+    P, labels, aug = projective_cover(M)
     terms = [(P, labels)]
     diffs: list[VMap] = []
     cov, covered = aug, M  # the newest cover, P -> covered
     while True:
         K, incl = kernel_rep(cov, P, covered)
         if K.is_zero():
-            return terms, diffs, aug
+            return tuple(terms), tuple(diffs), aug
         if len(terms) > _RESOLUTION_GUARD:
             raise InternalInvariantError("projective resolution exceeds guard")
-        Q, labels, cov = _cover(K)
+        Q, labels, cov = projective_cover(K)
         diffs.append(vmap_compose(incl, cov, Q, P))
         terms.append((Q, labels))
         P, covered = Q, K
@@ -618,7 +598,7 @@ def ext_dims(M: ModuleRep, N: ModuleRep, up_to: int) -> list[int]:
 
 
 @linalg._keep
-def _ext(M: ModuleRep, N: ModuleRep) -> tuple[int, ...]:
+def _ext(M: ModuleRep, N: ModuleRep, /) -> tuple[int, ...]:
     """dim Ext^i(M, N) for each term P_i of the minimal resolution of M.
 
     Each dimension comes from ranks alone: dim Ext^i = dim Hom(P_i, N)
@@ -626,7 +606,7 @@ def _ext(M: ModuleRep, N: ModuleRep) -> tuple[int, ...]:
     Hom(P_i, N) is precomposition with d_i, and d_0^* and the map past the
     last term are zero.
     """
-    terms, diffs, _ = _resolve(M)
+    terms, diffs, _ = minimal_projective_resolution(M)
     homs = [hom_basis(P, N) for P, _ in terms]
     order = M.dims  # the vertices in order
     rank = [0]

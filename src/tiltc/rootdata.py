@@ -117,7 +117,7 @@ class RootSystem:
 
     @classmethod
     def from_type(cls, tag: str) -> "RootSystem":
-        m = _TYPE_RE.match(tag)
+        m = _TYPE_RE.fullmatch(tag)
         if m is None or m.group(1) or m.group(4):
             raise ValidationError(f"not a finite type tag: {tag!r}")
         return cls(tag, finite_cartan(m.group(2), int(m.group(3))))

@@ -57,6 +57,14 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 CoxeterSystem.from_type(bad)
 
+    @pytest.mark.parametrize("tag", ["A01", "E006", "affA01", "A1\n", "A\u0661"])
+    def test_only_canonical_type_tags_are_read(self, tag):
+        # a tag names a store file and is printed as the JSON "system", so
+        # one system has one tag: the whole text, its rank without a leading
+        # zero, in ASCII digits
+        with pytest.raises(ValueError, match="unrecognized type tag"):
+            CoxeterSystem.from_type(tag)
+
     def test_generator_names(self):
         assert A3.names == (1, 2, 3)
         assert AFF2.names == (0, 1, 2)

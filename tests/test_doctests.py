@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from tiltc import coxeter, laurent
+from tiltc import coxeter, laurent, mincpx
 
 
-@pytest.mark.parametrize("module", [coxeter, laurent], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [coxeter, laurent, mincpx], ids=lambda m: m.__name__)
 def test_module_examples(module):
     result = doctest.testmod(module)
     assert result.failed == 0

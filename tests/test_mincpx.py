@@ -4,6 +4,7 @@ quiver representations, formal complexes, and the sl2 block realization."""
 import contextlib
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -309,9 +310,10 @@ class TestLinalg:
         scaled = linalg.scal(2, ((half, F(1, 3)),))
         assert scaled == ((1, F(2, 3)),) and type(scaled[0][0]) is int
 
-    def test_identity_and_zeros_are_shared(self):
-        assert linalg.ident(3) is linalg.ident(3)
-        assert linalg.zeros(2, 3) is linalg.zeros(2, 3)
+    def test_identity_and_zeros_have_their_shapes(self):
+        assert linalg.ident(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert linalg.ident(0) == ()
+        assert linalg.zeros(2, 3) == ((0, 0, 0), (0, 0, 0))
         assert linalg.zeros(0, 3) == () and linalg.zeros(2, 0) == ((), ())
 
     @settings(max_examples=120, deadline=None)
@@ -498,6 +500,32 @@ class TestLinalgMemo:
             assert not worker.is_alive()
             assert not memo
         assert seen == [(None, 1), False]
+
+    def test_kept_functions_take_positional_arguments_only(self, sl2_modules):
+        # the memo keys a result by the positional arguments alone, so every
+        # kept function says so in its signature: found here by the code
+        # object of _keep's wrapper, in every module of the oracle
+        from tiltc.mincpx import block as block_mod
+
+        wrapper = linalg._keep(lambda: None).__code__
+        kept = set()
+        for mod in (linalg, quiver, complexes, block_mod):
+            spaces = [vars(mod)] + [
+                vars(c) for c in vars(mod).values() if isinstance(c, type)
+            ]
+            kept |= {
+                fn
+                for space in spaces
+                for fn in space.values()
+                if getattr(fn, "__code__", None) is wrapper
+            }
+        assert len(kept) == 13
+        for fn in kept:
+            params = inspect.signature(fn).parameters.values()
+            assert all(p.kind is p.POSITIONAL_ONLY for p in params), fn.__qualname__
+        M, N = sl2_modules["std_s"], sl2_modules["tilt_s"]
+        with pytest.raises(TypeError):
+            hom_basis(M, N=N)
 
     def test_nothing_is_kept_outside_a_memo(self, sl2_modules):
         M, N = sl2_modules["std_s"], sl2_modules["tilt_s"]
@@ -691,11 +719,11 @@ class TestQuiver:
 
     def test_minimal_resolutions(self, sl2_modules):
         terms, diffs, aug = minimal_projective_resolution(sl2_modules["L_e"])
-        assert [labels for _, labels in terms] == [["e"], ["s"]]
+        assert [labels for _, labels in terms] == [("e",), ("s",)]
         terms, _, _ = minimal_projective_resolution(sl2_modules["L_s"])
-        assert [labels for _, labels in terms] == [["s"], ["e"], ["s"]]
+        assert [labels for _, labels in terms] == [("s",), ("e",), ("s",)]
         terms, _, _ = minimal_projective_resolution(sl2_modules["std_s"])
-        assert [labels for _, labels in terms] == [["s"]]
+        assert [labels for _, labels in terms] == [("s",)]
 
     def test_ext_tables(self, sl2_modules):
         m = sl2_modules
@@ -723,7 +751,7 @@ class TestQuiver:
             assert len(solves()) == 2  # a repeated call solves none
             # the term P_2 is P_s again, whose basis is kept
             assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
-            assert quiver._resolve(L_s)[0][2][0] is P_s
+            assert minimal_projective_resolution(L_s)[0][2][0] is P_s
             assert ext_dims(L_s, L_e, 1) == [0, 1]
             assert len(solves()) == 2
             assert _builds(memo, quiver._ext) == [(L_s, L_e)]
@@ -745,14 +773,14 @@ class TestQuiver:
         L_e, L_s = ModuleRep(A, {"e": 1}, {}), ModuleRep(A, {"s": 1}, {})
         with _recording_memo() as memo:
             assert ext_dims(L_s, L_e, 0) == [0]
-            assert _builds(memo, quiver._resolve) == [(L_s,)]
-            assert len(_builds(memo, quiver._cover)) == 3
+            assert _builds(memo, minimal_projective_resolution) == [(L_s,)]
+            assert len(_builds(memo, projective_cover)) == 3
             assert ext_dims(L_s, L_e, 4) == [0, 1, 0, 0, 0]
             assert ext_dims(L_s, L_e, 1) == [0, 1]
             terms, _, _ = minimal_projective_resolution(L_s)
-            assert [labels for _, labels in terms] == [["s"], ["e"], ["s"]]
-            assert _builds(memo, quiver._resolve) == [(L_s,)]
-            assert len(_builds(memo, quiver._cover)) == 3
+            assert [labels for _, labels in terms] == [("s",), ("e",), ("s",)]
+            assert _builds(memo, minimal_projective_resolution) == [(L_s,)]
+            assert len(_builds(memo, projective_cover)) == 3
 
     def test_projectives_are_built_once(self, sl2_algebra):
         fresh = AlgebraPresentation(
@@ -786,32 +814,28 @@ class TestQuiver:
             for (name, other), dims in full.items():
                 for up_to in (0, 4, 1):
                     assert ext_dims(mods[name], mods[other], up_to) == dims[: up_to + 1]
-            kept = _kept_by(memo, quiver._resolve)
+            kept = _kept_by(memo, minimal_projective_resolution)
             for name, M in mods.items():
                 terms, diffs, aug = resolutions[name]
                 kept_terms, kept_diffs, kept_aug = kept[(M,)]
-                assert [list(labels) for _, labels in kept_terms] == [
+                assert [labels for _, labels in kept_terms] == [
                     labels for _, labels in terms
                 ]
                 assert [(P.dims, P.mats) for P, _ in kept_terms] == [
                     (P.dims, P.mats) for P, _ in terms
                 ]
                 assert kept_diffs == diffs and kept_aug == aug
-                # callers get copies: changing them leaves the kept terms alone
-                got_terms, got_diffs, _ = minimal_projective_resolution(M)
-                got_terms[0][1].append("x")
-                got_terms.clear()
-                got_diffs.append({})
-                assert minimal_projective_resolution(M)[0] == [
-                    (P, list(labels)) for P, labels in kept_terms
-                ]
-                assert len(kept_diffs) == len(diffs)
+                # a kept resolution is what every later request returns, in
+                # tuples that no caller can change
+                assert minimal_projective_resolution(M) is kept[(M,)]
+                assert {type(kept_terms), type(kept_diffs)} == {tuple}
+                assert all(type(labels) is tuple for _, labels in kept_terms)
             # one resolution per module content: the 12 roles hold 5
-            assert len(kept) == len(_builds(memo, quiver._resolve)) == 5
+            assert len(kept) == len(_builds(memo, minimal_projective_resolution)) == 5
 
     def test_projective_cover_of_tilting(self, sl2_modules):
         P, labels, cov = projective_cover(sl2_modules["tilt_s"])
-        assert labels == ["e"]
+        assert labels == ("e",)
         K, _ = kernel_rep(cov, P, sl2_modules["tilt_s"])
         assert K.is_zero()
 
@@ -1066,6 +1090,40 @@ class TestBlockParsing:
             parse_block_text(bad, name="sl2")
         assert type(info.value) is ValidationError
         assert str(info.value) == f"sl2: bad module line {line!r}"
+
+    @pytest.mark.parametrize(
+        "after,line,message",
+        [
+            ("module std_s\n", "dim q = 7", "sl2: no vertex 'q' in line 'dim q = 7'"),
+            (
+                "module std_s\n",
+                "map gamma = [[5]]",
+                "sl2: no arrow 'gamma' in line 'map gamma = [[5]]'",
+            ),
+            # the line read second is named: here the declared one
+            ("module std_s\n", "map beta = [[2]]", "sl2: repeated line 'map beta = [[1]]'"),
+            ("module std_s\n", "dim e = 1", "sl2: repeated line 'dim e = 1'"),
+            ("[meta]\n", "label s = 1", "sl2: repeated line 'label s = 1'"),
+            ("[meta]\n", "system = A1", "sl2: repeated line 'system = A1'"),
+            ("[quiver]\n", "vertices = e s", "sl2: repeated line 'vertices = e s'"),
+            ("module std_s\n", "dim e = +0", "sl2: bad module line 'dim e = +0'"),
+            ("module std_s\n", "dim e = 0_0", "sl2: bad module line 'dim e = 0_0'"),
+            ("module std_s\n", "dim e = -1", "sl2: bad module line 'dim e = -1'"),
+            ("module std_s\n", "dim e = 01", "sl2: bad module line 'dim e = 01'"),
+            ("module std_s\n", "dim e = \u0661", "sl2: bad module line 'dim e = \u0661'"),
+            # a coefficient is ASCII digits; anything else is an arrow name
+            ("[relations]\n", "\u00b2 beta alpha", "relation uses unknown arrow '\u00b2'"),
+        ],
+    )
+    def test_only_lines_the_format_defines_are_read(self, after, line, message):
+        from importlib import resources
+
+        text = resources.files("tiltc.blocks").joinpath("sl2.block").read_text()
+        assert text.count(after) == 1
+        with pytest.raises(ValidationError) as info:
+            parse_block_text(text.replace(after, after + line + "\n"), name="sl2")
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "line,message",
@@ -1377,11 +1435,11 @@ class TestComplexMemo:
         shared = TiltingCategory(sl2_block)
         with _recording_memo() as memo:
             for role, lab in self.MODULES:  # fill the memo
-                shared.minimal_complex(sl2_block.module(role, lab), scan=scan)
+                block_mod._complex(shared, sl2_block.module(role, lab), scan)
             # std_e = simple_e = tilt_e = costd_e; std_s, simple_s, tilt_s, costd_s
             assert len(_builds(memo, block_mod._complex)) == 5
             hits = {
-                (role, lab): shared.minimal_complex(sl2_block.module(role, lab), scan=scan)
+                (role, lab): block_mod._complex(shared, sl2_block.module(role, lab), scan)
                 for role, lab in self.MODULES
             }
             assert len(_builds(memo, block_mod._complex)) == 5
@@ -1401,18 +1459,19 @@ class TestComplexMemo:
         std_s = sl2_block.module("std", "s")
         copy = ModuleRep(sl2_block.algebra, dict(std_s.dims), dict(std_s.mats))
         assert copy is std_s and direct_sum([std_s]) is std_s
+        kept = block_mod._complex
         with _recording_memo() as memo:
-            assert tcat.minimal_complex(copy) is tcat.minimal_complex(std_s)
-            backward = tcat.minimal_complex(std_s, scan="backward")
-            assert backward is not tcat.minimal_complex(std_s)
-            assert len(_builds(memo, block_mod._complex)) == 2
+            assert kept(tcat, copy, "forward") is kept(tcat, std_s, "forward")
+            backward = kept(tcat, std_s, "backward")
+            assert backward is not kept(tcat, std_s, "forward")
+            assert len(_builds(memo, kept)) == 2
             # other matrices on the same dimension vector: another key
             scaled = ModuleRep(sl2_block.algebra, std_s.dims, {"beta": ((2,),)})
             assert scaled is not std_s
-            tcat.minimal_complex(scaled)
-            assert len(_builds(memo, block_mod._complex)) == 3
+            kept(tcat, scaled, "forward")
+            assert len(_builds(memo, kept)) == 3
         # outside a memo each request builds again
-        assert tcat.minimal_complex(std_s) is not tcat.minimal_complex(std_s)
+        assert kept(tcat, std_s, "forward") is not kept(tcat, std_s, "forward")
 
 
 class TestInterning:
@@ -1484,8 +1543,8 @@ class TestInterning:
         for fn in (
             AlgebraPresentation.projective,
             quiver.hom_basis,
-            quiver._cover,
-            quiver._resolve,
+            quiver.projective_cover,
+            quiver.minimal_projective_resolution,
             quiver._ext,
         ):
             kept = _kept_by(memo, fn)
@@ -1568,13 +1627,14 @@ class TestVerificationMemo:
         assert kept == {
             fn.__wrapped__
             for fn in (
+                linalg.ident,
                 linalg.rref,
                 linalg.mul_shaped,
                 linalg._blocks,
                 AlgebraPresentation.projective,
                 quiver.hom_basis,
-                quiver._cover,
-                quiver._resolve,
+                quiver.projective_cover,
+                quiver.minimal_projective_resolution,
                 quiver._ext,
                 TiltingCategory.sum_rep,
                 block_mod._checked_approximation,

@@ -145,6 +145,14 @@ class TestRootSystem:
         with pytest.raises(ValidationError):
             RootSystem.from_type("affA2")
 
+    @pytest.mark.parametrize("tag", ["A01", "E006", "A2\n", "A\u0662"])
+    def test_only_canonical_type_tags_are_read(self, tag):
+        with pytest.raises(ValidationError, match="not a finite type tag"):
+            RootSystem.from_type(tag)
+        # a linkage datum would otherwise build the affine system aff + tag
+        with pytest.raises(ValidationError, match="not a finite type tag"):
+            LinkageDatum(tag, 5)
+
 
 class TestLinkageArithmetic:
     @pytest.mark.parametrize(
